@@ -3,20 +3,21 @@ functional s[gamma] = integral of F(gamma, dgamma/dt) dt.
 
 A polyline's length is the sum of F(midpoint, segment) over segments: by
 positive 1-homogeneity in the direction argument the parametrization
-cancels, so no dt shows up.  Interior nodes are optimized by gradient
-descent with backtracking; gradients come from the forward dual engine
-(the metric data evaluates generically through the expression trees).
+cancels, so no dt shows up.  Interior nodes are optimized by damped Newton
+steps; the gradient and Hessian are assembled from one hyper-dual jet per
+segment (the metric data evaluates generically through the expression trees).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
 from .metric import FamilyDomainError, SpaceSpec, finsler_norm
-from .numerics import Jet2
+from .numerics import jet_eval
 
 
 class SegmentDomainError(ArithmeticError):
@@ -45,15 +46,17 @@ def polyline_length(spec: SpaceSpec, nodes) -> float:
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or nodes.shape[0] < 2 or nodes.shape[1] != spec.dim:
         raise ValueError(f"nodes must be an (m+1) x {spec.dim} array with m >= 1")
-    total = 0.0
+    parts = []
     for s in range(nodes.shape[0] - 1):
         mid = list(0.5 * (nodes[s] + nodes[s + 1]))
         delta = list(nodes[s + 1] - nodes[s])
         try:
-            total += float(_segment_length(spec, mid, delta))
+            parts.append(float(_segment_length(spec, mid, delta)))
         except (ArithmeticError, ex.DomainError, FamilyDomainError) as err:
             raise SegmentDomainError(s, err) from err
-    return total
+    # exactly rounded sum: near the minimum, accumulated rounding would
+    # otherwise decide whether the reported length falls below the true one
+    return math.fsum(parts)
 
 
 @dataclass
@@ -69,39 +72,39 @@ class GeodesicResult:
     message: str = ""
 
 
-def _length_and_grad(spec: SpaceSpec, endpoints, interior_flat):
-    """Length as a function of the stacked interior coordinates, plus its
-    gradient via one first-order dual pass per coordinate."""
-    p, q = endpoints
+# Levenberg-Marquardt damping, as a multiple of the Hessian's largest
+# |eigenvalue|: raised on each rejected trial, lowered on each accepted step.
+_DAMPING_START = 1e-3
+_DAMPING_MIN = 1e-12
+_DAMPING_MAX = 1e20
+_DAMPING_FACTOR = 10.0
+
+
+def _length_derivatives(spec: SpaceSpec, nodes):
+    """Gradient and Hessian of the length in the stacked interior coordinates.
+
+    Each segment contributes one hyper-dual jet over its two nodes' 2d
+    coordinates; the jet's rows and columns land at the nodes' offsets, and
+    those of a fixed endpoint are dropped.  The Hessian is block-tridiagonal
+    but stored dense: (m-1)d stays desk-scale.
+    """
     d = spec.dim
-    m_int = len(interior_flat) // d
+    n = (len(nodes) - 2) * d
 
-    def assemble(scalars):
-        nodes = [list(p)]
-        for i in range(m_int):
-            nodes.append([scalars[i * d + j] for j in range(d)])
-        nodes.append(list(q))
-        return nodes
+    def segment(z):
+        mid = [(z[j] + z[d + j]) * 0.5 for j in range(d)]
+        delta = [z[d + j] - z[j] for j in range(d)]
+        return _segment_length(spec, mid, delta)
 
-    def total(scalars):
-        nodes = assemble(scalars)
-        out = 0.0
-        for s in range(len(nodes) - 1):
-            mid = [(nodes[s][j] + nodes[s + 1][j]) * 0.5 for j in range(d)]
-            delta = [nodes[s + 1][j] - nodes[s][j] for j in range(d)]
-            out = out + _segment_length(spec, mid, delta)
-        return out
-
-    value = float(total([float(v) for v in interior_flat]))
-    n = len(interior_flat)
     grad = np.zeros(n)
-    for i in range(n):
-        seeded = [
-            Jet2(float(v), 1.0 if j == i else 0.0) for j, v in enumerate(interior_flat)
-        ]
-        out = total(seeded)
-        grad[i] = out.d1 if isinstance(out, Jet2) else 0.0
-    return value, grad
+    hess = np.zeros((n, n))
+    for s in range(len(nodes) - 1):
+        jet = jet_eval(segment, np.concatenate([nodes[s], nodes[s + 1]]))
+        lo = (s - 1) * d  # offset of node s among the interior coordinates
+        a, b = max(lo, 0), min(lo + 2 * d, n)
+        grad[a:b] += jet.gradient[a - lo:b - lo]
+        hess[a:b, a:b] += jet.hessian[a - lo:b - lo, a - lo:b - lo]
+    return grad, hess
 
 
 def minimize(
@@ -113,12 +116,16 @@ def minimize(
     tol: float = 1e-8,
     seed: int = 0,
 ) -> GeodesicResult:
-    """Gradient descent with backtracking on the discretized arc length.
+    """Damped Newton (Levenberg-Marquardt) steps on the discretized arc length.
 
     Interior nodes start on the straight chord plus a small deterministic
-    perturbation.  A trial step that leaves the metric's domain is rejected
-    by the backtracking loop; persistent rejection ends with a
-    non-converged result rather than an exception.
+    perturbation.  Each iteration solves (H + mu I) s = -g with the jet
+    gradient and Hessian and accepts the step only when the float
+    `polyline_length` passes an Armijo test; a rejected or out-of-domain
+    trial raises the damping mu, an accepted one lowers it.  The loop stops
+    when the length gradient's max-norm is at most ``tol``.  Damping that
+    grows without an acceptance ends with a non-converged result rather
+    than an exception.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -145,42 +152,44 @@ def minimize(
         return GeodesicResult(nodes_of(flat), length, 0.0, 0, True, [length])
 
     try:
-        value, grad = _length_and_grad(spec, (p, q), flat)
-    except (ArithmeticError, ex.DomainError) as err:
+        value = polyline_length(spec, nodes_of(flat))
+        grad, hess = _length_derivatives(spec, nodes_of(flat))
+    except ArithmeticError as err:
         return GeodesicResult(nodes_of(flat), float("nan"), float("inf"), 0, False,
                               [], message=f"initial polyline left the domain: {err}")
 
     trace = [value]
-    step = 1.0
+    damping = _DAMPING_START
     it = 0
     converged = False
     message = ""
     for it in range(1, iters + 1):
-        gn = float(np.abs(grad).max())
-        if gn <= tol:
+        if float(np.abs(grad).max()) <= tol:
             converged = True
             message = "stationary point reached"
             break
-        g2 = float(grad @ grad)
-        accepted = False
-        t = step
-        while t >= 1e-16:
-            trial = flat - t * grad
-            try:
-                tval, tgrad = _length_and_grad(spec, (p, q), trial)
-            except (ArithmeticError, ex.DomainError):
-                t *= 0.5  # domain violation: reject the trial step
-                continue
-            if tval <= value - 1e-4 * t * g2:
-                flat, value, grad = trial, tval, tgrad
-                trace.append(value)
-                step = min(t * 2.0, 1e3)
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        lam, vec = np.linalg.eigh(hess)
+        g_eig = vec.T @ grad
+        lam_scale = float(np.abs(lam).max()) or 1.0
+        while damping <= _DAMPING_MAX:
+            shifted = lam + damping * lam_scale
+            if shifted[0] > 0.0:  # H + mu I positive definite: a descent step
+                step = -vec @ (g_eig / shifted)
+                trial = flat + step
+                try:
+                    tval = polyline_length(spec, nodes_of(trial))
+                    if tval <= value + 1e-4 * float(grad @ step):
+                        tgrad, thess = _length_derivatives(spec, nodes_of(trial))
+                        break
+                except ArithmeticError:
+                    pass  # domain exit: damp harder
+            damping *= _DAMPING_FACTOR
+        else:
             message = "line search stalled: persistent step rejection"
             break
+        flat, value, grad, hess = trial, tval, tgrad, thess
+        trace.append(value)
+        damping = max(damping / _DAMPING_FACTOR, _DAMPING_MIN)
     else:
         message = "iteration budget exhausted"
 

@@ -214,18 +214,6 @@ def jet_eval(f: Callable, y: Sequence[float]) -> SecondOrderJet:
     return SecondOrderJet(float(value), grad, hess)
 
 
-def gradient(f: Callable, y: Sequence[float]) -> np.ndarray:
-    """First-order forward gradient: one dual pass per coordinate."""
-    y = [float(v) for v in y]
-    d = len(y)
-    g = np.zeros(d)
-    for i in range(d):
-        args = [Jet2(y[m], 1.0 if m == i else 0.0) for m in range(d)]
-        out = f(args)
-        g[i] = out.d1 if isinstance(out, Jet2) else 0.0
-    return g
-
-
 def fd_hessian(
     f: Callable,
     y: Sequence[float],

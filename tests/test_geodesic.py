@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import make_space
-from finslerkit.geodesic import SegmentDomainError, minimize, polyline_length
+from finslerkit.geodesic import (
+    SegmentDomainError,
+    _length_derivatives,
+    minimize,
+    polyline_length,
+)
+from finslerkit.numerics import fd_hessian
 
 
 def _euclid2():
@@ -106,3 +112,44 @@ def test_trace_is_monotone_nonincreasing():
     res = minimize(_euclid2(), [0, 0], [1, 0], segments=8, iters=200, tol=1e-6, seed=4)
     trace = np.array(res.trace)
     assert np.all(np.diff(trace) <= 1e-15)
+
+
+def test_assembled_derivatives_match_differences_of_the_float_length():
+    # curved 3-D generalized-square space, uneven interior nodes off the chord;
+    # the oracle differentiates the float polyline length, which shares no
+    # code with the per-segment jets
+    spec = make_space(k=2, potential="0.15*x1*x2 + 0.05*x3^2")
+    p, q = np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.6, 0.4])
+    ts = [0.13, 0.35, 0.52, 0.8]
+    offsets = [[0.02, -0.03, 0.01], [-0.04, 0.02, 0.03], [0.01, 0.05, -0.02], [0.03, -0.01, 0.02]]
+    inner = np.array([p + t * (q - p) + np.array(o) for t, o in zip(ts, offsets)])
+
+    def length(flat):
+        return polyline_length(spec, np.vstack([p, np.reshape(flat, (-1, 3)), q]))
+
+    flat = inner.flatten()
+    grad, hess = _length_derivatives(spec, np.vstack([p, inner, q]))
+    h = 1e-6
+    fd_grad = np.array([
+        (length(flat + h * e) - length(flat - h * e)) / (2 * h) for e in np.eye(len(flat))
+    ])
+    assert np.abs(grad - fd_grad).max() <= 1e-7
+    fd_hess = fd_hessian(length, flat, step=1e-3, richardson=True)
+    assert np.abs(hess - fd_hess).max() <= 1e-5 * np.abs(fd_hess).max()
+
+
+def test_minimize_curved_randers_exact_length():
+    # b = grad(0.2 x1 x2) is exact and linear, so the midpoint rule integrates
+    # beta exactly: the minimal length is |q - p| + phi(q) - phi(p)
+    spec = make_space(family="randers", dim=2, potential="0.2*x1*x2")
+    res = minimize(spec, [0, 0], [1, 1], segments=8, iters=600, tol=1e-7, seed=1)
+    assert res.converged
+    assert res.length == pytest.approx(np.sqrt(2.0) + 0.2, rel=1e-7)
+
+
+def test_minimize_shipped_config_converges_in_few_newton_steps():
+    # the problem of configs/geodesic_randers.cfg
+    res = minimize(_randers2(), [0, 0], [1, 0], segments=8, iters=600, tol=1e-7, seed=1)
+    assert res.converged
+    assert res.iterations <= 20
+    assert abs(res.length - 1.1) <= 1e-12
