@@ -30,7 +30,7 @@ from .hypersurface import (
     frame_at,
     normal_curvature_and_h,
 )
-from .metric import SpaceSpec
+from .metric import SAMPLE_BOX, SpaceSpec
 from .numerics import least_squares
 
 
@@ -44,7 +44,6 @@ class ClassifyOptions:
     directions: int = 5
     seed: int = 2024
     tol: float = 1e-8
-    box: float = 1.0
 
 
 @dataclass
@@ -90,10 +89,11 @@ class ClassificationReport:
 
 
 def surface_points(
-    surface: LevelSurface, spec: SpaceSpec, n: int, seed: int, box: float = 1.0
+    surface: LevelSurface, spec: SpaceSpec, n: int, seed: int
 ) -> list[np.ndarray]:
-    """Deterministic points on b(x) = c: seeded box samples projected onto the
-    level set by Newton iteration along the local gradient direction."""
+    """Deterministic points on b(x) = c: seeded samples from the box
+    [-SAMPLE_BOX, SAMPLE_BOX]^d projected onto the level set by Newton
+    iteration along the local gradient direction."""
     rng = np.random.default_rng(seed)
     pts: list[np.ndarray] = []
     tries = 0
@@ -101,7 +101,7 @@ def surface_points(
         tries += 1
         if tries > max(500 * n, 2000):
             raise RuntimeError("surface sampling stalled; is the level reachable?")
-        raw = rng.uniform(-box, box, size=spec.dim)
+        raw = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim)
         grad = surface.gradient(raw)
         gn = np.linalg.norm(grad)
         if gn < 1e-10:
@@ -219,13 +219,12 @@ def classify(
     Disagreement raises ClassifierConsistencyError: the equivalences are
     exact, so a mismatch signals an implementation or sampling problem.
     """
-    if spec.family not in ("generalized-square", "square"):
+    if spec.family != "generalized-square":
         raise ValueError(
             "classification is specific to the (alpha+beta)^(k+1)/alpha^k family"
         )
-    k = 1 if spec.family == "square" else spec.k
     opts = opts or ClassifyOptions()
-    pts = surface_points(surface, spec, opts.points, opts.seed, box=opts.box)
+    pts = surface_points(surface, spec, opts.points, opts.seed)
 
     first, c_samples = first_kind_test(surface, spec, pts, tol=opts.tol)
     second, e_samples = second_kind_test(surface, spec, pts, tol=opts.tol)
@@ -265,7 +264,7 @@ def classify(
 
     third = third_kind_test(frames, h_list)
     if first.passed:
-        factors, deviation = proportionality_check(frames, h_list, c_for_frame, k)
+        factors, deviation = proportionality_check(frames, h_list, c_for_frame, spec.k)
     else:
         factors, deviation = [], None
 

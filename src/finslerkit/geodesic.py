@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .metric import FamilyDomainError, SpaceSpec, finsler_norm
+from .metric import FamilyDomainError, SpaceSpec, alpha_beta_generic, finsler_norm
 from .numerics import jet_eval
 
 
@@ -33,11 +33,7 @@ def _segment_length(spec: SpaceSpec, mid, delta):
     d = spec.dim
     a = [[spec.a[i][j].eval(mid) for j in range(d)] for i in range(d)]
     b = [spec.b[i].eval(mid) for i in range(d)]
-    alpha2 = sum(a[i][j] * delta[i] * delta[j] for i in range(d) for j in range(d))
-    if alpha2 <= 0.0:
-        raise ArithmeticError("degenerate segment direction")
-    alpha = alpha2.sqrt() if hasattr(alpha2, "sqrt") else float(alpha2) ** 0.5
-    beta = sum(b[i] * delta[i] for i in range(d))
+    alpha, beta, _ = alpha_beta_generic(a, b, delta)
     return finsler_norm(spec.family, spec.k, alpha, beta)
 
 

@@ -5,6 +5,10 @@ exponent k; k = 1 reduces to the square metric.  The other families are kept
 for audit breadth: every closed form downstream is checked against the same
 differentiation oracles across all of them.
 
+`finsler_norm` is the single home of F and of each family's domain check.
+The square and kropina names are aliases for k = 1 of the generalized
+families; `resolve_family` maps them, once per `SpaceSpec`.
+
 The literature overloads one symbol as both manifold dimension and metric
 exponent; here the exponent is named k everywhere.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -28,6 +33,11 @@ FAMILIES = (
     "matsumoto",
     "riemannian",
 )
+
+# half-width of the coordinate box that flag and surface sampling draw x from
+SAMPLE_BOX = 1.0
+
+_ALIASES = {"square": ("generalized-square", 1), "kropina": ("generalized-kropina", 1)}
 
 
 class FamilyDomainError(ArithmeticError):
@@ -46,15 +56,11 @@ class DegenerateMetricError(ArithmeticError):
         self.pivot = pivot
 
 
-def _real(v):
-    return getattr(v, "value", v)
-
-
-def _sqrt(v):
-    method = getattr(v, "sqrt", None)
-    if callable(method):
-        return method()
-    return math.sqrt(v)
+def resolve_family(family: str, k: int) -> tuple[str, int]:
+    """Canonical (family, k): the square and kropina aliases fix k = 1."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown metric family '{family}'")
+    return _ALIASES.get(family, (family, k))
 
 
 @dataclass
@@ -69,48 +75,60 @@ class PhiPartials:
     Fab: float
 
 
-def phi_partials(family: str, k: int, alpha, beta) -> PhiPartials:
-    """Closed-form partials of F(alpha, beta) up to second order.
+def finsler_norm(family: str, k: int, alpha, beta):
+    """F(alpha, beta); raises FamilyDomainError outside the family's domain.
 
     Scalar-generic: alpha/beta may be floats or dual numbers, so the same
-    formulas feed both production evaluation and the derivative oracles.
-    For the square and kropina families the exponent is fixed at 1.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown metric family '{family}'")
-    if family in ("generalized-square", "square"):
-        n = 1 if family == "square" else k
+    expression feeds production evaluation and the derivative oracles."""
+    family, k = resolve_family(family, k)
+    if family == "generalized-square":
+        return (alpha + beta) ** (k + 1) / alpha ** k
+    if family == "riemannian":
+        return alpha
+    if family == "randers":
+        return alpha + beta
+    if family == "generalized-kropina":
+        if ex._real(beta) <= 0.0:
+            raise FamilyDomainError(family, "requires beta > 0")
+        return alpha ** (k + 1) / beta ** k
+    w = alpha - beta
+    if ex._real(w) <= 0.0:
+        raise FamilyDomainError(family, "requires alpha - beta > 0")
+    return alpha * alpha / w
+
+
+def phi_partials(family: str, k: int, alpha, beta) -> PhiPartials:
+    """F(alpha, beta) from `finsler_norm` with its closed-form partials up
+    to second order; scalar-generic like `finsler_norm`."""
+    family, k = resolve_family(family, k)
+    F = finsler_norm(family, k, alpha, beta)
+    if family == "generalized-square":
         s = alpha + beta
         return PhiPartials(
-            F=s ** (n + 1) / alpha ** n,
-            Fa=(alpha - n * beta) * s ** n / alpha ** (n + 1),
-            Fb=(n + 1) * s ** n / alpha ** n,
-            Faa=n * (n + 1) * beta * beta * s ** (n - 1) / alpha ** (n + 2),
-            Fbb=n * (n + 1) * s ** (n - 1) / alpha ** n,
-            Fab=-(n * (n + 1)) * beta * s ** (n - 1) / alpha ** (n + 1),
+            F=F,
+            Fa=(alpha - k * beta) * s ** k / alpha ** (k + 1),
+            Fb=(k + 1) * s ** k / alpha ** k,
+            Faa=k * (k + 1) * beta * beta * s ** (k - 1) / alpha ** (k + 2),
+            Fbb=k * (k + 1) * s ** (k - 1) / alpha ** k,
+            Fab=-(k * (k + 1)) * beta * s ** (k - 1) / alpha ** (k + 1),
         )
     if family == "riemannian":
-        return PhiPartials(F=alpha, Fa=1.0, Fb=0.0, Faa=0.0, Fbb=0.0, Fab=0.0)
+        return PhiPartials(F=F, Fa=1.0, Fb=0.0, Faa=0.0, Fbb=0.0, Fab=0.0)
     if family == "randers":
-        return PhiPartials(F=alpha + beta, Fa=1.0, Fb=1.0, Faa=0.0, Fbb=0.0, Fab=0.0)
-    if family in ("kropina", "generalized-kropina"):
-        n = 1 if family == "kropina" else k
-        if _real(beta) <= 0.0:
-            raise FamilyDomainError(family, "requires beta > 0")
+        return PhiPartials(F=F, Fa=1.0, Fb=1.0, Faa=0.0, Fbb=0.0, Fab=0.0)
+    if family == "generalized-kropina":
         return PhiPartials(
-            F=alpha ** (n + 1) / beta ** n,
-            Fa=(n + 1) * alpha ** n / beta ** n,
-            Fb=-n * alpha ** (n + 1) / beta ** (n + 1),
-            Faa=n * (n + 1) * alpha ** (n - 1) / beta ** n,
-            Fbb=n * (n + 1) * alpha ** (n + 1) / beta ** (n + 2),
-            Fab=-(n * (n + 1)) * alpha ** n / beta ** (n + 1),
+            F=F,
+            Fa=(k + 1) * alpha ** k / beta ** k,
+            Fb=-k * alpha ** (k + 1) / beta ** (k + 1),
+            Faa=k * (k + 1) * alpha ** (k - 1) / beta ** k,
+            Fbb=k * (k + 1) * alpha ** (k + 1) / beta ** (k + 2),
+            Fab=-(k * (k + 1)) * alpha ** k / beta ** (k + 1),
         )
     # matsumoto
     w = alpha - beta
-    if _real(w) <= 0.0:
-        raise FamilyDomainError(family, "requires alpha - beta > 0")
     return PhiPartials(
-        F=alpha * alpha / w,
+        F=F,
         Fa=alpha * (alpha - 2 * beta) / w ** 2,
         Fb=alpha * alpha / w ** 2,
         Faa=2 * beta * beta / w ** 3,
@@ -119,35 +137,24 @@ def phi_partials(family: str, k: int, alpha, beta) -> PhiPartials:
     )
 
 
-def finsler_norm(family: str, k: int, alpha, beta):
-    """F(alpha, beta) alone; scalar-generic (used by the geodesic functional)."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown metric family '{family}'")
-    if family in ("generalized-square", "square"):
-        n = 1 if family == "square" else k
-        return (alpha + beta) ** (n + 1) / alpha ** n
-    if family == "riemannian":
-        return alpha
-    if family == "randers":
-        return alpha + beta
-    if family in ("kropina", "generalized-kropina"):
-        n = 1 if family == "kropina" else k
-        if _real(beta) <= 0.0:
-            raise FamilyDomainError(family, "requires beta > 0")
-        return alpha ** (n + 1) / beta ** n
-    w = alpha - beta
-    if _real(w) <= 0.0:
-        raise FamilyDomainError("matsumoto", "requires alpha - beta > 0")
-    return alpha * alpha / w
+def alpha_beta_generic(a, b, y):
+    """alpha, beta and y_i = a_ij y^j for scalars of any type (floats or
+    duals); raises ArithmeticError when alpha^2 <= 0."""
+    y_low = [sum(map(mul, row, y)) for row in a]
+    alpha2 = sum(map(mul, y_low, y))
+    if alpha2 <= 0.0:
+        raise ArithmeticError("degenerate direction: alpha^2 <= 0")
+    return ex._call_fn("sqrt", alpha2), sum(map(mul, b, y)), y_low
 
 
 @dataclass
 class SpaceSpec:
     """A Finsler space: dimension, exponent, family, a_ij(x) and b_i(x).
 
-    Treated as immutable after construction; all evaluation is pure.  When
-    ``b_potential`` is supplied, b_i is its exact symbolic gradient, so the
-    gradient-field property holds by construction.
+    Treated as immutable after construction; all evaluation is pure.  The
+    family is stored canonically: an alias is replaced by its generalized
+    family with k = 1.  When ``b_potential`` is supplied, b_i is its exact
+    symbolic gradient, so the gradient-field property holds by construction.
     """
 
     dim: int
@@ -164,8 +171,7 @@ class SpaceSpec:
             raise ValueError("dimension must be at least 2")
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError("exponent k must be a positive integer")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown metric family '{self.family}'")
+        self.family, self.k = resolve_family(self.family, self.k)
         if len(self.a) != self.dim or any(len(row) != self.dim for row in self.a):
             raise ValueError(f"a must be a {self.dim}x{self.dim} block")
         if len(self.b) != self.dim:
@@ -285,11 +291,9 @@ def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
     alpha_positive = flag.alpha > 0.0
     try:
         pp = phi_partials(spec.family, spec.k, flag.alpha, flag.beta)
-        family_domain = True
-        f_value = pp.F
     except FamilyDomainError:
         return ValidityReport(alpha_positive, False, False, False, None, None)
-    F_positive = f_value > 0.0
+    F_positive = pp.F > 0.0
     from . import tensors  # local import: tensors builds on this module
 
     try:
@@ -300,31 +304,23 @@ def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
             a_inv = np.linalg.inv(flag.a)
             b_up = a_inv @ flag.b
             tensors.reciprocal_coefficients(mc, flag.alpha, flag.beta, float(flag.b @ b_up))
-        return ValidityReport(
-            alpha_positive, F_positive, family_domain, check.ok, check.pivot, f_value
-        )
+        return ValidityReport(alpha_positive, F_positive, True, check.ok, check.pivot, pp.F)
     except ArithmeticError:
-        return ValidityReport(alpha_positive, F_positive, family_domain, False, None, f_value)
+        return ValidityReport(alpha_positive, F_positive, True, False, None, pp.F)
 
 
-def sample_flags(
-    spec: SpaceSpec,
-    n: int,
-    seed: int,
-    box: float = 1.0,
-    max_tries: int | None = None,
-) -> list[FlagPoint]:
-    """Seeded in-domain flags: x uniform in [-box, box]^d, y uniform on the
-    unit sphere, rejected unless every validity flag passes."""
+def sample_flags(spec: SpaceSpec, n: int, seed: int) -> list[FlagPoint]:
+    """Seeded in-domain flags: x uniform in [-SAMPLE_BOX, SAMPLE_BOX]^d, y
+    uniform on the unit sphere, rejected unless every validity flag passes."""
     rng = np.random.default_rng(seed)
     out: list[FlagPoint] = []
     tries = 0
-    limit = max_tries if max_tries is not None else max(200 * n, 1000)
+    limit = max(200 * n, 1000)
     while len(out) < n:
         tries += 1
         if tries > limit:
             raise RuntimeError(f"in-domain sampling stalled after {tries} draws")
-        x = rng.uniform(-box, box, size=spec.dim)
+        x = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim)
         y = rng.normal(size=spec.dim)
         norm = np.linalg.norm(y)
         if norm < 1e-12:

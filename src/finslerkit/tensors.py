@@ -18,7 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import FlagPoint, PhiPartials, SpaceSpec, flag_point, phi_partials
+from .metric import (
+    FlagPoint,
+    PhiPartials,
+    SpaceSpec,
+    alpha_beta_generic,
+    finsler_norm,
+    flag_point,
+    phi_partials,
+    resolve_family,
+    sample_flags,
+)
 from .numerics import Jet2, fd_hessian, jet_eval
 
 
@@ -75,14 +85,13 @@ def angular_coefficients(pp: PhiPartials, alpha) -> AngularCoefficients:
 def dp0_dbeta(family: str, k: int, alpha, beta):
     """Closed-form beta-derivative of p0 per family (validated in tests
     against symbolic differentiation of p0 itself)."""
-    if family in ("generalized-square", "square"):
-        n = 1 if family == "square" else k
-        return 2 * n * (n + 1) * (2 * n + 1) * (alpha + beta) ** (2 * n - 1) / alpha ** (2 * n)
+    family, k = resolve_family(family, k)
+    if family == "generalized-square":
+        return 2 * k * (k + 1) * (2 * k + 1) * (alpha + beta) ** (2 * k - 1) / alpha ** (2 * k)
     if family in ("riemannian", "randers"):
         return 0.0
-    if family in ("kropina", "generalized-kropina"):
-        n = 1 if family == "kropina" else k
-        return -(2 * n + 2) * n * (2 * n + 1) * alpha ** (2 * n + 2) / beta ** (2 * n + 3)
+    if family == "generalized-kropina":
+        return -(2 * k + 2) * k * (2 * k + 1) * alpha ** (2 * k + 2) / beta ** (2 * k + 3)
     # matsumoto: p0 = 3 alpha^4 / (alpha - beta)^4
     return 12 * alpha ** 4 / (alpha - beta) ** 5
 
@@ -223,10 +232,7 @@ def _g_entries_generic(spec: SpaceSpec, a, b, ys) -> list[list]:
     """g_ij entries from the closed form, with direction components ``ys``
     of any scalar type (floats or duals).  a, b are fixed floats at x."""
     d = spec.dim
-    y_low = [sum(a[i][j] * ys[j] for j in range(d)) for i in range(d)]
-    alpha2 = sum(y_low[i] * ys[i] for i in range(d))
-    alpha = alpha2.sqrt() if hasattr(alpha2, "sqrt") else float(alpha2) ** 0.5
-    beta = sum(b[i] * ys[i] for i in range(d))
+    alpha, beta, y_low = alpha_beta_generic(a, b, ys)
     pp = phi_partials(spec.family, spec.k, alpha, beta)
     mc = metric_coefficients(pp, spec.family, spec.k, alpha, beta)
     return [
@@ -244,19 +250,16 @@ def _g_entries_generic(spec: SpaceSpec, a, b, ys) -> list[list]:
 def half_f_squared(spec: SpaceSpec, x):
     """Callable y -> F(x, y)^2 / 2 that stays generic over the scalar type.
 
-    This is the oracle seed: its y-Hessian is the fundamental tensor.
+    This is the oracle seed: its y-Hessian is the fundamental tensor.  It
+    reads only F, so it stays independent of the closed-form partials.
     """
     a = spec.a_at(x)
     b = spec.b_at(x)
-    d = spec.dim
 
     def f(ys):
-        y_low = [sum(a[i][j] * ys[j] for j in range(d)) for i in range(d)]
-        alpha2 = sum(y_low[i] * ys[i] for i in range(d))
-        alpha = alpha2.sqrt() if hasattr(alpha2, "sqrt") else float(alpha2) ** 0.5
-        beta = sum(b[i] * ys[i] for i in range(d))
-        pp = phi_partials(spec.family, spec.k, alpha, beta)
-        return 0.5 * pp.F * pp.F
+        alpha, beta, _ = alpha_beta_generic(a, b, ys)
+        F = finsler_norm(spec.family, spec.k, alpha, beta)
+        return 0.5 * F * F
 
     return f
 
@@ -325,7 +328,11 @@ def rel_error(a: np.ndarray, ref: np.ndarray) -> float:
     return float(np.abs(a - ref).max() / (1.0 + np.abs(ref).max()))
 
 
-def audit_flag(spec: SpaceSpec, x, y, fd_step: float = 1e-4) -> list[AuditRow]:
+# central-difference step of the finite-difference Hessian oracle
+FD_STEP = 1e-4
+
+
+def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
     """Audit the closed forms at one flag against both oracles.
 
     Checks: g vs half-F^2 Hessian (dual and finite-difference routes),
@@ -335,7 +342,7 @@ def audit_flag(spec: SpaceSpec, x, y, fd_step: float = 1e-4) -> list[AuditRow]:
     bundle = bundle_at(spec, x, y)
     f = half_f_squared(spec, x)
     jet = jet_eval(f, y)
-    fd = fd_hessian(f, y, step=fd_step)
+    fd = fd_hessian(f, y, step=FD_STEP)
     rows = [
         _row("fundamental-vs-jet-oracle", rel_error(bundle.g, jet.hessian)),
         _row("fundamental-vs-fd-oracle", rel_error(bundle.g, fd)),
@@ -343,10 +350,9 @@ def audit_flag(spec: SpaceSpec, x, y, fd_step: float = 1e-4) -> list[AuditRow]:
         _row("reciprocal-vs-inversion", rel_error(bundle.g_inv, np.linalg.inv(bundle.g))),
         _row("hv-torsion-vs-jet-oracle", rel_error(bundle.C, torsion_oracle(spec, x, y))),
     ]
-    if spec.family in ("generalized-square", "square"):
-        n = 1 if spec.family == "square" else spec.k
+    if spec.family == "generalized-square":
         q2 = bundle.angular.q2
-        q2_printed = q2_expanded_form(n, bundle.flag.alpha, bundle.flag.beta)
+        q2_printed = q2_expanded_form(spec.k, bundle.flag.alpha, bundle.flag.beta)
         err = abs(q2 - q2_printed) / (1.0 + abs(q2))
         rows.append(
             AuditRow(
@@ -367,13 +373,7 @@ def _row(check: str, error: float) -> AuditRow:
     return AuditRow(check=check, error=error, tol=tol, passed=error <= tol)
 
 
-def audit_sweep(
-    spec: SpaceSpec,
-    n: int = 100,
-    seed: int = 0,
-    fd_step: float = 1e-4,
-    flags=None,
-) -> AuditReport:
+def audit_sweep(spec: SpaceSpec, n: int = 100, seed: int = 0) -> AuditReport:
     """Run the per-flag audit over seeded in-domain flags and keep, for each
     check, the worst error seen.
 
@@ -381,18 +381,13 @@ def audit_sweep(
     by homogeneity) so that degree-sensitive checks are exercised at
     alpha != 1 as well.
     """
-    from .metric import sample_flags
-
-    if flags is None:
-        base = sample_flags(spec, n, seed)
-        rng = np.random.default_rng(seed)
-        scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), size=len(base)))
-        flags = [(f.x, f.y * s) for f, s in zip(base, scales)]
-    else:
-        flags = [(f.x, f.y) for f in flags]
+    base = sample_flags(spec, n, seed)
+    rng = np.random.default_rng(seed)
+    scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), size=len(base)))
+    flags = [(f.x, f.y * s) for f, s in zip(base, scales)]
     worst: dict[str, AuditRow] = {}
     for x, y in flags:
-        for row in audit_flag(spec, x, y, fd_step=fd_step):
+        for row in audit_flag(spec, x, y):
             kept = worst.get(row.check)
             if kept is None or row.error > kept.error:
                 worst[row.check] = row

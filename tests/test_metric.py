@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from finslerkit.metric import (
     sample_flags,
     validity_check,
 )
+from finslerkit.numerics import Jet2
+from finslerkit.tensors import bundle_at, half_f_squared
 
 
 def test_alpha_beta_flat_space():
@@ -176,3 +179,36 @@ def test_gradient_potential_matches_symbolic_derivatives():
     spec = make_space(k=1, potential="exp(x3) + x1*x2")
     x = np.array([0.3, -0.7, 0.2])
     assert np.allclose(spec.b_at(x), [x[1], x[0], math.exp(x[2])], atol=1e-14)
+
+
+def test_space_spec_stores_canonical_family():
+    rows = [[ex.Num(1.0), ex.Num(0.0)], [ex.Num(0.0), ex.Num(1.0)]]
+    b = [ex.Num(0.3), ex.Num(0.0)]
+    square = SpaceSpec(2, 3, "square", rows, b)
+    assert (square.family, square.k) == ("generalized-square", 1)
+    kropina = SpaceSpec(2, 2, "kropina", rows, b)
+    assert (kropina.family, kropina.k) == ("generalized-kropina", 1)
+
+
+def _same_bits(u, v) -> bool:
+    if dataclasses.is_dataclass(u):
+        return all(_same_bits(getattr(u, f.name), getattr(v, f.name))
+                   for f in dataclasses.fields(u))
+    u, v = np.asarray(u), np.asarray(v)
+    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("alias, canonical", [("square", "generalized-square"),
+                                              ("kropina", "generalized-kropina")])
+def test_alias_bundle_equals_exponent_one_bit_for_bit(alias, canonical):
+    potential = "exp(x3) + 0.2*x1*x2"
+    via_alias = make_space(family=alias, k=3, potential=potential)
+    direct = make_space(family=canonical, k=1, potential=potential)
+    for x, y in (([0.1, -0.3, 0.2], [0.4, 0.2, 1.0]), ([0.5, 0.4, -0.6], [-0.3, 0.1, 0.9])):
+        assert _same_bits(bundle_at(via_alias, x, y), bundle_at(direct, x, y))
+
+
+def test_half_f_squared_rejects_zero_direction_on_jets():
+    f = half_f_squared(make_space(k=2, potential="exp(x3)"), [0.1, 0.2, 0.3])
+    with pytest.raises(ArithmeticError, match="alpha\\^2 <= 0"):
+        f([Jet2(0.0, 1.0, 1.0), Jet2(0.0), Jet2(0.0)])
