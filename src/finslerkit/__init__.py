@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .classifier import ClassificationReport, ClassifyOptions, classify
 from .config import RunConfig, load_config
-from .expr import DomainError, Expr, ExprSyntaxError, diff, evaluate, parse
+from .expr import DomainError, Expr, ExprSyntaxError, diff, parse
 from .geodesic import GeodesicResult, minimize, polyline_length
 from .hypersurface import HypersurfaceFrame, LevelSurface, chart_at, frame_at
 from .metric import (
@@ -19,7 +19,6 @@ from .metric import (
     FlagPoint,
     PhiPartials,
     SpaceSpec,
-    alpha_beta,
     flag_point,
     phi_partials,
     sample_flags,
@@ -46,14 +45,12 @@ __all__ = [
     "SecondOrderJet",
     "SpaceSpec",
     "TensorBundle",
-    "alpha_beta",
     "audit_flag",
     "audit_sweep",
     "bundle_at",
     "chart_at",
     "classify",
     "diff",
-    "evaluate",
     "fd_hessian",
     "flag_point",
     "frame_at",

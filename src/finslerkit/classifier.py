@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import covariant_db, difference_ingredients
+from .connection import ConnectionData, covariant_db, difference_ingredients
 from .hypersurface import (
     HTensors,
     HypersurfaceFrame,
@@ -124,28 +124,23 @@ def surface_points(
 
 
 def first_kind_test(
-    surface: LevelSurface, spec: SpaceSpec, points: list[np.ndarray], tol: float = 1e-8
+    conns: list[ConnectionData], tol: float = 1e-8
 ) -> tuple[KindResult, list[np.ndarray]]:
     """Least-squares solve of 2 b_ij = b_i c_j + b_j c_i over the d(d+1)/2
-    independent equations at each sample; FAIL is an answer, not an error."""
-    d = spec.dim
+    independent equations at each sample point's connection; FAIL is an
+    answer, not an error."""
     worst = 0.0
     scale = 1.0
     c_samples: list[np.ndarray] = []
-    for x in points:
-        conn = covariant_db(spec, x)
-        b = spec.b_at(x)
-        rows = []
-        rhs = []
-        for i in range(d):
-            for j in range(i, d):
-                row = np.zeros(d)
-                row[j] += b[i]
-                row[i] += b[j]
-                rows.append(row)
-                rhs.append(2.0 * conn.b_cov[i, j])
-        c, _ = least_squares(np.array(rows), np.array(rhs))
-        resid = float(np.abs(np.array(rows) @ c - np.array(rhs)).max())
+    for conn in conns:
+        b = conn.point.b
+        iu, ju = np.triu_indices(len(b))  # the equation (i, j), i <= j, per row
+        rows = np.zeros((len(iu), len(b)))
+        rows[np.arange(len(iu)), ju] += b[iu]
+        rows[np.arange(len(iu)), iu] += b[ju]
+        rhs = 2.0 * conn.b_cov[iu, ju]
+        c, _ = least_squares(rows, rhs)
+        resid = float(np.abs(rows @ c - rhs).max())
         worst = max(worst, resid)
         scale = max(scale, 1.0 + float(np.abs(conn.b_cov).max()))
         c_samples.append(c)
@@ -153,23 +148,19 @@ def first_kind_test(
 
 
 def second_kind_test(
-    surface: LevelSurface, spec: SpaceSpec, points: list[np.ndarray], tol: float = 1e-8
+    conns: list[ConnectionData], tol: float = 1e-8
 ) -> tuple[KindResult, list[float]]:
     """Fit e(x) = b^i b^j b_ij / (b^2)^2 and measure ||b_cov - e b (x) b||."""
     worst = 0.0
     scale = 1.0
     e_samples: list[float] = []
-    for x in points:
-        conn = covariant_db(spec, x)
-        a = spec.a_at(x)
-        b = spec.b_at(x)
-        b_up = np.linalg.solve(a, b)
-        b2 = float(b @ b_up)
-        if b2 < 1e-14:
+    for conn in conns:
+        p = conn.point
+        if p.b2 < 1e-14:
             e_samples.append(0.0)
             continue
-        e = float(b_up @ conn.b_cov @ b_up) / (b2 * b2)
-        resid = float(np.abs(conn.b_cov - e * np.outer(b, b)).max())
+        e = float(p.b_up @ conn.b_cov @ p.b_up) / (p.b2 * p.b2)
+        resid = float(np.abs(conn.b_cov - e * np.outer(p.b, p.b)).max())
         worst = max(worst, resid)
         scale = max(scale, 1.0 + float(np.abs(conn.b_cov).max()))
         e_samples.append(e)
@@ -225,9 +216,10 @@ def classify(
         )
     opts = opts or ClassifyOptions()
     pts = surface_points(surface, spec, opts.points, opts.seed)
+    conns = [covariant_db(spec, x) for x in pts]  # one base point and connection each
 
-    first, c_samples = first_kind_test(surface, spec, pts, tol=opts.tol)
-    second, e_samples = second_kind_test(surface, spec, pts, tol=opts.tol)
+    first, c_samples = first_kind_test(conns, tol=opts.tol)
+    second, e_samples = second_kind_test(conns, tol=opts.tol)
 
     rng = np.random.default_rng(opts.seed + 1)
     frames: list[HypersurfaceFrame] = []
@@ -236,15 +228,11 @@ def classify(
     h_a_max = 0.0
     h_ab_max = 0.0
     geo_scale = 1.0
-    for idx, x in enumerate(pts):
-        conn = covariant_db(spec, x)
+    for idx, conn in enumerate(conns):
         geo_scale = max(geo_scale, 1.0 + float(np.abs(conn.b_cov).max()))
-        for _ in range(opts.directions):
-            v = rng.normal(size=spec.dim - 1)
-            nv = np.linalg.norm(v)
-            if nv < 1e-12:
-                continue
-            frame = frame_at(spec, surface, x, v / nv)
+        draws = rng.normal(size=(opts.directions, spec.dim - 1))
+        vs = [v / np.linalg.norm(v) for v in draws if np.linalg.norm(v) >= 1e-12]
+        for frame in frame_at(spec, surface, conn.point, vs):
             di = difference_ingredients(frame.bundle, conn, frame.flag)
             ht = normal_curvature_and_h(frame, conn, di)
             frames.append(frame)

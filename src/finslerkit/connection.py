@@ -12,20 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import FlagPoint, SpaceSpec
-from .numerics import pd_check
+from .metric import BasePoint, FlagPoint, SpaceSpec, base_point
 from .tensors import TensorBundle
 
 
 @dataclass
 class ConnectionData:
-    """Christoffel symbols of a_ij and the covariant derivative of b.
+    """Christoffel symbols of a_ij and the covariant derivative of b at a
+    base point.
 
     gamma[i, j, k] = Gamma^i_jk (symmetric in j, k);
     b_cov[i, j]    = nabla_j b_i;
     E / Fij        = symmetric / antisymmetric parts of b_cov.
     """
 
+    point: BasePoint
     gamma: np.ndarray
     b_cov: np.ndarray
     E: np.ndarray
@@ -34,32 +35,28 @@ class ConnectionData:
 
 def christoffel(spec: SpaceSpec, x) -> np.ndarray:
     """Gamma^i_jk = a^il (d_j a_lk + d_k a_jl - d_l a_jk) / 2, exact symbolic
-    spatial derivatives."""
-    a = spec.a_at(x)
-    check = pd_check(a)
-    if not check.ok:
-        from .metric import DegenerateMetricError
-
-        raise DegenerateMetricError(check.pivot, x)
-    a_inv = np.linalg.inv(a)
-    da = spec.da_at(x)  # da[l, i, j] = d a_ij / d x^l
+    spatial derivatives; x may be a BasePoint."""
+    point = base_point(spec, x)
+    da = spec.da_at(point.x)  # da[l, i, j] = d a_ij / d x^l
     # lowered symbol: [jk, l] = (d_j a_lk + d_k a_jl - d_l a_jk) / 2
     low = 0.5 * (
         np.einsum("jlk->ljk", da)
         + np.einsum("kjl->ljk", da)
         - np.einsum("ljk->ljk", da)
     )
-    return np.einsum("il,ljk->ijk", a_inv, low)
+    return np.einsum("il,ljk->ijk", point.a_inv, low)
 
 
 def covariant_db(spec: SpaceSpec, x) -> ConnectionData:
     """b_ij = d_j b_i - b_l Gamma^l_ij, split into symmetric and
-    antisymmetric parts (the latter vanishes for gradient fields)."""
-    gamma = christoffel(spec, x)
-    db = spec.db_at(x)  # db[i, j] = d b_i / d x^j
-    b = spec.b_at(x)
-    b_cov = db - np.einsum("l,lij->ij", b, gamma)
+    antisymmetric parts (the latter vanishes for gradient fields); x may be
+    a BasePoint."""
+    point = base_point(spec, x)
+    gamma = christoffel(spec, point)
+    db = spec.db_at(point.x)  # db[i, j] = d b_i / d x^j
+    b_cov = db - np.einsum("l,lij->ij", point.b, gamma)
     return ConnectionData(
+        point=point,
         gamma=gamma,
         b_cov=b_cov,
         E=0.5 * (b_cov + b_cov.T),
@@ -161,6 +158,6 @@ def difference_tensor(
 
 def difference_tensor_at(spec: SpaceSpec, bundle: TensorBundle) -> tuple[ConnectionData, np.ndarray]:
     """Convenience: connection data plus D^i_jk at the bundle's flag."""
-    conn = covariant_db(spec, bundle.flag.x)
+    conn = covariant_db(spec, bundle.flag)
     di = difference_ingredients(bundle, conn, bundle.flag)
     return conn, difference_tensor(di, bundle, conn, bundle.flag)

@@ -489,8 +489,3 @@ def parse(text: str, constants: Mapping[str, float] | None = None) -> Expr:
 def diff(e: Expr, var: int) -> Expr:
     """Exact symbolic derivative with respect to coordinate index ``var`` (0-based)."""
     return e.diff(var)
-
-
-def evaluate(e: Expr, x: Sequence):
-    """Evaluate at a point; scalars may be floats or dual numbers."""
-    return e.eval(x)

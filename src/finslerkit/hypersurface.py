@@ -25,8 +25,10 @@ from .connection import (
     difference_ingredients,
     difference_tensor,
 )
-from .metric import FlagPoint, SpaceSpec, flag_point
+from .metric import FlagPoint, SpaceSpec, base_point, flag_point
 from .tensors import TensorBundle, bundle_at
+
+BETA_TOL = 1e-10  # tangency bound on |beta|, relative to max|b| max|y|
 
 
 class OffSurfaceError(ValueError):
@@ -71,7 +73,8 @@ class Chart:
     B[i, a]      = dx^i/du^a (projection factors; columns span the tangent space);
     B2[i, a, b]  = d^2 x^i / du^a du^b (nonzero only in the dependent row);
     dep          = index of the coordinate solved for via the implicit function
-                   theorem (largest |gradient| component).
+                   theorem (largest |gradient| component);
+    grad         = gradient of the potential at x0.
     """
 
     x0: np.ndarray
@@ -79,6 +82,7 @@ class Chart:
     free: tuple[int, ...]
     B: np.ndarray
     B2: np.ndarray
+    grad: np.ndarray
 
 
 def chart_at(surface: LevelSurface, x0, tol: float = 1e-10) -> Chart:
@@ -107,24 +111,20 @@ def chart_at(surface: LevelSurface, x0, tol: float = 1e-10) -> Chart:
     for a, i in enumerate(free):
         for bidx in range(d - 1):
             B2[dep, a, bidx] = -(hb[i, bidx] * gd - grad[i] * hb[dep, bidx]) / (gd * gd)
-    return Chart(x0=x0, dep=dep, free=free, B=B, B2=B2)
+    return Chart(x0=x0, dep=dep, free=free, B=B, B2=B2, grad=grad)
 
 
-def tangential_flag(
-    spec: SpaceSpec, chart: Chart, v, beta_tol: float = 1e-10
-) -> FlagPoint:
-    """Lift a hypersurface direction v to the ambient flag y = B v.
+def tangential_flag(spec: SpaceSpec, chart: Chart, v) -> FlagPoint:
+    """Lift a hypersurface direction v to the ambient flag y = B v; B has full
+    rank, so `flag_point` rejects v = 0 as a zero direction."""
+    return _tangential(flag_point(spec, chart.x0, chart.B @ np.asarray(v, dtype=float)))
 
-    When the surface is a level set of the space's own 1-form potential,
-    beta vanishes on tangential flags; that is asserted here.
-    """
-    v = np.asarray(v, dtype=float)
-    if not np.any(v):
-        raise ValueError("hypersurface direction v must be nonzero")
-    y = chart.B @ v
-    flag = flag_point(spec, chart.x0, y)
-    scale = 1.0 + float(np.abs(flag.b).max()) * float(np.abs(y).max())
-    if abs(flag.beta) > beta_tol * scale:
+
+def _tangential(flag: FlagPoint) -> FlagPoint:
+    """When the surface is a level set of the space's own 1-form potential,
+    beta vanishes on tangential flags; that is asserted here."""
+    scale = 1.0 + float(np.abs(flag.b).max()) * float(np.abs(flag.y).max())
+    if abs(flag.beta) > BETA_TOL * scale:
         raise ValueError(
             f"flag is not tangential: beta = {flag.beta:.3e} "
             "(surface potential and space 1-form disagree?)"
@@ -132,12 +132,12 @@ def tangential_flag(
     return flag
 
 
-def unit_normal(chart: Chart, bundle: TensorBundle, grad: np.ndarray):
+def unit_normal(chart: Chart, bundle: TensorBundle):
     """g-unit normal: solves g_ij B^i_a N^j = 0 with g_ij N^i N^j = 1,
     oriented toward increasing potential (b_i N^i > 0)."""
     g = bundle.g
-    w = np.linalg.solve(g, grad)
-    s = float(grad @ w)
+    w = np.linalg.solve(g, chart.grad)
+    s = float(chart.grad @ w)
     if s <= 0.0:
         raise ArithmeticError("degenerate fundamental tensor: cannot normalize the normal")
     n_up = w / math.sqrt(s)
@@ -174,21 +174,27 @@ class HypersurfaceFrame:
     C_ind: np.ndarray
 
 
-def frame_at(spec: SpaceSpec, surface: LevelSurface, x0, v) -> HypersurfaceFrame:
-    """Full frame at a surface point and tangential direction."""
-    chart = chart_at(surface, x0)
-    flag = tangential_flag(spec, chart, v)
-    bundle = bundle_at(spec, flag.x, flag.y)
-    grad = surface.gradient(chart.x0)
-    n_up, n_dn = unit_normal(chart, bundle, grad)
-    g_ind, h_ind, c_ind = induced_tensors(chart, bundle)
-    g_ind_inv = np.linalg.inv(g_ind)
-    b_dual = g_ind_inv @ (chart.B.T @ bundle.g)
-    return HypersurfaceFrame(
-        chart=chart, flag=flag, bundle=bundle, v=np.asarray(v, dtype=float),
-        N_up=n_up, N_dn=n_dn, B_dual=b_dual,
-        g_ind=g_ind, g_ind_inv=g_ind_inv, h_ind=h_ind, C_ind=c_ind,
-    )
+def frame_at(spec: SpaceSpec, surface: LevelSurface, x0, directions) -> list[HypersurfaceFrame]:
+    """Frames at one surface point x0 (or its BasePoint), one per tangential
+    direction v.  The chart (with the potential gradient) and the base point
+    are built once; each direction's flag is built once, inside its bundle."""
+    point = base_point(spec, x0)
+    chart = chart_at(surface, point.x)
+    frames = []
+    for v in directions:
+        v = np.asarray(v, dtype=float)
+        bundle = bundle_at(spec, point, chart.B @ v)
+        flag = _tangential(bundle.flag)
+        n_up, n_dn = unit_normal(chart, bundle)
+        g_ind, h_ind, c_ind = induced_tensors(chart, bundle)
+        g_ind_inv = np.linalg.inv(g_ind)
+        b_dual = g_ind_inv @ (chart.B.T @ bundle.g)
+        frames.append(HypersurfaceFrame(
+            chart=chart, flag=flag, bundle=bundle, v=v,
+            N_up=n_up, N_dn=n_dn, B_dual=b_dual,
+            g_ind=g_ind, g_ind_inv=g_ind_inv, h_ind=h_ind, C_ind=c_ind,
+        ))
+    return frames
 
 
 def second_fundamental_v(frame: HypersurfaceFrame):
@@ -238,8 +244,8 @@ def normal_curvature_and_h(
 
 
 def h_tensors_at(spec: SpaceSpec, surface: LevelSurface, x0, v) -> tuple[HypersurfaceFrame, HTensors]:
-    """Frame plus curvature tensors in one call."""
-    frame = frame_at(spec, surface, x0, v)
-    conn = covariant_db(spec, frame.flag.x)
+    """Frame plus curvature tensors for one direction: a batch of one."""
+    (frame,) = frame_at(spec, surface, x0, [v])
+    conn = covariant_db(spec, frame.flag)
     di = difference_ingredients(frame.bundle, conn, frame.flag)
     return frame, normal_curvature_and_h(frame, conn, di)

@@ -9,6 +9,11 @@ differentiation oracles across all of them.
 The square and kropina names are aliases for k = 1 of the generalized
 families; `resolve_family` maps them, once per `SpaceSpec`.
 
+`base_point` is the only place that evaluates a base point: its `BasePoint`
+record holds a_ij(x) (checked positive definite), b_i(x), a^ij, b^i and b^2;
+a `FlagPoint` adds a direction.  Every `(spec, x, ...)` entry point accepts
+such a record where it accepts x, and reads it instead of evaluating again.
+
 The literature overloads one symbol as both manifold dimension and metric
 exponent; here the exponent is named k everywhere.
 """
@@ -88,13 +93,21 @@ def finsler_norm(family: str, k: int, alpha, beta):
     if family == "randers":
         return alpha + beta
     if family == "generalized-kropina":
-        if ex._real(beta) <= 0.0:
-            raise FamilyDomainError(family, "requires beta > 0")
+        if not _representable(ex._real(alpha), ex._real(beta), k + 1, k + 2):
+            raise FamilyDomainError(family, "requires beta > 0 (and finite partials)")
         return alpha ** (k + 1) / beta ** k
     w = alpha - beta
-    if ex._real(w) <= 0.0:
-        raise FamilyDomainError(family, "requires alpha - beta > 0")
+    if not _representable(ex._real(alpha), ex._real(w), 2, 3):
+        raise FamilyDomainError(family, "requires alpha - beta > 0 (and finite partials)")
     return alpha * alpha / w
+
+
+def _representable(num, den, p: int, q: int) -> bool:
+    """den > 0 and num^p / den^q, the scale of the largest partial, is finite."""
+    try:
+        return float(den) > 0.0 and math.isfinite(float(num) ** p / float(den) ** q)
+    except (OverflowError, ZeroDivisionError):  # den^q underflowed to 0, or overflow
+        return False
 
 
 def phi_partials(family: str, k: int, alpha, beta) -> PhiPartials:
@@ -219,41 +232,57 @@ class SpaceSpec:
 
 
 @dataclass
-class FlagPoint:
-    """Base point x with direction y and the per-flag data every tensor reuses."""
+class BasePoint:
+    """a_ij, b_i and the data raised with a^ij at one base point x."""
 
     x: np.ndarray
-    y: np.ndarray
-    a: np.ndarray       # a_ij(x)
+    a: np.ndarray       # a_ij(x), positive definite
     b: np.ndarray       # b_i(x)
+    a_inv: np.ndarray   # a^ij
+    b_up: np.ndarray    # b^i = a^ij b_j
+    b2: float           # b^2 = b_i b^i
+
+
+@dataclass
+class FlagPoint(BasePoint):
+    """Base point with a direction y and the per-flag data every tensor reuses."""
+
+    y: np.ndarray
     y_low: np.ndarray   # y_i = a_ij y^j, lowered once per flag
     alpha: float
     beta: float
 
 
-def flag_point(spec: SpaceSpec, x, y) -> FlagPoint:
-    """Evaluate and cache alpha, beta and the lowered direction at (x, y)."""
+def base_point(spec: SpaceSpec, x) -> BasePoint:
+    """Evaluate a(x) and b(x) once; a BasePoint argument is returned as is.
+    Raises DegenerateMetricError when a(x) is not positive definite."""
+    if isinstance(x, BasePoint):
+        return x
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (spec.dim,) or y.shape != (spec.dim,):
-        raise ValueError(f"x and y must have dimension {spec.dim}")
-    if not np.any(y):
-        raise ValueError("direction y must be nonzero")
+    if x.shape != (spec.dim,):
+        raise ValueError(f"x must have dimension {spec.dim}")
     a = spec.a_at(x)
     check = pd_check(a)
     if not check.ok:
         raise DegenerateMetricError(check.pivot, x)
     b = spec.b_at(x)
-    y_low = a @ y
-    alpha = math.sqrt(float(y @ y_low))
-    beta = float(b @ y)
-    return FlagPoint(x=x, y=y, a=a, b=b, y_low=y_low, alpha=alpha, beta=beta)
+    a_inv = np.linalg.inv(a)
+    b_up = a_inv @ b
+    return BasePoint(x=x, a=a, b=b, a_inv=a_inv, b_up=b_up, b2=float(b @ b_up))
 
 
-def alpha_beta(spec: SpaceSpec, x, y) -> tuple[float, float]:
-    """alpha = sqrt(a_ij y^i y^j) > 0 and beta = b_i y^i at the flag."""
-    flag = flag_point(spec, x, y)
-    return flag.alpha, flag.beta
+def flag_point(spec: SpaceSpec, x, y) -> FlagPoint:
+    """The flag (x, y): alpha, beta and the lowered direction at the base
+    point x, which may be a BasePoint."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (spec.dim,):
+        raise ValueError(f"y must have dimension {spec.dim}")
+    if not np.any(y):
+        raise ValueError("direction y must be nonzero")
+    p = base_point(spec, x)
+    y_low = p.a @ y
+    return FlagPoint(x=p.x, a=p.a, b=p.b, a_inv=p.a_inv, b_up=p.b_up, b2=p.b2, y=y,
+                     y_low=y_low, alpha=math.sqrt(float(y @ y_low)), beta=float(p.b @ y))
 
 
 @dataclass
@@ -266,6 +295,7 @@ class ValidityReport:
     fundamental_pd: bool
     pd_pivot: int | None
     F: float | None
+    flag: FlagPoint
 
     @property
     def ok(self) -> bool:
@@ -292,7 +322,7 @@ def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
     try:
         pp = phi_partials(spec.family, spec.k, flag.alpha, flag.beta)
     except FamilyDomainError:
-        return ValidityReport(alpha_positive, False, False, False, None, None)
+        return ValidityReport(alpha_positive, False, False, False, None, None, flag)
     F_positive = pp.F > 0.0
     from . import tensors  # local import: tensors builds on this module
 
@@ -301,12 +331,10 @@ def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
         g = tensors.fundamental_tensor(mc, flag.a, flag.b, flag.y_low)
         check = pd_check(g)
         if check.ok:
-            a_inv = np.linalg.inv(flag.a)
-            b_up = a_inv @ flag.b
-            tensors.reciprocal_coefficients(mc, flag.alpha, flag.beta, float(flag.b @ b_up))
-        return ValidityReport(alpha_positive, F_positive, True, check.ok, check.pivot, pp.F)
+            tensors.reciprocal_coefficients(mc, flag.alpha, flag.beta, flag.b2)
+        return ValidityReport(alpha_positive, F_positive, True, check.ok, check.pivot, pp.F, flag)
     except ArithmeticError:
-        return ValidityReport(alpha_positive, F_positive, True, False, None, pp.F)
+        return ValidityReport(alpha_positive, F_positive, True, False, None, pp.F, flag)
 
 
 def sample_flags(spec: SpaceSpec, n: int, seed: int) -> list[FlagPoint]:
@@ -331,5 +359,5 @@ def sample_flags(spec: SpaceSpec, n: int, seed: int) -> list[FlagPoint]:
         except (ArithmeticError, ValueError):
             continue
         if report.ok:
-            out.append(flag_point(spec, x, y))
+            out.append(report.flag)
     return out

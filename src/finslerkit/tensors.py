@@ -23,6 +23,7 @@ from .metric import (
     PhiPartials,
     SpaceSpec,
     alpha_beta_generic,
+    base_point,
     finsler_norm,
     flag_point,
     phi_partials,
@@ -126,24 +127,25 @@ def reciprocal_coefficients(mc: MetricCoefficients, alpha, beta, b2) -> Reciproc
     )
 
 
-# -- assembly (numpy, float path)
+# -- assembly
+
+def _four_term(a, b, y_low, c, c0, c1, c2) -> np.ndarray:
+    """c a_ij + c0 b_i b_j + c1 (b_i y_j + b_j y_i) + c2 y_i y_j.  Arrays sit
+    on the left, so the coefficients may be duals and y_low an object array."""
+    return (
+        a * c
+        + np.outer(b, b) * c0
+        + (np.outer(b, y_low) + np.outer(y_low, b)) * c1
+        + np.outer(y_low, y_low) * c2
+    )
+
 
 def angular_tensor(ac: AngularCoefficients, a, b, y_low) -> np.ndarray:
-    return (
-        ac.p * a
-        + ac.q0 * np.outer(b, b)
-        + ac.q1 * (np.outer(b, y_low) + np.outer(y_low, b))
-        + ac.q2 * np.outer(y_low, y_low)
-    )
+    return _four_term(a, b, y_low, ac.p, ac.q0, ac.q1, ac.q2)
 
 
 def fundamental_tensor(mc: MetricCoefficients, a, b, y_low) -> np.ndarray:
-    return (
-        mc.p * a
-        + mc.p0 * np.outer(b, b)
-        + mc.p1 * (np.outer(b, y_low) + np.outer(y_low, b))
-        + mc.p2 * np.outer(y_low, y_low)
-    )
+    return _four_term(a, b, y_low, mc.p, mc.p0, mc.p1, mc.p2)
 
 
 def reciprocal_tensor(rc: ReciprocalCoefficients, p, a_inv, b_up, y) -> np.ndarray:
@@ -203,17 +205,15 @@ class TensorBundle:
 
 
 def bundle_at(spec: SpaceSpec, x, y) -> TensorBundle:
-    """Materialize every pointwise tensor at the flag (x, y) from closed forms."""
+    """Materialize every pointwise tensor at the flag (x, y) from closed
+    forms; x may be a BasePoint."""
     flag = flag_point(spec, x, y)
     pp = phi_partials(spec.family, spec.k, flag.alpha, flag.beta)
     ac = angular_coefficients(pp, flag.alpha)
     mc = metric_coefficients(pp, spec.family, spec.k, flag.alpha, flag.beta)
-    a_inv = np.linalg.inv(flag.a)
-    b_up = a_inv @ flag.b
-    b2 = float(flag.b @ b_up)
-    rc = reciprocal_coefficients(mc, flag.alpha, flag.beta, b2)
+    rc = reciprocal_coefficients(mc, flag.alpha, flag.beta, flag.b2)
     g = fundamental_tensor(mc, flag.a, flag.b, flag.y_low)
-    g_inv = reciprocal_tensor(rc, mc.p, a_inv, b_up, flag.y)
+    g_inv = reciprocal_tensor(rc, mc.p, flag.a_inv, flag.b_up, flag.y)
     h = angular_tensor(ac, flag.a, flag.b, flag.y_low)
     l = support_covector(pp, flag.alpha, flag.b, flag.y_low)
     m = orthogonal_covector(flag)
@@ -222,39 +222,21 @@ def bundle_at(spec: SpaceSpec, x, y) -> TensorBundle:
     return TensorBundle(
         flag=flag, phi=pp, angular=ac, metric=mc, reciprocal=rc, F=pp.F,
         l=l, g=g, g_inv=g_inv, h=h, C=c, gamma1=gamma1, m=m,
-        a_inv=a_inv, b_up=b_up, b2=b2,
+        a_inv=flag.a_inv, b_up=flag.b_up, b2=flag.b2,
     )
 
 
 # -- oracle plumbing: the closed forms evaluated on generic scalars
 
-def _g_entries_generic(spec: SpaceSpec, a, b, ys) -> list[list]:
-    """g_ij entries from the closed form, with direction components ``ys``
-    of any scalar type (floats or duals).  a, b are fixed floats at x."""
-    d = spec.dim
-    alpha, beta, y_low = alpha_beta_generic(a, b, ys)
-    pp = phi_partials(spec.family, spec.k, alpha, beta)
-    mc = metric_coefficients(pp, spec.family, spec.k, alpha, beta)
-    return [
-        [
-            mc.p * a[i][j]
-            + mc.p0 * b[i] * b[j]
-            + mc.p1 * (b[i] * y_low[j] + b[j] * y_low[i])
-            + mc.p2 * y_low[i] * y_low[j]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-
-
 def half_f_squared(spec: SpaceSpec, x):
-    """Callable y -> F(x, y)^2 / 2 that stays generic over the scalar type.
+    """Callable y -> F(x, y)^2 / 2 that stays generic over the scalar type;
+    x may be a BasePoint.
 
     This is the oracle seed: its y-Hessian is the fundamental tensor.  It
     reads only F, so it stays independent of the closed-form partials.
     """
-    a = spec.a_at(x)
-    b = spec.b_at(x)
+    point = base_point(spec, x)
+    a, b = point.a.tolist(), point.b.tolist()  # float * Jet2 is the cheap product
 
     def f(ys):
         alpha, beta, _ = alpha_beta_generic(a, b, ys)
@@ -266,19 +248,18 @@ def half_f_squared(spec: SpaceSpec, x):
 
 def torsion_oracle(spec: SpaceSpec, x, y) -> np.ndarray:
     """C_ijk oracle = (1/2) d g_ij / d y^k, by dual differentiation of the
-    closed-form g entries in the direction argument."""
-    a = spec.a_at(x)
-    b = spec.b_at(x)
-    d = spec.dim
-    y = [float(v) for v in y]
-    out = np.zeros((d, d, d))
-    for kk in range(d):
-        ys = [Jet2(y[m], 1.0 if m == kk else 0.0) for m in range(d)]
-        entries = _g_entries_generic(spec, a, b, ys)
-        for i in range(d):
-            for j in range(d):
-                e = entries[i][j]
-                out[i, j, kk] = 0.5 * (e.d1 if isinstance(e, Jet2) else 0.0)
+    closed-form `fundamental_tensor` in the direction argument; x may be a
+    BasePoint."""
+    point = base_point(spec, x)
+    a, b = point.a.tolist(), point.b.tolist()
+    out = np.zeros((spec.dim,) * 3)
+    for kk in range(spec.dim):
+        ys = [Jet2(v, m == kk) for m, v in enumerate(y)]
+        alpha, beta, y_low = alpha_beta_generic(a, b, ys)
+        pp = phi_partials(spec.family, spec.k, alpha, beta)
+        mc = metric_coefficients(pp, spec.family, spec.k, alpha, beta)
+        g = fundamental_tensor(mc, point.a, point.b, np.array(y_low, dtype=object))
+        out[:, :, kk] = [[0.5 * e.d1 for e in row] for row in g]
     return out
 
 
@@ -333,14 +314,15 @@ FD_STEP = 1e-4
 
 
 def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
-    """Audit the closed forms at one flag against both oracles.
+    """Audit the closed forms at one flag against both oracles; x may be a
+    BasePoint.
 
     Checks: g vs half-F^2 Hessian (dual and finite-difference routes),
     h vs g - l (x) l, g_inv vs direct inversion, C vs half dg/dy, and the
     expanded q2 bracket vs its defining expression (documented mismatch).
     """
     bundle = bundle_at(spec, x, y)
-    f = half_f_squared(spec, x)
+    f = half_f_squared(spec, bundle.flag)
     jet = jet_eval(f, y)
     fd = fd_hessian(f, y, step=FD_STEP)
     rows = [
@@ -348,7 +330,7 @@ def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
         _row("fundamental-vs-fd-oracle", rel_error(bundle.g, fd)),
         _row("angular-identity", rel_error(bundle.h, bundle.g - np.outer(bundle.l, bundle.l))),
         _row("reciprocal-vs-inversion", rel_error(bundle.g_inv, np.linalg.inv(bundle.g))),
-        _row("hv-torsion-vs-jet-oracle", rel_error(bundle.C, torsion_oracle(spec, x, y))),
+        _row("hv-torsion-vs-jet-oracle", rel_error(bundle.C, torsion_oracle(spec, bundle.flag, y))),
     ]
     if spec.family == "generalized-square":
         q2 = bundle.angular.q2
@@ -384,7 +366,7 @@ def audit_sweep(spec: SpaceSpec, n: int = 100, seed: int = 0) -> AuditReport:
     base = sample_flags(spec, n, seed)
     rng = np.random.default_rng(seed)
     scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), size=len(base)))
-    flags = [(f.x, f.y * s) for f, s in zip(base, scales)]
+    flags = [(f, f.y * s) for f, s in zip(base, scales)]  # each sampled point is reused
     worst: dict[str, AuditRow] = {}
     for x, y in flags:
         for row in audit_flag(spec, x, y):

@@ -60,3 +60,17 @@ def tangential_points_and_dirs(surface: LevelSurface, spec: SpaceSpec, n: int, s
     pts = surface_points(surface, spec, n, seed)
     dirs = [rng.normal(size=spec.dim - 1) for _ in pts]
     return list(zip(pts, dirs))
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` for the test; the returned list gets one entry (the
+    positional arguments) per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import exp_fixture, make_space, plane_fixture, radial_fixture
+from conftest import count_calls, exp_fixture, make_space, plane_fixture, radial_fixture
+from finslerkit import classifier, connection, hypersurface
 from finslerkit import expr as ex
 from finslerkit.classifier import (
     ClassifyOptions,
@@ -10,7 +11,9 @@ from finslerkit.classifier import (
     second_kind_test,
     surface_points,
 )
+from finslerkit.connection import covariant_db
 from finslerkit.hypersurface import LevelSurface
+from finslerkit.metric import SpaceSpec
 
 FAST = ClassifyOptions(points=8, directions=3, seed=5)
 
@@ -28,7 +31,7 @@ def test_surface_points_deterministic_and_on_surface():
 def test_first_kind_constant_one_form():
     spec, surface = plane_fixture(1)
     pts = surface_points(surface, spec, 6, seed=1)
-    result, c_samples = first_kind_test(surface, spec, pts)
+    result, c_samples = first_kind_test([covariant_db(spec, x) for x in pts])
     assert result.passed and result.residual == 0.0
     for c in c_samples:
         assert np.abs(c).max() < 1e-14
@@ -37,7 +40,7 @@ def test_first_kind_constant_one_form():
 def test_first_kind_exponential_gradient_solves_exactly():
     spec, surface = exp_fixture(1)
     pts = surface_points(surface, spec, 6, seed=2)
-    result, c_samples = first_kind_test(surface, spec, pts)
+    result, c_samples = first_kind_test([covariant_db(spec, x) for x in pts])
     assert result.passed and result.residual < 1e-12
     for c in c_samples:  # c = exp(-x3) b = (0, 0, 1) on the level exp(x3) = 1
         assert np.allclose(c, [0.0, 0.0, 1.0], atol=1e-10)
@@ -45,7 +48,7 @@ def test_first_kind_exponential_gradient_solves_exactly():
 
 def test_first_kind_radial_field_fails_with_unit_residual():
     spec, surface = radial_fixture(1)
-    result, _ = first_kind_test(surface, spec, [np.array([1.0, 0.0, 0.0])])
+    result, _ = first_kind_test([covariant_db(spec, [1.0, 0.0, 0.0])])
     assert not result.passed
     assert result.residual >= 1.0
 
@@ -53,13 +56,13 @@ def test_first_kind_radial_field_fails_with_unit_residual():
 def test_second_kind_constant_and_exponential():
     spec, surface = plane_fixture(1)
     pts = surface_points(surface, spec, 6, seed=1)
-    result, e_samples = second_kind_test(surface, spec, pts)
+    result, e_samples = second_kind_test([covariant_db(spec, x) for x in pts])
     assert result.passed and result.residual == 0.0
     assert all(e == 0.0 for e in e_samples)
 
     spec2, surface2 = exp_fixture(1)
     pts2 = surface_points(surface2, spec2, 6, seed=2)
-    result2, e_samples2 = second_kind_test(surface2, spec2, pts2)
+    result2, e_samples2 = second_kind_test([covariant_db(spec2, x) for x in pts2])
     assert result2.passed and result2.residual < 1e-12
     for e in e_samples2:  # e(x) = exp(-x3) = 1 on the surface
         assert e == pytest.approx(1.0, abs=1e-10)
@@ -67,7 +70,7 @@ def test_second_kind_constant_and_exponential():
 
 def test_second_kind_radial_field_fails():
     spec, surface = radial_fixture(1)
-    result, _ = second_kind_test(surface, spec, [np.array([1.0, 0.0, 0.0])])
+    result, _ = second_kind_test([covariant_db(spec, [1.0, 0.0, 0.0])])
     assert not result.passed
     assert result.residual >= 1.0
 
@@ -124,8 +127,8 @@ def test_second_kind_implies_first_kind_over_potential_family():
             x = rng.uniform(-1.0, 1.0, size=3)
             if np.linalg.norm(spec.b_at(x)) > 1e-6:
                 pts.append(x)
-        first, _ = first_kind_test(surface, spec, pts)
-        second, _ = second_kind_test(surface, spec, pts)
+        first, _ = first_kind_test([covariant_db(spec, x) for x in pts])
+        second, _ = second_kind_test([covariant_db(spec, x) for x in pts])
         if second.passed:
             assert first.passed, pot
 
@@ -189,3 +192,16 @@ def test_report_metadata_records_grid_and_seed():
     assert report.tol == FAST.tol
     assert report.summary[0] == ("first-kind", "PASS")
     assert report.summary[2] == ("third-kind", "IMPOSSIBLE")
+
+
+def test_classify_evaluates_each_surface_point_once(monkeypatch):
+    spec, surface = exp_fixture(2)
+    a_calls = count_calls(monkeypatch, SpaceSpec, "a_at")
+    conns = [count_calls(monkeypatch, module, "covariant_db")
+             for module in (classifier, connection, hypersurface)]
+    report = classify(surface, spec, FAST)
+    assert len(report.points) == FAST.points
+    # one a(x) and one connection per point, shared by both kind tests and
+    # by the frames of all FAST.directions directions
+    assert len(a_calls) == FAST.points
+    assert sum(map(len, conns)) == FAST.points

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,19 @@ def test_machine_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_text().splitlines()[0] == "# seed=11"
     assert out1.read_text().splitlines()[1] == "point-index,test,residual,verdict"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("tensors", "e1"), ("audit", "e1"), ("classify", "e2"), ("geodesic", "geodesic_randers"),
+])
+def test_shipped_config_output_is_byte_identical_across_runs(tmp_path, capsys, command, config):
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.cfg")
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main([command, "--config", cfg, "--out", str(out1)]) == 0
+    assert main([command, "--config", cfg, "--out", str(out2)]) == 0
+    capsys.readouterr()
+    assert out1.stat().st_size > 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_seed_override_is_recorded(tmp_path, capsys):

@@ -89,14 +89,14 @@ def test_tangential_flag_rejects_foreign_surface():
 def test_induced_metric_is_pullback_of_a():
     for spec, surface in (exp_fixture(1), radial_fixture(2)):
         for x0, v in tangential_points_and_dirs(surface, spec, 5, seed=5):
-            frame = frame_at(spec, surface, x0, v)
+            (frame,) = frame_at(spec, surface, x0, [v])
             a_pullback = frame.chart.B.T @ frame.flag.a @ frame.chart.B
             assert np.abs(frame.g_ind - a_pullback).max() < 1e-11
 
 
 def test_induced_tensors_on_small_b_plane():
     spec, surface = plane_fixture(1)
-    frame = frame_at(spec, surface, [0.3, 0.4, 0.0], [1.0, 0.0])
+    (frame,) = frame_at(spec, surface, [0.3, 0.4, 0.0], [[1.0, 0.0]])
     assert np.abs(frame.g_ind - np.eye(2)).max() < 1e-14
     g_ind, h_ind, c_ind = induced_tensors(frame.chart, frame.bundle)
     assert np.allclose(g_ind, frame.g_ind)
@@ -107,7 +107,7 @@ def test_unit_normal_value_on_small_b_plane():
     # N_i = b_i * sqrt(zeta / b^2): with b = (0,0,0.1), k = 1 this gives
     # N_3 = sqrt(1.02) (g-unit and g-orthogonal; verified by direct solve)
     spec, surface = plane_fixture(1)
-    frame = frame_at(spec, surface, [0.0, 0.0, 0.0], [1.0, 0.0])
+    (frame,) = frame_at(spec, surface, [0.0, 0.0, 0.0], [[1.0, 0.0]])
     assert frame.N_dn[2] == pytest.approx(math.sqrt(1.02), rel=1e-12)
     assert float(frame.N_up @ frame.bundle.g @ frame.N_up) == pytest.approx(1.0, abs=1e-12)
     assert np.abs(frame.chart.B.T @ frame.bundle.g @ frame.N_up).max() < 1e-12
@@ -116,7 +116,7 @@ def test_unit_normal_value_on_small_b_plane():
 def test_unit_normal_euclidean_plane():
     spec = make_space(family="riemannian", b=["0", "0", "0"])
     surface = LevelSurface(ex.parse("x3"), 0.0)
-    frame = frame_at(spec, surface, [0.2, -0.5, 0.0], [0.6, 1.0])
+    (frame,) = frame_at(spec, surface, [0.2, -0.5, 0.0], [[0.6, 1.0]])
     assert np.allclose(frame.N_up, [0, 0, 1], atol=1e-14)
     assert np.allclose(frame.N_dn, [0, 0, 1], atol=1e-14)
 
@@ -129,7 +129,7 @@ def test_one_form_proportional_to_normal_at_tangential_flags():
         for fixture in (exp_fixture, plane_fixture):
             spec, surface = fixture(k)
             for x0, v in tangential_points_and_dirs(surface, spec, 4, seed=k):
-                frame = frame_at(spec, surface, x0, v)
+                (frame,) = frame_at(spec, surface, x0, [v])
                 b2, zeta = frame.bundle.b2, frame.bundle.reciprocal.zeta
                 assert np.abs(frame.flag.b - math.sqrt(b2 / zeta) * frame.N_dn).max() < 1e-9
                 if fixture is plane_fixture:
@@ -143,7 +143,7 @@ def test_raised_one_form_decomposes_into_normal_and_support():
         for fixture in (plane_fixture, exp_fixture):
             spec, surface = fixture(k)
             for x0, v in tangential_points_and_dirs(surface, spec, 4, seed=10 + k):
-                frame = frame_at(spec, surface, x0, v)
+                (frame,) = frame_at(spec, surface, x0, [v])
                 b2, zeta = frame.bundle.b2, frame.bundle.reciprocal.zeta
                 expected = (
                     math.sqrt(b2 * zeta) * frame.N_up
@@ -238,7 +238,7 @@ def test_frame_identities_sweep():
     for x0, _ in pts:
         for _ in range(10):
             v = rng.normal(size=2)
-            frame = frame_at(spec, surface, x0, v)
+            (frame,) = frame_at(spec, surface, x0, [v])
             B, Bd = frame.chart.B, frame.B_dual
             assert np.abs(Bd @ B - np.eye(2)).max() < 1e-10
             assert np.abs(B @ Bd + np.outer(frame.N_up, frame.N_dn) - np.eye(3)).max() < 1e-10
@@ -254,7 +254,7 @@ def test_ambient_torsion_decomposes_into_tangential_and_normal_parts():
     # C^i_jk B^j_a B^k_b = C^g_ab B^i_g + M_ab N^i (frame completeness)
     spec, surface = exp_fixture(1)
     for x0, v in tangential_points_and_dirs(surface, spec, 5, seed=17):
-        frame = frame_at(spec, surface, x0, v)
+        (frame,) = frame_at(spec, surface, x0, [v])
         B = frame.chart.B
         c_mixed = np.einsum("il,ljk->ijk", frame.bundle.g_inv, frame.bundle.C)
         pulled = np.einsum("ijk,ja,kb->iab", c_mixed, B, B)

@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_space
+from conftest import count_calls, make_space
 from finslerkit import expr as ex
+from finslerkit import metric
+from finslerkit.connection import christoffel, covariant_db
 from finslerkit.metric import (
     FAMILIES,
     DegenerateMetricError,
     FamilyDomainError,
     SpaceSpec,
-    alpha_beta,
+    base_point,
     finsler_norm,
     flag_point,
     phi_partials,
@@ -19,19 +21,22 @@ from finslerkit.metric import (
     validity_check,
 )
 from finslerkit.numerics import Jet2
-from finslerkit.tensors import bundle_at, half_f_squared
+from finslerkit.tensors import bundle_at, half_f_squared, torsion_oracle
 
 
 def test_alpha_beta_flat_space():
     spec = make_space(k=1, b=["0", "0", "0.1"])
-    assert alpha_beta(spec, [0, 0, 0], [1, 0, 0]) == (1.0, 0.0)
-    al, be = alpha_beta(spec, [0, 0, 0], [0, 0, 2])
+    fl = flag_point(spec, [0, 0, 0], [1, 0, 0])
+    assert (fl.alpha, fl.beta) == (1.0, 0.0)
+    fl = flag_point(spec, [0, 0, 0], [0, 0, 2])
+    al, be = fl.alpha, fl.beta
     assert al == 2.0 and be == pytest.approx(0.2)
 
 
 def test_alpha_beta_anisotropic():
     spec = make_space(k=1, dim=2, b=["0.3", "0"], a=[["4", "0"], ["0", "1"]])
-    al, be = alpha_beta(spec, [0, 0], [1, 0])
+    fl = flag_point(spec, [0, 0], [1, 0])
+    al, be = fl.alpha, fl.beta
     assert al == 2.0 and be == pytest.approx(0.3)
 
 
@@ -94,10 +99,12 @@ def test_positive_homogeneity_in_direction(family):
     x = np.array([0.1, -0.3, 0.2])
     y = np.array([0.4, 0.2, 1.0]) if family in ("kropina", "generalized-kropina") \
         else np.array([0.4, 0.2, -0.3])
-    al, be = alpha_beta(spec, x, y)
+    fl = flag_point(spec, x, y)
+    al, be = fl.alpha, fl.beta
     f1 = finsler_norm(family, 2, al, be)
     for lam in (0.5, 2.0, 10.0):
-        al2, be2 = alpha_beta(spec, x, lam * y)
+        fl2 = flag_point(spec, x, lam * y)
+        al2, be2 = fl2.alpha, fl2.beta
         f2 = finsler_norm(family, 2, al2, be2)
         assert abs(f2 - lam * f1) <= 1e-12 * max(1.0, abs(f2))
 
@@ -212,3 +219,42 @@ def test_half_f_squared_rejects_zero_direction_on_jets():
     f = half_f_squared(make_space(k=2, potential="exp(x3)"), [0.1, 0.2, 0.3])
     with pytest.raises(ArithmeticError, match="alpha\\^2 <= 0"):
         f([Jet2(0.0, 1.0, 1.0), Jet2(0.0), Jet2(0.0)])
+
+
+def test_base_point_record_is_passed_through():
+    spec = make_space(k=2, potential="exp(x3) + 0.2*x1*x2",
+                      a=[["2", "0.3", "0"], ["0.3", "1", "0"], ["0", "0", "1 + x1^2"]])
+    x, y = [0.1, -0.3, 0.2], [0.4, 0.2, 1.0]
+    point = base_point(spec, x)
+    assert base_point(spec, point) is point
+    flag = flag_point(spec, point, y)
+    assert base_point(spec, flag) is flag
+    assert _same_bits(flag, flag_point(spec, x, y))
+    assert np.allclose(point.a @ point.a_inv, np.eye(3), atol=1e-14)
+    assert np.allclose(point.a @ point.b_up, point.b, atol=1e-14)
+    assert point.b2 == pytest.approx(float(point.b @ np.linalg.solve(point.a, point.b)), rel=1e-14)
+
+
+def test_entry_points_accept_a_base_point_in_place_of_x(monkeypatch):
+    spec = make_space(k=2, potential="exp(x3) + 0.2*x1*x2", a=[["1 + x3^2", "0", "0"],
+                                                            ["0", "2", "0.1*x1"],
+                                                            ["0", "0.1*x1", "1"]])
+    x, y = np.array([0.1, -0.3, 0.2]), np.array([0.4, 0.2, 1.0])
+    point = base_point(spec, x)
+    a_calls = count_calls(monkeypatch, SpaceSpec, "a_at")
+    from_point = (christoffel(spec, point), covariant_db(spec, point).b_cov,
+                  bundle_at(spec, point, y).C, torsion_oracle(spec, point, y),
+                  half_f_squared(spec, point)(list(y)))
+    assert a_calls == []
+    from_x = (christoffel(spec, x), covariant_db(spec, x).b_cov, bundle_at(spec, x, y).C,
+              torsion_oracle(spec, x, y), half_f_squared(spec, x)(list(y)))
+    assert all(_same_bits(u, v) for u, v in zip(from_point, from_x))
+
+
+def test_sample_flags_evaluates_each_draw_once(monkeypatch):
+    spec = make_space(k=2, potential="exp(x3)")
+    a_calls = count_calls(monkeypatch, SpaceSpec, "a_at")
+    draws = count_calls(monkeypatch, metric, "validity_check")
+    flags = sample_flags(spec, 100, seed=7)
+    assert len(flags) == 100 and len(draws) > 100  # some draws are rejected
+    assert len(a_calls) == len(draws)

@@ -5,7 +5,9 @@ direction y, one of the family names and an exponent k.  Coefficients sit on
 a dyadic grid, so a power-of-two rescaling of y is exact in floating point
 and the homogeneity check can be tight.  Draws outside the family's domain
 must raise FamilyDomainError; the other checks then do not apply.  Two
-explicit examples sit exactly on the Kropina and Matsumoto domain edges.
+explicit examples sit exactly on the Kropina and Matsumoto domain edges, and
+explicit points inside the open domain but past working precision must raise
+the same typed error instead of returning inf or raising ZeroDivisionError.
 """
 
 import math
@@ -24,6 +26,7 @@ from finslerkit.metric import (
     finsler_norm,
     phi_partials,
 )
+from finslerkit.numerics import Jet2
 
 # written out here, independently of the resolver under test
 CANONICAL = {"square": ("generalized-square", 1), "kropina": ("generalized-kropina", 1)}
@@ -88,3 +91,32 @@ def test_core_identities(case):
     spec = SpaceSpec(d, k, family, [[ex.Num(float(v)) for v in row] for row in a],
                      [ex.Num(v) for v in b])
     assert (spec.family, spec.k) == (family_c, k_c)
+
+
+# beta^(k+2) underflows to 0 (Kropina) or a power of alpha or alpha - beta
+# overflows or underflows (Matsumoto): the partials cannot be formed at
+# working precision
+@pytest.mark.parametrize("family, k, alpha, beta, text", [
+    ("generalized-kropina", 3, 1.0, 1e-105, "requires beta > 0"),
+    ("generalized-kropina", 1, 1.0, 1e-110, "requires beta > 0"),
+    ("generalized-kropina", 1, 1.0, 1e-200, "requires beta > 0"),
+    ("kropina", 2, 1.0, 1e-200, "requires beta > 0"),
+    ("matsumoto", 1, 1e200, 1e200 * (1 - 1e-15), "requires alpha - beta > 0"),
+    ("matsumoto", 1, 1e-200, 1e-200 * (1 - 2.0 ** -52), "requires alpha - beta > 0"),
+])
+def test_precision_edges_raise_typed_errors(family, k, alpha, beta, text):
+    for a, b in ((alpha, beta), (Jet2(alpha, 1.0), Jet2(beta, 0.0, 1.0))):
+        with pytest.raises(FamilyDomainError, match=text):
+            finsler_norm(family, k, a, b)
+        with pytest.raises(FamilyDomainError, match=text):
+            phi_partials(family, k, a, b)
+
+
+@pytest.mark.parametrize("family, k, alpha, beta", [
+    ("generalized-kropina", 3, 1.0, 1e-60),
+    ("matsumoto", 1, 1.0, 1.0 - 2.0 ** -40),
+    ("matsumoto", 1, 1e100, 0.5e100),
+])
+def test_small_but_representable_edges_stay_finite(family, k, alpha, beta):
+    pp = phi_partials(family, k, alpha, beta)
+    assert all(math.isfinite(v) for v in (pp.F, pp.Fa, pp.Fb, pp.Faa, pp.Fbb, pp.Fab))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import exp_fixture, make_space, plane_fixture, radial_fixture
-from finslerkit.metric import flag_point, phi_partials, sample_flags
+from conftest import count_calls, exp_fixture, make_space, plane_fixture, radial_fixture
+from finslerkit import metric
+from finslerkit.metric import SpaceSpec, flag_point, phi_partials, sample_flags
 from finslerkit.numerics import jet_eval
 from finslerkit.tensors import (
     SingularCoefficientError,
@@ -278,3 +279,17 @@ def test_assembly_helpers_match_bundle():
         reciprocal_tensor(rc, mc.p, bundle.a_inv, bundle.b_up, fl.y), bundle.g_inv
     )
     assert np.allclose(hv_torsion(mc, bundle.h, bundle.gamma1, bundle.m), bundle.C)
+
+
+def test_audit_evaluates_each_point_once(monkeypatch):
+    spec = make_space(k=2, potential="exp(x3) + 0.2*x1*x2")
+    flags = sample_flags(spec, 4, seed=3)
+    a_calls = count_calls(monkeypatch, SpaceSpec, "a_at")
+    for f in flags:
+        audit_flag(spec, f.x, 1.5 * f.y)
+    assert len(a_calls) == len(flags)
+    # the sweep audits each sampled point without evaluating it again
+    a_calls.clear()
+    draws = count_calls(monkeypatch, metric, "validity_check")
+    assert audit_sweep(spec, n=4, seed=3).flags == 4
+    assert len(a_calls) == len(draws)
