@@ -22,14 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import ConnectionData, covariant_db, difference_ingredients
-from .hypersurface import (
-    HTensors,
-    HypersurfaceFrame,
-    LevelSurface,
-    frame_at,
-    normal_curvature_and_h,
-)
+from .connection import ConnectionData, covariant_db
+from .hypersurface import HypersurfaceFrame, LevelSurface, frame_at
 from .metric import SAMPLE_BOX, SpaceSpec
 from .numerics import least_squares
 
@@ -167,37 +161,41 @@ def second_kind_test(
     return KindResult(passed=worst <= tol * scale, residual=worst), e_samples
 
 
-def third_kind_test(frames: list[HypersurfaceFrame], h_list: list[HTensors]) -> ThirdKindResult:
+def third_kind_test(frames: list[HypersurfaceFrame]) -> ThirdKindResult:
     """M_ab is a positive multiple of the induced angular metric whenever
     b^2 > 0, so it cannot vanish: verdict IMPOSSIBLE with the smallest
     observed ||M_ab|| as witness.  Degenerate b == 0 is VACUOUS."""
     if not frames:
         raise ValueError("no frames sampled")
-    if max(f.bundle.b2 for f in frames) < 1e-14:
+    if max(f.bundle.flag.b2 for f in frames) < 1e-14:
         return ThirdKindResult(verdict="vacuous", witness=0.0,
                                note="the 1-form vanishes on the surface")
-    witness = min(float(np.abs(ht.M_ab).max()) for ht in h_list)
+    witness = min(float(np.abs(f.M_ab).max()) for f in frames)
     return ThirdKindResult(verdict="impossible", witness=witness)
 
 
 def proportionality_check(
-    frames: list[HypersurfaceFrame],
-    h_list: list[HTensors],
-    c_for_frame: list[np.ndarray],
-    k: int,
+    point_frames: list[list[HypersurfaceFrame]], c_samples: list[np.ndarray], k: int
 ) -> tuple[list[float], float]:
-    """Check H_ab = c_0 b / sqrt(1 + k(k+1)) * h_ab with c_0 = c_i y^i.
+    """Check H_ab = -(k+1) c_0 sqrt(b^2) / (4 alpha zeta^(3/2)) h_ab with
+    c_0 = c_i y^i and zeta = 1 + k(k+1) b^2, at each point's frames.
 
-    On level surfaces of the 1-form's own potential, c is parallel to b and
-    c_0 vanishes on tangential flags, so both sides are zero there.
+    On a first-kind level set of the 1-form's own potential N_i is
+    proportional to b_i and the pullback of b_ij vanishes, so H_ab reduces to
+    N_i D^i_jk B^j_a B^k_b, whose only c-dependence is E_k0 = b_k c_0 / 2.
+    Where c is parallel to b, c_0 vanishes on tangential flags and so do
+    both sides.
     """
     factors: list[float] = []
     deviation = 0.0
-    for frame, ht, c in zip(frames, h_list, c_for_frame):
-        c0 = float(c @ frame.flag.y)
-        factor = c0 * math.sqrt(frame.bundle.b2) / math.sqrt(1.0 + k * (k + 1))
-        factors.append(factor)
-        deviation = max(deviation, float(np.abs(ht.H_ab - factor * frame.h_ind).max()))
+    for frames, c in zip(point_frames, c_samples):
+        for frame in frames:
+            flag = frame.bundle.flag
+            zeta = 1.0 + k * (k + 1) * flag.b2
+            factor = -(k + 1) * float(c @ flag.y) * math.sqrt(flag.b2) / (
+                4.0 * flag.alpha * zeta ** 1.5)
+            factors.append(factor)
+            deviation = max(deviation, float(np.abs(frame.H_ab - factor * frame.h_ind).max()))
     return factors, deviation
 
 
@@ -222,24 +220,15 @@ def classify(
     second, e_samples = second_kind_test(conns, tol=opts.tol)
 
     rng = np.random.default_rng(opts.seed + 1)
-    frames: list[HypersurfaceFrame] = []
-    h_list: list[HTensors] = []
-    c_for_frame: list[np.ndarray] = []
-    h_a_max = 0.0
-    h_ab_max = 0.0
-    geo_scale = 1.0
-    for idx, conn in enumerate(conns):
-        geo_scale = max(geo_scale, 1.0 + float(np.abs(conn.b_cov).max()))
+    point_frames: list[list[HypersurfaceFrame]] = []
+    for conn in conns:
         draws = rng.normal(size=(opts.directions, spec.dim - 1))
         vs = [v / np.linalg.norm(v) for v in draws if np.linalg.norm(v) >= 1e-12]
-        for frame in frame_at(spec, surface, conn.point, vs):
-            di = difference_ingredients(frame.bundle, conn, frame.flag)
-            ht = normal_curvature_and_h(frame, conn, di)
-            frames.append(frame)
-            h_list.append(ht)
-            c_for_frame.append(c_samples[idx])
-            h_a_max = max(h_a_max, float(np.abs(ht.H_a).max()))
-            h_ab_max = max(h_ab_max, float(np.abs(ht.H_ab).max()))
+        point_frames.append(frame_at(spec, surface, conn, vs))
+    frames = [frame for fs in point_frames for frame in fs]
+    geo_scale = max([1.0] + [1.0 + float(np.abs(conn.b_cov).max()) for conn in conns])
+    h_a_max = max([0.0] + [float(np.abs(f.H_a).max()) for f in frames])
+    h_ab_max = max([0.0] + [float(np.abs(f.H_ab).max()) for f in frames])
 
     geo_first = h_a_max <= opts.tol * geo_scale
     geo_second = geo_first and h_ab_max <= opts.tol * geo_scale
@@ -250,11 +239,15 @@ def classify(
             f"(max |H_a| = {h_a_max:.3e}, max |H_ab| = {h_ab_max:.3e})"
         )
 
-    third = third_kind_test(frames, h_list)
+    third = third_kind_test(frames)
+    factors, deviation = [], None
     if first.passed:
-        factors, deviation = proportionality_check(frames, h_list, c_for_frame, spec.k)
-    else:
-        factors, deviation = [], None
+        factors, deviation = proportionality_check(point_frames, c_samples, spec.k)
+        if deviation > opts.tol * geo_scale:
+            raise ClassifierConsistencyError(
+                f"first kind holds, but H_ab deviates from the first-kind multiple "
+                f"of h_ab by {deviation:.3e}"
+            )
 
     return ClassificationReport(
         first_kind=first,

@@ -105,7 +105,7 @@ def cmd_tensors(cfg: RunConfig, args) -> int:
         fl = bundle.flag
         chunks.append(
             f"[{ctx}] x = {_vec(fl.x)}  y = {_vec(fl.y)}\n"
-            f"  alpha = {fl.alpha!r}  beta = {fl.beta!r}  F = {bundle.F!r}\n"
+            f"  alpha = {fl.alpha!r}  beta = {fl.beta!r}  F = {bundle.phi.F!r}\n"
             f"  angular coefficients:    p={bundle.angular.p!r} q0={bundle.angular.q0!r} "
             f"q1={bundle.angular.q1!r} q2={bundle.angular.q2!r}\n"
             f"  metric coefficients:     p={bundle.metric.p!r} p0={bundle.metric.p0!r} "
@@ -115,7 +115,7 @@ def cmd_tensors(cfg: RunConfig, args) -> int:
             f"  gamma1 = {bundle.gamma1!r}\n"
             f"  g =\n{bundle.g}\n  g_inv =\n{bundle.g_inv}\n  h =\n{bundle.h}\n"
         )
-        for name, value in (("alpha", fl.alpha), ("beta", fl.beta), ("F", bundle.F),
+        for name, value in (("alpha", fl.alpha), ("beta", fl.beta), ("F", bundle.phi.F),
                             ("gamma1", bundle.gamma1)):
             all_rows.append([ctx, name, "", "", "", float(value)])
         for name, vec in (("l", bundle.l), ("m", bundle.m)):

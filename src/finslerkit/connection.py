@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import BasePoint, FlagPoint, SpaceSpec, base_point
+from .metric import BasePoint, SpaceSpec, base_point
 from .tensors import TensorBundle
 
 
@@ -83,10 +83,8 @@ class DifferenceIngredients:
     b0: np.ndarray       # b_{0k} = y^m b_mk
 
 
-def difference_ingredients(
-    bundle: TensorBundle, conn: ConnectionData, flag: FlagPoint
-) -> DifferenceIngredients:
-    mc = bundle.metric
+def difference_ingredients(bundle: TensorBundle, conn: ConnectionData) -> DifferenceIngredients:
+    mc, flag = bundle.metric, bundle.flag
     y, y_low, a = flag.y, flag.y_low, flag.a
     alpha2 = flag.alpha ** 2
     m = bundle.m
@@ -116,18 +114,15 @@ def difference_ingredients(
     )
 
 
-def difference_tensor(
-    di: DifferenceIngredients,
-    bundle: TensorBundle,
-    conn: ConnectionData,
-    flag: FlagPoint,
-) -> np.ndarray:
-    """D^i_jk: the full sum, assembled term by term.
+def difference_tensor(bundle: TensorBundle, conn: ConnectionData) -> np.ndarray:
+    """D^i_jk at the bundle's flag: the full sum, assembled term by term from
+    the flag's ingredient tensors.
 
     The terms are summed in their conventional order and re-summed in
     reverse as a floating-point sanity check (the two must agree to a
     relative 1e-12).
     """
+    di = difference_ingredients(bundle, conn)
     g_inv, C = bundle.g_inv, bundle.C
     C_mixed = np.einsum("il,ljk->ijk", g_inv, C)  # C^i_jk
     terms = [
@@ -155,9 +150,3 @@ def difference_tensor(
         raise ArithmeticError("difference-tensor summation is numerically unstable")
     return forward
 
-
-def difference_tensor_at(spec: SpaceSpec, bundle: TensorBundle) -> tuple[ConnectionData, np.ndarray]:
-    """Convenience: connection data plus D^i_jk at the bundle's flag."""
-    conn = covariant_db(spec, bundle.flag)
-    di = difference_ingredients(bundle, conn, bundle.flag)
-    return conn, difference_tensor(di, bundle, conn, bundle.flag)

@@ -18,17 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .connection import (
-    ConnectionData,
-    DifferenceIngredients,
-    covariant_db,
-    difference_ingredients,
-    difference_tensor,
-)
-from .metric import FlagPoint, SpaceSpec, base_point, flag_point
+from .connection import ConnectionData, difference_tensor
+from .metric import FlagPoint, SpaceSpec, flag_point
 from .tensors import TensorBundle, bundle_at
 
-BETA_TOL = 1e-10  # tangency bound on |beta|, relative to max|b| max|y|
+BETA_TOL = 1e-10   # tangency bound on |beta|, relative to max|b| max|y|
+LEVEL_TOL = 1e-10  # on-surface bound on |b(x) - c|, relative to 1 + |c|
 
 
 class OffSurfaceError(ValueError):
@@ -85,11 +80,11 @@ class Chart:
     grad: np.ndarray
 
 
-def chart_at(surface: LevelSurface, x0, tol: float = 1e-10) -> Chart:
+def chart_at(surface: LevelSurface, x0) -> Chart:
     x0 = np.asarray(x0, dtype=float)
     d = len(x0)
     val = surface.value(x0)
-    if abs(val - surface.level) > tol * (1.0 + abs(surface.level)):
+    if abs(val - surface.level) > LEVEL_TOL * (1.0 + abs(surface.level)):
         raise OffSurfaceError(
             f"point is off the surface: |b(x) - c| = {abs(val - surface.level):.3e}"
         )
@@ -159,10 +154,10 @@ def induced_tensors(chart: Chart, bundle: TensorBundle):
 
 @dataclass
 class HypersurfaceFrame:
-    """Chart, tangential flag, ambient bundle, normal pair and induced tensors."""
+    """Chart, ambient bundle at the tangential flag, normal pair, induced
+    tensors and the second fundamental tensors of one direction v."""
 
     chart: Chart
-    flag: FlagPoint
     bundle: TensorBundle
     v: np.ndarray
     N_up: np.ndarray
@@ -172,80 +167,57 @@ class HypersurfaceFrame:
     g_ind_inv: np.ndarray
     h_ind: np.ndarray
     C_ind: np.ndarray
+    H_a: np.ndarray          # normal curvature
+    H_ab: np.ndarray         # second fundamental h-tensor
+    M_ab: np.ndarray         # second fundamental v-tensor
+    M_a: np.ndarray
 
 
-def frame_at(spec: SpaceSpec, surface: LevelSurface, x0, directions) -> list[HypersurfaceFrame]:
-    """Frames at one surface point x0 (or its BasePoint), one per tangential
-    direction v.  The chart (with the potential gradient) and the base point
-    are built once; each direction's flag is built once, inside its bundle."""
-    point = base_point(spec, x0)
-    chart = chart_at(surface, point.x)
+def frame_at(
+    spec: SpaceSpec, surface: LevelSurface, conn: ConnectionData, directions
+) -> list[HypersurfaceFrame]:
+    """Frames at the surface point of `conn`, one per tangential direction v.
+    The chart (with the potential gradient) is built once and the point's
+    connection is shared; each direction's flag is built once, inside its
+    bundle."""
+    chart = chart_at(surface, conn.point.x)
     frames = []
     for v in directions:
         v = np.asarray(v, dtype=float)
-        bundle = bundle_at(spec, point, chart.B @ v)
-        flag = _tangential(bundle.flag)
+        bundle = bundle_at(spec, conn.point, chart.B @ v)
+        _tangential(bundle.flag)
         n_up, n_dn = unit_normal(chart, bundle)
         g_ind, h_ind, c_ind = induced_tensors(chart, bundle)
         g_ind_inv = np.linalg.inv(g_ind)
         b_dual = g_ind_inv @ (chart.B.T @ bundle.g)
+        h_a, h_ab, m_ab, m_a = normal_curvature_and_h(chart, bundle, conn, v, n_up, n_dn)
         frames.append(HypersurfaceFrame(
-            chart=chart, flag=flag, bundle=bundle, v=v,
+            chart=chart, bundle=bundle, v=v,
             N_up=n_up, N_dn=n_dn, B_dual=b_dual,
             g_ind=g_ind, g_ind_inv=g_ind_inv, h_ind=h_ind, C_ind=c_ind,
+            H_a=h_a, H_ab=h_ab, M_ab=m_ab, M_a=m_a,
         ))
     return frames
 
 
-def second_fundamental_v(frame: HypersurfaceFrame):
-    """M_ab = C_ijk B^i_a B^j_b N^k and M_a = C_ijk B^i_a N^j N^k."""
-    B, n = frame.chart.B, frame.N_up
-    c = frame.bundle.C
-    m_ab = np.einsum("ijk,ia,jb,k->ab", c, B, B, n)
-    m_a = np.einsum("ijk,ia,j,k->a", c, B, n, n)
-    return m_ab, m_a
-
-
-@dataclass
-class HTensors:
-    """Normal curvature H_a, its contraction H_0 = H_a v^a, and the second
-    fundamental h-tensor H_ab, with the v-tensor alongside."""
-
-    H_a: np.ndarray
-    H0: float
-    H_ab: np.ndarray
-    M_ab: np.ndarray
-    M_a: np.ndarray
-
-
 def normal_curvature_and_h(
-    frame: HypersurfaceFrame,
-    conn: ConnectionData,
-    di: DifferenceIngredients,
-) -> HTensors:
-    """H_a = N_i (B^i_0a + G*^i_0j B^j_a) and
-    H_ab = N_i (B^i_ab + G*^i_jk B^j_a B^k_b) + M_a H_b,
+    chart: Chart, bundle: TensorBundle, conn: ConnectionData, v, n_up, n_dn
+):
+    """(H_a, H_ab, M_ab, M_a) at the flag y = B v with normal pair (N^i, N_i):
+    H_a = N_i (B^i_0a + G*^i_0j B^j_a), M_ab = C_ijk B^i_a B^j_b N^k,
+    M_a = C_ijk B^i_a N^j N^k and H_ab = N_i (B^i_ab + G*^i_jk B^j_a B^k_b) + M_a H_b,
     with the Cartan horizontal coefficients entering as Christoffel plus
     difference tensor."""
-    bundle, flag, chart = frame.bundle, frame.flag, frame.chart
-    d_tensor = difference_tensor(di, bundle, conn, flag)
-    gstar = conn.gamma + d_tensor
-    y, v = flag.y, frame.v
-    g0 = np.einsum("ilj,l->ij", gstar, y)        # G*^i_0j
-    b0b = np.einsum("iab,a->ib", chart.B2, v)    # B^i_0b
-    h_a = frame.N_dn @ (b0b + g0 @ chart.B)
-    m_ab, m_a = second_fundamental_v(frame)
+    B, c = chart.B, bundle.C
+    gstar = conn.gamma + difference_tensor(bundle, conn)
+    g0 = np.einsum("ilj,l->ij", gstar, bundle.flag.y)  # G*^i_0j
+    b0b = np.einsum("iab,a->ib", chart.B2, v)          # B^i_0b
+    h_a = n_dn @ (b0b + g0 @ B)
+    m_ab = np.einsum("ijk,ia,jb,k->ab", c, B, B, n_up)
+    m_a = np.einsum("ijk,ia,j,k->a", c, B, n_up, n_up)
     h_ab = (
-        np.einsum("i,iab->ab", frame.N_dn, chart.B2)
-        + np.einsum("i,ijk,ja,kb->ab", frame.N_dn, gstar, chart.B, chart.B)
+        np.einsum("i,iab->ab", n_dn, chart.B2)
+        + np.einsum("i,ijk,ja,kb->ab", n_dn, gstar, B, B)
         + np.outer(m_a, h_a)
     )
-    return HTensors(H_a=h_a, H0=float(h_a @ v), H_ab=h_ab, M_ab=m_ab, M_a=m_a)
-
-
-def h_tensors_at(spec: SpaceSpec, surface: LevelSurface, x0, v) -> tuple[HypersurfaceFrame, HTensors]:
-    """Frame plus curvature tensors for one direction: a batch of one."""
-    (frame,) = frame_at(spec, surface, x0, [v])
-    conn = covariant_db(spec, frame.flag)
-    di = difference_ingredients(frame.bundle, conn, frame.flag)
-    return frame, normal_curvature_and_h(frame, conn, di)
+    return h_a, h_ab, m_ab, m_a

@@ -9,10 +9,12 @@ differentiation oracles across all of them.
 The square and kropina names are aliases for k = 1 of the generalized
 families; `resolve_family` maps them, once per `SpaceSpec`.
 
-`base_point` is the only place that evaluates a base point: its `BasePoint`
-record holds a_ij(x) (checked positive definite), b_i(x), a^ij, b^i and b^2;
-a `FlagPoint` adds a direction.  Every `(spec, x, ...)` entry point accepts
+`base_point` evaluates a float base point once: its `BasePoint` record holds
+a_ij(x) (checked positive definite), b_i(x), a^ij, b^i and b^2; a
+`FlagPoint` adds a direction.  Every `(spec, x, ...)` entry point accepts
 such a record where it accepts x, and reads it instead of evaluating again.
+The one other evaluation of a(x) and b(x) is `geodesic._segment_length`,
+on dual segment midpoints and without the positive-definiteness check.
 
 The literature overloads one symbol as both manifold dimension and metric
 exponent; here the exponent is named k everywhere.
@@ -287,9 +289,9 @@ def flag_point(spec: SpaceSpec, x, y) -> FlagPoint:
 
 @dataclass
 class ValidityReport:
-    """Pointwise domain flags; a report, never an exception."""
+    """Pointwise domain flags; a report, never an exception.  alpha > 0 holds
+    by construction: `flag_point` rejects y = 0 and a is positive definite."""
 
-    alpha_positive: bool
     F_positive: bool
     family_domain: bool
     fundamental_pd: bool
@@ -299,16 +301,11 @@ class ValidityReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.alpha_positive
-            and self.F_positive
-            and self.family_domain
-            and self.fundamental_pd
-        )
+        return self.F_positive and self.family_domain and self.fundamental_pd
 
 
 def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
-    """Flags: alpha > 0, F > 0, family domain, fundamental tensor PD.
+    """Flags: F > 0, family domain, fundamental tensor PD.
 
     The strong-convexity domain of these metrics has no simple closed
     description, so positive definiteness is reported pointwise via the
@@ -318,11 +315,10 @@ def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
     is not invertible at working precision.
     """
     flag = flag_point(spec, x, y)  # zero y / degenerate a rejected before flags
-    alpha_positive = flag.alpha > 0.0
     try:
         pp = phi_partials(spec.family, spec.k, flag.alpha, flag.beta)
     except FamilyDomainError:
-        return ValidityReport(alpha_positive, False, False, False, None, None, flag)
+        return ValidityReport(False, False, False, None, None, flag)
     F_positive = pp.F > 0.0
     from . import tensors  # local import: tensors builds on this module
 
@@ -332,9 +328,9 @@ def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
         check = pd_check(g)
         if check.ok:
             tensors.reciprocal_coefficients(mc, flag.alpha, flag.beta, flag.b2)
-        return ValidityReport(alpha_positive, F_positive, True, check.ok, check.pivot, pp.F, flag)
+        return ValidityReport(F_positive, True, check.ok, check.pivot, pp.F, flag)
     except ArithmeticError:
-        return ValidityReport(alpha_positive, F_positive, True, False, None, pp.F, flag)
+        return ValidityReport(F_positive, True, False, None, pp.F, flag)
 
 
 def sample_flags(spec: SpaceSpec, n: int, seed: int) -> list[FlagPoint]:

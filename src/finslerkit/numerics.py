@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+SYM_TOL = 1e-10  # pd_check's bound on |m - m^T|, relative to the matrix scale
+
 
 class Jet2:
     """Hyper-dual scalar v + a*e1 + b*e2 + c*e1*e2 with e1^2 = e2^2 = 0.
@@ -260,10 +262,10 @@ class PDCheck:
     pivot: int | None = None
 
 
-def pd_check(m: np.ndarray, sym_tol: float = 1e-10) -> PDCheck:
+def pd_check(m: np.ndarray) -> PDCheck:
     """Cholesky test: true iff all factorization pivots are strictly positive.
 
-    Non-symmetric input (beyond sym_tol relative to the matrix scale) is
+    Non-symmetric input (beyond SYM_TOL relative to the matrix scale) is
     rejected.  On failure the 1-based index of the first bad pivot is the
     witness.
     """
@@ -271,7 +273,7 @@ def pd_check(m: np.ndarray, sym_tol: float = 1e-10) -> PDCheck:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("square matrix required")
     scale = max(1.0, np.abs(m).max())
-    if np.abs(m - m.T).max() > sym_tol * scale:
+    if np.abs(m - m.T).max() > SYM_TOL * scale:
         raise ValueError("matrix is not symmetric")
     d = m.shape[0]
     low = np.zeros((d, d))

@@ -184,14 +184,14 @@ def hv_torsion(mc: MetricCoefficients, h, gamma1: float, m) -> np.ndarray:
 
 @dataclass
 class TensorBundle:
-    """All pointwise tensors at one flag, with their coefficient records."""
+    """All pointwise tensors at one flag, with their coefficient records.
+    F is phi.F; a^ij, b^i and b^2 are read from flag."""
 
     flag: FlagPoint
     phi: PhiPartials
     angular: AngularCoefficients
     metric: MetricCoefficients
     reciprocal: ReciprocalCoefficients
-    F: float
     l: np.ndarray        # support covector l_i
     g: np.ndarray        # fundamental tensor g_ij
     g_inv: np.ndarray    # reciprocal tensor g^ij
@@ -199,9 +199,6 @@ class TensorBundle:
     C: np.ndarray        # hv-torsion C_ijk
     gamma1: float
     m: np.ndarray        # covector orthogonal to the support element
-    a_inv: np.ndarray
-    b_up: np.ndarray     # b^i = a^ij b_j
-    b2: float            # b^2 = a_ij b^i b^j
 
 
 def bundle_at(spec: SpaceSpec, x, y) -> TensorBundle:
@@ -220,9 +217,8 @@ def bundle_at(spec: SpaceSpec, x, y) -> TensorBundle:
     gamma1 = gamma_one(mc, ac)
     c = hv_torsion(mc, h, gamma1, m)
     return TensorBundle(
-        flag=flag, phi=pp, angular=ac, metric=mc, reciprocal=rc, F=pp.F,
+        flag=flag, phi=pp, angular=ac, metric=mc, reciprocal=rc,
         l=l, g=g, g_inv=g_inv, h=h, C=c, gamma1=gamma1, m=m,
-        a_inv=flag.a_inv, b_up=flag.b_up, b2=flag.b2,
     )
 
 

@@ -62,6 +62,15 @@ def tangential_points_and_dirs(surface: LevelSurface, spec: SpaceSpec, n: int, s
     return list(zip(pts, dirs))
 
 
+def one_frame(spec: SpaceSpec, surface: LevelSurface, x0, v):
+    """The frame of the single tangential direction v at the surface point x0."""
+    from finslerkit.connection import covariant_db
+    from finslerkit.hypersurface import frame_at
+
+    (frame,) = frame_at(spec, surface, covariant_db(spec, x0), [v])
+    return frame
+
+
 def count_calls(monkeypatch, owner, name: str) -> list:
     """Wrap ``owner.name`` for the test; the returned list gets one entry (the
     positional arguments) per call."""

@@ -21,9 +21,9 @@ import pytest
 
 from conftest import exp_fixture, make_space, plane_fixture, radial_fixture
 from finslerkit.classifier import ClassifyOptions, classify, surface_points
-from finslerkit.connection import difference_tensor_at
+from finslerkit.connection import covariant_db, difference_tensor
 from finslerkit.geodesic import minimize, polyline_length
-from finslerkit.hypersurface import chart_at, h_tensors_at, tangential_flag
+from finslerkit.hypersurface import chart_at, frame_at, tangential_flag
 from finslerkit.metric import finsler_norm, flag_point, sample_flags
 from finslerkit.numerics import fd_hessian, jet_eval
 from finslerkit.tensors import (
@@ -76,8 +76,8 @@ def tangential_frames():
                 v = rng.normal(size=spec.dim - 1)
                 if np.linalg.norm(v) < 1e-9:
                     continue
-                frame, ht = h_tensors_at(spec, surface, x0, v)
-                rows.append((spec, frame, ht))
+                (frame,) = frame_at(spec, surface, covariant_db(spec, x0), [v])
+                rows.append((spec, frame))
             cache[(name, k)] = rows
     return cache
 
@@ -115,11 +115,11 @@ def test_criterion_03_structural_identities(oracle_sweep):
             worst_h = max(worst_h, float(np.abs(bundle.h @ flag.y).max()))
             worst_c = max(worst_c, float(np.abs(np.einsum("ijk,k->ij", bundle.C, flag.y)).max()))
             f2 = float(flag.y @ bundle.g @ flag.y)
-            worst_f2 = max(worst_f2, abs(f2 - bundle.F ** 2) / bundle.F ** 2)
+            worst_f2 = max(worst_f2, abs(f2 - bundle.phi.F ** 2) / bundle.phi.F ** 2)
             for lam in (0.5, 2.0, 10.0):
                 scaled = flag_point(spec, flag.x, lam * flag.y)
                 f_scaled = finsler_norm(spec.family, spec.k, scaled.alpha, scaled.beta)
-                worst_hom = max(worst_hom, abs(f_scaled - lam * bundle.F) / abs(f_scaled))
+                worst_hom = max(worst_hom, abs(f_scaled - lam * bundle.phi.F) / abs(f_scaled))
     ok = worst_h <= 1e-8 and worst_c <= 1e-8 and worst_f2 <= 1e-10 and worst_hom <= 1e-12
     _line(3, ok, "h y = 0, C y = 0, g y y = F^2, F(x, s y) = s F(x, y) within "
           "stated tolerances on the sweep",
@@ -137,8 +137,8 @@ def test_criterion_04_beta_zero_specializations(tangential_frames):
         worst = max(worst, abs(value - expected) / max(1.0, abs(expected)))
 
     for (name, k), rows in tangential_frames.items():
-        for spec, frame, _ in rows:
-            fl, bundle = frame.flag, frame.bundle
+        for spec, frame in rows:
+            fl, bundle = frame.bundle.flag, frame.bundle
             al = fl.alpha
             check(bundle.metric.p, 1.0)
             check(bundle.metric.p0, (k + 1) * (2 * k + 1))
@@ -148,7 +148,7 @@ def test_criterion_04_beta_zero_specializations(tangential_frames):
             check(bundle.angular.q1, 0.0)
             check(bundle.angular.q2, -1.0 / al ** 2)
             check(bundle.gamma1, k * (k * k - 1) / al)
-            check(bundle.reciprocal.zeta, 1.0 + k * (k + 1) * bundle.b2)
+            check(bundle.reciprocal.zeta, 1.0 + k * (k + 1) * fl.b2)
     ok = worst <= 1e-12
     _line(4, ok, "beta = 0 coefficient specializations exact to 1e-12 at 100 "
           "tangential flags per fixture and k", f"max deviation {worst:.2e}")
@@ -160,12 +160,13 @@ def test_criterion_05_normal_field_identities(tangential_frames):
     for name in ("plane", "exp"):
         for k in KS:
             dev_prop = dev_contr = 0.0
-            for spec, frame, _ in tangential_frames[(name, k)]:
-                b2 = frame.bundle.b2
+            for spec, frame in tangential_frames[(name, k)]:
+                fl = frame.bundle.flag
+                b2 = fl.b2
                 zeta = 1 + k * (k + 1) * b2
                 dev_prop = max(dev_prop, float(
-                    np.abs(frame.flag.b - math.sqrt(b2 / zeta) * frame.N_dn).max()))
-                contraction = float(frame.flag.b @ frame.bundle.g_inv @ frame.flag.b)
+                    np.abs(fl.b - math.sqrt(b2 / zeta) * frame.N_dn).max()))
+                contraction = float(fl.b @ frame.bundle.g_inv @ fl.b)
                 dev_contr = max(dev_contr, abs(contraction - b2 / zeta))
             worst[(name, k)] = (dev_prop, dev_contr)
     ok = all(dp <= 1e-9 and dc <= 1e-9 for dp, dc in worst.values())
@@ -185,13 +186,13 @@ def test_criterion_06_second_fundamental_tensors(tangential_frames):
     for name in ("plane", "exp"):
         for k in KS:
             dev = 0.0
-            for spec, frame, ht in tangential_frames[(name, k)]:
-                worst_ma = max(worst_ma, float(np.abs(ht.M_a).max()))
-                worst_sym = max(worst_sym, float(np.abs(ht.H_ab - ht.H_ab.T).max()))
-                b2 = frame.bundle.b2
+            for spec, frame in tangential_frames[(name, k)]:
+                worst_ma = max(worst_ma, float(np.abs(frame.M_a).max()))
+                worst_sym = max(worst_sym, float(np.abs(frame.H_ab - frame.H_ab.T).max()))
+                b2 = frame.bundle.flag.b2
                 zeta = 1 + k * (k + 1) * b2
-                factor = (k + 1) / (2 * frame.flag.alpha) * math.sqrt(b2 / zeta)
-                dev = max(dev, float(np.abs(ht.M_ab - factor * frame.h_ind).max()))
+                factor = (k + 1) / (2 * frame.bundle.flag.alpha) * math.sqrt(b2 / zeta)
+                dev = max(dev, float(np.abs(frame.M_ab - factor * frame.h_ind).max()))
             worst_prop[(name, k)] = dev
     ok = worst_ma <= 1e-8 and worst_sym <= 1e-8 and all(
         v <= 1e-8 for v in worst_prop.values())
@@ -230,7 +231,7 @@ def test_criterion_08_connection_consistency():
     worst_d = 0.0
     spec_const = make_space(k=2, b=["0", "0", "0.1"])
     for flag in sample_flags(spec_const, 50, seed=8):
-        _, d = difference_tensor_at(spec_const, bundle_at(spec_const, flag.x, flag.y))
+        d = difference_tensor(bundle_at(spec_const, flag.x, flag.y), covariant_db(spec_const, flag))
         worst_d = max(worst_d, float(np.abs(d).max()))
 
     # scalar identity b_{i|j} y^i y^j = b_00 / (1 + k(k+1) b^2) at tangential
@@ -245,10 +246,11 @@ def test_criterion_08_connection_consistency():
                 chart = chart_at(surface, x0)
                 flag = tangential_flag(spec, chart, rng.normal(size=spec.dim - 1))
                 bundle = bundle_at(spec, flag.x, flag.y)
-                conn, d = difference_tensor_at(spec, bundle)
+                conn = covariant_db(spec, bundle.flag)
+                d = difference_tensor(bundle, conn)
                 b00 = float(flag.y @ conn.b_cov @ flag.y)
                 got = b00 - float(flag.b @ np.einsum("ijk,j,k->i", d, flag.y, flag.y))
-                stated = b00 / (1 + k * (k + 1) * bundle.b2)
+                stated = b00 / (1 + k * (k + 1) * flag.b2)
                 worst_rel = max(worst_rel, abs(got - stated) / max(1e-30, abs(stated), abs(got)))
     ok = worst_d == 0.0 and worst_rel <= 1e-8
     _line(8, ok, "difference tensor vanishes for constant b; Cartan-covariant "

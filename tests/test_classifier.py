@@ -1,18 +1,31 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import count_calls, exp_fixture, make_space, plane_fixture, radial_fixture
-from finslerkit import classifier, connection, hypersurface
+from conftest import (
+    count_calls,
+    exp_fixture,
+    make_space,
+    one_frame,
+    plane_fixture,
+    radial_fixture,
+    tangential_points_and_dirs,
+)
+from finslerkit import classifier, connection
 from finslerkit import expr as ex
 from finslerkit.classifier import (
+    ClassifierConsistencyError,
     ClassifyOptions,
     classify,
     first_kind_test,
     second_kind_test,
     surface_points,
 )
+from finslerkit.config import load_config
 from finslerkit.connection import covariant_db
-from finslerkit.hypersurface import LevelSurface
+from finslerkit.hypersurface import LevelSurface, frame_at
 from finslerkit.metric import SpaceSpec
 
 FAST = ClassifyOptions(points=8, directions=3, seed=5)
@@ -108,6 +121,44 @@ def test_proportionality_check_vanishes_on_level_surfaces():
         assert max(abs(f) for f in report.proportionality_factors) < 1e-10
 
 
+def _orthogonal_c_plane(k):
+    # configs/e4.cfg with exponent k: b = grad(x3 (2 + x1)) on x3 = 0 is
+    # (0, 0, 2 + x1) with b_13 = 1, so c = (2 / (2 + x1), 0, 0) is orthogonal
+    # to b and c_0 = c_1 y^1 != 0 on tangential flags
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "e4.cfg")
+    return dataclasses.replace(cfg.space, k=k), cfg.surface
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_first_kind_factor_where_c_is_orthogonal_to_b(k):
+    # H_ab = -(k+1) c_0 sqrt(b^2) / (4 alpha zeta^(3/2)) h_ab, zeta = 1 + k(k+1) b^2;
+    # the printed factor c_0 sqrt(b^2) / sqrt(1 + k(k+1)) misses it by O(1)
+    spec, surface = _orthogonal_c_plane(k)
+    report = classify(surface, spec, FAST)  # raises unless the derived factor holds
+    assert report.first_kind.passed and not report.second_kind.passed
+    assert report.proportionality_deviation <= 1e-10 * report.geo_H_ab_max
+    assert max(abs(f) for f in report.proportionality_factors) > 1e-2
+
+    conns = [covariant_db(spec, x) for x in report.points]
+    _, c_samples = first_kind_test(conns)
+    printed_dev = 0.0
+    for conn, c in zip(conns, c_samples):
+        for frame in frame_at(spec, surface, conn, [[1.0, 0.3], [-0.4, 1.0]]):
+            fl = frame.bundle.flag
+            printed = float(c @ fl.y) * np.sqrt(fl.b2) / np.sqrt(1 + k * (k + 1))
+            printed_dev = max(printed_dev, float(np.abs(frame.H_ab - printed * frame.h_ind).max()))
+    assert printed_dev > 0.1
+
+
+def test_first_kind_factor_mismatch_raises(monkeypatch):
+    # a wrong factor is not just printed: it stops the classification
+    spec, surface = _orthogonal_c_plane(1)
+    monkeypatch.setattr(classifier, "proportionality_check",
+                        lambda frames, c_samples, k: ([], 1.0))
+    with pytest.raises(ClassifierConsistencyError, match="first-kind"):
+        classify(surface, spec, FAST)
+
+
 def test_second_kind_implies_first_kind_over_potential_family():
     potentials = [
         "0.1*x3",
@@ -135,24 +186,21 @@ def test_second_kind_implies_first_kind_over_potential_family():
 
 def test_normal_curvature_tracks_b00_both_directions():
     # |H_0| small <-> |b_00| small, through H_0 = -b_00 / sqrt(b^2 zeta)
-    from finslerkit.hypersurface import h_tensors_at
-    from conftest import tangential_points_and_dirs
-
     spec, surface = exp_fixture(1)
     for x0, v in tangential_points_and_dirs(surface, spec, 4, seed=3):
-        frame, ht = h_tensors_at(spec, surface, x0, v)
-        from finslerkit.connection import covariant_db
-
-        b00 = float(frame.flag.y @ covariant_db(spec, x0).b_cov @ frame.flag.y)
-        assert abs(ht.H0) < 1e-10 and abs(b00) < 1e-10
+        frame = one_frame(spec, surface, x0, v)
+        y = frame.bundle.flag.y
+        b00 = float(y @ covariant_db(spec, x0).b_cov @ y)
+        assert abs(frame.H_a @ frame.v) < 1e-10 and abs(b00) < 1e-10
 
     spec3, surface3 = radial_fixture(1)
     for x0, v in tangential_points_and_dirs(surface3, spec3, 4, seed=4):
-        frame, ht = h_tensors_at(spec3, surface3, x0, v)
-        b00 = float(frame.flag.y @ frame.flag.y)
-        scale = np.sqrt(frame.bundle.b2 * frame.bundle.reciprocal.zeta)
-        assert abs(ht.H0) > 1e-3 and abs(b00) > 1e-3
-        assert ht.H0 * scale == pytest.approx(-b00, rel=1e-9)
+        frame = one_frame(spec3, surface3, x0, v)
+        h0, fl = frame.H_a @ frame.v, frame.bundle.flag
+        b00 = float(fl.y @ fl.y)
+        scale = np.sqrt(fl.b2 * frame.bundle.reciprocal.zeta)
+        assert abs(h0) > 1e-3 and abs(b00) > 1e-3
+        assert h0 * scale == pytest.approx(-b00, rel=1e-9)
 
 
 @pytest.mark.parametrize("mu", [0.5, 2.0])
@@ -198,7 +246,7 @@ def test_classify_evaluates_each_surface_point_once(monkeypatch):
     spec, surface = exp_fixture(2)
     a_calls = count_calls(monkeypatch, SpaceSpec, "a_at")
     conns = [count_calls(monkeypatch, module, "covariant_db")
-             for module in (classifier, connection, hypersurface)]
+             for module in (classifier, connection)]
     report = classify(surface, spec, FAST)
     assert len(report.points) == FAST.points
     # one a(x) and one connection per point, shared by both kind tests and

@@ -139,14 +139,20 @@ def test_machine_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert out1.read_text().splitlines()[1] == "point-index,test,residual,verdict"
 
 
-@pytest.mark.parametrize("command, config", [
-    ("tensors", "e1"), ("audit", "e1"), ("classify", "e2"), ("geodesic", "geodesic_randers"),
+@pytest.mark.parametrize("command, config, status", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in (
+        ("tensors", "e1", 0), ("audit", "e1", 0), ("classify", "e2", 0),
+        ("classify", "e4", 1),  # first kind with c orthogonal to b; second kind fails
+        ("geodesic", "geodesic_randers", 0),
+    )
 ])
-def test_shipped_config_output_is_byte_identical_across_runs(tmp_path, capsys, command, config):
+def test_shipped_config_output_is_byte_identical_across_runs(
+    tmp_path, capsys, command, config, status
+):
     cfg = str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.cfg")
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main([command, "--config", cfg, "--out", str(out1)]) == 0
-    assert main([command, "--config", cfg, "--out", str(out2)]) == 0
+    assert main([command, "--config", cfg, "--out", str(out1)]) == status
+    assert main([command, "--config", cfg, "--out", str(out2)]) == status
     capsys.readouterr()
     assert out1.stat().st_size > 0
     assert out1.read_bytes() == out2.read_bytes()

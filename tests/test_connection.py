@@ -7,7 +7,6 @@ from finslerkit.connection import (
     christoffel,
     difference_ingredients,
     difference_tensor,
-    difference_tensor_at,
 )
 from finslerkit.metric import flag_point, sample_flags
 from finslerkit.tensors import bundle_at
@@ -87,7 +86,7 @@ def test_ingredients_at_beta_zero_reference():
     fl = flag_point(spec, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])  # alpha = 1, beta = 0
     bundle = bundle_at(spec, fl.x, fl.y)
     conn = covariant_db(spec, fl.x)
-    di = difference_ingredients(bundle, conn, fl)
+    di = difference_ingredients(bundle, conn)
     assert np.abs(di.B_low - (6.0 * fl.b + 2.0 * fl.y_low)).max() < 1e-14
     assert di.B0 == pytest.approx(float(di.B_low @ fl.y), abs=1e-15)
 
@@ -97,7 +96,7 @@ def test_ingredients_vanish_for_constant_one_form():
     fl = flag_point(spec, [0.4, 0.2, -0.3], [0.6, -1.0, 0.2])
     bundle = bundle_at(spec, fl.x, fl.y)
     conn = covariant_db(spec, fl.x)
-    di = difference_ingredients(bundle, conn, fl)
+    di = difference_ingredients(bundle, conn)
     assert np.abs(di.A).max() == 0.0
     assert np.abs(di.lam).max() == 0.0
 
@@ -108,14 +107,14 @@ def test_b_matrix_annihilates_direction_at_any_flag():
     for fl in sample_flags(spec, 15, seed=3):
         bundle = bundle_at(spec, fl.x, fl.y)
         conn = covariant_db(spec, fl.x)
-        di = difference_ingredients(bundle, conn, fl)
+        di = difference_ingredients(bundle, conn)
         assert np.abs(di.B_mat @ fl.y).max() < 1e-12 * (1.0 + np.abs(di.B_mat).max())
 
 
 def test_difference_tensor_vanishes_for_constant_one_form():
     spec = make_space(k=1, b=["0", "0", "0.1"])
     bundle = bundle_at(spec, [0.2, -0.1, 0.3], [0.4, 1.0, -0.2])
-    _, d = difference_tensor_at(spec, bundle)
+    d = difference_tensor(bundle, covariant_db(spec, bundle.flag))
     assert np.abs(d).max() == 0.0
 
 
@@ -126,7 +125,7 @@ def test_difference_tensor_vanishes_without_one_form():
         x = rng.uniform(-1, 1, size=3)
         y = rng.normal(size=3)
         bundle = bundle_at(spec, x, y)
-        _, d = difference_tensor_at(spec, bundle)
+        d = difference_tensor(bundle, covariant_db(spec, bundle.flag))
         assert np.abs(d).max() == 0.0
 
 
@@ -134,7 +133,7 @@ def test_difference_tensor_symmetric_for_gradient_field():
     spec, _ = exp_fixture(2)
     for fl in sample_flags(spec, 10, seed=9):
         bundle = bundle_at(spec, fl.x, fl.y)
-        _, d = difference_tensor_at(spec, bundle)
+        d = difference_tensor(bundle, covariant_db(spec, bundle.flag))
         assert np.abs(d - np.transpose(d, (0, 2, 1))).max() < 1e-10 * (
             1.0 + np.abs(d).max()
         )
@@ -149,8 +148,8 @@ def test_zero_contractions_computed_two_ways():
         bundle = bundle_at(spec, fl.x, fl.y)
         conn = covariant_db(spec, fl.x)
         assert np.abs(conn.Fij).max() > 0.0  # genuinely non-gradient
-        di = difference_ingredients(bundle, conn, fl)
-        d = difference_tensor(di, bundle, conn, fl)
+        di = difference_ingredients(bundle, conn)
+        d = difference_tensor(bundle, conn)
         d00 = np.einsum("ijk,j,k->i", d, fl.y, fl.y)
         f0 = di.F_mixed @ fl.y
         assembled = di.B_up * di.E00 + 2.0 * di.B0 * f0
@@ -179,11 +178,12 @@ def test_contracted_difference_identity_at_tangential_flags():
             x, y = _tangential_radial_flag(spec, rng)
             bundle = bundle_at(spec, x, y)
             assert abs(bundle.flag.beta) < 1e-12
-            conn, d = difference_tensor_at(spec, bundle)
+            conn = covariant_db(spec, bundle.flag)
+            d = difference_tensor(bundle, conn)
             d00 = np.einsum("ijk,j,k->i", d, y, y)
             b00 = float(y @ conn.b_cov @ y)
             got = float(bundle.flag.b @ d00)
-            expected = k * (k + 1) * bundle.b2 * b00 / bundle.reciprocal.zeta
+            expected = k * (k + 1) * bundle.flag.b2 * b00 / bundle.reciprocal.zeta
             assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -197,13 +197,14 @@ def test_cartan_covariant_scalar_identity_on_unit_length_one_form():
         for _ in range(5):
             x, y = _tangential_radial_flag(spec, rng)
             bundle = bundle_at(spec, x, y)
-            conn, d = difference_tensor_at(spec, bundle)
+            conn = covariant_db(spec, bundle.flag)
+            d = difference_tensor(bundle, conn)
             d00 = np.einsum("ijk,j,k->i", d, y, y)
             b00 = float(y @ conn.b_cov @ y)
             got = b00 - float(bundle.flag.b @ d00)
             assert got == pytest.approx(b00 / bundle.reciprocal.zeta, rel=1e-8)
-            assert bundle.b2 == pytest.approx(1.0, abs=1e-12)
-            assert got == pytest.approx(bundle.b2 * b00 / (1 + k * (k + 1)), rel=1e-8)
+            assert bundle.flag.b2 == pytest.approx(1.0, abs=1e-12)
+            assert got == pytest.approx(bundle.flag.b2 * b00 / (1 + k * (k + 1)), rel=1e-8)
 
 
 @pytest.mark.parametrize("c", [0.3, 2.0])
@@ -219,8 +220,9 @@ def test_cartan_covariant_scalar_identity_off_unit_length(k, c):
         x, y = _tangential_radial_flag(spec, rng)
         bundle = bundle_at(spec, x, y)
         assert abs(bundle.flag.beta) < 1e-12
-        assert bundle.b2 == pytest.approx(b2, rel=1e-12)
-        conn, d = difference_tensor_at(spec, bundle)
+        assert bundle.flag.b2 == pytest.approx(b2, rel=1e-12)
+        conn = covariant_db(spec, bundle.flag)
+        d = difference_tensor(bundle, conn)
         d00 = np.einsum("ijk,j,k->i", d, y, y)
         b00 = float(y @ conn.b_cov @ y)
         got = b00 - float(bundle.flag.b @ d00)

@@ -6,17 +6,18 @@ import pytest
 from conftest import (
     exp_fixture,
     make_space,
+    one_frame,
     plane_fixture,
     radial_fixture,
     tangential_points_and_dirs,
 )
 from finslerkit import expr as ex
+from finslerkit.connection import covariant_db
 from finslerkit.hypersurface import (
     LevelSurface,
     OffSurfaceError,
     chart_at,
     frame_at,
-    h_tensors_at,
     induced_tensors,
     tangential_flag,
 )
@@ -89,14 +90,14 @@ def test_tangential_flag_rejects_foreign_surface():
 def test_induced_metric_is_pullback_of_a():
     for spec, surface in (exp_fixture(1), radial_fixture(2)):
         for x0, v in tangential_points_and_dirs(surface, spec, 5, seed=5):
-            (frame,) = frame_at(spec, surface, x0, [v])
-            a_pullback = frame.chart.B.T @ frame.flag.a @ frame.chart.B
+            frame = one_frame(spec, surface, x0, v)
+            a_pullback = frame.chart.B.T @ frame.bundle.flag.a @ frame.chart.B
             assert np.abs(frame.g_ind - a_pullback).max() < 1e-11
 
 
 def test_induced_tensors_on_small_b_plane():
     spec, surface = plane_fixture(1)
-    (frame,) = frame_at(spec, surface, [0.3, 0.4, 0.0], [[1.0, 0.0]])
+    frame = one_frame(spec, surface, [0.3, 0.4, 0.0], [1.0, 0.0])
     assert np.abs(frame.g_ind - np.eye(2)).max() < 1e-14
     g_ind, h_ind, c_ind = induced_tensors(frame.chart, frame.bundle)
     assert np.allclose(g_ind, frame.g_ind)
@@ -107,7 +108,7 @@ def test_unit_normal_value_on_small_b_plane():
     # N_i = b_i * sqrt(zeta / b^2): with b = (0,0,0.1), k = 1 this gives
     # N_3 = sqrt(1.02) (g-unit and g-orthogonal; verified by direct solve)
     spec, surface = plane_fixture(1)
-    (frame,) = frame_at(spec, surface, [0.0, 0.0, 0.0], [[1.0, 0.0]])
+    frame = one_frame(spec, surface, [0.0, 0.0, 0.0], [1.0, 0.0])
     assert frame.N_dn[2] == pytest.approx(math.sqrt(1.02), rel=1e-12)
     assert float(frame.N_up @ frame.bundle.g @ frame.N_up) == pytest.approx(1.0, abs=1e-12)
     assert np.abs(frame.chart.B.T @ frame.bundle.g @ frame.N_up).max() < 1e-12
@@ -116,7 +117,7 @@ def test_unit_normal_value_on_small_b_plane():
 def test_unit_normal_euclidean_plane():
     spec = make_space(family="riemannian", b=["0", "0", "0"])
     surface = LevelSurface(ex.parse("x3"), 0.0)
-    (frame,) = frame_at(spec, surface, [0.2, -0.5, 0.0], [[0.6, 1.0]])
+    frame = one_frame(spec, surface, [0.2, -0.5, 0.0], [0.6, 1.0])
     assert np.allclose(frame.N_up, [0, 0, 1], atol=1e-14)
     assert np.allclose(frame.N_dn, [0, 0, 1], atol=1e-14)
 
@@ -129,12 +130,12 @@ def test_one_form_proportional_to_normal_at_tangential_flags():
         for fixture in (exp_fixture, plane_fixture):
             spec, surface = fixture(k)
             for x0, v in tangential_points_and_dirs(surface, spec, 4, seed=k):
-                (frame,) = frame_at(spec, surface, x0, [v])
-                b2, zeta = frame.bundle.b2, frame.bundle.reciprocal.zeta
-                assert np.abs(frame.flag.b - math.sqrt(b2 / zeta) * frame.N_dn).max() < 1e-9
+                frame = one_frame(spec, surface, x0, v)
+                fl, zeta = frame.bundle.flag, frame.bundle.reciprocal.zeta
+                assert np.abs(fl.b - math.sqrt(fl.b2 / zeta) * frame.N_dn).max() < 1e-9
                 if fixture is plane_fixture:
-                    printed = math.sqrt(b2 / (1 + k * (k + 1)))
-                    assert np.abs(frame.flag.b - printed * frame.N_dn).max() > 1e-3
+                    printed = math.sqrt(fl.b2 / (1 + k * (k + 1)))
+                    assert np.abs(fl.b - printed * frame.N_dn).max() > 1e-3
 
 
 def test_raised_one_form_decomposes_into_normal_and_support():
@@ -143,13 +144,13 @@ def test_raised_one_form_decomposes_into_normal_and_support():
         for fixture in (plane_fixture, exp_fixture):
             spec, surface = fixture(k)
             for x0, v in tangential_points_and_dirs(surface, spec, 4, seed=10 + k):
-                (frame,) = frame_at(spec, surface, x0, [v])
-                b2, zeta = frame.bundle.b2, frame.bundle.reciprocal.zeta
+                frame = one_frame(spec, surface, x0, v)
+                fl, zeta = frame.bundle.flag, frame.bundle.reciprocal.zeta
                 expected = (
-                    math.sqrt(b2 * zeta) * frame.N_up
-                    + (k + 1) * b2 / frame.flag.alpha * frame.flag.y
+                    math.sqrt(fl.b2 * zeta) * frame.N_up
+                    + (k + 1) * fl.b2 / fl.alpha * fl.y
                 )
-                assert np.abs(frame.bundle.b_up - expected).max() < 1e-10
+                assert np.abs(fl.b_up - expected).max() < 1e-10
 
 
 def test_second_fundamental_v_tensor_proportional_to_angular():
@@ -159,65 +160,66 @@ def test_second_fundamental_v_tensor_proportional_to_angular():
         for fixture in (plane_fixture, exp_fixture):
             spec, surface = fixture(k)
             for x0, v in tangential_points_and_dirs(surface, spec, 4, seed=20 + k):
-                frame, ht = h_tensors_at(spec, surface, x0, v)
-                b2, zeta = frame.bundle.b2, frame.bundle.reciprocal.zeta
-                factor = (k + 1) / (2 * frame.flag.alpha) * math.sqrt(b2 / zeta)
-                assert np.abs(ht.M_ab - factor * frame.h_ind).max() <= 1e-8 * (
+                frame = one_frame(spec, surface, x0, v)
+                fl, zeta = frame.bundle.flag, frame.bundle.reciprocal.zeta
+                factor = (k + 1) / (2 * fl.alpha) * math.sqrt(fl.b2 / zeta)
+                assert np.abs(frame.M_ab - factor * frame.h_ind).max() <= 1e-8 * (
                     1.0 + np.abs(frame.h_ind).max()
                 )
-                assert np.abs(ht.M_a).max() < 1e-8
+                assert np.abs(frame.M_a).max() < 1e-8
 
 
 def test_second_fundamental_v_factor_value_on_plane():
     spec, surface = plane_fixture(1)
-    frame, ht = h_tensors_at(spec, surface, [0.0, 0.0, 0.0], [1.0, 0.0])
+    frame = one_frame(spec, surface, [0.0, 0.0, 0.0], [1.0, 0.0])
     factor = 0.1 / math.sqrt(1.02) / 2.0 * 2.0  # (k+1)/(2 alpha) sqrt(b2/zeta)
-    assert np.abs(ht.M_ab - factor * frame.h_ind).max() < 1e-12
+    assert np.abs(frame.M_ab - factor * frame.h_ind).max() < 1e-12
 
 
 def test_riemannian_second_fundamental_v_vanishes():
     spec = make_space(family="riemannian", b=["0", "0", "0"])
     surface = LevelSurface(ex.parse("x3"), 0.0)
-    frame, ht = h_tensors_at(spec, surface, [0.1, 0.2, 0.0], [1.0, -0.5])
-    assert np.abs(ht.M_ab).max() == 0.0
+    frame = one_frame(spec, surface, [0.1, 0.2, 0.0], [1.0, -0.5])
+    assert np.abs(frame.M_ab).max() == 0.0
 
 
 def test_flat_plane_with_constant_one_form_has_no_curvature():
     spec, surface = plane_fixture(2)
     for v in ([1.0, 0.0], [0.4, -1.1]):
-        frame, ht = h_tensors_at(spec, surface, [0.5, -0.2, 0.0], v)
-        assert np.abs(ht.H_a).max() == 0.0
-        assert np.abs(ht.H_ab).max() == 0.0
+        frame = one_frame(spec, surface, [0.5, -0.2, 0.0], v)
+        assert np.abs(frame.H_a).max() == 0.0
+        assert np.abs(frame.H_ab).max() == 0.0
 
 
 def test_exponential_level_has_vanishing_normal_curvature():
     for k in (1, 2, 3):
         spec, surface = exp_fixture(k)
         for x0, v in tangential_points_and_dirs(surface, spec, 5, seed=30 + k):
-            frame, ht = h_tensors_at(spec, surface, x0, v)
-            assert np.abs(ht.H_a).max() < 1e-10
-            assert np.abs(ht.H_ab).max() < 1e-10
+            frame = one_frame(spec, surface, x0, v)
+            assert np.abs(frame.H_a).max() < 1e-10
+            assert np.abs(frame.H_ab).max() < 1e-10
 
 
 def test_h_tensor_antisymmetry_matches_v_tensor_coupling():
     # H_ab - H_ba = M_a H_b - M_b H_a; with M_a = 0 the h-tensor is symmetric
     spec, surface = radial_fixture(2)
     for x0, v in tangential_points_and_dirs(surface, spec, 5, seed=77):
-        frame, ht = h_tensors_at(spec, surface, x0, v)
-        lhs = ht.H_ab - ht.H_ab.T
-        rhs = np.outer(ht.M_a, ht.H_a) - np.outer(ht.H_a, ht.M_a)
-        assert np.abs(lhs - rhs).max() <= 1e-8 * (1.0 + np.abs(ht.H_ab).max())
-        assert np.abs(ht.H_ab - ht.H_ab.T).max() <= 1e-8 * (1.0 + np.abs(ht.H_ab).max())
+        frame = one_frame(spec, surface, x0, v)
+        lhs = frame.H_ab - frame.H_ab.T
+        rhs = np.outer(frame.M_a, frame.H_a) - np.outer(frame.H_a, frame.M_a)
+        assert np.abs(lhs - rhs).max() <= 1e-8 * (1.0 + np.abs(frame.H_ab).max())
+        assert np.abs(lhs).max() <= 1e-8 * (1.0 + np.abs(frame.H_ab).max())
 
 
 def test_contraction_relations_of_h_tensor():
     # H_{0g} = H_g and H_{g0} = H_g + M_g H_0
     spec, surface = radial_fixture(1)
     for x0, v in tangential_points_and_dirs(surface, spec, 5, seed=78):
-        frame, ht = h_tensors_at(spec, surface, x0, v)
-        scale = 1.0 + np.abs(ht.H_ab).max()
-        assert np.abs(ht.H_ab.T @ frame.v - ht.H_a).max() <= 1e-8 * scale
-        assert np.abs(ht.H_ab @ frame.v - (ht.H_a + ht.M_a * ht.H0)).max() <= 1e-8 * scale
+        frame = one_frame(spec, surface, x0, v)
+        scale = 1.0 + np.abs(frame.H_ab).max()
+        assert np.abs(frame.H_ab.T @ frame.v - frame.H_a).max() <= 1e-8 * scale
+        h0 = frame.H_a @ frame.v
+        assert np.abs(frame.H_ab @ frame.v - (frame.H_a + frame.M_a * h0)).max() <= 1e-8 * scale
 
 
 def test_normal_curvature_contraction_closed_form_on_sphere():
@@ -225,10 +227,29 @@ def test_normal_curvature_contraction_closed_form_on_sphere():
     # b_cov = identity, so b_00 = |y|^2)
     spec, surface = radial_fixture(2)
     for x0, v in tangential_points_and_dirs(surface, spec, 5, seed=79):
-        frame, ht = h_tensors_at(spec, surface, x0, v)
-        b00 = float(frame.flag.y @ frame.flag.y)
-        predicted = -b00 / math.sqrt(frame.bundle.b2 * frame.bundle.reciprocal.zeta)
-        assert ht.H0 == pytest.approx(predicted, rel=1e-10)
+        frame = one_frame(spec, surface, x0, v)
+        fl = frame.bundle.flag
+        predicted = -float(fl.y @ fl.y) / math.sqrt(fl.b2 * frame.bundle.reciprocal.zeta)
+        assert frame.H_a @ frame.v == pytest.approx(predicted, rel=1e-10)
+
+
+@pytest.mark.parametrize("level", [0.08, 2.0])
+def test_normal_curvature_contraction_off_unit_length(level):
+    # the unit sphere (level 0.5) has b^2 = 1, where sqrt(b^2 zeta) and the
+    # printed sqrt(b^2 (1 + k(k+1))) agree; the spheres |x|^2 = 2 level have
+    # b = x with b^2 = 0.16 and 4, and there only H_0 = -b_00 / sqrt(b^2 zeta),
+    # zeta = 1 + k(k+1) b^2, holds (the printed form misses by over 40%)
+    k = 2
+    spec, unit = radial_fixture(k)
+    surface = LevelSurface(unit.potential, level)
+    for x0, v in tangential_points_and_dirs(surface, spec, 5, seed=79):
+        frame = one_frame(spec, surface, x0, v)
+        fl, h0 = frame.bundle.flag, frame.H_a @ frame.v
+        assert fl.b2 == pytest.approx(2.0 * level, rel=1e-12)
+        b00 = float(fl.y @ fl.y)
+        assert h0 == pytest.approx(-b00 / math.sqrt(fl.b2 * (1 + k * (k + 1) * fl.b2)), rel=1e-10)
+        printed = -b00 / math.sqrt(fl.b2 * (1 + k * (k + 1)))
+        assert abs(h0 - printed) > 0.4 * abs(h0)
 
 
 def test_frame_identities_sweep():
@@ -236,9 +257,8 @@ def test_frame_identities_sweep():
     rng = np.random.default_rng(91)
     pts = tangential_points_and_dirs(surface, spec, 100, seed=91)
     for x0, _ in pts:
-        for _ in range(10):
-            v = rng.normal(size=2)
-            (frame,) = frame_at(spec, surface, x0, [v])
+        # ten directions share the point's chart and connection
+        for frame in frame_at(spec, surface, covariant_db(spec, x0), rng.normal(size=(10, 2))):
             B, Bd = frame.chart.B, frame.B_dual
             assert np.abs(Bd @ B - np.eye(2)).max() < 1e-10
             assert np.abs(B @ Bd + np.outer(frame.N_up, frame.N_dn) - np.eye(3)).max() < 1e-10
@@ -254,7 +274,7 @@ def test_ambient_torsion_decomposes_into_tangential_and_normal_parts():
     # C^i_jk B^j_a B^k_b = C^g_ab B^i_g + M_ab N^i (frame completeness)
     spec, surface = exp_fixture(1)
     for x0, v in tangential_points_and_dirs(surface, spec, 5, seed=17):
-        (frame,) = frame_at(spec, surface, x0, [v])
+        frame = one_frame(spec, surface, x0, v)
         B = frame.chart.B
         c_mixed = np.einsum("il,ljk->ijk", frame.bundle.g_inv, frame.bundle.C)
         pulled = np.einsum("ijk,ja,kb->iab", c_mixed, B, B)

@@ -139,7 +139,7 @@ def test_validity_passes_on_small_b_plane_flag():
     spec = make_space(k=1, potential="0.1*x3")
     report = validity_check(spec, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     assert report.ok
-    assert report.alpha_positive and report.F_positive
+    assert report.F_positive
     assert report.family_domain and report.fundamental_pd
 
 

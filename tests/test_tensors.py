@@ -94,7 +94,7 @@ def test_fundamental_reduces_to_a_without_one_form():
     spec = make_space(k=2, b=["0", "0", "0"])
     bundle = bundle_at(spec, [0.1, 0.2, 0.3], [0.5, -0.4, 1.0])
     assert np.abs(bundle.g - bundle.flag.a).max() < 1e-14
-    assert np.abs(bundle.g_inv - bundle.a_inv).max() < 1e-14
+    assert np.abs(bundle.g_inv - bundle.flag.a_inv).max() < 1e-14
     assert np.abs(bundle.C).max() == 0.0
 
 
@@ -125,7 +125,7 @@ def test_reciprocal_contraction_with_one_form_at_beta_zero():
     direct = float(bundle.flag.b @ np.linalg.solve(bundle.g, bundle.flag.b))
     assert value == pytest.approx(direct, rel=1e-12)
     assert value == pytest.approx(0.01 / 1.02, rel=1e-12)
-    assert value == pytest.approx(bundle.b2 / bundle.reciprocal.zeta, rel=1e-12)
+    assert value == pytest.approx(bundle.flag.b2 / bundle.reciprocal.zeta, rel=1e-12)
 
 
 def test_reciprocal_singularity_guard():
@@ -206,8 +206,8 @@ def test_bundle_structural_identities_on_random_flags():
             scale = 1.0 + np.abs(bundle.g).max()
             assert np.abs(bundle.g - bundle.g.T).max() < 1e-12 * scale
             assert np.abs(bundle.g @ bundle.g_inv - np.eye(3)).max() < 1e-8
-            assert abs(fl.y @ bundle.g @ fl.y - bundle.F ** 2) < 1e-10 * bundle.F ** 2
-            assert np.abs(bundle.l - bundle.g @ fl.y / bundle.F).max() < 1e-10
+            assert abs(fl.y @ bundle.g @ fl.y - bundle.phi.F ** 2) < 1e-10 * bundle.phi.F ** 2
+            assert np.abs(bundle.l - bundle.g @ fl.y / bundle.phi.F).max() < 1e-10
             assert np.abs(bundle.h @ fl.y).max() < 1e-8
             assert np.abs(np.einsum("ijk,k->ij", bundle.C, fl.y)).max() < 1e-8
             for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
@@ -274,9 +274,9 @@ def test_assembly_helpers_match_bundle():
     bundle = bundle_at(spec, fl.x, fl.y)
     assert np.allclose(angular_tensor(ac, fl.a, fl.b, fl.y_low), bundle.h)
     assert np.allclose(fundamental_tensor(mc, fl.a, fl.b, fl.y_low), bundle.g)
-    rc = reciprocal_coefficients(mc, fl.alpha, fl.beta, bundle.b2)
+    rc = reciprocal_coefficients(mc, fl.alpha, fl.beta, bundle.flag.b2)
     assert np.allclose(
-        reciprocal_tensor(rc, mc.p, bundle.a_inv, bundle.b_up, fl.y), bundle.g_inv
+        reciprocal_tensor(rc, mc.p, bundle.flag.a_inv, bundle.flag.b_up, fl.y), bundle.g_inv
     )
     assert np.allclose(hv_torsion(mc, bundle.h, bundle.gamma1, bundle.m), bundle.C)
 
