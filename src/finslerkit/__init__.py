@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .classifier import ClassificationReport, ClassifyOptions, classify
 from .config import RunConfig, load_config
 from .expr import DomainError, Expr, ExprSyntaxError, diff, parse
-from .geodesic import GeodesicResult, minimize, polyline_length
+from .geodesic import GeodesicParams, GeodesicResult, minimize, polyline_length
 from .hypersurface import HypersurfaceFrame, LevelSurface, chart_at, frame_at
 from .metric import (
     FAMILIES,
@@ -25,9 +25,10 @@ from .metric import (
     validity_check,
 )
 from .numerics import Jet2, SecondOrderJet, fd_hessian, jet_eval, least_squares, pd_check
-from .tensors import AuditReport, TensorBundle, audit_flag, audit_sweep, bundle_at
+from .tensors import AuditParams, AuditReport, TensorBundle, audit_flag, audit_sweep, bundle_at
 
 __all__ = [
+    "AuditParams",
     "AuditReport",
     "ClassificationReport",
     "ClassifyOptions",
@@ -36,6 +37,7 @@ __all__ = [
     "ExprSyntaxError",
     "FAMILIES",
     "FlagPoint",
+    "GeodesicParams",
     "GeodesicResult",
     "HypersurfaceFrame",
     "Jet2",

@@ -18,7 +18,7 @@ condition.  Classification applies to the power-quotient family
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,8 +34,10 @@ class ClassifierConsistencyError(RuntimeError):
 
 @dataclass
 class ClassifyOptions:
-    points: int = 25
-    directions: int = 5
+    """Settings of `classify`: its fields are the keys and defaults of [classify]."""
+
+    points: int = field(default=25, metadata={"min": 1})
+    directions: int = field(default=5, metadata={"min": 1})
     seed: int = 2024
     tol: float = 1e-8
 
@@ -118,7 +120,7 @@ def surface_points(
 
 
 def first_kind_test(
-    conns: list[ConnectionData], tol: float = 1e-8
+    conns: list[ConnectionData], tol: float
 ) -> tuple[KindResult, list[np.ndarray]]:
     """Least-squares solve of 2 b_ij = b_i c_j + b_j c_i over the d(d+1)/2
     independent equations at each sample point's connection; FAIL is an
@@ -142,7 +144,7 @@ def first_kind_test(
 
 
 def second_kind_test(
-    conns: list[ConnectionData], tol: float = 1e-8
+    conns: list[ConnectionData], tol: float
 ) -> tuple[KindResult, list[float]]:
     """Fit e(x) = b^i b^j b_ij / (b^2)^2 and measure ||b_cov - e b (x) b||."""
     worst = 0.0
@@ -200,7 +202,7 @@ def proportionality_check(
 
 
 def classify(
-    surface: LevelSurface, spec: SpaceSpec, opts: ClassifyOptions | None = None
+    surface: LevelSurface, spec: SpaceSpec, opts: ClassifyOptions
 ) -> ClassificationReport:
     """Run every test on a deterministic sample grid and enforce agreement
     between the algebraic and geometric routes.
@@ -212,12 +214,11 @@ def classify(
         raise ValueError(
             "classification is specific to the (alpha+beta)^(k+1)/alpha^k family"
         )
-    opts = opts or ClassifyOptions()
     pts = surface_points(surface, spec, opts.points, opts.seed)
     conns = [covariant_db(spec, x) for x in pts]  # one base point and connection each
 
-    first, c_samples = first_kind_test(conns, tol=opts.tol)
-    second, e_samples = second_kind_test(conns, tol=opts.tol)
+    first, c_samples = first_kind_test(conns, opts.tol)
+    second, e_samples = second_kind_test(conns, opts.tol)
 
     rng = np.random.default_rng(opts.seed + 1)
     point_frames: list[list[HypersurfaceFrame]] = []

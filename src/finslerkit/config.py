@@ -21,21 +21,29 @@ Format (``#`` starts a comment; keys marked * may repeat):
     [tensors]
     flag = 0, 0, 0 ; 1, 0, 0 * base point ; direction
 
+The keys and defaults of [audit], [classify] and [geodesic] are the fields of
+`tensors.AuditParams`, `classifier.ClassifyOptions` and `geodesic.GeodesicParams`.
+A value is parsed by the type of its field's default (int, float, or a vector
+for start and end) and bounded below by the field's "min" metadata, if any.
+
 Unknown sections or keys are rejected (typo safety); every error carries its
 line number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import expr as ex
 from .classifier import ClassifyOptions
+from .geodesic import GeodesicParams
 from .hypersurface import LevelSurface
 from .metric import FAMILIES, SpaceSpec
+from .numerics import SYM_TOL
+from .tensors import AuditParams
 
 
 class ConfigError(ValueError):
@@ -45,31 +53,16 @@ class ConfigError(ValueError):
         self.line = line
 
 
+_OPTIONS = {"audit": AuditParams, "classify": ClassifyOptions, "geodesic": GeodesicParams}
+_OPTION_FIELDS = {name: {f.name: f for f in fields(rec)} for name, rec in _OPTIONS.items()}
 _SECTIONS = {
     "space": {"family", "k", "a_row", "b", "b_potential", "constant"},
     "hypersurface": {"potential", "level"},
-    "audit": {"samples", "seed"},
-    "classify": {"points", "directions", "seed", "tol"},
-    "geodesic": {"start", "end", "segments", "iters", "tol", "seed"},
     "tensors": {"flag"},
+    **_OPTION_FIELDS,
 }
 _REPEATABLE = {("space", "a_row"), ("space", "constant"), ("tensors", "flag")}
-
-
-@dataclass
-class AuditParams:
-    samples: int = 100
-    seed: int = 2024
-
-
-@dataclass
-class GeodesicParams:
-    start: np.ndarray | None = None
-    end: np.ndarray | None = None
-    segments: int = 16
-    iters: int = 500
-    tol: float = 1e-8
-    seed: int = 0
+_SYMMETRY_SAMPLES = 4  # random points at which a(x) is checked for symmetry
 
 
 @dataclass
@@ -116,7 +109,7 @@ def _floats(value: str, line: int) -> list[float]:
         raise ConfigError(f"expected comma-separated numbers: {err}", line) from err
 
 
-def _int(value: str, line: int, minimum: int | None = None, what: str = "value") -> int:
+def _int(value: str, line: int, minimum: int | None, what: str) -> int:
     try:
         n = int(value)
     except ValueError as err:
@@ -126,11 +119,20 @@ def _int(value: str, line: int, minimum: int | None = None, what: str = "value")
     return n
 
 
-def _float(value: str, line: int, what: str = "value") -> float:
+def _float(value: str, line: int, what: str) -> float:
     try:
         return float(value)
     except ValueError as err:
         raise ConfigError(f"expected a number for {what}", line) from err
+
+
+def _option(f: Field, value: str, line: int):
+    """An options-record value, parsed by the type of the field's default."""
+    if isinstance(f.default, int):
+        return _int(value, line, f.metadata.get("min"), f.name)
+    if isinstance(f.default, float):
+        return _float(value, line, f.name)
+    return np.array(_floats(value, line))
 
 
 def _expr(text: str, constants: dict[str, float], line: int) -> ex.Expr:
@@ -170,9 +172,7 @@ def load_config(path: str | Path) -> RunConfig:
     b_potential: tuple[int, str] | None = None
     surface_potential: tuple[int, str] | None = None
     surface_level: float | None = None
-    audit = AuditParams()
-    copts = ClassifyOptions()
-    geo = GeodesicParams()
+    options = {name: rec() for name, rec in _OPTIONS.items()}
     flags_raw: list[tuple[int, str]] = []
 
     for line_no, section, key, value in entries:
@@ -197,31 +197,8 @@ def load_config(path: str | Path) -> RunConfig:
                 surface_potential = (line_no, value)
             else:
                 surface_level = _float(value, line_no, "level")
-        elif section == "audit":
-            if key == "samples":
-                audit.samples = _int(value, line_no, minimum=1, what="samples")
-            else:
-                audit.seed = _int(value, line_no, what="seed")
-        elif section == "classify":
-            if key == "points":
-                copts.points = _int(value, line_no, minimum=1, what="points")
-            elif key == "directions":
-                copts.directions = _int(value, line_no, minimum=1, what="directions")
-            elif key == "seed":
-                copts.seed = _int(value, line_no, what="seed")
-            else:
-                copts.tol = _float(value, line_no, "tol")
-        elif section == "geodesic":
-            if key in ("start", "end"):
-                setattr(geo, key, np.array(_floats(value, line_no)))
-            elif key == "segments":
-                geo.segments = _int(value, line_no, minimum=1, what="segments")
-            elif key == "iters":
-                geo.iters = _int(value, line_no, minimum=1, what="iters")
-            elif key == "tol":
-                geo.tol = _float(value, line_no, "tol")
-            else:
-                geo.seed = _int(value, line_no, what="seed")
+        elif section in options:
+            setattr(options[section], key, _option(_OPTION_FIELDS[section][key], value, line_no))
         elif section == "tensors":
             flags_raw.append((line_no, value))
 
@@ -284,18 +261,19 @@ def load_config(path: str | Path) -> RunConfig:
         flags.append((x, y))
 
     return RunConfig(
-        space=space, surface=surface, audit=audit, classify_options=copts,
-        geodesic=geo, flags=flags, constants=constants,
+        space=space, surface=surface, audit=options["audit"],
+        classify_options=options["classify"], geodesic=options["geodesic"],
+        flags=flags, constants=constants,
     )
 
 
-def _probe_symmetry(space: SpaceSpec, samples: int = 4) -> None:
+def _probe_symmetry(space: SpaceSpec) -> None:
     rng = np.random.default_rng(0)
-    for _ in range(samples):
+    for _ in range(_SYMMETRY_SAMPLES):
         x = rng.uniform(-1.0, 1.0, size=space.dim)
         try:
             a = space.a_at(x)
         except (ArithmeticError, ex.DomainError):
             continue
-        if np.abs(a - a.T).max() > 1e-10 * (1.0 + np.abs(a).max()):
+        if np.abs(a - a.T).max() > SYM_TOL * (1.0 + np.abs(a).max()):
             raise ConfigError("a(x) is not symmetric at sampled points")

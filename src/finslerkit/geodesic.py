@@ -11,7 +11,7 @@ segment (the metric data evaluates generically through the expression trees).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,18 @@ def polyline_length(spec: SpaceSpec, nodes) -> float:
     # exactly rounded sum: near the minimum, accumulated rounding would
     # otherwise decide whether the reported length falls below the true one
     return math.fsum(parts)
+
+
+@dataclass
+class GeodesicParams:
+    """Settings of `minimize`: its fields are the keys and defaults of [geodesic]."""
+
+    start: np.ndarray | None = None
+    end: np.ndarray | None = None
+    segments: int = field(default=16, metadata={"min": 1})
+    iters: int = field(default=500, metadata={"min": 1})
+    tol: float = 1e-8
+    seed: int = 0
 
 
 @dataclass
@@ -103,28 +115,22 @@ def _length_derivatives(spec: SpaceSpec, nodes):
     return grad, hess
 
 
-def minimize(
-    spec: SpaceSpec,
-    p,
-    q,
-    segments: int = 16,
-    iters: int = 500,
-    tol: float = 1e-8,
-    seed: int = 0,
-) -> GeodesicResult:
-    """Damped Newton (Levenberg-Marquardt) steps on the discretized arc length.
+def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
+    """Damped Newton (Levenberg-Marquardt) steps on the discretized arc length
+    from ``params.start`` to ``params.end``.
 
-    Interior nodes start on the straight chord plus a small deterministic
-    perturbation.  Each iteration solves (H + mu I) s = -g with the jet
-    gradient and Hessian and accepts the step only when the float
+    Interior nodes start on the straight chord plus a small perturbation
+    seeded by ``params.seed``.  Each iteration solves (H + mu I) s = -g with
+    the jet gradient and Hessian and accepts the step only when the float
     `polyline_length` passes an Armijo test; a rejected or out-of-domain
     trial raises the damping mu, an accepted one lowers it.  The loop stops
-    when the length gradient's max-norm is at most ``tol``.  Damping that
-    grows without an acceptance ends with a non-converged result rather
-    than an exception.
+    when the length gradient's max-norm is at most ``params.tol``, or after
+    ``params.iters`` iterations.  Damping that grows without an acceptance
+    ends with a non-converged result rather than an exception.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = np.asarray(params.start, dtype=float)
+    q = np.asarray(params.end, dtype=float)
+    segments, tol = params.segments, params.tol
     if p.shape != (spec.dim,) or q.shape != (spec.dim,):
         raise ValueError(f"endpoints must have dimension {spec.dim}")
     if not np.any(q - p):
@@ -132,7 +138,7 @@ def minimize(
     if segments < 1:
         raise ValueError("need at least one segment")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(params.seed)
     ts = np.linspace(0.0, 1.0, segments + 1)[1:-1]
     chord = np.array([p + t * (q - p) for t in ts])
     scale = 0.01 * np.linalg.norm(q - p)
@@ -159,7 +165,7 @@ def minimize(
     it = 0
     converged = False
     message = ""
-    for it in range(1, iters + 1):
+    for it in range(1, params.iters + 1):
         if float(np.abs(grad).max()) <= tol:
             converged = True
             message = "stationary point reached"

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-SYM_TOL = 1e-10  # pd_check's bound on |m - m^T|, relative to the matrix scale
+SYM_TOL = 1e-10  # bound on |m - m^T| relative to the matrix scale (pd_check, config)
 
 
 class Jet2:

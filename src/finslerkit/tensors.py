@@ -14,7 +14,7 @@ dedicated check that documents the mismatch instead of guessing a fix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -277,6 +277,14 @@ class AuditRow:
 
 
 @dataclass
+class AuditParams:
+    """Settings of `audit_sweep`: its fields are the keys and defaults of [audit]."""
+
+    samples: int = field(default=100, metadata={"min": 1})
+    seed: int = 2024
+
+
+@dataclass
 class AuditReport:
     rows: list[AuditRow]
     flags: int
@@ -351,16 +359,16 @@ def _row(check: str, error: float) -> AuditRow:
     return AuditRow(check=check, error=error, tol=tol, passed=error <= tol)
 
 
-def audit_sweep(spec: SpaceSpec, n: int = 100, seed: int = 0) -> AuditReport:
-    """Run the per-flag audit over seeded in-domain flags and keep, for each
-    check, the worst error seen.
+def audit_sweep(spec: SpaceSpec, params: AuditParams) -> AuditReport:
+    """Run the per-flag audit over ``params.samples`` seeded in-domain flags
+    and keep, for each check, the worst error seen.
 
     Directions are rescaled off the unit sphere (validity is scale-invariant
     by homogeneity) so that degree-sensitive checks are exercised at
     alpha != 1 as well.
     """
-    base = sample_flags(spec, n, seed)
-    rng = np.random.default_rng(seed)
+    base = sample_flags(spec, params.samples, params.seed)
+    rng = np.random.default_rng(params.seed)
     scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), size=len(base)))
     flags = [(f, f.y * s) for f, s in zip(base, scales)]  # each sampled point is reused
     worst: dict[str, AuditRow] = {}
@@ -369,4 +377,4 @@ def audit_sweep(spec: SpaceSpec, n: int = 100, seed: int = 0) -> AuditReport:
             kept = worst.get(row.check)
             if kept is None or row.error > kept.error:
                 worst[row.check] = row
-    return AuditReport(rows=list(worst.values()), flags=len(flags), seed=seed)
+    return AuditReport(rows=list(worst.values()), flags=len(flags), seed=params.seed)

@@ -22,11 +22,12 @@ import pytest
 from conftest import exp_fixture, make_space, plane_fixture, radial_fixture
 from finslerkit.classifier import ClassifyOptions, classify, surface_points
 from finslerkit.connection import covariant_db, difference_tensor
-from finslerkit.geodesic import minimize, polyline_length
+from finslerkit.geodesic import GeodesicParams, minimize, polyline_length
 from finslerkit.hypersurface import chart_at, frame_at, tangential_flag
 from finslerkit.metric import finsler_norm, flag_point, sample_flags
 from finslerkit.numerics import fd_hessian, jet_eval
 from finslerkit.tensors import (
+    AuditParams,
     audit_sweep,
     bundle_at,
     half_f_squared,
@@ -262,12 +263,14 @@ def test_criterion_08_connection_consistency():
 
 def test_criterion_09_geodesics():
     euclid = make_space(family="riemannian", dim=2, b=["0", "0"])
-    res_e = minimize(euclid, [0, 0], [1, 0], segments=8, iters=800, tol=1e-7, seed=1)
+    res_e = minimize(euclid, GeodesicParams(start=[0, 0], end=[1, 0],
+                                            segments=8, iters=800, tol=1e-7, seed=1))
     err_e = abs(res_e.length - 1.0)
 
     randers = make_space(family="randers", dim=2, b=["0.1", "0"])
     straight = polyline_length(randers, [[0, 0], [1, 0]])
-    res_r = minimize(randers, [0, 0], [1, 0], segments=8, iters=800, tol=1e-7, seed=1)
+    res_r = minimize(randers, GeodesicParams(start=[0, 0], end=[1, 0],
+                                             segments=8, iters=800, tol=1e-7, seed=1))
     err_r = abs(res_r.length - straight)
 
     ok = err_e <= 1e-6 and err_r <= 1e-5 and res_e.converged and res_r.converged
@@ -284,7 +287,7 @@ def test_criterion_10_audit_flags_exactly_one_expected_discrepancy():
     for name, fixture in FIXTURES.items():
         for k in KS:
             spec, _ = fixture(k)
-            report = audit_sweep(spec, n=25, seed=500 + k)
+            report = audit_sweep(spec, AuditParams(samples=25, seed=500 + k))
             for row in report.rows:
                 if row.passed:
                     passing.add(row.check)

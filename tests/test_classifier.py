@@ -44,7 +44,7 @@ def test_surface_points_deterministic_and_on_surface():
 def test_first_kind_constant_one_form():
     spec, surface = plane_fixture(1)
     pts = surface_points(surface, spec, 6, seed=1)
-    result, c_samples = first_kind_test([covariant_db(spec, x) for x in pts])
+    result, c_samples = first_kind_test([covariant_db(spec, x) for x in pts], 1e-8)
     assert result.passed and result.residual == 0.0
     for c in c_samples:
         assert np.abs(c).max() < 1e-14
@@ -53,7 +53,7 @@ def test_first_kind_constant_one_form():
 def test_first_kind_exponential_gradient_solves_exactly():
     spec, surface = exp_fixture(1)
     pts = surface_points(surface, spec, 6, seed=2)
-    result, c_samples = first_kind_test([covariant_db(spec, x) for x in pts])
+    result, c_samples = first_kind_test([covariant_db(spec, x) for x in pts], 1e-8)
     assert result.passed and result.residual < 1e-12
     for c in c_samples:  # c = exp(-x3) b = (0, 0, 1) on the level exp(x3) = 1
         assert np.allclose(c, [0.0, 0.0, 1.0], atol=1e-10)
@@ -61,7 +61,7 @@ def test_first_kind_exponential_gradient_solves_exactly():
 
 def test_first_kind_radial_field_fails_with_unit_residual():
     spec, surface = radial_fixture(1)
-    result, _ = first_kind_test([covariant_db(spec, [1.0, 0.0, 0.0])])
+    result, _ = first_kind_test([covariant_db(spec, [1.0, 0.0, 0.0])], 1e-8)
     assert not result.passed
     assert result.residual >= 1.0
 
@@ -69,13 +69,13 @@ def test_first_kind_radial_field_fails_with_unit_residual():
 def test_second_kind_constant_and_exponential():
     spec, surface = plane_fixture(1)
     pts = surface_points(surface, spec, 6, seed=1)
-    result, e_samples = second_kind_test([covariant_db(spec, x) for x in pts])
+    result, e_samples = second_kind_test([covariant_db(spec, x) for x in pts], 1e-8)
     assert result.passed and result.residual == 0.0
     assert all(e == 0.0 for e in e_samples)
 
     spec2, surface2 = exp_fixture(1)
     pts2 = surface_points(surface2, spec2, 6, seed=2)
-    result2, e_samples2 = second_kind_test([covariant_db(spec2, x) for x in pts2])
+    result2, e_samples2 = second_kind_test([covariant_db(spec2, x) for x in pts2], 1e-8)
     assert result2.passed and result2.residual < 1e-12
     for e in e_samples2:  # e(x) = exp(-x3) = 1 on the surface
         assert e == pytest.approx(1.0, abs=1e-10)
@@ -83,7 +83,7 @@ def test_second_kind_constant_and_exponential():
 
 def test_second_kind_radial_field_fails():
     spec, surface = radial_fixture(1)
-    result, _ = second_kind_test([covariant_db(spec, [1.0, 0.0, 0.0])])
+    result, _ = second_kind_test([covariant_db(spec, [1.0, 0.0, 0.0])], 1e-8)
     assert not result.passed
     assert result.residual >= 1.0
 
@@ -140,7 +140,7 @@ def test_first_kind_factor_where_c_is_orthogonal_to_b(k):
     assert max(abs(f) for f in report.proportionality_factors) > 1e-2
 
     conns = [covariant_db(spec, x) for x in report.points]
-    _, c_samples = first_kind_test(conns)
+    _, c_samples = first_kind_test(conns, 1e-8)
     printed_dev = 0.0
     for conn, c in zip(conns, c_samples):
         for frame in frame_at(spec, surface, conn, [[1.0, 0.3], [-0.4, 1.0]]):
@@ -178,8 +178,8 @@ def test_second_kind_implies_first_kind_over_potential_family():
             x = rng.uniform(-1.0, 1.0, size=3)
             if np.linalg.norm(spec.b_at(x)) > 1e-6:
                 pts.append(x)
-        first, _ = first_kind_test([covariant_db(spec, x) for x in pts])
-        second, _ = second_kind_test([covariant_db(spec, x) for x in pts])
+        first, _ = first_kind_test([covariant_db(spec, x) for x in pts], 1e-8)
+        second, _ = second_kind_test([covariant_db(spec, x) for x in pts], 1e-8)
         if second.passed:
             assert first.passed, pot
 

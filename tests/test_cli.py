@@ -3,8 +3,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerkit.cli import main
+from finslerkit import cli
+from finslerkit.classifier import ClassifierConsistencyError
+from finslerkit.cli import build_parser, cmd_classify, main
 from finslerkit.config import ConfigError, load_config
+from finslerkit.expr import DomainError, ExprSyntaxError
+from finslerkit.geodesic import SegmentDomainError
+from finslerkit.hypersurface import OffSurfaceError
+from finslerkit.metric import DegenerateMetricError, FamilyDomainError
+from finslerkit.tensors import AuditParams, SingularCoefficientError, audit_sweep
 
 PLANE_CFG = """
 [space]
@@ -166,12 +173,28 @@ def test_seed_override_is_recorded(tmp_path, capsys):
     assert out_file.read_text().splitlines()[0] == "# seed=99"
 
 
-def test_format_text_writes_report_to_file(tmp_path, capsys):
-    cfg = _write(tmp_path, PLANE_CFG)
-    out_file = tmp_path / "report.txt"
-    assert main(["classify", "--config", cfg, "--out", str(out_file), "--format", "text"]) == 0
-    capsys.readouterr()
-    assert "first kind : PASS" in out_file.read_text()
+def test_overrides_leave_the_loaded_config_unchanged(tmp_path, capsys):
+    cfg = load_config(_write(tmp_path, PLANE_CFG))
+    args = build_parser().parse_args(
+        ["classify", "--config", "unused.cfg", "--seed", "99", "--tol", "1e-6"])
+    assert cmd_classify(cfg, args) == 0
+    assert "seed=99, tol=1.0e-06" in capsys.readouterr().out
+    assert (cfg.classify_options.seed, cfg.classify_options.tol) == (11, 1e-8)
+
+
+def test_audit_sweep_default_seed_is_the_cli_default(tmp_path, capsys):
+    cfg = PLANE_CFG.replace("seed = 7\n", "")
+    assert main(["audit", "--config", _write(tmp_path, cfg)]) == 0
+    assert "seed=2024" in capsys.readouterr().out
+    assert audit_sweep(load_config(_write(tmp_path, cfg)).space, AuditParams()).seed == 2024
+
+
+@pytest.mark.parametrize("error", [
+    ConfigError, DomainError, ExprSyntaxError, DegenerateMetricError, FamilyDomainError,
+    SingularCoefficientError, SegmentDomainError, ClassifierConsistencyError, OffSurfaceError,
+])
+def test_library_errors_exit_with_status_two(error):
+    assert issubclass(error, cli._ERRORS)
 
 
 def test_missing_config_is_an_error(tmp_path, capsys):
@@ -181,6 +204,69 @@ def test_missing_config_is_an_error(tmp_path, capsys):
 
 
 # -- config validation
+
+SPACE_CFG = """
+[space]
+family = generalized-square
+k = 1
+a_row = 1, 0
+a_row = 0, 1
+b = 0.1, 0
+"""
+
+# (section, RunConfig attribute, key, valid text, parsed value, message for "x")
+OPTION_KEYS = [
+    ("audit", "audit", "samples", "7", 7, "expected an integer for samples"),
+    ("audit", "audit", "seed", "8", 8, "expected an integer for seed"),
+    ("classify", "classify_options", "points", "9", 9, "expected an integer for points"),
+    ("classify", "classify_options", "directions", "2", 2,
+     "expected an integer for directions"),
+    ("classify", "classify_options", "seed", "12", 12, "expected an integer for seed"),
+    ("classify", "classify_options", "tol", "1e-6", 1e-6, "expected a number for tol"),
+    ("geodesic", "geodesic", "start", "0.5, 1", [0.5, 1.0], "expected comma-separated numbers"),
+    ("geodesic", "geodesic", "end", "2, 3", [2.0, 3.0], "expected comma-separated numbers"),
+    ("geodesic", "geodesic", "segments", "4", 4, "expected an integer for segments"),
+    ("geodesic", "geodesic", "iters", "30", 30, "expected an integer for iters"),
+    ("geodesic", "geodesic", "tol", "1e-5", 1e-5, "expected a number for tol"),
+    ("geodesic", "geodesic", "seed", "6", 6, "expected an integer for seed"),
+]
+OPTION_IDS = [f"{case[0]}-{case[2]}" for case in OPTION_KEYS]
+
+
+def _option_cfg(tmp_path, section, key, text):
+    """A config setting one option key, and the line number of that key."""
+    cfg = SPACE_CFG + f"[{section}]\n{key} = {text}\n"
+    return _write(tmp_path, cfg), cfg.count("\n")
+
+
+@pytest.mark.parametrize("section, attr, key, text, value, message", OPTION_KEYS,
+                         ids=OPTION_IDS)
+def test_config_option_value_lands_in_its_record(
+    tmp_path, section, attr, key, text, value, message
+):
+    path, _ = _option_cfg(tmp_path, section, key, text)
+    got = getattr(getattr(load_config(path), attr), key)
+    assert type(got) is (np.ndarray if isinstance(value, list) else type(value))
+    assert np.array_equal(got, value)
+
+
+@pytest.mark.parametrize("section, attr, key, text, value, message", OPTION_KEYS,
+                         ids=OPTION_IDS)
+def test_config_option_rejects_a_non_number(tmp_path, section, attr, key, text, value, message):
+    path, line = _option_cfg(tmp_path, section, key, "x")
+    with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("audit", "samples"), ("classify", "points"), ("classify", "directions"),
+    ("geodesic", "segments"), ("geodesic", "iters"),
+])
+def test_config_option_count_must_be_positive(tmp_path, section, key):
+    path, line = _option_cfg(tmp_path, section, key, "0")
+    with pytest.raises(ConfigError, match=f"^line {line}: {key} must be >= 1$"):
+        load_config(path)
+
 
 def test_config_dimension_mismatch(tmp_path):
     bad = PLANE_CFG.replace("a_row = 0, 0, 1\n", "")

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import make_space
 from finslerkit.geodesic import (
+    GeodesicParams,
     SegmentDomainError,
     _length_derivatives,
     minimize,
@@ -57,7 +58,8 @@ def test_degenerate_segment_reports_index():
 
 
 def test_minimize_euclidean_straightens():
-    res = minimize(_euclid2(), [0, 0], [1, 0], segments=8, iters=600, tol=1e-7, seed=1)
+    res = minimize(_euclid2(), GeodesicParams(start=[0, 0], end=[1, 0],
+                                              segments=8, iters=600, tol=1e-7, seed=1))
     assert res.converged
     assert abs(res.length - 1.0) <= 1e-6
     assert res.grad_norm <= 1e-7
@@ -65,7 +67,8 @@ def test_minimize_euclidean_straightens():
 
 
 def test_minimize_randers_constant_drift():
-    res = minimize(_randers2(), [0, 0], [1, 0], segments=8, iters=600, tol=1e-7, seed=1)
+    res = minimize(_randers2(), GeodesicParams(start=[0, 0], end=[1, 0],
+                                               segments=8, iters=600, tol=1e-7, seed=1))
     assert res.converged
     assert abs(res.length - 1.1) <= 1e-5
 
@@ -74,12 +77,14 @@ def test_minimize_power_metric_matches_straight_line_oracle():
     spec = make_space(k=1, b=["0", "0", "0.1"])
     straight = polyline_length(spec, [[0, 0, 0], [1, 0, 0]])
     assert straight == pytest.approx(1.0, abs=1e-15)
-    res = minimize(spec, [0, 0, 0], [1, 0, 0], segments=8, iters=800, tol=1e-7, seed=2)
+    res = minimize(spec, GeodesicParams(start=[0, 0, 0], end=[1, 0, 0],
+                                        segments=8, iters=800, tol=1e-7, seed=2))
     assert res.length <= straight + 1e-9
     assert abs(res.length - 1.0) <= 1e-6
     # dense random restarts do not find anything shorter
     best = min(
-        minimize(spec, [0, 0, 0], [1, 0, 0], segments=6, iters=300, tol=1e-6, seed=s).length
+        minimize(spec, GeodesicParams(start=[0, 0, 0], end=[1, 0, 0],
+                                      segments=6, iters=300, tol=1e-6, seed=s)).length
         for s in range(3)
     )
     assert best >= res.length - 1e-6
@@ -88,28 +93,29 @@ def test_minimize_power_metric_matches_straight_line_oracle():
 def test_triangle_consistency():
     spec = _randers2()
     kw = dict(segments=6, iters=400, tol=1e-6, seed=0)
-    pq = minimize(spec, [0, 0], [1, 1], **kw).length
-    pr = minimize(spec, [0, 0], [0.3, 0.8], **kw).length
-    rq = minimize(spec, [0.3, 0.8], [1, 1], **kw).length
+    pq = minimize(spec, GeodesicParams(start=[0, 0], end=[1, 1], **kw)).length
+    pr = minimize(spec, GeodesicParams(start=[0, 0], end=[0.3, 0.8], **kw)).length
+    rq = minimize(spec, GeodesicParams(start=[0.3, 0.8], end=[1, 1], **kw)).length
     assert pq <= pr + rq + 1e-9
 
 
 def test_minimize_validates_endpoints():
     spec = _euclid2()
     with pytest.raises(ValueError, match="differ"):
-        minimize(spec, [0, 0], [0, 0])
+        minimize(spec, GeodesicParams(start=[0, 0], end=[0, 0]))
     with pytest.raises(ValueError, match="dimension"):
-        minimize(spec, [0, 0, 0], [1, 0, 0])
+        minimize(spec, GeodesicParams(start=[0, 0, 0], end=[1, 0, 0]))
 
 
 def test_single_segment_shortcut():
     spec = _euclid2()
-    res = minimize(spec, [0, 0], [1, 0], segments=1)
+    res = minimize(spec, GeodesicParams(start=[0, 0], end=[1, 0], segments=1))
     assert res.converged and res.length == 1.0 and res.iterations == 0
 
 
 def test_trace_is_monotone_nonincreasing():
-    res = minimize(_euclid2(), [0, 0], [1, 0], segments=8, iters=200, tol=1e-6, seed=4)
+    res = minimize(_euclid2(), GeodesicParams(start=[0, 0], end=[1, 0],
+                                              segments=8, iters=200, tol=1e-6, seed=4))
     trace = np.array(res.trace)
     assert np.all(np.diff(trace) <= 1e-15)
 
@@ -142,14 +148,16 @@ def test_minimize_curved_randers_exact_length():
     # b = grad(0.2 x1 x2) is exact and linear, so the midpoint rule integrates
     # beta exactly: the minimal length is |q - p| + phi(q) - phi(p)
     spec = make_space(family="randers", dim=2, potential="0.2*x1*x2")
-    res = minimize(spec, [0, 0], [1, 1], segments=8, iters=600, tol=1e-7, seed=1)
+    res = minimize(spec, GeodesicParams(start=[0, 0], end=[1, 1],
+                                        segments=8, iters=600, tol=1e-7, seed=1))
     assert res.converged
     assert res.length == pytest.approx(np.sqrt(2.0) + 0.2, rel=1e-7)
 
 
 def test_minimize_shipped_config_converges_in_few_newton_steps():
     # the problem of configs/geodesic_randers.cfg
-    res = minimize(_randers2(), [0, 0], [1, 0], segments=8, iters=600, tol=1e-7, seed=1)
+    res = minimize(_randers2(), GeodesicParams(start=[0, 0], end=[1, 0],
+                                               segments=8, iters=600, tol=1e-7, seed=1))
     assert res.converged
     assert res.iterations <= 20
     assert abs(res.length - 1.1) <= 1e-12

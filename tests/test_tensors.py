@@ -6,6 +6,7 @@ from finslerkit import metric
 from finslerkit.metric import SpaceSpec, flag_point, phi_partials, sample_flags
 from finslerkit.numerics import jet_eval
 from finslerkit.tensors import (
+    AuditParams,
     SingularCoefficientError,
     angular_coefficients,
     angular_tensor,
@@ -259,7 +260,7 @@ def test_audit_riemannian_all_pass_without_q2_row():
 
 def test_audit_sweep_k3_fundamental_error_bound():
     spec = make_space(k=3, potential="0.1*x3")
-    report = audit_sweep(spec, n=100, seed=13)
+    report = audit_sweep(spec, AuditParams(samples=100, seed=13))
     by_name = {r.check: r for r in report.rows}
     assert by_name["fundamental-vs-jet-oracle"].error < 1e-7
     assert report.ok
@@ -291,5 +292,5 @@ def test_audit_evaluates_each_point_once(monkeypatch):
     # the sweep audits each sampled point without evaluating it again
     a_calls.clear()
     draws = count_calls(monkeypatch, metric, "validity_check")
-    assert audit_sweep(spec, n=4, seed=3).flags == 4
+    assert audit_sweep(spec, AuditParams(samples=4, seed=3)).flags == 4
     assert len(a_calls) == len(draws)
