@@ -76,12 +76,11 @@ class ClassificationReport:
 
     @property
     def summary(self) -> list[tuple[str, str]]:
-        rows = [
+        return [
             ("first-kind", "PASS" if self.first_kind.passed else "FAIL"),
             ("second-kind", "PASS" if self.second_kind.passed else "FAIL"),
             ("third-kind", self.third_kind.verdict.upper()),
         ]
-        return rows
 
 
 def surface_points(
@@ -251,17 +250,9 @@ def classify(
             )
 
     return ClassificationReport(
-        first_kind=first,
-        second_kind=second,
-        third_kind=third,
-        c_samples=c_samples,
-        e_samples=e_samples,
-        proportionality_factors=factors,
-        proportionality_deviation=deviation,
-        geo_H_a_max=h_a_max,
-        geo_H_ab_max=h_ab_max,
-        points=pts,
-        directions=opts.directions,
-        seed=opts.seed,
-        tol=opts.tol,
+        first_kind=first, second_kind=second, third_kind=third,
+        c_samples=c_samples, e_samples=e_samples,
+        proportionality_factors=factors, proportionality_deviation=deviation,
+        geo_H_a_max=h_a_max, geo_H_ab_max=h_ab_max,
+        points=pts, directions=opts.directions, seed=opts.seed, tol=opts.tol,
     )

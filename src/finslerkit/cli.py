@@ -8,7 +8,8 @@
 Human-readable text goes to stdout; with --out, machine-readable
 comma-separated rows go to the file (columns are documented in the README
 and stable for diffing).  Exit status: 0 on PASS verdicts, 1 on FAIL
-verdicts, 2 on errors.  Identical config and seed produce byte-identical
+verdicts, 2 on errors; --seed or --tol given to a command without that
+setting is an error.  Identical config and seed produce byte-identical
 machine output.
 """
 
@@ -16,19 +17,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .classifier import classify
-from .config import RunConfig, load_config
+from .config import OPTIONS, RunConfig, load_config
 from .geodesic import minimize
 from .tensors import audit_sweep, bundle_at
 
 # Every library error derives from one of these; each one exits with status 2.
 _ERRORS = (ValueError, ArithmeticError, RuntimeError)
+
+# The commands each override applies to: those whose options record has the field.
+_APPLIES = {flag: [cmd for cmd, rec in OPTIONS.items() if flag in {f.name for f in fields(rec)}]
+            for flag in ("seed", "tol")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,10 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=("tensors", "audit", "classify", "geodesic"))
     parser.add_argument("--config", required=True, help="path to the run configuration")
-    parser.add_argument("--seed", type=int, default=None, help="override every section seed")
+    parser.add_argument("--seed", type=int, default=None,
+                        help=f"override the seed ({', '.join(_APPLIES['seed'])})")
     parser.add_argument("--out", type=Path, default=None, help="write machine-readable rows here")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the classify/geodesic tolerance")
+                        help=f"override the tolerance ({', '.join(_APPLIES['tol'])})")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
 
@@ -67,20 +73,17 @@ def _write_rows(args, header: list[str], rows: list[list], seed) -> None:
 
 
 def _with_overrides(options, args):
-    """The options record with --seed and --tol applied to the fields it has."""
-    given = {"seed": args.seed, "tol": args.tol}
-    return replace(options, **{k: v for k, v in given.items()
-                               if v is not None and hasattr(options, k)})
+    """The options record with --seed and --tol applied (`main` refuses the
+    ones a command has no field for)."""
+    given = {flag: getattr(args, flag) for flag in _APPLIES}
+    return replace(options, **{k: v for k, v in given.items() if v is not None})
 
 
-def _matrix_rows(context: str, quantity: str, m: np.ndarray) -> list[list]:
-    rows = []
-    it = np.ndindex(m.shape)
-    for idx in it:
-        padded = list(idx) + [""] * (3 - len(idx))
-        rows.append([context, quantity, *(i + 1 if isinstance(i, (int, np.integer)) else i
-                                          for i in padded), float(m[idx])])
-    return rows
+def _matrix_rows(context: str, quantity: str, m) -> list[list]:
+    """One row per entry of a scalar, vector, matrix or 3-tensor; 1-based indices."""
+    m = np.asarray(m)
+    return [[context, quantity, *(i + 1 for i in idx), *[""] * (3 - len(idx)), float(m[idx])]
+            for idx in np.ndindex(m.shape)]
 
 
 def cmd_tensors(cfg: RunConfig, args) -> int:
@@ -106,13 +109,10 @@ def cmd_tensors(cfg: RunConfig, args) -> int:
             f"  g =\n{bundle.g}\n  g_inv =\n{bundle.g_inv}\n  h =\n{bundle.h}\n"
         )
         for name, value in (("alpha", fl.alpha), ("beta", fl.beta), ("F", bundle.phi.F),
-                            ("gamma1", bundle.gamma1)):
-            all_rows.append([ctx, name, "", "", "", float(value)])
-        for name, vec in (("l", bundle.l), ("m", bundle.m)):
-            all_rows.extend(_matrix_rows(ctx, name, vec))
-        for name, mat in (("g", bundle.g), ("g_inv", bundle.g_inv), ("h", bundle.h)):
-            all_rows.extend(_matrix_rows(ctx, name, mat))
-        all_rows.extend(_matrix_rows(ctx, "C", bundle.C))
+                            ("gamma1", bundle.gamma1), ("l", bundle.l), ("m", bundle.m),
+                            ("g", bundle.g), ("g_inv", bundle.g_inv), ("h", bundle.h),
+                            ("C", bundle.C)):
+            all_rows.extend(_matrix_rows(ctx, name, value))
     print("\n".join(chunks))
     _write_rows(args, ["context", "quantity", "i", "j", "k", "value"], all_rows, None)
     return 0
@@ -159,14 +159,10 @@ def cmd_classify(cfg: RunConfig, args) -> int:
             f"  proportionality of H_ab to h_ab: max deviation "
             f"{report.proportionality_deviation:.3e}"
         )
-    rows = []
-    for i in range(len(report.points)):
-        rows.append([i + 1, "first-kind", report.first_kind.residual,
-                     "PASS" if report.first_kind.passed else "FAIL"])
-        rows.append([i + 1, "second-kind", report.second_kind.residual,
-                     "PASS" if report.second_kind.passed else "FAIL"])
-        rows.append([i + 1, "third-kind", report.third_kind.witness,
-                     report.third_kind.verdict.upper()])
+    residuals = (report.first_kind.residual, report.second_kind.residual,
+                 report.third_kind.witness)  # the third kind's residual is its witness
+    rows = [[i + 1, test, residual, verdict] for i in range(len(report.points))
+            for (test, verdict), residual in zip(report.summary, residuals)]
     print("\n".join(lines))
     _write_rows(args, ["point-index", "test", "residual", "verdict"], rows, report.seed)
     return 0 if (report.first_kind.passed and report.second_kind.passed) else 1
@@ -199,6 +195,10 @@ def cmd_geodesic(cfg: RunConfig, args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for flag, commands in _APPLIES.items():
+        if getattr(args, flag) is not None and args.command not in commands:
+            print(f"error: --{flag} does not apply to {args.command}", file=sys.stderr)
+            return 2
     try:
         cfg = load_config(args.config)
         if args.command == "tensors":

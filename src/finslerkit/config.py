@@ -53,8 +53,9 @@ class ConfigError(ValueError):
         self.line = line
 
 
-_OPTIONS = {"audit": AuditParams, "classify": ClassifyOptions, "geodesic": GeodesicParams}
-_OPTION_FIELDS = {name: {f.name: f for f in fields(rec)} for name, rec in _OPTIONS.items()}
+# the options record of each section, and of the command of the same name
+OPTIONS = {"audit": AuditParams, "classify": ClassifyOptions, "geodesic": GeodesicParams}
+_OPTION_FIELDS = {name: {f.name: f for f in fields(rec)} for name, rec in OPTIONS.items()}
 _SECTIONS = {
     "space": {"family", "k", "a_row", "b", "b_potential", "constant"},
     "hypersurface": {"potential", "level"},
@@ -172,7 +173,7 @@ def load_config(path: str | Path) -> RunConfig:
     b_potential: tuple[int, str] | None = None
     surface_potential: tuple[int, str] | None = None
     surface_level: float | None = None
-    options = {name: rec() for name, rec in _OPTIONS.items()}
+    options = {name: rec() for name, rec in OPTIONS.items()}
     flags_raw: list[tuple[int, str]] = []
 
     for line_no, section, key, value in entries:
@@ -237,6 +238,11 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(str(err)) from err
 
     _probe_symmetry(space)
+
+    for key in ("start", "end"):
+        point = getattr(options["geodesic"], key)
+        if point is not None and len(point) != dim:
+            raise ConfigError(f"{key} must have dimension {dim}", seen["geodesic", key])
 
     surface = None
     if surface_potential is not None or surface_level is not None:

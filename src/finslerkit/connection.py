@@ -55,13 +55,8 @@ def covariant_db(spec: SpaceSpec, x) -> ConnectionData:
     gamma = christoffel(spec, point)
     db = spec.db_at(point.x)  # db[i, j] = d b_i / d x^j
     b_cov = db - np.einsum("l,lij->ij", point.b, gamma)
-    return ConnectionData(
-        point=point,
-        gamma=gamma,
-        b_cov=b_cov,
-        E=0.5 * (b_cov + b_cov.T),
-        Fij=0.5 * (b_cov - b_cov.T),
-    )
+    return ConnectionData(point=point, gamma=gamma, b_cov=b_cov,
+                          E=0.5 * (b_cov + b_cov.T), Fij=0.5 * (b_cov - b_cov.T))
 
 
 @dataclass

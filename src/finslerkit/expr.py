@@ -13,9 +13,10 @@ Identifiers are coordinates ``x1..xd`` (1-based), named constants bound to
 numbers at parse time, or the functions exp, log, sin, cos, sqrt.
 
 Expression trees are immutable; evaluation is pure and accepts any scalar
-type implementing the arithmetic operators (floats, dual numbers with
-exp/log/sin/cos/sqrt methods), so the same tree serves plain evaluation and
-forward-mode differentiation.
+type implementing the arithmetic operators (floats, numpy arrays, dual
+numbers with exp/log/sin/cos/sqrt methods), so the same tree serves plain
+evaluation and forward-mode differentiation.  Array and dual values may
+hold many lanes; a domain guard raises when any lane fails it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
+
+from .numerics import any_lane
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 
@@ -53,7 +58,7 @@ def _call_fn(name: str, v):
     method = getattr(v, name, None)
     if callable(method):
         return method()
-    return getattr(math, name)(v)
+    return getattr(np if isinstance(v, np.ndarray) else math, name)(v)
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,10 @@ class Expr:
 
     def _wrap(self, child: "Expr") -> str:
         return f"({child})" if child.precedence < self.precedence else str(child)
+
+    def _wrap_tight(self, child: "Expr") -> str:
+        # parens at equal precedence too: a - (b + c), a/(b*c), (a^b)^c
+        return f"({child})" if child.precedence <= self.precedence else str(child)
 
 
 @dataclass(frozen=True)
@@ -149,10 +158,7 @@ class Sub(Expr):
         return _sub(self.lhs.diff(var), self.rhs.diff(var))
 
     def __str__(self):
-        rhs = self.rhs
-        # right operand of '-' needs parens at equal precedence: a - (b + c)
-        rtxt = f"({rhs})" if rhs.precedence <= self.precedence else str(rhs)
-        return f"{self._wrap(self.lhs)} - {rtxt}"
+        return f"{self._wrap(self.lhs)} - {self._wrap_tight(self.rhs)}"
 
 
 @dataclass(frozen=True)
@@ -182,7 +188,7 @@ class Div(Expr):
 
     def eval(self, x):
         den = self.rhs.eval(x)
-        if _real(den) == 0.0:
+        if any_lane(_real(den) == 0.0):
             raise DomainError("division by zero", self)
         return self.lhs.eval(x) / den
 
@@ -192,9 +198,7 @@ class Div(Expr):
         return _div(num, _pow(self.rhs, Num(2.0)))
 
     def __str__(self):
-        rhs = self.rhs
-        rtxt = f"({rhs})" if rhs.precedence <= self.precedence else str(rhs)
-        return f"{self._wrap(self.lhs)}/{rtxt}"
+        return f"{self._wrap(self.lhs)}/{self._wrap_tight(self.rhs)}"
 
 
 @dataclass(frozen=True)
@@ -210,19 +214,19 @@ class Pow(Expr):
         if isinstance(e, (int, float)):
             if float(e).is_integer():
                 n = int(e)
-                if bv == 0.0 and n < 0:
+                if n < 0 and any_lane(bv == 0.0):
                     raise DomainError("zero base with negative exponent", self)
                 return b ** n
-            if bv < 0.0:
+            if any_lane(bv < 0.0):
                 raise DomainError("negative base with non-integer exponent", self)
-            if bv == 0.0 and e < 0.0:
+            if e < 0.0 and any_lane(bv == 0.0):
                 raise DomainError("zero base with negative exponent", self)
             try:
                 return b ** e
             except (ValueError, ZeroDivisionError) as err:
                 raise DomainError(str(err), self) from err
         # exponent carries derivative information: needs log of the base
-        if bv <= 0.0:
+        if any_lane(bv <= 0.0):
             raise DomainError("non-positive base with variable exponent", self)
         return b ** e
 
@@ -245,9 +249,7 @@ class Pow(Expr):
 
     def __str__(self):
         # '^' chains render with explicit parens on the right operand
-        ltxt = f"({self.base})" if self.base.precedence <= self.precedence else str(self.base)
-        rtxt = f"({self.exponent})" if self.exponent.precedence <= self.precedence else str(self.exponent)
-        return f"{ltxt}^{rtxt}"
+        return f"{self._wrap_tight(self.base)}^{self._wrap_tight(self.exponent)}"
 
 
 @dataclass(frozen=True)
@@ -258,9 +260,9 @@ class Fn(Expr):
     def eval(self, x):
         v = self.arg.eval(x)
         rv = _real(v)
-        if self.name == "log" and rv <= 0.0:
+        if self.name == "log" and any_lane(rv <= 0.0):
             raise DomainError("log of non-positive value", self)
-        if self.name == "sqrt" and rv < 0.0:
+        if self.name == "sqrt" and any_lane(rv < 0.0):
             raise DomainError("sqrt of negative value", self)
         try:
             return _call_fn(self.name, v)
@@ -389,10 +391,7 @@ class _Parser:
         if not m:
             raise ExprSyntaxError(f"unexpected character {self.text[start]!r}", start)
         self.pos = m.end()
-        for kind in ("num", "ident", "op"):
-            if m.group(kind) is not None:
-                return (kind, m.group(kind), m.start(kind))
-        raise ExprSyntaxError("unreadable token", start)  # pragma: no cover
+        return (m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
 
     def expect_op(self, op: str):
         kind, text, offset = self.take()

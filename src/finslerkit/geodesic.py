@@ -4,8 +4,9 @@ functional s[gamma] = integral of F(gamma, dgamma/dt) dt.
 A polyline's length is the sum of F(midpoint, segment) over segments: by
 positive 1-homogeneity in the direction argument the parametrization
 cancels, so no dt shows up.  Interior nodes are optimized by damped Newton
-steps; the gradient and Hessian are assembled from one hyper-dual jet per
-segment (the metric data evaluates generically through the expression trees).
+steps; the gradient and Hessian are assembled from one hyper-dual jet whose
+lanes cover every segment (the metric data evaluates generically through the
+expression trees).
 """
 
 from __future__ import annotations
@@ -91,10 +92,10 @@ _DAMPING_FACTOR = 10.0
 def _length_derivatives(spec: SpaceSpec, nodes):
     """Gradient and Hessian of the length in the stacked interior coordinates.
 
-    Each segment contributes one hyper-dual jet over its two nodes' 2d
-    coordinates; the jet's rows and columns land at the nodes' offsets, and
-    those of a fixed endpoint are dropped.  The Hessian is block-tridiagonal
-    but stored dense: (m-1)d stays desk-scale.
+    One hyper-dual jet covers every segment, each a point over its two
+    nodes' 2d coordinates; a segment's rows and columns land at the nodes'
+    offsets, and those of a fixed endpoint are dropped.  The Hessian is
+    block-tridiagonal but stored dense: (m-1)d stays desk-scale.
     """
     d = spec.dim
     n = (len(nodes) - 2) * d
@@ -104,14 +105,14 @@ def _length_derivatives(spec: SpaceSpec, nodes):
         delta = [z[d + j] - z[j] for j in range(d)]
         return _segment_length(spec, mid, delta)
 
+    jet = jet_eval(segment, np.hstack([nodes[:-1], nodes[1:]]))
     grad = np.zeros(n)
     hess = np.zeros((n, n))
     for s in range(len(nodes) - 1):
-        jet = jet_eval(segment, np.concatenate([nodes[s], nodes[s + 1]]))
         lo = (s - 1) * d  # offset of node s among the interior coordinates
         a, b = max(lo, 0), min(lo + 2 * d, n)
-        grad[a:b] += jet.gradient[a - lo:b - lo]
-        hess[a:b, a:b] += jet.hessian[a - lo:b - lo, a - lo:b - lo]
+        grad[a:b] += jet.gradient[s, a - lo:b - lo]
+        hess[a:b, a:b] += jet.hessian[s, a - lo:b - lo, a - lo:b - lo]
     return grad, hess
 
 

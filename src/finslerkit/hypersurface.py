@@ -55,10 +55,7 @@ class LevelSurface:
 
     def hessian(self, x) -> np.ndarray:
         self._dim_tables(len(x))
-        d = len(x)
-        return np.array(
-            [[self._hess[i][j].eval(x) for j in range(d)] for i in range(d)], dtype=float
-        )
+        return np.array([[e.eval(x) for e in row] for row in self._hess], dtype=float)
 
 
 @dataclass
@@ -93,19 +90,17 @@ def chart_at(surface: LevelSurface, x0) -> Chart:
         raise ValueError("vanishing potential gradient: level set is not regular here")
     dep = int(np.argmax(np.abs(grad)))
     free = tuple(i for i in range(d) if i != dep)
+    rows = list(free)
     B = np.zeros((d, d - 1))
-    for a, i in enumerate(free):
-        B[i, a] = 1.0
-        B[dep, a] = -grad[i] / grad[dep]
+    B[rows, range(d - 1)] = 1.0
+    B[dep] = -grad[rows] / grad[dep]
     # second derivatives of the implicit chart: only the dependent row moves.
     # t_a = -G_a/G_D with G_i = d b/d x^i along x(u); dG_i/du^b = (H B)_i.
     hess = surface.hessian(x0)
     hb = hess @ B  # [i, b] = dG_i/du^b
     B2 = np.zeros((d, d - 1, d - 1))
     gd = grad[dep]
-    for a, i in enumerate(free):
-        for bidx in range(d - 1):
-            B2[dep, a, bidx] = -(hb[i, bidx] * gd - grad[i] * hb[dep, bidx]) / (gd * gd)
+    B2[dep] = -(hb[rows] * gd - np.outer(grad[rows], hb[dep])) / (gd * gd)
     return Chart(x0=x0, dep=dep, free=free, B=B, B2=B2, grad=grad)
 
 

@@ -23,13 +23,13 @@ exponent; here the exponent is named k everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import mul
 
 import numpy as np
 
 from . import expr as ex
-from .numerics import pd_check
+from .numerics import any_lane, pd_check
 
 FAMILIES = (
     "generalized-square",
@@ -105,7 +105,11 @@ def finsler_norm(family: str, k: int, alpha, beta):
 
 
 def _representable(num, den, p: int, q: int) -> bool:
-    """den > 0 and num^p / den^q, the scale of the largest partial, is finite."""
+    """den > 0 and num^p / den^q, the scale of the largest partial, is finite
+    (in every lane, for arrays)."""
+    if isinstance(den, np.ndarray):
+        with np.errstate(all="ignore"):  # overflow to inf, underflow to 0: not finite
+            return bool((den > 0.0).all() and np.isfinite(num ** p / den ** q).all())
     try:
         return float(den) > 0.0 and math.isfinite(float(num) ** p / float(den) ** q)
     except (OverflowError, ZeroDivisionError):  # den^q underflowed to 0, or overflow
@@ -153,11 +157,12 @@ def phi_partials(family: str, k: int, alpha, beta) -> PhiPartials:
 
 
 def alpha_beta_generic(a, b, y):
-    """alpha, beta and y_i = a_ij y^j for scalars of any type (floats or
-    duals); raises ArithmeticError when alpha^2 <= 0."""
+    """alpha, beta and y_i = a_ij y^j for scalars of any type (floats,
+    arrays or duals, lane-valued or not); raises ArithmeticError when
+    alpha^2 <= 0 in any lane."""
     y_low = [sum(map(mul, row, y)) for row in a]
     alpha2 = sum(map(mul, y_low, y))
-    if alpha2 <= 0.0:
+    if any_lane(ex._real(alpha2) <= 0.0):
         raise ArithmeticError("degenerate direction: alpha^2 <= 0")
     return ex._call_fn("sqrt", alpha2), sum(map(mul, b, y)), y_low
 
@@ -200,13 +205,10 @@ class SpaceSpec:
     # -- pointwise evaluation (x may hold floats or dual scalars)
 
     def a_at(self, x) -> np.ndarray:
-        return np.array(
-            [[self.a[i][j].eval(x) for j in range(self.dim)] for i in range(self.dim)],
-            dtype=float,
-        )
+        return np.array([[e.eval(x) for e in row] for row in self.a], dtype=float)
 
     def b_at(self, x) -> np.ndarray:
-        return np.array([self.b[i].eval(x) for i in range(self.dim)], dtype=float)
+        return np.array([e.eval(x) for e in self.b], dtype=float)
 
     def da_at(self, x) -> np.ndarray:
         """Spatial derivatives da[l, i, j] = d a_ij / d x^l (exact symbolic)."""
@@ -215,11 +217,7 @@ class SpaceSpec:
                 [[ex.diff(self.a[i][j], l) for j in range(self.dim)] for i in range(self.dim)]
                 for l in range(self.dim)
             ]
-        d = self.dim
-        return np.array(
-            [[[self._da[l][i][j].eval(x) for j in range(d)] for i in range(d)] for l in range(d)],
-            dtype=float,
-        )
+        return np.array([[[e.eval(x) for e in row] for row in m] for m in self._da], dtype=float)
 
     def db_at(self, x) -> np.ndarray:
         """Spatial derivatives db[i, j] = d b_i / d x^j (exact symbolic)."""
@@ -227,10 +225,7 @@ class SpaceSpec:
             self._db = [
                 [ex.diff(self.b[i], j) for j in range(self.dim)] for i in range(self.dim)
             ]
-        d = self.dim
-        return np.array(
-            [[self._db[i][j].eval(x) for j in range(d)] for i in range(d)], dtype=float
-        )
+        return np.array([[e.eval(x) for e in row] for row in self._db], dtype=float)
 
 
 @dataclass
@@ -271,6 +266,13 @@ def base_point(spec: SpaceSpec, x) -> BasePoint:
     a_inv = np.linalg.inv(a)
     b_up = a_inv @ b
     return BasePoint(x=x, a=a, b=b, a_inv=a_inv, b_up=b_up, b2=float(b @ b_up))
+
+
+def stack_points(points) -> BasePoint:
+    """One BasePoint whose fields stack those of ``points`` along a new first
+    axis: the derivative oracles read it as a batch of base points."""
+    return BasePoint(**{f.name: np.stack([getattr(p, f.name) for p in points])
+                        for f in fields(BasePoint)})
 
 
 def flag_point(spec: SpaceSpec, x, y) -> FlagPoint:

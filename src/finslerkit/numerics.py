@@ -5,6 +5,12 @@ propagation (`jet_eval`) and central finite differences (`fd_hessian`).
 Closed-form tensor formulas elsewhere in the package are audited against
 both, so a bug in one oracle cannot silently confirm a wrong formula.
 
+Both evaluate over lanes: each calls its function once for a batch of
+points, on numpy arrays (every index pair or stencil point of every point);
+one point is a batch of one.  A guard raises when any lane fails it
+(`any_lane`).  numpy's exp/log/sin/cos/pow may differ from libm's by 1 ulp;
+`+ - * /`, sqrt and integer powers (repeated products) agree bit for bit.
+
 All matrices are desk-scale (d <= 8); storage is dense numpy.
 """
 
@@ -12,11 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 SYM_TOL = 1e-10  # bound on |m - m^T| relative to the matrix scale (pd_check, config)
+
+
+def any_lane(mask) -> bool:
+    """A guard's condition over lanes: true when it holds in any lane.  A
+    comparison of plain floats is already a bool and passes through."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
 class Jet2:
@@ -25,18 +37,30 @@ class Jet2:
     Seeding e1/e2 with unit coordinate directions and reading the e1*e2
     coefficient yields one exact mixed second derivative per evaluation;
     the e1 coefficient carries the first derivative.  No truncation error.
+
+    The parts are floats or numpy arrays of one lane shape, and the
+    arithmetic is elementwise.  numpy operands defer to Jet2
+    (``__array_ufunc__ = None``), so no object array is ever built.
     """
 
     __slots__ = ("value", "d1", "d2", "d12")
+    __array_ufunc__ = None
 
-    def __init__(self, value: float, d1: float = 0.0, d2: float = 0.0, d12: float = 0.0):
-        self.value = float(value)
-        self.d1 = float(d1)
-        self.d2 = float(d2)
-        self.d12 = float(d12)
+    def __init__(self, value, d1=0.0, d2=0.0, d12=0.0):
+        self.value, self.d1, self.d2, self.d12 = value, d1, d2, d12
 
     def __repr__(self):
         return f"Jet2({self.value}, {self.d1}, {self.d2}, {self.d12})"
+
+    def __getitem__(self, key):
+        """Index every part alike, e.g. ``jet[..., None]`` to add an axis."""
+        return Jet2(*(np.asarray(getattr(self, p))[key] for p in self.__slots__))
+
+    @staticmethod
+    def stack(jets) -> "Jet2":
+        """One jet whose parts stack those of ``jets`` along a new last axis."""
+        return Jet2(*(np.stack(np.broadcast_arrays(*(getattr(j, p) for j in jets)), axis=-1)
+                      for p in Jet2.__slots__))
 
     # -- arithmetic
 
@@ -73,7 +97,7 @@ class Jet2:
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             return self * other._reciprocal()
-        if other == 0.0:
+        if any_lane(other == 0.0):
             raise ZeroDivisionError("division by zero")
         inv = 1.0 / other
         return Jet2(self.value * inv, self.d1 * inv, self.d2 * inv, self.d12 * inv)
@@ -84,23 +108,20 @@ class Jet2:
     def __neg__(self):
         return Jet2(-self.value, -self.d1, -self.d2, -self.d12)
 
-    def __pos__(self):
-        return self
-
     def _reciprocal(self):
         x = self.value
-        if x == 0.0:
+        if any_lane(x == 0.0):
             raise ZeroDivisionError("division by zero")
         return self._lift(1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x))
 
-    def _lift(self, f: float, fp: float, fpp: float) -> "Jet2":
+    def _lift(self, f, fp, fpp) -> "Jet2":
         # chain rule through a scalar function with value f, f', f'' at self.value
         return Jet2(f, fp * self.d1, fp * self.d2,
                     fp * self.d12 + fpp * self.d1 * self.d2)
 
     def __pow__(self, e):
         if isinstance(e, Jet2):
-            if self.value <= 0.0:
+            if any_lane(self.value <= 0.0):
                 raise ValueError("non-positive base with dual exponent")
             return (e * self.log()).exp()
         if float(e).is_integer():
@@ -111,147 +132,116 @@ class Jet2:
             for _ in range(n):  # exponents here are small; exact for any base
                 out = out * self
             return out
-        if self.value < 0.0:
-            raise ValueError("negative base with non-integer exponent")
-        if self.value == 0.0:
-            raise ZeroDivisionError("derivative of fractional power at zero")
         x = self.value
+        if any_lane(x < 0.0):
+            raise ValueError("negative base with non-integer exponent")
+        if any_lane(x == 0.0):
+            raise ZeroDivisionError("derivative of fractional power at zero")
         return self._lift(x ** e, e * x ** (e - 1.0), e * (e - 1.0) * x ** (e - 2.0))
 
     def __rpow__(self, base):
-        if base <= 0.0:
+        if any_lane(base <= 0.0):
             raise ValueError("non-positive base with dual exponent")
-        return (self * math.log(base)).exp()
-
-    # -- comparisons act on the real part
-
-    def __lt__(self, other):
-        return self.value < _val(other)
-
-    def __le__(self, other):
-        return self.value <= _val(other)
-
-    def __gt__(self, other):
-        return self.value > _val(other)
-
-    def __ge__(self, other):
-        return self.value >= _val(other)
-
-    def __eq__(self, other):
-        return self.value == _val(other)
-
-    def __hash__(self):
-        return hash(self.value)
+        return (self * np.log(base)).exp()
 
     # -- elementary functions
 
     def exp(self):
-        f = math.exp(self.value)
+        f = np.exp(self.value)
         return self._lift(f, f, f)
 
     def log(self):
         x = self.value
-        if x <= 0.0:
+        if any_lane(x <= 0.0):
             raise ValueError("log of non-positive value")
-        return self._lift(math.log(x), 1.0 / x, -1.0 / (x * x))
+        return self._lift(np.log(x), 1.0 / x, -1.0 / (x * x))
 
     def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
+        s, c = np.sin(self.value), np.cos(self.value)
         return self._lift(s, c, -s)
 
     def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
+        s, c = np.sin(self.value), np.cos(self.value)
         return self._lift(c, -s, -c)
 
     def sqrt(self):
         x = self.value
-        if x < 0.0:
+        if any_lane(x < 0.0):
             raise ValueError("sqrt of negative value")
-        if x == 0.0:
+        if any_lane(x == 0.0):
             raise ZeroDivisionError("derivative of sqrt at zero")
-        f = math.sqrt(x)
+        f = np.sqrt(x)
         return self._lift(f, 0.5 / f, -0.25 / (f * x))
-
-
-def _val(v):
-    return v.value if isinstance(v, Jet2) else v
 
 
 @dataclass
 class SecondOrderJet:
-    """Value, gradient and (symmetrized) Hessian of a scalar function."""
+    """Value, gradient and (symmetrized) Hessian of a scalar function; for a
+    batch of points each carries the batch shape in front."""
 
     value: float
     gradient: np.ndarray
     hessian: np.ndarray
 
 
-def jet_eval(f: Callable, y: Sequence[float]) -> SecondOrderJet:
+def jet_eval(f: Callable, y) -> SecondOrderJet:
     """Exact-to-roundoff value/gradient/Hessian by hyper-dual propagation.
 
-    ``f`` must accept a list of scalars and stay generic over the scalar
-    type; one evaluation per index pair (i <= j) seeds directions e_i, e_j.
+    ``y`` is one point (d,) or a batch of points (..., d).  ``f`` gets a
+    list of d scalars and must stay generic over the scalar type and over
+    lanes: it runs once, on jets whose lanes (P, ...) hold every index pair
+    i <= j (seeds e_i, e_j) of every point.  Results carry the batch shape.
     """
-    y = [float(v) for v in y]
-    d = len(y)
-    grad = np.zeros(d)
-    hess = np.zeros((d, d))
-    value = None
-    for i in range(d):
-        for j in range(i, d):
-            args = [
-                Jet2(y[m], 1.0 if m == i else 0.0, 1.0 if m == j else 0.0)
-                for m in range(d)
-            ]
-            out = f(args)
-            ov, o1, o12 = (
-                (out.value, out.d1, out.d12) if isinstance(out, Jet2) else (float(out), 0.0, 0.0)
-            )
-            if value is None:
-                value = ov
-            if i == j:
-                grad[i] = o1
-            hess[i, j] = hess[j, i] = o12
-    hess = 0.5 * (hess + hess.T)  # symmetric by construction; enforce anyway
-    return SecondOrderJet(float(value), grad, hess)
+    y = np.asarray(y, dtype=float)
+    d = y.shape[-1]
+    i, j = np.triu_indices(d)
+    lanes = (len(i),) + y.shape[:-1]
+    eye = np.eye(d).reshape((d, d) + (1,) * (y.ndim - 1))
+    out = f([Jet2(np.broadcast_to(y[..., m], lanes), eye[i, m], eye[j, m]) for m in range(d)])
+    ov, o1, o12 = (out.value, out.d1, out.d12) if isinstance(out, Jet2) else (out, 0.0, 0.0)
+    o1, o12 = (np.moveaxis(np.broadcast_to(v, lanes), 0, -1) for v in (o1, o12))
+    hess = np.zeros(y.shape[:-1] + (d, d))
+    hess[..., i, j] = hess[..., j, i] = o12
+    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))  # symmetric by construction; enforce anyway
+    return SecondOrderJet(np.broadcast_to(ov, lanes)[0], o1[..., i == j], hess)
 
 
-def fd_hessian(
-    f: Callable,
-    y: Sequence[float],
-    step: float = 1e-4,
-    richardson: bool = False,
-) -> np.ndarray:
+def fd_hessian(f: Callable, y, step: float = 1e-4, richardson: bool = False) -> np.ndarray:
     """Central-difference Hessian, symmetrized.
 
-    With ``richardson=True`` the estimate combines steps h and h/2 as
-    (4 H(h/2) - H(h)) / 3, removing the leading O(h^2) error term.
+    ``y`` is one point (d,) or a batch (..., d); ``f`` gets a list of d
+    coordinate arrays and runs once, on lanes (S, ...) holding every
+    stencil point of every point.  With ``richardson=True`` the estimate
+    combines steps h and h/2 as (4 H(h/2) - H(h)) / 3, removing the
+    leading O(h^2) error term.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     y = np.asarray(y, dtype=float)
-    d = len(y)
+    d = y.shape[-1]
+    i, j = np.triu_indices(d, 1)
+    eye = np.eye(d)
+    # per step: the point, +-e_m, then ++, +-, -+, -- of each pair i < j
+    stencil = np.concatenate([np.zeros((1, d)), eye, -eye, eye[i] + eye[j], eye[i] - eye[j],
+                              eye[j] - eye[i], -eye[i] - eye[j]])
+    steps = (step, step / 2.0) if richardson else (step,)
+    offsets = np.concatenate([h * stencil for h in steps])
+    points = y + offsets.reshape((len(offsets),) + (1,) * (y.ndim - 1) + (d,))
+    values = np.broadcast_to(f([points[..., m] for m in range(d)]), points.shape[:-1])
 
-    def single(h: float) -> np.ndarray:
-        hess = np.zeros((d, d))
-        f0 = f(list(y))
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = h
-            hess[i, i] = (f(list(y + ei)) - 2.0 * f0 + f(list(y - ei))) / (h * h)
-            for j in range(i + 1, d):
-                ej = np.zeros(d)
-                ej[j] = h
-                hess[i, j] = hess[j, i] = (
-                    f(list(y + ei + ej)) - f(list(y + ei - ej))
-                    - f(list(y - ei + ej)) + f(list(y - ei - ej))
-                ) / (4.0 * h * h)
+    def single(v, h: float) -> np.ndarray:
+        f0, plus, minus = v[0], v[1:d + 1], v[d + 1:2 * d + 1]
+        pp, pm, mp, mm = np.split(v[2 * d + 1:], 4)
+        hess = np.zeros(y.shape[:-1] + (d, d))
+        hess[..., range(d), range(d)] = np.moveaxis((plus - 2.0 * f0 + minus) / (h * h), 0, -1)
+        hess[..., i, j] = hess[..., j, i] = np.moveaxis(
+            (pp - pm - mp + mm) / (4.0 * h * h), 0, -1)
         return hess
 
-    hess = single(step)
+    hess, *half = (single(v, h) for v, h in zip(np.split(values, len(steps)), steps))
     if richardson:
-        hess = (4.0 * single(step / 2.0) - hess) / 3.0
-    return 0.5 * (hess + hess.T)
+        hess = (4.0 * half[0] - hess) / 3.0
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
 @dataclass

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import (
+    BasePoint,
     FlagPoint,
     PhiPartials,
     SpaceSpec,
@@ -29,6 +30,7 @@ from .metric import (
     phi_partials,
     resolve_family,
     sample_flags,
+    stack_points,
 )
 from .numerics import Jet2, fd_hessian, jet_eval
 
@@ -129,14 +131,19 @@ def reciprocal_coefficients(mc: MetricCoefficients, alpha, beta, b2) -> Reciproc
 
 # -- assembly
 
+def _outer(u, v):
+    return u[..., :, None] * v[..., None, :]
+
+
 def _four_term(a, b, y_low, c, c0, c1, c2) -> np.ndarray:
-    """c a_ij + c0 b_i b_j + c1 (b_i y_j + b_j y_i) + c2 y_i y_j.  Arrays sit
-    on the left, so the coefficients may be duals and y_low an object array."""
+    """c a_ij + c0 b_i b_j + c1 (b_i y_j + b_j y_i) + c2 y_i y_j over the last
+    axes.  Scalar-generic: the coefficients and y_low may be lane-valued
+    duals, whose lanes broadcast in front of the two index axes."""
     return (
         a * c
-        + np.outer(b, b) * c0
-        + (np.outer(b, y_low) + np.outer(y_low, b)) * c1
-        + np.outer(y_low, y_low) * c2
+        + _outer(b, b) * c0
+        + (_outer(b, y_low) + _outer(y_low, b)) * c1
+        + _outer(y_low, y_low) * c2
     )
 
 
@@ -224,15 +231,21 @@ def bundle_at(spec: SpaceSpec, x, y) -> TensorBundle:
 
 # -- oracle plumbing: the closed forms evaluated on generic scalars
 
+def _lanes_of(point: BasePoint):
+    """a_ij and b_i of a base point, or of a stacked one (`stack_points`) with
+    the point axis moved last, so each entry broadcasts against lanes (L, N)."""
+    return np.moveaxis(point.a, (-2, -1), (0, 1)), np.moveaxis(point.b, -1, 0)
+
+
 def half_f_squared(spec: SpaceSpec, x):
-    """Callable y -> F(x, y)^2 / 2 that stays generic over the scalar type;
-    x may be a BasePoint.
+    """Callable y -> F(x, y)^2 / 2 that stays generic over the scalar type
+    and over lanes; x may be a BasePoint, or a stacked one whose N points
+    each own one entry of the lanes' last axis.
 
     This is the oracle seed: its y-Hessian is the fundamental tensor.  It
     reads only F, so it stays independent of the closed-form partials.
     """
-    point = base_point(spec, x)
-    a, b = point.a.tolist(), point.b.tolist()  # float * Jet2 is the cheap product
+    a, b = _lanes_of(base_point(spec, x))
 
     def f(ys):
         alpha, beta, _ = alpha_beta_generic(a, b, ys)
@@ -245,18 +258,22 @@ def half_f_squared(spec: SpaceSpec, x):
 def torsion_oracle(spec: SpaceSpec, x, y) -> np.ndarray:
     """C_ijk oracle = (1/2) d g_ij / d y^k, by dual differentiation of the
     closed-form `fundamental_tensor` in the direction argument; x may be a
-    BasePoint."""
+    BasePoint, or a stacked one with y the (N, d) directions of its points.
+
+    One pass over lanes (d, N, 1, 1): lane k seeds e_k, and the trailing
+    axes let every scalar broadcast over g's two index axes.
+    """
     point = base_point(spec, x)
-    a, b = point.a.tolist(), point.b.tolist()
-    out = np.zeros((spec.dim,) * 3)
-    for kk in range(spec.dim):
-        ys = [Jet2(v, m == kk) for m, v in enumerate(y)]
-        alpha, beta, y_low = alpha_beta_generic(a, b, ys)
-        pp = phi_partials(spec.family, spec.k, alpha, beta)
-        mc = metric_coefficients(pp, spec.family, spec.k, alpha, beta)
-        g = fundamental_tensor(mc, point.a, point.b, np.array(y_low, dtype=object))
-        out[:, :, kk] = [[0.5 * e.d1 for e in row] for row in g]
-    return out
+    a, b = (v[..., None, None] for v in _lanes_of(point))
+    y = np.asarray(y, dtype=float)
+    lanes = (spec.dim,) + y.shape[:-1] + (1, 1)
+    seed = np.eye(spec.dim).reshape((spec.dim, spec.dim) + (1,) * (y.ndim + 1))
+    ys = [Jet2(np.broadcast_to(y[..., m, None, None], lanes), seed[m]) for m in range(spec.dim)]
+    alpha, beta, y_low = alpha_beta_generic(a, b, ys)
+    pp = phi_partials(spec.family, spec.k, alpha, beta)
+    mc = metric_coefficients(pp, spec.family, spec.k, alpha, beta)
+    g = fundamental_tensor(mc, point.a, point.b, Jet2.stack(y_low)[..., 0, 0, :])
+    return np.moveaxis(0.5 * g.d1, 0, -1)
 
 
 def q2_expanded_form(k: int, alpha: float, beta: float) -> float:
@@ -318,50 +335,54 @@ FD_STEP = 1e-4
 
 
 def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
-    """Audit the closed forms at one flag against both oracles; x may be a
-    BasePoint.
+    """Audit the closed forms at the flag (x, y) against both oracles; x may
+    be a BasePoint.  For a batch, x is a sequence of base points and y their
+    (N, d) directions: each oracle runs once over all N flags, and each
+    check reports its worst flag (the first one, on ties).
 
     Checks: g vs half-F^2 Hessian (dual and finite-difference routes),
     h vs g - l (x) l, g_inv vs direct inversion, C vs half dg/dy, and the
     expanded q2 bracket vs its defining expression (documented mismatch).
     """
-    bundle = bundle_at(spec, x, y)
-    f = half_f_squared(spec, bundle.flag)
-    jet = jet_eval(f, y)
-    fd = fd_hessian(f, y, step=FD_STEP)
-    rows = [
-        _row("fundamental-vs-jet-oracle", rel_error(bundle.g, jet.hessian)),
-        _row("fundamental-vs-fd-oracle", rel_error(bundle.g, fd)),
-        _row("angular-identity", rel_error(bundle.h, bundle.g - np.outer(bundle.l, bundle.l))),
-        _row("reciprocal-vs-inversion", rel_error(bundle.g_inv, np.linalg.inv(bundle.g))),
-        _row("hv-torsion-vs-jet-oracle", rel_error(bundle.C, torsion_oracle(spec, bundle.flag, y))),
-    ]
-    if spec.family == "generalized-square":
-        q2 = bundle.angular.q2
-        q2_printed = q2_expanded_form(spec.k, bundle.flag.alpha, bundle.flag.beta)
-        err = abs(q2 - q2_printed) / (1.0 + abs(q2))
-        rows.append(
-            AuditRow(
-                check="q2-expanded-form",
-                error=err,
-                tol=AUDIT_TOLERANCES["q2-expanded-form"],
-                passed=err <= AUDIT_TOLERANCES["q2-expanded-form"],
-                expected_mismatch=True,
-                note="expanded bracket disagrees with the defining expression "
-                     "away from beta = 0 (known misprint, informational)",
-            )
-        )
-    return rows
+    ys = np.asarray(y, dtype=float)
+    points = [x] if ys.ndim == 1 else x
+    ys = ys.reshape(len(points), -1)
+    bundles = [bundle_at(spec, p, v) for p, v in zip(points, ys)]
+    batch = stack_points([bundle.flag for bundle in bundles])
+    f = half_f_squared(spec, batch)
+    oracles = zip(jet_eval(f, ys).hessian, fd_hessian(f, ys, step=FD_STEP),
+                  torsion_oracle(spec, batch, ys))
+    worst: dict[str, AuditRow] = {}
+    for bundle, (jet, fd, torsion) in zip(bundles, oracles):
+        rows = [
+            _row("fundamental-vs-jet-oracle", rel_error(bundle.g, jet)),
+            _row("fundamental-vs-fd-oracle", rel_error(bundle.g, fd)),
+            _row("angular-identity", rel_error(bundle.h, bundle.g - np.outer(bundle.l, bundle.l))),
+            _row("reciprocal-vs-inversion", rel_error(bundle.g_inv, np.linalg.inv(bundle.g))),
+            _row("hv-torsion-vs-jet-oracle", rel_error(bundle.C, torsion)),
+        ]
+        if spec.family == "generalized-square":
+            q2 = bundle.angular.q2
+            q2_printed = q2_expanded_form(spec.k, bundle.flag.alpha, bundle.flag.beta)
+            err = abs(q2 - q2_printed) / (1.0 + abs(q2))
+            rows.append(_row("q2-expanded-form", err, expected_mismatch=True,
+                             note="expanded bracket disagrees with the defining expression "
+                                  "away from beta = 0 (known misprint, informational)"))
+        for row in rows:
+            kept = worst.get(row.check)
+            if kept is None or row.error > kept.error:
+                worst[row.check] = row
+    return list(worst.values())
 
 
-def _row(check: str, error: float) -> AuditRow:
+def _row(check: str, error: float, **extra) -> AuditRow:
     tol = AUDIT_TOLERANCES[check]
-    return AuditRow(check=check, error=error, tol=tol, passed=error <= tol)
+    return AuditRow(check=check, error=error, tol=tol, passed=error <= tol, **extra)
 
 
 def audit_sweep(spec: SpaceSpec, params: AuditParams) -> AuditReport:
-    """Run the per-flag audit over ``params.samples`` seeded in-domain flags
-    and keep, for each check, the worst error seen.
+    """Audit ``params.samples`` seeded in-domain flags as one batch and keep,
+    for each check, the worst error seen.
 
     Directions are rescaled off the unit sphere (validity is scale-invariant
     by homogeneity) so that degree-sensitive checks are exercised at
@@ -370,11 +391,5 @@ def audit_sweep(spec: SpaceSpec, params: AuditParams) -> AuditReport:
     base = sample_flags(spec, params.samples, params.seed)
     rng = np.random.default_rng(params.seed)
     scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), size=len(base)))
-    flags = [(f, f.y * s) for f, s in zip(base, scales)]  # each sampled point is reused
-    worst: dict[str, AuditRow] = {}
-    for x, y in flags:
-        for row in audit_flag(spec, x, y):
-            kept = worst.get(row.check)
-            if kept is None or row.error > kept.error:
-                worst[row.check] = row
-    return AuditReport(rows=list(worst.values()), flags=len(flags), seed=params.seed)
+    ys = [f.y * s for f, s in zip(base, scales)]  # each sampled point is reused
+    return AuditReport(rows=audit_flag(spec, base, ys), flags=len(base), seed=params.seed)

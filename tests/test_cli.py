@@ -189,6 +189,24 @@ def test_audit_sweep_default_seed_is_the_cli_default(tmp_path, capsys):
     assert audit_sweep(load_config(_write(tmp_path, cfg)).space, AuditParams()).seed == 2024
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("audit", "--tol"), ("tensors", "--tol"), ("tensors", "--seed"),
+])
+def test_override_a_command_ignores_is_refused(tmp_path, capsys, command, flag):
+    out_file = tmp_path / "rows.csv"
+    argv = [command, "--config", _write(tmp_path, PLANE_CFG), flag, "5", "--out", str(out_file)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} does not apply to {command}\n"
+    assert captured.out == "" and not out_file.exists()
+
+
+def test_override_help_names_the_commands_it_applies_to():
+    text = build_parser().format_help()
+    assert "override the seed (audit, classify, geodesic)" in text
+    assert "override the tolerance (classify, geodesic)" in text
+
+
 @pytest.mark.parametrize("error", [
     ConfigError, DomainError, ExprSyntaxError, DegenerateMetricError, FamilyDomainError,
     SingularCoefficientError, SegmentDomainError, ClassifierConsistencyError, OffSurfaceError,
@@ -272,6 +290,18 @@ def test_config_dimension_mismatch(tmp_path):
     bad = PLANE_CFG.replace("a_row = 0, 0, 1\n", "")
     with pytest.raises(ConfigError, match="dimension mismatch"):
         load_config(_write(tmp_path, bad))
+
+
+@pytest.mark.parametrize("old, new", [("start = 0, 0", "start = 0, 0, 0"),
+                                      ("end = 1, 0", "end = 1")])
+def test_config_geodesic_endpoint_dimension_checked_at_load(tmp_path, capsys, old, new):
+    bad = GEO_CFG.replace(old, new)
+    key = new.split()[0]
+    line = bad.splitlines().index(new) + 1
+    with pytest.raises(ConfigError, match=rf"^line {line}: {key} must have dimension 2$"):
+        load_config(_write(tmp_path, bad))
+    assert main(["geodesic", "--config", _write(tmp_path, bad)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {key} must have dimension 2\n"
 
 
 def test_config_rejects_k_zero(tmp_path):

@@ -99,7 +99,7 @@ def test_fd_hessian_basics():
 
 
 def test_fd_richardson_refines():
-    f = lambda y: math.exp(y[0]) * math.sin(y[1])
+    f = lambda y: np.exp(y[0]) * np.sin(y[1])  # lane-generic: fd_hessian passes arrays
     y = [0.4, 0.9]
     exact = jet_eval(lambda v: v[0].exp() * v[1].sin(), y).hessian
     plain = np.abs(fd_hessian(f, y, step=1e-3) - exact).max()
@@ -115,8 +115,8 @@ def _random_smooth(rng, dim):
     def f(y):
         s1 = sum(w * v for w, v in zip(w1, y))
         s2 = sum(w * v for w, v in zip(w2, y)) * 0.25
-        sin1 = s1.sin() if hasattr(s1, "sin") else math.sin(s1)
-        exp2 = s2.exp() if hasattr(s2, "exp") else math.exp(s2)
+        sin1 = s1.sin() if hasattr(s1, "sin") else np.sin(s1)  # arrays from fd_hessian
+        exp2 = s2.exp() if hasattr(s2, "exp") else np.exp(s2)
         quad = sum(v * v for v in y)
         return c[0] * sin1 + c[1] * exp2 + c[2] * quad
 
