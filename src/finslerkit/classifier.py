@@ -25,7 +25,7 @@ import numpy as np
 from .connection import ConnectionData, covariant_db
 from .hypersurface import HypersurfaceFrame, LevelSurface, frame_at
 from .metric import SAMPLE_BOX, SpaceSpec
-from .numerics import least_squares
+from .numerics import dot, lanewise, least_squares
 
 
 class ClassifierConsistencyError(RuntimeError):
@@ -45,14 +45,22 @@ class ClassifyOptions:
 @dataclass
 class KindResult:
     passed: bool
-    residual: float
+    per_point: list[float]   # each sample point's residual
+
+    @property
+    def residual(self) -> float:
+        return max(self.per_point, default=0.0)
 
 
 @dataclass
 class ThirdKindResult:
-    verdict: str          # "impossible" | "vacuous"
-    witness: float        # min over samples of max |M_ab|
+    verdict: str             # "impossible" | "vacuous"
+    per_point: list[float]   # each point's min over its directions of max |M_ab|
     note: str = ""
+
+    @property
+    def witness(self) -> float:
+        return min(self.per_point, default=0.0)
 
 
 @dataclass
@@ -96,25 +104,22 @@ def surface_points(
         tries += 1
         if tries > max(500 * n, 2000):
             raise RuntimeError("surface sampling stalled; is the level reachable?")
-        raw = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim)
-        grad = surface.gradient(raw)
+        x = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim)
+        grad = surface.gradient(x)
         gn = np.linalg.norm(grad)
         if gn < 1e-10:
             continue
         u = grad / gn
-        x = raw.copy()
-        ok = False
         for _ in range(60):
             r = surface.value(x) - surface.level
             if abs(r) <= 1e-13 * (1.0 + abs(surface.level)):
-                ok = True
+                if np.linalg.norm(surface.gradient(x)) > 1e-10:
+                    pts.append(x)
                 break
             slope = float(surface.gradient(x) @ u)
             if abs(slope) < 1e-12:
                 break
             x = x - (r / slope) * u
-        if ok and np.linalg.norm(surface.gradient(x)) > 1e-10:
-            pts.append(x)
     return pts
 
 
@@ -124,7 +129,7 @@ def first_kind_test(
     """Least-squares solve of 2 b_ij = b_i c_j + b_j c_i over the d(d+1)/2
     independent equations at each sample point's connection; FAIL is an
     answer, not an error."""
-    worst = 0.0
+    residuals: list[float] = []
     scale = 1.0
     c_samples: list[np.ndarray] = []
     for conn in conns:
@@ -135,51 +140,49 @@ def first_kind_test(
         rows[np.arange(len(iu)), iu] += b[ju]
         rhs = 2.0 * conn.b_cov[iu, ju]
         c, _ = least_squares(rows, rhs)
-        resid = float(np.abs(rows @ c - rhs).max())
-        worst = max(worst, resid)
+        residuals.append(float(np.abs(rows @ c - rhs).max()))
         scale = max(scale, 1.0 + float(np.abs(conn.b_cov).max()))
         c_samples.append(c)
-    return KindResult(passed=worst <= tol * scale, residual=worst), c_samples
+    return KindResult(max(residuals, default=0.0) <= tol * scale, residuals), c_samples
 
 
 def second_kind_test(
     conns: list[ConnectionData], tol: float
 ) -> tuple[KindResult, list[float]]:
-    """Fit e(x) = b^i b^j b_ij / (b^2)^2 and measure ||b_cov - e b (x) b||."""
-    worst = 0.0
+    """Fit e(x) = b^i b^j b_ij / (b^2)^2 and measure ||b_cov - e b (x) b||;
+    a point where b vanishes is skipped, with residual 0."""
+    residuals: list[float] = []
     scale = 1.0
     e_samples: list[float] = []
     for conn in conns:
-        p = conn.point
-        if p.b2 < 1e-14:
-            e_samples.append(0.0)
-            continue
-        e = float(p.b_up @ conn.b_cov @ p.b_up) / (p.b2 * p.b2)
-        resid = float(np.abs(conn.b_cov - e * np.outer(p.b, p.b)).max())
-        worst = max(worst, resid)
-        scale = max(scale, 1.0 + float(np.abs(conn.b_cov).max()))
+        p, e, resid = conn.point, 0.0, 0.0
+        if p.b2 >= 1e-14:
+            e = float(p.b_up @ conn.b_cov @ p.b_up) / (p.b2 * p.b2)
+            resid = float(np.abs(conn.b_cov - e * np.outer(p.b, p.b)).max())
+            scale = max(scale, 1.0 + float(np.abs(conn.b_cov).max()))
+        residuals.append(resid)
         e_samples.append(e)
-    return KindResult(passed=worst <= tol * scale, residual=worst), e_samples
+    return KindResult(max(residuals, default=0.0) <= tol * scale, residuals), e_samples
 
 
 def third_kind_test(frames: list[HypersurfaceFrame]) -> ThirdKindResult:
     """M_ab is a positive multiple of the induced angular metric whenever
-    b^2 > 0, so it cannot vanish: verdict IMPOSSIBLE with the smallest
-    observed ||M_ab|| as witness.  Degenerate b == 0 is VACUOUS."""
+    b^2 > 0, so it cannot vanish: verdict IMPOSSIBLE with each point's
+    smallest observed ||M_ab|| as its witness.  Degenerate b == 0 is VACUOUS."""
     if not frames:
         raise ValueError("no frames sampled")
     if max(f.bundle.flag.b2 for f in frames) < 1e-14:
-        return ThirdKindResult(verdict="vacuous", witness=0.0,
+        return ThirdKindResult("vacuous", [0.0] * len(frames),
                                note="the 1-form vanishes on the surface")
-    witness = min(float(np.abs(f.M_ab).max()) for f in frames)
-    return ThirdKindResult(verdict="impossible", witness=witness)
+    per_point = [float(np.abs(f.M_ab).max((-2, -1)).min()) for f in frames]
+    return ThirdKindResult("impossible", per_point)
 
 
 def proportionality_check(
-    point_frames: list[list[HypersurfaceFrame]], c_samples: list[np.ndarray], k: int
+    frames: list[HypersurfaceFrame], c_samples: list[np.ndarray], k: int
 ) -> tuple[list[float], float]:
     """Check H_ab = -(k+1) c_0 sqrt(b^2) / (4 alpha zeta^(3/2)) h_ab with
-    c_0 = c_i y^i and zeta = 1 + k(k+1) b^2, at each point's frames.
+    c_0 = c_i y^i and zeta = 1 + k(k+1) b^2, on each point's frame.
 
     On a first-kind level set of the 1-form's own potential N_i is
     proportional to b_i and the pullback of b_ij vanishes, so H_ab reduces to
@@ -189,14 +192,14 @@ def proportionality_check(
     """
     factors: list[float] = []
     deviation = 0.0
-    for frames, c in zip(point_frames, c_samples):
-        for frame in frames:
-            flag = frame.bundle.flag
-            zeta = 1.0 + k * (k + 1) * flag.b2
-            factor = -(k + 1) * float(c @ flag.y) * math.sqrt(flag.b2) / (
-                4.0 * flag.alpha * zeta ** 1.5)
-            factors.append(factor)
-            deviation = max(deviation, float(np.abs(frame.H_ab - factor * frame.h_ind).max()))
+    for frame, c in zip(frames, c_samples):
+        flag = frame.bundle.flag
+        zeta = 1.0 + k * (k + 1) * flag.b2
+        factor = -(k + 1) * dot(flag.y, c) * math.sqrt(flag.b2) / (
+            4.0 * flag.alpha * zeta ** 1.5)
+        factors.extend(factor.tolist())
+        dev = np.abs(frame.H_ab - lanewise(factor, 2) * frame.h_ind).max()
+        deviation = max(deviation, float(dev))
     return factors, deviation
 
 
@@ -210,9 +213,7 @@ def classify(
     exact, so a mismatch signals an implementation or sampling problem.
     """
     if spec.family != "generalized-square":
-        raise ValueError(
-            "classification is specific to the (alpha+beta)^(k+1)/alpha^k family"
-        )
+        raise ValueError("classification is specific to the (alpha+beta)^(k+1)/alpha^k family")
     pts = surface_points(surface, spec, opts.points, opts.seed)
     conns = [covariant_db(spec, x) for x in pts]  # one base point and connection each
 
@@ -220,12 +221,12 @@ def classify(
     second, e_samples = second_kind_test(conns, opts.tol)
 
     rng = np.random.default_rng(opts.seed + 1)
-    point_frames: list[list[HypersurfaceFrame]] = []
+    frames: list[HypersurfaceFrame] = []  # one per point, its directions as lanes
     for conn in conns:
         draws = rng.normal(size=(opts.directions, spec.dim - 1))
-        vs = [v / np.linalg.norm(v) for v in draws if np.linalg.norm(v) >= 1e-12]
-        point_frames.append(frame_at(spec, surface, conn, vs))
-    frames = [frame for fs in point_frames for frame in fs]
+        norms = np.sqrt(dot(draws, draws))
+        keep = norms >= 1e-12
+        frames.append(frame_at(spec, surface, conn, draws[keep] / norms[keep, None]))
     geo_scale = max([1.0] + [1.0 + float(np.abs(conn.b_cov).max()) for conn in conns])
     h_a_max = max([0.0] + [float(np.abs(f.H_a).max()) for f in frames])
     h_ab_max = max([0.0] + [float(np.abs(f.H_ab).max()) for f in frames])
@@ -242,7 +243,7 @@ def classify(
     third = third_kind_test(frames)
     factors, deviation = [], None
     if first.passed:
-        factors, deviation = proportionality_check(point_frames, c_samples, spec.k)
+        factors, deviation = proportionality_check(frames, c_samples, spec.k)
         if deviation > opts.tol * geo_scale:
             raise ClassifierConsistencyError(
                 f"first kind holds, but H_ab deviates from the first-kind multiple "

@@ -16,6 +16,7 @@ machine output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="finslerkit",
         description="Workbench for (alpha,beta)-metric Finsler spaces.",
     )
-    parser.add_argument("command", choices=("tensors", "audit", "classify", "geodesic"))
+    parser.add_argument("command", choices=tuple(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--seed", type=int, default=None,
                         help=f"override the seed ({', '.join(_APPLIES['seed'])})")
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fmt(v) -> str:
-    text = repr(v) if isinstance(v, float) else str(v)
+    text = repr(float(v)) if isinstance(v, float) else str(v)  # numpy floats print as floats
     if any(ch in text for ch in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
     return text
@@ -81,9 +82,10 @@ def _with_overrides(options, args):
 
 def _matrix_rows(context: str, quantity: str, m) -> list[list]:
     """One row per entry of a scalar, vector, matrix or 3-tensor; 1-based indices."""
-    m = np.asarray(m)
-    return [[context, quantity, *(i + 1 for i in idx), *[""] * (3 - len(idx)), float(m[idx])]
-            for idx in np.ndindex(m.shape)]
+    m = np.asarray(m, dtype=float)
+    indices = itertools.product(*(range(1, n + 1) for n in m.shape))
+    pad = [""] * (3 - m.ndim)
+    return [[context, quantity, *i, *pad, v] for i, v in zip(indices, m.ravel().tolist())]
 
 
 def cmd_tensors(cfg: RunConfig, args) -> int:
@@ -95,17 +97,17 @@ def cmd_tensors(cfg: RunConfig, args) -> int:
     for idx, (x, y) in enumerate(cfg.flags):
         bundle = bundle_at(cfg.space, x, y)
         ctx = f"flag{idx + 1}"
-        fl = bundle.flag
+        fl, ac, mc, rc = bundle.flag, bundle.angular, bundle.metric, bundle.reciprocal
         chunks.append(
             f"[{ctx}] x = {_vec(fl.x)}  y = {_vec(fl.y)}\n"
-            f"  alpha = {fl.alpha!r}  beta = {fl.beta!r}  F = {bundle.phi.F!r}\n"
-            f"  angular coefficients:    p={bundle.angular.p!r} q0={bundle.angular.q0!r} "
-            f"q1={bundle.angular.q1!r} q2={bundle.angular.q2!r}\n"
-            f"  metric coefficients:     p={bundle.metric.p!r} p0={bundle.metric.p0!r} "
-            f"p1={bundle.metric.p1!r} p2={bundle.metric.p2!r}\n"
-            f"  reciprocal coefficients: S0={bundle.reciprocal.S0!r} S1={bundle.reciprocal.S1!r} "
-            f"S2={bundle.reciprocal.S2!r} zeta={bundle.reciprocal.zeta!r}\n"
-            f"  gamma1 = {bundle.gamma1!r}\n"
+            f"  alpha = {_fmt(fl.alpha)}  beta = {_fmt(fl.beta)}  F = {_fmt(bundle.phi.F)}\n"
+            f"  angular coefficients:    p={_fmt(ac.p)} q0={_fmt(ac.q0)} q1={_fmt(ac.q1)} "
+            f"q2={_fmt(ac.q2)}\n"
+            f"  metric coefficients:     p={_fmt(mc.p)} p0={_fmt(mc.p0)} p1={_fmt(mc.p1)} "
+            f"p2={_fmt(mc.p2)}\n"
+            f"  reciprocal coefficients: S0={_fmt(rc.S0)} S1={_fmt(rc.S1)} S2={_fmt(rc.S2)} "
+            f"zeta={_fmt(rc.zeta)}\n"
+            f"  gamma1 = {_fmt(bundle.gamma1)}\n"
             f"  g =\n{bundle.g}\n  g_inv =\n{bundle.g_inv}\n  h =\n{bundle.h}\n"
         )
         for name, value in (("alpha", fl.alpha), ("beta", fl.beta), ("F", bundle.phi.F),
@@ -123,10 +125,8 @@ def cmd_audit(cfg: RunConfig, args) -> int:
     lines = [f"formula audit: {report.flags} in-domain flags, seed={report.seed}"]
     rows = []
     for r in sorted(report.rows, key=lambda r: r.check):
-        if r.expected_mismatch and not r.passed:
-            verdict = "FAIL-known-misprint-informational"
-        else:
-            verdict = "PASS" if r.passed else "FAIL"
+        verdict = ("PASS" if r.passed else
+                   "FAIL-known-misprint-informational" if r.expected_mismatch else "FAIL")
         note = f"  ({r.note})" if r.note else ""
         lines.append(f"  {r.check:28s} max_error={r.error:.3e} tol={r.tol:.1e} {verdict}{note}")
         rows.append([r.check, r.error, r.tol, verdict, r.note])
@@ -155,14 +155,12 @@ def cmd_classify(cfg: RunConfig, args) -> int:
         f"max |H_ab| = {report.geo_H_ab_max:.3e} (agrees with the algebraic route)",
     ]
     if report.proportionality_deviation is not None:
-        lines.append(
-            f"  proportionality of H_ab to h_ab: max deviation "
-            f"{report.proportionality_deviation:.3e}"
-        )
-    residuals = (report.first_kind.residual, report.second_kind.residual,
-                 report.third_kind.witness)  # the third kind's residual is its witness
-    rows = [[i + 1, test, residual, verdict] for i in range(len(report.points))
-            for (test, verdict), residual in zip(report.summary, residuals)]
+        lines.append(f"  proportionality of H_ab to h_ab: max deviation "
+                     f"{report.proportionality_deviation:.3e}")
+    residuals = zip(report.first_kind.per_point, report.second_kind.per_point,
+                    report.third_kind.per_point)  # the third kind's residual is its witness
+    rows = [[i + 1, test, residual, verdict] for i, point in enumerate(residuals)
+            for (test, verdict), residual in zip(report.summary, point)]
     print("\n".join(lines))
     _write_rows(args, ["point-index", "test", "residual", "verdict"], rows, report.seed)
     return 0 if (report.first_kind.passed and report.second_kind.passed) else 1
@@ -182,15 +180,15 @@ def cmd_geodesic(cfg: RunConfig, args) -> int:
         "  nodes:",
     ]
     lines.extend(f"    {_vec(node)}" for node in result.nodes)
-    rows: list[list] = []
-    for i, node in enumerate(result.nodes):
-        for j, val in enumerate(node):
-            rows.append(["geodesic", "node", i + 1, j + 1, "", float(val)])
-    for i, length in enumerate(result.trace):
-        rows.append(["geodesic", "trace", i + 1, "", "", float(length)])
+    rows = (_matrix_rows("geodesic", "node", result.nodes)
+            + _matrix_rows("geodesic", "trace", result.trace))
     print("\n".join(lines))
     _write_rows(args, ["context", "quantity", "i", "j", "k", "value"], rows, geo.seed)
     return 0 if result.converged else 1
+
+
+_COMMANDS = {"tensors": cmd_tensors, "audit": cmd_audit, "classify": cmd_classify,
+             "geodesic": cmd_geodesic}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -200,14 +198,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --{flag} does not apply to {args.command}", file=sys.stderr)
             return 2
     try:
-        cfg = load_config(args.config)
-        if args.command == "tensors":
-            return cmd_tensors(cfg, args)
-        if args.command == "audit":
-            return cmd_audit(cfg, args)
-        if args.command == "classify":
-            return cmd_classify(cfg, args)
-        return cmd_geodesic(cfg, args)
+        return _COMMANDS[args.command](load_config(args.config), args)
     except _ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

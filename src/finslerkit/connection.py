@@ -3,7 +3,9 @@ difference tensor between the Cartan horizontal coefficients and the
 Riemannian Christoffel symbols.
 
 The Cartan coefficients are never materialized on their own: wherever they
-appear downstream they enter as Christoffel + difference tensor.
+appear downstream they enter as Christoffel + difference tensor.  The
+difference tensor runs over the lanes of a bundle whose flags share one base
+point (and its connection); its re-summation check holds in every lane.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import BasePoint, SpaceSpec, base_point
+from .numerics import any_lane, dot, lanewise, matvec, outer
 from .tensors import TensorBundle
 
 
@@ -39,11 +42,7 @@ def christoffel(spec: SpaceSpec, x) -> np.ndarray:
     point = base_point(spec, x)
     da = spec.da_at(point.x)  # da[l, i, j] = d a_ij / d x^l
     # lowered symbol: [jk, l] = (d_j a_lk + d_k a_jl - d_l a_jk) / 2
-    low = 0.5 * (
-        np.einsum("jlk->ljk", da)
-        + np.einsum("kjl->ljk", da)
-        - np.einsum("ljk->ljk", da)
-    )
+    low = 0.5 * (da.transpose(1, 0, 2) + da.transpose(2, 1, 0) - da)
     return np.einsum("il,ljk->ijk", point.a_inv, low)
 
 
@@ -61,7 +60,7 @@ def covariant_db(spec: SpaceSpec, x) -> ConnectionData:
 
 @dataclass
 class DifferenceIngredients:
-    """Ingredient tensors of the difference tensor at one flag.
+    """Ingredient tensors of the difference tensor at a bundle's flags (lanes in front).
 
     '0' denotes contraction with the flag direction y throughout.
     """
@@ -73,75 +72,68 @@ class DifferenceIngredients:
     F_mixed: np.ndarray  # F^k_i = g^kj F_ji
     A: np.ndarray        # A^m_k = B^m_k E_00 + B^m E_k0 + B_k F^m_0 + B_0 F^m_k
     lam: np.ndarray      # lambda^m = B^m E_00 + 2 B_0 F^m_0
-    B0: float            # B_i y^i
-    E00: float
+    B0: np.ndarray       # B_i y^i
+    E00: np.ndarray
     b0: np.ndarray       # b_{0k} = y^m b_mk
 
 
 def difference_ingredients(bundle: TensorBundle, conn: ConnectionData) -> DifferenceIngredients:
-    mc, flag = bundle.metric, bundle.flag
-    y, y_low, a = flag.y, flag.y_low, flag.a
-    alpha2 = flag.alpha ** 2
-    m = bundle.m
-    B_low = mc.p0 * flag.b + mc.p1 * y_low
-    B_up = bundle.g_inv @ B_low
+    mc, flag, g_inv, m = bundle.metric, bundle.flag, bundle.g_inv, bundle.m
+    y, y_low = flag.y, flag.y_low
+    B_low = lanewise(mc.p0) * flag.b + lanewise(mc.p1) * y_low
     B_mat = 0.5 * (
-        mc.p1 * (a - np.outer(y_low, y_low) / alpha2)
-        + mc.dp0_dbeta * np.outer(m, m)
+        lanewise(mc.p1, 2) * (flag.a - outer(y_low, y_low) / lanewise(flag.alpha ** 2, 2))
+        + lanewise(mc.dp0_dbeta, 2) * outer(m, m)
     )
-    B_mixed = bundle.g_inv @ B_mat
-    F_mixed = bundle.g_inv @ conn.Fij
-    E00 = float(y @ conn.E @ y)
-    Ek0 = conn.E @ y          # E_{k0} = E_kj y^j
-    F0 = F_mixed @ y          # F^m_0 = F^m_j y^j
-    B0 = float(B_low @ y)
+    B_up, B_mixed, F_mixed = matvec(g_inv, B_low), g_inv @ B_mat, g_inv @ conn.Fij
+    Ek0 = matvec(conn.E, y)   # E_{k0} = E_kj y^j
+    E00 = dot(y, Ek0)
+    F0 = matvec(F_mixed, y)   # F^m_0 = F^m_j y^j
+    B0 = dot(B_low, y)
     A = (
-        B_mixed * E00
-        + np.outer(B_up, Ek0)
-        + np.outer(F0, B_low)
-        + B0 * F_mixed
+        B_mixed * lanewise(E00, 2)
+        + outer(B_up, Ek0)
+        + outer(F0, B_low)
+        + lanewise(B0, 2) * F_mixed
     )
-    lam = B_up * E00 + 2.0 * B0 * F0
+    lam = B_up * lanewise(E00) + 2.0 * lanewise(B0) * F0
     b0 = y @ conn.b_cov       # b_{0k} = y^m b_{mk}
-    return DifferenceIngredients(
-        B_low=B_low, B_up=B_up, B_mat=B_mat, B_mixed=B_mixed, F_mixed=F_mixed,
-        A=A, lam=lam, B0=B0, E00=E00, b0=b0,
-    )
+    return DifferenceIngredients(B_low=B_low, B_up=B_up, B_mat=B_mat, B_mixed=B_mixed,
+                                 F_mixed=F_mixed, A=A, lam=lam, B0=B0, E00=E00, b0=b0)
 
 
 def difference_tensor(bundle: TensorBundle, conn: ConnectionData) -> np.ndarray:
-    """D^i_jk at the bundle's flag: the full sum, assembled term by term from
-    the flag's ingredient tensors.
+    """D^i_jk at the bundle's flags (lanes in front): the full sum, assembled
+    term by term from the ingredient tensors.
 
     The terms are summed in their conventional order and re-summed in
-    reverse as a floating-point sanity check (the two must agree to a
-    relative 1e-12).
+    reverse as a floating-point sanity check: in every lane the two must
+    agree to a relative 1e-12 of that lane's scale.
     """
     di = difference_ingredients(bundle, conn)
     g_inv, C = bundle.g_inv, bundle.C
-    C_mixed = np.einsum("il,ljk->ijk", g_inv, C)  # C^i_jk
+    C_mixed = np.einsum("...il,...ljk->...ijk", g_inv, C)  # C^i_jk
+    # pairwise contractions; (j, k) and (k, j) of one product are its two terms
+    CA = C_mixed @ di.A[..., None, :, :]  # C^i_jm A^m_k
+    CL = C_mixed @ np.einsum("...s,...msk->...mk", di.lam, C_mixed)[..., None, :, :]
     terms = [
-        np.einsum("i,jk->ijk", di.B_up, conn.E),
-        np.einsum("ik,j->ijk", di.F_mixed, di.B_low),
-        np.einsum("ij,k->ijk", di.F_mixed, di.B_low),
-        np.einsum("ij,k->ijk", di.B_mixed, di.b0),
-        np.einsum("ik,j->ijk", di.B_mixed, di.b0),
-        -np.einsum("m,im,jk->ijk", di.b0, g_inv, di.B_mat),
-        -np.einsum("ijm,mk->ijk", C_mixed, di.A),
-        -np.einsum("ikm,mj->ijk", C_mixed, di.A),
-        np.einsum("jkm,ms,is->ijk", C, di.A, g_inv),
-        np.einsum("s,ijm,msk->ijk", di.lam, C_mixed, C_mixed),
-        np.einsum("s,ikm,msj->ijk", di.lam, C_mixed, C_mixed),
-        -np.einsum("s,mjk,ims->ijk", di.lam, C_mixed, C_mixed),
+        np.einsum("...i,jk->...ijk", di.B_up, conn.E),
+        np.einsum("...ik,...j->...ijk", di.F_mixed, di.B_low),
+        np.einsum("...ij,...k->...ijk", di.F_mixed, di.B_low),
+        np.einsum("...ij,...k->...ijk", di.B_mixed, di.b0),
+        np.einsum("...ik,...j->...ijk", di.B_mixed, di.b0),
+        -np.einsum("...i,...jk->...ijk", matvec(g_inv, di.b0), di.B_mat),
+        -CA,
+        -np.swapaxes(CA, -1, -2),
+        np.einsum("...jkm,...im->...ijk", C, g_inv @ np.swapaxes(di.A, -1, -2)),
+        CL,
+        np.swapaxes(CL, -1, -2),
+        -np.einsum("...im,...mjk->...ijk", matvec(C_mixed, di.lam[..., None, :]), C_mixed),
     ]
-    forward = terms[0].copy()
-    for t in terms[1:]:
-        forward = forward + t
-    backward = terms[-1].copy()
-    for t in terms[-2::-1]:
-        backward = backward + t
-    scale = 1.0 + np.abs(forward).max()
-    if np.abs(forward - backward).max() > 1e-12 * scale:
+    forward = sum(terms[1:], terms[0])
+    backward = sum(terms[-2::-1], terms[-1])
+    index_axes = (-3, -2, -1)
+    scale = 1.0 + np.abs(forward).max(index_axes)
+    if any_lane(np.abs(forward - backward).max(index_axes) > 1e-12 * scale):
         raise ArithmeticError("difference-tensor summation is numerically unstable")
     return forward
-

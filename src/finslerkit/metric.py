@@ -29,7 +29,7 @@ from operator import mul
 import numpy as np
 
 from . import expr as ex
-from .numerics import any_lane, pd_check
+from .numerics import any_lane, dot, matvec, pd_check
 
 FAMILIES = (
     "generalized-square",
@@ -277,16 +277,17 @@ def stack_points(points) -> BasePoint:
 
 def flag_point(spec: SpaceSpec, x, y) -> FlagPoint:
     """The flag (x, y): alpha, beta and the lowered direction at the base
-    point x, which may be a BasePoint."""
+    point x, which may be a BasePoint.  For N directions y (N, d), at one or
+    at N stacked base points, y_low, alpha and beta carry the lane axis N."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (spec.dim,):
+    if y.shape[-1:] != (spec.dim,) or y.ndim > 2:
         raise ValueError(f"y must have dimension {spec.dim}")
-    if not np.any(y):
+    if any_lane(~y.any(axis=-1)):
         raise ValueError("direction y must be nonzero")
     p = base_point(spec, x)
-    y_low = p.a @ y
+    y_low = matvec(p.a, y)
     return FlagPoint(x=p.x, a=p.a, b=p.b, a_inv=p.a_inv, b_up=p.b_up, b2=p.b2, y=y,
-                     y_low=y_low, alpha=math.sqrt(float(y @ y_low)), beta=float(p.b @ y))
+                     y_low=y_low, alpha=np.sqrt(dot(y, y_low)), beta=dot(p.b, y))
 
 
 @dataclass
@@ -325,7 +326,8 @@ def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
     from . import tensors  # local import: tensors builds on this module
 
     try:
-        mc = tensors.metric_coefficients(pp, spec.family, spec.k, flag.alpha, flag.beta)
+        ac = tensors.angular_coefficients(pp, flag.alpha)
+        mc = tensors.metric_coefficients(pp, ac, spec.family, spec.k, flag.alpha, flag.beta)
         g = tensors.fundamental_tensor(mc, flag.a, flag.b, flag.y_low)
         check = pd_check(g)
         if check.ok:

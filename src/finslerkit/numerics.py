@@ -31,6 +31,30 @@ def any_lane(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
+def first_lane(mask, value):
+    """``value`` in the first lane where a guard's condition holds (its message)."""
+    return np.broadcast_to(value, mask.shape)[mask][0] if isinstance(mask, np.ndarray) else value
+
+
+def lanewise(c, axes: int = 1):
+    """A per-lane scalar with ``axes`` unit axes appended, to scale each lane's tensor."""
+    return c[(...,) + (None,) * axes] if isinstance(c, (np.ndarray, Jet2)) else c
+
+
+# Contractions over the last axes, lanes in front; per lane matvec and dot give the bits of @
+
+def outer(u, v):
+    return u[..., :, None] * v[..., None, :]
+
+
+def matvec(m, v):
+    return (m @ v[..., None])[..., 0]
+
+
+def dot(u, v):
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0][()]  # [()]: one lane -> scalar
+
+
 class Jet2:
     """Hyper-dual scalar v + a*e1 + b*e2 + c*e1*e2 with e1^2 = e2^2 = 0.
 

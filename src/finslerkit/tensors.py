@@ -2,8 +2,11 @@
 
 Everything here is assembled twice over: once from the closed-form
 coefficient expressions, and once via the differentiation oracles in
-`numerics`.  The `audit_*` entry points compare the two routes and report
-per-check maximum elementwise errors.
+`numerics`.  Both run over lanes: `bundle_at` takes N directions, at one
+base point or at N stacked ones, as one pass with the lane axis in front of
+every coefficient and tensor, and its singular-zeta guard raises the
+per-flag error when any lane fails.  The `audit_*` entry points compare the
+two routes and report per-check maximum elementwise errors.
 
 The q2 coefficient is always computed from its defining expression
 F*(F_aa - F_a/alpha)/alpha^2.  The widely quoted expanded bracket
@@ -32,7 +35,7 @@ from .metric import (
     sample_flags,
     stack_points,
 )
-from .numerics import Jet2, fd_hessian, jet_eval
+from .numerics import Jet2, any_lane, fd_hessian, first_lane, jet_eval, lanewise, outer
 
 
 class SingularCoefficientError(ArithmeticError):
@@ -99,9 +102,11 @@ def dp0_dbeta(family: str, k: int, alpha, beta):
     return 12 * alpha ** 4 / (alpha - beta) ** 5
 
 
-def metric_coefficients(pp: PhiPartials, family: str, k: int, alpha, beta) -> MetricCoefficients:
-    """Composition identities p0 = q0 + F_b^2, p1 = q1 + p F_b/F, p2 = q2 + p^2/F^2."""
-    ac = angular_coefficients(pp, alpha)
+def metric_coefficients(
+    pp: PhiPartials, ac: AngularCoefficients, family: str, k: int, alpha, beta
+) -> MetricCoefficients:
+    """Composition identities p0 = q0 + F_b^2, p1 = q1 + p F_b/F, p2 = q2 + p^2/F^2,
+    from the angular coefficients ``ac`` of the same flag."""
     return MetricCoefficients(
         p=ac.p,
         p0=ac.q0 + pp.Fb * pp.Fb,
@@ -115,8 +120,9 @@ def reciprocal_coefficients(mc: MetricCoefficients, alpha, beta, b2) -> Reciproc
     p, p0, p1, p2 = mc.p, mc.p0, mc.p1, mc.p2
     disc = p0 * p2 - p1 * p1
     zeta = p * (p + p0 * b2 + p1 * beta) + disc * (alpha * alpha * b2 - beta * beta)
-    if abs(zeta) < 1e-12:
-        raise SingularCoefficientError(f"zeta = {zeta} is numerically singular")
+    bad = abs(zeta) < 1e-12
+    if any_lane(bad):
+        raise SingularCoefficientError(f"zeta = {first_lane(bad, zeta)} is numerically singular")
     # The minus sign on disc*beta in S1 is forced by the inverse identity
     # g g^-1 = I (block/Woodbury inversion); the often-quoted plus sign only
     # agrees at beta = 0.  S0, S2 and zeta are unaffected because
@@ -129,21 +135,17 @@ def reciprocal_coefficients(mc: MetricCoefficients, alpha, beta, b2) -> Reciproc
     )
 
 
-# -- assembly
-
-def _outer(u, v):
-    return u[..., :, None] * v[..., None, :]
-
+# -- assembly: per-lane coefficients scale tensors whose lanes lead
 
 def _four_term(a, b, y_low, c, c0, c1, c2) -> np.ndarray:
     """c a_ij + c0 b_i b_j + c1 (b_i y_j + b_j y_i) + c2 y_i y_j over the last
-    axes.  Scalar-generic: the coefficients and y_low may be lane-valued
-    duals, whose lanes broadcast in front of the two index axes."""
+    axes.  Scalar-generic: the coefficients (lane shape) and y_low may be
+    lane-valued floats or duals; the lanes broadcast in front of i, j."""
     return (
-        a * c
-        + _outer(b, b) * c0
-        + (_outer(b, y_low) + _outer(y_low, b)) * c1
-        + _outer(y_low, y_low) * c2
+        a * lanewise(c, 2)
+        + outer(b, b) * lanewise(c0, 2)
+        + (outer(b, y_low) + outer(y_low, b)) * lanewise(c1, 2)
+        + outer(y_low, y_low) * lanewise(c2, 2)
     )
 
 
@@ -157,21 +159,11 @@ def fundamental_tensor(mc: MetricCoefficients, a, b, y_low) -> np.ndarray:
 
 def reciprocal_tensor(rc: ReciprocalCoefficients, p, a_inv, b_up, y) -> np.ndarray:
     return (
-        a_inv / p
-        - rc.S0 * np.outer(b_up, b_up)
-        - rc.S1 * (np.outer(b_up, y) + np.outer(y, b_up))
-        - rc.S2 * np.outer(y, y)
+        a_inv / lanewise(p, 2)
+        - lanewise(rc.S0, 2) * outer(b_up, b_up)
+        - lanewise(rc.S1, 2) * (outer(b_up, y) + outer(y, b_up))
+        - lanewise(rc.S2, 2) * outer(y, y)
     )
-
-
-def support_covector(pp: PhiPartials, alpha, b, y_low) -> np.ndarray:
-    """Normalized support element l_i = F_a y_i/alpha + F_b b_i."""
-    return pp.Fa * y_low / alpha + pp.Fb * b
-
-
-def orthogonal_covector(flag: FlagPoint) -> np.ndarray:
-    """m_i = b_i - y_i beta/alpha^2; annihilates y by construction."""
-    return flag.b - flag.y_low * (flag.beta / flag.alpha ** 2)
 
 
 def gamma_one(mc: MetricCoefficients, ac: AngularCoefficients) -> float:
@@ -182,16 +174,18 @@ def gamma_one(mc: MetricCoefficients, ac: AngularCoefficients) -> float:
 def hv_torsion(mc: MetricCoefficients, h, gamma1: float, m) -> np.ndarray:
     """C_ijk = [p1 (h_ij m_k + h_jk m_i + h_ki m_j) + gamma1 m_i m_j m_k] / (2p)."""
     sym = (
-        np.einsum("ij,k->ijk", h, m)
-        + np.einsum("jk,i->ijk", h, m)
-        + np.einsum("ki,j->ijk", h, m)
+        np.einsum("...ij,...k->...ijk", h, m)
+        + np.einsum("...jk,...i->...ijk", h, m)
+        + np.einsum("...ki,...j->...ijk", h, m)
     )
-    return (mc.p1 * sym + gamma1 * np.einsum("i,j,k->ijk", m, m, m)) / (2.0 * mc.p)
+    mmm = np.einsum("...i,...j,...k->...ijk", m, m, m)
+    return (lanewise(mc.p1, 3) * sym + lanewise(gamma1, 3) * mmm) / lanewise(2.0 * mc.p, 3)
 
 
 @dataclass
 class TensorBundle:
-    """All pointwise tensors at one flag, with their coefficient records.
+    """All pointwise tensors at one flag, or at N flags with the lane axis N
+    in front of every coefficient and tensor, with their coefficient records.
     F is phi.F; a^ij, b^i and b^2 are read from flag."""
 
     flag: FlagPoint
@@ -199,34 +193,33 @@ class TensorBundle:
     angular: AngularCoefficients
     metric: MetricCoefficients
     reciprocal: ReciprocalCoefficients
-    l: np.ndarray        # support covector l_i
+    l: np.ndarray        # support covector l_i = F_a y_i/alpha + F_b b_i
     g: np.ndarray        # fundamental tensor g_ij
     g_inv: np.ndarray    # reciprocal tensor g^ij
     h: np.ndarray        # angular tensor h_ij
     C: np.ndarray        # hv-torsion C_ijk
     gamma1: float
-    m: np.ndarray        # covector orthogonal to the support element
+    m: np.ndarray        # m_i = b_i - y_i beta/alpha^2, orthogonal to the support element
 
 
 def bundle_at(spec: SpaceSpec, x, y) -> TensorBundle:
     """Materialize every pointwise tensor at the flag (x, y) from closed
-    forms; x may be a BasePoint."""
+    forms; x may be a BasePoint.  For N directions y (N, d), at one base
+    point or at a stacked one, this is one pass over N lanes."""
     flag = flag_point(spec, x, y)
     pp = phi_partials(spec.family, spec.k, flag.alpha, flag.beta)
     ac = angular_coefficients(pp, flag.alpha)
-    mc = metric_coefficients(pp, spec.family, spec.k, flag.alpha, flag.beta)
+    mc = metric_coefficients(pp, ac, spec.family, spec.k, flag.alpha, flag.beta)
     rc = reciprocal_coefficients(mc, flag.alpha, flag.beta, flag.b2)
     g = fundamental_tensor(mc, flag.a, flag.b, flag.y_low)
     g_inv = reciprocal_tensor(rc, mc.p, flag.a_inv, flag.b_up, flag.y)
     h = angular_tensor(ac, flag.a, flag.b, flag.y_low)
-    l = support_covector(pp, flag.alpha, flag.b, flag.y_low)
-    m = orthogonal_covector(flag)
+    l = lanewise(pp.Fa) * flag.y_low / lanewise(flag.alpha) + lanewise(pp.Fb) * flag.b
+    m = flag.b - flag.y_low * lanewise(flag.beta / flag.alpha ** 2)
     gamma1 = gamma_one(mc, ac)
     c = hv_torsion(mc, h, gamma1, m)
-    return TensorBundle(
-        flag=flag, phi=pp, angular=ac, metric=mc, reciprocal=rc,
-        l=l, g=g, g_inv=g_inv, h=h, C=c, gamma1=gamma1, m=m,
-    )
+    return TensorBundle(flag=flag, phi=pp, angular=ac, metric=mc, reciprocal=rc,
+                        l=l, g=g, g_inv=g_inv, h=h, C=c, gamma1=gamma1, m=m)
 
 
 # -- oracle plumbing: the closed forms evaluated on generic scalars
@@ -260,19 +253,19 @@ def torsion_oracle(spec: SpaceSpec, x, y) -> np.ndarray:
     closed-form `fundamental_tensor` in the direction argument; x may be a
     BasePoint, or a stacked one with y the (N, d) directions of its points.
 
-    One pass over lanes (d, N, 1, 1): lane k seeds e_k, and the trailing
-    axes let every scalar broadcast over g's two index axes.
+    One pass over lanes (d, N): lane k seeds e_k.
     """
     point = base_point(spec, x)
-    a, b = (v[..., None, None] for v in _lanes_of(point))
+    a, b = _lanes_of(point)
     y = np.asarray(y, dtype=float)
-    lanes = (spec.dim,) + y.shape[:-1] + (1, 1)
-    seed = np.eye(spec.dim).reshape((spec.dim, spec.dim) + (1,) * (y.ndim + 1))
-    ys = [Jet2(np.broadcast_to(y[..., m, None, None], lanes), seed[m]) for m in range(spec.dim)]
+    lanes = (spec.dim,) + y.shape[:-1]
+    seed = np.eye(spec.dim).reshape((spec.dim, spec.dim) + (1,) * (y.ndim - 1))
+    ys = [Jet2(np.broadcast_to(y[..., m], lanes), seed[m]) for m in range(spec.dim)]
     alpha, beta, y_low = alpha_beta_generic(a, b, ys)
     pp = phi_partials(spec.family, spec.k, alpha, beta)
-    mc = metric_coefficients(pp, spec.family, spec.k, alpha, beta)
-    g = fundamental_tensor(mc, point.a, point.b, Jet2.stack(y_low)[..., 0, 0, :])
+    mc = metric_coefficients(pp, angular_coefficients(pp, alpha), spec.family, spec.k,
+                             alpha, beta)
+    g = fundamental_tensor(mc, point.a, point.b, Jet2.stack(y_low))
     return np.moveaxis(0.5 * g.d1, 0, -1)
 
 
@@ -323,11 +316,12 @@ AUDIT_TOLERANCES = {
 }
 
 
-def rel_error(a: np.ndarray, ref: np.ndarray) -> float:
-    """Max elementwise deviation scaled by the reference magnitude."""
+def rel_error(a: np.ndarray, ref: np.ndarray, axis=None):
+    """Max elementwise deviation scaled by the reference magnitude; with an
+    ``axis``, over that axis only (one value per remaining index)."""
     a = np.asarray(a, dtype=float)
     ref = np.asarray(ref, dtype=float)
-    return float(np.abs(a - ref).max() / (1.0 + np.abs(ref).max()))
+    return np.abs(a - ref).max(axis) / (1.0 + np.abs(ref).max(axis))
 
 
 # central-difference step of the finite-difference Hessian oracle
@@ -337,8 +331,8 @@ FD_STEP = 1e-4
 def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
     """Audit the closed forms at the flag (x, y) against both oracles; x may
     be a BasePoint.  For a batch, x is a sequence of base points and y their
-    (N, d) directions: each oracle runs once over all N flags, and each
-    check reports its worst flag (the first one, on ties).
+    (N, d) directions: the bundle and each oracle run once over all N flags,
+    and each check reports its largest error over them.
 
     Checks: g vs half-F^2 Hessian (dual and finite-difference routes),
     h vs g - l (x) l, g_inv vs direct inversion, C vs half dg/dy, and the
@@ -347,36 +341,33 @@ def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
     ys = np.asarray(y, dtype=float)
     points = [x] if ys.ndim == 1 else x
     ys = ys.reshape(len(points), -1)
-    bundles = [bundle_at(spec, p, v) for p, v in zip(points, ys)]
-    batch = stack_points([bundle.flag for bundle in bundles])
+    batch = stack_points([base_point(spec, p) for p in points])
+    bundle = bundle_at(spec, batch, ys)
     f = half_f_squared(spec, batch)
-    oracles = zip(jet_eval(f, ys).hessian, fd_hessian(f, ys, step=FD_STEP),
-                  torsion_oracle(spec, batch, ys))
-    worst: dict[str, AuditRow] = {}
-    for bundle, (jet, fd, torsion) in zip(bundles, oracles):
-        rows = [
-            _row("fundamental-vs-jet-oracle", rel_error(bundle.g, jet)),
-            _row("fundamental-vs-fd-oracle", rel_error(bundle.g, fd)),
-            _row("angular-identity", rel_error(bundle.h, bundle.g - np.outer(bundle.l, bundle.l))),
-            _row("reciprocal-vs-inversion", rel_error(bundle.g_inv, np.linalg.inv(bundle.g))),
-            _row("hv-torsion-vs-jet-oracle", rel_error(bundle.C, torsion)),
-        ]
-        if spec.family == "generalized-square":
-            q2 = bundle.angular.q2
-            q2_printed = q2_expanded_form(spec.k, bundle.flag.alpha, bundle.flag.beta)
-            err = abs(q2 - q2_printed) / (1.0 + abs(q2))
-            rows.append(_row("q2-expanded-form", err, expected_mismatch=True,
-                             note="expanded bracket disagrees with the defining expression "
-                                  "away from beta = 0 (known misprint, informational)"))
-        for row in rows:
-            kept = worst.get(row.check)
-            if kept is None or row.error > kept.error:
-                worst[row.check] = row
-    return list(worst.values())
+
+    def err(t, ref):  # rel_error of each flag
+        return rel_error(t.reshape(len(ys), -1), ref.reshape(len(ys), -1), axis=1)
+
+    rows = [
+        _row("fundamental-vs-jet-oracle", err(bundle.g, jet_eval(f, ys).hessian)),
+        _row("fundamental-vs-fd-oracle", err(bundle.g, fd_hessian(f, ys, step=FD_STEP))),
+        _row("angular-identity", err(bundle.h, bundle.g - outer(bundle.l, bundle.l))),
+        _row("reciprocal-vs-inversion", err(bundle.g_inv, np.linalg.inv(bundle.g))),
+        _row("hv-torsion-vs-jet-oracle", err(bundle.C, torsion_oracle(spec, batch, ys))),
+    ]
+    if spec.family == "generalized-square":
+        q2 = bundle.angular.q2
+        q2_printed = q2_expanded_form(spec.k, bundle.flag.alpha, bundle.flag.beta)
+        rows.append(_row("q2-expanded-form", abs(q2 - q2_printed) / (1.0 + abs(q2)),
+                         expected_mismatch=True,
+                         note="expanded bracket disagrees with the defining expression "
+                              "away from beta = 0 (known misprint, informational)"))
+    return rows
 
 
-def _row(check: str, error: float, **extra) -> AuditRow:
-    tol = AUDIT_TOLERANCES[check]
+def _row(check: str, errors, **extra) -> AuditRow:
+    """The check's row at its worst flag; a NaN in any flag fails it."""
+    tol, error = AUDIT_TOLERANCES[check], float(np.max(errors))
     return AuditRow(check=check, error=error, tol=tol, passed=error <= tol, **extra)
 
 

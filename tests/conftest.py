@@ -9,6 +9,8 @@ Three recurring setups, all on flat 3-space with a gradient 1-form:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from finslerkit import expr as ex
@@ -67,8 +69,16 @@ def one_frame(spec: SpaceSpec, surface: LevelSurface, x0, v):
     from finslerkit.connection import covariant_db
     from finslerkit.hypersurface import frame_at
 
-    (frame,) = frame_at(spec, surface, covariant_db(spec, x0), [v])
-    return frame
+    return frame_at(spec, surface, covariant_db(spec, x0), v)
+
+
+def lane(record, i: int):
+    """Lane i of a lane-valued record whose every array carries the lane axis
+    in front (e.g. a bundle at a stacked base point); plain floats are shared."""
+    if dataclasses.is_dataclass(record):
+        return type(record)(**{f.name: lane(getattr(record, f.name), i)
+                               for f in dataclasses.fields(record)})
+    return record[i] if isinstance(record, np.ndarray) else record
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:

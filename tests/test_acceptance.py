@@ -19,12 +19,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import exp_fixture, make_space, plane_fixture, radial_fixture
+from conftest import exp_fixture, lane, make_space, plane_fixture, radial_fixture
 from finslerkit.classifier import ClassifyOptions, classify, surface_points
 from finslerkit.connection import covariant_db, difference_tensor
 from finslerkit.geodesic import GeodesicParams, minimize, polyline_length
 from finslerkit.hypersurface import chart_at, frame_at, tangential_flag
-from finslerkit.metric import finsler_norm, flag_point, sample_flags
+from finslerkit.metric import finsler_norm, flag_point, sample_flags, stack_points
 from finslerkit.numerics import fd_hessian, jet_eval
 from finslerkit.tensors import (
     AuditParams,
@@ -47,17 +47,18 @@ def _line(num: int, ok: bool, desc: str, detail: str = "") -> None:
 def oracle_sweep():
     """Per k: 1000 seeded in-domain flags (500 on each of two spaces, one with
     constant and one with position-dependent 1-form), with the closed-form
-    bundle and both oracle Hessians at each flag."""
+    bundle and both oracle Hessians at each flag.  Each space's 500 flags
+    go through the bundle and each oracle as one batch."""
     data = {}
     for k in KS:
         rows = []
         for spec, seed in ((plane_fixture(k)[0], 100 + k), (exp_fixture(k)[0], 200 + k)):
-            for flag in sample_flags(spec, 500, seed=seed):
-                bundle = bundle_at(spec, flag.x, flag.y)
-                f = half_f_squared(spec, flag.x)
-                jet = jet_eval(f, flag.y)
-                fd = fd_hessian(f, flag.y, step=1e-4)
-                rows.append((spec, flag, bundle, jet.hessian, fd))
+            flags = sample_flags(spec, 500, seed=seed)
+            batch, ys = stack_points(flags), np.array([flag.y for flag in flags])
+            bundle = bundle_at(spec, batch, ys)
+            f = half_f_squared(spec, batch)
+            jet, fd = jet_eval(f, ys).hessian, fd_hessian(f, ys, step=1e-4)
+            rows += [(spec, flag, lane(bundle, i), jet[i], fd[i]) for i, flag in enumerate(flags)]
         data[k] = rows
     return data
 
@@ -77,7 +78,7 @@ def tangential_frames():
                 v = rng.normal(size=spec.dim - 1)
                 if np.linalg.norm(v) < 1e-9:
                     continue
-                (frame,) = frame_at(spec, surface, covariant_db(spec, x0), [v])
+                frame = frame_at(spec, surface, covariant_db(spec, x0), v)
                 rows.append((spec, frame))
             cache[(name, k)] = rows
     return cache

@@ -143,7 +143,8 @@ def test_first_kind_factor_where_c_is_orthogonal_to_b(k):
     _, c_samples = first_kind_test(conns, 1e-8)
     printed_dev = 0.0
     for conn, c in zip(conns, c_samples):
-        for frame in frame_at(spec, surface, conn, [[1.0, 0.3], [-0.4, 1.0]]):
+        for v in ([1.0, 0.3], [-0.4, 1.0]):
+            frame = frame_at(spec, surface, conn, v)
             fl = frame.bundle.flag
             printed = float(c @ fl.y) * np.sqrt(fl.b2) / np.sqrt(1 + k * (k + 1))
             printed_dev = max(printed_dev, float(np.abs(frame.H_ab - printed * frame.h_ind).max()))
@@ -253,3 +254,23 @@ def test_classify_evaluates_each_surface_point_once(monkeypatch):
     # by the frames of all FAST.directions directions
     assert len(a_calls) == FAST.points
     assert sum(map(len, conns)) == FAST.points
+
+
+@pytest.mark.parametrize("fixture", [exp_fixture, radial_fixture])
+def test_per_point_results_match_direction_by_direction_frames(fixture):
+    # the reference redraws classify's directions and builds one frame per
+    # direction: each point's witness is the min over them of max |M_ab|
+    spec, surface = fixture(2)
+    report = classify(surface, spec, FAST)
+    rng = np.random.default_rng(FAST.seed + 1)
+    conns = [covariant_db(spec, x) for x in report.points]
+    for n, conn in enumerate(conns):
+        frames = [frame_at(spec, surface, conn, v / np.linalg.norm(v))
+                  for v in rng.normal(size=(FAST.directions, spec.dim - 1))]
+        witness = min(float(np.abs(f.M_ab).max()) for f in frames)
+        assert report.third_kind.per_point[n] == pytest.approx(witness, rel=1e-12)
+    first, _ = first_kind_test(conns, FAST.tol)
+    second, _ = second_kind_test(conns, FAST.tol)
+    assert report.first_kind.per_point == first.per_point and len(first.per_point) == 8
+    assert report.second_kind.per_point == second.per_point
+    assert report.third_kind.witness == min(report.third_kind.per_point)

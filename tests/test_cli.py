@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslerkit import cli
-from finslerkit.classifier import ClassifierConsistencyError
+from finslerkit.classifier import ClassifierConsistencyError, classify
 from finslerkit.cli import build_parser, cmd_classify, main
 from finslerkit.config import ConfigError, load_config
 from finslerkit.expr import DomainError, ExprSyntaxError
@@ -356,3 +356,23 @@ def test_config_surface_defaults_to_space_potential(tmp_path):
     loaded = load_config(_write(tmp_path, cfg))
     assert loaded.surface is not None
     assert loaded.surface.value([0.0, 0.0, 2.0]) == pytest.approx(0.2)
+
+
+def test_classify_rows_carry_each_points_residuals(tmp_path, capsys):
+    # configs/e4.cfg: each point's row carries that point's residual; the
+    # third-kind witness (min over its directions of max |M_ab|) varies by point
+    path = Path(__file__).resolve().parents[1] / "configs" / "e4.cfg"
+    out_file = tmp_path / "rows.csv"
+    assert main(["classify", "--config", str(path), "--out", str(out_file)]) == 1
+    capsys.readouterr()
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[2:]]
+    by_test = {test: [float(r[2]) for r in rows if r[1] == test]
+               for test in ("first-kind", "second-kind", "third-kind")}
+    cfg = load_config(path)
+    report = classify(cfg.surface, cfg.space, cfg.classify_options)
+    assert len(by_test["third-kind"]) == len(report.points) == 25
+    assert len(set(by_test["third-kind"])) > 1
+    assert min(by_test["third-kind"]) == report.third_kind.witness
+    assert by_test["third-kind"] == report.third_kind.per_point
+    assert max(by_test["first-kind"]) == report.first_kind.residual
+    assert max(by_test["second-kind"]) == report.second_kind.residual

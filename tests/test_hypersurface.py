@@ -258,16 +258,18 @@ def test_frame_identities_sweep():
     pts = tangential_points_and_dirs(surface, spec, 100, seed=91)
     for x0, _ in pts:
         # ten directions share the point's chart and connection
-        for frame in frame_at(spec, surface, covariant_db(spec, x0), rng.normal(size=(10, 2))):
-            B, Bd = frame.chart.B, frame.B_dual
+        frame = frame_at(spec, surface, covariant_db(spec, x0), rng.normal(size=(10, 2)))
+        B = frame.chart.B
+        for Bd, n_up, n_dn, g, h in zip(frame.B_dual, frame.N_up, frame.N_dn,
+                                        frame.bundle.g, frame.bundle.h):
             assert np.abs(Bd @ B - np.eye(2)).max() < 1e-10
-            assert np.abs(B @ Bd + np.outer(frame.N_up, frame.N_dn) - np.eye(3)).max() < 1e-10
-            assert np.abs(Bd @ frame.N_up).max() < 1e-10
-            assert np.abs(frame.N_dn @ B).max() < 1e-10
-            assert float(frame.N_up @ frame.bundle.g @ frame.N_up) == pytest.approx(1.0, abs=1e-10)
+            assert np.abs(B @ Bd + np.outer(n_up, n_dn) - np.eye(3)).max() < 1e-10
+            assert np.abs(Bd @ n_up).max() < 1e-10
+            assert np.abs(n_dn @ B).max() < 1e-10
+            assert float(n_up @ g @ n_up) == pytest.approx(1.0, abs=1e-10)
             # angular tensor is unit on the normal and null on tangents
-            assert float(frame.N_up @ frame.bundle.h @ frame.N_up) == pytest.approx(1.0, abs=1e-10)
-            assert np.abs(B.T @ frame.bundle.h @ frame.N_up).max() < 1e-10
+            assert float(n_up @ h @ n_up) == pytest.approx(1.0, abs=1e-10)
+            assert np.abs(B.T @ h @ n_up).max() < 1e-10
 
 
 def test_ambient_torsion_decomposes_into_tangential_and_normal_parts():

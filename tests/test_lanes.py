@@ -1,14 +1,21 @@
 """Lane-valued evaluation: a batch of points gives, point by point, what the
 same points give as batches of one, and a lane outside the domain raises the
-typed error of the per-point call."""
+typed error of the per-point call.  This holds for the derivative oracles and
+for the float kernels: bundles, difference tensors and hypersurface frames."""
+
+import dataclasses
+import types
 
 import numpy as np
 import pytest
 
-from conftest import count_calls, make_space
+from conftest import count_calls, exp_fixture, lane, make_space, plane_fixture, radial_fixture
 from finslerkit import expr as ex
 from finslerkit import geodesic, tensors
+from finslerkit.classifier import surface_points
+from finslerkit.connection import covariant_db, difference_tensor
 from finslerkit.geodesic import _length_derivatives, _segment_length
+from finslerkit.hypersurface import LevelSurface, frame_at, unit_normal
 from finslerkit.metric import (
     FAMILIES,
     FamilyDomainError,
@@ -17,25 +24,30 @@ from finslerkit.metric import (
     phi_partials,
     sample_flags,
     stack_points,
+    validity_check,
 )
 from finslerkit.numerics import Jet2, fd_hessian, jet_eval
 from finslerkit.tensors import (
     AuditParams,
+    SingularCoefficientError,
     audit_flag,
     audit_sweep,
+    bundle_at,
     half_f_squared,
+    rel_error,
     torsion_oracle,
 )
 
 
-def _varying_space(family: str, k: int, d: int):
-    """Position-dependent, tridiagonal and diagonally dominant a; curved b."""
+def _varying_space(family: str, k: int, d: int, b: list[str] | None = None):
+    """Position-dependent, tridiagonal and diagonally dominant a; curved b,
+    a gradient unless ``b`` is given."""
     a = [["0"] * d for _ in range(d)]
     for i in range(d):
         a[i][i] = f"1 + 0.2*x{i + 1}^2"
         if i + 1 < d:
             a[i][i + 1] = a[i + 1][i] = f"0.1*x{d - i}"
-    return make_space(family=family, k=k, dim=d, a=a,
+    return make_space(family=family, k=k, dim=d, a=a, b=b,
                       potential=f"0.3*x1 + 0.1*x2*x{d} + 0.05*x{d}^2")
 
 
@@ -249,3 +261,164 @@ def test_jet_guards_raise_when_any_lane_fails(call, edge):
     with pytest.raises(type(one.value)) as lanes:
         call(Jet2(_lanes(edge, [0.5, 2.0]), 1.0, 1.0))
     assert str(lanes.value) == str(one.value)
+
+
+# -- float kernels: one pass over a point's directions, or over stacked points
+
+
+def _fields(record, path: str = "") -> dict:
+    """Every leaf of a bundle or frame record, by dotted field path."""
+    if dataclasses.is_dataclass(record):
+        out = {}
+        for f in dataclasses.fields(record):
+            out.update(_fields(getattr(record, f.name), f"{path}{f.name}."))
+        return out
+    return {path[:-1]: record}
+
+
+def _scale(name: str, single) -> float:
+    """The magnitude a field's roundoff is relative to: gamma1 = p dp0/dbeta
+    - 3 p1 q0 cancels to 0 for Kropina k = 1, so its terms set the scale."""
+    if name.endswith("gamma1"):
+        bundle = single.bundle if hasattr(single, "bundle") else single
+        mc, ac = bundle.metric, bundle.angular
+        return 1.0 + abs(mc.p * mc.dp0_dbeta) + abs(3.0 * mc.p1 * ac.q0)
+    return 1.0
+
+
+def _assert_lanes_match(batched, singles, tol: float) -> None:
+    """Lane n of ``batched`` equals ``singles[n]`` field by field, to ``tol``
+    relative (`rel_error`); fields without a lane axis are shared by all."""
+    got = _fields(batched)
+    for n, single in enumerate(singles):
+        for name, ref in _fields(single).items():
+            value, ref = np.asarray(got[name], dtype=float), np.asarray(ref, dtype=float)
+            lane = value[n] if value.ndim > ref.ndim else value
+            assert lane.shape == ref.shape, name
+            err = rel_error(lane, ref) / _scale(name, single)
+            assert err <= tol, (name, n, err)
+
+
+def _directions_at(spec, point, n: int, seed: int) -> np.ndarray:
+    """n seeded unit directions that pass every validity flag at the point."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        y = rng.normal(size=spec.dim)
+        y /= np.linalg.norm(y)
+        if validity_check(spec, point, y).ok:
+            out.append(y)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bundle_lanes_match_batches_of_one(family, k, d):
+    spec = _varying_space(family, k, d)
+    flags, ys = _flags(spec, 5, seed=20 * k + d)
+    stacked = stack_points(flags)  # N base points, one direction each
+    batched = bundle_at(spec, stacked, ys)
+    _assert_lanes_match(batched, [bundle_at(spec, f, y) for f, y in zip(flags, ys)], 1e-13)
+    # a batch of one runs the lanes' numpy code: the same bits
+    _assert_lanes_match(batched, [lane(bundle_at(spec, stack_points([f]), y[None]), 0)
+                                  for f, y in zip(flags, ys)], 0.0)
+    # one base point, N directions; b = 0.2 + 0.3 (x2, ..., xd, -x1) is no
+    # gradient, so the antisymmetric part F_ij of its covariant derivative enters D
+    curl = [f"0.2 + 0.3*x{i + 1}" for i in range(1, d)] + ["0.2 - 0.3*x1"]
+    spec = _varying_space(family, k, d, b=curl)
+    conn = covariant_db(spec, flags[0].x)
+    assert np.abs(conn.Fij).max() > 0.1
+    ys = _directions_at(spec, conn.point, 5, seed=k + d)
+    bundle = bundle_at(spec, conn.point, ys)
+    singles = [bundle_at(spec, conn.point, y) for y in ys]
+    _assert_lanes_match(bundle, singles, 1e-13)
+    if "kropina" in family:
+        return  # D cancels terms of order gamma1 (up to 1e26 here): 1-ulp inputs show at 1e-10
+    d_tensor = difference_tensor(bundle, conn)
+    for n, single in enumerate(singles):
+        assert rel_error(d_tensor[n], difference_tensor(single, conn)) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("fixture", [exp_fixture, radial_fixture])
+def test_frame_lanes_match_single_direction_frames(fixture, k):
+    spec, surface = fixture(k)
+    for x0 in surface_points(surface, spec, 3, seed=40 + k):
+        conn = covariant_db(spec, x0)
+        vs = np.random.default_rng(k).normal(size=(5, spec.dim - 1))
+        frame = frame_at(spec, surface, conn, vs)
+        assert frame.H_ab.shape == (5, 2, 2) and frame.chart.B.shape == (3, 2)
+        _assert_lanes_match(frame, [frame_at(spec, surface, conn, v) for v in vs], 1e-12)
+
+
+def test_bundle_at_computes_the_angular_coefficients_once(monkeypatch):
+    spec = _varying_space("generalized-square", 2, 3)
+    flags, ys = _flags(spec, 4, seed=1)
+    calls = count_calls(monkeypatch, tensors, "angular_coefficients")
+    bundle_at(spec, flags[0], ys[0])
+    assert len(calls) == 1
+    bundle_at(spec, stack_points(flags), ys)
+    assert len(calls) == 2
+
+
+def test_singular_zeta_lane_raises_the_per_flag_error():
+    # |b| = 2 and alpha + beta = 1e-3 at the bad direction: zeta underflows
+    c = (1.0 - 1e-3) / 2.0
+    bad = [np.sqrt(1.0 - c * c), 0.0, -c]
+    good = [[1.0, 0.0, 0.0], [0.3, 1.0, 0.2]]
+    for k in (1, 2, 3):
+        spec = make_space(k=k, b=["0", "0", "2"])
+        point = base_point(spec, [0.1, 0.2, 0.3])
+        expected = _message(lambda: bundle_at(spec, point, bad))
+        assert expected[0] is SingularCoefficientError
+        assert _message(lambda: bundle_at(spec, point, good + [bad] + good)) == expected
+        assert _message(lambda: bundle_at(spec, stack_points([point] * 3), good + [bad])) \
+            == expected
+        bundle_at(spec, point, good)  # the good lanes alone pass
+
+
+def _foreign_surface():
+    # b = grad(0.1 x3) but the surface is x1 + x3 = 0: the chart's first
+    # column (0, 1, 0) is tangential, its second (-1, 0, 1) has beta = 0.1
+    spec, _ = plane_fixture(1)
+    surface = LevelSurface(ex.parse("x1 + x3"), 0.0)
+    return spec, surface, covariant_db(spec, [0.2, 0.1, -0.2])
+
+
+def test_non_tangential_lane_raises_the_per_flag_error():
+    spec, surface, conn = _foreign_surface()
+    with pytest.raises(ValueError, match="not tangential") as one:
+        frame_at(spec, surface, conn, [0.0, 1.0])
+    with pytest.raises(ValueError, match="not tangential") as lanes:
+        frame_at(spec, surface, conn, [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    assert str(lanes.value) == str(one.value)
+    frame_at(spec, surface, conn, [[1.0, 0.0], [2.0, 0.0]])  # the good lanes alone pass
+
+
+def test_tangency_bound_is_per_flag():
+    # beta = 1e-7 at |y| = 1e-6 exceeds that flag's bound 1e-10 (1 + 0.1 * 1e-6);
+    # a bound taken from the |y| = 1e6 lane (about 1e-5) would let it through
+    spec, surface, conn = _foreign_surface()
+    with pytest.raises(ValueError, match="beta = 1.000e-07") as one:
+        frame_at(spec, surface, conn, [0.0, 1e-6])
+    with pytest.raises(ValueError) as lanes:
+        frame_at(spec, surface, conn, [[1e6, 0.0], [0.0, 1e-6]])
+    assert str(lanes.value) == str(one.value)
+    frame_at(spec, surface, conn, [[1e6, 0.0], [1e-6, 0.0]])
+
+
+def test_degenerate_normal_lane_raises_the_per_flag_error():
+    # unit_normal reads only the bundle's g: an indefinite g in one lane
+    spec, surface = exp_fixture(1)
+    conn = covariant_db(spec, [0.1, 0.2, 0.0])
+    good = frame_at(spec, surface, conn, [[1.0, 0.0], [0.3, 1.0]])
+    chart, g = good.chart, good.bundle.g
+    bad = types.SimpleNamespace(g=np.stack([g[0], -np.eye(3), g[1]]))
+    with pytest.raises(ArithmeticError, match="cannot normalize") as one:
+        unit_normal(chart, types.SimpleNamespace(g=-np.eye(3)))
+    with pytest.raises(ArithmeticError) as lanes:
+        unit_normal(chart, bad)
+    assert str(lanes.value) == str(one.value)
+    n_up, _ = unit_normal(chart, good.bundle)
+    assert np.array_equal(n_up, good.N_up)

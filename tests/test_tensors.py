@@ -32,7 +32,7 @@ E1_MATRIX = np.array([[1.0, 0.0, 0.2], [0.0, 1.0, 0.0], [0.2, 0.0, 1.06]])
 def _coeffs(k, alpha, beta):
     pp = phi_partials("generalized-square", k, alpha, beta)
     ac = angular_coefficients(pp, alpha)
-    mc = metric_coefficients(pp, "generalized-square", k, alpha, beta)
+    mc = metric_coefficients(pp, ac, "generalized-square", k, alpha, beta)
     return pp, ac, mc
 
 
@@ -271,7 +271,7 @@ def test_assembly_helpers_match_bundle():
     fl = flag_point(spec, [0.3, 0.0, -0.2], [1.0, 0.5, 0.2])
     pp = phi_partials(spec.family, spec.k, fl.alpha, fl.beta)
     ac = angular_coefficients(pp, fl.alpha)
-    mc = metric_coefficients(pp, spec.family, spec.k, fl.alpha, fl.beta)
+    mc = metric_coefficients(pp, ac, spec.family, spec.k, fl.alpha, fl.beta)
     bundle = bundle_at(spec, fl.x, fl.y)
     assert np.allclose(angular_tensor(ac, fl.a, fl.b, fl.y_low), bundle.h)
     assert np.allclose(fundamental_tensor(mc, fl.a, fl.b, fl.y_low), bundle.g)
