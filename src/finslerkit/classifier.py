@@ -104,22 +104,25 @@ def surface_points(
         tries += 1
         if tries > max(500 * n, 2000):
             raise RuntimeError("surface sampling stalled; is the level reachable?")
-        x = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim)
-        grad = surface.gradient(x)
+        raw = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim)
+        grad = surface.gradient(raw)
         gn = np.linalg.norm(grad)
         if gn < 1e-10:
             continue
         u = grad / gn
+        x = raw.copy()
+        ok = False
         for _ in range(60):
             r = surface.value(x) - surface.level
             if abs(r) <= 1e-13 * (1.0 + abs(surface.level)):
-                if np.linalg.norm(surface.gradient(x)) > 1e-10:
-                    pts.append(x)
+                ok = True
                 break
             slope = float(surface.gradient(x) @ u)
             if abs(slope) < 1e-12:
                 break
             x = x - (r / slope) * u
+        if ok and np.linalg.norm(surface.gradient(x)) > 1e-10:
+            pts.append(x)
     return pts
 
 
@@ -143,7 +146,8 @@ def first_kind_test(
         residuals.append(float(np.abs(rows @ c - rhs).max()))
         scale = max(scale, 1.0 + float(np.abs(conn.b_cov).max()))
         c_samples.append(c)
-    return KindResult(max(residuals, default=0.0) <= tol * scale, residuals), c_samples
+    return KindResult(passed=max(residuals, default=0.0) <= tol * scale,
+                      per_point=residuals), c_samples
 
 
 def second_kind_test(
@@ -155,14 +159,18 @@ def second_kind_test(
     scale = 1.0
     e_samples: list[float] = []
     for conn in conns:
-        p, e, resid = conn.point, 0.0, 0.0
-        if p.b2 >= 1e-14:
-            e = float(p.b_up @ conn.b_cov @ p.b_up) / (p.b2 * p.b2)
-            resid = float(np.abs(conn.b_cov - e * np.outer(p.b, p.b)).max())
-            scale = max(scale, 1.0 + float(np.abs(conn.b_cov).max()))
+        p = conn.point
+        if p.b2 < 1e-14:
+            residuals.append(0.0)
+            e_samples.append(0.0)
+            continue
+        e = float(p.b_up @ conn.b_cov @ p.b_up) / (p.b2 * p.b2)
+        resid = float(np.abs(conn.b_cov - e * np.outer(p.b, p.b)).max())
         residuals.append(resid)
+        scale = max(scale, 1.0 + float(np.abs(conn.b_cov).max()))
         e_samples.append(e)
-    return KindResult(max(residuals, default=0.0) <= tol * scale, residuals), e_samples
+    return KindResult(passed=max(residuals, default=0.0) <= tol * scale,
+                      per_point=residuals), e_samples
 
 
 def third_kind_test(frames: list[HypersurfaceFrame]) -> ThirdKindResult:
@@ -172,10 +180,10 @@ def third_kind_test(frames: list[HypersurfaceFrame]) -> ThirdKindResult:
     if not frames:
         raise ValueError("no frames sampled")
     if max(f.bundle.flag.b2 for f in frames) < 1e-14:
-        return ThirdKindResult("vacuous", [0.0] * len(frames),
+        return ThirdKindResult(verdict="vacuous", per_point=[0.0] * len(frames),
                                note="the 1-form vanishes on the surface")
     per_point = [float(np.abs(f.M_ab).max((-2, -1)).min()) for f in frames]
-    return ThirdKindResult("impossible", per_point)
+    return ThirdKindResult(verdict="impossible", per_point=per_point)
 
 
 def proportionality_check(
@@ -213,7 +221,9 @@ def classify(
     exact, so a mismatch signals an implementation or sampling problem.
     """
     if spec.family != "generalized-square":
-        raise ValueError("classification is specific to the (alpha+beta)^(k+1)/alpha^k family")
+        raise ValueError(
+            "classification is specific to the (alpha+beta)^(k+1)/alpha^k family"
+        )
     pts = surface_points(surface, spec, opts.points, opts.seed)
     conns = [covariant_db(spec, x) for x in pts]  # one base point and connection each
 

@@ -16,7 +16,6 @@ machine output.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -42,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="finslerkit",
         description="Workbench for (alpha,beta)-metric Finsler spaces.",
     )
-    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument("command", choices=("tensors", "audit", "classify", "geodesic"))
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--seed", type=int, default=None,
                         help=f"override the seed ({', '.join(_APPLIES['seed'])})")
@@ -82,10 +81,9 @@ def _with_overrides(options, args):
 
 def _matrix_rows(context: str, quantity: str, m) -> list[list]:
     """One row per entry of a scalar, vector, matrix or 3-tensor; 1-based indices."""
-    m = np.asarray(m, dtype=float)
-    indices = itertools.product(*(range(1, n + 1) for n in m.shape))
-    pad = [""] * (3 - m.ndim)
-    return [[context, quantity, *i, *pad, v] for i, v in zip(indices, m.ravel().tolist())]
+    m = np.asarray(m)
+    return [[context, quantity, *(i + 1 for i in idx), *[""] * (3 - len(idx)), float(m[idx])]
+            for idx in np.ndindex(m.shape)]
 
 
 def cmd_tensors(cfg: RunConfig, args) -> int:
@@ -125,8 +123,10 @@ def cmd_audit(cfg: RunConfig, args) -> int:
     lines = [f"formula audit: {report.flags} in-domain flags, seed={report.seed}"]
     rows = []
     for r in sorted(report.rows, key=lambda r: r.check):
-        verdict = ("PASS" if r.passed else
-                   "FAIL-known-misprint-informational" if r.expected_mismatch else "FAIL")
+        if r.expected_mismatch and not r.passed:
+            verdict = "FAIL-known-misprint-informational"
+        else:
+            verdict = "PASS" if r.passed else "FAIL"
         note = f"  ({r.note})" if r.note else ""
         lines.append(f"  {r.check:28s} max_error={r.error:.3e} tol={r.tol:.1e} {verdict}{note}")
         rows.append([r.check, r.error, r.tol, verdict, r.note])
@@ -155,8 +155,10 @@ def cmd_classify(cfg: RunConfig, args) -> int:
         f"max |H_ab| = {report.geo_H_ab_max:.3e} (agrees with the algebraic route)",
     ]
     if report.proportionality_deviation is not None:
-        lines.append(f"  proportionality of H_ab to h_ab: max deviation "
-                     f"{report.proportionality_deviation:.3e}")
+        lines.append(
+            f"  proportionality of H_ab to h_ab: max deviation "
+            f"{report.proportionality_deviation:.3e}"
+        )
     residuals = zip(report.first_kind.per_point, report.second_kind.per_point,
                     report.third_kind.per_point)  # the third kind's residual is its witness
     rows = [[i + 1, test, residual, verdict] for i, point in enumerate(residuals)
@@ -180,15 +182,15 @@ def cmd_geodesic(cfg: RunConfig, args) -> int:
         "  nodes:",
     ]
     lines.extend(f"    {_vec(node)}" for node in result.nodes)
-    rows = (_matrix_rows("geodesic", "node", result.nodes)
-            + _matrix_rows("geodesic", "trace", result.trace))
+    rows: list[list] = []
+    for i, node in enumerate(result.nodes):
+        for j, val in enumerate(node):
+            rows.append(["geodesic", "node", i + 1, j + 1, "", float(val)])
+    for i, length in enumerate(result.trace):
+        rows.append(["geodesic", "trace", i + 1, "", "", float(length)])
     print("\n".join(lines))
     _write_rows(args, ["context", "quantity", "i", "j", "k", "value"], rows, geo.seed)
     return 0 if result.converged else 1
-
-
-_COMMANDS = {"tensors": cmd_tensors, "audit": cmd_audit, "classify": cmd_classify,
-             "geodesic": cmd_geodesic}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -198,7 +200,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --{flag} does not apply to {args.command}", file=sys.stderr)
             return 2
     try:
-        return _COMMANDS[args.command](load_config(args.config), args)
+        cfg = load_config(args.config)
+        if args.command == "tensors":
+            return cmd_tensors(cfg, args)
+        if args.command == "audit":
+            return cmd_audit(cfg, args)
+        if args.command == "classify":
+            return cmd_classify(cfg, args)
+        return cmd_geodesic(cfg, args)
     except _ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -42,7 +42,11 @@ def christoffel(spec: SpaceSpec, x) -> np.ndarray:
     point = base_point(spec, x)
     da = spec.da_at(point.x)  # da[l, i, j] = d a_ij / d x^l
     # lowered symbol: [jk, l] = (d_j a_lk + d_k a_jl - d_l a_jk) / 2
-    low = 0.5 * (da.transpose(1, 0, 2) + da.transpose(2, 1, 0) - da)
+    low = 0.5 * (
+        np.einsum("jlk->ljk", da)
+        + np.einsum("kjl->ljk", da)
+        - np.einsum("ljk->ljk", da)
+    )
     return np.einsum("il,ljk->ijk", point.a_inv, low)
 
 
@@ -78,14 +82,18 @@ class DifferenceIngredients:
 
 
 def difference_ingredients(bundle: TensorBundle, conn: ConnectionData) -> DifferenceIngredients:
-    mc, flag, g_inv, m = bundle.metric, bundle.flag, bundle.g_inv, bundle.m
-    y, y_low = flag.y, flag.y_low
-    B_low = lanewise(mc.p0) * flag.b + lanewise(mc.p1) * y_low
+    mc, flag = bundle.metric, bundle.flag
+    y, y_low, a = flag.y, flag.y_low, flag.a
+    alpha2 = flag.alpha ** 2
+    m = bundle.m
+    B_low = lanewise(mc.p0, 1) * flag.b + lanewise(mc.p1, 1) * y_low
+    B_up = matvec(bundle.g_inv, B_low)
     B_mat = 0.5 * (
-        lanewise(mc.p1, 2) * (flag.a - outer(y_low, y_low) / lanewise(flag.alpha ** 2, 2))
+        lanewise(mc.p1, 2) * (a - outer(y_low, y_low) / lanewise(alpha2, 2))
         + lanewise(mc.dp0_dbeta, 2) * outer(m, m)
     )
-    B_up, B_mixed, F_mixed = matvec(g_inv, B_low), g_inv @ B_mat, g_inv @ conn.Fij
+    B_mixed = bundle.g_inv @ B_mat
+    F_mixed = bundle.g_inv @ conn.Fij
     Ek0 = matvec(conn.E, y)   # E_{k0} = E_kj y^j
     E00 = dot(y, Ek0)
     F0 = matvec(F_mixed, y)   # F^m_0 = F^m_j y^j
@@ -96,10 +104,12 @@ def difference_ingredients(bundle: TensorBundle, conn: ConnectionData) -> Differ
         + outer(F0, B_low)
         + lanewise(B0, 2) * F_mixed
     )
-    lam = B_up * lanewise(E00) + 2.0 * lanewise(B0) * F0
+    lam = B_up * lanewise(E00, 1) + 2.0 * lanewise(B0, 1) * F0
     b0 = y @ conn.b_cov       # b_{0k} = y^m b_{mk}
-    return DifferenceIngredients(B_low=B_low, B_up=B_up, B_mat=B_mat, B_mixed=B_mixed,
-                                 F_mixed=F_mixed, A=A, lam=lam, B0=B0, E00=E00, b0=b0)
+    return DifferenceIngredients(
+        B_low=B_low, B_up=B_up, B_mat=B_mat, B_mixed=B_mixed, F_mixed=F_mixed,
+        A=A, lam=lam, B0=B0, E00=E00, b0=b0,
+    )
 
 
 def difference_tensor(bundle: TensorBundle, conn: ConnectionData) -> np.ndarray:
@@ -130,8 +140,12 @@ def difference_tensor(bundle: TensorBundle, conn: ConnectionData) -> np.ndarray:
         np.swapaxes(CL, -1, -2),
         -np.einsum("...im,...mjk->...ijk", matvec(C_mixed, di.lam[..., None, :]), C_mixed),
     ]
-    forward = sum(terms[1:], terms[0])
-    backward = sum(terms[-2::-1], terms[-1])
+    forward = terms[0].copy()
+    for t in terms[1:]:
+        forward = forward + t
+    backward = terms[-1].copy()
+    for t in terms[-2::-1]:
+        backward = backward + t
     index_axes = (-3, -2, -1)
     scale = 1.0 + np.abs(forward).max(index_axes)
     if any_lane(np.abs(forward - backward).max(index_axes) > 1e-12 * scale):

@@ -147,7 +147,8 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     flat = interior.flatten()
 
     def nodes_of(flat_vec):
-        return np.vstack([p[None, :], flat_vec.reshape(-1, spec.dim), q[None, :]])
+        inner = flat_vec.reshape(-1, spec.dim) if len(flat_vec) else np.empty((0, spec.dim))
+        return np.vstack([p[None, :], inner, q[None, :]])
 
     if len(flat) == 0:  # single segment: nothing to optimize
         length = polyline_length(spec, nodes_of(flat))

@@ -107,9 +107,9 @@ def chart_at(surface: LevelSurface, x0) -> Chart:
 
 
 def tangential_flag(spec: SpaceSpec, chart: Chart, v) -> FlagPoint:
-    """Lift hypersurface directions v, (d-1,) or (N, d-1), to the flags y = B v;
-    B has full rank, so `flag_point` rejects v = 0 as a zero direction."""
-    return _tangential(flag_point(spec, chart.x0, matvec(chart.B, np.asarray(v, dtype=float))))
+    """Lift a hypersurface direction v to the ambient flag y = B v; B has full
+    rank, so `flag_point` rejects v = 0 as a zero direction."""
+    return _tangential(flag_point(spec, chart.x0, chart.B @ np.asarray(v, dtype=float)))
 
 
 def _tangential(flag: FlagPoint) -> FlagPoint:
@@ -118,8 +118,10 @@ def _tangential(flag: FlagPoint) -> FlagPoint:
     scale = 1.0 + np.abs(flag.b).max(-1) * np.abs(flag.y).max(-1)
     off = np.abs(flag.beta) > BETA_TOL * scale
     if any_lane(off):
-        raise ValueError(f"flag is not tangential: beta = {first_lane(off, flag.beta):.3e} "
-                         "(surface potential and space 1-form disagree?)")
+        raise ValueError(
+            f"flag is not tangential: beta = {first_lane(off, flag.beta):.3e} "
+            "(surface potential and space 1-form disagree?)"
+        )
     return flag
 
 
@@ -127,11 +129,12 @@ def unit_normal(chart: Chart, bundle: TensorBundle):
     """g-unit normal at each of the bundle's flags: solves g_ij B^i_a N^j = 0
     with g_ij N^i N^j = 1, oriented toward increasing potential (b_i N^i > 0)."""
     g = bundle.g
-    w = np.linalg.solve(g, chart.grad)
+    # one column per lane: before numpy 2, a 1-D b broadcasts only against a single g
+    w = np.linalg.solve(g, np.broadcast_to(chart.grad, g.shape[:-1])[..., None])[..., 0]
     s = dot(chart.grad, w)
     if any_lane(s <= 0.0):
         raise ArithmeticError("degenerate fundamental tensor: cannot normalize the normal")
-    n_up = w / lanewise(np.sqrt(s))
+    n_up = w / lanewise(np.sqrt(s), 1)
     n_dn = matvec(g, n_up)
     resid = np.abs(matvec(chart.B.T, n_dn)).max(-1)
     off = resid > 1e-8 * (1.0 + np.abs(n_dn).max(-1))
@@ -185,10 +188,11 @@ def frame_at(
     n_up, n_dn = unit_normal(chart, bundle)
     g_ind, h_ind, c_ind = induced_tensors(chart, bundle)
     g_ind_inv = np.linalg.inv(g_ind)
+    b_dual = g_ind_inv @ (chart.B.T @ bundle.g)
     h_a, h_ab, m_ab, m_a = normal_curvature_and_h(chart, bundle, conn, v, n_up, n_dn)
     return HypersurfaceFrame(
-        chart=chart, bundle=bundle, v=v, N_up=n_up, N_dn=n_dn,
-        B_dual=g_ind_inv @ (chart.B.T @ bundle.g),
+        chart=chart, bundle=bundle, v=v,
+        N_up=n_up, N_dn=n_dn, B_dual=b_dual,
         g_ind=g_ind, g_ind_inv=g_ind_inv, h_ind=h_ind, C_ind=c_ind,
         H_a=h_a, H_ab=h_ab, M_ab=m_ab, M_a=m_a,
     )

@@ -36,7 +36,7 @@ def first_lane(mask, value):
     return np.broadcast_to(value, mask.shape)[mask][0] if isinstance(mask, np.ndarray) else value
 
 
-def lanewise(c, axes: int = 1):
+def lanewise(c, axes: int):
     """A per-lane scalar with ``axes`` unit axes appended, to scale each lane's tensor."""
     return c[(...,) + (None,) * axes] if isinstance(c, (np.ndarray, Jet2)) else c
 

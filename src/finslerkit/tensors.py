@@ -166,6 +166,16 @@ def reciprocal_tensor(rc: ReciprocalCoefficients, p, a_inv, b_up, y) -> np.ndarr
     )
 
 
+def support_covector(pp: PhiPartials, alpha, b, y_low) -> np.ndarray:
+    """Normalized support element l_i = F_a y_i/alpha + F_b b_i."""
+    return lanewise(pp.Fa, 1) * y_low / lanewise(alpha, 1) + lanewise(pp.Fb, 1) * b
+
+
+def orthogonal_covector(flag: FlagPoint) -> np.ndarray:
+    """m_i = b_i - y_i beta/alpha^2; annihilates y by construction."""
+    return flag.b - flag.y_low * lanewise(flag.beta / flag.alpha ** 2, 1)
+
+
 def gamma_one(mc: MetricCoefficients, ac: AngularCoefficients) -> float:
     """gamma_1 = p dp0/dbeta - 3 p1 q0 (hv-torsion cubic coefficient)."""
     return mc.p * mc.dp0_dbeta - 3.0 * mc.p1 * ac.q0
@@ -193,13 +203,13 @@ class TensorBundle:
     angular: AngularCoefficients
     metric: MetricCoefficients
     reciprocal: ReciprocalCoefficients
-    l: np.ndarray        # support covector l_i = F_a y_i/alpha + F_b b_i
+    l: np.ndarray        # support covector l_i
     g: np.ndarray        # fundamental tensor g_ij
     g_inv: np.ndarray    # reciprocal tensor g^ij
     h: np.ndarray        # angular tensor h_ij
     C: np.ndarray        # hv-torsion C_ijk
     gamma1: float
-    m: np.ndarray        # m_i = b_i - y_i beta/alpha^2, orthogonal to the support element
+    m: np.ndarray        # covector orthogonal to the support element
 
 
 def bundle_at(spec: SpaceSpec, x, y) -> TensorBundle:
@@ -214,12 +224,14 @@ def bundle_at(spec: SpaceSpec, x, y) -> TensorBundle:
     g = fundamental_tensor(mc, flag.a, flag.b, flag.y_low)
     g_inv = reciprocal_tensor(rc, mc.p, flag.a_inv, flag.b_up, flag.y)
     h = angular_tensor(ac, flag.a, flag.b, flag.y_low)
-    l = lanewise(pp.Fa) * flag.y_low / lanewise(flag.alpha) + lanewise(pp.Fb) * flag.b
-    m = flag.b - flag.y_low * lanewise(flag.beta / flag.alpha ** 2)
+    l = support_covector(pp, flag.alpha, flag.b, flag.y_low)
+    m = orthogonal_covector(flag)
     gamma1 = gamma_one(mc, ac)
     c = hv_torsion(mc, h, gamma1, m)
-    return TensorBundle(flag=flag, phi=pp, angular=ac, metric=mc, reciprocal=rc,
-                        l=l, g=g, g_inv=g_inv, h=h, C=c, gamma1=gamma1, m=m)
+    return TensorBundle(
+        flag=flag, phi=pp, angular=ac, metric=mc, reciprocal=rc,
+        l=l, g=g, g_inv=g_inv, h=h, C=c, gamma1=gamma1, m=m,
+    )
 
 
 # -- oracle plumbing: the closed forms evaluated on generic scalars
@@ -316,12 +328,11 @@ AUDIT_TOLERANCES = {
 }
 
 
-def rel_error(a: np.ndarray, ref: np.ndarray, axis=None):
-    """Max elementwise deviation scaled by the reference magnitude; with an
-    ``axis``, over that axis only (one value per remaining index)."""
+def rel_error(a: np.ndarray, ref: np.ndarray) -> float:
+    """Max elementwise deviation scaled by the reference magnitude."""
     a = np.asarray(a, dtype=float)
     ref = np.asarray(ref, dtype=float)
-    return np.abs(a - ref).max(axis) / (1.0 + np.abs(ref).max(axis))
+    return float(np.abs(a - ref).max() / (1.0 + np.abs(ref).max()))
 
 
 # central-difference step of the finite-difference Hessian oracle
@@ -346,7 +357,8 @@ def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
     f = half_f_squared(spec, batch)
 
     def err(t, ref):  # rel_error of each flag
-        return rel_error(t.reshape(len(ys), -1), ref.reshape(len(ys), -1), axis=1)
+        t, ref = t.reshape(len(ys), -1), ref.reshape(len(ys), -1)
+        return np.abs(t - ref).max(1) / (1.0 + np.abs(ref).max(1))
 
     rows = [
         _row("fundamental-vs-jet-oracle", err(bundle.g, jet_eval(f, ys).hessian)),

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import count_calls, exp_fixture, lane, make_space, plane_fixture, radial_fixture
 from finslerkit import expr as ex
-from finslerkit import geodesic, tensors
+from finslerkit import connection, geodesic, tensors
 from finslerkit.classifier import surface_points
 from finslerkit.connection import covariant_db, difference_tensor
 from finslerkit.geodesic import _length_derivatives, _segment_length
@@ -422,3 +422,49 @@ def test_degenerate_normal_lane_raises_the_per_flag_error():
     assert str(lanes.value) == str(one.value)
     n_up, _ = unit_normal(chart, good.bundle)
     assert np.array_equal(n_up, good.N_up)
+
+
+def _summation_case(monkeypatch, lanes):
+    """d = 1 inputs of difference_tensor from (B^1, B^1_1, B_11) per lane: with
+    E_11 = g^11 = b_01 = 1 and F, A, lambda and C zero, the only nonzero terms
+    are B^1 E_11, B^1_1 b_01 twice and -b_01 g^11 B_11, in that order."""
+    up, mixed, mat = (np.array(column) for column in zip(*lanes))
+    one, zero = np.ones((len(lanes), 1, 1)), np.zeros((len(lanes), 1, 1))
+    ingredients = types.SimpleNamespace(
+        B_up=up[:, None], B_low=zero[..., 0], B_mixed=mixed[:, None, None],
+        B_mat=mat[:, None, None], F_mixed=zero, A=zero, lam=zero[..., 0], b0=one[..., 0],
+    )
+    monkeypatch.setattr(connection, "difference_ingredients", lambda bundle, conn: ingredients)
+    bundle = types.SimpleNamespace(g_inv=one, C=np.zeros((len(lanes), 1, 1, 1)))
+    return bundle, types.SimpleNamespace(E=np.ones((1, 1)))
+
+
+def test_resummation_check_is_per_flag(monkeypatch):
+    # the terms 1, 1e20, 1e20, -2e20 sum to 0 forward and to 1 backward, against
+    # that flag's scale 1; a scale taken from the 1e13 lane would allow about 10
+    unstable, large = (1.0, 1e20, 2e20), (1e13, 0.0, 0.0)
+    with pytest.raises(ArithmeticError, match="numerically unstable") as one:
+        difference_tensor(*_summation_case(monkeypatch, [unstable]))
+    with pytest.raises(ArithmeticError) as lanes:
+        difference_tensor(*_summation_case(monkeypatch, [large, unstable]))
+    assert str(lanes.value) == str(one.value)
+    d = difference_tensor(*_summation_case(monkeypatch, [large, large]))
+    assert d.ravel().tolist() == [1e13, 1e13]
+
+
+def test_lane_normals_need_no_numpy_2_solve(monkeypatch):
+    # before numpy 2, solve took a 1-D right-hand side only against one matrix
+    spec, surface = exp_fixture(1)
+    conn = covariant_db(spec, [0.1, 0.2, 0.0])
+    frame = frame_at(spec, surface, conn, [[1.0, 0.0], [0.3, 1.0]])
+    solve = np.linalg.solve
+
+    def numpy_1_solve(a, b):
+        if np.ndim(b) == 1 and np.ndim(a) > 2:
+            raise ValueError("solve: Input operand 1 does not have enough dimensions")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", numpy_1_solve)
+    assert np.array_equal(unit_normal(frame.chart, frame.bundle)[0], frame.N_up)
+    single = tensors.bundle_at(spec, conn.point, frame.bundle.flag.y[0])
+    assert np.allclose(unit_normal(frame.chart, single)[0], frame.N_up[0], rtol=1e-13, atol=0)
