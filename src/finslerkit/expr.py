@@ -16,7 +16,8 @@ Expression trees are immutable; evaluation is pure and accepts any scalar
 type implementing the arithmetic operators (floats, numpy arrays, dual
 numbers with exp/log/sin/cos/sqrt methods), so the same tree serves plain
 evaluation and forward-mode differentiation.  Array and dual values may
-hold many lanes; a domain guard raises when any lane fails it.
+hold many lanes; a domain guard raises when any lane fails it, and each
+float lane has the bits of its point (`_per_lane`).
 """
 
 from __future__ import annotations
@@ -58,7 +59,15 @@ def _call_fn(name: str, v):
     method = getattr(v, name, None)
     if callable(method):
         return method()
-    return getattr(np if isinstance(v, np.ndarray) else math, name)(v)
+    if isinstance(v, np.ndarray):  # sqrt is correctly rounded in numpy too
+        return np.sqrt(v) if name == "sqrt" else _per_lane(getattr(math, name), v)
+    return getattr(math, name)(v)
+
+
+def _per_lane(f, *args) -> np.ndarray:
+    """f on each lane of float arrays, by the libm call a float makes: numpy's
+    vector exp/log/sin/cos/pow may differ from it by an ulp."""
+    return np.asarray(np.frompyfunc(f, len(args), 1)(*args), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -216,19 +225,20 @@ class Pow(Expr):
                 n = int(e)
                 if n < 0 and any_lane(bv == 0.0):
                     raise DomainError("zero base with negative exponent", self)
-                return b ** n
+                return _per_lane(pow, b, n) if isinstance(b, np.ndarray) else b ** n
             if any_lane(bv < 0.0):
                 raise DomainError("negative base with non-integer exponent", self)
             if e < 0.0 and any_lane(bv == 0.0):
                 raise DomainError("zero base with negative exponent", self)
             try:
-                return b ** e
+                return _per_lane(pow, b, e) if isinstance(b, np.ndarray) else b ** e
             except (ValueError, ZeroDivisionError) as err:
                 raise DomainError(str(err), self) from err
         # exponent carries derivative information: needs log of the base
         if any_lane(bv <= 0.0):
             raise DomainError("non-positive base with variable exponent", self)
-        return b ** e
+        lanes = isinstance(b, np.ndarray) or isinstance(e, np.ndarray)
+        return _per_lane(pow, b, e) if lanes else b ** e
 
     def diff(self, var):
         base, exp = self.base, self.exponent

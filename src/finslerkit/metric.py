@@ -5,16 +5,18 @@ exponent k; k = 1 reduces to the square metric.  The other families are kept
 for audit breadth: every closed form downstream is checked against the same
 differentiation oracles across all of them.
 
-`finsler_norm` is the single home of F and of each family's domain check.
-The square and kropina names are aliases for k = 1 of the generalized
+`finsler_norm` is the single home of F, `_in_domain` of each family's domain
+check.  The square and kropina names are aliases for k = 1 of the generalized
 families; `resolve_family` maps them, once per `SpaceSpec`.
 
-`base_point` evaluates a float base point once: its `BasePoint` record holds
-a_ij(x) (checked positive definite), b_i(x), a^ij, b^i and b^2; a
-`FlagPoint` adds a direction.  Every `(spec, x, ...)` entry point accepts
-such a record where it accepts x, and reads it instead of evaluating again.
-The one other evaluation of a(x) and b(x) is `geodesic._segment_length`,
-on dual segment midpoints and without the positive-definiteness check.
+`base_point` evaluates a float base point once, or N points as lanes: its
+`BasePoint` record holds a_ij(x) (checked positive definite), b_i(x), a^ij,
+b^i and b^2; a `FlagPoint` adds a direction.  Every `(spec, x, ...)` entry
+point accepts such a record where it accepts x, and reads it instead of
+evaluating again.  The one other evaluation of a(x) and b(x) is
+`geodesic._segment_length`, on dual segment midpoints and without the
+positive-definiteness check.  `validity_check` masks each failing lane of N
+flags; `sample_flags` makes its draws one at a time and checks them in blocks.
 
 The literature overloads one symbol as both manifold dimension and metric
 exponent; here the exponent is named k everywhere.
@@ -29,7 +31,7 @@ from operator import mul
 import numpy as np
 
 from . import expr as ex
-from .numerics import any_lane, dot, matvec, pd_check
+from .numerics import any_lane, dot, lanewise, matvec, pd_check
 
 FAMILIES = (
     "generalized-square",
@@ -94,22 +96,25 @@ def finsler_norm(family: str, k: int, alpha, beta):
         return alpha
     if family == "randers":
         return alpha + beta
-    if family == "generalized-kropina":
-        if not _representable(ex._real(alpha), ex._real(beta), k + 1, k + 2):
-            raise FamilyDomainError(family, "requires beta > 0 (and finite partials)")
-        return alpha ** (k + 1) / beta ** k
-    w = alpha - beta
-    if not _representable(ex._real(alpha), ex._real(w), 2, 3):
-        raise FamilyDomainError(family, "requires alpha - beta > 0 (and finite partials)")
-    return alpha * alpha / w
+    ok = _in_domain(family, k, ex._real(alpha), ex._real(beta))
+    kropina = family == "generalized-kropina"
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):  # in every lane
+        den = "beta" if kropina else "alpha - beta"
+        raise FamilyDomainError(family, f"requires {den} > 0 (and finite partials)")
+    return alpha ** (k + 1) / beta ** k if kropina else alpha * alpha / (alpha - beta)
 
 
-def _representable(num, den, p: int, q: int) -> bool:
-    """den > 0 and num^p / den^q, the scale of the largest partial, is finite
-    (in every lane, for arrays)."""
+def _in_domain(family: str, k: int, alpha, beta):
+    """(alpha, beta) in the domain of the (canonical) family, per lane for
+    arrays: den > 0 and num^p / den^q, the scale of the largest partial, is
+    finite."""
+    if family not in ("generalized-kropina", "matsumoto"):
+        return True
+    kropina = family == "generalized-kropina"
+    num, den, p, q = (alpha, beta, k + 1, k + 2) if kropina else (alpha, alpha - beta, 2, 3)
     if isinstance(den, np.ndarray):
         with np.errstate(all="ignore"):  # overflow to inf, underflow to 0: not finite
-            return bool((den > 0.0).all() and np.isfinite(num ** p / den ** q).all())
+            return (den > 0.0) & np.isfinite(num ** p / den ** q)
     try:
         return float(den) > 0.0 and math.isfinite(float(num) ** p / float(den) ** q)
     except (OverflowError, ZeroDivisionError):  # den^q underflowed to 0, or overflow
@@ -205,10 +210,10 @@ class SpaceSpec:
     # -- pointwise evaluation (x may hold floats or dual scalars)
 
     def a_at(self, x) -> np.ndarray:
-        return np.array([[e.eval(x) for e in row] for row in self.a], dtype=float)
+        return _eval_at([e for row in self.a for e in row], x, (self.dim, self.dim))
 
     def b_at(self, x) -> np.ndarray:
-        return np.array([e.eval(x) for e in self.b], dtype=float)
+        return _eval_at(self.b, x, (self.dim,))
 
     def da_at(self, x) -> np.ndarray:
         """Spatial derivatives da[l, i, j] = d a_ij / d x^l (exact symbolic)."""
@@ -226,6 +231,18 @@ class SpaceSpec:
                 [ex.diff(self.b[i], j) for j in range(self.dim)] for i in range(self.dim)
             ]
         return np.array([[e.eval(x) for e in row] for row in self._db], dtype=float)
+
+
+def _eval_at(exprs: list[ex.Expr], x, shape: tuple[int, ...]) -> np.ndarray:
+    """The expressions at x (d,), or at N points x (N, d) as lanes in front."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != shape[-1:] or x.ndim > 2:
+        raise ValueError(f"x must have dimension {shape[-1]}")
+    cols, out = x.T, np.empty((len(exprs),) + x.shape[:-1])  # cols[m]: coordinate m
+    for i, e in enumerate(exprs):
+        out[i] = e.eval(cols)
+    # contiguous, so that matmul takes the BLAS route, and the bits, of one point
+    return np.ascontiguousarray(out.T).reshape(x.shape[:-1] + shape)
 
 
 @dataclass
@@ -251,21 +268,26 @@ class FlagPoint(BasePoint):
 
 
 def base_point(spec: SpaceSpec, x) -> BasePoint:
-    """Evaluate a(x) and b(x) once; a BasePoint argument is returned as is.
-    Raises DegenerateMetricError when a(x) is not positive definite."""
+    """Evaluate a(x) and b(x) once at x (d,), or at N points x (N, d) as lanes
+    in front of every field; a BasePoint argument is returned as is.  Raises
+    DegenerateMetricError at the first point where a(x) is not positive definite."""
     if isinstance(x, BasePoint):
         return x
     x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim,):
-        raise ValueError(f"x must have dimension {spec.dim}")
     a = spec.a_at(x)
     check = pd_check(a)
-    if not check.ok:
-        raise DegenerateMetricError(check.pivot, x)
+    if any_lane(np.logical_not(check.ok)):
+        i = np.argmin(check.ok)
+        raise DegenerateMetricError(int(np.ravel(check.pivot)[i]), x.reshape(-1, spec.dim)[i])
+    return _raised(spec, x, a)
+
+
+def _raised(spec: SpaceSpec, x: np.ndarray, a: np.ndarray) -> BasePoint:
+    """The base point at x with a(x) = a, positive definite: b(x) and the data raised with a^ij."""
     b = spec.b_at(x)
     a_inv = np.linalg.inv(a)
-    b_up = a_inv @ b
-    return BasePoint(x=x, a=a, b=b, a_inv=a_inv, b_up=b_up, b2=float(b @ b_up))
+    b_up = matvec(a_inv, b)
+    return BasePoint(x=x, a=a, b=b, a_inv=a_inv, b_up=b_up, b2=dot(b, b_up))
 
 
 def stack_points(points) -> BasePoint:
@@ -293,7 +315,8 @@ def flag_point(spec: SpaceSpec, x, y) -> FlagPoint:
 @dataclass
 class ValidityReport:
     """Pointwise domain flags; a report, never an exception.  alpha > 0 holds
-    by construction: `flag_point` rejects y = 0 and a is positive definite."""
+    where a(x) is positive definite (a_pd): `flag_point` rejects y = 0.  For
+    N flags each is an (N,) array, with pd_pivot 0 and F NaN for None."""
 
     F_positive: bool
     family_domain: bool
@@ -301,63 +324,84 @@ class ValidityReport:
     pd_pivot: int | None
     F: float | None
     flag: FlagPoint
+    a_pd: bool = True
 
     @property
     def ok(self) -> bool:
-        return self.F_positive and self.family_domain and self.fundamental_pd
+        return self.a_pd & self.F_positive & self.family_domain & self.fundamental_pd
 
 
 def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
-    """Flags: F > 0, family domain, fundamental tensor PD.
+    """Flags: a(x) PD, F > 0, family domain, fundamental tensor PD, at one
+    flag or at N flags x, y (N, d) as one pass that masks each failing lane.
 
-    The strong-convexity domain of these metrics has no simple closed
-    description, so positive definiteness is reported pointwise via the
-    factorization pivots rather than asserted globally.  A fundamental
-    tensor whose reciprocal coefficients are numerically singular (zeta
-    underflow near the domain boundary) counts as failing the PD flag: it
-    is not invertible at working precision.
-    """
-    flag = flag_point(spec, x, y)  # zero y / degenerate a rejected before flags
-    try:
-        pp = phi_partials(spec.family, spec.k, flag.alpha, flag.beta)
-    except FamilyDomainError:
-        return ValidityReport(False, False, False, None, None, flag)
-    F_positive = pp.F > 0.0
+    The strong-convexity domain has no simple closed description, so positive
+    definiteness is reported pointwise via the factorization pivots.  A g
+    whose zeta is not finite or numerically singular (g^ij does not exist at
+    working precision) fails the PD flag."""
     from . import tensors  # local import: tensors builds on this module
 
-    try:
-        ac = tensors.angular_coefficients(pp, flag.alpha)
-        mc = tensors.metric_coefficients(pp, ac, spec.family, spec.k, flag.alpha, flag.beta)
-        g = tensors.fundamental_tensor(mc, flag.a, flag.b, flag.y_low)
+    with np.errstate(all="ignore"):  # a failing lane may overflow or divide by zero
+        if isinstance(x, BasePoint):
+            point, a_pd = x, True
+        else:
+            a = spec.a_at(x)
+            a_pd = pd_check(a).ok  # lanes where a(x) is not PD are raised with I and fail
+            point = _raised(spec, np.asarray(x, dtype=float),
+                            np.where(lanewise(np.asarray(a_pd), 2), a, np.eye(spec.dim)))
+            point.a = a
+        flag = flag_point(spec, point, y)  # zero y rejected before flags
+        lanes = np.shape(flag.alpha)
+        alpha, beta = np.asarray(flag.alpha), np.asarray(flag.beta)
+        domain = np.broadcast_to(a_pd & _in_domain(spec.family, spec.k, alpha, beta), lanes)
+        a, b, y_low, b2, alpha, beta = (np.asarray(v)[domain] for v in (
+            flag.a, flag.b, flag.y_low, flag.b2, alpha, beta))
+        pp = phi_partials(spec.family, spec.k, alpha, beta)
+        mc = tensors.metric_coefficients(pp, tensors.angular_coefficients(pp, alpha),
+                                         spec.family, spec.k, alpha, beta)
+        g = tensors.fundamental_tensor(mc, a, b, y_low)
+        _, zeta = tensors.reciprocal_factors(mc, alpha, beta, b2)
+        finite = np.isfinite(zeta)  # an overflowed coefficient leaves zeta, like g, not finite
         check = pd_check(g)
-        if check.ok:
-            tensors.reciprocal_coefficients(mc, flag.alpha, flag.beta, flag.b2)
-        return ValidityReport(F_positive, True, check.ok, check.pivot, pp.F, flag)
-    except ArithmeticError:
-        return ValidityReport(F_positive, True, False, None, pp.F, flag)
+        F, pivot, fundamental = np.full(lanes, np.nan), np.zeros(lanes, int), np.zeros(lanes, bool)
+        F[domain] = pp.F
+        pivot[domain] = np.where(finite, check.pivot, 0)
+        fundamental[domain] = finite & check.ok & (abs(zeta) >= tensors.ZETA_TOL)
+    if lanes:
+        return ValidityReport(F > 0.0, domain, fundamental, pivot, F, flag, a_pd)
+    return ValidityReport(bool(F > 0.0), bool(domain), bool(fundamental), int(pivot) or None,
+                          F[()] if domain else None, flag, bool(a_pd))
 
 
 def sample_flags(spec: SpaceSpec, n: int, seed: int) -> list[FlagPoint]:
     """Seeded in-domain flags: x uniform in [-SAMPLE_BOX, SAMPLE_BOX]^d, y
-    uniform on the unit sphere, rejected unless every validity flag passes."""
+    uniform on the unit sphere, rejected unless every validity flag passes.
+    Draws are made one at a time (x, then y) and checked in blocks, each the
+    lanes of one `validity_check`; the first n passing, in draw order, are kept."""
     rng = np.random.default_rng(seed)
-    out: list[FlagPoint] = []
+    out: list[tuple[FlagPoint, int]] = []  # (lane-valued flag, lane) of each passing draw
     tries = 0
     limit = max(200 * n, 1000)
     while len(out) < n:
-        tries += 1
-        if tries > limit:
-            raise RuntimeError(f"in-domain sampling stalled after {tries} draws")
-        x = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim)
-        y = rng.normal(size=spec.dim)
-        norm = np.linalg.norm(y)
-        if norm < 1e-12:
-            continue
-        y /= norm
-        try:
-            report = validity_check(spec, x, y)
-        except (ArithmeticError, ValueError):
-            continue
-        if report.ok:
-            out.append(report.flag)
-    return out
+        if tries == limit:
+            raise RuntimeError(f"in-domain sampling stalled after {tries + 1} draws")
+        block = min(limit - tries, 2 + math.ceil(1.25 * (n - len(out)) * (tries + 1)
+                                                 / (len(out) + 1)))
+        draws = [(rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim), rng.normal(size=spec.dim))
+                 for _ in range(block)]
+        tries += block  # a draw with |y| < 1e-12 counts as a try and is skipped
+        kept = [(x, y / norm) for x, y in draws if (norm := np.linalg.norm(y)) >= 1e-12]
+        # a stack of blocks: a block whose pass raises (an Expr DomainError, say) is
+        # halved, first half on top, and a draw that raises alone is rejected
+        pending = [tuple(map(np.array, zip(*kept)))] if kept else []
+        while pending:
+            xs, ys = pending.pop()
+            try:
+                report = validity_check(spec, xs, ys)
+            except (ArithmeticError, ValueError):
+                h = len(xs) // 2
+                pending += [(xs[h:], ys[h:]), (xs[:h], ys[:h])] if h else []
+                continue
+            out += [(report.flag, i) for i in np.flatnonzero(report.ok)]
+    names = [f.name for f in fields(FlagPoint)]
+    return [FlagPoint(**{k: getattr(flag, k)[i] for k in names}) for flag, i in out[:n]]

@@ -11,12 +11,12 @@ one point is a batch of one.  A guard raises when any lane fails it
 (`any_lane`).  numpy's exp/log/sin/cos/pow may differ from libm's by 1 ulp;
 `+ - * /`, sqrt and integer powers (repeated products) agree bit for bit.
 
-All matrices are desk-scale (d <= 8); storage is dense numpy.
+All matrices are desk-scale (d <= 8); storage is dense numpy.  `pd_check`
+factorizes a stack of them as lanes, each with its own pivot.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -270,7 +270,8 @@ def fd_hessian(f: Callable, y, step: float = 1e-4, richardson: bool = False) -> 
 
 @dataclass
 class PDCheck:
-    """Outcome of a positive-definiteness test; pivot is 1-based on failure."""
+    """Outcome of a positive-definiteness test; pivot is 1-based on failure.
+    For a stack of matrices both are per lane, with pivot 0 where ok."""
 
     ok: bool
     pivot: int | None = None
@@ -279,26 +280,30 @@ class PDCheck:
 def pd_check(m: np.ndarray) -> PDCheck:
     """Cholesky test: true iff all factorization pivots are strictly positive.
 
-    Non-symmetric input (beyond SYM_TOL relative to the matrix scale) is
-    rejected.  On failure the 1-based index of the first bad pivot is the
-    witness.
+    ``m`` is one matrix or a stack (..., d, d) factorized as lanes in one
+    pass.  Non-symmetric input (beyond SYM_TOL relative to each matrix's own
+    scale) is rejected.  On failure the 1-based index of the first bad (or
+    NaN) pivot is the witness.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("square matrix required")
-    scale = max(1.0, np.abs(m).max())
-    if np.abs(m - m.T).max() > SYM_TOL * scale:
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    if any_lane(np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1)) > SYM_TOL * scale):
         raise ValueError("matrix is not symmetric")
-    d = m.shape[0]
-    low = np.zeros((d, d))
-    for j in range(d):
-        s = m[j, j] - np.dot(low[j, :j], low[j, :j])
-        if s <= 0.0:
-            return PDCheck(False, j + 1)
-        low[j, j] = math.sqrt(s)
-        for i in range(j + 1, d):
-            low[i, j] = (m[i, j] - np.dot(low[i, :j], low[j, :j])) / low[j, j]
-    return PDCheck(True, None)
+    d = m.shape[-1]
+    low = [[m[..., i, j][()] for j in range(i + 1)] for i in range(d)]  # a float or a lane array
+    lead = 0  # the count of leading pivots that are positive, per lane
+    with np.errstate(all="ignore"):  # a lane past its failed pivot computes garbage
+        for j in range(d):
+            lead = lead + (lead == j) * (low[j][j] > 0.0)
+            for i in range(j + 1, d):  # leave the Schur complement of pivot j in low
+                r = low[i][j] / low[j][j]
+                for k in range(j + 1, i + 1):
+                    low[i][k] = low[i][k] - r * low[k][j]
+    pivot = (lead + 1) % (d + 1)  # 0 when all d pivots are positive
+    ok = pivot == 0
+    return PDCheck(bool(ok), int(pivot) or None) if m.ndim == 2 else PDCheck(ok, pivot)
 
 
 def least_squares(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:

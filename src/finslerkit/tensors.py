@@ -116,11 +116,20 @@ def metric_coefficients(
     )
 
 
+ZETA_TOL = 1e-12  # |zeta| below this is numerically singular: g^ij does not exist
+
+
+def reciprocal_factors(mc: MetricCoefficients, alpha, beta, b2):
+    """disc = p0 p2 - p1^2 and zeta, the factor of det g that the reciprocal
+    coefficients divide by."""
+    p, p0, p1, disc = mc.p, mc.p0, mc.p1, mc.p0 * mc.p2 - mc.p1 * mc.p1
+    return disc, p * (p + p0 * b2 + p1 * beta) + disc * (alpha * alpha * b2 - beta * beta)
+
+
 def reciprocal_coefficients(mc: MetricCoefficients, alpha, beta, b2) -> ReciprocalCoefficients:
     p, p0, p1, p2 = mc.p, mc.p0, mc.p1, mc.p2
-    disc = p0 * p2 - p1 * p1
-    zeta = p * (p + p0 * b2 + p1 * beta) + disc * (alpha * alpha * b2 - beta * beta)
-    bad = abs(zeta) < 1e-12
+    disc, zeta = reciprocal_factors(mc, alpha, beta, b2)
+    bad = abs(zeta) < ZETA_TOL
     if any_lane(bad):
         raise SingularCoefficientError(f"zeta = {first_lane(bad, zeta)} is numerically singular")
     # The minus sign on disc*beta in S1 is forced by the inverse identity

@@ -1,7 +1,9 @@
 """Lane-valued evaluation: a batch of points gives, point by point, what the
 same points give as batches of one, and a lane outside the domain raises the
-typed error of the per-point call.  This holds for the derivative oracles and
-for the float kernels: bundles, difference tensors and hypersurface frames."""
+typed error of the per-point call.  This holds for the derivative oracles,
+for the float kernels (bundles, difference tensors and hypersurface frames)
+and for sampling: base points, the positive-definiteness test and the
+validity check, which masks a failing lane instead of raising."""
 
 import dataclasses
 import types
@@ -11,14 +13,17 @@ import pytest
 
 from conftest import count_calls, exp_fixture, lane, make_space, plane_fixture, radial_fixture
 from finslerkit import expr as ex
-from finslerkit import connection, geodesic, tensors
+from finslerkit import connection, geodesic, metric, tensors
 from finslerkit.classifier import surface_points
 from finslerkit.connection import covariant_db, difference_tensor
 from finslerkit.geodesic import _length_derivatives, _segment_length
 from finslerkit.hypersurface import LevelSurface, frame_at, unit_normal
 from finslerkit.metric import (
     FAMILIES,
+    SAMPLE_BOX,
+    DegenerateMetricError,
     FamilyDomainError,
+    FlagPoint,
     base_point,
     finsler_norm,
     phi_partials,
@@ -26,7 +31,7 @@ from finslerkit.metric import (
     stack_points,
     validity_check,
 )
-from finslerkit.numerics import Jet2, fd_hessian, jet_eval
+from finslerkit.numerics import Jet2, fd_hessian, jet_eval, pd_check
 from finslerkit.tensors import (
     AuditParams,
     SingularCoefficientError,
@@ -468,3 +473,221 @@ def test_lane_normals_need_no_numpy_2_solve(monkeypatch):
     assert np.array_equal(unit_normal(frame.chart, frame.bundle)[0], frame.N_up)
     single = tensors.bundle_at(spec, conn.point, frame.bundle.flag.y[0])
     assert np.allclose(unit_normal(frame.chart, single)[0], frame.N_up[0], rtol=1e-13, atol=0)
+
+
+# -- sampling: base points, pd_check and validity_check over lanes
+
+def _draws(spec, n: int, seed: int):
+    """n seeded points in the sampling box and directions, checked or not."""
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(n, spec.dim)),
+            rng.normal(size=(n, spec.dim)))
+
+
+def test_base_point_lanes_match_single_points_bit_for_bit():
+    spec = _varying_space("generalized-square", 2, 3,
+                          b=["exp(x1)*sin(x2)", "log(2 + x3)^1.5", "x1^3 - cos(x2)/x3^-2"])
+    xs, _ = _draws(spec, 40, seed=3)
+    batch = base_point(spec, xs)
+    for n, x in enumerate(xs):
+        single = base_point(spec, x)
+        for f in dataclasses.fields(single):
+            assert _same_bits(getattr(batch, f.name)[n], getattr(single, f.name)), f.name
+
+
+def test_base_point_lane_with_degenerate_a_raises_its_pivot_and_x():
+    spec = make_space(k=1, dim=2, b=["0.3", "0.1"], a=[["1", "0"], ["0", "x1"]])
+    xs = np.array([[0.5, 0.1], [0.2, -0.4], [-0.25, 0.3], [-0.5, 0.0]])
+    with pytest.raises(DegenerateMetricError) as one:
+        base_point(spec, xs[2])
+    with pytest.raises(DegenerateMetricError) as lanes:
+        base_point(spec, xs)
+    assert lanes.value.pivot == one.value.pivot == 2
+    assert str(lanes.value) == str(one.value)
+    base_point(spec, xs[:2])  # the good lanes alone pass
+
+
+def _cholesky_pivot(m) -> int:
+    """The 1-based first Cholesky pivot that is not positive (0 for none), by
+    the column loop on one matrix that `pd_check` ran before it took lanes."""
+    d = len(m)
+    low = np.zeros((d, d))
+    for j in range(d):
+        s = m[j, j] - np.dot(low[j, :j], low[j, :j])
+        if not s > 0.0:
+            return j + 1
+        low[j, j] = np.sqrt(s)
+        for i in range(j + 1, d):
+            low[i, j] = (m[i, j] - np.dot(low[i, :j], low[j, :j])) / low[j, j]
+    return 0
+
+
+def test_pd_check_pivots_per_lane():
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 4, 6, 8):
+        r = rng.normal(size=(40, d, d))
+        m = r @ np.swapaxes(r, -1, -2) + rng.uniform(-2.0, 1.0, size=(40, 1, 1)) * np.eye(d)
+        m[::7] = np.diag(np.r_[np.ones(d - 1), -1.0])  # fails at the last pivot
+        m[3] = 0.0  # fails at the first
+        check = pd_check(m)
+        singles = [pd_check(one) for one in m]
+        assert 0 < check.ok.sum() < len(m)
+        assert check.ok.tolist() == [s.ok for s in singles]
+        assert check.pivot.tolist() == [s.pivot or 0 for s in singles]
+        assert check.pivot.tolist() == [_cholesky_pivot(one) for one in m]
+        assert check.pivot[3] == 1 and check.pivot[7] == d
+        assert pd_check(m.reshape(5, 8, d, d)).pivot.tolist() == check.pivot.reshape(5, 8).tolist()
+    nan = pd_check(np.array([[1.0, 0.0], [0.0, np.nan]]))
+    assert not nan.ok and nan.pivot == 2
+
+
+def test_pd_check_symmetry_is_judged_per_lane():
+    small = np.array([[1.0, 1e-6], [0.0, 1.0]])  # 1e-6 past its own scale 1
+    huge = 1e8 * np.eye(2)  # a scale of 1e8 would let 1e-6 pass
+    with pytest.raises(ValueError, match="not symmetric"):
+        pd_check(small)
+    with pytest.raises(ValueError, match="not symmetric"):
+        pd_check(np.stack([huge, small]))
+    assert pd_check(np.stack([huge, huge + 1e-3 * small])).ok.all()
+
+
+def _report_lane(report, n):
+    """Lane n of a lane-valued report, in the single report's terms."""
+    pivot, F = int(report.pd_pivot[n]), report.F[n]
+    return (bool(report.F_positive[n]), bool(report.family_domain[n]),
+            bool(report.fundamental_pd[n]), pivot or None, None if np.isnan(F) else F,
+            bool(report.a_pd[n]) if isinstance(report.a_pd, np.ndarray) else report.a_pd)
+
+
+def _report_one(report):
+    return (report.F_positive, report.family_domain, report.fundamental_pd, report.pd_pivot,
+            report.F, report.a_pd)
+
+
+def _assert_lanes_match_singles(spec, xs, ys):
+    report = validity_check(spec, xs, ys)
+    for n, (x, y) in enumerate(zip(xs, ys)):
+        one = validity_check(spec, x, y)
+        single, lane = _report_one(one), _report_lane(report, n)
+        assert lane[:4] == single[:4] and lane[5] == single[5], (n, lane, single)
+        if single[4] is None:
+            assert lane[4] is None, (n, lane, single)
+        else:
+            assert _same_bits(lane[4], single[4]), (n, lane, single)
+        assert bool(report.ok[n]) == one.ok
+    return report
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_validity_lanes_match_per_flag_reports(family, k, d):
+    spec = _varying_space(family, k, d)
+    xs, ys = _draws(spec, 24, seed=30 * k + d)
+    report = _assert_lanes_match_singles(spec, xs, 1.7 * ys)
+    if "kropina" in family:
+        assert 0 < report.ok.sum() < len(xs)  # beta <= 0 fails: lanes of both kinds
+
+
+def test_validity_masks_each_bad_lane_among_good_ones():
+    x0 = np.zeros(3)
+    good = [[0.6, 0.5, 0.2], [0.3, 1.0, -0.2]]
+    # Kropina: beta < 0, beta = 0 and beta = 1e-105, whose partials overflow
+    spec = make_space(family="kropina", b=["1", "0", "0"])
+    ys = good + [[-0.5, 1.0, 0.0], [0.0, 1.0, 0.0], [1e-105, 1.0, 0.0]] + good
+    report = _assert_lanes_match_singles(spec, np.tile(x0, (len(ys), 1)), np.array(ys))
+    assert report.family_domain.tolist() == [True] * 2 + [False] * 3 + [True] * 2
+    assert np.isnan(report.F[2:5]).all() and report.ok[[0, 1, 5, 6]].all()
+    # Matsumoto: alpha - beta = 0 in floating point, and alpha - beta = 5e-15
+    spec = make_space(family="matsumoto", b=["1", "0", "0"])
+    ys = good + [[1.0, 1e-9, 0.0], [1.0, 1e-7, 0.0]] + good
+    report = _assert_lanes_match_singles(spec, np.tile(x0, (len(ys), 1)), np.array(ys))
+    assert not report.family_domain[2] and report.family_domain[3]
+    # an indefinite g: s = beta/alpha past 1/k, pivot 2
+    spec = make_space(k=2, b=["0.7", "0", "0"])
+    ys = [[0.1, 1.0, 0.2], [0.2, -0.3, 1.0], [1.0, 0.0, 0.0], [-0.9, 0.2, 0.1]]
+    report = _assert_lanes_match_singles(spec, np.tile(x0, (len(ys), 1)), np.array(ys))
+    assert report.pd_pivot.tolist() == [0, 0, 2, 0]
+    assert report.fundamental_pd.tolist() == [True, True, False, True]
+    # a singular zeta: |b| = 2 and alpha + beta = 1e-3
+    c = (1.0 - 1e-3) / 2.0
+    spec = make_space(k=1, b=["0", "0", "2"])
+    ys = good + [[np.sqrt(1.0 - c * c), 0.0, -c]] + good
+    report = _assert_lanes_match_singles(spec, np.tile(x0 + 0.1, (len(ys), 1)), np.array(ys))
+    assert report.family_domain.all()
+    assert report.fundamental_pd.tolist() == [True, True, False, True, True]
+    with pytest.raises(SingularCoefficientError):
+        bundle_at(spec, x0 + 0.1, ys[2])
+    # a g that is not finite: F = (alpha + beta)^4 / alpha^3 overflows at beta = 1e150
+    spec = make_space(k=3, b=["1e150", "0", "0"])
+    ys = [[1e-160, 1.0, 0.0], [1.0, 0.2, 0.0], [-1e-160, 0.3, 1.0]]
+    report = _assert_lanes_match_singles(spec, np.tile(x0, (3, 1)), np.array(ys))
+    assert report.fundamental_pd.tolist() == [True, False, True] and report.pd_pivot[1] == 0
+
+
+def test_validity_masks_lanes_whose_a_is_not_positive_definite():
+    spec = make_space(k=1, dim=2, b=["0.3", "0.1"], a=[["1", "0"], ["0", "x1"]])
+    xs, ys = _draws(spec, 30, seed=8)
+    report = _assert_lanes_match_singles(spec, xs, ys)
+    assert report.a_pd.tolist() == (xs[:, 0] > 0).tolist()
+    assert not report.ok[~report.a_pd].any() and report.ok[report.a_pd].any()
+
+
+def _sample_flags_per_draw(spec, n: int, seed: int) -> list[FlagPoint]:
+    """One validity_check per draw, with the draws of `sample_flags`."""
+    rng = np.random.default_rng(seed)
+    out, tries, limit = [], 0, max(200 * n, 1000)
+    while len(out) < n:
+        tries += 1
+        if tries > limit:
+            raise RuntimeError(f"in-domain sampling stalled after {tries} draws")
+        x = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim)
+        y = rng.normal(size=spec.dim)
+        norm = np.linalg.norm(y)
+        if norm < 1e-12:
+            continue
+        y /= norm
+        try:
+            report = validity_check(spec, x, y)
+        except (ArithmeticError, ValueError):
+            continue
+        if report.ok:
+            out.append(report.flag)
+    return out
+
+
+_SAMPLED = [
+    _varying_space("generalized-square", 3, 4),
+    _varying_space("kropina", 1, 3),
+    _varying_space("generalized-kropina", 2, 2),
+    _varying_space("matsumoto", 2, 3),
+    _varying_space("randers", 1, 2, b=["0.5*exp(x1)", "0.2*sin(3*x2)"]),
+    # a(x) indefinite on half the box
+    make_space(k=2, dim=2, b=["0.3", "0.1*x2"], a=[["1", "0"], ["0", "x1"]]),
+    # b(x) raises a DomainError on half the box
+    make_space(family="kropina", dim=2, b=["sqrt(x1)", "0.1"], a=[["1", "0"], ["0", "2"]]),
+]
+
+
+@pytest.mark.parametrize("spec", _SAMPLED)
+def test_sample_flags_match_the_per_draw_reference(spec):
+    for seed in (1, 2):
+        flags = sample_flags(spec, 17, seed)
+        reference = _sample_flags_per_draw(spec, 17, seed)
+        assert len(flags) == len(reference) == 17
+        for got, ref in zip(flags, reference):
+            for f in dataclasses.fields(FlagPoint):
+                assert _same_bits(getattr(got, f.name), getattr(ref, f.name)), f.name
+
+
+def test_sampling_stall_keeps_its_message_and_draw_count(monkeypatch):
+    spec = make_space(family="kropina", b=["0", "0", "0"])  # beta = 0: every draw fails
+    checks = count_calls(monkeypatch, metric, "validity_check")
+    for n, limit in ((1, 1000), (6, 1200)):
+        checks.clear()
+        with pytest.raises(RuntimeError, match=f"^in-domain sampling stalled after {limit + 1} "
+                                               "draws$"):
+            sample_flags(spec, n, seed=4)
+        assert sum(len(args[1]) for args in checks) == limit  # never past the limit
+        with pytest.raises(RuntimeError, match=f"after {limit + 1} draws$"):
+            _sample_flags_per_draw(spec, n, seed=4)

@@ -254,7 +254,9 @@ def test_entry_points_accept_a_base_point_in_place_of_x(monkeypatch):
 def test_sample_flags_evaluates_each_draw_once(monkeypatch):
     spec = make_space(k=2, potential="exp(x3)")
     a_calls = count_calls(monkeypatch, SpaceSpec, "a_at")
-    draws = count_calls(monkeypatch, metric, "validity_check")
+    checks = count_calls(monkeypatch, metric, "validity_check")
     flags = sample_flags(spec, 100, seed=7)
-    assert len(flags) == 100 and len(draws) > 100  # some draws are rejected
-    assert len(a_calls) == len(draws)
+    # each block of draws is one validity_check over its lanes (x is args[1])
+    draws = sum(len(args[1]) for args in checks)
+    assert len(flags) == 100 and draws > 100  # some draws are rejected
+    assert sum(len(args[1]) for args in a_calls) == draws
