@@ -13,6 +13,10 @@ a strictly positive multiple of the induced angular metric whenever the
 1-form has positive length, so the verdict is IMPOSSIBLE rather than a
 condition.  Classification applies to the power-quotient family
 (alpha+beta)^(k+1)/alpha^k only.
+
+What depends on x alone (surface points, connection, charts) runs once per
+`classify` as lanes over all points; each point then takes its lane of them
+into one frame, one bundle over its directions.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connection import ConnectionData, covariant_db
-from .hypersurface import HypersurfaceFrame, LevelSurface, frame_at
-from .metric import SAMPLE_BOX, SpaceSpec
-from .numerics import dot, lanewise, least_squares
+from .hypersurface import HypersurfaceFrame, LevelSurface, chart_at, frame_at
+from .metric import SAMPLE_BOX, SpaceSpec, _first_passing
+from .numerics import dot, lane, lanewise, least_squares
 
 
 class ClassifierConsistencyError(RuntimeError):
@@ -77,7 +81,7 @@ class ClassificationReport:
     proportionality_deviation: float | None
     geo_H_a_max: float
     geo_H_ab_max: float
-    points: list[np.ndarray]
+    points: np.ndarray       # (points, d)
     directions: int
     seed: int
     tol: float
@@ -93,84 +97,78 @@ class ClassificationReport:
 
 def surface_points(
     surface: LevelSurface, spec: SpaceSpec, n: int, seed: int
-) -> list[np.ndarray]:
-    """Deterministic points on b(x) = c: seeded samples from the box
+) -> np.ndarray:
+    """Deterministic points (n, d) on b(x) = c: seeded samples from the box
     [-SAMPLE_BOX, SAMPLE_BOX]^d projected onto the level set by Newton
-    iteration along the local gradient direction."""
+    iteration along each seed's starting gradient direction, a block of seeds
+    as the lanes of one pass (`metric._first_passing`: a seed whose steps
+    leave the potential's domain is a failed try)."""
     rng = np.random.default_rng(seed)
-    pts: list[np.ndarray] = []
-    tries = 0
-    while len(pts) < n:
-        tries += 1
-        if tries > max(500 * n, 2000):
-            raise RuntimeError("surface sampling stalled; is the level reachable?")
-        raw = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim)
+    pts = _first_passing(n, max(500 * n, 2000),
+                        lambda m: (rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(m, spec.dim)),),
+                        lambda raw: list(_project(surface, raw)),
+                        "surface sampling stalled; is the level reachable?")
+    return np.reshape(pts, (n, spec.dim))
+
+
+def _project(surface: LevelSurface, raw: np.ndarray) -> np.ndarray:
+    """Newton projection of the seeds raw (m, d) along their unit gradients u:
+    the end points of the lanes that converged to a regular point."""
+    tol = 1e-13 * (1.0 + abs(surface.level))
+    with np.errstate(all="ignore"):  # a diverging lane may overflow; it is rejected
         grad = surface.gradient(raw)
-        gn = np.linalg.norm(grad)
-        if gn < 1e-10:
-            continue
-        u = grad / gn
-        x = raw.copy()
-        ok = False
+        norm = np.sqrt(dot(grad, grad))
+        u = grad / norm[:, None]
+        x, ok = raw.copy(), np.zeros(len(raw), bool)
+        live = np.flatnonzero(~(norm < 1e-10))
         for _ in range(60):
-            r = surface.value(x) - surface.level
-            if abs(r) <= 1e-13 * (1.0 + abs(surface.level)):
-                ok = True
+            r = surface.value(x[live]) - surface.level
+            done = np.abs(r) <= tol
+            ok[live[done]] = True
+            slope = dot(surface.gradient(x[live]), u[live])
+            step = ~done & ~(np.abs(slope) < 1e-12)
+            if not step.any():
                 break
-            slope = float(surface.gradient(x) @ u)
-            if abs(slope) < 1e-12:
-                break
-            x = x - (r / slope) * u
-        if ok and np.linalg.norm(surface.gradient(x)) > 1e-10:
-            pts.append(x)
-    return pts
+            live, r, slope = live[step], r[step], slope[step]
+            x[live] = x[live] - lanewise(r / slope, 1) * u[live]
+        grad = surface.gradient(x[ok])
+        ok[ok] = np.sqrt(dot(grad, grad)) > 1e-10
+    return x[ok]
 
 
-def first_kind_test(
-    conns: list[ConnectionData], tol: float
-) -> tuple[KindResult, list[np.ndarray]]:
+def first_kind_test(conn: ConnectionData, tol: float) -> tuple[KindResult, list[np.ndarray]]:
     """Least-squares solve of 2 b_ij = b_i c_j + b_j c_i over the d(d+1)/2
-    independent equations at each sample point's connection; FAIL is an
-    answer, not an error."""
-    residuals: list[float] = []
-    scale = 1.0
-    c_samples: list[np.ndarray] = []
-    for conn in conns:
-        b = conn.point.b
-        iu, ju = np.triu_indices(len(b))  # the equation (i, j), i <= j, per row
-        rows = np.zeros((len(iu), len(b)))
-        rows[np.arange(len(iu)), ju] += b[iu]
-        rows[np.arange(len(iu)), iu] += b[ju]
-        rhs = 2.0 * conn.b_cov[iu, ju]
-        c, _ = least_squares(rows, rhs)
-        residuals.append(float(np.abs(rows @ c - rhs).max()))
-        scale = max(scale, 1.0 + float(np.abs(conn.b_cov).max()))
-        c_samples.append(c)
-    return KindResult(passed=max(residuals, default=0.0) <= tol * scale,
+    independent equations at each sample point, the lanes of the stacked
+    connection; FAIL is an answer, not an error."""
+    b = conn.point.b
+    iu, ju = np.triu_indices(b.shape[-1])  # the equation (i, j), i <= j, per row
+    rows, eq = np.zeros((len(b), len(iu), b.shape[-1])), np.arange(len(iu))
+    rows[:, eq, ju] += b[:, iu]
+    rows[:, eq, iu] += b[:, ju]
+    rhs = 2.0 * conn.b_cov[:, iu, ju]
+    c_samples = [least_squares(a, r)[0] for a, r in zip(rows, rhs)]
+    residuals = [float(np.abs(a @ c - r).max()) for a, c, r in zip(rows, c_samples, rhs)]
+    return KindResult(passed=max(residuals, default=0.0) <= tol * _scale(conn.b_cov),
                       per_point=residuals), c_samples
 
 
-def second_kind_test(
-    conns: list[ConnectionData], tol: float
-) -> tuple[KindResult, list[float]]:
-    """Fit e(x) = b^i b^j b_ij / (b^2)^2 and measure ||b_cov - e b (x) b||;
-    a point where b vanishes is skipped, with residual 0."""
-    residuals: list[float] = []
-    scale = 1.0
-    e_samples: list[float] = []
-    for conn in conns:
-        p = conn.point
-        if p.b2 < 1e-14:
-            residuals.append(0.0)
-            e_samples.append(0.0)
-            continue
-        e = float(p.b_up @ conn.b_cov @ p.b_up) / (p.b2 * p.b2)
-        resid = float(np.abs(conn.b_cov - e * np.outer(p.b, p.b)).max())
-        residuals.append(resid)
-        scale = max(scale, 1.0 + float(np.abs(conn.b_cov).max()))
+def second_kind_test(conn: ConnectionData, tol: float) -> tuple[KindResult, list[float]]:
+    """Fit e(x) = b^i b^j b_ij / (b^2)^2 and measure ||b_cov - e b (x) b|| at
+    each lane of the stacked connection; a point where b vanishes is skipped,
+    with residual 0."""
+    p, residuals, e_samples = conn.point, [], []
+    fitted = ~(p.b2 < 1e-14)
+    for b, b_up, b2, b_cov, fit in zip(p.b, p.b_up, p.b2, conn.b_cov, fitted):
+        e = float(b_up @ b_cov @ b_up) / (b2 * b2) if fit else 0.0
+        residuals.append(float(np.abs(b_cov - e * np.outer(b, b)).max()) if fit else 0.0)
         e_samples.append(e)
-    return KindResult(passed=max(residuals, default=0.0) <= tol * scale,
+    return KindResult(passed=max(residuals, default=0.0) <= tol * _scale(conn.b_cov[fitted]),
                       per_point=residuals), e_samples
+
+
+def _scale(b_cov: np.ndarray) -> float:
+    """The scale of the kind tolerances: 1 + max |b_ij| over the points."""
+    return 1.0 + float(np.abs(b_cov).max(initial=0.0))
 
 
 def third_kind_test(frames: list[HypersurfaceFrame]) -> ThirdKindResult:
@@ -225,19 +223,19 @@ def classify(
             "classification is specific to the (alpha+beta)^(k+1)/alpha^k family"
         )
     pts = surface_points(surface, spec, opts.points, opts.seed)
-    conns = [covariant_db(spec, x) for x in pts]  # one base point and connection each
+    conn = covariant_db(spec, pts)  # the points' base points and connections, as lanes
+    charts = chart_at(surface, conn.point.x)
 
-    first, c_samples = first_kind_test(conns, opts.tol)
-    second, e_samples = second_kind_test(conns, opts.tol)
+    first, c_samples = first_kind_test(conn, opts.tol)
+    second, e_samples = second_kind_test(conn, opts.tol)
 
     rng = np.random.default_rng(opts.seed + 1)
-    frames: list[HypersurfaceFrame] = []  # one per point, its directions as lanes
-    for conn in conns:
-        draws = rng.normal(size=(opts.directions, spec.dim - 1))
-        norms = np.sqrt(dot(draws, draws))
-        keep = norms >= 1e-12
-        frames.append(frame_at(spec, surface, conn, draws[keep] / norms[keep, None]))
-    geo_scale = max([1.0] + [1.0 + float(np.abs(conn.b_cov).max()) for conn in conns])
+    draws = rng.normal(size=(len(pts), opts.directions, spec.dim - 1))
+    norms = np.sqrt(dot(draws, draws))
+    frames: list[HypersurfaceFrame] = [  # one per point, its directions as lanes
+        frame_at(spec, lane(charts, i), lane(conn, i), v[n >= 1e-12] / n[n >= 1e-12, None])
+        for i, (v, n) in enumerate(zip(draws, norms))]
+    geo_scale = _scale(conn.b_cov)
     h_a_max = max([0.0] + [float(np.abs(f.H_a).max()) for f in frames])
     h_ab_max = max([0.0] + [float(np.abs(f.H_ab).max()) for f in frames])
 

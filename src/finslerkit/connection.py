@@ -4,8 +4,9 @@ Riemannian Christoffel symbols.
 
 The Cartan coefficients are never materialized on their own: wherever they
 appear downstream they enter as Christoffel + difference tensor.  The
-difference tensor runs over the lanes of a bundle whose flags share one base
-point (and its connection); its re-summation check holds in every lane.
+connection takes P stacked base points as lanes; the difference tensor runs
+over the lanes of a bundle whose flags share one base point (and its
+connection), and its re-summation check holds in every lane.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .tensors import TensorBundle
 @dataclass
 class ConnectionData:
     """Christoffel symbols of a_ij and the covariant derivative of b at a
-    base point.
+    base point, or at P of them as lanes in front (`numerics.lane` slices one).
 
     gamma[i, j, k] = Gamma^i_jk (symmetric in j, k);
     b_cov[i, j]    = nabla_j b_i;
@@ -38,28 +39,25 @@ class ConnectionData:
 
 def christoffel(spec: SpaceSpec, x) -> np.ndarray:
     """Gamma^i_jk = a^il (d_j a_lk + d_k a_jl - d_l a_jk) / 2, exact symbolic
-    spatial derivatives; x may be a BasePoint."""
+    spatial derivatives; x may be a BasePoint, one point or P stacked."""
     point = base_point(spec, x)
     da = spec.da_at(point.x)  # da[l, i, j] = d a_ij / d x^l
     # lowered symbol: [jk, l] = (d_j a_lk + d_k a_jl - d_l a_jk) / 2
-    low = 0.5 * (
-        np.einsum("jlk->ljk", da)
-        + np.einsum("kjl->ljk", da)
-        - np.einsum("ljk->ljk", da)
-    )
-    return np.einsum("il,ljk->ijk", point.a_inv, low)
+    low = 0.5 * (np.einsum("...jlk->...ljk", da) + np.einsum("...kjl->...ljk", da) - da)
+    return np.einsum("...il,...ljk->...ijk", point.a_inv, low)
 
 
 def covariant_db(spec: SpaceSpec, x) -> ConnectionData:
     """b_ij = d_j b_i - b_l Gamma^l_ij, split into symmetric and
     antisymmetric parts (the latter vanishes for gradient fields); x may be
-    a BasePoint."""
+    a BasePoint, one point or P stacked."""
     point = base_point(spec, x)
     gamma = christoffel(spec, point)
     db = spec.db_at(point.x)  # db[i, j] = d b_i / d x^j
-    b_cov = db - np.einsum("l,lij->ij", point.b, gamma)
+    b_cov = db - np.einsum("...l,...lij->...ij", point.b, gamma)
+    b_cov_t = np.swapaxes(b_cov, -1, -2)
     return ConnectionData(point=point, gamma=gamma, b_cov=b_cov,
-                          E=0.5 * (b_cov + b_cov.T), Fij=0.5 * (b_cov - b_cov.T))
+                          E=0.5 * (b_cov + b_cov_t), Fij=0.5 * (b_cov - b_cov_t))
 
 
 @dataclass

@@ -22,6 +22,7 @@ float lane has the bits of its point (`_per_lane`).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -495,6 +496,8 @@ def parse(text: str, constants: Mapping[str, float] | None = None) -> Expr:
     return _Parser(text, constants or {}).parse()
 
 
+@functools.lru_cache(maxsize=128)
 def diff(e: Expr, var: int) -> Expr:
-    """Exact symbolic derivative with respect to coordinate index ``var`` (0-based)."""
+    """Exact symbolic derivative with respect to coordinate index ``var``
+    (0-based); those of recent calls are kept, so a table is built once."""
     return e.diff(var)

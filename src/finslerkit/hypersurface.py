@@ -5,22 +5,27 @@ potential, re-selected per base point by largest gradient component; chart
 second derivatives are exact symbolic quantities, never finite differences,
 because the second fundamental h-tensor sits at 1e-8 tolerances.
 
+The potential and its derivatives take one point (d,) or P points (P, d)
+as lanes, and so does `chart_at`, each lane with its own dependent
+coordinate; its guards hold in every lane and name the failing point.
+
 Tangential flags satisfy beta = 0; on them the induced metric is the
 pullback of a_ij (a Riemannian metric) and the normal is the g-unit,
 g-orthogonal vector on the side of increasing potential.  A frame holds all
-directions of one surface point as lanes of one pass; the tangency, normal
-and orthogonality guards hold in every lane, against that flag's own scale.
+directions of one surface point as lanes of one pass, from that point's
+chart and connection; the tangency, normal and orthogonality guards hold in
+every lane, against that flag's own scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
 from .connection import ConnectionData, difference_tensor
-from .metric import FlagPoint, SpaceSpec, flag_point
+from .metric import FlagPoint, SpaceSpec, _eval_at
 from .numerics import any_lane, dot, first_lane, lanewise, matvec, outer
 from .tensors import TensorBundle, bundle_at
 
@@ -34,35 +39,28 @@ class OffSurfaceError(ValueError):
 
 @dataclass
 class LevelSurface:
-    """Scalar potential with a level value; working points must be regular."""
+    """Scalar potential with a level value; working points must be regular.
+    Each evaluation takes one point x (d,) or P points (P, d) as lanes."""
 
     potential: ex.Expr
     level: float
-    _grad: list[ex.Expr] | None = field(default=None, repr=False, compare=False)
-    _hess: list[list[ex.Expr]] | None = field(default=None, repr=False, compare=False)
 
-    def _dim_tables(self, dim: int):
-        if self._grad is None or len(self._grad) != dim:
-            self._grad = [ex.diff(self.potential, i) for i in range(dim)]
-            self._hess = [
-                [ex.diff(self._grad[i], j) for j in range(dim)] for i in range(dim)
-            ]
-
-    def value(self, x) -> float:
-        return float(self.potential.eval(x))
+    def value(self, x):
+        return _eval_at([self.potential], x)
 
     def gradient(self, x) -> np.ndarray:
-        self._dim_tables(len(x))
-        return np.array([g.eval(x) for g in self._grad], dtype=float)
+        d = np.shape(x)[-1]
+        return _eval_at([ex.diff(self.potential, i) for i in range(d)], x, (d,))
 
     def hessian(self, x) -> np.ndarray:
-        self._dim_tables(len(x))
-        return np.array([[e.eval(x) for e in row] for row in self._hess], dtype=float)
+        d = np.shape(x)[-1]
+        grad = [ex.diff(self.potential, i) for i in range(d)]
+        return _eval_at([ex.diff(g, j) for g in grad for j in range(d)], x, (d, d))
 
 
 @dataclass
 class Chart:
-    """Implicit chart at a base point.
+    """Implicit chart at a base point x0 (d,), or at P of them (P, d) as lanes in front.
 
     B[i, a]      = dx^i/du^a (projection factors; columns span the tangent space);
     B2[i, a, b]  = d^2 x^i / du^a du^b (nonzero only in the dependent row);
@@ -72,44 +70,45 @@ class Chart:
     """
 
     x0: np.ndarray
-    dep: int
-    free: tuple[int, ...]
+    dep: np.ndarray
     B: np.ndarray
     B2: np.ndarray
     grad: np.ndarray
 
 
 def chart_at(surface: LevelSurface, x0) -> Chart:
+    """The chart at x0 (d,), or the charts at P points x0 (P, d) as lanes;
+    raises at the first point off the surface or with a vanishing gradient."""
     x0 = np.asarray(x0, dtype=float)
-    d = len(x0)
-    val = surface.value(x0)
-    if abs(val - surface.level) > LEVEL_TOL * (1.0 + abs(surface.level)):
-        raise OffSurfaceError(
-            f"point is off the surface: |b(x) - c| = {abs(val - surface.level):.3e}"
-        )
+    d = x0.shape[-1]
+    pts = x0.reshape(-1, d)  # the guards name the first failing point
+    r = np.abs(surface.value(x0) - surface.level)
+    off = r > LEVEL_TOL * (1.0 + abs(surface.level))
+    if any_lane(off):
+        raise OffSurfaceError(f"point is off the surface: |b(x) - c| = {first_lane(off, r):.3e}"
+                              f" at x={pts[np.argmax(off)].tolist()}")
     grad = surface.gradient(x0)
-    if np.linalg.norm(grad) < 1e-12:
-        raise ValueError("vanishing potential gradient: level set is not regular here")
-    dep = int(np.argmax(np.abs(grad)))
-    free = tuple(i for i in range(d) if i != dep)
-    rows = list(free)
-    B = np.zeros((d, d - 1))
-    B[rows, range(d - 1)] = 1.0
-    B[dep] = -grad[rows] / grad[dep]
+    flat = np.sqrt(dot(grad, grad)) < 1e-12
+    if any_lane(flat):
+        raise ValueError("vanishing potential gradient: level set is not regular "
+                         f"here, x={pts[np.argmax(flat)].tolist()}")
+    dep = np.argmax(np.abs(grad), axis=-1)
+    # the other coordinates in order: a stable sort of the mask puts dep last
+    free = np.argsort(np.arange(d) == dep[..., None], axis=-1, kind="stable")[..., :-1]
+    rows = np.arange(d)[:, None]
+    is_dep = rows == dep[..., None, None]                          # (..., d, 1)
+    g_free = np.take_along_axis(grad, free, -1)
+    gd = np.take_along_axis(grad, dep[..., None], -1)              # (..., 1)
+    B = np.where(is_dep, (-g_free / gd)[..., None, :], rows == free[..., None, :])
     # second derivatives of the implicit chart: only the dependent row moves.
     # t_a = -G_a/G_D with G_i = d b/d x^i along x(u); dG_i/du^b = (H B)_i.
-    hess = surface.hessian(x0)
-    hb = hess @ B  # [i, b] = dG_i/du^b
-    B2 = np.zeros((d, d - 1, d - 1))
-    gd = grad[dep]
-    B2[dep] = -(hb[rows] * gd - np.outer(grad[rows], hb[dep])) / (gd * gd)
-    return Chart(x0=x0, dep=dep, free=free, B=B, B2=B2, grad=grad)
-
-
-def tangential_flag(spec: SpaceSpec, chart: Chart, v) -> FlagPoint:
-    """Lift a hypersurface direction v to the ambient flag y = B v; B has full
-    rank, so `flag_point` rejects v = 0 as a zero direction."""
-    return _tangential(flag_point(spec, chart.x0, chart.B @ np.asarray(v, dtype=float)))
+    hb = surface.hessian(x0) @ B  # [i, b] = dG_i/du^b
+    hb_free = np.take_along_axis(hb, free[..., None], -2)
+    hb_dep = np.take_along_axis(hb, dep[..., None, None], -2)[..., 0, :]
+    gd = gd[..., None]
+    moved = -(hb_free * gd - outer(g_free, hb_dep)) / (gd * gd)
+    B2 = np.where(is_dep[..., None], moved[..., None, :, :], 0.0)
+    return Chart(x0=x0, dep=dep, B=B, B2=B2, grad=grad)
 
 
 def _tangential(flag: FlagPoint) -> FlagPoint:
@@ -176,12 +175,13 @@ class HypersurfaceFrame:
 
 
 def frame_at(
-    spec: SpaceSpec, surface: LevelSurface, conn: ConnectionData, directions
+    spec: SpaceSpec, chart: Chart, conn: ConnectionData, directions
 ) -> HypersurfaceFrame:
-    """The frame at the surface point of `conn` for one tangential direction
-    v (d-1,) or N of them (N, d-1), as lanes of one pass: one chart (with the
-    potential gradient), the point's connection, one bundle for all flags."""
-    chart = chart_at(surface, conn.point.x)
+    """The frame at one surface point, from its chart and its connection, for
+    one tangential direction v (d-1,) or N of them (N, d-1), as lanes of one
+    pass: one bundle for all flags."""
+    if not np.array_equal(chart.x0, conn.point.x):
+        raise ValueError("chart and connection are at different points")
     v = np.asarray(directions, dtype=float)
     bundle = bundle_at(spec, conn.point, matvec(chart.B, v))
     _tangential(bundle.flag)

@@ -9,6 +9,8 @@ differentiation oracles across all of them.
 check.  The square and kropina names are aliases for k = 1 of the generalized
 families; `resolve_family` maps them, once per `SpaceSpec`.
 
+`SpaceSpec` evaluates a, b and their exact spatial derivatives at one point
+or at N points as lanes (`_eval_at`, which level surfaces share).
 `base_point` evaluates a float base point once, or N points as lanes: its
 `BasePoint` record holds a_ij(x) (checked positive definite), b_i(x), a^ij,
 b^i and b^2; a `FlagPoint` adds a direction.  Every `(spec, x, ...)` entry
@@ -16,7 +18,8 @@ point accepts such a record where it accepts x, and reads it instead of
 evaluating again.  The one other evaluation of a(x) and b(x) is
 `geodesic._segment_length`, on dual segment midpoints and without the
 positive-definiteness check.  `validity_check` masks each failing lane of N
-flags; `sample_flags` makes its draws one at a time and checks them in blocks.
+flags; `sample_flags` makes its draws one at a time and checks them in blocks
+(`_first_passing`, which the surface sampler shares).
 
 The literature overloads one symbol as both manifold dimension and metric
 exponent; here the exponent is named k everywhere.
@@ -25,13 +28,13 @@ exponent; here the exponent is named k everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from operator import mul
 
 import numpy as np
 
 from . import expr as ex
-from .numerics import any_lane, dot, lanewise, matvec, pd_check
+from .numerics import any_lane, dot, lane, lanewise, matvec, pd_check
 
 FAMILIES = (
     "generalized-square",
@@ -188,8 +191,6 @@ class SpaceSpec:
     a: list[list[ex.Expr]]
     b: list[ex.Expr]
     b_potential: ex.Expr | None = None
-    _da: list[list[list[ex.Expr]]] = field(default=None, repr=False, compare=False)
-    _db: list[list[ex.Expr]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -207,7 +208,7 @@ class SpaceSpec:
         b = [ex.diff(potential, i) for i in range(dim)]
         return cls(dim, k, family, a, b, b_potential=potential)
 
-    # -- pointwise evaluation (x may hold floats or dual scalars)
+    # -- evaluation at x (d,) or at N points x (N, d) as lanes in front
 
     def a_at(self, x) -> np.ndarray:
         return _eval_at([e for row in self.a for e in row], x, (self.dim, self.dim))
@@ -217,32 +218,30 @@ class SpaceSpec:
 
     def da_at(self, x) -> np.ndarray:
         """Spatial derivatives da[l, i, j] = d a_ij / d x^l (exact symbolic)."""
-        if self._da is None:
-            self._da = [
-                [[ex.diff(self.a[i][j], l) for j in range(self.dim)] for i in range(self.dim)]
-                for l in range(self.dim)
-            ]
-        return np.array([[[e.eval(x) for e in row] for row in m] for m in self._da], dtype=float)
+        d = self.dim
+        return _eval_at([ex.diff(e, l) for l in range(d) for row in self.a for e in row], x,
+                        (d, d, d))
 
     def db_at(self, x) -> np.ndarray:
         """Spatial derivatives db[i, j] = d b_i / d x^j (exact symbolic)."""
-        if self._db is None:
-            self._db = [
-                [ex.diff(self.b[i], j) for j in range(self.dim)] for i in range(self.dim)
-            ]
-        return np.array([[e.eval(x) for e in row] for row in self._db], dtype=float)
+        return _eval_at([ex.diff(e, j) for e in self.b for j in range(self.dim)], x,
+                        (self.dim, self.dim))
 
 
-def _eval_at(exprs: list[ex.Expr], x, shape: tuple[int, ...]) -> np.ndarray:
-    """The expressions at x (d,), or at N points x (N, d) as lanes in front."""
+def _eval_at(exprs: list[ex.Expr], x, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """The expressions, `shape` of them, at x (d,) or at N points x (N, d) as
+    lanes in front; one value (shape ()) is a float at one point.  The last
+    axis of `shape`, if any, is the dimension d."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != shape[-1:] or x.ndim > 2:
+    if x.ndim not in (1, 2):
+        raise ValueError("x must be a point (d,) or N points (N, d)")
+    if shape[-1:] not in ((), x.shape[-1:]):
         raise ValueError(f"x must have dimension {shape[-1]}")
     cols, out = x.T, np.empty((len(exprs),) + x.shape[:-1])  # cols[m]: coordinate m
     for i, e in enumerate(exprs):
         out[i] = e.eval(cols)
     # contiguous, so that matmul takes the BLAS route, and the bits, of one point
-    return np.ascontiguousarray(out.T).reshape(x.shape[:-1] + shape)
+    return np.ascontiguousarray(out.T).reshape(x.shape[:-1] + shape)[()]
 
 
 @dataclass
@@ -379,29 +378,39 @@ def sample_flags(spec: SpaceSpec, n: int, seed: int) -> list[FlagPoint]:
     Draws are made one at a time (x, then y) and checked in blocks, each the
     lanes of one `validity_check`; the first n passing, in draw order, are kept."""
     rng = np.random.default_rng(seed)
-    out: list[tuple[FlagPoint, int]] = []  # (lane-valued flag, lane) of each passing draw
-    tries = 0
-    limit = max(200 * n, 1000)
+
+    def draw(m: int):  # a draw with |y| < 1e-12 counts as a try and is skipped
+        draws = [(rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim), rng.normal(size=spec.dim))
+                 for _ in range(m)]
+        kept = [(x, y / norm) for x, y in draws if (norm := np.linalg.norm(y)) >= 1e-12]
+        return tuple(np.reshape([v[j] for v in kept], (-1, spec.dim)) for j in (0, 1))
+
+    def check(xs, ys):
+        report = validity_check(spec, xs, ys)
+        return [lane(report.flag, i) for i in np.flatnonzero(report.ok)]
+
+    return _first_passing(n, max(200 * n, 1000), draw, check,
+                         "in-domain sampling stalled after {} draws")
+
+
+def _first_passing(n: int, limit: int, draw, check, stalled: str) -> list:
+    """The first n passing draws, in draw order, of at most `limit`: `draw(m)`
+    makes m draws as lanes (a tuple of arrays), `check(*lanes)` lists the
+    passing ones.  A block whose check raises (an Expr DomainError, say) is
+    halved, first half first; a draw that raises alone is rejected."""
+    out, tries = [], 0
     while len(out) < n:
         if tries == limit:
-            raise RuntimeError(f"in-domain sampling stalled after {tries + 1} draws")
+            raise RuntimeError(stalled.format(tries + 1))
         block = min(limit - tries, 2 + math.ceil(1.25 * (n - len(out)) * (tries + 1)
                                                  / (len(out) + 1)))
-        draws = [(rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim), rng.normal(size=spec.dim))
-                 for _ in range(block)]
-        tries += block  # a draw with |y| < 1e-12 counts as a try and is skipped
-        kept = [(x, y / norm) for x, y in draws if (norm := np.linalg.norm(y)) >= 1e-12]
-        # a stack of blocks: a block whose pass raises (an Expr DomainError, say) is
-        # halved, first half on top, and a draw that raises alone is rejected
-        pending = [tuple(map(np.array, zip(*kept)))] if kept else []
-        while pending:
-            xs, ys = pending.pop()
+        tries += block
+        pending = [draw(block)]
+        while pending:  # a stack of blocks, first half on top
+            lanes = pending.pop()
             try:
-                report = validity_check(spec, xs, ys)
+                out += check(*lanes) if len(lanes[0]) else []
             except (ArithmeticError, ValueError):
-                h = len(xs) // 2
-                pending += [(xs[h:], ys[h:]), (xs[:h], ys[:h])] if h else []
-                continue
-            out += [(report.flag, i) for i in np.flatnonzero(report.ok)]
-    names = [f.name for f in fields(FlagPoint)]
-    return [FlagPoint(**{k: getattr(flag, k)[i] for k in names}) for flag, i in out[:n]]
+                h = len(lanes[0]) // 2
+                pending += [tuple(a[h:] for a in lanes), tuple(a[:h] for a in lanes)] if h else []
+    return out[:n]

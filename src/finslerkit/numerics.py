@@ -17,7 +17,7 @@ factorizes a stack of them as lanes, each with its own pivot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,6 +34,14 @@ def any_lane(mask) -> bool:
 def first_lane(mask, value):
     """``value`` in the first lane where a guard's condition holds (its message)."""
     return np.broadcast_to(value, mask.shape)[mask][0] if isinstance(mask, np.ndarray) else value
+
+
+def lane(record, i: int):
+    """Lane i of a lane-valued record (a dataclass, nested ones included) whose
+    every array carries the lane axis in front; plain values are shared."""
+    return type(record)(**{
+        f: v[i] if isinstance(v, np.ndarray) else lane(v, i) if is_dataclass(v) else v
+        for f, v in vars(record).items()})
 
 
 def lanewise(c, axes: int):

@@ -9,13 +9,12 @@ Three recurring setups, all on flat 3-space with a gradient 1-form:
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from finslerkit import expr as ex
-from finslerkit.hypersurface import LevelSurface
-from finslerkit.metric import SpaceSpec
+from finslerkit.hypersurface import Chart, LevelSurface, _tangential
+from finslerkit.metric import FlagPoint, SpaceSpec, flag_point
+from finslerkit.numerics import lane  # noqa: F401  (re-exported for the test modules)
 
 
 def euclidean_rows(dim: int) -> list[list[ex.Expr]]:
@@ -67,18 +66,16 @@ def tangential_points_and_dirs(surface: LevelSurface, spec: SpaceSpec, n: int, s
 def one_frame(spec: SpaceSpec, surface: LevelSurface, x0, v):
     """The frame of the single tangential direction v at the surface point x0."""
     from finslerkit.connection import covariant_db
-    from finslerkit.hypersurface import frame_at
+    from finslerkit.hypersurface import chart_at, frame_at
 
-    return frame_at(spec, surface, covariant_db(spec, x0), v)
+    return frame_at(spec, chart_at(surface, x0), covariant_db(spec, x0), v)
 
 
-def lane(record, i: int):
-    """Lane i of a lane-valued record whose every array carries the lane axis
-    in front (e.g. a bundle at a stacked base point); plain floats are shared."""
-    if dataclasses.is_dataclass(record):
-        return type(record)(**{f.name: lane(getattr(record, f.name), i)
-                               for f in dataclasses.fields(record)})
-    return record[i] if isinstance(record, np.ndarray) else record
+def tangential_flag(spec: SpaceSpec, chart: Chart, v) -> FlagPoint:
+    """Lift a hypersurface direction v to the ambient flag y = B v at the
+    chart's point; B has full rank, so `flag_point` rejects v = 0 as a zero
+    direction, and beta = 0 is asserted as in `frame_at`."""
+    return _tangential(flag_point(spec, chart.x0, chart.B @ np.asarray(v, dtype=float)))
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:

@@ -19,11 +19,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import exp_fixture, lane, make_space, plane_fixture, radial_fixture
+from conftest import (
+    exp_fixture,
+    lane,
+    make_space,
+    plane_fixture,
+    radial_fixture,
+    tangential_flag,
+)
 from finslerkit.classifier import ClassifyOptions, classify, surface_points
 from finslerkit.connection import covariant_db, difference_tensor
 from finslerkit.geodesic import GeodesicParams, minimize, polyline_length
-from finslerkit.hypersurface import chart_at, frame_at, tangential_flag
+from finslerkit.hypersurface import chart_at, frame_at
 from finslerkit.metric import finsler_norm, flag_point, sample_flags, stack_points
 from finslerkit.numerics import fd_hessian, jet_eval
 from finslerkit.tensors import (
@@ -78,7 +85,7 @@ def tangential_frames():
                 v = rng.normal(size=spec.dim - 1)
                 if np.linalg.norm(v) < 1e-9:
                     continue
-                frame = frame_at(spec, surface, covariant_db(spec, x0), v)
+                frame = frame_at(spec, chart_at(surface, x0), covariant_db(spec, x0), v)
                 rows.append((spec, frame))
             cache[(name, k)] = rows
     return cache

@@ -13,7 +13,7 @@ from conftest import (
     radial_fixture,
     tangential_points_and_dirs,
 )
-from finslerkit import classifier, connection
+from finslerkit import classifier, connection, hypersurface, tensors
 from finslerkit import expr as ex
 from finslerkit.classifier import (
     ClassifierConsistencyError,
@@ -25,7 +25,7 @@ from finslerkit.classifier import (
 )
 from finslerkit.config import load_config
 from finslerkit.connection import covariant_db
-from finslerkit.hypersurface import LevelSurface, frame_at
+from finslerkit.hypersurface import LevelSurface, chart_at, frame_at
 from finslerkit.metric import SpaceSpec
 
 FAST = ClassifyOptions(points=8, directions=3, seed=5)
@@ -44,7 +44,7 @@ def test_surface_points_deterministic_and_on_surface():
 def test_first_kind_constant_one_form():
     spec, surface = plane_fixture(1)
     pts = surface_points(surface, spec, 6, seed=1)
-    result, c_samples = first_kind_test([covariant_db(spec, x) for x in pts], 1e-8)
+    result, c_samples = first_kind_test(covariant_db(spec, pts), 1e-8)
     assert result.passed and result.residual == 0.0
     for c in c_samples:
         assert np.abs(c).max() < 1e-14
@@ -53,7 +53,7 @@ def test_first_kind_constant_one_form():
 def test_first_kind_exponential_gradient_solves_exactly():
     spec, surface = exp_fixture(1)
     pts = surface_points(surface, spec, 6, seed=2)
-    result, c_samples = first_kind_test([covariant_db(spec, x) for x in pts], 1e-8)
+    result, c_samples = first_kind_test(covariant_db(spec, pts), 1e-8)
     assert result.passed and result.residual < 1e-12
     for c in c_samples:  # c = exp(-x3) b = (0, 0, 1) on the level exp(x3) = 1
         assert np.allclose(c, [0.0, 0.0, 1.0], atol=1e-10)
@@ -61,7 +61,7 @@ def test_first_kind_exponential_gradient_solves_exactly():
 
 def test_first_kind_radial_field_fails_with_unit_residual():
     spec, surface = radial_fixture(1)
-    result, _ = first_kind_test([covariant_db(spec, [1.0, 0.0, 0.0])], 1e-8)
+    result, _ = first_kind_test(covariant_db(spec, [[1.0, 0.0, 0.0]]), 1e-8)
     assert not result.passed
     assert result.residual >= 1.0
 
@@ -69,13 +69,13 @@ def test_first_kind_radial_field_fails_with_unit_residual():
 def test_second_kind_constant_and_exponential():
     spec, surface = plane_fixture(1)
     pts = surface_points(surface, spec, 6, seed=1)
-    result, e_samples = second_kind_test([covariant_db(spec, x) for x in pts], 1e-8)
+    result, e_samples = second_kind_test(covariant_db(spec, pts), 1e-8)
     assert result.passed and result.residual == 0.0
     assert all(e == 0.0 for e in e_samples)
 
     spec2, surface2 = exp_fixture(1)
     pts2 = surface_points(surface2, spec2, 6, seed=2)
-    result2, e_samples2 = second_kind_test([covariant_db(spec2, x) for x in pts2], 1e-8)
+    result2, e_samples2 = second_kind_test(covariant_db(spec2, pts2), 1e-8)
     assert result2.passed and result2.residual < 1e-12
     for e in e_samples2:  # e(x) = exp(-x3) = 1 on the surface
         assert e == pytest.approx(1.0, abs=1e-10)
@@ -83,7 +83,7 @@ def test_second_kind_constant_and_exponential():
 
 def test_second_kind_radial_field_fails():
     spec, surface = radial_fixture(1)
-    result, _ = second_kind_test([covariant_db(spec, [1.0, 0.0, 0.0])], 1e-8)
+    result, _ = second_kind_test(covariant_db(spec, [[1.0, 0.0, 0.0]]), 1e-8)
     assert not result.passed
     assert result.residual >= 1.0
 
@@ -139,12 +139,11 @@ def test_first_kind_factor_where_c_is_orthogonal_to_b(k):
     assert report.proportionality_deviation <= 1e-10 * report.geo_H_ab_max
     assert max(abs(f) for f in report.proportionality_factors) > 1e-2
 
-    conns = [covariant_db(spec, x) for x in report.points]
-    _, c_samples = first_kind_test(conns, 1e-8)
+    _, c_samples = first_kind_test(covariant_db(spec, report.points), 1e-8)
     printed_dev = 0.0
-    for conn, c in zip(conns, c_samples):
+    for x, c in zip(report.points, c_samples):
         for v in ([1.0, 0.3], [-0.4, 1.0]):
-            frame = frame_at(spec, surface, conn, v)
+            frame = frame_at(spec, chart_at(surface, x), covariant_db(spec, x), v)
             fl = frame.bundle.flag
             printed = float(c @ fl.y) * np.sqrt(fl.b2) / np.sqrt(1 + k * (k + 1))
             printed_dev = max(printed_dev, float(np.abs(frame.H_ab - printed * frame.h_ind).max()))
@@ -179,8 +178,8 @@ def test_second_kind_implies_first_kind_over_potential_family():
             x = rng.uniform(-1.0, 1.0, size=3)
             if np.linalg.norm(spec.b_at(x)) > 1e-6:
                 pts.append(x)
-        first, _ = first_kind_test([covariant_db(spec, x) for x in pts], 1e-8)
-        second, _ = second_kind_test([covariant_db(spec, x) for x in pts], 1e-8)
+        first, _ = first_kind_test(covariant_db(spec, pts), 1e-8)
+        second, _ = second_kind_test(covariant_db(spec, pts), 1e-8)
         if second.passed:
             assert first.passed, pot
 
@@ -248,12 +247,17 @@ def test_classify_evaluates_each_surface_point_once(monkeypatch):
     a_calls = count_calls(monkeypatch, SpaceSpec, "a_at")
     conns = [count_calls(monkeypatch, module, "covariant_db")
              for module in (classifier, connection)]
+    charts = [count_calls(monkeypatch, module, "chart_at")
+              for module in (classifier, hypersurface)]
+    bundles = [count_calls(monkeypatch, module, "bundle_at") for module in (hypersurface, tensors)]
     report = classify(surface, spec, FAST)
     assert len(report.points) == FAST.points
-    # one a(x) and one connection per point, shared by both kind tests and
-    # by the frames of all FAST.directions directions
-    assert len(a_calls) == FAST.points
-    assert sum(map(len, conns)) == FAST.points
+    # one a(x) pass and one connection over all points as lanes, shared by
+    # both kind tests and by the frames; one bundle per point for all
+    # FAST.directions directions
+    assert len(a_calls) == 1 and a_calls[0][1].shape == (FAST.points, spec.dim)
+    assert sum(map(len, conns)) == 1 and sum(map(len, charts)) == 1
+    assert sum(map(len, bundles)) == FAST.points
 
 
 @pytest.mark.parametrize("fixture", [exp_fixture, radial_fixture])
@@ -263,14 +267,14 @@ def test_per_point_results_match_direction_by_direction_frames(fixture):
     spec, surface = fixture(2)
     report = classify(surface, spec, FAST)
     rng = np.random.default_rng(FAST.seed + 1)
-    conns = [covariant_db(spec, x) for x in report.points]
-    for n, conn in enumerate(conns):
-        frames = [frame_at(spec, surface, conn, v / np.linalg.norm(v))
+    for n, x in enumerate(report.points):
+        chart, conn = chart_at(surface, x), covariant_db(spec, x)
+        frames = [frame_at(spec, chart, conn, v / np.linalg.norm(v))
                   for v in rng.normal(size=(FAST.directions, spec.dim - 1))]
         witness = min(float(np.abs(f.M_ab).max()) for f in frames)
         assert report.third_kind.per_point[n] == pytest.approx(witness, rel=1e-12)
-    first, _ = first_kind_test(conns, FAST.tol)
-    second, _ = second_kind_test(conns, FAST.tol)
+    first, _ = first_kind_test(covariant_db(spec, report.points), FAST.tol)
+    second, _ = second_kind_test(covariant_db(spec, report.points), FAST.tol)
     assert report.first_kind.per_point == first.per_point and len(first.per_point) == 8
     assert report.second_kind.per_point == second.per_point
     assert report.third_kind.witness == min(report.third_kind.per_point)

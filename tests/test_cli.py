@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,37 @@ def test_classify_radial_exits_one(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "first kind : FAIL" in out
+
+
+LOG_CFG = """
+[space]
+family = generalized-square
+k = 2
+a_row = 1, 0, 0
+a_row = 0, 1, 0
+a_row = 0, 0, 1
+b_potential = log(x1 + 1.2) + 0.1*x2
+
+[hypersurface]
+level = -1.386294
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_classify_rejects_seeds_whose_newton_steps_leave_the_domain(tmp_path, capsys, seed):
+    # the level set lies inside the sample box, but Newton steps from some
+    # seeds reach x1 + 1.2 <= 0: those seeds are failed tries, not an error
+    out = tmp_path / "rows.csv"
+    code = main(["classify", "--config", _write(tmp_path, LOG_CFG), "--seed", str(seed),
+                 "--out", str(out)])
+    assert code in (0, 1), capsys.readouterr().err
+    assert "25 surface points" in capsys.readouterr().out
+    rows = out.read_text().splitlines()[2:]
+    assert sorted({int(r.split(",")[0]) for r in rows}) == list(range(1, 26))
+    cfg = load_config(_write(tmp_path, LOG_CFG))
+    report = classify(cfg.surface, cfg.space, dataclasses.replace(cfg.classify_options, seed=seed))
+    assert len(report.points) == 25
+    assert np.abs(cfg.surface.value(report.points) - cfg.surface.level).max() <= 1e-12
 
 
 def test_audit_exits_zero_with_single_informational_row(tmp_path, capsys):

@@ -9,6 +9,7 @@ from conftest import (
     one_frame,
     plane_fixture,
     radial_fixture,
+    tangential_flag,
     tangential_points_and_dirs,
 )
 from finslerkit import expr as ex
@@ -19,7 +20,6 @@ from finslerkit.hypersurface import (
     chart_at,
     frame_at,
     induced_tensors,
-    tangential_flag,
 )
 
 
@@ -258,7 +258,8 @@ def test_frame_identities_sweep():
     pts = tangential_points_and_dirs(surface, spec, 100, seed=91)
     for x0, _ in pts:
         # ten directions share the point's chart and connection
-        frame = frame_at(spec, surface, covariant_db(spec, x0), rng.normal(size=(10, 2)))
+        frame = frame_at(spec, chart_at(surface, x0), covariant_db(spec, x0),
+                         rng.normal(size=(10, 2)))
         B = frame.chart.B
         for Bd, n_up, n_dn, g, h in zip(frame.B_dual, frame.N_up, frame.N_dn,
                                         frame.bundle.g, frame.bundle.h):

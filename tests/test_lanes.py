@@ -3,7 +3,8 @@ same points give as batches of one, and a lane outside the domain raises the
 typed error of the per-point call.  This holds for the derivative oracles,
 for the float kernels (bundles, difference tensors and hypersurface frames)
 and for sampling: base points, the positive-definiteness test and the
-validity check, which masks a failing lane instead of raising."""
+validity check, which masks a failing lane instead of raising; and for the
+x-only pass of classification: surface points, connections and charts."""
 
 import dataclasses
 import types
@@ -13,11 +14,11 @@ import pytest
 
 from conftest import count_calls, exp_fixture, lane, make_space, plane_fixture, radial_fixture
 from finslerkit import expr as ex
-from finslerkit import connection, geodesic, metric, tensors
+from finslerkit import classifier, connection, geodesic, metric, tensors
 from finslerkit.classifier import surface_points
 from finslerkit.connection import covariant_db, difference_tensor
 from finslerkit.geodesic import _length_derivatives, _segment_length
-from finslerkit.hypersurface import LevelSurface, frame_at, unit_normal
+from finslerkit.hypersurface import LevelSurface, OffSurfaceError, chart_at, frame_at, unit_normal
 from finslerkit.metric import (
     FAMILIES,
     SAMPLE_BOX,
@@ -350,11 +351,11 @@ def test_bundle_lanes_match_batches_of_one(family, k, d):
 def test_frame_lanes_match_single_direction_frames(fixture, k):
     spec, surface = fixture(k)
     for x0 in surface_points(surface, spec, 3, seed=40 + k):
-        conn = covariant_db(spec, x0)
+        chart, conn = chart_at(surface, x0), covariant_db(spec, x0)
         vs = np.random.default_rng(k).normal(size=(5, spec.dim - 1))
-        frame = frame_at(spec, surface, conn, vs)
+        frame = frame_at(spec, chart, conn, vs)
         assert frame.H_ab.shape == (5, 2, 2) and frame.chart.B.shape == (3, 2)
-        _assert_lanes_match(frame, [frame_at(spec, surface, conn, v) for v in vs], 1e-12)
+        _assert_lanes_match(frame, [frame_at(spec, chart, conn, v) for v in vs], 1e-12)
 
 
 def test_bundle_at_computes_the_angular_coefficients_once(monkeypatch):
@@ -388,36 +389,37 @@ def _foreign_surface():
     # column (0, 1, 0) is tangential, its second (-1, 0, 1) has beta = 0.1
     spec, _ = plane_fixture(1)
     surface = LevelSurface(ex.parse("x1 + x3"), 0.0)
-    return spec, surface, covariant_db(spec, [0.2, 0.1, -0.2])
+    x0 = [0.2, 0.1, -0.2]
+    return spec, chart_at(surface, x0), covariant_db(spec, x0)
 
 
 def test_non_tangential_lane_raises_the_per_flag_error():
-    spec, surface, conn = _foreign_surface()
+    spec, chart, conn = _foreign_surface()
     with pytest.raises(ValueError, match="not tangential") as one:
-        frame_at(spec, surface, conn, [0.0, 1.0])
+        frame_at(spec, chart, conn, [0.0, 1.0])
     with pytest.raises(ValueError, match="not tangential") as lanes:
-        frame_at(spec, surface, conn, [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        frame_at(spec, chart, conn, [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     assert str(lanes.value) == str(one.value)
-    frame_at(spec, surface, conn, [[1.0, 0.0], [2.0, 0.0]])  # the good lanes alone pass
+    frame_at(spec, chart, conn, [[1.0, 0.0], [2.0, 0.0]])  # the good lanes alone pass
 
 
 def test_tangency_bound_is_per_flag():
     # beta = 1e-7 at |y| = 1e-6 exceeds that flag's bound 1e-10 (1 + 0.1 * 1e-6);
     # a bound taken from the |y| = 1e6 lane (about 1e-5) would let it through
-    spec, surface, conn = _foreign_surface()
+    spec, chart, conn = _foreign_surface()
     with pytest.raises(ValueError, match="beta = 1.000e-07") as one:
-        frame_at(spec, surface, conn, [0.0, 1e-6])
+        frame_at(spec, chart, conn, [0.0, 1e-6])
     with pytest.raises(ValueError) as lanes:
-        frame_at(spec, surface, conn, [[1e6, 0.0], [0.0, 1e-6]])
+        frame_at(spec, chart, conn, [[1e6, 0.0], [0.0, 1e-6]])
     assert str(lanes.value) == str(one.value)
-    frame_at(spec, surface, conn, [[1e6, 0.0], [1e-6, 0.0]])
+    frame_at(spec, chart, conn, [[1e6, 0.0], [1e-6, 0.0]])
 
 
 def test_degenerate_normal_lane_raises_the_per_flag_error():
     # unit_normal reads only the bundle's g: an indefinite g in one lane
     spec, surface = exp_fixture(1)
-    conn = covariant_db(spec, [0.1, 0.2, 0.0])
-    good = frame_at(spec, surface, conn, [[1.0, 0.0], [0.3, 1.0]])
+    x0 = [0.1, 0.2, 0.0]
+    good = frame_at(spec, chart_at(surface, x0), covariant_db(spec, x0), [[1.0, 0.0], [0.3, 1.0]])
     chart, g = good.chart, good.bundle.g
     bad = types.SimpleNamespace(g=np.stack([g[0], -np.eye(3), g[1]]))
     with pytest.raises(ArithmeticError, match="cannot normalize") as one:
@@ -460,8 +462,9 @@ def test_resummation_check_is_per_flag(monkeypatch):
 def test_lane_normals_need_no_numpy_2_solve(monkeypatch):
     # before numpy 2, solve took a 1-D right-hand side only against one matrix
     spec, surface = exp_fixture(1)
-    conn = covariant_db(spec, [0.1, 0.2, 0.0])
-    frame = frame_at(spec, surface, conn, [[1.0, 0.0], [0.3, 1.0]])
+    x0 = [0.1, 0.2, 0.0]
+    conn = covariant_db(spec, x0)
+    frame = frame_at(spec, chart_at(surface, x0), conn, [[1.0, 0.0], [0.3, 1.0]])
     solve = np.linalg.solve
 
     def numpy_1_solve(a, b):
@@ -691,3 +694,194 @@ def test_sampling_stall_keeps_its_message_and_draw_count(monkeypatch):
         assert sum(len(args[1]) for args in checks) == limit  # never past the limit
         with pytest.raises(RuntimeError, match=f"after {limit + 1} draws$"):
             _sample_flags_per_draw(spec, n, seed=4)
+
+
+# -- the spatial pass of classify: surface points, connection and charts as lanes
+
+def _assert_bits_match(batched, singles) -> None:
+    """Lane n of ``batched`` has the bits of ``singles[n]``, leaf by leaf."""
+    for n, single in enumerate(singles):
+        got = _fields(lane(batched, n))
+        for name, ref in _fields(single).items():
+            assert _same_bits(got[name], ref), (name, n)
+
+
+def _level(potential: str, level: float, dim: int = 3):
+    """A generalized-square space whose 1-form is the gradient of the surface potential."""
+    return make_space(k=2, dim=dim, potential=potential), LevelSurface(ex.parse(potential), level)
+
+
+_CURVED = "sin(x1) + x2*x3 + exp(0.5*x3)^1.5"
+_LOG = "log(x1 + 1.2) + 0.1*x2"  # Newton steps from some seeds leave the log's domain
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_connection_lanes_match_single_points_bit_for_bit(d):
+    curl = [f"0.2 + 0.3*x{i + 1}" for i in range(1, d)] + ["0.2 - 0.3*exp(x1)"]
+    for spec in (_varying_space("generalized-square", 2, d),
+                 _varying_space("generalized-square", 1, d, b=curl)):
+        xs, _ = _draws(spec, 12, seed=d)
+        conn = covariant_db(spec, xs)
+        assert conn.gamma.shape == (12, d, d, d) and conn.point.b2.shape == (12,)
+        _assert_bits_match(conn, [covariant_db(spec, x) for x in xs])
+        assert _same_bits(connection.christoffel(spec, xs), conn.gamma)
+
+
+def test_level_surface_lanes_match_single_points_bit_for_bit():
+    _, surface = _level("exp(x1)*sin(x2) + log(2 + x3)^1.5 - x1^3*cos(x2)/x3^-2", 0.0)
+    xs, _ = _draws(make_space(), 20, seed=8)
+    for method in (surface.value, surface.gradient, surface.hessian):
+        batch = method(xs)
+        assert batch.shape[0] == len(xs)
+        for x, got in zip(xs, batch):
+            assert _same_bits(got, method(x)), method.__name__
+
+
+def test_chart_lanes_match_single_points_bit_for_bit():
+    spec, surface = radial_fixture(1)
+    pts = surface_points(surface, spec, 12, seed=9)
+    charts = chart_at(surface, pts)
+    assert charts.B.shape == (12, 3, 2) and charts.B2.shape == (12, 3, 2, 2)
+    assert len(set(charts.dep.tolist())) == 3  # every coordinate is solved for somewhere
+    _assert_bits_match(charts, [chart_at(surface, x) for x in pts])
+    spec, surface = _level(_CURVED, 0.3)
+    pts = surface_points(surface, spec, 12, seed=10)
+    charts = chart_at(surface, pts)
+    assert len(set(charts.dep.tolist())) >= 2
+    _assert_bits_match(charts, [chart_at(surface, x) for x in pts])
+
+
+def test_chart_guards_name_the_failing_lane():
+    surface = LevelSurface(ex.parse("x1^2 + x2^2 + x3^2"), 0.0)
+    xs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    xs[1] = [0.0, 1e-3, 0.0]  # off the surface
+    with pytest.raises(OffSurfaceError) as one:
+        chart_at(surface, xs[1])
+    with pytest.raises(OffSurfaceError) as lanes:
+        chart_at(surface, xs)
+    assert str(lanes.value) == str(one.value)
+    assert "x=[0.0, 0.001, 0.0]" in str(one.value)
+    # x3^2 = x1^3 is singular where x1 = x3 = 0: the gradient vanishes there
+    cusp = LevelSurface(ex.parse("x3^2 - x1^3"), 0.0)
+    xs = np.array([[1.0, 0.2, 1.0], [0.0, 0.7, 0.0], [1.0, 0.5, -1.0]])
+    with pytest.raises(ValueError, match="vanishing potential gradient") as one:
+        chart_at(cusp, xs[1])
+    with pytest.raises(ValueError, match="vanishing potential gradient") as lanes:
+        chart_at(cusp, xs)
+    assert str(lanes.value) == str(one.value)
+    assert "x=[0.0, 0.7, 0.0]" in str(one.value)
+    chart_at(cusp, xs[[0, 2]])  # the good lanes alone pass
+
+
+def test_frame_takes_the_chart_of_its_own_point():
+    spec, surface = exp_fixture(1)
+    pts = surface_points(surface, spec, 2, seed=4)
+    with pytest.raises(ValueError, match="different points"):
+        frame_at(spec, chart_at(surface, pts[0]), covariant_db(spec, pts[1]), [1.0, 0.0])
+
+
+# surface_points of the per-seed code on two surfaces (float.hex): the radial
+# fixture, seed 5, and the curved level, seed 6; four points each
+_RECORDED = {
+    "radial": [
+        ["0x1.6813013a17f13p-1", "0x1.6b8ae58049c3bp-1", "0x1.217be0beea0efp-5"],
+        ["-0x1.af702a39962a9p-2", "-0x1.c13c532d32bb1p-1", "-0x1.d5d60578eca68p-3"],
+        ["-0x1.21a928d3986aap-3", "-0x1.67c63659e17dep-1", "-0x1.6504d89b41548p-1"],
+        ["0x1.b478355503638p-1", "0x1.0a74fc8a43580p-2", "-0x1.d04723bb7434bp-2"],
+    ],
+    "curved": [
+        ["-0x1.058e8595cff7ep-1", "-0x1.4623172ebb4f0p-3", "-0x1.c2c02c63edfb1p-2"],
+        ["-0x1.dd5309f382768p-2", "0x1.d4f3c21793b79p-1", "-0x1.3bf2923e82fe6p-3"],
+        ["-0x1.ebf2fa1164e67p-1", "-0x1.aed0ca76e5112p-1", "-0x1.11f380db0c653p-1"],
+        ["-0x1.9c1b334d1d03dp-1", "-0x1.e40a4a8ee3e8bp-1", "0x1.5952d67064fbcp-1"],
+    ],
+}
+
+
+def test_surface_points_match_the_recorded_per_seed_points():
+    for name, (spec, surface), seed in (("radial", radial_fixture(1), 5),
+                                        ("curved", _level(_CURVED, 0.3), 6)):
+        recorded = np.array([[float.fromhex(c) for c in p] for p in _RECORDED[name]])
+        pts = surface_points(surface, spec, 4, seed)
+        assert _same_bits(pts, recorded), name
+        longer = surface_points(surface, spec, 7, seed)
+        assert _same_bits(longer[:4], pts), name  # the first n are a prefix of the first n + 3
+
+
+def _surface_points_per_seed(surface, spec, n: int, seed: int) -> np.ndarray:
+    """One Newton projection per seed, with the draws of `surface_points`; a
+    seed whose projection raises is rejected."""
+    rng = np.random.default_rng(seed)
+    pts, tries = [], 0
+    while len(pts) < n:
+        tries += 1
+        if tries > max(500 * n, 2000):
+            raise RuntimeError("surface sampling stalled; is the level reachable?")
+        x = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim)
+        try:
+            grad = surface.gradient(x)
+            if np.linalg.norm(grad) < 1e-10:
+                continue
+            u, ok = grad / np.linalg.norm(grad), False
+            for _ in range(60):
+                r = surface.value(x) - surface.level
+                if abs(r) <= 1e-13 * (1.0 + abs(surface.level)):
+                    ok = True
+                    break
+                slope = float(surface.gradient(x) @ u)
+                if abs(slope) < 1e-12:
+                    break
+                x = x - (r / slope) * u
+            if ok and np.linalg.norm(surface.gradient(x)) > 1e-10:
+                pts.append(x)
+        except ArithmeticError:
+            continue
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("spec_surface", [
+    radial_fixture(2), exp_fixture(1), _level(_CURVED, 0.3), _level(_LOG, -1.386294),
+    _level("x1^2 - x2^2 + 0.5*x2", 0.02, dim=2),
+])
+def test_surface_points_match_the_per_seed_reference(spec_surface):
+    spec, surface = spec_surface
+    for seed in (1, 2, 3):
+        assert _same_bits(surface_points(surface, spec, 9, seed),
+                          _surface_points_per_seed(surface, spec, 9, seed))
+
+
+def test_seed_that_leaves_the_domain_is_rejected_alone(monkeypatch):
+    spec, surface = _level(_LOG, -1.386294)
+    passes = count_calls(monkeypatch, classifier, "_project")
+    pts = surface_points(surface, spec, 25, seed=1)
+    assert len(pts) == 25 and np.abs(surface.value(pts) - surface.level).max() <= 1e-12
+    # a raising pass is retried on halves: blocks of one seed are reached
+    assert min(len(args[1]) for args in passes) == 1
+
+
+def test_surface_sampling_stall_keeps_its_message_and_try_count(monkeypatch):
+    spec, surface = _level("x1^2 + x2^2 + x3^2", -1.0)  # an empty level set
+    passes = count_calls(monkeypatch, classifier, "_project")
+    with pytest.raises(RuntimeError, match="^surface sampling stalled; is the level reachable"):
+        surface_points(surface, spec, 3, seed=2)
+    assert sum(len(args[1]) for args in passes) == 2000  # max(500 n, 2000) tries, no more
+
+
+def test_surface_points_reject_converged_points_where_the_gradient_vanishes():
+    # |x|^6 = 0 holds only at the origin, a critical point: Newton steps reach
+    # |x|^6 <= 1e-13 where the gradient 6 |x|^5 is below 1e-10, so no seed passes
+    spec, surface = _level("(x1^2 + x2^2 + x3^2)^3", 0.0)
+    with pytest.raises(RuntimeError, match="surface sampling stalled"):
+        surface_points(surface, spec, 1, seed=3)
+
+
+def test_second_kind_scale_skips_the_points_where_b_vanishes():
+    # lane 0 misses b_ij = e b_i b_j by 1e-6, against the scale 1 + max |b_ij| = 2
+    # of the fitted points; lane 1 (b = 0, skipped) must not raise it to 1 + 1e6
+    point = types.SimpleNamespace(b=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                                  b_up=np.array([[1.0, 0.0], [0.0, 0.0]]), b2=np.array([1.0, 0.0]))
+    b_cov = np.array([[[1.0, 1e-6], [1e-6, 0.0]], [[1e6, 0.0], [0.0, 1e6]]])
+    result, e_samples = classifier.second_kind_test(
+        types.SimpleNamespace(point=point, b_cov=b_cov), 1e-8)
+    assert e_samples == [1.0, 0.0] and result.per_point == [1e-6, 0.0]
+    assert not result.passed
