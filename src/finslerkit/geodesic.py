@@ -6,7 +6,8 @@ positive 1-homogeneity in the direction argument the parametrization
 cancels, so no dt shows up.  Interior nodes are optimized by damped Newton
 steps; the gradient and Hessian are assembled from one hyper-dual jet whose
 lanes cover every segment (the metric data evaluates generically through the
-expression trees).
+expression trees).  A step that moves no node, bit for bit, reuses the current
+length, jet and eigendecomposition, so iteration counts and traces are unchanged.
 """
 
 from __future__ import annotations
@@ -127,7 +128,9 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     trial raises the damping mu, an accepted one lowers it.  The loop stops
     when the length gradient's max-norm is at most ``params.tol``, or after
     ``params.iters`` iterations.  Damping that grows without an acceptance
-    ends with a non-converged result rather than an exception.
+    ends with a non-converged result rather than an exception.  A step that
+    moves no node reuses the current length, gradient, Hessian and
+    eigendecomposition; iteration counts and traces do not change.
     """
     p = np.asarray(params.start, dtype=float)
     q = np.asarray(params.end, dtype=float)
@@ -166,23 +169,31 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     it = 0
     converged = False
     message = ""
+    here = None  # bytes of the point whose eigh and memo of trial lengths are kept
     for it in range(1, params.iters + 1):
         if float(np.abs(grad).max()) <= tol:
             converged = True
             message = "stationary point reached"
             break
-        lam, vec = np.linalg.eigh(hess)
-        g_eig = vec.T @ grad
-        lam_scale = float(np.abs(lam).max()) or 1.0
+        if flat.tobytes() != here:  # bytes, not values: -0.0 against 0.0 is a move
+            lam, vec = np.linalg.eigh(hess)
+            g_eig = vec.T @ grad
+            lam_scale = float(np.abs(lam).max()) or 1.0
+            here = flat.tobytes()
+            lengths = {here: value}
         while damping <= _DAMPING_MAX:
             shifted = lam + damping * lam_scale
             if shifted[0] > 0.0:  # H + mu I positive definite: a descent step
                 step = -vec @ (g_eig / shifted)
                 trial = flat + step
+                key = trial.tobytes()
                 try:
-                    tval = polyline_length(spec, nodes_of(trial))
+                    if key not in lengths:
+                        lengths[key] = polyline_length(spec, nodes_of(trial))
+                    tval = lengths[key]
                     if tval <= value + 1e-4 * float(grad @ step):
-                        tgrad, thess = _length_derivatives(spec, nodes_of(trial))
+                        tgrad, thess = (_length_derivatives(spec, nodes_of(trial))
+                                        if key != here else (grad, hess))
                         break
                 except ArithmeticError:
                     pass  # domain exit: damp harder

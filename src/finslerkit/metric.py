@@ -64,7 +64,8 @@ class DegenerateMetricError(ArithmeticError):
     """a(x) failed positive-definiteness; carries the failing pivot (1-based)."""
 
     def __init__(self, pivot: int, x):
-        super().__init__(f"a(x) not positive definite at x={list(x)} (pivot {pivot})")
+        x = np.asarray(x).tolist()
+        super().__init__(f"a(x) not positive definite at x={x} (pivot {pivot})")
         self.pivot = pivot
 
 

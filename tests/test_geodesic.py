@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_space
+from finslerkit import geodesic
 from finslerkit.geodesic import (
     GeodesicParams,
     SegmentDomainError,
@@ -165,3 +166,31 @@ def test_minimize_shipped_config_converges_in_few_newton_steps():
     assert res.converged
     assert res.iterations <= 20
     assert abs(res.length - 1.1) <= 1e-12
+
+
+@pytest.mark.parametrize("family, potential, end, segments, length_hex", [
+    ("matsumoto", "0.1*x1*x2", [1, 1], 8, "0x1.8651ed16a1fc7p+0"),
+    ("generalized-square", "0.05*x1^2 + 0.1*x1*x2", [1, 0.5], 4, "0x1.545baa4bd4b71p+0"),
+])
+def test_budget_problems_evaluate_no_node_set_twice_in_a_row(
+        monkeypatch, family, potential, end, segments, length_hex):
+    # the two curved problems that use up the budget: most accepted steps move
+    # no node, and such a step keeps the current length, jet and eigenpairs
+    for name in ("_length_derivatives", "polyline_length"):
+        last = []
+
+        def wrapped(spec, nodes, _inner=getattr(geodesic, name), _last=last, _name=name):
+            key = np.asarray(nodes, dtype=float).tobytes()
+            assert _last != [key], f"{_name} called twice in a row on the same nodes"
+            _last[:] = [key]
+            return _inner(spec, nodes)
+
+        monkeypatch.setattr(geodesic, name, wrapped)
+    spec = make_space(family=family, k=1, dim=2, potential=potential)
+    res = minimize(spec, GeodesicParams(start=[0, 0], end=end, segments=segments,
+                                        iters=600, tol=1e-7, seed=1))
+    assert res.iterations == 600
+    assert not res.converged
+    assert res.message == "iteration budget exhausted"
+    assert len(res.trace) == 601
+    assert res.length.hex() == length_hex

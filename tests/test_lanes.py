@@ -505,8 +505,12 @@ def test_base_point_lane_with_degenerate_a_raises_its_pivot_and_x():
         base_point(spec, xs[2])
     with pytest.raises(DegenerateMetricError) as lanes:
         base_point(spec, xs)
-    assert lanes.value.pivot == one.value.pivot == 2
-    assert str(lanes.value) == str(one.value)
+    with pytest.raises(DegenerateMetricError) as pair:
+        base_point(spec, xs[1:3])
+    assert lanes.value.pivot == one.value.pivot == pair.value.pivot == 2
+    assert str(lanes.value) == str(one.value) == str(pair.value)
+    # plain floats, not numpy 2 reprs such as np.float64(-0.25)
+    assert str(one.value).endswith("x=[-0.25, 0.3] (pivot 2)")
     base_point(spec, xs[:2])  # the good lanes alone pass
 
 
