@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .classifier import ClassificationReport, ClassifyOptions, classify
 from .config import RunConfig, load_config
-from .expr import DomainError, Expr, ExprSyntaxError, diff, parse
+from .expr import DomainError, Expr, ExprSyntaxError, parse
 from .geodesic import GeodesicParams, GeodesicResult, minimize, polyline_length
 from .hypersurface import HypersurfaceFrame, LevelSurface, chart_at, frame_at
 from .metric import (
@@ -52,7 +52,6 @@ __all__ = [
     "bundle_at",
     "chart_at",
     "classify",
-    "diff",
     "fd_hessian",
     "flag_point",
     "frame_at",

@@ -17,12 +17,13 @@ type implementing the arithmetic operators (floats, numpy arrays, dual
 numbers with exp/log/sin/cos/sqrt methods), so the same tree serves plain
 evaluation and forward-mode differentiation.  Array and dual values may
 hold many lanes; a domain guard raises when any lane fails it, and each
-float lane has the bits of its point (`_per_lane`).
+float lane has the bits of its point (`_per_lane`).  An `ExprTable` holds
+the entries of an array, evaluates them at float points or on columns of any
+scalar type, and builds its table of partials once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -222,17 +223,14 @@ class Pow(Expr):
         e = self.exponent.eval(x)
         bv = _real(b)
         if isinstance(e, (int, float)):
-            if float(e).is_integer():
-                n = int(e)
-                if n < 0 and any_lane(bv == 0.0):
-                    raise DomainError("zero base with negative exponent", self)
-                return _per_lane(pow, b, n) if isinstance(b, np.ndarray) else b ** n
-            if any_lane(bv < 0.0):
+            whole = float(e).is_integer()
+            if not whole and any_lane(bv < 0.0):
                 raise DomainError("negative base with non-integer exponent", self)
             if e < 0.0 and any_lane(bv == 0.0):
                 raise DomainError("zero base with negative exponent", self)
+            n = int(e) if whole else e
             try:
-                return _per_lane(pow, b, e) if isinstance(b, np.ndarray) else b ** e
+                return _per_lane(pow, b, n) if isinstance(b, np.ndarray) else b ** n
             except (ValueError, ZeroDivisionError) as err:
                 raise DomainError(str(err), self) from err
         # exponent carries derivative information: needs log of the base
@@ -282,18 +280,16 @@ class Fn(Expr):
 
     def diff(self, var):
         u, du = self.arg, self.arg.diff(var)
+        if self.name == "log":
+            return _div(du, u)
+        if self.name == "sqrt":
+            return _div(du, _mul(Num(2.0), Fn("sqrt", u)))
         if self.name == "exp":
             outer = Fn("exp", u)
-        elif self.name == "log":
-            return _div(du, u)
         elif self.name == "sin":
             outer = Fn("cos", u)
-        elif self.name == "cos":
+        else:  # cos: the parser admits only FUNCTIONS
             outer = _neg(Fn("sin", u))
-        elif self.name == "sqrt":
-            return _div(du, _mul(Num(2.0), Fn("sqrt", u)))
-        else:  # unreachable: parser only admits FUNCTIONS
-            raise ValueError(f"unknown function {self.name}")
         return _mul(outer, du)
 
     def __str__(self):
@@ -411,8 +407,7 @@ class _Parser:
 
     def parse(self) -> Expr:
         e = self.parse_sum()
-        self._skip_ws()
-        if self.pos < len(self.text):
+        if self.peek() is not None:
             raise ExprSyntaxError("trailing input", self.pos)
         return e
 
@@ -496,8 +491,33 @@ def parse(text: str, constants: Mapping[str, float] | None = None) -> Expr:
     return _Parser(text, constants or {}).parse()
 
 
-@functools.lru_cache(maxsize=128)
-def diff(e: Expr, var: int) -> Expr:
-    """Exact symbolic derivative with respect to coordinate index ``var``
-    (0-based); those of recent calls are kept, so a table is built once."""
-    return e.diff(var)
+class ExprTable:
+    """Expressions in the C order of ``shape``, whose last axis, if any, is d."""
+
+    def __init__(self, exprs: Sequence[Expr], shape: tuple[int, ...] = ()):
+        self.exprs, self.shape, self._partials = list(exprs), shape, {}
+
+    def eval(self, cols) -> list:
+        """The entries, in C order, on coordinate columns of any scalar type (Jet2 lanes, say)."""
+        return [e.eval(cols) for e in self.exprs]
+
+    def at(self, x) -> np.ndarray:
+        """The entries at x (d,) or at N points x (N, d) as lanes in front; one
+        value (shape ()) is a float at one point."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2):
+            raise ValueError("x must be a point (d,) or N points (N, d)")
+        if self.shape[-1:] not in ((), x.shape[-1:]):
+            raise ValueError(f"x must have dimension {self.shape[-1]}")
+        out = np.empty((len(self.exprs),) + x.shape[:-1])
+        for i, v in enumerate(self.eval(x.T)):  # x.T[m]: coordinate m
+            out[i] = v
+        # contiguous, so that matmul takes the BLAS route, and the bits, of one point
+        return np.ascontiguousarray(out.T).reshape(x.shape[:-1] + self.shape)[()]
+
+    def diff(self, d: int) -> "ExprTable":
+        """The exact partials T[..., l] = d T[...] / d x^l, built once per d."""
+        if d not in self._partials:
+            self._partials[d] = ExprTable([e.diff(l) for e in self.exprs for l in range(d)],
+                                          self.shape + (d,))
+        return self._partials[d]

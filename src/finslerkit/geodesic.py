@@ -6,7 +6,7 @@ positive 1-homogeneity in the direction argument the parametrization
 cancels, so no dt shows up.  Interior nodes are optimized by damped Newton
 steps; the gradient and Hessian are assembled from one hyper-dual jet whose
 lanes cover every segment (the metric data evaluates generically through the
-expression trees).  A step that moves no node, bit for bit, reuses the current
+space's expression tables).  A step that moves no node, bit for bit, reuses the current
 length, jet and eigendecomposition, so iteration counts and traces are unchanged.
 """
 
@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr as ex
-from .metric import FamilyDomainError, SpaceSpec, alpha_beta_generic, finsler_norm
+from .metric import SpaceSpec, alpha_beta_generic, finsler_norm
 from .numerics import jet_eval
 
 
@@ -32,10 +31,9 @@ class SegmentDomainError(ArithmeticError):
 
 def _segment_length(spec: SpaceSpec, mid, delta):
     """F(midpoint, delta) with scalars of any type; raises on domain exit."""
-    d = spec.dim
-    a = [[spec.a[i][j].eval(mid) for j in range(d)] for i in range(d)]
-    b = [spec.b[i].eval(mid) for i in range(d)]
-    alpha, beta, _ = alpha_beta_generic(a, b, delta)
+    d, a = spec.dim, spec.a_table.eval(mid)
+    alpha, beta, _ = alpha_beta_generic([a[i * d:i * d + d] for i in range(d)],
+                                        spec.b_table.eval(mid), delta)
     return finsler_norm(spec.family, spec.k, alpha, beta)
 
 
@@ -50,7 +48,7 @@ def polyline_length(spec: SpaceSpec, nodes) -> float:
         delta = list(nodes[s + 1] - nodes[s])
         try:
             parts.append(float(_segment_length(spec, mid, delta)))
-        except (ArithmeticError, ex.DomainError, FamilyDomainError) as err:
+        except ArithmeticError as err:  # DomainError and FamilyDomainError among them
             raise SegmentDomainError(s, err) from err
     # exactly rounded sum: near the minimum, accumulated rounding would
     # otherwise decide whether the reported length falls below the true one
@@ -150,8 +148,7 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     flat = interior.flatten()
 
     def nodes_of(flat_vec):
-        inner = flat_vec.reshape(-1, spec.dim) if len(flat_vec) else np.empty((0, spec.dim))
-        return np.vstack([p[None, :], inner, q[None, :]])
+        return np.vstack([p[None, :], flat_vec.reshape(-1, spec.dim), q[None, :]])
 
     if len(flat) == 0:  # single segment: nothing to optimize
         length = polyline_length(spec, nodes_of(flat))

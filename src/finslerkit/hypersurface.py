@@ -5,9 +5,9 @@ potential, re-selected per base point by largest gradient component; chart
 second derivatives are exact symbolic quantities, never finite differences,
 because the second fundamental h-tensor sits at 1e-8 tolerances.
 
-The potential and its derivatives take one point (d,) or P points (P, d)
-as lanes, and so does `chart_at`, each lane with its own dependent
-coordinate; its guards hold in every lane and name the failing point.
+The potential and its derivatives (one `expr.ExprTable`) take one point (d,)
+or P points (P, d) as lanes, and so does `chart_at`, each lane with its own
+dependent coordinate; its guards hold in every lane and name the failing point.
 
 Tangential flags satisfy beta = 0; on them the induced metric is the
 pullback of a_ij (a Riemannian metric) and the normal is the g-unit,
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expr as ex
 from .connection import ConnectionData, difference_tensor
-from .metric import FlagPoint, SpaceSpec, _eval_at
+from .metric import FlagPoint, SpaceSpec
 from .numerics import any_lane, dot, first_lane, lanewise, matvec, outer
 from .tensors import TensorBundle, bundle_at
 
@@ -45,17 +45,18 @@ class LevelSurface:
     potential: ex.Expr
     level: float
 
+    def __post_init__(self):
+        self.table = ex.ExprTable([self.potential])
+
     def value(self, x):
-        return _eval_at([self.potential], x)
+        return self.table.at(x)
 
     def gradient(self, x) -> np.ndarray:
-        d = np.shape(x)[-1]
-        return _eval_at([ex.diff(self.potential, i) for i in range(d)], x, (d,))
+        return self.table.diff(np.shape(x)[-1]).at(x)
 
     def hessian(self, x) -> np.ndarray:
         d = np.shape(x)[-1]
-        grad = [ex.diff(self.potential, i) for i in range(d)]
-        return _eval_at([ex.diff(g, j) for g in grad for j in range(d)], x, (d, d))
+        return self.table.diff(d).diff(d).at(x)
 
 
 @dataclass

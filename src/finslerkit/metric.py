@@ -9,16 +9,16 @@ differentiation oracles across all of them.
 check.  The square and kropina names are aliases for k = 1 of the generalized
 families; `resolve_family` maps them, once per `SpaceSpec`.
 
-`SpaceSpec` evaluates a, b and their exact spatial derivatives at one point
-or at N points as lanes (`_eval_at`, which level surfaces share).
-`base_point` evaluates a float base point once, or N points as lanes: its
-`BasePoint` record holds a_ij(x) (checked positive definite), b_i(x), a^ij,
-b^i and b^2; a `FlagPoint` adds a direction.  Every `(spec, x, ...)` entry
-point accepts such a record where it accepts x, and reads it instead of
-evaluating again.  The one other evaluation of a(x) and b(x) is
-`geodesic._segment_length`, on dual segment midpoints and without the
-positive-definiteness check.  `validity_check` masks each failing lane of N
-flags; `sample_flags` makes its draws one at a time and checks them in blocks
+`SpaceSpec` holds a and b as expression tables (`expr.ExprTable`), which
+evaluate them and keep their exact spatial derivatives, at one point or at N
+points as lanes.  `base_point` evaluates a float base point once, or N points
+as lanes: its `BasePoint` record holds a_ij(x) (checked positive definite),
+b_i(x), a^ij, b^i and b^2; a `FlagPoint` adds a direction.  Every
+`(spec, x, ...)` entry point accepts such a record where it accepts x, and
+reads it instead of evaluating again.  `geodesic._segment_length` reads the
+same tables on dual segment midpoints, without the positive-definiteness
+check.  `validity_check` masks each failing lane of N flags; `sample_flags`
+makes its draws one at a time and checks them in blocks
 (`_first_passing`, which the surface sampler shares).
 
 The literature overloads one symbol as both manifold dimension and metric
@@ -180,10 +180,10 @@ def alpha_beta_generic(a, b, y):
 class SpaceSpec:
     """A Finsler space: dimension, exponent, family, a_ij(x) and b_i(x).
 
-    Treated as immutable after construction; all evaluation is pure.  The
-    family is stored canonically: an alias is replaced by its generalized
-    family with k = 1.  When ``b_potential`` is supplied, b_i is its exact
-    symbolic gradient, so the gradient-field property holds by construction.
+    Treated as immutable after construction: evaluation is pure and goes
+    through the tables `a_table` and `b_table`.  The family is stored
+    canonically (an alias becomes its generalized family with k = 1);
+    `from_potential` makes b_i the exact symbolic gradient of a potential.
     """
 
     dim: int
@@ -203,46 +203,29 @@ class SpaceSpec:
             raise ValueError(f"a must be a {self.dim}x{self.dim} block")
         if len(self.b) != self.dim:
             raise ValueError(f"b must have {self.dim} components")
+        self.a_table = ex.ExprTable([e for row in self.a for e in row], (self.dim, self.dim))
+        self.b_table = ex.ExprTable(self.b, (self.dim,))
 
     @classmethod
     def from_potential(cls, dim, k, family, a, potential: ex.Expr) -> "SpaceSpec":
-        b = [ex.diff(potential, i) for i in range(dim)]
+        b = ex.ExprTable([potential]).diff(dim).exprs
         return cls(dim, k, family, a, b, b_potential=potential)
 
     # -- evaluation at x (d,) or at N points x (N, d) as lanes in front
 
     def a_at(self, x) -> np.ndarray:
-        return _eval_at([e for row in self.a for e in row], x, (self.dim, self.dim))
+        return self.a_table.at(x)
 
     def b_at(self, x) -> np.ndarray:
-        return _eval_at(self.b, x, (self.dim,))
+        return self.b_table.at(x)
 
     def da_at(self, x) -> np.ndarray:
         """Spatial derivatives da[l, i, j] = d a_ij / d x^l (exact symbolic)."""
-        d = self.dim
-        return _eval_at([ex.diff(e, l) for l in range(d) for row in self.a for e in row], x,
-                        (d, d, d))
+        return np.ascontiguousarray(np.moveaxis(self.a_table.diff(self.dim).at(x), -1, -3))
 
     def db_at(self, x) -> np.ndarray:
         """Spatial derivatives db[i, j] = d b_i / d x^j (exact symbolic)."""
-        return _eval_at([ex.diff(e, j) for e in self.b for j in range(self.dim)], x,
-                        (self.dim, self.dim))
-
-
-def _eval_at(exprs: list[ex.Expr], x, shape: tuple[int, ...] = ()) -> np.ndarray:
-    """The expressions, `shape` of them, at x (d,) or at N points x (N, d) as
-    lanes in front; one value (shape ()) is a float at one point.  The last
-    axis of `shape`, if any, is the dimension d."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValueError("x must be a point (d,) or N points (N, d)")
-    if shape[-1:] not in ((), x.shape[-1:]):
-        raise ValueError(f"x must have dimension {shape[-1]}")
-    cols, out = x.T, np.empty((len(exprs),) + x.shape[:-1])  # cols[m]: coordinate m
-    for i, e in enumerate(exprs):
-        out[i] = e.eval(cols)
-    # contiguous, so that matmul takes the BLAS route, and the bits, of one point
-    return np.ascontiguousarray(out.T).reshape(x.shape[:-1] + shape)[()]
+        return self.b_table.diff(self.dim).at(x)
 
 
 @dataclass
