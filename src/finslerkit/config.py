@@ -26,8 +26,9 @@ The keys and defaults of [audit], [classify] and [geodesic] are the fields of
 A value is parsed by the type of its field's default (int, float, or a vector
 for start and end) and bounded below by the field's "min" metadata, if any.
 
-Unknown sections or keys are rejected (typo safety); every error carries its
-line number.
+Unknown sections or keys are rejected (typo safety), and so is an expression
+that uses a coordinate beyond the dimension; every error carries its line
+number.
 """
 
 from __future__ import annotations
@@ -136,9 +137,9 @@ def _option(f: Field, value: str, line: int):
     return np.array(_floats(value, line))
 
 
-def _expr(text: str, constants: dict[str, float], line: int) -> ex.Expr:
+def _expr(text: str, constants: dict[str, float], line: int, dim: int) -> ex.Expr:
     try:
-        return ex.parse(text, constants)
+        return ex.parse(text, constants, dim)
     except ex.ExprSyntaxError as err:
         raise ConfigError(f"bad expression: {err}", line) from err
 
@@ -215,7 +216,7 @@ def load_config(path: str | Path) -> RunConfig:
                 f"dimension mismatch: {len(a_rows)} a_row lines but this row has "
                 f"{len(row)} entries", line_no,
             )
-        a.append([_expr(t, constants, line_no) for t in row])
+        a.append([_expr(t, constants, line_no, dim) for t in row])
 
     if (b_texts is None) == (b_potential is None):
         raise ConfigError("[space] needs exactly one of 'b' or 'b_potential'")
@@ -223,7 +224,8 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         if b_potential is not None:
             line_no, text = b_potential
-            space = SpaceSpec.from_potential(dim, k, family, a, _expr(text, constants, line_no))
+            space = SpaceSpec.from_potential(dim, k, family, a,
+                                             _expr(text, constants, line_no, dim))
         else:
             line_no, texts = b_texts
             if len(texts) != dim:
@@ -231,7 +233,8 @@ def load_config(path: str | Path) -> RunConfig:
                     f"dimension mismatch: b has {len(texts)} entries for dimension {dim}",
                     line_no,
                 )
-            space = SpaceSpec(dim, k, family, a, [_expr(t, constants, line_no) for t in texts])
+            space = SpaceSpec(dim, k, family, a,
+                              [_expr(t, constants, line_no, dim) for t in texts])
     except ValueError as err:
         if isinstance(err, ConfigError):
             raise
@@ -248,7 +251,7 @@ def load_config(path: str | Path) -> RunConfig:
     if surface_potential is not None or surface_level is not None:
         if surface_potential is not None:
             line_no, text = surface_potential
-            potential = _expr(text, constants, line_no)
+            potential = _expr(text, constants, line_no, dim)
         elif space.b_potential is not None:
             potential = space.b_potential
         else:

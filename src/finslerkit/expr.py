@@ -373,9 +373,10 @@ _COORD = re.compile(r"x([1-9][0-9]*)$")
 
 
 class _Parser:
-    def __init__(self, text: str, constants: Mapping[str, float]):
+    def __init__(self, text: str, constants: Mapping[str, float], dim: float):
         self.text = text
         self.constants = constants
+        self.dim = dim
         self.pos = 0
 
     def _skip_ws(self):
@@ -467,6 +468,8 @@ class _Parser:
                     )
                 return Fn(text, args[0])
             m = _COORD.match(text)
+            if m and int(m.group(1)) > self.dim:
+                raise ExprSyntaxError(f"coordinate {text} is beyond dimension {self.dim}", offset)
             if m:
                 return Coord(int(m.group(1)) - 1)
             if text in self.constants:
@@ -481,14 +484,16 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected '{text}'", offset)
 
 
-def parse(text: str, constants: Mapping[str, float] | None = None) -> Expr:
+def parse(text: str, constants: Mapping[str, float] | None = None,
+          dim: int | None = None) -> Expr:
     """Parse expression text into an immutable tree.
 
-    Named constants are substituted by value at parse time.
+    Named constants are substituted by value at parse time.  Given ``dim``,
+    a coordinate beyond x<dim> is rejected like an unknown identifier.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text, constants or {}).parse()
+    return _Parser(text, constants or {}, math.inf if dim is None else dim).parse()
 
 
 class ExprTable:

@@ -6,7 +6,7 @@ positive 1-homogeneity in the direction argument the parametrization
 cancels, so no dt shows up.  Interior nodes are optimized by damped Newton
 steps; the gradient and Hessian are assembled from one hyper-dual jet whose
 lanes cover every segment (the metric data evaluates generically through the
-space's expression tables).  A step that moves no node, bit for bit, reuses the current
+space's tables).  A step that moves no node, bit for bit, reuses the current
 length, jet and eigendecomposition, so iteration counts and traces are unchanged.
 """
 

@@ -336,6 +336,41 @@ def test_config_geodesic_endpoint_dimension_checked_at_load(tmp_path, capsys, ol
     assert capsys.readouterr().err == f"error: line {line}: {key} must have dimension 2\n"
 
 
+@pytest.mark.parametrize("old, new", [
+    ("a_row = 0, 1", "a_row = 0, 1 + 0.1*x3"),
+    ("b = 0.1, 0", "b = 0.1, 0.2*x3"),
+    ("b = 0.1, 0", "b_potential = 0.1*x1 + x3^2"),
+    ("seed = 1", "seed = 1\n\n[hypersurface]\npotential = x1 + x3\nlevel = 0"),
+])
+def test_config_rejects_a_coordinate_beyond_the_dimension(tmp_path, capsys, old, new):
+    # accepted before, a 2-D space with x3 stalled `audit` and gave `geodesic` length = nan
+    bad = GEO_CFG.replace(old, new)
+    line = next(n for n, text in enumerate(bad.splitlines(), 1) if "x3" in text)
+    with pytest.raises(ConfigError, match=rf"^line {line}: bad expression: coordinate x3 is "
+                                          r"beyond dimension 2 at offset \d+$") as err:
+        load_config(_write(tmp_path, bad))
+    for command in ("audit", "geodesic"):
+        assert main([command, "--config", _write(tmp_path, bad)]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_config_rejects_a_that_is_not_symmetric_at_sampled_points(tmp_path):
+    bad = GEO_CFG.replace("a_row = 1, 0", "a_row = 1, 0.1*x1").replace(
+        "a_row = 0, 1", "a_row = 0.1*x2, 1")
+    with pytest.raises(ConfigError, match=r"^a\(x\) is not symmetric at sampled points$"):
+        load_config(_write(tmp_path, bad))
+
+
+def test_symmetry_probe_skips_a_point_where_a_cannot_be_evaluated(tmp_path):
+    cfg = GEO_CFG.replace("a_row = 1, 0", "a_row = 1 + sqrt(x1), 0")
+    loaded = load_config(_write(tmp_path, cfg))
+    probe = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 2))  # as _probe_symmetry draws
+    assert probe[1, 0] == pytest.approx(-0.918, abs=1e-3)
+    with pytest.raises(DomainError, match="sqrt of negative value"):
+        loaded.space.a_at(probe[1])
+    assert all(np.array_equal(a, a.T) for a in loaded.space.a_at(probe[[0, 2, 3]]))
+
+
 def test_config_rejects_k_zero(tmp_path):
     bad = PLANE_CFG.replace("k = 1", "k = 0")
     with pytest.raises(ConfigError, match="k must be >= 1"):

@@ -80,6 +80,9 @@ def test_constants_bound_at_parse_time():
 def test_unknown_identifier_and_function():
     with pytest.raises(ex.ExprSyntaxError, match="unknown identifier"):
         ex.parse("x1 + zeta")
+    assert str(ex.parse("x1 + x2", dim=2)) == "x1 + x2"
+    with pytest.raises(ex.ExprSyntaxError, match="^coordinate x3 is beyond dimension 2 at offset 5$"):
+        ex.parse("x1 + x3", dim=2)
     with pytest.raises(ex.ExprSyntaxError, match="unknown function"):
         ex.parse("sinh(x1)")
 

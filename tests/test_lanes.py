@@ -889,3 +889,81 @@ def test_second_kind_scale_skips_the_points_where_b_vanishes():
         types.SimpleNamespace(point=point, b_cov=b_cov), 1e-8)
     assert e_samples == [1.0, 0.0] and result.per_point == [1e-6, 0.0]
     assert not result.passed
+
+
+# -- expression tables: a, b, their partials and the level potential's value, gradient, Hessian
+
+def _table_fixture(d: int):
+    """A d-dimensional space and surface whose entries use exp, log, sin, cos,
+    sqrt, fractional and negative powers, defined on the sampling box.  Each
+    entry is a tree of its own: a_ij and a_ji multiply in opposite orders."""
+    xs = [f"x{i + 1}" for i in range(d)]
+    a = [[f"0.05*exp({xs[i]}*{xs[j]})" for j in range(d)] for i in range(d)]
+    for i, x in enumerate(xs):
+        a[i][i] = f"2 + sin({x})*cos({xs[i - 1]}) + (1.5 + {xs[i - 1]})^-2 + sqrt(1.2 + {x})"
+    b = [f"log(2 + {x})^1.5 - {xs[-1 - i]}^3/(3 + {x})" for i, x in enumerate(xs)]
+    potential = " + ".join(f"(1.5 + {x})^0.75*cos({xs[-1 - i]}) - exp(-{x})*(2 + {xs[i - 1]})^-2"
+                           for i, x in enumerate(xs))
+    return make_space(dim=d, a=a, b=b), LevelSurface(ex.parse(potential), 0.0)
+
+
+def _tables(d: int) -> dict:
+    spec, surface = _table_fixture(d)
+    table = surface.table
+    return {"a": spec.a_table, "b": spec.b_table, "da": spec.a_table.diff(d),
+            "db": spec.b_table.diff(d), "value": table, "gradient": table.diff(d),
+            "hessian": table.diff(d).diff(d)}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_table_lanes_match_single_points_bit_for_bit(d):
+    xs = np.random.default_rng(d).uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(7, d))
+    for name, table in _tables(d).items():
+        batch = table.at(xs)
+        assert batch.shape == (7,) + table.shape and batch.flags.c_contiguous, name
+        for x, got in zip(xs, batch):
+            assert _same_bits(got, table.at(x)), name
+
+
+def _jet_parts(jets, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The value and e1 parts of a table's entries on jet columns; a constant
+    entry is a plain float."""
+    value = [np.broadcast_to(getattr(v, "value", v), shape[:1]) for v in jets]
+    d1 = [np.broadcast_to(getattr(v, "d1", 0.0), shape[:1]) for v in jets]
+    return np.stack(value, -1).reshape(shape), np.stack(d1, -1).reshape(shape)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_table_on_jet_columns_matches_float_values_and_partials(d):
+    xs = np.random.default_rng(10 + d).uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(7, d))
+    for name, table in _tables(d).items():
+        values, partials = table.at(xs), table.diff(d).at(xs)
+        for m in range(d):  # the e1 part seeded along coordinate m
+            value, d1 = _jet_parts(table.eval([Jet2(xs[:, j], float(j == m)) for j in range(d)]),
+                                   values.shape)
+            # numpy's vector exp/log/sin/cos/pow may differ from libm's by an ulp
+            assert np.allclose(value, values, rtol=1e-14, atol=1e-14), name
+            assert np.allclose(d1, partials[..., m], rtol=1e-12, atol=1e-12), name
+
+
+def test_each_object_builds_its_derivative_trees_once(monkeypatch):
+    spec, surface = _table_fixture(5)
+    xs, _ = _draws(spec, 25, seed=5)
+    builds = []
+
+    def counted(diff):
+        def wrapper(e, var):
+            builds.append(type(e).__name__)
+            return diff(e, var)
+        return wrapper
+
+    for cls in ex.Expr.__subclasses__():
+        monkeypatch.setattr(cls, "diff", counted(cls.diff))
+    calls = (spec.da_at, spec.db_at, surface.gradient, surface.hessian)
+    first = [call(xs) for call in calls]
+    assert builds  # the first calls build the 125 da, 25 db, 5 gradient and 25 Hessian trees
+    builds.clear()
+    for _ in range(3):
+        for call, ref in zip(calls, first):
+            assert _same_bits(call(xs), ref)
+    assert builds == []
