@@ -1,9 +1,11 @@
-"""Second-order forward differentiation and small dense linear algebra.
+"""First- and second-order forward differentiation and small dense linear algebra.
 
 Two independent derivative oracles live here: exact-to-roundoff hyper-dual
 propagation (`jet_eval`) and central finite differences (`fd_hessian`).
 Closed-form tensor formulas elsewhere in the package are audited against
 both, so a bug in one oracle cannot silently confirm a wrong formula.
+A `Jet2` seeded first-order (d2 = d12 = None) skips the second-order parts
+for a caller that reads only d1: the hv-torsion oracle (`torsion_oracle`).
 
 Both evaluate over lanes: each calls its function once for a batch of
 points, on numpy arrays (every index pair or stencil point of every point);
@@ -69,6 +71,8 @@ class Jet2:
     Seeding e1/e2 with unit coordinate directions and reading the e1*e2
     coefficient yields one exact mixed second derivative per evaluation;
     the e1 coefficient carries the first derivative.  No truncation error.
+    Seeded with d2 = d12 = None a jet is first-order: it carries value and
+    d1 only, with the same bits.  Mixing the orders raises TypeError.
 
     The parts are floats or numpy arrays of one lane shape, and the
     arithmetic is elementwise.  numpy operands defer to Jet2
@@ -86,18 +90,29 @@ class Jet2:
 
     def __getitem__(self, key):
         """Index every part alike, e.g. ``jet[..., None]`` to add an axis."""
-        return Jet2(*(np.asarray(getattr(self, p))[key] for p in self.__slots__))
+        return Jet2(*(None if v is None else np.asarray(v)[key]
+                      for v in (self.value, self.d1, self.d2, self.d12)))
 
     @staticmethod
     def stack(jets) -> "Jet2":
-        """One jet whose parts stack those of ``jets`` along a new last axis."""
-        return Jet2(*(np.stack(np.broadcast_arrays(*(getattr(j, p) for j in jets)), axis=-1)
+        """One jet whose parts stack those of ``jets`` along a new last axis;
+        the jets share one order (`_first_order` raises otherwise)."""
+        first = [jets[0]._first_order(j) for j in jets if j.d2 is None or jets[0].d2 is None]
+        return Jet2(*(None if first and p in ("d2", "d12") else
+                      np.stack(np.broadcast_arrays(*(getattr(j, p) for j in jets)), axis=-1)
                       for p in Jet2.__slots__))
+
+    def _first_order(self, other):  # d2, d12 of a first-order result; never mix the orders
+        if (self.d2 is None) != (other.d2 is None):
+            raise TypeError("cannot mix a first-order Jet2 (d2 None) with a second-order one")
+        return None, None
 
     # -- arithmetic
 
     def __add__(self, other):
         if isinstance(other, Jet2):
+            if self.d2 is None or other.d2 is None:
+                return Jet2(self.value + other.value, self.d1 + other.d1, *self._first_order(other))
             return Jet2(self.value + other.value, self.d1 + other.d1,
                         self.d2 + other.d2, self.d12 + other.d12)
         return Jet2(self.value + other, self.d1, self.d2, self.d12)
@@ -106,15 +121,20 @@ class Jet2:
 
     def __sub__(self, other):
         if isinstance(other, Jet2):
+            if self.d2 is None or other.d2 is None:
+                return Jet2(self.value - other.value, self.d1 - other.d1, *self._first_order(other))
             return Jet2(self.value - other.value, self.d1 - other.d1,
                         self.d2 - other.d2, self.d12 - other.d12)
         return Jet2(self.value - other, self.d1, self.d2, self.d12)
 
     def __rsub__(self, other):
-        return Jet2(other - self.value, -self.d1, -self.d2, -self.d12)
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
+            if self.d2 is None or other.d2 is None:
+                return Jet2(self.value * other.value, self.value * other.d1 + self.d1 * other.value,
+                            *self._first_order(other))
             return Jet2(
                 self.value * other.value,
                 self.value * other.d1 + self.d1 * other.value,
@@ -122,6 +142,8 @@ class Jet2:
                 self.value * other.d12 + self.d1 * other.d2
                 + self.d2 * other.d1 + self.d12 * other.value,
             )
+        if self.d2 is None:
+            return Jet2(self.value * other, self.d1 * other, None, None)
         return Jet2(self.value * other, self.d1 * other, self.d2 * other, self.d12 * other)
 
     __rmul__ = __mul__
@@ -131,25 +153,27 @@ class Jet2:
             return self * other._reciprocal()
         if any_lane(other == 0.0):
             raise ZeroDivisionError("division by zero")
-        inv = 1.0 / other
-        return Jet2(self.value * inv, self.d1 * inv, self.d2 * inv, self.d12 * inv)
+        return self * (1.0 / other)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
 
     def __neg__(self):
+        if self.d2 is None:
+            return Jet2(-self.value, -self.d1, None, None)
         return Jet2(-self.value, -self.d1, -self.d2, -self.d12)
 
     def _reciprocal(self):
         x = self.value
         if any_lane(x == 0.0):
             raise ZeroDivisionError("division by zero")
-        return self._lift(1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x))
+        return self._lift(1.0 / x, -1.0 / (x * x), None if self.d2 is None else 2.0 / (x * x * x))
 
     def _lift(self, f, fp, fpp) -> "Jet2":
         # chain rule through a scalar function with value f, f', f'' at self.value
-        return Jet2(f, fp * self.d1, fp * self.d2,
-                    fp * self.d12 + fpp * self.d1 * self.d2)
+        if self.d2 is None:
+            return Jet2(f, fp * self.d1, None, None)
+        return Jet2(f, fp * self.d1, fp * self.d2, fp * self.d12 + fpp * self.d1 * self.d2)
 
     def __pow__(self, e):
         if isinstance(e, Jet2):
@@ -160,8 +184,8 @@ class Jet2:
             n = int(e)
             if n < 0:
                 return (self.__pow__(-n))._reciprocal()
-            out = Jet2(1.0)
-            for _ in range(n):  # exponents here are small; exact for any base
+            out = self if n else self._lift(1.0, 0.0, 0.0)  # x^0: the constant 1, as a jet
+            for _ in range(n - 1):  # exponents here are small; exact for any base
                 out = out * self
             return out
         x = self.value

@@ -274,14 +274,14 @@ def torsion_oracle(spec: SpaceSpec, x, y) -> np.ndarray:
     closed-form `fundamental_tensor` in the direction argument; x may be a
     BasePoint, or a stacked one with y the (N, d) directions of its points.
 
-    One pass over lanes (d, N): lane k seeds e_k.
+    One pass of first-order jets over lanes (d, N): lane k seeds e_k.
     """
     point = base_point(spec, x)
     a, b = _lanes_of(point)
     y = np.asarray(y, dtype=float)
     lanes = (spec.dim,) + y.shape[:-1]
     seed = np.eye(spec.dim).reshape((spec.dim, spec.dim) + (1,) * (y.ndim - 1))
-    ys = [Jet2(np.broadcast_to(y[..., m], lanes), seed[m]) for m in range(spec.dim)]
+    ys = [Jet2(np.broadcast_to(y[..., m], lanes), seed[m], None, None) for m in range(spec.dim)]
     alpha, beta, y_low = alpha_beta_generic(a, b, ys)
     pp = phi_partials(spec.family, spec.k, alpha, beta)
     mc = metric_coefficients(pp, angular_coefficients(pp, alpha), spec.family, spec.k,

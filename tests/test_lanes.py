@@ -4,7 +4,9 @@ typed error of the per-point call.  This holds for the derivative oracles,
 for the float kernels (bundles, difference tensors and hypersurface frames)
 and for sampling: base points, the positive-definiteness test and the
 validity check, which masks a failing lane instead of raising; and for the
-x-only pass of classification: surface points, connections and charts."""
+x-only pass of classification: surface points, connections and charts.
+First-order jets (the hv-torsion oracle's) give the value and d1 bits of the
+second-order route, and refuse to mix with second-order ones."""
 
 import dataclasses
 import types
@@ -168,6 +170,82 @@ def test_numpy_operands_defer_to_jets():
                 np.ones(3) + jet, np.ones(3) - jet, np.ones(3) / jet):
         assert isinstance(out, Jet2)
         assert np.asarray(out.value).dtype == np.float64
+
+
+# -- first-order jets: value and d1 only, with the bits of the second-order route
+
+
+def _second_order_torsion(monkeypatch, spec, x, y):
+    """`torsion_oracle` on second-order seeds (d2 = d12 = 0), the route it replaced."""
+    orders = []
+
+    def seed(value, d1, d2, d12):
+        return Jet2(value, d1)
+
+    def stack(jets):
+        orders.append({j.d12 is None for j in jets})
+        return Jet2.stack(jets)
+
+    seed.stack = stack
+    with monkeypatch.context() as m:
+        m.setattr(tensors, "Jet2", seed)
+        out = torsion_oracle(spec, x, y)
+    assert orders == [{False}]
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_first_order_torsion_matches_the_second_order_route(monkeypatch, family, k, d):
+    spec = _varying_space(family, k, d)
+    flags, ys = _flags(spec, 3, seed=30 * k + d)
+    batch = stack_points(flags)
+    assert _same_bits(torsion_oracle(spec, batch, ys),
+                      _second_order_torsion(monkeypatch, spec, batch, ys))
+    for flag, y in zip(flags, ys):
+        assert _same_bits(torsion_oracle(spec, flag, y),
+                          _second_order_torsion(monkeypatch, spec, flag, y))
+
+
+_JET_OPS = {
+    "add": lambda u, v: u + v, "add float": lambda u, v: u + 0.5,
+    "radd": lambda u, v: np.float64(0.5) + u, "sub": lambda u, v: u - v,
+    "sub float": lambda u, v: u - 0.5, "rsub": lambda u, v: np.ones(3) - u,
+    "mul": lambda u, v: u * v, "mul float": lambda u, v: u * 1.5,
+    "rmul": lambda u, v: np.float64(1.5) * u, "div": lambda u, v: u / v,
+    "div float": lambda u, v: u / 3.0, "rdiv": lambda u, v: 2.0 / u, "neg": lambda u, v: -u,
+    "power": lambda u, v: u ** 3, "power 0": lambda u, v: u ** 0,
+    "power -2": lambda u, v: u ** -2, "power 1.5": lambda u, v: u ** 1.5,
+    "jet power": lambda u, v: u ** v, "rpow": lambda u, v: 2.0 ** u,
+    "reciprocal": lambda u, v: u._reciprocal(), "sqrt": lambda u, v: u.sqrt(),
+    "exp": lambda u, v: u.exp(), "log": lambda u, v: u.log(), "sin": lambda u, v: u.sin(),
+    "cos": lambda u, v: u.cos(), "getitem": lambda u, v: u[..., None][1:],
+    "stack": lambda u, v: Jet2.stack([u, v, u * v]),
+}
+
+
+@pytest.mark.parametrize("op", _JET_OPS.values(), ids=_JET_OPS)
+def test_first_order_jets_carry_value_and_d1_only(op):
+    value, d1 = np.array([0.7, 1.3, 2.1]), np.array([1.0, -0.3, 0.0])
+    first = op(Jet2(value, d1, None, None), Jet2(value[::-1], 0.5, None, None))
+    second = op(Jet2(value, d1, np.array([0.2, 1.0, -0.6]), np.array([0.1, 0.0, 0.4])),
+                Jet2(value[::-1], 0.5, 1.0, 0.25))
+    assert first.d2 is None and first.d12 is None and second.d12 is not None
+    assert _same_bits(first.value, second.value) and _same_bits(first.d1, second.d1)
+
+
+@pytest.mark.parametrize("mix", [
+    lambda f, s: f + s, lambda f, s: s + f, lambda f, s: f - s, lambda f, s: s - f,
+    lambda f, s: f * s, lambda f, s: s * f, lambda f, s: f / s, lambda f, s: s / f,
+    lambda f, s: f ** s, lambda f, s: s ** f,
+    lambda f, s: Jet2.stack([f, s]), lambda f, s: Jet2.stack([s, f]),
+])
+def test_mixing_jet_orders_raises(mix):
+    first = Jet2(np.array([0.5, 2.0]), 1.0, None, None)
+    second = Jet2(np.array([1.5, 0.25]), 0.0, 1.0)
+    with pytest.raises(TypeError, match="cannot mix a first-order Jet2"):
+        mix(first, second)
 
 
 # -- guards: one lane outside the domain raises the per-point error
