@@ -26,9 +26,9 @@ The keys and defaults of [audit], [classify] and [geodesic] are the fields of
 A value is parsed by the type of its field's default (int, float, or a vector
 for start and end) and bounded below by the field's "min" metadata, if any.
 
-Unknown sections or keys are rejected (typo safety), and so is an expression
-that uses a coordinate beyond the dimension; every error carries its line
-number.
+Unknown sections or keys are rejected (typo safety), and so are an expression
+that uses a coordinate beyond the dimension and a constant set twice or named
+so that no expression can use it; every error carries its line number.
 """
 
 from __future__ import annotations
@@ -165,7 +165,13 @@ def load_config(path: str | Path) -> RunConfig:
             parts = value.split()
             if len(parts) != 2:
                 raise ConfigError("constant needs 'name value'", line_no)
-            constants[parts[0]] = _float(parts[1], line_no, "constant value")
+            name = parts[0]
+            if not ex._IDENT.fullmatch(name) or ex._COORD.match(name):
+                raise ConfigError(f"constant name '{name}' is not an identifier "
+                                  "other than a coordinate", line_no)
+            if name in constants:
+                raise ConfigError(f"duplicate constant '{name}'", line_no)
+            constants[name] = _float(parts[1], line_no, "constant value")
 
     family = None
     k = 1

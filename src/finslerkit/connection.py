@@ -88,7 +88,7 @@ def difference_ingredients(bundle: TensorBundle, conn: ConnectionData) -> Differ
     B_up = matvec(bundle.g_inv, B_low)
     B_mat = 0.5 * (
         lanewise(mc.p1, 2) * (a - outer(y_low, y_low) / lanewise(alpha2, 2))
-        + lanewise(mc.dp0_dbeta, 2) * outer(m, m)
+        + lanewise(bundle.dp0_dbeta, 2) * outer(m, m)
     )
     B_mixed = bundle.g_inv @ B_mat
     F_mixed = bundle.g_inv @ conn.Fij

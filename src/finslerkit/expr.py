@@ -363,9 +363,10 @@ def _pow(a: Expr, b: Expr) -> Expr:
 
 # -- tokenizer / parser
 
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<ident>{_IDENT.pattern})"
     r"|(?P<op>[-+*/^(),]))"
 )
 

@@ -3,11 +3,12 @@ functional s[gamma] = integral of F(gamma, dgamma/dt) dt.
 
 A polyline's length is the sum of F(midpoint, segment) over segments: by
 positive 1-homogeneity in the direction argument the parametrization
-cancels, so no dt shows up.  Interior nodes are optimized by damped Newton
-steps; the gradient and Hessian are assembled from one hyper-dual jet whose
-lanes cover every segment (the metric data evaluates generically through the
-space's tables).  A step that moves no node, bit for bit, reuses the current
-length, jet and eigendecomposition, so iteration counts and traces are unchanged.
+cancels, so no dt shows up.  `_segment_length` is the one home of that
+midpoint rule: it takes the end nodes of all segments as lanes, float ones
+for the length and hyper-dual ones for the jet whose gradient and Hessian
+drive the damped Newton steps on the interior nodes (the metric data
+evaluates generically through the space's tables).  A step that moves no
+node, bit for bit, reuses the current length, jet and eigendecomposition.
 """
 
 from __future__ import annotations
@@ -29,8 +30,12 @@ class SegmentDomainError(ArithmeticError):
         self.segment = segment
 
 
-def _segment_length(spec: SpaceSpec, mid, delta):
-    """F(midpoint, delta) with scalars of any type; raises on domain exit."""
+def _segment_length(spec: SpaceSpec, lo, hi):
+    """F(midpoint, difference) of segments from their end-node columns ``lo``
+    and ``hi`` (d entries each: float lanes, or Jet2 lanes); raises on a
+    domain exit in any segment."""
+    mid = [(l + h) * 0.5 for l, h in zip(lo, hi)]
+    delta = [h - l for l, h in zip(lo, hi)]
     d, a = spec.dim, spec.a_table.eval(mid)
     alpha, beta, _ = alpha_beta_generic([a[i * d:i * d + d] for i in range(d)],
                                         spec.b_table.eval(mid), delta)
@@ -38,21 +43,23 @@ def _segment_length(spec: SpaceSpec, mid, delta):
 
 
 def polyline_length(spec: SpaceSpec, nodes) -> float:
-    """Sum of F(midpoint, segment difference) over consecutive node pairs."""
+    """Exactly rounded sum of F(midpoint, segment difference) over all segments,
+    one lane pass: near the minimum, accumulated rounding would otherwise
+    decide whether the reported length falls below the true one."""
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or nodes.shape[0] < 2 or nodes.shape[1] != spec.dim:
         raise ValueError(f"nodes must be an (m+1) x {spec.dim} array with m >= 1")
-    parts = []
-    for s in range(nodes.shape[0] - 1):
-        mid = list(0.5 * (nodes[s] + nodes[s + 1]))
-        delta = list(nodes[s + 1] - nodes[s])
-        try:
-            parts.append(float(_segment_length(spec, mid, delta)))
-        except ArithmeticError as err:  # DomainError and FamilyDomainError among them
-            raise SegmentDomainError(s, err) from err
-    # exactly rounded sum: near the minimum, accumulated rounding would
-    # otherwise decide whether the reported length falls below the true one
-    return math.fsum(parts)
+    lo, hi = nodes[:-1].T, nodes[1:].T
+    try:
+        lengths = _segment_length(spec, lo, hi)
+    except ArithmeticError:  # DomainError and FamilyDomainError among them
+        for s in range(len(nodes) - 1):  # the first failing segment, as a batch of one
+            try:
+                _segment_length(spec, lo[:, s:s + 1], hi[:, s:s + 1])
+            except ArithmeticError as err:
+                raise SegmentDomainError(s, err) from err
+        raise
+    return math.fsum(lengths)
 
 
 @dataclass
@@ -92,27 +99,19 @@ def _length_derivatives(spec: SpaceSpec, nodes):
     """Gradient and Hessian of the length in the stacked interior coordinates.
 
     One hyper-dual jet covers every segment, each a point over its two
-    nodes' 2d coordinates; a segment's rows and columns land at the nodes'
-    offsets, and those of a fixed endpoint are dropped.  The Hessian is
-    block-tridiagonal but stored dense: (m-1)d stays desk-scale.
+    nodes' 2d coordinates, which add in at those nodes' offsets; the fixed
+    endpoints' rows and columns are then dropped.  The Hessian is
+    block-tridiagonal but stored dense: (m+1)d stays desk-scale.
     """
     d = spec.dim
-    n = (len(nodes) - 2) * d
-
-    def segment(z):
-        mid = [(z[j] + z[d + j]) * 0.5 for j in range(d)]
-        delta = [z[d + j] - z[j] for j in range(d)]
-        return _segment_length(spec, mid, delta)
-
-    jet = jet_eval(segment, np.hstack([nodes[:-1], nodes[1:]]))
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
+    jet = jet_eval(lambda z: _segment_length(spec, z[:d], z[d:]),
+                   np.hstack([nodes[:-1], nodes[1:]]))
+    grad, hess = np.zeros(nodes.size), np.zeros((nodes.size, nodes.size))
     for s in range(len(nodes) - 1):
-        lo = (s - 1) * d  # offset of node s among the interior coordinates
-        a, b = max(lo, 0), min(lo + 2 * d, n)
-        grad[a:b] += jet.gradient[s, a - lo:b - lo]
-        hess[a:b, a:b] += jet.hessian[s, a - lo:b - lo, a - lo:b - lo]
-    return grad, hess
+        at = slice(s * d, (s + 2) * d)  # the coordinates of nodes s and s + 1
+        grad[at] += jet.gradient[s]
+        hess[at, at] += jet.hessian[s]
+    return grad[d:-d], hess[d:-d, d:-d]
 
 
 def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:

@@ -16,8 +16,8 @@ as lanes: its `BasePoint` record holds a_ij(x) (checked positive definite),
 b_i(x), a^ij, b^i and b^2; a `FlagPoint` adds a direction.  Every
 `(spec, x, ...)` entry point accepts such a record where it accepts x, and
 reads it instead of evaluating again.  `geodesic._segment_length` reads the
-same tables on dual segment midpoints, without the positive-definiteness
-check.  `validity_check` masks each failing lane of N flags; `sample_flags`
+same tables at the midpoints of a polyline's segments, float or dual lanes,
+without the positive-definiteness check.  `validity_check` masks each failing lane of N flags; `sample_flags`
 makes its draws one at a time and checks them in blocks
 (`_first_passing`, which the surface sampler shares).
 
@@ -340,8 +340,7 @@ def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
         a, b, y_low, b2, alpha, beta = (np.asarray(v)[domain] for v in (
             flag.a, flag.b, flag.y_low, flag.b2, alpha, beta))
         pp = phi_partials(spec.family, spec.k, alpha, beta)
-        mc = tensors.metric_coefficients(pp, tensors.angular_coefficients(pp, alpha),
-                                         spec.family, spec.k, alpha, beta)
+        mc = tensors.metric_coefficients(pp, tensors.angular_coefficients(pp, alpha))
         g = tensors.fundamental_tensor(mc, a, b, y_low)
         _, zeta = tensors.reciprocal_factors(mc, alpha, beta, b2)
         finite = np.isfinite(zeta)  # an overflowed coefficient leaves zeta, like g, not finite

@@ -54,17 +54,12 @@ class AngularCoefficients:
 
 @dataclass
 class MetricCoefficients:
-    """Coefficients of g_ij = p a_ij + p0 b_i b_j + p1 (b_i y_j + b_j y_i) + p2 y_i y_j.
-
-    dp0_dbeta is carried along because the hv-torsion and difference-tensor
-    ingredients need the beta-derivative of p0 in closed form.
-    """
+    """Coefficients of g_ij = p a_ij + p0 b_i b_j + p1 (b_i y_j + b_j y_i) + p2 y_i y_j."""
 
     p: float
     p0: float
     p1: float
     p2: float
-    dp0_dbeta: float
 
 
 @dataclass
@@ -102,9 +97,7 @@ def dp0_dbeta(family: str, k: int, alpha, beta):
     return 12 * alpha ** 4 / (alpha - beta) ** 5
 
 
-def metric_coefficients(
-    pp: PhiPartials, ac: AngularCoefficients, family: str, k: int, alpha, beta
-) -> MetricCoefficients:
+def metric_coefficients(pp: PhiPartials, ac: AngularCoefficients) -> MetricCoefficients:
     """Composition identities p0 = q0 + F_b^2, p1 = q1 + p F_b/F, p2 = q2 + p^2/F^2,
     from the angular coefficients ``ac`` of the same flag."""
     return MetricCoefficients(
@@ -112,7 +105,6 @@ def metric_coefficients(
         p0=ac.q0 + pp.Fb * pp.Fb,
         p1=ac.q1 + ac.p * pp.Fb / pp.F,
         p2=ac.q2 + ac.p * ac.p / (pp.F * pp.F),
-        dp0_dbeta=dp0_dbeta(family, k, alpha, beta),
     )
 
 
@@ -185,9 +177,9 @@ def orthogonal_covector(flag: FlagPoint) -> np.ndarray:
     return flag.b - flag.y_low * lanewise(flag.beta / flag.alpha ** 2, 1)
 
 
-def gamma_one(mc: MetricCoefficients, ac: AngularCoefficients) -> float:
+def gamma_one(mc: MetricCoefficients, ac: AngularCoefficients, dp0) -> float:
     """gamma_1 = p dp0/dbeta - 3 p1 q0 (hv-torsion cubic coefficient)."""
-    return mc.p * mc.dp0_dbeta - 3.0 * mc.p1 * ac.q0
+    return mc.p * dp0 - 3.0 * mc.p1 * ac.q0
 
 
 def hv_torsion(mc: MetricCoefficients, h, gamma1: float, m) -> np.ndarray:
@@ -219,6 +211,7 @@ class TensorBundle:
     C: np.ndarray        # hv-torsion C_ijk
     gamma1: float
     m: np.ndarray        # covector orthogonal to the support element
+    dp0_dbeta: float     # closed-form dp0/dbeta, read by gamma1 and the difference tensor
 
 
 def bundle_at(spec: SpaceSpec, x, y) -> TensorBundle:
@@ -228,18 +221,19 @@ def bundle_at(spec: SpaceSpec, x, y) -> TensorBundle:
     flag = flag_point(spec, x, y)
     pp = phi_partials(spec.family, spec.k, flag.alpha, flag.beta)
     ac = angular_coefficients(pp, flag.alpha)
-    mc = metric_coefficients(pp, ac, spec.family, spec.k, flag.alpha, flag.beta)
+    mc = metric_coefficients(pp, ac)
     rc = reciprocal_coefficients(mc, flag.alpha, flag.beta, flag.b2)
     g = fundamental_tensor(mc, flag.a, flag.b, flag.y_low)
     g_inv = reciprocal_tensor(rc, mc.p, flag.a_inv, flag.b_up, flag.y)
     h = angular_tensor(ac, flag.a, flag.b, flag.y_low)
     l = support_covector(pp, flag.alpha, flag.b, flag.y_low)
     m = orthogonal_covector(flag)
-    gamma1 = gamma_one(mc, ac)
+    dp0 = dp0_dbeta(spec.family, spec.k, flag.alpha, flag.beta)
+    gamma1 = gamma_one(mc, ac, dp0)
     c = hv_torsion(mc, h, gamma1, m)
     return TensorBundle(
         flag=flag, phi=pp, angular=ac, metric=mc, reciprocal=rc,
-        l=l, g=g, g_inv=g_inv, h=h, C=c, gamma1=gamma1, m=m,
+        l=l, g=g, g_inv=g_inv, h=h, C=c, gamma1=gamma1, m=m, dp0_dbeta=dp0,
     )
 
 
@@ -284,8 +278,7 @@ def torsion_oracle(spec: SpaceSpec, x, y) -> np.ndarray:
     ys = [Jet2(np.broadcast_to(y[..., m], lanes), seed[m], None, None) for m in range(spec.dim)]
     alpha, beta, y_low = alpha_beta_generic(a, b, ys)
     pp = phi_partials(spec.family, spec.k, alpha, beta)
-    mc = metric_coefficients(pp, angular_coefficients(pp, alpha), spec.family, spec.k,
-                             alpha, beta)
+    mc = metric_coefficients(pp, angular_coefficients(pp, alpha))
     g = fundamental_tensor(mc, point.a, point.b, Jet2.stack(y_low))
     return np.moveaxis(0.5 * g.d1, 0, -1)
 

@@ -418,6 +418,21 @@ def test_config_constants_are_usable_in_expressions(tmp_path):
     assert np.allclose(loaded.space.b_at([0.0, 0.0, 0.0]), [0, 0, 0.1])
 
 
+@pytest.mark.parametrize("constants, message", [
+    ("constant = x2 0.5", "constant name 'x2' is not an identifier other than a coordinate"),
+    ("constant = q 0.1\nconstant = q 0.3", "duplicate constant 'q'"),
+    ("constant = 2q 0.1", "constant name '2q' is not an identifier other than a coordinate"),
+], ids=["coordinate", "set-twice", "not-an-identifier"])
+def test_config_rejects_a_constant_that_would_do_nothing(tmp_path, capsys, constants, message):
+    # each loaded before: x2 parsed as the coordinate, the last q won, 2q was unusable
+    bad = PLANE_CFG.replace("b_potential = 0.1*x3", f"{constants}\nb_potential = 0.1*x3")
+    line = bad.splitlines().index(constants.splitlines()[-1]) + 1
+    with pytest.raises(ConfigError, match=f"^line {line}: {message}$"):
+        load_config(_write(tmp_path, bad))
+    assert main(["tensors", "--config", _write(tmp_path, bad)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+
 def test_config_surface_defaults_to_space_potential(tmp_path):
     cfg = PLANE_CFG.replace("\npotential = 0.1*x3\n", "\n")
     loaded = load_config(_write(tmp_path, cfg))

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import make_space
 from finslerkit import geodesic
+from finslerkit.expr import DomainError
 from finslerkit.geodesic import (
     GeodesicParams,
     SegmentDomainError,
@@ -56,6 +57,19 @@ def test_degenerate_segment_reports_index():
     with pytest.raises(SegmentDomainError) as err:
         polyline_length(spec, [[0, 0], [1, 0], [1, 0], [2, 0]])
     assert err.value.segment == 1
+
+
+@pytest.mark.parametrize("spec, nodes, cause", [
+    (_euclid2(), [[0, 0], [1, 0], [1, 0], [2, 0], [2, 0]], ArithmeticError),  # alpha^2 = 0
+    # sqrt(x1) of a(x) at the midpoints x1 = -0.1 of segments 1 and 3
+    (make_space(family="riemannian", dim=2, b=["0", "0"], a=[["sqrt(x1)", "0"], ["0", "1"]]),
+     [[0.5, 0], [0.7, 0], [-0.9, 0.2], [1.3, 0.4], [-1.5, 0.6]], DomainError),
+])
+def test_first_failing_segment_is_named_among_several(spec, nodes, cause):
+    with pytest.raises(SegmentDomainError, match="^segment 1: ") as err:
+        polyline_length(spec, nodes)
+    assert err.value.segment == 1
+    assert isinstance(err.value.__cause__, cause)
 
 
 def test_minimize_euclidean_straightens():

@@ -100,8 +100,7 @@ def test_segment_jets_match_one_segment_at_a_time(family):
     z = rng.uniform(-0.3, 0.3, size=(4, 6)) + np.array([0, 0, 0, 0.5, 0.2, 0.1])
 
     def segment(v):
-        return _segment_length(spec, [(v[j] + v[3 + j]) * 0.5 for j in range(3)],
-                               [v[3 + j] - v[j] for j in range(3)])
+        return _segment_length(spec, v[:3], v[3:])
 
     batch = jet_eval(segment, z)
     for s in range(len(z)):
@@ -146,6 +145,27 @@ def test_each_oracle_calls_its_function_once_per_batch():
     calls.clear()
     fd_hessian(f, ys, richardson=True)
     assert calls == [(38, 5)]  # both steps in the one call
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_segment_lanes_match_one_segment_at_a_time(family, k):
+    spec = _varying_space(family, k, 3)
+    rng = np.random.default_rng(10 + k)
+    nodes = np.cumsum(rng.uniform(0.05, 0.3, size=(9, 3)), axis=0)  # beta > 0: Kropina too
+    lo, hi = nodes[:-1].T, nodes[1:].T
+    lengths = _segment_length(spec, lo, hi)
+    assert lengths.shape == (8,)
+    for s in range(8):
+        assert _same_bits(lengths[s:s + 1], _segment_length(spec, lo[:, s:s + 1], hi[:, s:s + 1]))
+
+
+def test_polyline_length_evaluates_the_norm_once(monkeypatch):
+    spec = make_space(family="matsumoto", k=1, dim=2, potential="0.2*x1*x2")
+    nodes = np.array([[0.0, 0.0], [0.3, 0.1], [0.5, 0.45], [0.8, 0.7], [1.0, 1.0]])
+    calls = count_calls(monkeypatch, geodesic, "finsler_norm")
+    geodesic.polyline_length(spec, nodes)
+    assert len(calls) == 1
 
 
 def test_audit_sweep_runs_each_oracle_once(monkeypatch):
@@ -366,7 +386,7 @@ def _scale(name: str, single) -> float:
     if name.endswith("gamma1"):
         bundle = single.bundle if hasattr(single, "bundle") else single
         mc, ac = bundle.metric, bundle.angular
-        return 1.0 + abs(mc.p * mc.dp0_dbeta) + abs(3.0 * mc.p1 * ac.q0)
+        return 1.0 + abs(mc.p * bundle.dp0_dbeta) + abs(3.0 * mc.p1 * ac.q0)
     return 1.0
 
 

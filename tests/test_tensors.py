@@ -32,7 +32,7 @@ E1_MATRIX = np.array([[1.0, 0.0, 0.2], [0.0, 1.0, 0.0], [0.2, 0.0, 1.06]])
 def _coeffs(k, alpha, beta):
     pp = phi_partials("generalized-square", k, alpha, beta)
     ac = angular_coefficients(pp, alpha)
-    mc = metric_coefficients(pp, ac, "generalized-square", k, alpha, beta)
+    mc = metric_coefficients(pp, ac)
     return pp, ac, mc
 
 
@@ -69,7 +69,8 @@ def test_beta_zero_specializations_exact(k):
         assert abs(ac.q0 - k * (k + 1)) <= 1e-12 * ac.q0
         assert abs(ac.q1) <= 1e-12
         assert abs(ac.q2 + 1.0 / alpha ** 2) <= 1e-12 * abs(ac.q2)
-        assert abs(gamma_one(mc, ac) - k * (k * k - 1) / alpha) <= 1e-12 * max(
+        gamma1 = gamma_one(mc, ac, dp0_dbeta("generalized-square", k, alpha, 0.0))
+        assert abs(gamma1 - k * (k * k - 1) / alpha) <= 1e-12 * max(
             1.0, k * (k * k - 1) / alpha
         )
 
@@ -140,9 +141,11 @@ def test_reciprocal_singularity_guard():
 
 def test_gamma_one_reference_values():
     _, ac1, mc1 = _coeffs(1, 1.7, 0.0)
-    assert gamma_one(mc1, ac1) == pytest.approx(0.0, abs=1e-14)  # k(k^2-1) = 0
+    gamma1 = gamma_one(mc1, ac1, dp0_dbeta("generalized-square", 1, 1.7, 0.0))
+    assert gamma1 == pytest.approx(0.0, abs=1e-14)  # k(k^2-1) = 0
     _, ac2, mc2 = _coeffs(2, 1.0, 0.0)
-    assert gamma_one(mc2, ac2) == pytest.approx(6.0, rel=1e-14)
+    gamma2 = gamma_one(mc2, ac2, dp0_dbeta("generalized-square", 2, 1.0, 0.0))
+    assert gamma2 == pytest.approx(6.0, rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -271,7 +274,7 @@ def test_assembly_helpers_match_bundle():
     fl = flag_point(spec, [0.3, 0.0, -0.2], [1.0, 0.5, 0.2])
     pp = phi_partials(spec.family, spec.k, fl.alpha, fl.beta)
     ac = angular_coefficients(pp, fl.alpha)
-    mc = metric_coefficients(pp, ac, spec.family, spec.k, fl.alpha, fl.beta)
+    mc = metric_coefficients(pp, ac)
     bundle = bundle_at(spec, fl.x, fl.y)
     assert np.allclose(angular_tensor(ac, fl.a, fl.b, fl.y_low), bundle.h)
     assert np.allclose(fundamental_tensor(mc, fl.a, fl.b, fl.y_low), bundle.g)
