@@ -193,8 +193,11 @@ def cmd_geodesic(cfg: RunConfig, args) -> int:
     return 0 if result.converged else 1
 
 
+_PARSER = build_parser()  # once per process: parsing leaves the parser unchanged
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     for flag, commands in _APPLIES.items():
         if getattr(args, flag) is not None and args.command not in commands:
             print(f"error: --{flag} does not apply to {args.command}", file=sys.stderr)

@@ -232,7 +232,7 @@ class Jet2:
 
 @dataclass
 class SecondOrderJet:
-    """Value, gradient and (symmetrized) Hessian of a scalar function; for a
+    """Value, gradient and symmetric Hessian of a scalar function; for a
     batch of points each carries the batch shape in front."""
 
     value: float
@@ -257,13 +257,12 @@ def jet_eval(f: Callable, y) -> SecondOrderJet:
     ov, o1, o12 = (out.value, out.d1, out.d12) if isinstance(out, Jet2) else (out, 0.0, 0.0)
     o1, o12 = (np.moveaxis(np.broadcast_to(v, lanes), 0, -1) for v in (o1, o12))
     hess = np.zeros(y.shape[:-1] + (d, d))
-    hess[..., i, j] = hess[..., j, i] = o12
-    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))  # symmetric by construction; enforce anyway
+    hess[..., i, j] = hess[..., j, i] = o12  # symmetric by construction
     return SecondOrderJet(np.broadcast_to(ov, lanes)[0], o1[..., i == j], hess)
 
 
 def fd_hessian(f: Callable, y, step: float = 1e-4, richardson: bool = False) -> np.ndarray:
-    """Central-difference Hessian, symmetrized.
+    """Central-difference Hessian, symmetric by construction (one estimate per pair i <= j).
 
     ``y`` is one point (d,) or a batch (..., d); ``f`` gets a list of d
     coordinate arrays and runs once, on lanes (S, ...) holding every
@@ -295,9 +294,7 @@ def fd_hessian(f: Callable, y, step: float = 1e-4, richardson: bool = False) -> 
         return hess
 
     hess, *half = (single(v, h) for v, h in zip(np.split(values, len(steps)), steps))
-    if richardson:
-        hess = (4.0 * half[0] - hess) / 3.0
-    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    return (4.0 * half[0] - hess) / 3.0 if richardson else hess
 
 
 @dataclass

@@ -5,6 +5,8 @@ Three recurring setups, all on flat 3-space with a gradient 1-form:
 * plane_fixture:  b = grad(0.1 x3), surface 0.1 x3 = 0   (constant, tiny b)
 * exp_fixture:    b = grad(exp x3), surface exp(x3) = 1  (b^2 = 1 on surface)
 * radial_fixture: b = grad(|x|^2/2), unit sphere         (not a hyperplane)
+
+and `varying_space`, a curved space of any family and dimension.
 """
 
 from __future__ import annotations
@@ -36,6 +38,18 @@ def make_space(
     if b is not None:
         return SpaceSpec(dim, k, family, a_exprs, [ex.parse(t) for t in b])
     return SpaceSpec.from_potential(dim, k, family, a_exprs, ex.parse(potential))
+
+
+def varying_space(family: str, k: int, d: int, b: list[str] | None = None) -> SpaceSpec:
+    """Position-dependent, tridiagonal and diagonally dominant a; curved b,
+    a gradient unless ``b`` is given."""
+    a = [["0"] * d for _ in range(d)]
+    for i in range(d):
+        a[i][i] = f"1 + 0.2*x{i + 1}^2"
+        if i + 1 < d:
+            a[i][i + 1] = a[i + 1][i] = f"0.1*x{d - i}"
+    return make_space(family=family, k=k, dim=d, a=a, b=b,
+                      potential=f"0.3*x1 + 0.1*x2*x{d} + 0.05*x{d}^2")
 
 
 def plane_fixture(k: int = 1) -> tuple[SpaceSpec, LevelSurface]:

@@ -214,6 +214,16 @@ def test_overrides_leave_the_loaded_config_unchanged(tmp_path, capsys):
     assert (cfg.classify_options.seed, cfg.classify_options.tol) == (11, 1e-8)
 
 
+def test_main_parses_with_the_one_parser_of_the_process(tmp_path, capsys, monkeypatch):
+    # an override given on one call does not carry over to the next
+    monkeypatch.setattr(cli, "build_parser", None)  # main must not build another
+    cfg = _write(tmp_path, PLANE_CFG)
+    assert main(["classify", "--config", cfg, "--seed", "99"]) == 0
+    assert "seed=99" in capsys.readouterr().out
+    assert main(["classify", "--config", cfg]) == 0
+    assert "seed=11" in capsys.readouterr().out
+
+
 def test_audit_sweep_default_seed_is_the_cli_default(tmp_path, capsys):
     cfg = PLANE_CFG.replace("seed = 7\n", "")
     assert main(["audit", "--config", _write(tmp_path, cfg)]) == 0

@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
 
-from conftest import exp_fixture, make_space, radial_fixture
+from conftest import (
+    exp_fixture,
+    make_space,
+    radial_fixture,
+    tangential_flag,
+    tangential_points_and_dirs,
+    varying_space,
+)
 from finslerkit.connection import (
     covariant_db,
     christoffel,
     difference_ingredients,
     difference_tensor,
 )
-from finslerkit.metric import flag_point, sample_flags
+from finslerkit.hypersurface import chart_at
+from finslerkit.metric import FAMILIES, alpha_beta_generic, finsler_norm, flag_point, sample_flags
+from finslerkit.numerics import jet_eval
 from finslerkit.tensors import bundle_at
 
 
@@ -229,3 +238,91 @@ def test_cartan_covariant_scalar_identity_off_unit_length(k, c):
         assert got == pytest.approx(b00 / (1 + k * (k + 1) * b2), rel=1e-8)
         printed = b2 * b00 / (1 + k * (k + 1))
         assert abs(got - printed) > 0.5 * abs(got)
+
+
+# -- the Cartan horizontal coefficients from F alone
+
+
+def _cartan_oracle(spec, x, y) -> np.ndarray:
+    """F^i_jk of the Cartan connection at the flag (x, y), from L = F^2/2 alone.
+
+    One `jet_eval` over the stencil points z +- h e_m and z +- (h/2) e_m of
+    z = (x, y) gives g = L_yy, L_xy and L_x there, hence the spray
+    G^i = (1/2) g^il (L_{x^k y^l} y^k - L_{x^l}).  Central differences with
+    the two steps, combined as (4 D(h/2) - D(h)) / 3, give d_x g, d_y g and
+    N^i_j = dG^i/dy^j; then delta_k g_ij = d_k g_ij - N^m_k d_{y^m} g_ij and
+    F^i_jk = (1/2) g^ih (delta_j g_hk + delta_k g_hj - delta_h g_jk)
+    (Bao, Chern and Shen, An Introduction to Riemann-Finsler Geometry, ch. 2).
+    """
+    d, h = spec.dim, 1e-3
+
+    def half_f_squared(cols):  # L(x, y), a and b evaluated on the x columns
+        xs, ys = cols[:d], cols[d:]
+        a = spec.a_table.eval(xs)
+        alpha, beta, _ = alpha_beta_generic([a[i * d:i * d + d] for i in range(d)],
+                                            spec.b_table.eval(xs), ys)
+        F = finsler_norm(spec.family, spec.k, alpha, beta)
+        return 0.5 * F * F
+
+    eye = np.eye(2 * d)
+    z = np.concatenate([x, y])
+    points = z + np.concatenate([np.zeros((1, 2 * d)), h * eye, -h * eye,
+                                 0.5 * h * eye, -0.5 * h * eye])
+    jet = jet_eval(half_f_squared, points)
+    g = jet.hessian[:, d:, d:]
+    g_inv = np.linalg.inv(g)
+    L_xy, L_x = jet.hessian[:, :d, d:], jet.gradient[:, :d]
+    G = 0.5 * np.einsum("sil,sl->si", g_inv, np.einsum("sk,skl->sl", points[:, d:], L_xy) - L_x)
+
+    def derivative(v):  # [m, ...] = d v / d z^m at z
+        plus, minus, half_plus, half_minus = np.split(v[1:], 4)
+        return (4.0 * (half_plus - half_minus) / h - (plus - minus) / (2.0 * h)) / 3.0
+
+    dg, N = derivative(g), derivative(G)[d:].T  # N[i, j] = dG^i / dy^j
+    delta = dg[:d] - np.einsum("mk,mij->kij", N, dg[d:])  # delta[k, i, j] = delta_k g_ij
+    low = np.einsum("jhk->hjk", delta) + np.einsum("khj->hjk", delta) - delta
+    return 0.5 * np.einsum("ih,hjk->ijk", g_inv[0], low)
+
+
+def _assert_cartan(spec, flag):
+    bundle = bundle_at(spec, flag.x, flag.y)
+    conn = covariant_db(spec, flag.x)
+    got = conn.gamma + difference_tensor(bundle, conn)
+    oracle = _cartan_oracle(spec, flag.x, flag.y)
+    assert np.abs(got - oracle).max() <= 1e-6 * (1.0 + np.abs(got).max())
+
+
+def _general_flags(spec, n: int, seed: int):
+    """In-domain flags with beta != 0; Kropina's keep beta >= alpha |b| / 2."""
+    kropina = spec.family == "generalized-kropina"
+    flags = [f for f in sample_flags(spec, 8 * n, seed) if abs(f.beta) > 1e-3 * f.alpha
+             and (not kropina or f.beta >= 0.5 * f.alpha * np.sqrt(f.b2))]
+    assert len(flags) >= n
+    return flags[:n]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cartan_coefficients_match_the_oracle_at_general_flags(family, k, d):
+    """Christoffel + D against the Cartan coefficients taken from F alone, on
+    a curved a and a b that is no gradient (s_ij != 0), so that every term of
+    D counts.  Kropina flags keep beta >= alpha |b| / 2: the oracle's fixed
+    step meets the singular edge beta = 0 at distance beta / |b| from y, and
+    its remainder grows like (h |b| / beta)^2.  On these spaces flags above
+    that bound agree to 1.3e-7; below it the error reaches 7e-3 at
+    beta = 0.02 alpha |b| and exceeds 1 nearer the edge."""
+    curl = [f"0.2 + 0.3*x{i + 1}" for i in range(1, d)] + ["0.2 - 0.3*x1"]
+    spec = varying_space(family, k, d, b=curl)
+    for flag in _general_flags(spec, 2, seed=10 * k + d):
+        assert np.abs(covariant_db(spec, flag.x).Fij).max() > 0.1
+        _assert_cartan(spec, flag)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("fixture", [exp_fixture, radial_fixture])
+def test_cartan_coefficients_match_the_oracle_at_tangential_flags(fixture, k):
+    """The beta = 0 flags of a level surface, on which `classify` evaluates D."""
+    spec, surface = fixture(k)
+    for x0, v in tangential_points_and_dirs(surface, spec, 3, seed=50 + k):
+        _assert_cartan(spec, tangential_flag(spec, chart_at(surface, x0), v))

@@ -14,7 +14,15 @@ import types
 import numpy as np
 import pytest
 
-from conftest import count_calls, exp_fixture, lane, make_space, plane_fixture, radial_fixture
+from conftest import (
+    count_calls,
+    exp_fixture,
+    lane,
+    make_space,
+    plane_fixture,
+    radial_fixture,
+    varying_space,
+)
 from finslerkit import expr as ex
 from finslerkit import classifier, connection, geodesic, metric, tensors
 from finslerkit.classifier import surface_points
@@ -47,18 +55,6 @@ from finslerkit.tensors import (
 )
 
 
-def _varying_space(family: str, k: int, d: int, b: list[str] | None = None):
-    """Position-dependent, tridiagonal and diagonally dominant a; curved b,
-    a gradient unless ``b`` is given."""
-    a = [["0"] * d for _ in range(d)]
-    for i in range(d):
-        a[i][i] = f"1 + 0.2*x{i + 1}^2"
-        if i + 1 < d:
-            a[i][i + 1] = a[i + 1][i] = f"0.1*x{d - i}"
-    return make_space(family=family, k=k, dim=d, a=a, b=b,
-                      potential=f"0.3*x1 + 0.1*x2*x{d} + 0.05*x{d}^2")
-
-
 def _flags(spec, n: int, seed: int):
     flags = sample_flags(spec, n, seed)
     scales = np.exp(np.random.default_rng(seed).uniform(-0.7, 0.7, size=n))
@@ -74,7 +70,7 @@ def _same_bits(u, v) -> bool:
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_batched_oracles_match_batches_of_one(family, k, d):
-    spec = _varying_space(family, k, d)
+    spec = varying_space(family, k, d)
     flags, ys = _flags(spec, 3, seed=10 * k + d)
     batch = stack_points(flags)
     f = half_f_squared(spec, batch)
@@ -95,7 +91,7 @@ def test_batched_oracles_match_batches_of_one(family, k, d):
 
 @pytest.mark.parametrize("family", ["generalized-square", "matsumoto"])
 def test_segment_jets_match_one_segment_at_a_time(family):
-    spec = _varying_space(family, 2, 3)
+    spec = varying_space(family, 2, 3)
     rng = np.random.default_rng(5)
     z = rng.uniform(-0.3, 0.3, size=(4, 6)) + np.array([0, 0, 0, 0.5, 0.2, 0.1])
 
@@ -110,7 +106,7 @@ def test_segment_jets_match_one_segment_at_a_time(family):
 
 
 def test_batched_audit_reports_each_checks_worst_flag():
-    spec = _varying_space("generalized-square", 2, 3)
+    spec = varying_space("generalized-square", 2, 3)
     flags, ys = _flags(spec, 6, seed=4)
     per_flag = [audit_flag(spec, f, y) for f, y in zip(flags, ys)]
     rows = audit_flag(spec, flags, ys)
@@ -134,7 +130,7 @@ def _counted(f):
 
 
 def test_each_oracle_calls_its_function_once_per_batch():
-    spec = _varying_space("randers", 1, 3)
+    spec = varying_space("randers", 1, 3)
     flags, ys = _flags(spec, 5, seed=2)
     f, calls = _counted(half_f_squared(spec, stack_points(flags)))
     jet_eval(f, ys)
@@ -150,7 +146,7 @@ def test_each_oracle_calls_its_function_once_per_batch():
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_segment_lanes_match_one_segment_at_a_time(family, k):
-    spec = _varying_space(family, k, 3)
+    spec = varying_space(family, k, 3)
     rng = np.random.default_rng(10 + k)
     nodes = np.cumsum(rng.uniform(0.05, 0.3, size=(9, 3)), axis=0)  # beta > 0: Kropina too
     lo, hi = nodes[:-1].T, nodes[1:].T
@@ -218,7 +214,7 @@ def _second_order_torsion(monkeypatch, spec, x, y):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_first_order_torsion_matches_the_second_order_route(monkeypatch, family, k, d):
-    spec = _varying_space(family, k, d)
+    spec = varying_space(family, k, d)
     flags, ys = _flags(spec, 3, seed=30 * k + d)
     batch = stack_points(flags)
     assert _same_bits(torsion_oracle(spec, batch, ys),
@@ -419,7 +415,7 @@ def _directions_at(spec, point, n: int, seed: int) -> np.ndarray:
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_bundle_lanes_match_batches_of_one(family, k, d):
-    spec = _varying_space(family, k, d)
+    spec = varying_space(family, k, d)
     flags, ys = _flags(spec, 5, seed=20 * k + d)
     stacked = stack_points(flags)  # N base points, one direction each
     batched = bundle_at(spec, stacked, ys)
@@ -430,7 +426,7 @@ def test_bundle_lanes_match_batches_of_one(family, k, d):
     # one base point, N directions; b = 0.2 + 0.3 (x2, ..., xd, -x1) is no
     # gradient, so the antisymmetric part F_ij of its covariant derivative enters D
     curl = [f"0.2 + 0.3*x{i + 1}" for i in range(1, d)] + ["0.2 - 0.3*x1"]
-    spec = _varying_space(family, k, d, b=curl)
+    spec = varying_space(family, k, d, b=curl)
     conn = covariant_db(spec, flags[0].x)
     assert np.abs(conn.Fij).max() > 0.1
     ys = _directions_at(spec, conn.point, 5, seed=k + d)
@@ -457,7 +453,7 @@ def test_frame_lanes_match_single_direction_frames(fixture, k):
 
 
 def test_bundle_at_computes_the_angular_coefficients_once(monkeypatch):
-    spec = _varying_space("generalized-square", 2, 3)
+    spec = varying_space("generalized-square", 2, 3)
     flags, ys = _flags(spec, 4, seed=1)
     calls = count_calls(monkeypatch, tensors, "angular_coefficients")
     bundle_at(spec, flags[0], ys[0])
@@ -529,34 +525,6 @@ def test_degenerate_normal_lane_raises_the_per_flag_error():
     assert np.array_equal(n_up, good.N_up)
 
 
-def _summation_case(monkeypatch, lanes):
-    """d = 1 inputs of difference_tensor from (B^1, B^1_1, B_11) per lane: with
-    E_11 = g^11 = b_01 = 1 and F, A, lambda and C zero, the only nonzero terms
-    are B^1 E_11, B^1_1 b_01 twice and -b_01 g^11 B_11, in that order."""
-    up, mixed, mat = (np.array(column) for column in zip(*lanes))
-    one, zero = np.ones((len(lanes), 1, 1)), np.zeros((len(lanes), 1, 1))
-    ingredients = types.SimpleNamespace(
-        B_up=up[:, None], B_low=zero[..., 0], B_mixed=mixed[:, None, None],
-        B_mat=mat[:, None, None], F_mixed=zero, A=zero, lam=zero[..., 0], b0=one[..., 0],
-    )
-    monkeypatch.setattr(connection, "difference_ingredients", lambda bundle, conn: ingredients)
-    bundle = types.SimpleNamespace(g_inv=one, C=np.zeros((len(lanes), 1, 1, 1)))
-    return bundle, types.SimpleNamespace(E=np.ones((1, 1)))
-
-
-def test_resummation_check_is_per_flag(monkeypatch):
-    # the terms 1, 1e20, 1e20, -2e20 sum to 0 forward and to 1 backward, against
-    # that flag's scale 1; a scale taken from the 1e13 lane would allow about 10
-    unstable, large = (1.0, 1e20, 2e20), (1e13, 0.0, 0.0)
-    with pytest.raises(ArithmeticError, match="numerically unstable") as one:
-        difference_tensor(*_summation_case(monkeypatch, [unstable]))
-    with pytest.raises(ArithmeticError) as lanes:
-        difference_tensor(*_summation_case(monkeypatch, [large, unstable]))
-    assert str(lanes.value) == str(one.value)
-    d = difference_tensor(*_summation_case(monkeypatch, [large, large]))
-    assert d.ravel().tolist() == [1e13, 1e13]
-
-
 def test_lane_normals_need_no_numpy_2_solve(monkeypatch):
     # before numpy 2, solve took a 1-D right-hand side only against one matrix
     spec, surface = exp_fixture(1)
@@ -586,7 +554,7 @@ def _draws(spec, n: int, seed: int):
 
 
 def test_base_point_lanes_match_single_points_bit_for_bit():
-    spec = _varying_space("generalized-square", 2, 3,
+    spec = varying_space("generalized-square", 2, 3,
                           b=["exp(x1)*sin(x2)", "log(2 + x3)^1.5", "x1^3 - cos(x2)/x3^-2"])
     xs, _ = _draws(spec, 40, seed=3)
     batch = base_point(spec, xs)
@@ -687,7 +655,7 @@ def _assert_lanes_match_singles(spec, xs, ys):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_validity_lanes_match_per_flag_reports(family, k, d):
-    spec = _varying_space(family, k, d)
+    spec = varying_space(family, k, d)
     xs, ys = _draws(spec, 24, seed=30 * k + d)
     report = _assert_lanes_match_singles(spec, xs, 1.7 * ys)
     if "kropina" in family:
@@ -762,11 +730,11 @@ def _sample_flags_per_draw(spec, n: int, seed: int) -> list[FlagPoint]:
 
 
 _SAMPLED = [
-    _varying_space("generalized-square", 3, 4),
-    _varying_space("kropina", 1, 3),
-    _varying_space("generalized-kropina", 2, 2),
-    _varying_space("matsumoto", 2, 3),
-    _varying_space("randers", 1, 2, b=["0.5*exp(x1)", "0.2*sin(3*x2)"]),
+    varying_space("generalized-square", 3, 4),
+    varying_space("kropina", 1, 3),
+    varying_space("generalized-kropina", 2, 2),
+    varying_space("matsumoto", 2, 3),
+    varying_space("randers", 1, 2, b=["0.5*exp(x1)", "0.2*sin(3*x2)"]),
     # a(x) indefinite on half the box
     make_space(k=2, dim=2, b=["0.3", "0.1*x2"], a=[["1", "0"], ["0", "x1"]]),
     # b(x) raises a DomainError on half the box
@@ -820,8 +788,8 @@ _LOG = "log(x1 + 1.2) + 0.1*x2"  # Newton steps from some seeds leave the log's 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_connection_lanes_match_single_points_bit_for_bit(d):
     curl = [f"0.2 + 0.3*x{i + 1}" for i in range(1, d)] + ["0.2 - 0.3*exp(x1)"]
-    for spec in (_varying_space("generalized-square", 2, d),
-                 _varying_space("generalized-square", 1, d, b=curl)):
+    for spec in (varying_space("generalized-square", 2, d),
+                 varying_space("generalized-square", 1, d, b=curl)):
         xs, _ = _draws(spec, 12, seed=d)
         conn = covariant_db(spec, xs)
         assert conn.gamma.shape == (12, d, d, d) and conn.point.b2.shape == (12,)
