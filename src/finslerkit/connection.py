@@ -6,7 +6,8 @@ The Cartan coefficients are never materialized on their own: wherever they
 appear downstream they enter as Christoffel + difference tensor.  The
 connection takes P stacked base points as lanes; the difference tensor runs
 over the lanes of a bundle whose flags share one base point (and its
-connection).
+connection).  `difference_tensor` is its one formula, D = S + Q + Q^T: S
+holds the terms symmetric in (j, k), Q one half of each (j, k)-swapped pair.
 """
 
 from __future__ import annotations
@@ -60,79 +61,46 @@ def covariant_db(spec: SpaceSpec, x) -> ConnectionData:
                           E=0.5 * (b_cov + b_cov_t), Fij=0.5 * (b_cov - b_cov_t))
 
 
-@dataclass
-class DifferenceIngredients:
-    """Ingredient tensors of the difference tensor at a bundle's flags (lanes in front).
-
-    '0' denotes contraction with the flag direction y throughout.
-    """
-
-    B_low: np.ndarray    # B_k = p0 b_k + p1 y_k
-    B_up: np.ndarray     # B^i = g^ij B_j
-    B_mat: np.ndarray    # B_ij = [p1 (a_ij - y_i y_j / alpha^2) + (dp0/dbeta) m_i m_j] / 2
-    B_mixed: np.ndarray  # B^k_i = g^kj B_ji
-    F_mixed: np.ndarray  # F^k_i = g^kj F_ji
-    A: np.ndarray        # A^m_k = B^m_k E_00 + B^m E_k0 + B_k F^m_0 + B_0 F^m_k
-    lam: np.ndarray      # lambda^m = B^m E_00 + 2 B_0 F^m_0
-    B0: np.ndarray       # B_i y^i
-    E00: np.ndarray
-    b0: np.ndarray       # b_{0k} = y^m b_mk
-
-
-def difference_ingredients(bundle: TensorBundle, conn: ConnectionData) -> DifferenceIngredients:
-    mc, flag = bundle.metric, bundle.flag
-    y, y_low, a = flag.y, flag.y_low, flag.a
-    alpha2 = flag.alpha ** 2
-    m = bundle.m
-    B_low = lanewise(mc.p0, 1) * flag.b + lanewise(mc.p1, 1) * y_low
-    B_up = matvec(bundle.g_inv, B_low)
-    B_mat = 0.5 * (
-        lanewise(mc.p1, 2) * (a - outer(y_low, y_low) / lanewise(alpha2, 2))
-        + lanewise(bundle.dp0_dbeta, 2) * outer(m, m)
-    )
-    B_mixed = bundle.g_inv @ B_mat
-    F_mixed = bundle.g_inv @ conn.Fij
-    Ek0 = matvec(conn.E, y)   # E_{k0} = E_kj y^j
-    E00 = dot(y, Ek0)
-    F0 = matvec(F_mixed, y)   # F^m_0 = F^m_j y^j
-    B0 = dot(B_low, y)
-    A = (
-        B_mixed * lanewise(E00, 2)
-        + outer(B_up, Ek0)
-        + outer(F0, B_low)
-        + lanewise(B0, 2) * F_mixed
-    )
-    lam = B_up * lanewise(E00, 1) + 2.0 * lanewise(B0, 1) * F0
-    b0 = y @ conn.b_cov       # b_{0k} = y^m b_{mk}
-    return DifferenceIngredients(
-        B_low=B_low, B_up=B_up, B_mat=B_mat, B_mixed=B_mixed, F_mixed=F_mixed,
-        A=A, lam=lam, B0=B0, E00=E00, b0=b0,
-    )
-
-
 def difference_tensor(bundle: TensorBundle, conn: ConnectionData) -> np.ndarray:
-    """D^i_jk at the bundle's flags (lanes in front): the full sum, assembled
-    term by term from the ingredient tensors and summed in their conventional
-    order.  The tests check Christoffel + D against the Cartan coefficients
-    taken from F alone, through the spray."""
-    di = difference_ingredients(bundle, conn)
-    g_inv, C = bundle.g_inv, bundle.C
+    """D^i_jk at the bundle's flags (lanes in front), where '0' denotes
+    contraction with the flag direction y:
+
+        B_k = p0 b_k + p1 y_k,  B^i = g^ij B_j,
+        B_jk = [p1 (a_jk - y_j y_k / alpha^2) + (dp0/dbeta) m_j m_k] / 2,
+        A^m_k = B^m_k E_00 + B^m E_k0 + F^m_0 B_k + B_0 F^m_k,
+        lambda^m = B^m E_00 + 2 B_0 F^m_0,  b0_k = y^m b_mk,
+
+    with indices raised by g^ij, and D = S + Q + Q^T (Q^T swaps j and k):
+
+        S^i_jk = B^i E_jk - (g^-1 b0)^i B_jk + C_jkm (g^-1 A^T)^im
+                 - (C lambda)^i_m C^m_jk,
+        Q^i_jk = F^i_j B_k + B^i_j b0_k + C^i_jm [(lambda C)^m_k - A^m_k].
+
+    The tests check Christoffel + D against the Cartan coefficients taken
+    from F alone, through the spray."""
+    mc, flag, g_inv, C = bundle.metric, bundle.flag, bundle.g_inv, bundle.C
+    y, y_low, E = flag.y, flag.y_low, conn.E
+    B_low = lanewise(mc.p0, 1) * flag.b + lanewise(mc.p1, 1) * y_low
+    B_up = matvec(g_inv, B_low)
+    B_mat = 0.5 * (
+        lanewise(mc.p1, 2) * (flag.a - outer(y_low, y_low) / lanewise(flag.alpha ** 2, 2))
+        + lanewise(bundle.dp0_dbeta, 2) * outer(bundle.m, bundle.m)
+    )
+    B_mixed = g_inv @ B_mat
+    F_mixed = g_inv @ conn.Fij
+    Ek0 = matvec(E, y)
+    E00, B0, F0 = dot(y, Ek0), dot(B_low, y), matvec(F_mixed, y)
+    A = (B_mixed * lanewise(E00, 2) + outer(B_up, Ek0) + outer(F0, B_low)
+         + lanewise(B0, 2) * F_mixed)
+    lam = B_up * lanewise(E00, 1) + 2.0 * lanewise(B0, 1) * F0
+    b0 = y @ conn.b_cov
     C_mixed = np.einsum("...il,...ljk->...ijk", g_inv, C)  # C^i_jk
-    # pairwise contractions; (j, k) and (k, j) of one product are its two terms
-    CA = C_mixed @ di.A[..., None, :, :]  # C^i_jm A^m_k
-    CL = C_mixed @ np.einsum("...s,...msk->...mk", di.lam, C_mixed)[..., None, :, :]
-    terms = [
-        np.einsum("...i,jk->...ijk", di.B_up, conn.E),
-        np.einsum("...ik,...j->...ijk", di.F_mixed, di.B_low),
-        np.einsum("...ij,...k->...ijk", di.F_mixed, di.B_low),
-        np.einsum("...ij,...k->...ijk", di.B_mixed, di.b0),
-        np.einsum("...ik,...j->...ijk", di.B_mixed, di.b0),
-        -np.einsum("...i,...jk->...ijk", matvec(g_inv, di.b0), di.B_mat),
-        -CA,
-        -np.swapaxes(CA, -1, -2),
-        np.einsum("...jkm,...im->...ijk", C, g_inv @ np.swapaxes(di.A, -1, -2)),
-        CL,
-        np.swapaxes(CL, -1, -2),
-        -np.einsum("...im,...mjk->...ijk", matvec(C_mixed, di.lam[..., None, :]), C_mixed),
-    ]
-    return sum(terms[1:], terms[0])
+    C_lam = matvec(C_mixed, lam[..., None, :])  # (C lambda)^i_m = (lambda C)^i_m, C symmetric
+    S = (np.einsum("...i,jk->...ijk", B_up, E)
+         - np.einsum("...i,...jk->...ijk", matvec(g_inv, b0), B_mat)
+         + np.einsum("...jkm,...im->...ijk", C, g_inv @ np.swapaxes(A, -1, -2))
+         - np.einsum("...im,...mjk->...ijk", C_lam, C_mixed))
+    Q = (F_mixed[..., None] * B_low[..., None, None, :]
+         + B_mixed[..., None] * b0[..., None, None, :]
+         + C_mixed @ (C_lam - A)[..., None, :, :])
+    return S + Q + np.swapaxes(Q, -1, -2)

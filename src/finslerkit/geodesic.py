@@ -125,7 +125,8 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     trial raises the damping mu, an accepted one lowers it.  The loop stops
     when the length gradient's max-norm is at most ``params.tol``, or after
     ``params.iters`` iterations.  Damping that grows without an acceptance
-    ends with a non-converged result rather than an exception.  A step that
+    ends with a non-converged result rather than an exception; an initial
+    polyline that leaves the domain raises `SegmentDomainError`.  A step that
     moves no node reuses the current length, gradient, Hessian and
     eigendecomposition; iteration counts and traces do not change.
     """
@@ -153,13 +154,8 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
         length = polyline_length(spec, nodes_of(flat))
         return GeodesicResult(nodes_of(flat), length, 0.0, 0, True, [length])
 
-    try:
-        value = polyline_length(spec, nodes_of(flat))
-        grad, hess = _length_derivatives(spec, nodes_of(flat))
-    except ArithmeticError as err:
-        return GeodesicResult(nodes_of(flat), float("nan"), float("inf"), 0, False,
-                              [], message=f"initial polyline left the domain: {err}")
-
+    value = polyline_length(spec, nodes_of(flat))
+    grad, hess = _length_derivatives(spec, nodes_of(flat))
     trace = [value]
     damping = _DAMPING_START
     it = 0

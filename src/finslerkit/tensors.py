@@ -330,13 +330,6 @@ AUDIT_TOLERANCES = {
 }
 
 
-def rel_error(a: np.ndarray, ref: np.ndarray) -> float:
-    """Max elementwise deviation scaled by the reference magnitude."""
-    a = np.asarray(a, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    return float(np.abs(a - ref).max() / (1.0 + np.abs(ref).max()))
-
-
 # central-difference step of the finite-difference Hessian oracle
 FD_STEP = 1e-4
 
@@ -358,7 +351,7 @@ def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
     bundle = bundle_at(spec, batch, ys)
     f = half_f_squared(spec, batch)
 
-    def err(t, ref):  # rel_error of each flag
+    def err(t, ref):  # max deviation over 1 + max |ref|, per flag
         t, ref = t.reshape(len(ys), -1), ref.reshape(len(ys), -1)
         return np.abs(t - ref).max(1) / (1.0 + np.abs(ref).max(1))
 

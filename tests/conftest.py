@@ -92,6 +92,13 @@ def tangential_flag(spec: SpaceSpec, chart: Chart, v) -> FlagPoint:
     return _tangential(flag_point(spec, chart.x0, chart.B @ np.asarray(v, dtype=float)))
 
 
+def rel_error(a: np.ndarray, ref: np.ndarray) -> float:
+    """Max elementwise deviation scaled by the reference magnitude."""
+    a = np.asarray(a, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    return float(np.abs(a - ref).max() / (1.0 + np.abs(ref).max()))
+
+
 def count_calls(monkeypatch, owner, name: str) -> list:
     """Wrap ``owner.name`` for the test; the returned list gets one entry (the
     positional arguments) per call."""

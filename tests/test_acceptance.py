@@ -25,6 +25,7 @@ from conftest import (
     make_space,
     plane_fixture,
     radial_fixture,
+    rel_error,
     tangential_flag,
 )
 from finslerkit.classifier import ClassifyOptions, classify, surface_points
@@ -38,7 +39,6 @@ from finslerkit.tensors import (
     audit_sweep,
     bundle_at,
     half_f_squared,
-    rel_error,
 )
 
 KS = (1, 2, 3)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,19 @@ def test_geodesic_command(tmp_path, capsys):
     assert code == 0
     assert "length = 1.1" in out
     assert "converged = True" in out
+
+
+def test_geodesic_whose_initial_polyline_leaves_the_domain_is_an_error(tmp_path, capsys):
+    # the chord to (-1, 0.2) has beta = x-component < 0 from its first segment on
+    cfg = GEO_CFG.replace("family = randers", "family = kropina").replace(
+        "b = 0.1, 0", "b = 1, 0").replace("end = 1, 0", "end = -1, 0.2")
+    out_file = tmp_path / "out.csv"
+    code = main(["geodesic", "--config", _write(tmp_path, cfg), "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: segment 0: ")
+    assert not re.search(r"\b(nan|inf)\b", captured.out, re.IGNORECASE)
+    assert not out_file.exists()
 
 
 def test_machine_output_is_byte_identical_across_runs(tmp_path, capsys):

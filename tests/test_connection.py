@@ -9,14 +9,9 @@ from conftest import (
     tangential_points_and_dirs,
     varying_space,
 )
-from finslerkit.connection import (
-    covariant_db,
-    christoffel,
-    difference_ingredients,
-    difference_tensor,
-)
+from finslerkit.connection import covariant_db, christoffel, difference_tensor
 from finslerkit.hypersurface import chart_at
-from finslerkit.metric import FAMILIES, alpha_beta_generic, finsler_norm, flag_point, sample_flags
+from finslerkit.metric import FAMILIES, alpha_beta_generic, finsler_norm, sample_flags
 from finslerkit.numerics import jet_eval
 from finslerkit.tensors import bundle_at
 
@@ -90,36 +85,6 @@ def test_gradient_field_on_curved_metric_has_symmetric_derivative():
         assert np.abs(conn.Fij).max() < 1e-10 * (1.0 + np.abs(conn.b_cov).max())
 
 
-def test_ingredients_at_beta_zero_reference():
-    spec = make_space(k=1, potential="0.1*x3")
-    fl = flag_point(spec, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])  # alpha = 1, beta = 0
-    bundle = bundle_at(spec, fl.x, fl.y)
-    conn = covariant_db(spec, fl.x)
-    di = difference_ingredients(bundle, conn)
-    assert np.abs(di.B_low - (6.0 * fl.b + 2.0 * fl.y_low)).max() < 1e-14
-    assert di.B0 == pytest.approx(float(di.B_low @ fl.y), abs=1e-15)
-
-
-def test_ingredients_vanish_for_constant_one_form():
-    spec = make_space(k=2, b=["0", "0", "0.1"])
-    fl = flag_point(spec, [0.4, 0.2, -0.3], [0.6, -1.0, 0.2])
-    bundle = bundle_at(spec, fl.x, fl.y)
-    conn = covariant_db(spec, fl.x)
-    di = difference_ingredients(bundle, conn)
-    assert np.abs(di.A).max() == 0.0
-    assert np.abs(di.lam).max() == 0.0
-
-
-def test_b_matrix_annihilates_direction_at_any_flag():
-    # B_ij y^j = 0 always: the m-covector and the angular projector both kill y
-    spec = make_space(k=2, potential="exp(x3)")
-    for fl in sample_flags(spec, 15, seed=3):
-        bundle = bundle_at(spec, fl.x, fl.y)
-        conn = covariant_db(spec, fl.x)
-        di = difference_ingredients(bundle, conn)
-        assert np.abs(di.B_mat @ fl.y).max() < 1e-12 * (1.0 + np.abs(di.B_mat).max())
-
-
 def test_difference_tensor_vanishes_for_constant_one_form():
     spec = make_space(k=1, b=["0", "0", "0.1"])
     bundle = bundle_at(spec, [0.2, -0.1, 0.3], [0.4, 1.0, -0.2])
@@ -157,15 +122,15 @@ def test_zero_contractions_computed_two_ways():
         bundle = bundle_at(spec, fl.x, fl.y)
         conn = covariant_db(spec, fl.x)
         assert np.abs(conn.Fij).max() > 0.0  # genuinely non-gradient
-        di = difference_ingredients(bundle, conn)
         d = difference_tensor(bundle, conn)
         d00 = np.einsum("ijk,j,k->i", d, fl.y, fl.y)
-        f0 = di.F_mixed @ fl.y
-        assembled = di.B_up * di.E00 + 2.0 * di.B0 * f0
+        B_low = bundle.metric.p0 * fl.b + bundle.metric.p1 * fl.y_low
+        B_up = bundle.g_inv @ B_low
+        F0 = bundle.g_inv @ conn.Fij @ fl.y   # F^i_0
+        E00 = fl.y @ conn.E @ fl.y
+        B0 = B_low @ fl.y
+        assembled = B_up * E00 + 2.0 * B0 * F0
         assert np.abs(d00 - assembled).max() < 1e-10 * (1.0 + np.abs(d00).max())
-        # B_0 both ways
-        assert di.B0 == pytest.approx(float((bundle.metric.p0 * fl.b
-                                             + bundle.metric.p1 * fl.y_low) @ fl.y), abs=1e-12)
 
 
 def _tangential_radial_flag(spec, rng):

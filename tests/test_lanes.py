@@ -21,6 +21,7 @@ from conftest import (
     make_space,
     plane_fixture,
     radial_fixture,
+    rel_error,
     varying_space,
 )
 from finslerkit import expr as ex
@@ -50,7 +51,6 @@ from finslerkit.tensors import (
     audit_sweep,
     bundle_at,
     half_f_squared,
-    rel_error,
     torsion_oracle,
 )
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import count_calls, exp_fixture, make_space, plane_fixture, radial_fixture
+from conftest import (
+    count_calls,
+    exp_fixture,
+    make_space,
+    plane_fixture,
+    radial_fixture,
+    rel_error,
+)
 from finslerkit import metric
 from finslerkit.metric import SpaceSpec, flag_point, phi_partials, sample_flags
 from finslerkit.numerics import jet_eval
@@ -22,7 +29,6 @@ from finslerkit.tensors import (
     q2_expanded_form,
     reciprocal_coefficients,
     reciprocal_tensor,
-    rel_error,
     torsion_oracle,
 )
 
