@@ -11,7 +11,13 @@ from conftest import (
 )
 from finslerkit.connection import covariant_db, christoffel, difference_tensor
 from finslerkit.hypersurface import chart_at
-from finslerkit.metric import FAMILIES, alpha_beta_generic, finsler_norm, sample_flags
+from finslerkit.metric import (
+    FAMILIES,
+    alpha_beta_generic,
+    finsler_norm,
+    flag_point,
+    sample_flags,
+)
 from finslerkit.numerics import jet_eval
 from finslerkit.tensors import bundle_at
 
@@ -83,6 +89,48 @@ def test_gradient_field_on_curved_metric_has_symmetric_derivative():
     for x in ([0.2, -0.4, 0.1], [0.0, 0.3, -0.5]):
         conn = covariant_db(spec, x)
         assert np.abs(conn.Fij).max() < 1e-10 * (1.0 + np.abs(conn.b_cov).max())
+
+
+def test_ingredients_at_beta_zero_reference():
+    # generalized square, k = 1, at beta = 0: p0 = 6, p1 = 2, so B_k = 6 b_k + 2 y_k
+    # and, b being a gradient (F_ij = 0), D^i_00 = B^i E_00
+    spec = make_space(k=1, potential="0.1*x3 + 0.2*x1^2")
+    fl = flag_point(spec, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])  # alpha = 1, beta = 0
+    bundle = bundle_at(spec, fl.x, fl.y)
+    conn = covariant_db(spec, fl.x)
+    assert (bundle.metric.p0, bundle.metric.p1) == (6.0, 2.0)
+    B_up = bundle.g_inv @ (6.0 * fl.b + 2.0 * fl.y_low)
+    E00 = fl.y @ conn.E @ fl.y
+    assert E00 == pytest.approx(0.4, abs=1e-15)
+    d00 = np.einsum("ijk,j,k->i", difference_tensor(bundle, conn), fl.y, fl.y)
+    assert np.abs(d00 - B_up * E00).max() < 1e-14
+
+
+def test_ingredients_vanish_for_constant_one_form():
+    # b_ij = 0, so E, F, A, lambda and b0 all vanish and D does exactly
+    spec = make_space(k=2, b=["0", "0", "0.1"])
+    fl = flag_point(spec, [0.4, 0.2, -0.3], [0.6, -1.0, 0.2])
+    bundle = bundle_at(spec, fl.x, fl.y)
+    conn = covariant_db(spec, fl.x)
+    assert np.abs(conn.b_cov).max() == 0.0
+    assert np.abs(difference_tensor(bundle, conn)).max() == 0.0
+
+
+def test_b_matrix_annihilates_direction_at_any_flag():
+    # B_ij y^j = 0 always: the m-covector and the angular projector both kill y.
+    # So no B_j0 term survives in D^i_00, which for a gradient b is B^i E_00.
+    spec = make_space(k=2, potential="exp(x3)")
+    for fl in sample_flags(spec, 15, seed=3):
+        bundle = bundle_at(spec, fl.x, fl.y)
+        conn = covariant_db(spec, fl.x)
+        mc = bundle.metric
+        B_mat = 0.5 * (mc.p1 * (fl.a - np.outer(fl.y_low, fl.y_low) / fl.alpha ** 2)
+                       + bundle.dp0_dbeta * np.outer(bundle.m, bundle.m))
+        assert np.abs(B_mat @ fl.y).max() < 1e-12 * (1.0 + np.abs(B_mat).max())
+        B_up = bundle.g_inv @ (mc.p0 * fl.b + mc.p1 * fl.y_low)
+        d00 = np.einsum("ijk,j,k->i", difference_tensor(bundle, conn), fl.y, fl.y)
+        E00 = fl.y @ conn.E @ fl.y
+        assert np.abs(d00 - B_up * E00).max() < 1e-10 * (1.0 + np.abs(d00).max())
 
 
 def test_difference_tensor_vanishes_for_constant_one_form():
