@@ -15,13 +15,12 @@ condition.  Classification applies to the power-quotient family
 (alpha+beta)^(k+1)/alpha^k only.
 
 What depends on x alone (surface points, connection, charts) runs once per
-`classify` as lanes over all points; each point then takes its lane of them
-into one frame, one bundle over its directions.
+`classify` as lanes over all points; one frame then holds every point's
+directions as lanes, point by point: one bundle per point, then one pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from .connection import ConnectionData, covariant_db
 from .hypersurface import HypersurfaceFrame, LevelSurface, chart_at, frame_at
 from .metric import SAMPLE_BOX, SpaceSpec, _first_passing
-from .numerics import dot, lane, lanewise, least_squares
+from .numerics import dot, lanewise, least_squares
 
 
 class ClassifierConsistencyError(RuntimeError):
@@ -171,24 +170,24 @@ def _scale(b_cov: np.ndarray) -> float:
     return 1.0 + float(np.abs(b_cov).max(initial=0.0))
 
 
-def third_kind_test(frames: list[HypersurfaceFrame]) -> ThirdKindResult:
+def third_kind_test(frame: HypersurfaceFrame, counts) -> ThirdKindResult:
     """M_ab is a positive multiple of the induced angular metric whenever
     b^2 > 0, so it cannot vanish: verdict IMPOSSIBLE with each point's
-    smallest observed ||M_ab|| as its witness.  Degenerate b == 0 is VACUOUS."""
-    if not frames:
-        raise ValueError("no frames sampled")
-    if max(f.bundle.flag.b2 for f in frames) < 1e-14:
-        return ThirdKindResult(verdict="vacuous", per_point=[0.0] * len(frames),
+    smallest observed ||M_ab|| as its witness, point p owning the next
+    counts[p] >= 1 lanes of the frame.  Degenerate b == 0 is VACUOUS."""
+    if frame.bundle.flag.b2.max() < 1e-14:
+        return ThirdKindResult(verdict="vacuous", per_point=[0.0] * len(counts),
                                note="the 1-form vanishes on the surface")
-    per_point = [float(np.abs(f.M_ab).max((-2, -1)).min()) for f in frames]
-    return ThirdKindResult(verdict="impossible", per_point=per_point)
+    per_point = np.minimum.reduceat(np.abs(frame.M_ab).max((-2, -1)), np.cumsum(counts) - counts)
+    return ThirdKindResult(verdict="impossible", per_point=per_point.tolist())
 
 
 def proportionality_check(
-    frames: list[HypersurfaceFrame], c_samples: list[np.ndarray], k: int
+    frame: HypersurfaceFrame, c: np.ndarray, k: int
 ) -> tuple[list[float], float]:
     """Check H_ab = -(k+1) c_0 sqrt(b^2) / (4 alpha zeta^(3/2)) h_ab with
-    c_0 = c_i y^i and zeta = 1 + k(k+1) b^2, on each point's frame.
+    c_0 = c_i y^i and zeta = 1 + k(k+1) b^2 on every flag of the frame, with
+    c its point's first-kind solution, one row per flag.
 
     On a first-kind level set of the 1-form's own potential N_i is
     proportional to b_i and the pullback of b_ij vanishes, so H_ab reduces to
@@ -196,17 +195,10 @@ def proportionality_check(
     Where c is parallel to b, c_0 vanishes on tangential flags and so do
     both sides.
     """
-    factors: list[float] = []
-    deviation = 0.0
-    for frame, c in zip(frames, c_samples):
-        flag = frame.bundle.flag
-        zeta = 1.0 + k * (k + 1) * flag.b2
-        factor = -(k + 1) * dot(flag.y, c) * math.sqrt(flag.b2) / (
-            4.0 * flag.alpha * zeta ** 1.5)
-        factors.extend(factor.tolist())
-        dev = np.abs(frame.H_ab - lanewise(factor, 2) * frame.h_ind).max()
-        deviation = max(deviation, float(dev))
-    return factors, deviation
+    flag = frame.bundle.flag
+    zeta = 1.0 + k * (k + 1) * flag.b2
+    factors = -(k + 1) * dot(flag.y, c) * np.sqrt(flag.b2) / (4.0 * flag.alpha * zeta ** 1.5)
+    return factors.tolist(), float(np.abs(frame.H_ab - lanewise(factors, 2) * frame.h_ind).max())
 
 
 def classify(
@@ -232,12 +224,12 @@ def classify(
     rng = np.random.default_rng(opts.seed + 1)
     draws = rng.normal(size=(len(pts), opts.directions, spec.dim - 1))
     norms = np.sqrt(dot(draws, draws))
-    frames: list[HypersurfaceFrame] = [  # one per point, its directions as lanes
-        frame_at(spec, lane(charts, i), lane(conn, i), v[n >= 1e-12] / n[n >= 1e-12, None])
-        for i, (v, n) in enumerate(zip(draws, norms))]
+    kept = norms >= 1e-12
+    frame = frame_at(spec, charts, conn, [v[m] / n[m, None] for v, n, m in zip(draws, norms, kept)])
+    counts = kept.sum(1)
     geo_scale = _scale(conn.b_cov)
-    h_a_max = max([0.0] + [float(np.abs(f.H_a).max()) for f in frames])
-    h_ab_max = max([0.0] + [float(np.abs(f.H_ab).max()) for f in frames])
+    h_a_max = float(np.abs(frame.H_a).max(initial=0.0))
+    h_ab_max = float(np.abs(frame.H_ab).max(initial=0.0))
 
     geo_first = h_a_max <= opts.tol * geo_scale
     geo_second = geo_first and h_ab_max <= opts.tol * geo_scale
@@ -248,10 +240,10 @@ def classify(
             f"(max |H_a| = {h_a_max:.3e}, max |H_ab| = {h_ab_max:.3e})"
         )
 
-    third = third_kind_test(frames)
+    third = third_kind_test(frame, counts)
     factors, deviation = [], None
     if first.passed:
-        factors, deviation = proportionality_check(frames, c_samples, spec.k)
+        factors, deviation = proportionality_check(frame, np.repeat(c_samples, counts, 0), spec.k)
         if deviation > opts.tol * geo_scale:
             raise ClassifierConsistencyError(
                 f"first kind holds, but H_ab deviates from the first-kind multiple "

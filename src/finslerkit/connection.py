@@ -5,9 +5,9 @@ Riemannian Christoffel symbols.
 The Cartan coefficients are never materialized on their own: wherever they
 appear downstream they enter as Christoffel + difference tensor.  The
 connection takes P stacked base points as lanes; the difference tensor runs
-over the lanes of a bundle whose flags share one base point (and its
-connection).  `difference_tensor` is its one formula, D = S + Q + Q^T: S
-holds the terms symmetric in (j, k), Q one half of each (j, k)-swapped pair.
+over the lanes of a bundle, each flag with its own lane of the connection or
+all sharing one.  `difference_tensor` is its one formula, D = S + Q + Q^T:
+S holds the terms symmetric in (j, k), Q one half of each swapped pair.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def covariant_db(spec: SpaceSpec, x) -> ConnectionData:
 
 
 def difference_tensor(bundle: TensorBundle, conn: ConnectionData) -> np.ndarray:
-    """D^i_jk at the bundle's flags (lanes in front), where '0' denotes
-    contraction with the flag direction y:
+    """D^i_jk at the bundle's flags (lanes in front), each with its lane of
+    conn or all with one, where '0' denotes contraction with the flag direction y:
 
         B_k = p0 b_k + p1 y_k,  B^i = g^ij B_j,
         B_jk = [p1 (a_jk - y_j y_k / alpha^2) + (dp0/dbeta) m_j m_k] / 2,
@@ -93,10 +93,10 @@ def difference_tensor(bundle: TensorBundle, conn: ConnectionData) -> np.ndarray:
     A = (B_mixed * lanewise(E00, 2) + outer(B_up, Ek0) + outer(F0, B_low)
          + lanewise(B0, 2) * F_mixed)
     lam = B_up * lanewise(E00, 1) + 2.0 * lanewise(B0, 1) * F0
-    b0 = y @ conn.b_cov
+    b0 = (y[..., None, :] @ conn.b_cov)[..., 0, :]
     C_mixed = np.einsum("...il,...ljk->...ijk", g_inv, C)  # C^i_jk
     C_lam = matvec(C_mixed, lam[..., None, :])  # (C lambda)^i_m = (lambda C)^i_m, C symmetric
-    S = (np.einsum("...i,jk->...ijk", B_up, E)
+    S = (np.einsum("...i,...jk->...ijk", B_up, E)
          - np.einsum("...i,...jk->...ijk", matvec(g_inv, b0), B_mat)
          + np.einsum("...jkm,...im->...ijk", C, g_inv @ np.swapaxes(A, -1, -2))
          - np.einsum("...im,...mjk->...ijk", C_lam, C_mixed))

@@ -103,15 +103,16 @@ def _length_derivatives(spec: SpaceSpec, nodes):
     endpoints' rows and columns are then dropped.  The Hessian is
     block-tridiagonal but stored dense: (m+1)d stays desk-scale.
     """
-    d = spec.dim
+    (m, d), s = (len(nodes) - 1, spec.dim), np.arange(len(nodes) - 1)
     jet = jet_eval(lambda z: _segment_length(spec, z[:d], z[d:]),
                    np.hstack([nodes[:-1], nodes[1:]]))
-    grad, hess = np.zeros(nodes.size), np.zeros((nodes.size, nodes.size))
-    for s in range(len(nodes) - 1):
-        at = slice(s * d, (s + 2) * d)  # the coordinates of nodes s and s + 1
-        grad[at] += jet.gradient[s]
-        hess[at, at] += jet.hessian[s]
-    return grad[d:-d], hess[d:-d, d:-d]
+    g, h = jet.gradient.reshape(m, 2, d), jet.hessian.reshape(m, 2, d, 2, d)
+    grad, hess = np.zeros((m + 1, d)), np.zeros((m + 1, d, m + 1, d))
+    grad[:-1] += g[:, 0]  # segment s adds at nodes s (its half 0) and s + 1 (half 1)
+    grad[1:] += g[:, 1]
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hess[s + a, :, s + b] += h[:, a, :, b]
+    return grad.ravel()[d:-d], hess.reshape(nodes.size, nodes.size)[d:-d, d:-d]
 
 
 def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:

@@ -11,10 +11,10 @@ dependent coordinate; its guards hold in every lane and name the failing point.
 
 Tangential flags satisfy beta = 0; on them the induced metric is the
 pullback of a_ij (a Riemannian metric) and the normal is the g-unit,
-g-orthogonal vector on the side of increasing potential.  A frame holds all
-directions of one surface point as lanes of one pass, from that point's
-chart and connection; the tangency, normal and orthogonality guards hold in
-every lane, against that flag's own scale.
+g-orthogonal vector on the side of increasing potential.  A frame takes one
+bundle per surface point, then one pass over the flags of all P points, each
+with its point's lane of the charts and connections; the tangency, normal and
+orthogonality guards hold in every lane, against that flag's own scale.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from . import expr as ex
 from .connection import ConnectionData, difference_tensor
 from .metric import FlagPoint, SpaceSpec
-from .numerics import any_lane, dot, first_lane, lanewise, matvec, outer
+from .numerics import any_lane, dot, first_lane, join_lanes, lane, lanewise, matvec, outer
 from .tensors import TensorBundle, bundle_at
 
 BETA_TOL = 1e-10   # tangency bound on |beta|, relative to max|b| max|y|
@@ -136,7 +136,7 @@ def unit_normal(chart: Chart, bundle: TensorBundle):
         raise ArithmeticError("degenerate fundamental tensor: cannot normalize the normal")
     n_up = w / lanewise(np.sqrt(s), 1)
     n_dn = matvec(g, n_up)
-    resid = np.abs(matvec(chart.B.T, n_dn)).max(-1)
+    resid = np.abs(matvec(np.swapaxes(chart.B, -1, -2), n_dn)).max(-1)
     off = resid > 1e-8 * (1.0 + np.abs(n_dn).max(-1))
     if any_lane(off):
         raise ArithmeticError(
@@ -146,18 +146,18 @@ def unit_normal(chart: Chart, bundle: TensorBundle):
 
 def induced_tensors(chart: Chart, bundle: TensorBundle):
     """Pullbacks along the projection factors: g_ab, h_ab, C_abc (k, then j, then i)."""
-    B = chart.B
-    g_ind = B.T @ bundle.g @ B
-    h_ind = B.T @ bundle.h @ B
-    c_ind = np.einsum("...icb,ia->...abc", np.swapaxes(bundle.C @ B, -1, -2) @ B, B)
+    B, Bt, B3 = chart.B, np.swapaxes(chart.B, -1, -2), chart.B[..., None, :, :]  # B3: each i
+    g_ind = Bt @ bundle.g @ B
+    h_ind = Bt @ bundle.h @ B
+    c_ind = np.einsum("...icb,...ia->...abc", np.swapaxes(bundle.C @ B3, -1, -2) @ B3, B)
     return g_ind, h_ind, c_ind
 
 
 @dataclass
 class HypersurfaceFrame:
-    """Chart, ambient bundle at the tangential flags, normal pairs, induced
-    tensors and the second fundamental tensors of the directions v; every
-    field but the chart carries the directions' lane axis in front."""
+    """Chart, ambient bundle at the tangential flags, normal pairs, induced tensors
+    and second fundamental tensors of the directions v, the flags' lanes in front,
+    point by point; a frame at one point shares its chart among its lanes."""
 
     chart: Chart
     bundle: TensorBundle
@@ -176,20 +176,30 @@ class HypersurfaceFrame:
 
 
 def frame_at(
-    spec: SpaceSpec, chart: Chart, conn: ConnectionData, directions
+    spec: SpaceSpec, charts: Chart, conns: ConnectionData, directions
 ) -> HypersurfaceFrame:
-    """The frame at one surface point, from its chart and its connection, for
-    one tangential direction v (d-1,) or N of them (N, d-1), as lanes of one
-    pass: one bundle for all flags."""
-    if not np.array_equal(chart.x0, conn.point.x):
+    """The frame at P points from stacked charts and connections, directions[p]
+    (N_p >= 1, d-1) at point p: one bundle per point, then one pass over all flags.
+    At one point (its chart and connection), one v (d-1,) or N of them (N, d-1)."""
+    if not np.array_equal(charts.x0, conns.point.x):
         raise ValueError("chart and connection are at different points")
-    v = np.asarray(directions, dtype=float)
-    bundle = bundle_at(spec, conn.point, matvec(chart.B, v))
+    one = charts.x0.ndim == 1  # one point: its chart and connection serve every lane
+    vs = [np.asarray(v, dtype=float) for v in ([directions] if one else directions)]
+    counts = [len(v) for v in vs]
+    if not (counts and all(counts)):
+        raise ValueError("no frames sampled" if not counts else "no direction at "
+                         f"x={np.reshape(charts.x0, (-1, spec.dim))[counts.index(0)].tolist()}")
+    at = np.repeat(np.arange(len(vs)), counts)  # the point of each flag
+    chart, conn = (charts, conns) if one else (lane(charts, at), lane(conns, at))
+    v = vs[0] if one else np.concatenate(vs)
+    y, ends = matvec(chart.B, v), np.cumsum([0] + counts)
+    bundle = bundle_at(spec, conn.point, y) if one else join_lanes(
+        [bundle_at(spec, lane(conn.point, slice(a, b)), y[a:b]) for a, b in zip(ends, ends[1:])])
     _tangential(bundle.flag)
     n_up, n_dn = unit_normal(chart, bundle)
     g_ind, h_ind, c_ind = induced_tensors(chart, bundle)
     g_ind_inv = np.linalg.inv(g_ind)
-    b_dual = g_ind_inv @ (chart.B.T @ bundle.g)
+    b_dual = g_ind_inv @ (np.swapaxes(chart.B, -1, -2) @ bundle.g)
     h_a, h_ab, m_ab, m_a = normal_curvature_and_h(chart, bundle, conn, v, n_up, n_dn)
     return HypersurfaceFrame(
         chart=chart, bundle=bundle, v=v,
@@ -207,17 +217,17 @@ def normal_curvature_and_h(
     M_a = C_ijk B^i_a N^j N^k and H_ab = N_i (B^i_ab + G*^i_jk B^j_a B^k_b) + M_a H_b,
     with the Cartan horizontal coefficients entering as Christoffel plus
     difference tensor."""
-    B = chart.B
+    B, Bt = chart.B, np.swapaxes(chart.B, -1, -2)
     gstar = conn.gamma + difference_tensor(bundle, conn)
     g0 = (bundle.flag.y[..., None, None, :] @ gstar)[..., 0, :]  # G*^i_0j
     b0b = (v[..., None, None, :] @ chart.B2)[..., 0, :]            # B^i_0b
     h_a = (n_dn[..., None, :] @ (b0b + g0 @ B))[..., 0, :]
     c_n = matvec(bundle.C, n_up[..., None, :])                     # C_ijk N^k
-    m_ab = B.T @ c_n @ B
-    m_a = matvec(B.T, matvec(c_n, n_up))
+    m_ab = Bt @ c_n @ B
+    m_a = matvec(Bt, matvec(c_n, n_up))
     h_ab = (
-        np.einsum("...i,iab->...ab", n_dn, chart.B2)
-        + B.T @ np.einsum("...i,...ijk->...jk", n_dn, gstar) @ B
+        np.einsum("...i,...iab->...ab", n_dn, chart.B2)
+        + Bt @ np.einsum("...i,...ijk->...jk", n_dn, gstar) @ B
         + outer(m_a, h_a)
     )
     return h_a, h_ab, m_ab, m_a

@@ -20,6 +20,7 @@ factorizes a stack of them as lanes, each with its own pivot.
 from __future__ import annotations
 
 from dataclasses import dataclass, is_dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -38,12 +39,21 @@ def first_lane(mask, value):
     return np.broadcast_to(value, mask.shape)[mask][0] if isinstance(mask, np.ndarray) else value
 
 
-def lane(record, i: int):
-    """Lane i of a lane-valued record (a dataclass, nested ones included) whose
-    every array carries the lane axis in front; plain values are shared."""
+def lane(record, i):
+    """Lane i of a lane-valued record (dataclasses nested, arrays with the lane axis
+    in front, plain values shared), or the lanes of an index array or slice i."""
     return type(record)(**{
         f: v[i] if isinstance(v, np.ndarray) else lane(v, i) if is_dataclass(v) else v
         for f, v in vars(record).items()})
+
+
+def join_lanes(records):
+    """One record whose arrays join those of ``records`` along the lane axis in
+    front, undoing `lane` over consecutive slices; plain values are the first's."""
+    return type(records[0])(**{
+        f: np.concatenate([vars(r)[f] for r in records]) if isinstance(v, np.ndarray)
+        else join_lanes([vars(r)[f] for r in records]) if is_dataclass(v) else v
+        for f, v in vars(records[0]).items()})
 
 
 def lanewise(c, axes: int):
@@ -250,15 +260,26 @@ def jet_eval(f: Callable, y) -> SecondOrderJet:
     """
     y = np.asarray(y, dtype=float)
     d = y.shape[-1]
-    i, j = np.triu_indices(d)
+    i, j, e1, e2, diag = _pair_seeds(d, y.ndim)
     lanes = (len(i),) + y.shape[:-1]
-    eye = np.eye(d).reshape((d, d) + (1,) * (y.ndim - 1))
-    out = f([Jet2(np.broadcast_to(y[..., m], lanes), eye[i, m], eye[j, m]) for m in range(d)])
+    out = f([Jet2(np.broadcast_to(y[..., m], lanes), e1[m], e2[m]) for m in range(d)])
     ov, o1, o12 = (out.value, out.d1, out.d12) if isinstance(out, Jet2) else (out, 0.0, 0.0)
     o1, o12 = (np.moveaxis(np.broadcast_to(v, lanes), 0, -1) for v in (o1, o12))
     hess = np.zeros(y.shape[:-1] + (d, d))
     hess[..., i, j] = hess[..., j, i] = o12  # symmetric by construction
-    return SecondOrderJet(np.broadcast_to(ov, lanes)[0], o1[..., i == j], hess)
+    return SecondOrderJet(np.broadcast_to(ov, lanes)[0], o1[..., diag], hess)
+
+
+@lru_cache(maxsize=None)
+def _pair_seeds(d: int, ndim: int):
+    """The index pairs i <= j of `jet_eval`, each coordinate's e1 and e2 seeds
+    over them and the diagonal mask: once per (d, ndim), read-only."""
+    i, j = np.triu_indices(d)
+    eye = np.eye(d).reshape((d, d) + (1,) * (ndim - 1))
+    seeds = (i, j, np.moveaxis(eye[i], 1, 0), np.moveaxis(eye[j], 1, 0), i == j)
+    for a in seeds:
+        a.flags.writeable = False
+    return seeds
 
 
 def fd_hessian(f: Callable, y, step: float = 1e-4, richardson: bool = False) -> np.ndarray:

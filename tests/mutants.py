@@ -33,6 +33,7 @@ HYPERSURFACE = "src/finslerkit/hypersurface.py"
 CONNECTION_TESTS = ("tests/test_connection.py",)
 FRAME_TESTS = ("tests/test_hypersurface.py", "tests/test_classifier.py",
                "tests/test_acceptance.py")
+SURFACE_TESTS = ("tests/test_hypersurface.py", "tests/test_classifier.py")
 
 
 def _drop_and_flip(file: str, terms: dict[str, str], tests: tuple[str, ...]) -> list[tuple]:
@@ -45,7 +46,7 @@ def _drop_and_flip(file: str, terms: dict[str, str], tests: tuple[str, ...]) -> 
 
 # The difference tensor D = S + Q + Q^T of `connection.difference_tensor`.
 _S_TERMS = {
-    "S: B^i E_jk": 'np.einsum("...i,jk->...ijk", B_up, E)',
+    "S: B^i E_jk": 'np.einsum("...i,...jk->...ijk", B_up, E)',
     "S: (g^-1 b0)^i B_jk": 'np.einsum("...i,...jk->...ijk", matvec(g_inv, b0), B_mat)',
     "S: C_jkm (g^-1 A^T)^im":
         'np.einsum("...jkm,...im->...ijk", C, g_inv @ np.swapaxes(A, -1, -2))',
@@ -77,6 +78,12 @@ MUTANTS = [
     (CONNECTION, "lanewise(bundle.dp0_dbeta, 2)", "1.0001 * lanewise(bundle.dp0_dbeta, 2)",
      "1e-4 relative error in dp0_dbeta m m", CONNECTION_TESTS),
     (HYPERSURFACE, "+ outer(m_a, h_a)", "- outer(m_a, h_a)", "flip H_ab: M_a H_b", FRAME_TESTS),
+    # the second fundamental tensors of `hypersurface.normal_curvature_and_h`
+    (HYPERSURFACE, "(b0b + g0 @ B)", "(g0 @ B)", "drop H_a: B^i_0a", SURFACE_TESTS),
+    (HYPERSURFACE, "matvec(bundle.C, n_up[..., None, :])", "matvec(bundle.C, n_dn[..., None, :])",
+     "N_i in place of N^i in M_ab", SURFACE_TESTS),
+    (HYPERSURFACE, 'np.einsum("...i,...iab->...ab", n_dn, chart.B2)', "0.0",
+     "drop H_ab: B^i_ab", SURFACE_TESTS),
 ]
 
 # Known survivors: name -> why it survives and which open item is meant to kill it.

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -278,3 +280,49 @@ def test_per_point_results_match_direction_by_direction_frames(fixture):
     assert report.first_kind.per_point == first.per_point and len(first.per_point) == 8
     assert report.second_kind.per_point == second.per_point
     assert report.third_kind.witness == min(report.third_kind.per_point)
+
+
+def _drop_draws(monkeypatch, dropped) -> None:
+    """Zero classify's direction draws at each entry of ``dropped``, a point
+    index or a (point, direction) pair: they fall below the 1e-12 cut."""
+    default_rng = np.random.default_rng
+
+    def rng(seed):
+        real = default_rng(seed)
+        if seed != FAST.seed + 1:  # surface_points draws from its own seed
+            return real
+
+        def normal(size):
+            draws = real.normal(size=size)
+            for at in dropped:
+                draws[at] = 0.0
+            return draws
+        return types.SimpleNamespace(normal=normal)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+
+
+def test_point_without_a_direction_raises_naming_it(monkeypatch):
+    spec, surface = exp_fixture(2)
+    x = surface_points(surface, spec, FAST.points, FAST.seed)[2]
+    _drop_draws(monkeypatch, [(1, 0), 2])
+    with pytest.raises(ValueError, match=re.escape(f"no direction at x={x.tolist()}")):
+        classify(surface, spec, FAST)
+
+
+def test_dropped_draws_leave_each_point_its_own_witness(monkeypatch):
+    # points 1 and 4 keep 2 and 1 of their 3 directions: each witness is the
+    # min over that point's kept directions, not over a neighbour's
+    spec, surface = exp_fixture(2)
+    draws = np.random.default_rng(FAST.seed + 1).normal(
+        size=(FAST.points, FAST.directions, spec.dim - 1))
+    dropped = [(1, 0), (4, 1), (4, 2)]
+    _drop_draws(monkeypatch, dropped)
+    report = classify(surface, spec, FAST)
+    for at in dropped:
+        draws[at] = 0.0
+    for n, x in enumerate(report.points):
+        chart, conn = chart_at(surface, x), covariant_db(spec, x)
+        witness = min(float(np.abs(frame_at(spec, chart, conn, v / np.linalg.norm(v)).M_ab).max())
+                      for v in draws[n] if v.any())
+        assert report.third_kind.per_point[n] == pytest.approx(witness, rel=1e-12)

@@ -25,7 +25,7 @@ from conftest import (
     varying_space,
 )
 from finslerkit import expr as ex
-from finslerkit import classifier, connection, geodesic, metric, tensors
+from finslerkit import classifier, connection, geodesic, hypersurface, metric, tensors
 from finslerkit.classifier import surface_points
 from finslerkit.connection import covariant_db, difference_tensor
 from finslerkit.geodesic import _length_derivatives, _segment_length
@@ -450,6 +450,24 @@ def test_frame_lanes_match_single_direction_frames(fixture, k):
         frame = frame_at(spec, chart, conn, vs)
         assert frame.H_ab.shape == (5, 2, 2) and frame.chart.B.shape == (3, 2)
         _assert_lanes_match(frame, [frame_at(spec, chart, conn, v) for v in vs], 1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("fixture", [exp_fixture, radial_fixture])
+def test_stacked_frame_matches_single_point_frames(monkeypatch, fixture, k):
+    # three points with 5, 2 and 4 directions: one frame over all 11 flags,
+    # from one bundle per point
+    spec, surface = fixture(k)
+    pts = surface_points(surface, spec, 3, seed=50 + k)
+    rng = np.random.default_rng(k)
+    vs = [rng.normal(size=(n, spec.dim - 1)) for n in (5, 2, 4)]
+    bundles = count_calls(monkeypatch, hypersurface, "bundle_at")
+    frame = frame_at(spec, chart_at(surface, pts), covariant_db(spec, pts), vs)
+    assert len(bundles) == 3 and [len(args[2]) for args in bundles] == [5, 2, 4]
+    assert frame.H_ab.shape == (11, 2, 2) and frame.chart.B.shape == (11, 3, 2)
+    singles = [frame_at(spec, chart_at(surface, x), covariant_db(spec, x), v)
+               for x, block in zip(pts, vs) for v in block]
+    _assert_lanes_match(frame, singles, 1e-12)
 
 
 def test_bundle_at_computes_the_angular_coefficients_once(monkeypatch):
