@@ -24,7 +24,7 @@ from .metric import (
     sample_flags,
     validity_check,
 )
-from .numerics import Jet2, SecondOrderJet, fd_hessian, jet_eval, least_squares, pd_check
+from .numerics import Jet2, SecondOrderJet, fd_hessian, jet_eval, pd_check
 from .tensors import AuditParams, AuditReport, TensorBundle, audit_flag, audit_sweep, bundle_at
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "flag_point",
     "frame_at",
     "jet_eval",
-    "least_squares",
     "load_config",
     "minimize",
     "parse",

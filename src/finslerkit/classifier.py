@@ -14,9 +14,9 @@ a strictly positive multiple of the induced angular metric whenever the
 condition.  Classification applies to the power-quotient family
 (alpha+beta)^(k+1)/alpha^k only.
 
-What depends on x alone (surface points, connection, charts) runs once per
-`classify` as lanes over all points; one frame then holds every point's
-directions as lanes, point by point: one bundle per point, then one pass.
+What depends on x alone (surface points, connection, charts, the algebraic
+tests) runs once per `classify` as lanes over all points; one frame then holds
+every point's directions as lanes, point by point: one bundle per point, then one pass.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .connection import ConnectionData, covariant_db
 from .hypersurface import HypersurfaceFrame, LevelSurface, chart_at, frame_at
 from .metric import SAMPLE_BOX, SpaceSpec, _first_passing
-from .numerics import dot, lanewise, least_squares
+from .numerics import dot, lanewise, matvec, outer
 
 
 class ClassifierConsistencyError(RuntimeError):
@@ -42,7 +42,7 @@ class ClassifyOptions:
     points: int = field(default=25, metadata={"min": 1})
     directions: int = field(default=5, metadata={"min": 1})
     seed: int = 2024
-    tol: float = 1e-8
+    tol: float = field(default=1e-8, metadata={"min": 0.0})
 
 
 @dataclass
@@ -136,33 +136,33 @@ def _project(surface: LevelSurface, raw: np.ndarray) -> np.ndarray:
 
 
 def first_kind_test(conn: ConnectionData, tol: float) -> tuple[KindResult, list[np.ndarray]]:
-    """Least-squares solve of 2 b_ij = b_i c_j + b_j c_i over the d(d+1)/2
-    independent equations at each sample point, the lanes of the stacked
-    connection; FAIL is an answer, not an error."""
+    """Minimum-norm least-squares solve of 2 b_ij = b_i c_j + b_j c_i over the
+    d(d+1)/2 independent equations at each point, all the lanes of the stacked
+    connection in one pass (c = 0 where b = 0); FAIL is an answer, not an error."""
     b = conn.point.b
     iu, ju = np.triu_indices(b.shape[-1])  # the equation (i, j), i <= j, per row
     rows, eq = np.zeros((len(b), len(iu), b.shape[-1])), np.arange(len(iu))
     rows[:, eq, ju] += b[:, iu]
     rows[:, eq, iu] += b[:, ju]
     rhs = 2.0 * conn.b_cov[:, iu, ju]
-    c_samples = [least_squares(a, r)[0] for a, r in zip(rows, rhs)]
-    residuals = [float(np.abs(a @ c - r).max()) for a, c, r in zip(rows, c_samples, rhs)]
-    return KindResult(passed=max(residuals, default=0.0) <= tol * _scale(conn.b_cov),
-                      per_point=residuals), c_samples
+    c = matvec(np.linalg.pinv(rows), rhs)
+    residuals = np.abs(matvec(rows, c) - rhs).max(-1)
+    return KindResult(passed=bool(residuals.max(initial=0.0) <= tol * _scale(conn.b_cov)),
+                      per_point=residuals.tolist()), list(c)
 
 
 def second_kind_test(conn: ConnectionData, tol: float) -> tuple[KindResult, list[float]]:
     """Fit e(x) = b^i b^j b_ij / (b^2)^2 and measure ||b_cov - e b (x) b|| at
-    each lane of the stacked connection; a point where b vanishes is skipped,
-    with residual 0."""
-    p, residuals, e_samples = conn.point, [], []
+    every lane of the stacked connection in one pass; a point where b vanishes
+    is skipped, with e and residual 0."""
+    p = conn.point
     fitted = ~(p.b2 < 1e-14)
-    for b, b_up, b2, b_cov, fit in zip(p.b, p.b_up, p.b2, conn.b_cov, fitted):
-        e = float(b_up @ b_cov @ b_up) / (b2 * b2) if fit else 0.0
-        residuals.append(float(np.abs(b_cov - e * np.outer(b, b)).max()) if fit else 0.0)
-        e_samples.append(e)
-    return KindResult(passed=max(residuals, default=0.0) <= tol * _scale(conn.b_cov[fitted]),
-                      per_point=residuals), e_samples
+    e = np.divide(dot((p.b_up[:, None] @ conn.b_cov)[:, 0], p.b_up), p.b2 * p.b2,
+                  out=np.zeros(len(fitted)), where=fitted)
+    misfit = np.abs(conn.b_cov - lanewise(e, 2) * outer(p.b, p.b)).max((-2, -1))
+    residuals = np.where(fitted, misfit, 0.0)
+    return KindResult(passed=bool(residuals.max(initial=0.0) <= tol * _scale(conn.b_cov[fitted])),
+                      per_point=residuals.tolist()), e.tolist()
 
 
 def _scale(b_cov: np.ndarray) -> float:

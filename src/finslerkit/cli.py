@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import classify
-from .config import OPTIONS, RunConfig, load_config
+from .config import OPTIONS, RunConfig, checked, load_config
 from .geodesic import minimize
 from .tensors import audit_sweep, bundle_at
 
@@ -73,10 +73,10 @@ def _write_rows(args, header: list[str], rows: list[list], seed) -> None:
 
 
 def _with_overrides(options, args):
-    """The options record with --seed and --tol applied (`main` refuses the
-    ones a command has no field for)."""
-    given = {flag: getattr(args, flag) for flag in _APPLIES}
-    return replace(options, **{k: v for k, v in given.items() if v is not None})
+    """The options record with --seed and --tol applied, each checked as its
+    config key is (`main` refuses the ones a command has no field for)."""
+    given = {f: getattr(args, f.name) for f in fields(options) if f.name in _APPLIES}
+    return replace(options, **{f.name: checked(f, v) for f, v in given.items() if v is not None})
 
 
 def _matrix_rows(context: str, quantity: str, m) -> list[list]:

@@ -24,7 +24,8 @@ Format (``#`` starts a comment; keys marked * may repeat):
 The keys and defaults of [audit], [classify] and [geodesic] are the fields of
 `tensors.AuditParams`, `classifier.ClassifyOptions` and `geodesic.GeodesicParams`.
 A value is parsed by the type of its field's default (int, float, or a vector
-for start and end) and bounded below by the field's "min" metadata, if any.
+for start and end), bounded below by the field's "min" metadata, if any, and
+finite if a float (`checked`, which the command-line overrides share).
 
 Unknown sections or keys are rejected (typo safety), and so are an expression
 that uses a coordinate beyond the dimension and a constant set twice or named
@@ -33,6 +34,7 @@ so that no expression can use it; every error carries its line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
@@ -131,10 +133,20 @@ def _float(value: str, line: int, what: str) -> float:
 def _option(f: Field, value: str, line: int):
     """An options-record value, parsed by the type of the field's default."""
     if isinstance(f.default, int):
-        return _int(value, line, f.metadata.get("min"), f.name)
+        return checked(f, _int(value, line, None, f.name), line)
     if isinstance(f.default, float):
-        return _float(value, line, f.name)
+        return checked(f, _float(value, line, f.name), line)
     return np.array(_floats(value, line))
+
+
+def checked(f: Field, value, line: int | None = None):
+    """A number for an options-record field, from a config line or a command-line
+    override: at least the field's "min" metadata, if any, and finite if a float."""
+    low = f.metadata.get("min", -math.inf)
+    if not (value >= low and (isinstance(value, int) or math.isfinite(value))):
+        what = "" if isinstance(value, int) else "finite and "
+        raise ConfigError(f"{f.name} must be {what}>= {low}", line)
+    return value
 
 
 def _expr(text: str, constants: dict[str, float], line: int, dim: int) -> ex.Expr:

@@ -70,7 +70,7 @@ class GeodesicParams:
     end: np.ndarray | None = None
     segments: int = field(default=16, metadata={"min": 1})
     iters: int = field(default=500, metadata={"min": 1})
-    tol: float = 1e-8
+    tol: float = field(default=1e-8, metadata={"min": 0.0})
     seed: int = 0
 
 

@@ -355,17 +355,3 @@ def pd_check(m: np.ndarray) -> PDCheck:
     ok = pivot == 0
     return PDCheck(bool(ok), int(pivot) or None) if m.ndim == 2 else PDCheck(ok, pivot)
 
-
-def least_squares(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimum-norm least squares: minimizes ||a s - rhs||_2.
-
-    Returns the solution and the achieved residual 2-norm.  Rank-deficient
-    systems get the minimum-norm solution (SVD-backed).
-    """
-    a = np.asarray(a, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise ValueError("coefficient matrix needs at least one row")
-    sol, _, _, _ = np.linalg.lstsq(a, rhs, rcond=None)
-    residual = float(np.linalg.norm(a @ sol - rhs))
-    return sol, residual

@@ -30,10 +30,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 CONNECTION = "src/finslerkit/connection.py"
 HYPERSURFACE = "src/finslerkit/hypersurface.py"
+CLASSIFIER = "src/finslerkit/classifier.py"
 CONNECTION_TESTS = ("tests/test_connection.py",)
 FRAME_TESTS = ("tests/test_hypersurface.py", "tests/test_classifier.py",
                "tests/test_acceptance.py")
 SURFACE_TESTS = ("tests/test_hypersurface.py", "tests/test_classifier.py")
+CLASSIFIER_TESTS = ("tests/test_classifier.py",)
 
 
 def _drop_and_flip(file: str, terms: dict[str, str], tests: tuple[str, ...]) -> list[tuple]:
@@ -84,6 +86,17 @@ MUTANTS = [
      "N_i in place of N^i in M_ab", SURFACE_TESTS),
     (HYPERSURFACE, 'np.einsum("...i,...iab->...ab", n_dn, chart.B2)', "0.0",
      "drop H_ab: B^i_ab", SURFACE_TESTS),
+    # the algebraic kind tests and the first-kind factor of `classifier`
+    (CLASSIFIER, "    rows[:, eq, iu] += b[:, ju]\n", "", "drop b_j c_i from the first-kind system",
+     CLASSIFIER_TESTS),
+    (CLASSIFIER, "p.b2 * p.b2", "p.b2", "second-kind e over b^2 in place of (b^2)^2",
+     CLASSIFIER_TESTS),
+    (CLASSIFIER, "(4.0 * flag.alpha", "(2.0 * flag.alpha", "2 in place of 4 in the first-kind factor",
+     CLASSIFIER_TESTS),
+    (CLASSIFIER, "k * (k + 1) * flag.b2", "k * k * flag.b2", "k^2 in place of k(k+1) in zeta",
+     CLASSIFIER_TESTS),
+    (CLASSIFIER, "np.minimum.reduceat", "np.maximum.reduceat", "third-kind witness as a maximum",
+     CLASSIFIER_TESTS),
 ]
 
 # Known survivors: name -> why it survives and which open item is meant to kill it.

@@ -342,6 +342,34 @@ def test_config_option_count_must_be_positive(tmp_path, section, key):
         load_config(path)
 
 
+@pytest.mark.parametrize("text", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command, cfg", [("classify", PLANE_CFG), ("geodesic", GEO_CFG)],
+                         ids=["classify", "geodesic"])
+@pytest.mark.parametrize("given", ["config", "flag"])
+def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, given, command, cfg, text):
+    # from a config line or from --tol: exit 2 before any report, naming tol
+    argv = ["--tol", text]
+    message = "tol must be finite and >= 0.0"
+    if given == "config":
+        cfg, argv = re.sub(r"^tol = .*$", f"tol = {text}", cfg, flags=re.M), []
+        line = cfg.splitlines().index(f"tol = {text}") + 1
+        message = f"line {line}: {message}"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_config(_write(tmp_path, cfg))
+    out_file = tmp_path / "rows.csv"
+    assert main([command, "--config", _write(tmp_path, cfg), *argv, "--out", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out_file.exists()
+
+
+def test_zero_tolerance_is_accepted(tmp_path, capsys):
+    cfg = _write(tmp_path, PLANE_CFG.replace("tol = 1e-8", "tol = 0"))
+    assert load_config(cfg).classify_options.tol == 0.0
+    main(["classify", "--config", cfg, "--tol", "0"])
+    assert "tol=0.0e+00" in capsys.readouterr().out
+
+
 def test_config_dimension_mismatch(tmp_path):
     bad = PLANE_CFG.replace("a_row = 0, 0, 1\n", "")
     with pytest.raises(ConfigError, match="dimension mismatch"):

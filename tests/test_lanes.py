@@ -43,7 +43,7 @@ from finslerkit.metric import (
     stack_points,
     validity_check,
 )
-from finslerkit.numerics import Jet2, fd_hessian, jet_eval, pd_check
+from finslerkit.numerics import Jet2, dot, fd_hessian, jet_eval, pd_check
 from finslerkit.tensors import (
     AuditParams,
     SingularCoefficientError,
@@ -1051,3 +1051,62 @@ def test_each_object_builds_its_derivative_trees_once(monkeypatch):
         for call, ref in zip(calls, first):
             assert _same_bits(call(xs), ref)
     assert builds == []
+
+
+def _stacked_b(rng, d: int):
+    """A stacked connection of five lanes in d dimensions: a random b and a
+    non-symmetric b_cov in each, b = 0 in lane 2, and in lane 3 a b_cov of the
+    first kind, (b_i c_j + b_j c_i) / 2 with c = (1, ..., d)."""
+    b = rng.normal(size=(5, d))
+    b[2] = 0.0
+    b_cov = rng.normal(size=(5, d, d))
+    b_cov[3] = 0.5 * (np.outer(b[3], np.arange(1.0, d + 1)) + np.outer(np.arange(1.0, d + 1), b[3]))
+    b_up = b @ np.diag(np.linspace(1.0, 2.0, d))  # a diagonal a^ij raises the index
+    point = types.SimpleNamespace(b=b, b_up=b_up, b2=dot(b, b_up))
+    return types.SimpleNamespace(point=point, b_cov=b_cov)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_first_kind_lanes_match_per_point_least_squares(d):
+    conn = _stacked_b(np.random.default_rng(d), d)
+    result, c_samples = classifier.first_kind_test(conn, 1e-8)
+    iu, ju = np.triu_indices(d)
+    for n, (b, b_cov) in enumerate(zip(conn.point.b, conn.b_cov)):
+        rows = np.zeros((len(iu), d))
+        for eq, (i, j) in enumerate(zip(iu, ju)):  # 2 b_ij = b_i c_j + b_j c_i
+            rows[eq, j] += b[i]
+            rows[eq, i] += b[j]
+        rhs = 2.0 * b_cov[iu, ju]
+        c = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+        residual = np.abs(rows @ c - rhs).max()
+        assert rel_error(c_samples[n], c) <= 1e-14, n
+        assert rel_error(result.per_point[n], residual) <= 1e-14, n
+    assert np.all(c_samples[2] == 0.0)  # b = 0: the minimum-norm solution
+    assert result.per_point[2] == np.abs(2.0 * conn.b_cov[2][iu, ju]).max()
+    assert result.per_point[3] < 1e-14 * (1.0 + np.abs(conn.b_cov[3]).max())
+    assert rel_error(c_samples[3], np.arange(1.0, d + 1)) < 1e-14
+    assert type(result.passed) is bool and not result.passed
+
+
+def _second_kind_per_point(conn):
+    """The per-point loop of the second kind: e and the residual of each lane."""
+    p, residuals, e_samples = conn.point, [], []
+    for b, b_up, b2, b_cov in zip(p.b, p.b_up, p.b2, conn.b_cov):
+        fit = not b2 < 1e-14
+        e = float(b_up @ b_cov @ b_up) / (b2 * b2) if fit else 0.0
+        residuals.append(float(np.abs(b_cov - e * np.outer(b, b)).max()) if fit else 0.0)
+        e_samples.append(e)
+    return residuals, e_samples
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("fixture", [exp_fixture, radial_fixture, plane_fixture])
+def test_second_kind_lanes_match_the_per_point_loop_bit_for_bit(fixture, k):
+    spec, surface = fixture(k)
+    conns = [covariant_db(spec, surface_points(surface, spec, 12, seed=60 + k)),
+             _stacked_b(np.random.default_rng(k), 3)]
+    for conn in conns:
+        result, e_samples = classifier.second_kind_test(conn, 1e-8)
+        residuals, e_ref = _second_kind_per_point(conn)
+        assert _same_bits(result.per_point, residuals) and _same_bits(e_samples, e_ref)
+        assert type(result.passed) is bool

@@ -8,7 +8,6 @@ from finslerkit.numerics import (
     Jet2,
     fd_hessian,
     jet_eval,
-    least_squares,
     pd_check,
 )
 from finslerkit.tensors import half_f_squared
@@ -170,40 +169,3 @@ def test_pd_check_agrees_with_power_iteration():
         lam_min = lam_max - float(w @ shifted @ w)
         assert lam_min >= -1e-8
 
-
-def test_least_squares_identity_and_overdetermined():
-    sol, resid = least_squares(np.eye(3), np.array([1.0, -2.0, 0.5]))
-    assert np.allclose(sol, [1.0, -2.0, 0.5]) and resid == 0.0
-    sol, resid = least_squares(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]))
-    assert sol[0] == pytest.approx(0.5)
-    assert resid == pytest.approx(math.sqrt(0.5))
-
-
-def test_least_squares_minimum_norm_for_rank_deficient():
-    a = np.array([[1.0, 0.0], [1.0, 0.0]])
-    sol, resid = least_squares(a, np.array([1.0, 1.0]))
-    assert np.allclose(sol, [1.0, 0.0])
-    assert resid < 1e-12
-
-
-def test_least_squares_first_kind_system_exact_on_exp_gradient():
-    # at a point of exp(x3) = 1: b = (0, 0, 1), b_cov = e3 (x) e3, and the
-    # proportionality system 2 b_cov = b (x) c + c (x) b has the exact
-    # solution c = (0, 0, 1)
-    spec = make_space(k=1, potential="exp(x3)")
-    from finslerkit.connection import covariant_db
-
-    x = np.array([0.3, -0.4, 0.0])
-    conn = covariant_db(spec, x)
-    b = spec.b_at(x)
-    rows, rhs = [], []
-    for i in range(3):
-        for j in range(i, 3):
-            row = np.zeros(3)
-            row[j] += b[i]
-            row[i] += b[j]
-            rows.append(row)
-            rhs.append(2.0 * conn.b_cov[i, j])
-    sol, resid = least_squares(np.array(rows), np.array(rhs))
-    assert resid <= 1e-10
-    assert np.allclose(sol, [0.0, 0.0, 1.0], atol=1e-12)
