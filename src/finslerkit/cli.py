@@ -5,17 +5,20 @@
     finslerkit classify --config run.cfg [--seed N] [--tol X] [--out rows.csv]
     finslerkit geodesic --config run.cfg [--seed N] [--tol X] [--out rows.csv]
 
-Human-readable text goes to stdout; with --out, machine-readable
-comma-separated rows go to the file (columns are documented in the README
-and stable for diffing).  Exit status: 0 on PASS verdicts, 1 on FAIL
-verdicts, 2 on errors; --seed or --tol given to a command without that
-setting is an error.  Identical config and seed produce byte-identical
-machine output.
+Human-readable text goes to stdout, each float as its repr; with --out,
+machine-readable comma-separated rows go to the file, written by `csv.writer`
+(a field is quoted only when it holds ',', '"' or a newline; columns are
+documented in the README and stable for diffing).  Exit status: 0 on PASS
+verdicts, 1 on FAIL verdicts, 2 on errors; --seed or --tol given to a command
+without that setting is an error.  Identical config and seed produce
+byte-identical machine output.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -52,31 +55,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(v) -> str:
-    text = repr(float(v)) if isinstance(v, float) else str(v)  # numpy floats print as floats
-    if any(ch in text for ch in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _vec(v) -> str:
     return "[" + ", ".join(repr(float(c)) for c in v) + "]"
 
 
+def _named(**values) -> str:
+    return " ".join(f"{name}={float(v)!r}" for name, v in values.items())
+
+
 def _write_rows(args, header: list[str], rows: list[list], seed) -> None:
+    """Comma-separated rows, quoted only where a field holds ',', '"' or a newline;
+    floats must be Python floats, which `csv` writes by their repr."""
     if args.out is None:
         return
-    lines = [f"# seed={seed}"] if seed is not None else []
-    lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    args.out.write_text("\n".join(lines) + "\n")
+    with args.out.open("w", newline="") as f:
+        if seed is not None:
+            f.write(f"# seed={seed}\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _with_overrides(options, args):
     """The options record with --seed and --tol applied, each checked as its
     config key is (`main` refuses the ones a command has no field for)."""
     given = {f: getattr(args, f.name) for f in fields(options) if f.name in _APPLIES}
-    return replace(options, **{f.name: checked(f, v) for f, v in given.items() if v is not None})
+    return replace(options, **{f.name: checked(f.name, v, f.metadata.get("min", -math.inf))
+                               for f, v in given.items() if v is not None})
 
 
 def _matrix_rows(context: str, quantity: str, m) -> list[list]:
@@ -98,14 +103,12 @@ def cmd_tensors(cfg: RunConfig, args) -> int:
         fl, ac, mc, rc = bundle.flag, bundle.angular, bundle.metric, bundle.reciprocal
         chunks.append(
             f"[{ctx}] x = {_vec(fl.x)}  y = {_vec(fl.y)}\n"
-            f"  alpha = {_fmt(fl.alpha)}  beta = {_fmt(fl.beta)}  F = {_fmt(bundle.phi.F)}\n"
-            f"  angular coefficients:    p={_fmt(ac.p)} q0={_fmt(ac.q0)} q1={_fmt(ac.q1)} "
-            f"q2={_fmt(ac.q2)}\n"
-            f"  metric coefficients:     p={_fmt(mc.p)} p0={_fmt(mc.p0)} p1={_fmt(mc.p1)} "
-            f"p2={_fmt(mc.p2)}\n"
-            f"  reciprocal coefficients: S0={_fmt(rc.S0)} S1={_fmt(rc.S1)} S2={_fmt(rc.S2)} "
-            f"zeta={_fmt(rc.zeta)}\n"
-            f"  gamma1 = {_fmt(bundle.gamma1)}\n"
+            f"  alpha = {float(fl.alpha)!r}  beta = {float(fl.beta)!r}  "
+            f"F = {float(bundle.phi.F)!r}\n"
+            f"  angular coefficients:    {_named(p=ac.p, q0=ac.q0, q1=ac.q1, q2=ac.q2)}\n"
+            f"  metric coefficients:     {_named(p=mc.p, p0=mc.p0, p1=mc.p1, p2=mc.p2)}\n"
+            f"  reciprocal coefficients: {_named(S0=rc.S0, S1=rc.S1, S2=rc.S2, zeta=rc.zeta)}\n"
+            f"  gamma1 = {float(bundle.gamma1)!r}\n"
             f"  g =\n{bundle.g}\n  g_inv =\n{bundle.g_inv}\n  h =\n{bundle.h}\n"
         )
         for name, value in (("alpha", fl.alpha), ("beta", fl.beta), ("F", bundle.phi.F),

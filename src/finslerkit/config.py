@@ -24,8 +24,12 @@ Format (``#`` starts a comment; keys marked * may repeat):
 The keys and defaults of [audit], [classify] and [geodesic] are the fields of
 `tensors.AuditParams`, `classifier.ClassifyOptions` and `geodesic.GeodesicParams`.
 A value is parsed by the type of its field's default (int, float, or a vector
-for start and end), bounded below by the field's "min" metadata, if any, and
-finite if a float (`checked`, which the command-line overrides share).
+for start and end).  Every number (k, level, a constant's value, an options
+value, each entry of a vector or a flag) is read in one pass over the entries
+and checked as the command-line overrides are (`checked`): at least its
+field's "min" metadata, if any, and finite if a float.  Expressions are parsed
+after that pass, so a constant may follow its first use; a number literal in
+an expression must be finite too.
 
 Unknown sections or keys are rejected (typo safety), and so are an expression
 that uses a coordinate beyond the dimension and a constant set twice or named
@@ -35,8 +39,9 @@ so that no expression can use it; every error carries its line number.
 from __future__ import annotations
 
 import math
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -82,9 +87,8 @@ class RunConfig:
     constants: dict[str, float] = field(default_factory=dict)
 
 
-def _parse_lines(path: Path) -> list[tuple[int, str, str, str]]:
-    """(line_no, section, key, value) tuples, with structure validated."""
-    out = []
+def _entries(path: Path) -> Iterator[tuple[int, str, str, str]]:
+    """(line_no, section, key, value) of each entry, with structure validated."""
     section = None
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -102,51 +106,35 @@ def _parse_lines(path: Path) -> list[tuple[int, str, str, str]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SECTIONS[section]:
             raise ConfigError(f"unknown key '{key}' in [{section}]", line_no)
-        out.append((line_no, section, key, value))
-    return out
+        yield line_no, section, key, value
 
 
-def _floats(value: str, line: int) -> list[float]:
+def checked(what: str, value, low: float = -math.inf, line: int | None = None):
+    """A number read from a config line or a command-line override: at least
+    `low` (a field's "min" metadata), and finite if a float."""
+    if value >= low and (isinstance(value, int) or math.isfinite(value)):
+        return value
+    need = [] if isinstance(value, int) else ["finite"]
+    if low > -math.inf:
+        need.append(f">= {low}")
+    raise ConfigError(f"{what} must be {' and '.join(need)}", line)
+
+
+def _number(text: str, line: int, what: str, kind: type = float, low: float = -math.inf):
     try:
-        return [float(p) for p in value.split(",")]
+        value = kind(text)
+    except ValueError as err:
+        raise ConfigError(f"expected {'an integer' if kind is int else 'a number'} for {what}",
+                          line) from err
+    return checked(what, value, low, line)
+
+
+def _floats(text: str, line: int, what: str) -> np.ndarray:
+    try:
+        values = [float(p) for p in text.split(",")]
     except ValueError as err:
         raise ConfigError(f"expected comma-separated numbers: {err}", line) from err
-
-
-def _int(value: str, line: int, minimum: int | None, what: str) -> int:
-    try:
-        n = int(value)
-    except ValueError as err:
-        raise ConfigError(f"expected an integer for {what}", line) from err
-    if minimum is not None and n < minimum:
-        raise ConfigError(f"{what} must be >= {minimum}", line)
-    return n
-
-
-def _float(value: str, line: int, what: str) -> float:
-    try:
-        return float(value)
-    except ValueError as err:
-        raise ConfigError(f"expected a number for {what}", line) from err
-
-
-def _option(f: Field, value: str, line: int):
-    """An options-record value, parsed by the type of the field's default."""
-    if isinstance(f.default, int):
-        return checked(f, _int(value, line, None, f.name), line)
-    if isinstance(f.default, float):
-        return checked(f, _float(value, line, f.name), line)
-    return np.array(_floats(value, line))
-
-
-def checked(f: Field, value, line: int | None = None):
-    """A number for an options-record field, from a config line or a command-line
-    override: at least the field's "min" metadata, if any, and finite if a float."""
-    low = f.metadata.get("min", -math.inf)
-    if not (value >= low and (isinstance(value, int) or math.isfinite(value))):
-        what = "" if isinstance(value, int) else "finite and "
-        raise ConfigError(f"{f.name} must be {what}>= {low}", line)
-    return value
+    return np.array([checked(what, v, line=line) for v in values])
 
 
 def _expr(text: str, constants: dict[str, float], line: int, dim: int) -> ex.Expr:
@@ -157,23 +145,45 @@ def _expr(text: str, constants: dict[str, float], line: int, dim: int) -> ex.Exp
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run configuration file."""
+    """Parse and validate a run configuration file in one pass over its entries.
+    Expressions are parsed after it, so a constant may follow its first use."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
-    entries = _parse_lines(path)
-
-    seen: dict[tuple[str, str], int] = {}
-    for line_no, section, key, _ in entries:
-        tag = (section, key)
-        if tag in seen and tag not in _REPEATABLE:
-            raise ConfigError(f"duplicate key '{key}' in [{section}]", line_no)
-        seen[tag] = line_no
-
-    # constants first: expressions elsewhere may use them
+    seen: set[tuple[str, str]] = set()
+    family, k, level = None, 1, None
     constants: dict[str, float] = {}
-    for line_no, section, key, value in entries:
-        if (section, key) == ("space", "constant"):
+    texts: dict[str, tuple[int, str]] = {}  # b, b_potential, potential: (line, text)
+    a_rows: list[tuple[int, list[str]]] = []
+    options = {name: rec() for name, rec in OPTIONS.items()}
+    flags: list[tuple[np.ndarray, np.ndarray]] = []
+    vectors: list[tuple[int, str, int]] = []  # (line, what, length) to check against the dimension
+
+    for line_no, section, key, value in _entries(path):
+        if (section, key) in seen and (section, key) not in _REPEATABLE:
+            raise ConfigError(f"duplicate key '{key}' in [{section}]", line_no)
+        seen.add((section, key))
+        if section in options:
+            f = _OPTION_FIELDS[section][key]
+            kind = type(f.default)
+            if kind in (int, float):
+                value = _number(value, line_no, key, kind, f.metadata.get("min", -math.inf))
+            else:
+                value = _floats(value, line_no, key)
+                vectors.append((line_no, key, len(value)))
+            setattr(options[section], key, value)
+        elif key == "family":
+            if value not in FAMILIES:
+                raise ConfigError(
+                    f"unknown family '{value}' (choose from {', '.join(FAMILIES)})", line_no)
+            family = value
+        elif key == "k":
+            k = _number(value, line_no, "exponent k", int, 1)
+        elif key == "level":
+            level = _number(value, line_no, "level")
+        elif key == "a_row":
+            a_rows.append((line_no, [p.strip() for p in value.split(",")]))
+        elif key == "constant":
             parts = value.split()
             if len(parts) != 2:
                 raise ConfigError("constant needs 'name value'", line_no)
@@ -183,44 +193,17 @@ def load_config(path: str | Path) -> RunConfig:
                                   "other than a coordinate", line_no)
             if name in constants:
                 raise ConfigError(f"duplicate constant '{name}'", line_no)
-            constants[name] = _float(parts[1], line_no, "constant value")
-
-    family = None
-    k = 1
-    a_rows: list[tuple[int, list[str]]] = []
-    b_texts: tuple[int, list[str]] | None = None
-    b_potential: tuple[int, str] | None = None
-    surface_potential: tuple[int, str] | None = None
-    surface_level: float | None = None
-    options = {name: rec() for name, rec in OPTIONS.items()}
-    flags_raw: list[tuple[int, str]] = []
-
-    for line_no, section, key, value in entries:
-        if section == "space":
-            if key == "family":
-                if value not in FAMILIES:
-                    raise ConfigError(
-                        f"unknown family '{value}' (choose from {', '.join(FAMILIES)})",
-                        line_no,
-                    )
-                family = value
-            elif key == "k":
-                k = _int(value, line_no, minimum=1, what="exponent k")
-            elif key == "a_row":
-                a_rows.append((line_no, [p.strip() for p in value.split(",")]))
-            elif key == "b":
-                b_texts = (line_no, [p.strip() for p in value.split(",")])
-            elif key == "b_potential":
-                b_potential = (line_no, value)
-        elif section == "hypersurface":
-            if key == "potential":
-                surface_potential = (line_no, value)
-            else:
-                surface_level = _float(value, line_no, "level")
-        elif section in options:
-            setattr(options[section], key, _option(_OPTION_FIELDS[section][key], value, line_no))
-        elif section == "tensors":
-            flags_raw.append((line_no, value))
+            constants[name] = _number(parts[1], line_no, "constant value")
+        elif key == "flag":
+            parts = value.split(";")
+            if len(parts) != 2:
+                raise ConfigError("flag needs 'x1, ..., xd ; y1, ..., yd'", line_no)
+            flag = (_floats(parts[0], line_no, "flag base point"),
+                    _floats(parts[1], line_no, "flag direction"))
+            vectors.extend((line_no, "flag entries", len(v)) for v in flag)
+            flags.append(flag)
+        else:
+            texts[key] = (line_no, value)
 
     if family is None:
         raise ConfigError("[space] must set 'family'")
@@ -236,56 +219,43 @@ def load_config(path: str | Path) -> RunConfig:
             )
         a.append([_expr(t, constants, line_no, dim) for t in row])
 
-    if (b_texts is None) == (b_potential is None):
+    if ("b" in texts) == ("b_potential" in texts):
         raise ConfigError("[space] needs exactly one of 'b' or 'b_potential'")
 
     try:
-        if b_potential is not None:
-            line_no, text = b_potential
+        if "b_potential" in texts:
+            line_no, text = texts["b_potential"]
             space = SpaceSpec.from_potential(dim, k, family, a,
                                              _expr(text, constants, line_no, dim))
         else:
-            line_no, texts = b_texts
-            if len(texts) != dim:
+            line_no, text = texts["b"]
+            b = [p.strip() for p in text.split(",")]
+            if len(b) != dim:
                 raise ConfigError(
-                    f"dimension mismatch: b has {len(texts)} entries for dimension {dim}",
+                    f"dimension mismatch: b has {len(b)} entries for dimension {dim}",
                     line_no,
                 )
-            space = SpaceSpec(dim, k, family, a,
-                              [_expr(t, constants, line_no, dim) for t in texts])
+            space = SpaceSpec(dim, k, family, a, [_expr(t, constants, line_no, dim) for t in b])
     except ValueError as err:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(str(err)) from err
 
     _probe_symmetry(space)
-
-    for key in ("start", "end"):
-        point = getattr(options["geodesic"], key)
-        if point is not None and len(point) != dim:
-            raise ConfigError(f"{key} must have dimension {dim}", seen["geodesic", key])
+    for line_no, what, length in vectors:
+        if length != dim:
+            raise ConfigError(f"{what} must have dimension {dim}", line_no)
 
     surface = None
-    if surface_potential is not None or surface_level is not None:
-        if surface_potential is not None:
-            line_no, text = surface_potential
+    if "potential" in texts or level is not None:
+        if "potential" in texts:
+            line_no, text = texts["potential"]
             potential = _expr(text, constants, line_no, dim)
         elif space.b_potential is not None:
             potential = space.b_potential
         else:
             raise ConfigError("[hypersurface] needs 'potential' when the space has none")
-        surface = LevelSurface(potential, surface_level if surface_level is not None else 0.0)
-
-    flags: list[tuple[np.ndarray, np.ndarray]] = []
-    for line_no, value in flags_raw:
-        parts = value.split(";")
-        if len(parts) != 2:
-            raise ConfigError("flag needs 'x1, ..., xd ; y1, ..., yd'", line_no)
-        x = np.array(_floats(parts[0], line_no))
-        y = np.array(_floats(parts[1], line_no))
-        if len(x) != dim or len(y) != dim:
-            raise ConfigError(f"flag entries must have dimension {dim}", line_no)
-        flags.append((x, y))
+        surface = LevelSurface(potential, level if level is not None else 0.0)
 
     return RunConfig(
         space=space, surface=surface, audit=options["audit"],

@@ -231,7 +231,7 @@ class Pow(Expr):
             n = int(e) if whole else e
             try:
                 return _per_lane(pow, b, n) if isinstance(b, np.ndarray) else b ** n
-            except (ValueError, ZeroDivisionError) as err:
+            except (ValueError, ZeroDivisionError, OverflowError) as err:
                 raise DomainError(str(err), self) from err
         # exponent carries derivative information: needs log of the base
         if any_lane(bv <= 0.0):
@@ -275,7 +275,7 @@ class Fn(Expr):
             raise DomainError("sqrt of negative value", self)
         try:
             return _call_fn(self.name, v)
-        except (ValueError, ZeroDivisionError) as err:
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
             raise DomainError(str(err), self) from err
 
     def diff(self, var):
@@ -452,6 +452,8 @@ class _Parser:
     def parse_atom(self) -> Expr:
         kind, text, offset = self.take()
         if kind == "num":
+            if not math.isfinite(float(text)):
+                raise ExprSyntaxError(f"number {text} is not finite", offset)
             return Num(float(text))
         if kind == "ident":
             if self.peek() == "(":

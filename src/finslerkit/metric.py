@@ -102,7 +102,7 @@ def finsler_norm(family: str, k: int, alpha, beta):
         return alpha + beta
     ok = _in_domain(family, k, ex._real(alpha), ex._real(beta))
     kropina = family == "generalized-kropina"
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):  # in every lane
+    if not np.all(ok):  # in every lane
         den = "beta" if kropina else "alpha - beta"
         raise FamilyDomainError(family, f"requires {den} > 0 (and finite partials)")
     return alpha ** (k + 1) / beta ** k if kropina else alpha * alpha / (alpha - beta)
@@ -116,13 +116,9 @@ def _in_domain(family: str, k: int, alpha, beta):
         return True
     kropina = family == "generalized-kropina"
     num, den, p, q = (alpha, beta, k + 1, k + 2) if kropina else (alpha, alpha - beta, 2, 3)
-    if isinstance(den, np.ndarray):
-        with np.errstate(all="ignore"):  # overflow to inf, underflow to 0: not finite
-            return (den > 0.0) & np.isfinite(num ** p / den ** q)
-    try:
-        return float(den) > 0.0 and math.isfinite(float(num) ** p / float(den) ** q)
-    except (OverflowError, ZeroDivisionError):  # den^q underflowed to 0, or overflow
-        return False
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    with np.errstate(all="ignore"):  # overflow to inf, underflow to 0: not finite
+        return (den > 0.0) & np.isfinite(num ** p / den ** q)
 
 
 def phi_partials(family: str, k: int, alpha, beta) -> PhiPartials:

@@ -86,6 +86,15 @@ MUTANTS = [
      "N_i in place of N^i in M_ab", SURFACE_TESTS),
     (HYPERSURFACE, 'np.einsum("...i,...iab->...ab", n_dn, chart.B2)', "0.0",
      "drop H_ab: B^i_ab", SURFACE_TESTS),
+    # the normal, the induced tensors and the chart of `hypersurface`
+    (HYPERSURFACE, "w / lanewise(np.sqrt(s), 1)", "w / lanewise(s, 1)",
+     "normal over s in place of sqrt(s)", SURFACE_TESTS),
+    (HYPERSURFACE, "np.linalg.solve(g, ", "np.linalg.solve(bundle.flag.a, ",
+     "a in place of g in the normal's solve", SURFACE_TESTS),
+    (HYPERSURFACE, "h_ind = Bt @ bundle.h @ B", "h_ind = Bt @ bundle.g @ B",
+     "g in place of h in h_ab", SURFACE_TESTS),
+    (HYPERSURFACE, "hb_free * gd - outer(g_free, hb_dep)", "hb_free * gd + outer(g_free, hb_dep)",
+     "flip the chart's B2: G_a H_Db", SURFACE_TESTS),
     # the algebraic kind tests and the first-kind factor of `classifier`
     (CLASSIFIER, "    rows[:, eq, iu] += b[:, ju]\n", "", "drop b_j c_i from the first-kind system",
      CLASSIFIER_TESTS),
@@ -97,6 +106,10 @@ MUTANTS = [
      CLASSIFIER_TESTS),
     (CLASSIFIER, "np.minimum.reduceat", "np.maximum.reduceat", "third-kind witness as a maximum",
      CLASSIFIER_TESTS),
+    (CLASSIFIER, "fitted = ~(p.b2 < 1e-14)", "fitted = ~(p.b2 < 0.0)",
+     "second kind fits where b vanishes", CLASSIFIER_TESTS),
+    (CLASSIFIER, "return 1.0 + float(np.abs(b_cov)", "return float(np.abs(b_cov)",
+     "kind tolerance scale without its 1 +", CLASSIFIER_TESTS),
 ]
 
 # Known survivors: name -> why it survives and which open item is meant to kill it.

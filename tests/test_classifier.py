@@ -90,6 +90,18 @@ def test_second_kind_radial_field_fails():
     assert result.residual >= 1.0
 
 
+def test_kind_tolerances_scale_by_one_plus_the_largest_b_ij():
+    # max |b_ij| = 0.5 < 1: each residual lies between tol * 0.5 and tol * (1 + 0.5), so
+    # both kinds pass on the scale 1 + max |b_ij| and would fail on max |b_ij| alone
+    point = types.SimpleNamespace(b=np.array([[1.0, 0.0]]), b_up=np.array([[1.0, 0.0]]),
+                                  b2=np.array([1.0]))
+    conn = types.SimpleNamespace(point=point, b_cov=np.array([[[0.5, 0.0], [0.0, 6e-9]]]))
+    first, _ = first_kind_test(conn, 1e-8)   # 2 b_11 = 0 is the one equation left over
+    second, _ = second_kind_test(conn, 1e-8)  # e = b_00, and b_11 is the misfit
+    assert first.per_point == [1.2e-8] and second.per_point == [6e-9]
+    assert first.passed is True and second.passed is True
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_classification_matrix(k):
     for fixture, first, second in (

@@ -370,6 +370,68 @@ def test_zero_tolerance_is_accepted(tmp_path, capsys):
     assert "tol=0.0e+00" in capsys.readouterr().out
 
 
+# every key read as a plain number, and what its error names
+ALL_NUMBERS_CFG = PLANE_CFG.replace(
+    "b_potential = 0.1*x3", "constant = q 0.1\nb_potential = q*x3"
+) + "\n[geodesic]\nstart = 0, 0, 0\nend = 1, 0, 0\n"
+NUMBER_KEYS = [
+    ("tensors", "constant = q 0.1", "constant = q {}", "constant value must be finite"),
+    ("classify", "level = 0", "level = {}", "level must be finite"),
+    ("geodesic", "start = 0, 0, 0", "start = 0, {}, 0", "start must be finite"),
+    ("geodesic", "end = 1, 0, 0", "end = 1, 0, {}", "end must be finite"),
+    ("tensors", "flag = 0, 0, 0 ; 1, 0, 0", "flag = {}, 0, 0 ; 1, 0, 0",
+     "flag base point must be finite"),
+    ("tensors", "flag = 0, 0, 0 ; 1, 0, 0", "flag = 0, 0, 0 ; 1, {}, 0",
+     "flag direction must be finite"),
+    ("classify", "tol = 1e-8", "tol = {}", "tol must be finite and >= 0.0"),
+]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, old, new, message", NUMBER_KEYS,
+                         ids=["constant", "level", "start", "end", "flag-x", "flag-y", "tol"])
+def test_config_number_must_be_finite(tmp_path, capsys, command, old, new, message, text):
+    # before, a NaN flag or constant printed a NaN report with exit 0, and a NaN level,
+    # start or constant ended in an error that named no line (the tol cases held already)
+    new = new.format(text)
+    bad = ALL_NUMBERS_CFG.replace(old, new)
+    line = bad.splitlines().index(new) + 1
+    with pytest.raises(ConfigError, match=f"^line {line}: {message}$"):
+        load_config(_write(tmp_path, bad))
+    assert main([command, "--config", _write(tmp_path, bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line {line}: {message}\n"
+    assert captured.out == ""
+
+
+def test_config_integer_beyond_float_range_loads(tmp_path):
+    # ints skip the finite test: math.isfinite would raise OverflowError on this one
+    cfg = PLANE_CFG.replace("seed = 7", "seed = 1" + "0" * 400)
+    assert load_config(_write(tmp_path, cfg)).audit.seed == 10 ** 400
+
+
+def test_config_expression_literal_must_be_finite(tmp_path, capsys):
+    # 1e400 parsed to inf, and `tensors` printed beta = nan with exit 0
+    bad = PLANE_CFG.replace("b_potential = 0.1*x3", "b_potential = 1e400*x3")
+    line = bad.splitlines().index("b_potential = 1e400*x3") + 1
+    message = f"line {line}: bad expression: number 1e400 is not finite at offset 0"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_config(_write(tmp_path, bad))
+    assert main(["tensors", "--config", _write(tmp_path, bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_expression_overflow_is_a_domain_error(tmp_path, capsys):
+    # before: exit 2 with only "error: math range error"
+    cfg = PLANE_CFG.replace("b_potential = 0.1*x3", "b_potential = exp(1000*x3)").replace(
+        "flag = 0, 0, 0 ; 1, 0, 0", "flag = 0, 0, 1 ; 1, 0, 0")
+    assert main(["tensors", "--config", _write(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: math range error in 'exp(1000.0*x3)'\n"
+    assert captured.out == ""
+
+
 def test_config_dimension_mismatch(tmp_path):
     bad = PLANE_CFG.replace("a_row = 0, 0, 1\n", "")
     with pytest.raises(ConfigError, match="dimension mismatch"):
@@ -463,8 +525,11 @@ def test_config_expression_errors_carry_line_numbers(tmp_path):
         load_config(_write(tmp_path, bad))
 
 
-def test_config_constants_are_usable_in_expressions(tmp_path):
-    cfg = PLANE_CFG.replace("b_potential = 0.1*x3", "constant = q 0.1\nb_potential = q*x3")
+@pytest.mark.parametrize("lines", ["constant = q 0.1\nb_potential = q*x3",
+                                   "b_potential = q*x3\nconstant = q 0.1"],
+                         ids=["defined-first", "defined-after-its-use"])
+def test_config_constants_are_usable_in_expressions(tmp_path, lines):
+    cfg = PLANE_CFG.replace("b_potential = 0.1*x3", lines)
     loaded = load_config(_write(tmp_path, cfg))
     assert loaded.constants == {"q": 0.1}
     assert np.allclose(loaded.space.b_at([0.0, 0.0, 0.0]), [0, 0, 0.1])

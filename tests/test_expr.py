@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,24 @@ def test_division_by_zero_reports_subexpression():
 def test_sqrt_and_integer_power():
     assert ex.parse("sqrt(x1)").eval((4.0, 0.0)) == 2.0
     assert ex.parse("x1^3").eval((2.0, 0.0)) == 8.0
+
+
+def test_number_literal_must_be_finite():
+    with pytest.raises(ex.ExprSyntaxError, match="^number 1e400 is not finite at offset 3$"):
+        ex.parse("x1*1e400")
+
+
+@pytest.mark.parametrize("text, x", [
+    ("exp(x1)", [1000.0]), ("exp(x1)", np.array([0.0, 1000.0])),
+    ("x1^400", [10.0]), ("x1^400", np.array([1.0, 10.0])),
+])
+def test_overflow_is_a_domain_error_naming_the_subexpression(text, x):
+    # a Python float or a float lane overflows with OverflowError, which was not caught
+    # (a single np.float64 to a large power gives inf without raising)
+    e = ex.parse(text)
+    with pytest.raises(ex.DomainError, match=f" in '{re.escape(str(e))}'$") as err:
+        e.eval([x] if isinstance(x, np.ndarray) else x)
+    assert err.value.subexpr == e
 
 
 def test_log_domain_error():
