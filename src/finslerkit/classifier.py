@@ -12,7 +12,7 @@ The third kind is decided by the second fundamental v-tensor M_ab, which is
 a strictly positive multiple of the induced angular metric whenever the
 1-form has positive length, so the verdict is IMPOSSIBLE rather than a
 condition.  Classification applies to the power-quotient family
-(alpha+beta)^(k+1)/alpha^k only.
+(alpha+beta)^(k+1)/alpha^k only, Randers (k = 0) and square (k = 1) included.
 
 What depends on x alone (surface points, connection, charts, the algebraic
 tests) runs once per `classify` as lanes over all points; one frame then holds

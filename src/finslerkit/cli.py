@@ -29,6 +29,7 @@ from . import __version__
 from .classifier import classify
 from .config import OPTIONS, RunConfig, checked, load_config
 from .geodesic import minimize
+from .metric import validity_check
 from .tensors import audit_sweep, bundle_at
 
 # Every library error derives from one of these; each one exits with status 2.
@@ -84,6 +85,12 @@ def _with_overrides(options, args):
                                for f, v in given.items() if v is not None})
 
 
+# the conditions of `validity_check`, by ValidityReport field, each before those that
+# fail with it (outside the family domain, F is NaN)
+_VALIDITY = {"a_pd": "a(x) positive definite", "family_domain": "family domain",
+             "F_positive": "F > 0", "fundamental_pd": "g positive definite"}
+
+
 def _matrix_rows(context: str, quantity: str, m) -> list[list]:
     """One row per entry of a scalar, vector, matrix or 3-tensor; 1-based indices."""
     m = np.asarray(m)
@@ -98,8 +105,12 @@ def cmd_tensors(cfg: RunConfig, args) -> int:
     all_rows: list[list] = []
     chunks: list[str] = []
     for idx, (x, y) in enumerate(cfg.flags):
-        bundle = bundle_at(cfg.space, x, y)
         ctx = f"flag{idx + 1}"
+        valid = validity_check(cfg.space, x, y)
+        if not valid.ok:  # a report never shows a flag outside the domain, nor NaN
+            failed = next(text for name, text in _VALIDITY.items() if not getattr(valid, name))
+            raise ValueError(f"{ctx} fails the validity check: {failed}")
+        bundle = bundle_at(cfg.space, x, y)
         fl, ac, mc, rc = bundle.flag, bundle.angular, bundle.metric, bundle.reciprocal
         chunks.append(
             f"[{ctx}] x = {_vec(fl.x)}  y = {_vec(fl.y)}\n"

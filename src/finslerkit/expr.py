@@ -229,9 +229,13 @@ class Pow(Expr):
             if e < 0.0 and any_lane(bv == 0.0):
                 raise DomainError("zero base with negative exponent", self)
             n = int(e) if whole else e
+            if isinstance(b, np.floating):  # as a Python float: numpy's overflow only warns
+                b = float(b)
             try:
                 return _per_lane(pow, b, n) if isinstance(b, np.ndarray) else b ** n
-            except (ValueError, ZeroDivisionError, OverflowError) as err:
+            except OverflowError as err:
+                raise DomainError("power overflows", self) from err
+            except (ValueError, ZeroDivisionError) as err:
                 raise DomainError(str(err), self) from err
         # exponent carries derivative information: needs log of the base
         if any_lane(bv <= 0.0):

@@ -1,13 +1,14 @@
 """Space definition and the (alpha,beta)-metric families.
 
-The central family is F = (alpha+beta)^(k+1) / alpha^k with positive integer
-exponent k; k = 1 reduces to the square metric.  The other families are kept
+The central family is F = (alpha+beta)^(k+1) / alpha^k; k = 0 is Randers,
+alpha + beta, and k = 1 the square metric.  The other families are kept
 for audit breadth: every closed form downstream is checked against the same
 differentiation oracles across all of them.
 
 `finsler_norm` is the single home of F, `_in_domain` of each family's domain
-check.  The square and kropina names are aliases for k = 1 of the generalized
-families; `resolve_family` maps them, once per `SpaceSpec`.
+check.  `resolve_family` maps the aliases, once per `SpaceSpec` (whose k is
+>= 1): randers is generalized-square at k = 0, square and kropina are the
+generalized families at k = 1.
 
 `SpaceSpec` holds a and b as expression tables (`expr.ExprTable`), which
 evaluate them and keep their exact spatial derivatives, at one point or at N
@@ -49,7 +50,8 @@ FAMILIES = (
 # half-width of the coordinate box that flag and surface sampling draw x from
 SAMPLE_BOX = 1.0
 
-_ALIASES = {"square": ("generalized-square", 1), "kropina": ("generalized-kropina", 1)}
+_ALIASES = {"square": ("generalized-square", 1), "kropina": ("generalized-kropina", 1),
+            "randers": ("generalized-square", 0)}
 
 
 class FamilyDomainError(ArithmeticError):
@@ -70,7 +72,7 @@ class DegenerateMetricError(ArithmeticError):
 
 
 def resolve_family(family: str, k: int) -> tuple[str, int]:
-    """Canonical (family, k): the square and kropina aliases fix k = 1."""
+    """Canonical (family, k): an alias fixes k (randers 0, square and kropina 1)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown metric family '{family}'")
     return _ALIASES.get(family, (family, k))
@@ -98,8 +100,6 @@ def finsler_norm(family: str, k: int, alpha, beta):
         return (alpha + beta) ** (k + 1) / alpha ** k
     if family == "riemannian":
         return alpha
-    if family == "randers":
-        return alpha + beta
     ok = _in_domain(family, k, ex._real(alpha), ex._real(beta))
     kropina = family == "generalized-kropina"
     if not np.all(ok):  # in every lane
@@ -138,8 +138,6 @@ def phi_partials(family: str, k: int, alpha, beta) -> PhiPartials:
         )
     if family == "riemannian":
         return PhiPartials(F=F, Fa=1.0, Fb=0.0, Faa=0.0, Fbb=0.0, Fab=0.0)
-    if family == "randers":
-        return PhiPartials(F=F, Fa=1.0, Fb=1.0, Faa=0.0, Fbb=0.0, Fab=0.0)
     if family == "generalized-kropina":
         return PhiPartials(
             F=F,
@@ -178,7 +176,7 @@ class SpaceSpec:
 
     Treated as immutable after construction: evaluation is pure and goes
     through the tables `a_table` and `b_table`.  The family is stored
-    canonically (an alias becomes its generalized family with k = 1);
+    canonically (an alias becomes its generalized family with its own k);
     `from_potential` makes b_i the exact symbolic gradient of a potential.
     """
 

@@ -89,7 +89,7 @@ def dp0_dbeta(family: str, k: int, alpha, beta):
     family, k = resolve_family(family, k)
     if family == "generalized-square":
         return 2 * k * (k + 1) * (2 * k + 1) * (alpha + beta) ** (2 * k - 1) / alpha ** (2 * k)
-    if family in ("riemannian", "randers"):
+    if family == "riemannian":
         return 0.0
     if family == "generalized-kropina":
         return -(2 * k + 2) * k * (2 * k + 1) * alpha ** (2 * k + 2) / beta ** (2 * k + 3)
@@ -362,7 +362,7 @@ def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
         _row("reciprocal-vs-inversion", err(bundle.g_inv, np.linalg.inv(bundle.g))),
         _row("hv-torsion-vs-jet-oracle", err(bundle.C, torsion_oracle(spec, batch, ys))),
     ]
-    if spec.family == "generalized-square":
+    if spec.family == "generalized-square" and spec.k >= 1:  # the misprint vanishes at k = 0
         q2 = bundle.angular.q2
         q2_printed = q2_expanded_form(spec.k, bundle.flag.alpha, bundle.flag.beta)
         rows.append(_row("q2-expanded-form", abs(q2 - q2_printed) / (1.0 + abs(q2)),

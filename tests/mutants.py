@@ -28,9 +28,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+METRIC = "src/finslerkit/metric.py"
+TENSORS = "src/finslerkit/tensors.py"
 CONNECTION = "src/finslerkit/connection.py"
 HYPERSURFACE = "src/finslerkit/hypersurface.py"
 CLASSIFIER = "src/finslerkit/classifier.py"
+METRIC_TESTS = ("tests/test_metric.py",)
+TENSORS_TESTS = ("tests/test_tensors.py",)
 CONNECTION_TESTS = ("tests/test_connection.py",)
 FRAME_TESTS = ("tests/test_hypersurface.py", "tests/test_classifier.py",
                "tests/test_acceptance.py")
@@ -60,6 +64,25 @@ _Q_TERMS = {
 }
 
 MUTANTS = [
+    # the generalized-square partials of `metric.phi_partials`, which Randers (k = 0) runs
+    # through too, and the alias that sends it there
+    (METRIC, "Fab=-(k * (k + 1)) * beta", "Fab=(k * (k + 1)) * beta", "flip F_ab",
+     METRIC_TESTS),
+    (METRIC, "Fb=(k + 1) * s ** k", "Fb=k * s ** k", "k in place of k + 1 in F_b", METRIC_TESTS),
+    (METRIC, "Fa=(alpha - k * beta)", "Fa=(alpha + k * beta)", "flip k beta in F_a",
+     METRIC_TESTS),
+    (METRIC, "Faa=k * (k + 1) * beta * beta * s", "Faa=k * (k + 1) * beta * s",
+     "beta in place of beta^2 in F_aa", METRIC_TESTS),
+    (METRIC, "Fbb=k * (k + 1) * s ** (k - 1) / alpha ** k,",
+     "Fbb=k * (k + 1) * s ** (k - 1) / alpha ** (k + 1),",
+     "alpha^(k+1) in place of alpha^k in F_bb", METRIC_TESTS),
+    (METRIC, '"randers": ("generalized-square", 0)', '"randers": ("generalized-square", 1)',
+     "randers as the square metric", METRIC_TESTS),
+    # the generalized-square dp0/dbeta of `tensors` and the audit's k >= 1 q2 row
+    (TENSORS, "2 * k * (k + 1) * (2 * k + 1) *", "2 * k * (k + 1) * (2 * k - 1) *",
+     "2k - 1 in place of 2k + 1 in dp0/dbeta", TENSORS_TESTS),
+    (TENSORS, 'spec.family == "generalized-square" and spec.k >= 1',
+     'spec.family == "generalized-square"', "q2-expanded-form row at k = 0", TENSORS_TESTS),
     *_drop_and_flip(CONNECTION, _S_TERMS, CONNECTION_TESTS),
     *_drop_and_flip(CONNECTION, _Q_TERMS, CONNECTION_TESTS),
     (CONNECTION, "(C_lam - A)", "(C_lam)", "drop Q: C^i_jm A^m_k", CONNECTION_TESTS),
@@ -115,7 +138,7 @@ MUTANTS = [
 # Known survivors: name -> why it survives and which open item is meant to kill it.
 SURVIVORS = {
     "flip H_ab: M_a H_b": "M_a stays below 3e-15 on every surface classify reaches "
-                          "(ROADMAP items 4 and 8)",
+                          "(ROADMAP items 6 and 10)",
 }
 
 

@@ -238,8 +238,28 @@ def test_verdicts_invariant_under_one_form_rescaling(mu):
             assert np.allclose(scaled.e_samples, np.array(base_reports[name].e_samples) / mu)
 
 
+@pytest.mark.parametrize("name, first, second", [
+    ("e1", True, True), ("e2", True, True), ("e3", False, False), ("e4", True, False),
+])
+def test_randers_classifies_on_the_shipped_surfaces(tmp_path, name, first, second):
+    # randers is generalized-square at k = 0: the shipped configs with that family
+    # classify as at k = 1, both routes agreeing (classify raises otherwise)
+    text = (Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg").read_text()
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(re.sub(r"(?m)^family = .*$", "family = randers", text))
+    cfg = load_config(path)
+    assert (cfg.space.family, cfg.space.k) == ("generalized-square", 0)
+    report = classify(cfg.surface, cfg.space, cfg.classify_options)
+    assert (report.first_kind.passed, report.second_kind.passed) == (first, second)
+    assert report.third_kind.verdict == "impossible" and report.third_kind.witness > 0.0
+    if first:  # H_ab = -c_0 sqrt(b^2) / (4 alpha) h_ab at k = 0
+        assert report.proportionality_deviation <= report.tol
+    else:
+        assert report.proportionality_deviation is None
+
+
 def test_classify_rejects_other_families():
-    spec = make_space(family="randers", k=1, potential="0.1*x3")
+    spec = make_space(family="matsumoto", k=1, potential="0.1*x3")
     surface = LevelSurface(ex.parse("0.1*x3"), 0.0)
     with pytest.raises(ValueError, match="family"):
         classify(surface, spec, FAST)

@@ -149,6 +149,26 @@ def test_tensors_rejects_zero_direction(tmp_path, capsys):
     assert "nonzero" in err
 
 
+@pytest.mark.parametrize("family, potential, flag, failed", [
+    ("generalized-square", "(10*x3)^400", "0.2, -0.1, 0.4 ; 0.3, 1, -0.2", "g positive definite"),
+    ("randers", "2*x3", "0, 0, 0 ; 0, 0, -1", "F > 0"),
+    ("randers", "x3", "0, 0, 0 ; 0, 0, -1", "F > 0"),
+    ("matsumoto", "2*x3", "0, 0, 0 ; 0, 0, 1", "family domain"),
+], ids=["b2-overflows", "randers-F-negative", "randers-F-zero", "matsumoto-beta-above-alpha"])
+def test_tensors_refuses_a_flag_that_fails_the_validity_check(tmp_path, capsys, family,
+                                                               potential, flag, failed):
+    # before: b^2 = inf printed NaN fields with exit 0, a Randers flag with F <= 0 its
+    # tensors, and a flag outside the Matsumoto domain named only the family; the valid
+    # flag1 is not printed either
+    cfg = PLANE_CFG.replace("family = generalized-square", f"family = {family}").replace(
+        "b_potential = 0.1*x3", f"b_potential = {potential}").replace(
+        "flag = 0, 0, 0 ; 1, 0, 0", f"flag = 0, 0, 0 ; 1, 0, 0\nflag = {flag}")
+    assert main(["tensors", "--config", _write(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: flag2 fails the validity check: {failed}\n"
+    assert captured.out == ""
+
+
 def test_tensors_writes_fixed_columns(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
     code = main(["tensors", "--config", _write(tmp_path, PLANE_CFG), "--out", str(out_file)])
@@ -429,6 +449,17 @@ def test_expression_overflow_is_a_domain_error(tmp_path, capsys):
     assert main(["tensors", "--config", _write(tmp_path, cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: math range error in 'exp(1000.0*x3)'\n"
+    assert captured.out == ""
+
+
+def test_power_overflow_at_a_flag_is_a_domain_error(tmp_path, capsys):
+    # before: b = grad (10 x3)^400 at x3 = 1 was inf at one point, and tensors printed
+    # NaN fields with exit 0
+    cfg = PLANE_CFG.replace("b_potential = 0.1*x3", "b_potential = (10*x3)^400").replace(
+        "flag = 0, 0, 0 ; 1, 0, 0", "flag = 0, 0, 1 ; 1, 0, 0")
+    assert main(["tensors", "--config", _write(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: power overflows in '(10.0*x3)^399.0'\n"
     assert captured.out == ""
 
 

@@ -195,6 +195,21 @@ def test_space_spec_stores_canonical_family():
     assert (square.family, square.k) == ("generalized-square", 1)
     kropina = SpaceSpec(2, 2, "kropina", rows, b)
     assert (kropina.family, kropina.k) == ("generalized-kropina", 1)
+    randers = SpaceSpec(2, 2, "randers", rows, b)
+    assert (randers.family, randers.k) == ("generalized-square", 0)
+
+
+def test_randers_partials_are_those_of_alpha_plus_beta():
+    # generalized-square at k = 0 gives F = alpha + beta, F_a = F_b = 1 and no
+    # second partials, for floats and for lanes
+    alpha, beta = np.array([1.0, 0.7, 2.5]), np.array([0.0, 0.3, -1.2])
+    for a, b in [*zip(alpha.tolist(), beta.tolist()), (alpha, beta)]:
+        pp = phi_partials("randers", 1, a, b)
+        assert np.array_equal(pp.F, a + b)
+        assert np.array_equal(finsler_norm("randers", 1, a, b), a + b)
+        for value, expected in ((pp.Fa, 1.0), (pp.Fb, 1.0), (pp.Faa, 0.0), (pp.Fbb, 0.0),
+                                (pp.Fab, 0.0)):
+            assert np.all(value == expected)
 
 
 def _same_bits(u, v) -> bool:

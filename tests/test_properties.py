@@ -29,7 +29,8 @@ from finslerkit.metric import (
 from finslerkit.numerics import Jet2
 
 # written out here, independently of the resolver under test
-CANONICAL = {"square": ("generalized-square", 1), "kropina": ("generalized-kropina", 1)}
+CANONICAL = {"square": ("generalized-square", 1), "kropina": ("generalized-kropina", 1),
+             "randers": ("generalized-square", 0)}
 
 
 def _grid(lo: int, hi: int, denom: int):
@@ -64,9 +65,16 @@ _A = 0.25 * np.eye(2)
 @given(draws())
 @example((_A, [0.0, 1.0], [2.0, 0.0], "kropina", 1, 2.0))      # beta = 0 exactly
 @example((_A, [0.5, 0.0], [2.0, 0.0], "matsumoto", 1, 2.0))    # alpha = beta exactly
+@example((_A, [-0.5, 0.0], [2.0, 0.0], "randers", 1, 2.0))     # alpha + beta = 0 exactly
 def test_core_identities(case):
     a, b, y, family, k, lam = case
     alpha, beta, _ = alpha_beta_generic(a, b, y)
+    if family == "randers" and alpha + beta == 0.0:
+        # the k = 0 partials hold (alpha + beta)^(k-1): F = 0 has none
+        assert finsler_norm(family, k, alpha, beta) == 0.0
+        with pytest.raises(ZeroDivisionError):
+            phi_partials(family, k, alpha, beta)
+        return
     if not _in_domain(family, alpha, beta):
         with pytest.raises(FamilyDomainError):
             finsler_norm(family, k, alpha, beta)
@@ -83,7 +91,7 @@ def test_core_identities(case):
     alpha_l, beta_l, _ = alpha_beta_generic(a, b, [lam * v for v in y])
     assert finsler_norm(family, k, alpha_l, beta_l) == pytest.approx(lam * F, rel=1e-13, abs=0)
 
-    # an alias evaluates exactly as its generalized family at k = 1
+    # an alias evaluates exactly as its generalized family at the k it fixes
     family_c, k_c = CANONICAL.get(family, (family, k))
     assert finsler_norm(family_c, k_c, alpha, beta) == F
     assert phi_partials(family_c, k_c, alpha, beta) == pp

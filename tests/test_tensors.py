@@ -267,6 +267,14 @@ def test_audit_riemannian_all_pass_without_q2_row():
     assert "q2-expanded-form" not in {r.check for r in rows}
 
 
+def test_audit_randers_keeps_five_rows_without_q2_row():
+    # randers is generalized-square at k = 0, where the expanded q2 bracket is exact
+    spec = make_space(family="randers", potential="0.2*x3")
+    rows = audit_flag(spec, [0.1, -0.2, 0.3], [0.4, 1.1, -0.3])
+    assert len(rows) == 5 and all(r.passed for r in rows)
+    assert "q2-expanded-form" not in {r.check for r in rows}
+
+
 def test_audit_sweep_k3_fundamental_error_bound():
     spec = make_space(k=3, potential="0.1*x3")
     report = audit_sweep(spec, AuditParams(samples=100, seed=13))
