@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import classify
-from .config import OPTIONS, RunConfig, checked, load_config
+from .config import OPTIONS, ConfigError, RunConfig, checked, load_config
 from .geodesic import minimize
 from .metric import validity_check
 from .tensors import audit_sweep, bundle_at
@@ -104,12 +104,12 @@ def cmd_tensors(cfg: RunConfig, args) -> int:
         return 2
     all_rows: list[list] = []
     chunks: list[str] = []
-    for idx, (x, y) in enumerate(cfg.flags):
+    for idx, (x, y, line) in enumerate(cfg.flags):
         ctx = f"flag{idx + 1}"
         valid = validity_check(cfg.space, x, y)
         if not valid.ok:  # a report never shows a flag outside the domain, nor NaN
             failed = next(text for name, text in _VALIDITY.items() if not getattr(valid, name))
-            raise ValueError(f"{ctx} fails the validity check: {failed}")
+            raise ConfigError(f"{ctx} fails the validity check: {failed}", line)
         bundle = bundle_at(cfg.space, x, y)
         fl, ac, mc, rc = bundle.flag, bundle.angular, bundle.metric, bundle.reciprocal
         chunks.append(

@@ -83,7 +83,7 @@ class RunConfig:
     audit: AuditParams
     classify_options: ClassifyOptions
     geodesic: GeodesicParams
-    flags: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    flags: list[tuple[np.ndarray, np.ndarray, int]] = field(default_factory=list)  # x, y, line
     constants: dict[str, float] = field(default_factory=dict)
 
 
@@ -156,7 +156,7 @@ def load_config(path: str | Path) -> RunConfig:
     texts: dict[str, tuple[int, str]] = {}  # b, b_potential, potential: (line, text)
     a_rows: list[tuple[int, list[str]]] = []
     options = {name: rec() for name, rec in OPTIONS.items()}
-    flags: list[tuple[np.ndarray, np.ndarray]] = []
+    flags: list[tuple[np.ndarray, np.ndarray, int]] = []
     vectors: list[tuple[int, str, int]] = []  # (line, what, length) to check against the dimension
 
     for line_no, section, key, value in _entries(path):
@@ -201,7 +201,7 @@ def load_config(path: str | Path) -> RunConfig:
             flag = (_floats(parts[0], line_no, "flag base point"),
                     _floats(parts[1], line_no, "flag direction"))
             vectors.extend((line_no, "flag entries", len(v)) for v in flag)
-            flags.append(flag)
+            flags.append((*flag, line_no))
         else:
             texts[key] = (line_no, value)
 

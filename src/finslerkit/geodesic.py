@@ -6,9 +6,9 @@ positive 1-homogeneity in the direction argument the parametrization
 cancels, so no dt shows up.  `_segment_length` is the one home of that
 midpoint rule: it takes the end nodes of all segments as lanes, float ones
 for the length and hyper-dual ones for the jet whose gradient and Hessian
-drive the damped Newton steps on the interior nodes (the metric data
-evaluates generically through the space's tables).  A step that moves no
-node, bit for bit, reuses the current length, jet and eigendecomposition.
+drive the damped Newton steps (the metric data evaluates generically through
+the space's tables).  Each interior node keeps its fraction of the chord and
+moves only across it, so a curve must be a graph over its chord.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class GeodesicResult:
 
     nodes: np.ndarray
     length: float
-    grad_norm: float       # max-norm of the length gradient at the final nodes
+    grad_norm: float       # max-norm of the length gradient across the chord, final nodes
     iterations: int
     converged: bool
     trace: list[float]     # length after each accepted step
@@ -119,17 +119,20 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     """Damped Newton (Levenberg-Marquardt) steps on the discretized arc length
     from ``params.start`` to ``params.end``.
 
-    Interior nodes start on the straight chord plus a small perturbation
-    seeded by ``params.seed``.  Each iteration solves (H + mu I) s = -g with
-    the jet gradient and Hessian and accepts the step only when the float
-    `polyline_length` passes an Armijo test; a rejected or out-of-domain
-    trial raises the damping mu, an accepted one lowers it.  The loop stops
-    when the length gradient's max-norm is at most ``params.tol``, or after
+    Interior node s sits at ``p + (s/m)(q - p) + z_s @ across``, ``across``
+    an orthonormal basis of the complement of ``q - p``: the length does not
+    change when a node slides along the curve, so only the offsets z move,
+    and adjacent nodes never merge.  A geodesic that doubles back along
+    ``q - p`` is not a graph over its chord and cannot be represented.  The
+    offsets start small, seeded by ``params.seed``.  Each iteration solves
+    (H + mu I) s = -g with the jet gradient and Hessian in z and accepts the
+    step only when the float `polyline_length` passes an Armijo test; a
+    rejected or out-of-domain trial raises the damping mu, an accepted one
+    lowers it.  The loop stops when the max-norm of the gradient in z (the
+    length's gradient across the chord) is at most ``params.tol``, or after
     ``params.iters`` iterations.  Damping that grows without an acceptance
     ends with a non-converged result rather than an exception; an initial
-    polyline that leaves the domain raises `SegmentDomainError`.  A step that
-    moves no node reuses the current length, gradient, Hessian and
-    eigendecomposition; iteration counts and traces do not change.
+    polyline that leaves the domain raises `SegmentDomainError`.
     """
     p = np.asarray(params.start, dtype=float)
     q = np.asarray(params.end, dtype=float)
@@ -143,50 +146,44 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
 
     rng = np.random.default_rng(params.seed)
     ts = np.linspace(0.0, 1.0, segments + 1)[1:-1]
-    chord = np.array([p + t * (q - p) for t in ts])
-    scale = 0.01 * np.linalg.norm(q - p)
-    interior = chord + scale * rng.normal(size=chord.shape) if len(chord) else chord
-    flat = interior.flatten()
+    chord = p + ts[:, None] * (q - p)
+    across = np.linalg.svd((q - p)[None])[2][1:]  # (d - 1, d), orthonormal rows
+    weights = np.kron(np.eye(len(ts)), across)  # stacked node coordinates -> offsets
+    z = (0.01 * np.linalg.norm(q - p) * rng.normal(size=chord.shape) @ across.T).ravel()
 
-    def nodes_of(flat_vec):
-        return np.vstack([p[None, :], flat_vec.reshape(-1, spec.dim), q[None, :]])
+    def nodes_of(offsets):
+        inner = chord + offsets.reshape(-1, len(across)) @ across
+        return np.vstack([p[None, :], inner, q[None, :]])
 
-    if len(flat) == 0:  # single segment: nothing to optimize
-        length = polyline_length(spec, nodes_of(flat))
-        return GeodesicResult(nodes_of(flat), length, 0.0, 0, True, [length])
+    def derivatives(offsets):
+        g, h = _length_derivatives(spec, nodes_of(offsets))
+        return weights @ g, weights @ h @ weights.T
 
-    value = polyline_length(spec, nodes_of(flat))
-    grad, hess = _length_derivatives(spec, nodes_of(flat))
-    trace = [value]
-    damping = _DAMPING_START
-    it = 0
-    converged = False
-    message = ""
-    here = None  # bytes of the point whose eigh and memo of trial lengths are kept
+    if len(z) == 0:  # single segment: nothing to optimize
+        length = polyline_length(spec, nodes_of(z))
+        return GeodesicResult(nodes_of(z), length, 0.0, 0, True, [length])
+
+    value = polyline_length(spec, nodes_of(z))
+    grad, hess = derivatives(z)
+    trace, damping = [value], _DAMPING_START
+    it, converged, message = 0, False, ""
     for it in range(1, params.iters + 1):
         if float(np.abs(grad).max()) <= tol:
             converged = True
             message = "stationary point reached"
             break
-        if flat.tobytes() != here:  # bytes, not values: -0.0 against 0.0 is a move
-            lam, vec = np.linalg.eigh(hess)
-            g_eig = vec.T @ grad
-            lam_scale = float(np.abs(lam).max()) or 1.0
-            here = flat.tobytes()
-            lengths = {here: value}
+        lam, vec = np.linalg.eigh(hess)
+        g_eig = vec.T @ grad
+        lam_scale = float(np.abs(lam).max()) or 1.0
         while damping <= _DAMPING_MAX:
             shifted = lam + damping * lam_scale
             if shifted[0] > 0.0:  # H + mu I positive definite: a descent step
                 step = -vec @ (g_eig / shifted)
-                trial = flat + step
-                key = trial.tobytes()
+                trial = z + step
                 try:
-                    if key not in lengths:
-                        lengths[key] = polyline_length(spec, nodes_of(trial))
-                    tval = lengths[key]
+                    tval = polyline_length(spec, nodes_of(trial))
                     if tval <= value + 1e-4 * float(grad @ step):
-                        tgrad, thess = (_length_derivatives(spec, nodes_of(trial))
-                                        if key != here else (grad, hess))
+                        tgrad, thess = derivatives(trial)
                         break
                 except ArithmeticError:
                     pass  # domain exit: damp harder
@@ -194,7 +191,7 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
         else:
             message = "line search stalled: persistent step rejection"
             break
-        flat, value, grad, hess = trial, tval, tgrad, thess
+        z, value, grad, hess = trial, tval, tgrad, thess
         trace.append(value)
         damping = max(damping / _DAMPING_FACTOR, _DAMPING_MIN)
     else:
@@ -206,6 +203,6 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
         if converged:
             message = "stationary point reached"
     return GeodesicResult(
-        nodes=nodes_of(flat), length=value, grad_norm=gn,
+        nodes=nodes_of(z), length=value, grad_norm=gn,
         iterations=it, converged=converged, trace=trace, message=message,
     )

@@ -96,22 +96,25 @@ def finsler_norm(family: str, k: int, alpha, beta):
     Scalar-generic: alpha/beta may be floats or dual numbers, so the same
     expression feeds production evaluation and the derivative oracles."""
     family, k = resolve_family(family, k)
-    if family == "generalized-square":
-        return (alpha + beta) ** (k + 1) / alpha ** k
     if family == "riemannian":
         return alpha
-    ok = _in_domain(family, k, ex._real(alpha), ex._real(beta))
-    kropina = family == "generalized-kropina"
-    if not np.all(ok):  # in every lane
+    square, kropina = family == "generalized-square", family == "generalized-kropina"
+    if not (square and k) and not np.all(_in_domain(family, k, ex._real(alpha), ex._real(beta))):
+        if square:  # k = 0, Randers: its partials hold 1/(alpha + beta)
+            raise FamilyDomainError("randers", "requires alpha + beta > 0")
         den = "beta" if kropina else "alpha - beta"
         raise FamilyDomainError(family, f"requires {den} > 0 (and finite partials)")
+    if square:
+        return (alpha + beta) ** (k + 1) / alpha ** k
     return alpha ** (k + 1) / beta ** k if kropina else alpha * alpha / (alpha - beta)
 
 
 def _in_domain(family: str, k: int, alpha, beta):
     """(alpha, beta) in the domain of the (canonical) family, per lane for
     arrays: den > 0 and num^p / den^q, the scale of the largest partial, is
-    finite."""
+    finite.  Generalized-square needs alpha + beta > 0 at k = 0 (Randers) only."""
+    if family == "generalized-square" and not k:
+        return np.asarray(alpha + beta, dtype=float) > 0.0
     if family not in ("generalized-kropina", "matsumoto"):
         return True
     kropina = family == "generalized-kropina"

@@ -151,8 +151,9 @@ def test_tensors_rejects_zero_direction(tmp_path, capsys):
 
 @pytest.mark.parametrize("family, potential, flag, failed", [
     ("generalized-square", "(10*x3)^400", "0.2, -0.1, 0.4 ; 0.3, 1, -0.2", "g positive definite"),
-    ("randers", "2*x3", "0, 0, 0 ; 0, 0, -1", "F > 0"),
-    ("randers", "x3", "0, 0, 0 ; 0, 0, -1", "F > 0"),
+    # Randers' family domain is alpha + beta > 0, that is F > 0
+    ("randers", "2*x3", "0, 0, 0 ; 0, 0, -1", "family domain"),
+    ("randers", "x3", "0, 0, 0 ; 0, 0, -1", "family domain"),
     ("matsumoto", "2*x3", "0, 0, 0 ; 0, 0, 1", "family domain"),
 ], ids=["b2-overflows", "randers-F-negative", "randers-F-zero", "matsumoto-beta-above-alpha"])
 def test_tensors_refuses_a_flag_that_fails_the_validity_check(tmp_path, capsys, family,
@@ -165,7 +166,8 @@ def test_tensors_refuses_a_flag_that_fails_the_validity_check(tmp_path, capsys, 
         "flag = 0, 0, 0 ; 1, 0, 0", f"flag = 0, 0, 0 ; 1, 0, 0\nflag = {flag}")
     assert main(["tensors", "--config", _write(tmp_path, cfg)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: flag2 fails the validity check: {failed}\n"
+    line = cfg.splitlines().index(f"flag = {flag}") + 1  # the failing flag's config line
+    assert captured.err == f"error: line {line}: flag2 fails the validity check: {failed}\n"
     assert captured.out == ""
 
 

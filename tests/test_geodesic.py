@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import make_space
-from finslerkit import geodesic
 from finslerkit.expr import DomainError
 from finslerkit.geodesic import (
     GeodesicParams,
@@ -182,29 +181,38 @@ def test_minimize_shipped_config_converges_in_few_newton_steps():
     assert abs(res.length - 1.1) <= 1e-12
 
 
-@pytest.mark.parametrize("family, potential, end, segments, length_hex", [
-    ("matsumoto", "0.1*x1*x2", [1, 1], 8, "0x1.8651ed16a1fc7p+0"),
-    ("generalized-square", "0.05*x1^2 + 0.1*x1*x2", [1, 0.5], 4, "0x1.545baa4bd4b71p+0"),
+@pytest.mark.parametrize("family, potential, end, segments", [
+    ("matsumoto", "0.1*x1*x2", [1, 1], 8),
+    ("generalized-square", "0.05*x1^2 + 0.1*x1*x2", [1, 0.5], 4),
 ])
-def test_budget_problems_evaluate_no_node_set_twice_in_a_row(
-        monkeypatch, family, potential, end, segments, length_hex):
-    # the two curved problems that use up the budget: most accepted steps move
-    # no node, and such a step keeps the current length, jet and eigenpairs
-    for name in ("_length_derivatives", "polyline_length"):
-        last = []
-
-        def wrapped(spec, nodes, _inner=getattr(geodesic, name), _last=last, _name=name):
-            key = np.asarray(nodes, dtype=float).tobytes()
-            assert _last != [key], f"{_name} called twice in a row on the same nodes"
-            _last[:] = [key]
-            return _inner(spec, nodes)
-
-        monkeypatch.setattr(geodesic, name, wrapped)
+def test_budget_problems_converge_in_few_newton_steps(family, potential, end, segments):
+    # the two curved problems that used up all 600 iterations while nodes
+    # could slide along the curve and merge, where the length has no gradient
     spec = make_space(family=family, k=1, dim=2, potential=potential)
     res = minimize(spec, GeodesicParams(start=[0, 0], end=end, segments=segments,
                                         iters=600, tol=1e-7, seed=1))
-    assert res.iterations == 600
-    assert not res.converged
-    assert res.message == "iteration budget exhausted"
-    assert len(res.trace) == 601
-    assert res.length.hex() == length_hex
+    assert res.converged and res.message == "stationary point reached"
+    assert res.iterations <= 10
+    assert res.grad_norm <= 1e-7
+
+
+def test_pinned_matsumoto_follows_the_diagonal_with_second_order_error():
+    # a = I and phi = 0.1 x1 x2 are symmetric in x1 and x2, so the diagonal is
+    # the geodesic to (1, 1); along it F = 2/(sqrt(2) - 0.2 t), whose integral
+    # is the exact length
+    spec = make_space(family="matsumoto", k=1, dim=2, potential="0.1*x1*x2")
+    exact = 10 * np.log(np.sqrt(2.0) / (np.sqrt(2.0) - 0.2))
+    assert exact == pytest.approx(1.5247699682656415, abs=1e-15)
+    errors = []
+    for m in (8, 16, 32):
+        res = minimize(spec, GeodesicParams(start=[0, 0], end=[1, 1], segments=m,
+                                            iters=600, tol=1e-7, seed=1))
+        assert res.converged
+        assert np.abs(res.nodes[:, 0] - res.nodes[:, 1]).max() <= 1e-6
+        # each node stays at its chord fraction: only its offset across the chord moves
+        fractions = res.nodes.sum(axis=1) / 2.0
+        assert np.abs(fractions - np.arange(m + 1) / m).max() <= 1e-15
+        errors.append(res.length - exact)
+    assert errors[0] == pytest.approx(-4.642e-5, rel=1e-3)
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.abs(ratios - 4.0).max() <= 0.01

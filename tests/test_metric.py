@@ -114,6 +114,10 @@ def test_family_domain_errors_are_named():
         phi_partials("kropina", 1, 1.0, -0.1)
     with pytest.raises(FamilyDomainError, match="matsumoto"):
         phi_partials("matsumoto", 1, 1.0, 1.5)
+    # the k = 0 partials hold 1/(alpha + beta); one failing lane fails the batch
+    for alpha, beta in ((1.0, -1.0), (np.ones(2), np.array([0.3, -1.0]))):
+        with pytest.raises(FamilyDomainError, match=r"^randers: requires alpha \+ beta > 0$"):
+            phi_partials("randers", 1, alpha, beta)
     with pytest.raises(ValueError, match="unknown metric family"):
         phi_partials("euclid", 1, 1.0, 0.0)
 
@@ -210,6 +214,17 @@ def test_randers_partials_are_those_of_alpha_plus_beta():
         for value, expected in ((pp.Fa, 1.0), (pp.Fb, 1.0), (pp.Faa, 0.0), (pp.Fbb, 0.0),
                                 (pp.Fab, 0.0)):
             assert np.all(value == expected)
+
+
+def test_validity_masks_randers_lanes_outside_alpha_plus_beta_positive():
+    spec = make_space(family="randers", dim=2, b=["1", "0"])
+    y = np.array([[1.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]])  # alpha + beta = 2, 0 and 0
+    report = validity_check(spec, np.zeros((3, 2)), y)
+    assert report.family_domain.tolist() == [True, False, False]
+    assert report.F[0] == 2.0 and np.isnan(report.F[1:]).all() and not report.ok[1:].any()
+    # where b^2 > 1 some draws have alpha + beta <= 0: masked, never raised
+    flags = sample_flags(make_space(family="randers", dim=2, b=["2*x1", "0"]), 20, seed=3)
+    assert all(f.alpha + f.beta > 0.0 for f in flags)
 
 
 def _same_bits(u, v) -> bool:
