@@ -371,7 +371,7 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     rf"|(?P<ident>{_IDENT.pattern})"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))"  # bad: a character that starts no token
 )
 
 _COORD = re.compile(r"x([1-9][0-9]*)$")
@@ -379,32 +379,22 @@ _COORD = re.compile(r"x([1-9][0-9]*)$")
 
 class _Parser:
     def __init__(self, text: str, constants: Mapping[str, float], dim: float):
-        self.text = text
-        self.constants = constants
-        self.dim = dim
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.tokens = [(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+                       for m in _TOKEN.finditer(text)] + [("end", "", len(text))]
+        self.constants, self.dim, self.pos = constants, dim, 0
 
     def peek(self) -> str | None:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+        kind, text, _ = self.tokens[self.pos]
+        return None if kind == "end" else text
 
     def take(self) -> tuple[str, str, int]:
-        """Return (kind, text, offset) of the next token."""
-        self._skip_ws()
-        start = self.pos
-        if start >= len(self.text):
-            return ("end", "", start)
-        m = _TOKEN.match(self.text, start)
-        if not m:
-            raise ExprSyntaxError(f"unexpected character {self.text[start]!r}", start)
-        self.pos = m.end()
-        return (m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+        """Return (kind, text, offset) of the next token; a bad character raises
+        only here, so a fault the parser meets first wins."""
+        kind, text, offset = token = self.tokens[self.pos]
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {text!r}", offset)
+        self.pos += 1  # past "end" every caller raises
+        return token
 
     def expect_op(self, op: str):
         kind, text, offset = self.take()
@@ -414,7 +404,7 @@ class _Parser:
     def parse(self) -> Expr:
         e = self.parse_sum()
         if self.peek() is not None:
-            raise ExprSyntaxError("trailing input", self.pos)
+            raise ExprSyntaxError("trailing input", self.tokens[self.pos][2])
         return e
 
     def parse_sum(self) -> Expr:

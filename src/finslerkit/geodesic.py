@@ -124,15 +124,15 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     change when a node slides along the curve, so only the offsets z move,
     and adjacent nodes never merge.  A geodesic that doubles back along
     ``q - p`` is not a graph over its chord and cannot be represented.  The
-    offsets start small, seeded by ``params.seed``.  Each iteration solves
-    (H + mu I) s = -g with the jet gradient and Hessian in z and accepts the
-    step only when the float `polyline_length` passes an Armijo test; a
-    rejected or out-of-domain trial raises the damping mu, an accepted one
-    lowers it.  The loop stops when the max-norm of the gradient in z (the
-    length's gradient across the chord) is at most ``params.tol``, or after
-    ``params.iters`` iterations.  Damping that grows without an acceptance
-    ends with a non-converged result rather than an exception; an initial
-    polyline that leaves the domain raises `SegmentDomainError`.
+    offsets start at 1% of a segment, seeded by ``params.seed``.  Each
+    iteration solves (H + mu I) s = -g with the jet gradient and Hessian in z
+    and accepts the step only when the float `polyline_length` passes an
+    Armijo test; a rejected or out-of-domain trial raises the damping mu, an
+    accepted one lowers it.  The loop stops when the max-norm of the gradient
+    in z (the length's gradient across the chord) is at most ``params.tol``,
+    or after ``params.iters`` iterations.  Damping that grows without an
+    acceptance ends with a non-converged result rather than an exception; an
+    initial polyline that leaves the domain raises `SegmentDomainError`.
     """
     p = np.asarray(params.start, dtype=float)
     q = np.asarray(params.end, dtype=float)
@@ -149,7 +149,8 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     chord = p + ts[:, None] * (q - p)
     across = np.linalg.svd((q - p)[None])[2][1:]  # (d - 1, d), orthonormal rows
     weights = np.kron(np.eye(len(ts)), across)  # stacked node coordinates -> offsets
-    z = (0.01 * np.linalg.norm(q - p) * rng.normal(size=chord.shape) @ across.T).ravel()
+    scale = 0.01 * np.linalg.norm(q - p) / segments  # 1% of a segment
+    z = (scale * rng.normal(size=chord.shape) @ across.T).ravel()
 
     def nodes_of(offsets):
         inner = chord + offsets.reshape(-1, len(across)) @ across

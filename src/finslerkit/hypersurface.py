@@ -156,8 +156,9 @@ def induced_tensors(chart: Chart, bundle: TensorBundle):
 @dataclass
 class HypersurfaceFrame:
     """Chart, ambient bundle at the tangential flags, normal pairs, induced tensors
-    and second fundamental tensors of the directions v, the flags' lanes in front,
-    point by point; a frame at one point shares its chart among its lanes."""
+    and second fundamental tensors of the directions v, with the lane axis of the
+    flags in front of every field, point by point; the chart and connection of a
+    point are repeated in each of its flags' lanes."""
 
     chart: Chart
     bundle: TensorBundle
@@ -178,23 +179,21 @@ class HypersurfaceFrame:
 def frame_at(
     spec: SpaceSpec, charts: Chart, conns: ConnectionData, directions
 ) -> HypersurfaceFrame:
-    """The frame at P points from stacked charts and connections, directions[p]
-    (N_p >= 1, d-1) at point p: one bundle per point, then one pass over all flags.
-    At one point (its chart and connection), one v (d-1,) or N of them (N, d-1)."""
-    if not np.array_equal(charts.x0, conns.point.x):
-        raise ValueError("chart and connection are at different points")
-    one = charts.x0.ndim == 1  # one point: its chart and connection serve every lane
-    vs = [np.asarray(v, dtype=float) for v in ([directions] if one else directions)]
+    """The frame at P points from stacked charts and connections (P of each, one
+    point is a stack of one), directions[p] (N_p >= 1, d-1) at point p: one bundle
+    per point, then one pass over all flags."""
+    if charts.x0.ndim != 2 or not np.array_equal(charts.x0, conns.point.x):
+        raise ValueError("charts and connections must be stacks (P, d) at the same points")
+    vs = [np.asarray(v, dtype=float) for v in directions]
     counts = [len(v) for v in vs]
     if not (counts and all(counts)):
-        raise ValueError("no frames sampled" if not counts else "no direction at "
-                         f"x={np.reshape(charts.x0, (-1, spec.dim))[counts.index(0)].tolist()}")
+        raise ValueError("no frames sampled" if not counts else
+                         f"no direction at x={charts.x0[counts.index(0)].tolist()}")
     at = np.repeat(np.arange(len(vs)), counts)  # the point of each flag
-    chart, conn = (charts, conns) if one else (lane(charts, at), lane(conns, at))
-    v = vs[0] if one else np.concatenate(vs)
+    chart, conn, v = lane(charts, at), lane(conns, at), np.concatenate(vs)
     y, ends = matvec(chart.B, v), np.cumsum([0] + counts)
-    bundle = bundle_at(spec, conn.point, y) if one else join_lanes(
-        [bundle_at(spec, lane(conn.point, slice(a, b)), y[a:b]) for a, b in zip(ends, ends[1:])])
+    bundle = join_lanes([bundle_at(spec, lane(conn.point, slice(a, b)), y[a:b])
+                         for a, b in zip(ends, ends[1:])])
     _tangential(bundle.flag)
     n_up, n_dn = unit_normal(chart, bundle)
     g_ind, h_ind, c_ind = induced_tensors(chart, bundle)

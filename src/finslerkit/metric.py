@@ -295,19 +295,20 @@ def flag_point(spec: SpaceSpec, x, y) -> FlagPoint:
 @dataclass
 class ValidityReport:
     """Pointwise domain flags; a report, never an exception.  alpha > 0 holds
-    where a(x) is positive definite (a_pd): `flag_point` rejects y = 0.  For
-    N flags each is an (N,) array, with pd_pivot 0 and F NaN for None."""
+    where a(x) is positive definite (a_pd): `flag_point` rejects y = 0.  Each
+    field has the lane shape of the flags, () for one flag and (N,) for N:
+    pd_pivot is g's failing pivot, 0 where g is PD, and F is NaN outside the domain."""
 
-    F_positive: bool
-    family_domain: bool
-    fundamental_pd: bool
-    pd_pivot: int | None
-    F: float | None
+    F_positive: np.ndarray
+    family_domain: np.ndarray
+    fundamental_pd: np.ndarray
+    pd_pivot: np.ndarray
+    F: np.ndarray
     flag: FlagPoint
-    a_pd: bool = True
+    a_pd: np.ndarray
 
     @property
-    def ok(self) -> bool:
+    def ok(self) -> np.ndarray:
         return self.a_pd & self.F_positive & self.family_domain & self.fundamental_pd
 
 
@@ -333,7 +334,8 @@ def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
         flag = flag_point(spec, point, y)  # zero y rejected before flags
         lanes = np.shape(flag.alpha)
         alpha, beta = np.asarray(flag.alpha), np.asarray(flag.beta)
-        domain = np.broadcast_to(a_pd & _in_domain(spec.family, spec.k, alpha, beta), lanes)
+        a_pd = np.broadcast_to(a_pd, lanes)
+        domain = a_pd & _in_domain(spec.family, spec.k, alpha, beta)
         a, b, y_low, b2, alpha, beta = (np.asarray(v)[domain] for v in (
             flag.a, flag.b, flag.y_low, flag.b2, alpha, beta))
         pp = phi_partials(spec.family, spec.k, alpha, beta)
@@ -346,10 +348,7 @@ def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
         F[domain] = pp.F
         pivot[domain] = np.where(finite, check.pivot, 0)
         fundamental[domain] = finite & check.ok & (abs(zeta) >= tensors.ZETA_TOL)
-    if lanes:
-        return ValidityReport(F > 0.0, domain, fundamental, pivot, F, flag, a_pd)
-    return ValidityReport(bool(F > 0.0), bool(domain), bool(fundamental), int(pivot) or None,
-                          F[()] if domain else None, flag, bool(a_pd))
+    return ValidityReport(F > 0.0, domain, fundamental, pivot, F, flag, a_pd)
 
 
 def sample_flags(spec: SpaceSpec, n: int, seed: int) -> list[FlagPoint]:

@@ -320,11 +320,11 @@ def fd_hessian(f: Callable, y, step: float = 1e-4, richardson: bool = False) -> 
 
 @dataclass
 class PDCheck:
-    """Outcome of a positive-definiteness test; pivot is 1-based on failure.
-    For a stack of matrices both are per lane, with pivot 0 where ok."""
+    """Outcome of a positive-definiteness test, per matrix of the stack (0-d for
+    one matrix): pivot is the 1-based index of the first bad pivot, 0 where ok."""
 
-    ok: bool
-    pivot: int | None = None
+    ok: np.ndarray
+    pivot: np.ndarray
 
 
 def pd_check(m: np.ndarray) -> PDCheck:
@@ -352,6 +352,5 @@ def pd_check(m: np.ndarray) -> PDCheck:
                 for k in range(j + 1, i + 1):
                     low[i][k] = low[i][k] - r * low[k][j]
     pivot = (lead + 1) % (d + 1)  # 0 when all d pivots are positive
-    ok = pivot == 0
-    return PDCheck(bool(ok), int(pivot) or None) if m.ndim == 2 else PDCheck(ok, pivot)
+    return PDCheck(pivot == 0, pivot)
 

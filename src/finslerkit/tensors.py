@@ -335,32 +335,30 @@ FD_STEP = 1e-4
 
 
 def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
-    """Audit the closed forms at the flag (x, y) against both oracles; x may
-    be a BasePoint.  For a batch, x is a sequence of base points and y their
-    (N, d) directions: the bundle and each oracle run once over all N flags,
-    and each check reports its largest error over them.
+    """Audit the closed forms at the flags (x, y) against both oracles, as
+    `bundle_at` takes them: x is a base point or its coordinates, one or N
+    stacked (`stack_points`), and y one direction (d,) or N of them (N, d).
+    The bundle and each oracle run once over all flags, and each check
+    reports its largest error over them.
 
     Checks: g vs half-F^2 Hessian (dual and finite-difference routes),
     h vs g - l (x) l, g_inv vs direct inversion, C vs half dg/dy, and the
     expanded q2 bracket vs its defining expression (documented mismatch).
     """
-    ys = np.asarray(y, dtype=float)
-    points = [x] if ys.ndim == 1 else x
-    ys = ys.reshape(len(points), -1)
-    batch = stack_points([base_point(spec, p) for p in points])
-    bundle = bundle_at(spec, batch, ys)
-    f = half_f_squared(spec, batch)
+    point, ys = base_point(spec, x), np.asarray(y, dtype=float)
+    bundle = bundle_at(spec, point, ys)
+    f = half_f_squared(spec, point)
 
     def err(t, ref):  # max deviation over 1 + max |ref|, per flag
-        t, ref = t.reshape(len(ys), -1), ref.reshape(len(ys), -1)
-        return np.abs(t - ref).max(1) / (1.0 + np.abs(ref).max(1))
+        t, ref = (v.reshape(ys.shape[:-1] + (-1,)) for v in (t, ref))
+        return np.abs(t - ref).max(-1) / (1.0 + np.abs(ref).max(-1))
 
     rows = [
         _row("fundamental-vs-jet-oracle", err(bundle.g, jet_eval(f, ys).hessian)),
         _row("fundamental-vs-fd-oracle", err(bundle.g, fd_hessian(f, ys, step=FD_STEP))),
         _row("angular-identity", err(bundle.h, bundle.g - outer(bundle.l, bundle.l))),
         _row("reciprocal-vs-inversion", err(bundle.g_inv, np.linalg.inv(bundle.g))),
-        _row("hv-torsion-vs-jet-oracle", err(bundle.C, torsion_oracle(spec, batch, ys))),
+        _row("hv-torsion-vs-jet-oracle", err(bundle.C, torsion_oracle(spec, point, ys))),
     ]
     if spec.family == "generalized-square" and spec.k >= 1:  # the misprint vanishes at k = 0
         q2 = bundle.angular.q2
@@ -390,4 +388,5 @@ def audit_sweep(spec: SpaceSpec, params: AuditParams) -> AuditReport:
     rng = np.random.default_rng(params.seed)
     scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), size=len(base)))
     ys = [f.y * s for f, s in zip(base, scales)]  # each sampled point is reused
-    return AuditReport(rows=audit_flag(spec, base, ys), flags=len(base), seed=params.seed)
+    return AuditReport(rows=audit_flag(spec, stack_points(base), ys), flags=len(base),
+                       seed=params.seed)

@@ -78,11 +78,12 @@ def tangential_points_and_dirs(surface: LevelSurface, spec: SpaceSpec, n: int, s
 
 
 def one_frame(spec: SpaceSpec, surface: LevelSurface, x0, v):
-    """The frame of the single tangential direction v at the surface point x0."""
+    """The frame of the single tangential direction v at the surface point x0:
+    lane 0 of the frame of one point, a stack of one, with one direction."""
     from finslerkit.connection import covariant_db
     from finslerkit.hypersurface import chart_at, frame_at
 
-    return frame_at(spec, chart_at(surface, x0), covariant_db(spec, x0), v)
+    return lane(frame_at(spec, chart_at(surface, [x0]), covariant_db(spec, [x0]), [[v]]), 0)
 
 
 def tangential_flag(spec: SpaceSpec, chart: Chart, v) -> FlagPoint:

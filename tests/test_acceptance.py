@@ -72,22 +72,19 @@ def oracle_sweep():
 
 @pytest.fixture(scope="module")
 def tangential_frames():
-    """Per (fixture, k): 100 tangential flags with frames and curvature data."""
+    """Per (fixture, k): 100 tangential flags with frames and curvature data.
+    Flag j lies at point j % 20; each (fixture, k) is one frame over its flags."""
     cache = {}
     for name, fixture in FIXTURES.items():
         for k in KS:
             spec, surface = fixture(k)
             rng = np.random.default_rng(1000 + 10 * k + len(name))
             pts = surface_points(surface, spec, 20, seed=300 + k)
-            rows = []
-            while len(rows) < 100:
-                x0 = pts[len(rows) % len(pts)]
-                v = rng.normal(size=spec.dim - 1)
-                if np.linalg.norm(v) < 1e-9:
-                    continue
-                frame = frame_at(spec, chart_at(surface, x0), covariant_db(spec, x0), v)
-                rows.append((spec, frame))
-            cache[(name, k)] = rows
+            vs = rng.normal(size=(5, len(pts), spec.dim - 1))  # [j // 20, j % 20]
+            frame = frame_at(spec, chart_at(surface, pts), covariant_db(spec, pts),
+                             list(np.swapaxes(vs, 0, 1)))  # 5 lanes per point, point by point
+            cache[(name, k)] = [(spec, lane(frame, 5 * p + r))
+                                for r in range(5) for p in range(len(pts))]
     return cache
 
 

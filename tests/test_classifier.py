@@ -27,7 +27,7 @@ from finslerkit.classifier import (
 )
 from finslerkit.config import load_config
 from finslerkit.connection import covariant_db
-from finslerkit.hypersurface import LevelSurface, chart_at, frame_at
+from finslerkit.hypersurface import LevelSurface
 from finslerkit.metric import SpaceSpec
 
 FAST = ClassifyOptions(points=8, directions=3, seed=5)
@@ -157,7 +157,7 @@ def test_first_kind_factor_where_c_is_orthogonal_to_b(k):
     printed_dev = 0.0
     for x, c in zip(report.points, c_samples):
         for v in ([1.0, 0.3], [-0.4, 1.0]):
-            frame = frame_at(spec, chart_at(surface, x), covariant_db(spec, x), v)
+            frame = one_frame(spec, surface, x, v)
             fl = frame.bundle.flag
             printed = float(c @ fl.y) * np.sqrt(fl.b2) / np.sqrt(1 + k * (k + 1))
             printed_dev = max(printed_dev, float(np.abs(frame.H_ab - printed * frame.h_ind).max()))
@@ -302,8 +302,7 @@ def test_per_point_results_match_direction_by_direction_frames(fixture):
     report = classify(surface, spec, FAST)
     rng = np.random.default_rng(FAST.seed + 1)
     for n, x in enumerate(report.points):
-        chart, conn = chart_at(surface, x), covariant_db(spec, x)
-        frames = [frame_at(spec, chart, conn, v / np.linalg.norm(v))
+        frames = [one_frame(spec, surface, x, v / np.linalg.norm(v))
                   for v in rng.normal(size=(FAST.directions, spec.dim - 1))]
         witness = min(float(np.abs(f.M_ab).max()) for f in frames)
         assert report.third_kind.per_point[n] == pytest.approx(witness, rel=1e-12)
@@ -354,7 +353,6 @@ def test_dropped_draws_leave_each_point_its_own_witness(monkeypatch):
     for at in dropped:
         draws[at] = 0.0
     for n, x in enumerate(report.points):
-        chart, conn = chart_at(surface, x), covariant_db(spec, x)
-        witness = min(float(np.abs(frame_at(spec, chart, conn, v / np.linalg.norm(v)).M_ab).max())
+        witness = min(float(np.abs(one_frame(spec, surface, x, v / np.linalg.norm(v)).M_ab).max())
                       for v in draws[n] if v.any())
         assert report.third_kind.per_point[n] == pytest.approx(witness, rel=1e-12)

@@ -55,6 +55,21 @@ def test_sqrt_and_integer_power():
     assert ex.parse("x1^3").eval((2.0, 0.0)) == 8.0
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x1 + $", "unexpected character '$' at offset 5"),
+    ("x1 ) $", "trailing input at offset 3"),   # the parser stops before the bad character
+    ("zeta $ x1", "unknown identifier 'zeta' at offset 0"),
+    ("x1 +\t* !", "unexpected '*' at offset 5"),
+    ("sin(x1 !", "unexpected character '!' at offset 7"),
+    ("x1 + ", "expected an operand at offset 5"),
+])
+def test_the_first_fault_the_parser_meets_wins(text, message):
+    # the text is tokenized once; a bad character raises only when it is taken
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse(text)
+    assert str(err.value) == message
+
+
 def test_number_literal_must_be_finite():
     with pytest.raises(ex.ExprSyntaxError, match="^number 1e400 is not finite at offset 3$"):
         ex.parse("x1*1e400")

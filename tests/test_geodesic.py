@@ -196,6 +196,16 @@ def test_budget_problems_converge_in_few_newton_steps(family, potential, end, se
     assert res.grad_norm <= 1e-7
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_start_offsets_scale_with_the_segment_count(seed):
+    # offsets of 1% of |q - p| at every m are about 2/3 of a segment at m = 64,
+    # and took up to 58 iterations to shrink before Newton's quadratic phase
+    spec = make_space(family="matsumoto", k=1, dim=2, potential="0.1*x1*x2")
+    res = minimize(spec, GeodesicParams(start=[0, 0], end=[1, 1], segments=64,
+                                        iters=600, tol=1e-7, seed=seed))
+    assert res.converged and res.iterations <= 10
+
+
 def test_pinned_matsumoto_follows_the_diagonal_with_second_order_error():
     # a = I and phi = 0.1 x1 x2 are symmetric in x1 and x2, so the diagonal is
     # the geodesic to (1, 1); along it F = 2/(sqrt(2) - 0.2 t), whose integral

@@ -258,11 +258,10 @@ def test_frame_identities_sweep():
     pts = tangential_points_and_dirs(surface, spec, 100, seed=91)
     for x0, _ in pts:
         # ten directions share the point's chart and connection
-        frame = frame_at(spec, chart_at(surface, x0), covariant_db(spec, x0),
-                         rng.normal(size=(10, 2)))
-        B = frame.chart.B
-        for Bd, n_up, n_dn, g, h in zip(frame.B_dual, frame.N_up, frame.N_dn,
-                                        frame.bundle.g, frame.bundle.h):
+        frame = frame_at(spec, chart_at(surface, [x0]), covariant_db(spec, [x0]),
+                         [rng.normal(size=(10, 2))])
+        for B, Bd, n_up, n_dn, g, h in zip(frame.chart.B, frame.B_dual, frame.N_up, frame.N_dn,
+                                           frame.bundle.g, frame.bundle.h):
             assert np.abs(Bd @ B - np.eye(2)).max() < 1e-10
             assert np.abs(B @ Bd + np.outer(n_up, n_dn) - np.eye(3)).max() < 1e-10
             assert np.abs(Bd @ n_up).max() < 1e-10

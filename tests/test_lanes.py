@@ -19,6 +19,7 @@ from conftest import (
     exp_fixture,
     lane,
     make_space,
+    one_frame,
     plane_fixture,
     radial_fixture,
     rel_error,
@@ -109,7 +110,7 @@ def test_batched_audit_reports_each_checks_worst_flag():
     spec = varying_space("generalized-square", 2, 3)
     flags, ys = _flags(spec, 6, seed=4)
     per_flag = [audit_flag(spec, f, y) for f, y in zip(flags, ys)]
-    rows = audit_flag(spec, flags, ys)
+    rows = audit_flag(spec, stack_points(flags), ys)
     assert [r.check for r in rows] == [r.check for r in per_flag[0]]
     for row in rows:
         errors = [next(r.error for r in fr if r.check == row.check) for fr in per_flag]
@@ -311,8 +312,9 @@ def test_kropina_flag_lane_raises_in_every_oracle():
     assert _message(lambda: fd_hessian(f, ys)) == expected
     assert _message(lambda: torsion_oracle(spec, batch, ys)) == expected
     assert _message(lambda: torsion_oracle(spec, point, edge)) == expected
-    assert _message(lambda: audit_flag(spec, [point] * len(ys), ys)) == expected
-    rows = audit_flag(spec, [point] * 3, np.delete(ys, 2, axis=0))
+    assert _message(lambda: audit_flag(spec, batch, ys)) == expected
+    assert _message(lambda: audit_flag(spec, point, ys)) == expected
+    rows = audit_flag(spec, point, np.delete(ys, 2, axis=0))
     assert all(np.isfinite(r.error) for r in rows)
 
 
@@ -445,11 +447,13 @@ def test_bundle_lanes_match_batches_of_one(family, k, d):
 def test_frame_lanes_match_single_direction_frames(fixture, k):
     spec, surface = fixture(k)
     for x0 in surface_points(surface, spec, 3, seed=40 + k):
+        x0 = x0[None]  # one point is a stack of one
         chart, conn = chart_at(surface, x0), covariant_db(spec, x0)
         vs = np.random.default_rng(k).normal(size=(5, spec.dim - 1))
-        frame = frame_at(spec, chart, conn, vs)
-        assert frame.H_ab.shape == (5, 2, 2) and frame.chart.B.shape == (3, 2)
-        _assert_lanes_match(frame, [frame_at(spec, chart, conn, v) for v in vs], 1e-12)
+        frame = frame_at(spec, chart, conn, [vs])
+        assert frame.H_ab.shape == (5, 2, 2) and frame.chart.B.shape == (5, 3, 2)
+        _assert_lanes_match(frame, [lane(frame_at(spec, chart, conn, [[v]]), 0) for v in vs],
+                            1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -465,8 +469,7 @@ def test_stacked_frame_matches_single_point_frames(monkeypatch, fixture, k):
     frame = frame_at(spec, chart_at(surface, pts), covariant_db(spec, pts), vs)
     assert len(bundles) == 3 and [len(args[2]) for args in bundles] == [5, 2, 4]
     assert frame.H_ab.shape == (11, 2, 2) and frame.chart.B.shape == (11, 3, 2)
-    singles = [frame_at(spec, chart_at(surface, x), covariant_db(spec, x), v)
-               for x, block in zip(pts, vs) for v in block]
+    singles = [one_frame(spec, surface, x, v) for x, block in zip(pts, vs) for v in block]
     _assert_lanes_match(frame, singles, 1e-12)
 
 
@@ -501,18 +504,18 @@ def _foreign_surface():
     # column (0, 1, 0) is tangential, its second (-1, 0, 1) has beta = 0.1
     spec, _ = plane_fixture(1)
     surface = LevelSurface(ex.parse("x1 + x3"), 0.0)
-    x0 = [0.2, 0.1, -0.2]
+    x0 = [[0.2, 0.1, -0.2]]
     return spec, chart_at(surface, x0), covariant_db(spec, x0)
 
 
 def test_non_tangential_lane_raises_the_per_flag_error():
     spec, chart, conn = _foreign_surface()
     with pytest.raises(ValueError, match="not tangential") as one:
-        frame_at(spec, chart, conn, [0.0, 1.0])
+        frame_at(spec, chart, conn, [[[0.0, 1.0]]])
     with pytest.raises(ValueError, match="not tangential") as lanes:
-        frame_at(spec, chart, conn, [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        frame_at(spec, chart, conn, [[[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0]]])
     assert str(lanes.value) == str(one.value)
-    frame_at(spec, chart, conn, [[1.0, 0.0], [2.0, 0.0]])  # the good lanes alone pass
+    frame_at(spec, chart, conn, [[[1.0, 0.0], [2.0, 0.0]]])  # the good lanes alone pass
 
 
 def test_tangency_bound_is_per_flag():
@@ -520,26 +523,27 @@ def test_tangency_bound_is_per_flag():
     # a bound taken from the |y| = 1e6 lane (about 1e-5) would let it through
     spec, chart, conn = _foreign_surface()
     with pytest.raises(ValueError, match="beta = 1.000e-07") as one:
-        frame_at(spec, chart, conn, [0.0, 1e-6])
+        frame_at(spec, chart, conn, [[[0.0, 1e-6]]])
     with pytest.raises(ValueError) as lanes:
-        frame_at(spec, chart, conn, [[1e6, 0.0], [0.0, 1e-6]])
+        frame_at(spec, chart, conn, [[[1e6, 0.0], [0.0, 1e-6]]])
     assert str(lanes.value) == str(one.value)
-    frame_at(spec, chart, conn, [[1e6, 0.0], [1e-6, 0.0]])
+    frame_at(spec, chart, conn, [[[1e6, 0.0], [1e-6, 0.0]]])
 
 
 def test_degenerate_normal_lane_raises_the_per_flag_error():
     # unit_normal reads only the bundle's g: an indefinite g in one lane
     spec, surface = exp_fixture(1)
-    x0 = [0.1, 0.2, 0.0]
-    good = frame_at(spec, chart_at(surface, x0), covariant_db(spec, x0), [[1.0, 0.0], [0.3, 1.0]])
-    chart, g = good.chart, good.bundle.g
+    x0 = [[0.1, 0.2, 0.0]]
+    good = frame_at(spec, chart_at(surface, x0), covariant_db(spec, x0),
+                    [[[1.0, 0.0], [0.3, 1.0]]])
+    chart, g = chart_at(surface, x0[0]), good.bundle.g  # one chart serves every lane
     bad = types.SimpleNamespace(g=np.stack([g[0], -np.eye(3), g[1]]))
     with pytest.raises(ArithmeticError, match="cannot normalize") as one:
         unit_normal(chart, types.SimpleNamespace(g=-np.eye(3)))
     with pytest.raises(ArithmeticError) as lanes:
         unit_normal(chart, bad)
     assert str(lanes.value) == str(one.value)
-    n_up, _ = unit_normal(chart, good.bundle)
+    n_up, _ = unit_normal(good.chart, good.bundle)
     assert np.array_equal(n_up, good.N_up)
 
 
@@ -547,8 +551,8 @@ def test_lane_normals_need_no_numpy_2_solve(monkeypatch):
     # before numpy 2, solve took a 1-D right-hand side only against one matrix
     spec, surface = exp_fixture(1)
     x0 = [0.1, 0.2, 0.0]
-    conn = covariant_db(spec, x0)
-    frame = frame_at(spec, chart_at(surface, x0), conn, [[1.0, 0.0], [0.3, 1.0]])
+    frame = frame_at(spec, chart_at(surface, [x0]), covariant_db(spec, [x0]),
+                     [[[1.0, 0.0], [0.3, 1.0]]])
     solve = np.linalg.solve
 
     def numpy_1_solve(a, b):
@@ -558,8 +562,9 @@ def test_lane_normals_need_no_numpy_2_solve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", numpy_1_solve)
     assert np.array_equal(unit_normal(frame.chart, frame.bundle)[0], frame.N_up)
-    single = tensors.bundle_at(spec, conn.point, frame.bundle.flag.y[0])
-    assert np.allclose(unit_normal(frame.chart, single)[0], frame.N_up[0], rtol=1e-13, atol=0)
+    single = tensors.bundle_at(spec, x0, frame.bundle.flag.y[0])
+    assert np.allclose(unit_normal(chart_at(surface, x0), single)[0], frame.N_up[0],
+                       rtol=1e-13, atol=0)
 
 
 # -- sampling: base points, pd_check and validity_check over lanes
@@ -621,10 +626,10 @@ def test_pd_check_pivots_per_lane():
         m[::7] = np.diag(np.r_[np.ones(d - 1), -1.0])  # fails at the last pivot
         m[3] = 0.0  # fails at the first
         check = pd_check(m)
-        singles = [pd_check(one) for one in m]
+        singles = [pd_check(one) for one in m]  # 0-d fields, with pivot 0 where PD
         assert 0 < check.ok.sum() < len(m)
-        assert check.ok.tolist() == [s.ok for s in singles]
-        assert check.pivot.tolist() == [s.pivot or 0 for s in singles]
+        for n, single in enumerate(singles):
+            assert _same_bits(check.ok[n], single.ok) and _same_bits(check.pivot[n], single.pivot)
         assert check.pivot.tolist() == [_cholesky_pivot(one) for one in m]
         assert check.pivot[3] == 1 and check.pivot[7] == d
         assert pd_check(m.reshape(5, 8, d, d)).pivot.tolist() == check.pivot.reshape(5, 8).tolist()
@@ -642,30 +647,17 @@ def test_pd_check_symmetry_is_judged_per_lane():
     assert pd_check(np.stack([huge, huge + 1e-3 * small])).ok.all()
 
 
-def _report_lane(report, n):
-    """Lane n of a lane-valued report, in the single report's terms."""
-    pivot, F = int(report.pd_pivot[n]), report.F[n]
-    return (bool(report.F_positive[n]), bool(report.family_domain[n]),
-            bool(report.fundamental_pd[n]), pivot or None, None if np.isnan(F) else F,
-            bool(report.a_pd[n]) if isinstance(report.a_pd, np.ndarray) else report.a_pd)
-
-
-def _report_one(report):
-    return (report.F_positive, report.family_domain, report.fundamental_pd, report.pd_pivot,
-            report.F, report.a_pd)
+_REPORT_FIELDS = ("F_positive", "family_domain", "fundamental_pd", "pd_pivot", "F", "a_pd", "ok")
 
 
 def _assert_lanes_match_singles(spec, xs, ys):
+    """Each lane n of the report on all flags has the bits of the 0-d fields of
+    the report on flag n alone (pd_pivot 0 where g is PD, F NaN outside the domain)."""
     report = validity_check(spec, xs, ys)
     for n, (x, y) in enumerate(zip(xs, ys)):
         one = validity_check(spec, x, y)
-        single, lane = _report_one(one), _report_lane(report, n)
-        assert lane[:4] == single[:4] and lane[5] == single[5], (n, lane, single)
-        if single[4] is None:
-            assert lane[4] is None, (n, lane, single)
-        else:
-            assert _same_bits(lane[4], single[4]), (n, lane, single)
-        assert bool(report.ok[n]) == one.ok
+        for name in _REPORT_FIELDS:
+            assert _same_bits(getattr(report, name)[n], getattr(one, name)), (n, name)
     return report
 
 
@@ -864,8 +856,10 @@ def test_chart_guards_name_the_failing_lane():
 def test_frame_takes_the_chart_of_its_own_point():
     spec, surface = exp_fixture(1)
     pts = surface_points(surface, spec, 2, seed=4)
-    with pytest.raises(ValueError, match="different points"):
-        frame_at(spec, chart_at(surface, pts[0]), covariant_db(spec, pts[1]), [1.0, 0.0])
+    with pytest.raises(ValueError, match="stacks .* at the same points"):
+        frame_at(spec, chart_at(surface, pts[:1]), covariant_db(spec, pts[1:]), [[[1.0, 0.0]]])
+    with pytest.raises(ValueError, match="stacks .* at the same points"):  # one point, unstacked
+        frame_at(spec, chart_at(surface, pts[0]), covariant_db(spec, pts[0]), [[[1.0, 0.0]]])
 
 
 # surface_points of the per-seed code on two surfaces (float.hex): the radial

@@ -145,6 +145,10 @@ def test_validity_passes_on_small_b_plane_flag():
     assert report.ok
     assert report.F_positive
     assert report.family_domain and report.fundamental_pd
+    # at a BasePoint, a(x) was checked there: every field has the lane shape
+    lanes = validity_check(spec, base_point(spec, np.zeros((2, 3))), np.eye(3)[:2])
+    assert all(np.shape(getattr(lanes, f)) == (2,) for f in ("a_pd", "pd_pivot", "F", "ok"))
+    assert lanes.ok.all() and not lanes.pd_pivot.any()
 
 
 def test_validity_records_pivot_when_convexity_fails():
