@@ -103,11 +103,10 @@ def surface_points(
     as the lanes of one pass (`metric._first_passing`: a seed whose steps
     leave the potential's domain is a failed try)."""
     rng = np.random.default_rng(seed)
-    pts = _first_passing(n, max(500 * n, 2000),
-                        lambda m: (rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(m, spec.dim)),),
-                        lambda raw: list(_project(surface, raw)),
-                        "surface sampling stalled; is the level reachable?")
-    return np.reshape(pts, (n, spec.dim))
+    return _first_passing(n, max(500 * n, 2000),
+                          lambda m: (rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(m, spec.dim)),),
+                          lambda raw: _project(surface, raw),
+                          "surface sampling stalled; is the level reachable?")
 
 
 def _project(surface: LevelSurface, raw: np.ndarray) -> np.ndarray:

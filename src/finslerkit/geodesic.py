@@ -130,9 +130,11 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     Armijo test; a rejected or out-of-domain trial raises the damping mu, an
     accepted one lowers it.  The loop stops when the max-norm of the gradient
     in z (the length's gradient across the chord) is at most ``params.tol``,
-    or after ``params.iters`` iterations.  Damping that grows without an
-    acceptance ends with a non-converged result rather than an exception; an
-    initial polyline that leaves the domain raises `SegmentDomainError`.
+    when the last accepted step left the length unchanged (its float minimum,
+    not converged), or after ``params.iters`` iterations.  Damping that grows
+    without an acceptance ends with a non-converged result rather than an
+    exception; an initial polyline that leaves the domain raises
+    `SegmentDomainError`.
     """
     p = np.asarray(params.start, dtype=float)
     q = np.asarray(params.end, dtype=float)
@@ -172,6 +174,9 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
         if float(np.abs(grad).max()) <= tol:
             converged = True
             message = "stationary point reached"
+            break
+        if len(trace) > 1 and trace[-1] == trace[-2]:  # no step can lower the float length
+            message = "float minimum reached: the last step left the length unchanged"
             break
         lam, vec = np.linalg.eigh(hess)
         g_eig = vec.T @ grad

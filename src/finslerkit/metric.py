@@ -18,9 +18,11 @@ b_i(x), a^ij, b^i and b^2; a `FlagPoint` adds a direction.  Every
 `(spec, x, ...)` entry point accepts such a record where it accepts x, and
 reads it instead of evaluating again.  `geodesic._segment_length` reads the
 same tables at the midpoints of a polyline's segments, float or dual lanes,
-without the positive-definiteness check.  `validity_check` masks each failing lane of N flags; `sample_flags`
-makes its draws one at a time and checks them in blocks
-(`_first_passing`, which the surface sampler shares).
+without the positive-definiteness check.  `validity_check` masks each
+failing lane of N flags, at N points or at one; `sample_flags` makes its
+draws one at a time, checks them in blocks (`_first_passing`, which the
+surface sampler shares) and returns the passing flags as the lanes of one
+`FlagPoint`.
 
 The literature overloads one symbol as both manifold dimension and metric
 exponent; here the exponent is named k everywhere.
@@ -29,13 +31,13 @@ exponent; here the exponent is named k everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
 from . import expr as ex
-from .numerics import any_lane, dot, lane, lanewise, matvec, pd_check
+from .numerics import any_lane, dot, join_lanes, lane, lanewise, matvec, pd_check
 
 FAMILIES = (
     "generalized-square",
@@ -246,6 +248,10 @@ class FlagPoint(BasePoint):
     alpha: float
     beta: float
 
+    def __len__(self) -> int:
+        """The number of flags; one flag has no length, as a 0-d array has none."""
+        return len(self.alpha)
+
 
 def base_point(spec: SpaceSpec, x) -> BasePoint:
     """Evaluate a(x) and b(x) once at x (d,), or at N points x (N, d) as lanes
@@ -268,13 +274,6 @@ def _raised(spec: SpaceSpec, x: np.ndarray, a: np.ndarray) -> BasePoint:
     a_inv = np.linalg.inv(a)
     b_up = matvec(a_inv, b)
     return BasePoint(x=x, a=a, b=b, a_inv=a_inv, b_up=b_up, b2=dot(b, b_up))
-
-
-def stack_points(points) -> BasePoint:
-    """One BasePoint whose fields stack those of ``points`` along a new first
-    axis: the derivative oracles read it as a batch of base points."""
-    return BasePoint(**{f.name: np.stack([getattr(p, f.name) for p in points])
-                        for f in fields(BasePoint)})
 
 
 def flag_point(spec: SpaceSpec, x, y) -> FlagPoint:
@@ -336,8 +335,10 @@ def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
         alpha, beta = np.asarray(flag.alpha), np.asarray(flag.beta)
         a_pd = np.broadcast_to(a_pd, lanes)
         domain = a_pd & _in_domain(spec.family, spec.k, alpha, beta)
-        a, b, y_low, b2, alpha, beta = (np.asarray(v)[domain] for v in (
-            flag.a, flag.b, flag.y_low, flag.b2, alpha, beta))
+        d = spec.dim  # one point's fields broadcast to its N directions, then masked
+        a, b, b2 = (np.broadcast_to(v, lanes + s)[domain]
+                    for v, s in ((flag.a, (d, d)), (flag.b, (d,)), (flag.b2, ())))
+        y_low, alpha, beta = flag.y_low[domain], alpha[domain], beta[domain]
         pp = phi_partials(spec.family, spec.k, alpha, beta)
         mc = tensors.metric_coefficients(pp, tensors.angular_coefficients(pp, alpha))
         g = tensors.fundamental_tensor(mc, a, b, y_low)
@@ -351,45 +352,47 @@ def validity_check(spec: SpaceSpec, x, y) -> ValidityReport:
     return ValidityReport(F > 0.0, domain, fundamental, pivot, F, flag, a_pd)
 
 
-def sample_flags(spec: SpaceSpec, n: int, seed: int) -> list[FlagPoint]:
-    """Seeded in-domain flags: x uniform in [-SAMPLE_BOX, SAMPLE_BOX]^d, y
-    uniform on the unit sphere, rejected unless every validity flag passes.
-    Draws are made one at a time (x, then y) and checked in blocks, each the
-    lanes of one `validity_check`; the first n passing, in draw order, are kept."""
+def sample_flags(spec: SpaceSpec, n: int, seed: int) -> FlagPoint:
+    """Seeded in-domain flags, the lanes of one FlagPoint: x uniform in the box
+    [-SAMPLE_BOX, SAMPLE_BOX]^d, y uniform on the unit sphere, rejected unless
+    every validity flag passes.  Draws are made one at a time (x, then y) and
+    checked in blocks, one `validity_check` each; the first n pass, in order."""
     rng = np.random.default_rng(seed)
 
     def draw(m: int):  # a draw with |y| < 1e-12 counts as a try and is skipped
         draws = [(rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim), rng.normal(size=spec.dim))
                  for _ in range(m)]
-        kept = [(x, y / norm) for x, y in draws if (norm := np.linalg.norm(y)) >= 1e-12]
-        return tuple(np.reshape([v[j] for v in kept], (-1, spec.dim)) for j in (0, 1))
+        xs, ys = map(np.array, zip(*draws))
+        norm = np.sqrt(dot(ys, ys))
+        kept = norm >= 1e-12
+        return xs[kept], ys[kept] / norm[kept, None]
 
     def check(xs, ys):
         report = validity_check(spec, xs, ys)
-        return [lane(report.flag, i) for i in np.flatnonzero(report.ok)]
+        return lane(report.flag, np.flatnonzero(report.ok))
 
     return _first_passing(n, max(200 * n, 1000), draw, check,
-                         "in-domain sampling stalled after {} draws")
+                          "in-domain sampling stalled after {} draws")
 
 
-def _first_passing(n: int, limit: int, draw, check, stalled: str) -> list:
+def _first_passing(n: int, limit: int, draw, check, stalled: str):
     """The first n passing draws, in draw order, of at most `limit`: `draw(m)`
-    makes m draws as lanes (a tuple of arrays), `check(*lanes)` lists the
-    passing ones.  A block whose check raises (an Expr DomainError, say) is
-    halved, first half first; a draw that raises alone is rejected."""
+    makes m draws as lanes (a tuple of arrays), `check(*lanes)` returns the passing
+    ones as the lanes of an array or a record, joined once.  A block whose check raises
+    (an Expr DomainError, say) is halved, first half first; a draw raising alone fails."""
     out, tries = [], 0
-    while len(out) < n:
+    while (passed := sum(map(len, out))) < n:
         if tries == limit:
             raise RuntimeError(stalled.format(tries + 1))
-        block = min(limit - tries, 2 + math.ceil(1.25 * (n - len(out)) * (tries + 1)
-                                                 / (len(out) + 1)))
+        block = min(limit - tries, 2 + math.ceil(1.25 * (n - passed) * (tries + 1)
+                                                 / (passed + 1)))
         tries += block
         pending = [draw(block)]
         while pending:  # a stack of blocks, first half on top
             lanes = pending.pop()
             try:
-                out += check(*lanes) if len(lanes[0]) else []
+                out += [check(*lanes)] if len(lanes[0]) else []
             except (ArithmeticError, ValueError):
                 h = len(lanes[0]) // 2
                 pending += [tuple(a[h:] for a in lanes), tuple(a[:h] for a in lanes)] if h else []
-    return out[:n]
+    return lane(join_lanes(out), slice(n))

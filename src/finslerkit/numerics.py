@@ -41,15 +41,19 @@ def first_lane(mask, value):
 
 def lane(record, i):
     """Lane i of a lane-valued record (dataclasses nested, arrays with the lane axis
-    in front, plain values shared), or the lanes of an index array or slice i."""
+    in front, plain values shared) or array, or the lanes of an index array or slice i."""
+    if isinstance(record, np.ndarray):
+        return record[i]
     return type(record)(**{
         f: v[i] if isinstance(v, np.ndarray) else lane(v, i) if is_dataclass(v) else v
         for f, v in vars(record).items()})
 
 
 def join_lanes(records):
-    """One record whose arrays join those of ``records`` along the lane axis in
-    front, undoing `lane` over consecutive slices; plain values are the first's."""
+    """One record (or array) whose arrays join those of ``records`` along the lane
+    axis in front, undoing `lane` over consecutive slices; plain values are the first's."""
+    if isinstance(records[0], np.ndarray):
+        return np.concatenate(records)
     return type(records[0])(**{
         f: np.concatenate([vars(r)[f] for r in records]) if isinstance(v, np.ndarray)
         else join_lanes([vars(r)[f] for r in records]) if is_dataclass(v) else v

@@ -33,7 +33,6 @@ from .metric import (
     phi_partials,
     resolve_family,
     sample_flags,
-    stack_points,
 )
 from .numerics import Jet2, any_lane, fd_hessian, first_lane, jet_eval, lanewise, outer
 
@@ -240,8 +239,9 @@ def bundle_at(spec: SpaceSpec, x, y) -> TensorBundle:
 # -- oracle plumbing: the closed forms evaluated on generic scalars
 
 def _lanes_of(point: BasePoint):
-    """a_ij and b_i of a base point, or of a stacked one (`stack_points`) with
-    the point axis moved last, so each entry broadcasts against lanes (L, N)."""
+    """a_ij and b_i of a base point, or of N stacked ones (a batch of N points,
+    such as `sample_flags` returns) with the point axis moved last, so each
+    entry broadcasts against lanes (L, N)."""
     return np.moveaxis(point.a, (-2, -1), (0, 1)), np.moveaxis(point.b, -1, 0)
 
 
@@ -337,7 +337,8 @@ FD_STEP = 1e-4
 def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
     """Audit the closed forms at the flags (x, y) against both oracles, as
     `bundle_at` takes them: x is a base point or its coordinates, one or N
-    stacked (`stack_points`), and y one direction (d,) or N of them (N, d).
+    stacked (a `sample_flags` batch, say), and y one direction (d,) or N of
+    them (N, d).
     The bundle and each oracle run once over all flags, and each check
     reports its largest error over them.
 
@@ -384,9 +385,8 @@ def audit_sweep(spec: SpaceSpec, params: AuditParams) -> AuditReport:
     by homogeneity) so that degree-sensitive checks are exercised at
     alpha != 1 as well.
     """
-    base = sample_flags(spec, params.samples, params.seed)
+    flags = sample_flags(spec, params.samples, params.seed)
     rng = np.random.default_rng(params.seed)
-    scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), size=len(base)))
-    ys = [f.y * s for f, s in zip(base, scales)]  # each sampled point is reused
-    return AuditReport(rows=audit_flag(spec, stack_points(base), ys), flags=len(base),
-                       seed=params.seed)
+    scales = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), size=len(flags)))
+    rows = audit_flag(spec, flags, flags.y * scales[:, None])  # each sampled point is reused
+    return AuditReport(rows=rows, flags=len(flags), seed=params.seed)

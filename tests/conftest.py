@@ -11,11 +11,13 @@ and `varying_space`, a curved space of any family and dimension.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from finslerkit import expr as ex
 from finslerkit.hypersurface import Chart, LevelSurface, _tangential
-from finslerkit.metric import FlagPoint, SpaceSpec, flag_point
+from finslerkit.metric import BasePoint, FlagPoint, SpaceSpec, flag_point
 from finslerkit.numerics import lane  # noqa: F401  (re-exported for the test modules)
 
 
@@ -91,6 +93,19 @@ def tangential_flag(spec: SpaceSpec, chart: Chart, v) -> FlagPoint:
     chart's point; B has full rank, so `flag_point` rejects v = 0 as a zero
     direction, and beta = 0 is asserted as in `frame_at`."""
     return _tangential(flag_point(spec, chart.x0, chart.B @ np.asarray(v, dtype=float)))
+
+
+def each_flag(batch: FlagPoint):
+    """The flags of a batch (`sample_flags`) one at a time: lane i, for i < len(batch)."""
+    for i in range(len(batch)):
+        yield lane(batch, i)
+
+
+def stack_points(points) -> BasePoint:
+    """One BasePoint whose fields stack those of ``points`` along a new first
+    axis: N base points, as the derivative oracles and `bundle_at` take them."""
+    return BasePoint(**{f.name: np.stack([getattr(p, f.name) for p in points])
+                        for f in dataclasses.fields(BasePoint)})
 
 
 def rel_error(a: np.ndarray, ref: np.ndarray) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    each_flag,
     exp_fixture,
     lane,
     make_space,
@@ -32,7 +33,7 @@ from finslerkit.classifier import ClassifyOptions, classify, surface_points
 from finslerkit.connection import covariant_db, difference_tensor
 from finslerkit.geodesic import GeodesicParams, minimize, polyline_length
 from finslerkit.hypersurface import chart_at, frame_at
-from finslerkit.metric import finsler_norm, flag_point, sample_flags, stack_points
+from finslerkit.metric import finsler_norm, flag_point, sample_flags
 from finslerkit.numerics import fd_hessian, jet_eval
 from finslerkit.tensors import (
     AuditParams,
@@ -61,11 +62,11 @@ def oracle_sweep():
         rows = []
         for spec, seed in ((plane_fixture(k)[0], 100 + k), (exp_fixture(k)[0], 200 + k)):
             flags = sample_flags(spec, 500, seed=seed)
-            batch, ys = stack_points(flags), np.array([flag.y for flag in flags])
-            bundle = bundle_at(spec, batch, ys)
-            f = half_f_squared(spec, batch)
-            jet, fd = jet_eval(f, ys).hessian, fd_hessian(f, ys, step=1e-4)
-            rows += [(spec, flag, lane(bundle, i), jet[i], fd[i]) for i, flag in enumerate(flags)]
+            bundle = bundle_at(spec, flags, flags.y)
+            f = half_f_squared(spec, flags)
+            jet, fd = jet_eval(f, flags.y).hessian, fd_hessian(f, flags.y, step=1e-4)
+            rows += [(spec, flag, lane(bundle, i), jet[i], fd[i])
+                     for i, flag in enumerate(each_flag(flags))]
         data[k] = rows
     return data
 
@@ -236,7 +237,7 @@ def test_criterion_08_connection_consistency():
     # constant 1-form: difference tensor vanishes identically
     worst_d = 0.0
     spec_const = make_space(k=2, b=["0", "0", "0.1"])
-    for flag in sample_flags(spec_const, 50, seed=8):
+    for flag in each_flag(sample_flags(spec_const, 50, seed=8)):
         d = difference_tensor(bundle_at(spec_const, flag.x, flag.y), covariant_db(spec_const, flag))
         worst_d = max(worst_d, float(np.abs(d).max()))
 

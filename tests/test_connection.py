@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    each_flag,
     exp_fixture,
     make_space,
     radial_fixture,
@@ -120,7 +121,7 @@ def test_b_matrix_annihilates_direction_at_any_flag():
     # B_ij y^j = 0 always: the m-covector and the angular projector both kill y.
     # So no B_j0 term survives in D^i_00, which for a gradient b is B^i E_00.
     spec = make_space(k=2, potential="exp(x3)")
-    for fl in sample_flags(spec, 15, seed=3):
+    for fl in each_flag(sample_flags(spec, 15, seed=3)):
         bundle = bundle_at(spec, fl.x, fl.y)
         conn = covariant_db(spec, fl.x)
         mc = bundle.metric
@@ -153,7 +154,7 @@ def test_difference_tensor_vanishes_without_one_form():
 
 def test_difference_tensor_symmetric_for_gradient_field():
     spec, _ = exp_fixture(2)
-    for fl in sample_flags(spec, 10, seed=9):
+    for fl in each_flag(sample_flags(spec, 10, seed=9)):
         bundle = bundle_at(spec, fl.x, fl.y)
         d = difference_tensor(bundle, covariant_db(spec, bundle.flag))
         assert np.abs(d - np.transpose(d, (0, 2, 1))).max() < 1e-10 * (
@@ -166,7 +167,7 @@ def test_zero_contractions_computed_two_ways():
     # D^i_00 = B^i E_00 + 2 F^i_0 B_0 (exact consequence of B_i0 = 0 and the
     # y-annihilation of the torsion); checked on a NON-gradient field too
     spec = make_space(k=1, b=["0.05*x2", "-0.05*x1", "0.1"])
-    for fl in sample_flags(spec, 10, seed=11):
+    for fl in each_flag(sample_flags(spec, 10, seed=11)):
         bundle = bundle_at(spec, fl.x, fl.y)
         conn = covariant_db(spec, fl.x)
         assert np.abs(conn.Fij).max() > 0.0  # genuinely non-gradient
@@ -308,7 +309,7 @@ def _assert_cartan(spec, flag):
 def _general_flags(spec, n: int, seed: int):
     """In-domain flags with beta != 0; Kropina's keep beta >= alpha |b| / 2."""
     kropina = spec.family == "generalized-kropina"
-    flags = [f for f in sample_flags(spec, 8 * n, seed) if abs(f.beta) > 1e-3 * f.alpha
+    flags = [f for f in each_flag(sample_flags(spec, 8 * n, seed)) if abs(f.beta) > 1e-3 * f.alpha
              and (not kropina or f.beta >= 0.5 * f.alpha * np.sqrt(f.b2))]
     assert len(flags) >= n
     return flags[:n]

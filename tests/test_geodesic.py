@@ -226,3 +226,17 @@ def test_pinned_matsumoto_follows_the_diagonal_with_second_order_error():
     assert errors[0] == pytest.approx(-4.642e-5, rel=1e-3)
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
     assert np.abs(ratios - 4.0).max() <= 0.01
+
+
+def test_a_geodesic_at_its_float_minimum_stops_at_once():
+    # curved Randers reaches its exact length |q - p| + phi(q) - phi(p) in 3
+    # steps; later steps leave the float length bit-identical, with the
+    # gradient above tol, and used to run out the whole budget of 200
+    spec = make_space(family="randers", dim=2, potential="0.2*x1*x2 + 0.1*x2^2")
+    res = minimize(spec, GeodesicParams(start=[0, 0], end=[1, 0.7], segments=16,
+                                        iters=200, tol=1e-10, seed=6))
+    assert not res.converged and res.grad_norm > 1e-10
+    assert res.message.startswith("float minimum reached")
+    assert res.iterations <= 6
+    assert res.trace[-1] == res.trace[-2] == pytest.approx(1.4096555615733701, abs=1e-15)
+    assert np.all(np.diff(res.trace) <= 0.0)

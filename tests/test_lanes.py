@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     count_calls,
+    each_flag,
     exp_fixture,
     lane,
     make_space,
@@ -23,6 +24,7 @@ from conftest import (
     plane_fixture,
     radial_fixture,
     rel_error,
+    stack_points,
     varying_space,
 )
 from finslerkit import expr as ex
@@ -41,7 +43,6 @@ from finslerkit.metric import (
     finsler_norm,
     phi_partials,
     sample_flags,
-    stack_points,
     validity_check,
 )
 from finslerkit.numerics import Jet2, dot, fd_hessian, jet_eval, pd_check
@@ -57,7 +58,7 @@ from finslerkit.tensors import (
 
 
 def _flags(spec, n: int, seed: int):
-    flags = sample_flags(spec, n, seed)
+    flags = list(each_flag(sample_flags(spec, n, seed)))
     scales = np.exp(np.random.default_rng(seed).uniform(-0.7, 0.7, size=n))
     return flags, np.array([f.y * s for f, s in zip(flags, scales)])
 
@@ -652,10 +653,11 @@ _REPORT_FIELDS = ("F_positive", "family_domain", "fundamental_pd", "pd_pivot", "
 
 def _assert_lanes_match_singles(spec, xs, ys):
     """Each lane n of the report on all flags has the bits of the 0-d fields of
-    the report on flag n alone (pd_pivot 0 where g is PD, F NaN outside the domain)."""
+    the report on flag n alone (pd_pivot 0 where g is PD, F NaN outside the domain).
+    xs holds a point per direction (N, d), or is one point for all of them."""
     report = validity_check(spec, xs, ys)
-    for n, (x, y) in enumerate(zip(xs, ys)):
-        one = validity_check(spec, x, y)
+    for n, y in enumerate(ys):
+        one = validity_check(spec, xs[n] if np.ndim(xs) == 2 else xs, y)
         for name in _REPORT_FIELDS:
             assert _same_bits(getattr(report, name)[n], getattr(one, name)), (n, name)
     return report
@@ -670,6 +672,23 @@ def test_validity_lanes_match_per_flag_reports(family, k, d):
     report = _assert_lanes_match_singles(spec, xs, 1.7 * ys)
     if "kropina" in family:
         assert 0 < report.ok.sum() < len(xs)  # beta <= 0 fails: lanes of both kinds
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_validity_takes_one_point_with_n_directions(family):
+    # the point's a, b and b^2 broadcast to its N directions, as bundle_at takes them
+    spec = varying_space(family, 2, 3)
+    x0 = np.array([0.3, -0.2, 0.5])
+    ys = 1.7 * _draws(spec, 12, seed=5)[1]
+    tiled = validity_check(spec, np.tile(x0, (len(ys), 1)), ys)
+    for x in (x0, list(x0), base_point(spec, x0)):
+        report = _assert_lanes_match_singles(spec, x, ys)
+        for name in _REPORT_FIELDS:
+            assert _same_bits(getattr(report, name), getattr(tiled, name)), name
+    if "kropina" in family:
+        assert 0 < report.ok.sum() < len(ys)  # beta <= 0 fails: lanes of both kinds
+    spec = make_space(k=1, potential="0.1*x3")  # the space of configs/e1.cfg
+    assert validity_check(spec, [0, 0, 0], np.eye(3)[:2]).ok.tolist() == [True, True]
 
 
 def test_validity_masks_each_bad_lane_among_good_ones():
@@ -752,15 +771,48 @@ _SAMPLED = [
 ]
 
 
+def _assert_batch_matches(flags: FlagPoint, reference: list[FlagPoint]) -> None:
+    """Lane i of the batch has the bits of the i-th per-draw flag, field by field."""
+    assert len(flags) == len(reference)
+    for i, ref in enumerate(reference):
+        got = lane(flags, i)
+        for f in dataclasses.fields(FlagPoint):
+            assert _same_bits(getattr(got, f.name), getattr(ref, f.name)), (i, f.name)
+
+
 @pytest.mark.parametrize("spec", _SAMPLED)
 def test_sample_flags_match_the_per_draw_reference(spec):
     for seed in (1, 2):
         flags = sample_flags(spec, 17, seed)
-        reference = _sample_flags_per_draw(spec, 17, seed)
-        assert len(flags) == len(reference) == 17
-        for got, ref in zip(flags, reference):
-            for f in dataclasses.fields(FlagPoint):
-                assert _same_bits(getattr(got, f.name), getattr(ref, f.name)), f.name
+        assert len(flags) == 17
+        _assert_batch_matches(flags, _sample_flags_per_draw(spec, 17, seed))
+
+
+def test_sample_flags_join_two_blocks_in_draw_order(monkeypatch):
+    # the space of configs/e1.cfg as Kropina: beta <= 0 fails about half the
+    # draws, so the 100 flags of its [audit] come from two blocks, joined once
+    spec = make_space(family="kropina", potential="0.1*x3")
+    checks = count_calls(monkeypatch, metric, "validity_check")
+    flags = sample_flags(spec, 100, seed=7)
+    assert [len(args[1]) for args in checks] == [127, 116]
+    _assert_batch_matches(flags, _sample_flags_per_draw(spec, 100, seed=7))
+
+
+def test_a_batch_has_the_length_of_its_flags():
+    spec = varying_space("kropina", 1, 3)
+    flags = sample_flags(spec, 9, seed=1)
+    assert len(flags) == 9 and flags.y.shape == (9, 3)
+    with pytest.raises(TypeError):
+        len(lane(flags, 0))  # one flag has no length, as a 0-d array has none
+
+
+@pytest.mark.parametrize("spec", _SAMPLED + [make_space(family="kropina", potential="0.1*x3")])
+def test_audit_sweep_audits_the_per_draw_flags(spec):
+    # the sweep's rows, bit for bit, from the per-draw flags stacked and rescaled
+    reference = _sample_flags_per_draw(spec, 20, seed=3)
+    scales = np.exp(np.random.default_rng(3).uniform(-np.log(2.0), np.log(2.0), size=20))
+    rows = audit_flag(spec, stack_points(reference), [f.y * s for f, s in zip(reference, scales)])
+    assert audit_sweep(spec, AuditParams(samples=20, seed=3)).rows == rows
 
 
 def test_sampling_stall_keeps_its_message_and_draw_count(monkeypatch):

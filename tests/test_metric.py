@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_calls, make_space
+from conftest import count_calls, each_flag, make_space
 from finslerkit import expr as ex
 from finslerkit import metric
 from finslerkit.connection import christoffel, covariant_db
@@ -174,9 +174,8 @@ def test_sample_flags_deterministic_and_in_domain():
     spec = make_space(k=2, potential="exp(x3)")
     flags_a = sample_flags(spec, 10, seed=5)
     flags_b = sample_flags(spec, 10, seed=5)
-    for fa, fb in zip(flags_a, flags_b):
-        assert np.array_equal(fa.x, fb.x) and np.array_equal(fa.y, fb.y)
-    for f in flags_a:
+    assert np.array_equal(flags_a.x, flags_b.x) and np.array_equal(flags_a.y, flags_b.y)
+    for f in each_flag(flags_a):
         assert validity_check(spec, f.x, f.y).ok
 
 
@@ -228,7 +227,7 @@ def test_validity_masks_randers_lanes_outside_alpha_plus_beta_positive():
     assert report.F[0] == 2.0 and np.isnan(report.F[1:]).all() and not report.ok[1:].any()
     # where b^2 > 1 some draws have alpha + beta <= 0: masked, never raised
     flags = sample_flags(make_space(family="randers", dim=2, b=["2*x1", "0"]), 20, seed=3)
-    assert all(f.alpha + f.beta > 0.0 for f in flags)
+    assert np.all(flags.alpha + flags.beta > 0.0)
 
 
 def _same_bits(u, v) -> bool:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     count_calls,
+    each_flag,
     exp_fixture,
     make_space,
     plane_fixture,
@@ -211,7 +212,7 @@ def test_bundle_structural_identities_on_random_flags():
         ("matsumoto", 1, "0.1*x3"),
     ):
         spec = make_space(family=family, k=k, potential=pot)
-        for fl in sample_flags(spec, 20, seed=int(rng.integers(1e6))):
+        for fl in each_flag(sample_flags(spec, 20, seed=int(rng.integers(1e6)))):
             bundle = bundle_at(spec, fl.x, fl.y)
             scale = 1.0 + np.abs(bundle.g).max()
             assert np.abs(bundle.g - bundle.g.T).max() < 1e-12 * scale
@@ -301,7 +302,7 @@ def test_assembly_helpers_match_bundle():
 
 def test_audit_evaluates_each_point_once(monkeypatch):
     spec = make_space(k=2, potential="exp(x3) + 0.2*x1*x2")
-    flags = sample_flags(spec, 4, seed=3)
+    flags = list(each_flag(sample_flags(spec, 4, seed=3)))
     a_calls = count_calls(monkeypatch, SpaceSpec, "a_at")
     for f in flags:
         audit_flag(spec, f.x, 1.5 * f.y)
