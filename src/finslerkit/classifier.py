@@ -59,7 +59,6 @@ class KindResult:
 class ThirdKindResult:
     verdict: str             # "impossible" | "vacuous"
     per_point: list[float]   # each point's min over its directions of max |M_ab|
-    note: str = ""
 
     @property
     def witness(self) -> float:
@@ -74,7 +73,6 @@ class ClassificationReport:
     first_kind: KindResult
     second_kind: KindResult
     third_kind: ThirdKindResult
-    c_samples: list[np.ndarray]
     e_samples: list[float]
     proportionality_factors: list[float]
     proportionality_deviation: float | None
@@ -175,8 +173,7 @@ def third_kind_test(frame: HypersurfaceFrame, counts) -> ThirdKindResult:
     smallest observed ||M_ab|| as its witness, point p owning the next
     counts[p] >= 1 lanes of the frame.  Degenerate b == 0 is VACUOUS."""
     if frame.bundle.flag.b2.max() < 1e-14:
-        return ThirdKindResult(verdict="vacuous", per_point=[0.0] * len(counts),
-                               note="the 1-form vanishes on the surface")
+        return ThirdKindResult(verdict="vacuous", per_point=[0.0] * len(counts))
     per_point = np.minimum.reduceat(np.abs(frame.M_ab).max((-2, -1)), np.cumsum(counts) - counts)
     return ThirdKindResult(verdict="impossible", per_point=per_point.tolist())
 
@@ -207,7 +204,9 @@ def classify(
     between the algebraic and geometric routes.
 
     Disagreement raises ClassifierConsistencyError: the equivalences are
-    exact, so a mismatch signals an implementation or sampling problem.
+    exact, so a mismatch signals an implementation or sampling problem.  They
+    need b != 0, so a point where b vanishes but b_ij does not raises
+    ValueError naming it; where both vanish the third kind is VACUOUS.
     """
     if spec.family != "generalized-square":
         raise ValueError(
@@ -215,9 +214,14 @@ def classify(
         )
     pts = surface_points(surface, spec, opts.points, opts.seed)
     conn = covariant_db(spec, pts)  # the points' base points and connections, as lanes
+    geo_scale = _scale(conn.b_cov)
+    bare = (conn.point.b2 < 1e-14) & (np.abs(conn.b_cov).max((-2, -1)) > opts.tol * geo_scale)
+    if bare.any():
+        raise ValueError(f"the 1-form vanishes at x={pts[np.argmax(bare)].tolist()} while b_ij "
+                         "does not: the kind tests need b != 0 there")
     charts = chart_at(surface, conn.point.x)
 
-    first, c_samples = first_kind_test(conn, opts.tol)
+    first, c = first_kind_test(conn, opts.tol)
     second, e_samples = second_kind_test(conn, opts.tol)
 
     rng = np.random.default_rng(opts.seed + 1)
@@ -226,7 +230,6 @@ def classify(
     kept = norms >= 1e-12
     frame = frame_at(spec, charts, conn, [v[m] / n[m, None] for v, n, m in zip(draws, norms, kept)])
     counts = kept.sum(1)
-    geo_scale = _scale(conn.b_cov)
     h_a_max = float(np.abs(frame.H_a).max(initial=0.0))
     h_ab_max = float(np.abs(frame.H_ab).max(initial=0.0))
 
@@ -242,7 +245,7 @@ def classify(
     third = third_kind_test(frame, counts)
     factors, deviation = [], None
     if first.passed:
-        factors, deviation = proportionality_check(frame, np.repeat(c_samples, counts, 0), spec.k)
+        factors, deviation = proportionality_check(frame, np.repeat(c, counts, 0), spec.k)
         if deviation > opts.tol * geo_scale:
             raise ClassifierConsistencyError(
                 f"first kind holds, but H_ab deviates from the first-kind multiple "
@@ -251,7 +254,7 @@ def classify(
 
     return ClassificationReport(
         first_kind=first, second_kind=second, third_kind=third,
-        c_samples=c_samples, e_samples=e_samples,
+        e_samples=e_samples,
         proportionality_factors=factors, proportionality_deviation=deviation,
         geo_H_a_max=h_a_max, geo_H_ab_max=h_ab_max,
         points=pts, directions=opts.directions, seed=opts.seed, tol=opts.tol,

@@ -162,9 +162,10 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
         g, h = _length_derivatives(spec, nodes_of(offsets))
         return weights @ g, weights @ h @ weights.T
 
-    if len(z) == 0:  # single segment: nothing to optimize
+    if len(z) == 0:
         length = polyline_length(spec, nodes_of(z))
-        return GeodesicResult(nodes_of(z), length, 0.0, 0, True, [length])
+        return GeodesicResult(nodes_of(z), length, 0.0, 0, True, [length],
+                              "single segment: nothing to optimize")
 
     value = polyline_length(spec, nodes_of(z))
     grad, hess = derivatives(z)

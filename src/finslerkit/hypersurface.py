@@ -14,7 +14,9 @@ pullback of a_ij (a Riemannian metric) and the normal is the g-unit,
 g-orthogonal vector on the side of increasing potential.  A frame takes one
 bundle per surface point, then one pass over the flags of all P points, each
 with its point's lane of the charts and connections; the tangency, normal and
-orthogonality guards hold in every lane, against that flag's own scale.
+orthogonality guards hold in every lane, against that flag's own scale.  The
+frame keeps what classification reads: the normal pair, the induced angular
+tensor h_ab and the second fundamental tensors H_a, H_ab, M_ab and M_a.
 """
 
 from __future__ import annotations
@@ -144,32 +146,19 @@ def unit_normal(chart: Chart, bundle: TensorBundle):
     return n_up, n_dn
 
 
-def induced_tensors(chart: Chart, bundle: TensorBundle):
-    """Pullbacks along the projection factors: g_ab, h_ab, C_abc (k, then j, then i)."""
-    B, Bt, B3 = chart.B, np.swapaxes(chart.B, -1, -2), chart.B[..., None, :, :]  # B3: each i
-    g_ind = Bt @ bundle.g @ B
-    h_ind = Bt @ bundle.h @ B
-    c_ind = np.einsum("...icb,...ia->...abc", np.swapaxes(bundle.C @ B3, -1, -2) @ B3, B)
-    return g_ind, h_ind, c_ind
-
-
 @dataclass
 class HypersurfaceFrame:
-    """Chart, ambient bundle at the tangential flags, normal pairs, induced tensors
-    and second fundamental tensors of the directions v, with the lane axis of the
-    flags in front of every field, point by point; the chart and connection of a
-    point are repeated in each of its flags' lanes."""
+    """Chart, ambient bundle at the tangential flags, normal pairs, induced angular
+    tensor and second fundamental tensors of the directions v, with the lane axis
+    of the flags in front of every field, point by point; the chart and connection
+    of a point are repeated in each of its flags' lanes."""
 
     chart: Chart
     bundle: TensorBundle
     v: np.ndarray
     N_up: np.ndarray
     N_dn: np.ndarray
-    B_dual: np.ndarray       # B_i^a = g^ab g_ij B^j_b, shape (d-1, d) per lane
-    g_ind: np.ndarray
-    g_ind_inv: np.ndarray
-    h_ind: np.ndarray
-    C_ind: np.ndarray
+    h_ind: np.ndarray        # induced angular tensor h_ab = h_ij B^i_a B^j_b
     H_a: np.ndarray          # normal curvature
     H_ab: np.ndarray         # second fundamental h-tensor
     M_ab: np.ndarray         # second fundamental v-tensor
@@ -196,14 +185,12 @@ def frame_at(
                          for a, b in zip(ends, ends[1:])])
     _tangential(bundle.flag)
     n_up, n_dn = unit_normal(chart, bundle)
-    g_ind, h_ind, c_ind = induced_tensors(chart, bundle)
-    g_ind_inv = np.linalg.inv(g_ind)
-    b_dual = g_ind_inv @ (np.swapaxes(chart.B, -1, -2) @ bundle.g)
+    B, Bt = chart.B, np.swapaxes(chart.B, -1, -2)
+    h_ind = Bt @ bundle.h @ B
     h_a, h_ab, m_ab, m_a = normal_curvature_and_h(chart, bundle, conn, v, n_up, n_dn)
     return HypersurfaceFrame(
         chart=chart, bundle=bundle, v=v,
-        N_up=n_up, N_dn=n_dn, B_dual=b_dual,
-        g_ind=g_ind, g_ind_inv=g_ind_inv, h_ind=h_ind, C_ind=c_ind,
+        N_up=n_up, N_dn=n_dn, h_ind=h_ind,
         H_a=h_a, H_ab=h_ab, M_ab=m_ab, M_a=m_a,
     )
 

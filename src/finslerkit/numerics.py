@@ -286,14 +286,12 @@ def _pair_seeds(d: int, ndim: int):
     return seeds
 
 
-def fd_hessian(f: Callable, y, step: float = 1e-4, richardson: bool = False) -> np.ndarray:
+def fd_hessian(f: Callable, y, step: float = 1e-4) -> np.ndarray:
     """Central-difference Hessian, symmetric by construction (one estimate per pair i <= j).
 
     ``y`` is one point (d,) or a batch (..., d); ``f`` gets a list of d
     coordinate arrays and runs once, on lanes (S, ...) holding every
-    stencil point of every point.  With ``richardson=True`` the estimate
-    combines steps h and h/2 as (4 H(h/2) - H(h)) / 3, removing the
-    leading O(h^2) error term.
+    stencil point of every point.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -301,25 +299,18 @@ def fd_hessian(f: Callable, y, step: float = 1e-4, richardson: bool = False) -> 
     d = y.shape[-1]
     i, j = np.triu_indices(d, 1)
     eye = np.eye(d)
-    # per step: the point, +-e_m, then ++, +-, -+, -- of each pair i < j
+    # the point, +-e_m, then ++, +-, -+, -- of each pair i < j
     stencil = np.concatenate([np.zeros((1, d)), eye, -eye, eye[i] + eye[j], eye[i] - eye[j],
                               eye[j] - eye[i], -eye[i] - eye[j]])
-    steps = (step, step / 2.0) if richardson else (step,)
-    offsets = np.concatenate([h * stencil for h in steps])
-    points = y + offsets.reshape((len(offsets),) + (1,) * (y.ndim - 1) + (d,))
-    values = np.broadcast_to(f([points[..., m] for m in range(d)]), points.shape[:-1])
-
-    def single(v, h: float) -> np.ndarray:
-        f0, plus, minus = v[0], v[1:d + 1], v[d + 1:2 * d + 1]
-        pp, pm, mp, mm = np.split(v[2 * d + 1:], 4)
-        hess = np.zeros(y.shape[:-1] + (d, d))
-        hess[..., range(d), range(d)] = np.moveaxis((plus - 2.0 * f0 + minus) / (h * h), 0, -1)
-        hess[..., i, j] = hess[..., j, i] = np.moveaxis(
-            (pp - pm - mp + mm) / (4.0 * h * h), 0, -1)
-        return hess
-
-    hess, *half = (single(v, h) for v, h in zip(np.split(values, len(steps)), steps))
-    return (4.0 * half[0] - hess) / 3.0 if richardson else hess
+    points = y + (step * stencil).reshape(stencil.shape[:1] + (1,) * (y.ndim - 1) + (d,))
+    v = np.broadcast_to(f([points[..., m] for m in range(d)]), points.shape[:-1])
+    f0, plus, minus = v[0], v[1:d + 1], v[d + 1:2 * d + 1]
+    pp, pm, mp, mm = np.split(v[2 * d + 1:], 4)
+    hess = np.zeros(y.shape[:-1] + (d, d))
+    hess[..., range(d), range(d)] = np.moveaxis((plus - 2.0 * f0 + minus) / (step * step), 0, -1)
+    hess[..., i, j] = hess[..., j, i] = np.moveaxis(
+        (pp - pm - mp + mm) / (4.0 * step * step), 0, -1)
+    return hess
 
 
 @dataclass

@@ -18,6 +18,7 @@ import numpy as np
 from finslerkit import expr as ex
 from finslerkit.hypersurface import Chart, LevelSurface, _tangential
 from finslerkit.metric import BasePoint, FlagPoint, SpaceSpec, flag_point
+from finslerkit.numerics import fd_hessian
 from finslerkit.numerics import lane  # noqa: F401  (re-exported for the test modules)
 
 
@@ -86,6 +87,22 @@ def one_frame(spec: SpaceSpec, surface: LevelSurface, x0, v):
     from finslerkit.hypersurface import chart_at, frame_at
 
     return lane(frame_at(spec, chart_at(surface, [x0]), covariant_db(spec, [x0]), [[v]]), 0)
+
+
+def induced(frame):
+    """(g_ab, g^ab, B_i^a, C_abc) of a frame, lanes in front: the pullbacks of
+    g_ij and C_ijk along the projection factors B^i_a, the inverse of g_ab and
+    the dual factors B_i^a = g^ab g_ij B^j_b."""
+    B, Bt = frame.chart.B, np.swapaxes(frame.chart.B, -1, -2)
+    g_ind = Bt @ frame.bundle.g @ B
+    g_ind_inv = np.linalg.inv(g_ind)
+    c_ind = np.einsum("...ijk,...ia,...jb,...kc->...abc", frame.bundle.C, B, B, B)
+    return g_ind, g_ind_inv, g_ind_inv @ Bt @ frame.bundle.g, c_ind
+
+
+def richardson_hessian(f, y, step: float) -> np.ndarray:
+    """`fd_hessian` with its leading O(h^2) error removed: (4 H(h/2) - H(h)) / 3."""
+    return (4.0 * fd_hessian(f, y, step / 2.0) - fd_hessian(f, y, step)) / 3.0
 
 
 def tangential_flag(spec: SpaceSpec, chart: Chart, v) -> FlagPoint:

@@ -78,9 +78,31 @@ MUTANTS = [
      "alpha^(k+1) in place of alpha^k in F_bb", METRIC_TESTS),
     (METRIC, '"randers": ("generalized-square", 0)', '"randers": ("generalized-square", 1)',
      "randers as the square metric", METRIC_TESTS),
-    # the generalized-square dp0/dbeta of `tensors` and the audit's k >= 1 q2 row
+    # the Kropina and Matsumoto partials of `metric.phi_partials`, and p2 of `tensors`
+    (METRIC, "Fb=-k * alpha ** (k + 1)", "Fb=k * alpha ** (k + 1)", "flip Kropina F_b",
+     METRIC_TESTS),
+    (METRIC, "Fbb=k * (k + 1) * alpha ** (k + 1) / beta ** (k + 2)",
+     "Fbb=k * (k + 1) * alpha ** (k + 1) / beta ** (k + 1)",
+     "beta^(k+1) in place of beta^(k+2) in Kropina F_bb", METRIC_TESTS),
+    (METRIC, "Faa=2 * beta * beta / w ** 3", "Faa=2 * beta / w ** 3",
+     "beta in place of beta^2 in Matsumoto F_aa", METRIC_TESTS),
+    (METRIC, "Fab=-2 * alpha * beta / w ** 3", "Fab=2 * alpha * beta / w ** 3",
+     "flip Matsumoto F_ab", METRIC_TESTS),
+    (TENSORS, "ac.p * ac.p / (pp.F * pp.F)", "ac.p * ac.p / pp.F",
+     "p^2/F in place of p^2/F^2 in p2", METRIC_TESTS),
+    # the dp0/dbeta of each family, the coefficients of `tensors` and the audit's k >= 1 q2 row
     (TENSORS, "2 * k * (k + 1) * (2 * k + 1) *", "2 * k * (k + 1) * (2 * k - 1) *",
      "2k - 1 in place of 2k + 1 in dp0/dbeta", TENSORS_TESTS),
+    (TENSORS, "-(2 * k + 2) * k * (2 * k + 1)", "-(2 * k + 1) * k * (2 * k + 1)",
+     "2k + 1 in place of 2k + 2 in Kropina dp0/dbeta", TENSORS_TESTS),
+    (TENSORS, "12 * alpha ** 4 / (alpha - beta) ** 5", "12 * alpha ** 4 / (alpha - beta) ** 4",
+     "(alpha - beta)^4 in place of ^5 in Matsumoto dp0/dbeta", TENSORS_TESTS),
+    (TENSORS, "(p * p1 - disc * beta)", "(p * p1 + disc * beta)", "flip disc beta in S1",
+     TENSORS_TESTS),
+    (TENSORS, "- 3.0 * mc.p1 * ac.q0", "- 2.0 * mc.p1 * ac.q0", "2 in place of 3 in gamma_1",
+     TENSORS_TESTS),
+    (TENSORS, "(pp.Faa - pp.Fa / alpha)", "(pp.Faa + pp.Fa / alpha)", "flip F_a/alpha in q2",
+     TENSORS_TESTS),
     (TENSORS, 'spec.family == "generalized-square" and spec.k >= 1',
      'spec.family == "generalized-square"', "q2-expanded-form row at k = 0", TENSORS_TESTS),
     *_drop_and_flip(CONNECTION, _S_TERMS, CONNECTION_TESTS),

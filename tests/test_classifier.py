@@ -124,6 +124,16 @@ def test_third_kind_vacuous_when_one_form_vanishes():
     assert report.third_kind.verdict == "vacuous"
 
 
+def test_classify_refuses_a_one_form_that_vanishes_where_b_ij_does_not():
+    # b = grad(0.05 x3^2) = (0, 0, 0.1 x3) vanishes on x3 = 0, but b_33 = 0.1 there:
+    # the algebraic and geometric kind tests are equivalent only where b != 0
+    spec = make_space(k=1, potential="0.05*x3^2")
+    surface = LevelSurface(ex.parse("0.1*x3"), 0.0)
+    with pytest.raises(ValueError, match=r"the 1-form vanishes at x=\[.*, 0\.0\] while b_ij "
+                                         r"does not: the kind tests need b != 0 there"):
+        classify(surface, spec, FAST)
+
+
 def test_proportionality_check_vanishes_on_level_surfaces():
     # c is parallel to b on these fixtures, so c_0 = 0 on tangential flags and
     # both sides of the proportionality vanish

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_space
+from conftest import make_space, richardson_hessian
 from finslerkit.expr import DomainError
 from finslerkit.geodesic import (
     GeodesicParams,
@@ -10,7 +10,6 @@ from finslerkit.geodesic import (
     minimize,
     polyline_length,
 )
-from finslerkit.numerics import fd_hessian
 
 
 def _euclid2():
@@ -125,6 +124,7 @@ def test_single_segment_shortcut():
     spec = _euclid2()
     res = minimize(spec, GeodesicParams(start=[0, 0], end=[1, 0], segments=1))
     assert res.converged and res.length == 1.0 and res.iterations == 0
+    assert res.message == "single segment: nothing to optimize"
 
 
 def test_trace_is_monotone_nonincreasing():
@@ -158,7 +158,7 @@ def test_assembled_derivatives_match_differences_of_the_float_length():
     def lengths(coords):  # fd_hessian passes every stencil point at once, as lanes
         return np.array([length(point) for point in np.stack(coords, axis=-1)])
 
-    fd_hess = fd_hessian(lengths, flat, step=1e-3, richardson=True)
+    fd_hess = richardson_hessian(lengths, flat, step=1e-3)
     assert np.abs(hess - fd_hess).max() <= 1e-5 * np.abs(fd_hess).max()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     exp_fixture,
+    induced,
     make_space,
     one_frame,
     plane_fixture,
@@ -19,7 +20,6 @@ from finslerkit.hypersurface import (
     OffSurfaceError,
     chart_at,
     frame_at,
-    induced_tensors,
 )
 
 
@@ -92,15 +92,15 @@ def test_induced_metric_is_pullback_of_a():
         for x0, v in tangential_points_and_dirs(surface, spec, 5, seed=5):
             frame = one_frame(spec, surface, x0, v)
             a_pullback = frame.chart.B.T @ frame.bundle.flag.a @ frame.chart.B
-            assert np.abs(frame.g_ind - a_pullback).max() < 1e-11
+            assert np.abs(induced(frame)[0] - a_pullback).max() < 1e-11
 
 
 def test_induced_tensors_on_small_b_plane():
     spec, surface = plane_fixture(1)
     frame = one_frame(spec, surface, [0.3, 0.4, 0.0], [1.0, 0.0])
-    assert np.abs(frame.g_ind - np.eye(2)).max() < 1e-14
-    g_ind, h_ind, c_ind = induced_tensors(frame.chart, frame.bundle)
-    assert np.allclose(g_ind, frame.g_ind)
+    g_ind, _, _, c_ind = induced(frame)
+    assert np.abs(g_ind - np.eye(2)).max() < 1e-14
+    assert np.allclose(frame.chart.B.T @ frame.bundle.h @ frame.chart.B, frame.h_ind)
     assert np.abs(c_ind).max() < 1e-15  # every torsion term carries a normal factor
 
 
@@ -260,7 +260,7 @@ def test_frame_identities_sweep():
         # ten directions share the point's chart and connection
         frame = frame_at(spec, chart_at(surface, [x0]), covariant_db(spec, [x0]),
                          [rng.normal(size=(10, 2))])
-        for B, Bd, n_up, n_dn, g, h in zip(frame.chart.B, frame.B_dual, frame.N_up, frame.N_dn,
+        for B, Bd, n_up, n_dn, g, h in zip(frame.chart.B, induced(frame)[2], frame.N_up, frame.N_dn,
                                            frame.bundle.g, frame.bundle.h):
             assert np.abs(Bd @ B - np.eye(2)).max() < 1e-10
             assert np.abs(B @ Bd + np.outer(n_up, n_dn) - np.eye(3)).max() < 1e-10
@@ -280,7 +280,8 @@ def test_ambient_torsion_decomposes_into_tangential_and_normal_parts():
         B = frame.chart.B
         c_mixed = np.einsum("il,ljk->ijk", frame.bundle.g_inv, frame.bundle.C)
         pulled = np.einsum("ijk,ja,kb->iab", c_mixed, B, B)
-        c_up = np.einsum("gd,dab->gab", frame.g_ind_inv, frame.C_ind)
+        _, g_ind_inv, _, c_ind = induced(frame)
+        c_up = np.einsum("gd,dab->gab", g_ind_inv, c_ind)
         m_ab = np.einsum("ijk,ia,jb,k->ab", frame.bundle.C, B, B, frame.N_up)
         recomposed = np.einsum("gab,ig->iab", c_up, B) + np.einsum("ab,i->iab", m_ab, frame.N_up)
         assert np.abs(pulled - recomposed).max() < 1e-10

@@ -140,9 +140,6 @@ def test_each_oracle_calls_its_function_once_per_batch():
     calls.clear()
     fd_hessian(f, ys)
     assert calls == [(19, 5)]  # 1 + 2d + 4 d(d-1)/2 stencil points
-    calls.clear()
-    fd_hessian(f, ys, richardson=True)
-    assert calls == [(38, 5)]  # both steps in the one call
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

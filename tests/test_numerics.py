@@ -97,15 +97,6 @@ def test_fd_hessian_basics():
         fd_hessian(lambda y: y[0], [1.0], step=0.0)
 
 
-def test_fd_richardson_refines():
-    f = lambda y: np.exp(y[0]) * np.sin(y[1])  # lane-generic: fd_hessian passes arrays
-    y = [0.4, 0.9]
-    exact = jet_eval(lambda v: v[0].exp() * v[1].sin(), y).hessian
-    plain = np.abs(fd_hessian(f, y, step=1e-3) - exact).max()
-    refined = np.abs(fd_hessian(f, y, step=1e-3, richardson=True) - exact).max()
-    assert refined < plain
-
-
 def _random_smooth(rng, dim):
     w1 = rng.normal(size=dim)
     w2 = rng.normal(size=dim)
