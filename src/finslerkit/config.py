@@ -255,7 +255,7 @@ def load_config(path: str | Path) -> RunConfig:
             potential = space.b_potential
         else:
             raise ConfigError("[hypersurface] needs 'potential' when the space has none")
-        surface = LevelSurface(potential, level if level is not None else 0.0)
+        surface = LevelSurface(potential, level if level is not None else 0.0, space)
 
     return RunConfig(
         space=space, surface=surface, audit=options["audit"],
@@ -265,6 +265,11 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _probe_symmetry(space: SpaceSpec) -> None:
+    """Refuse an a(x) that is not symmetric: rows that mirror each other as
+    expressions are symmetric at every x, otherwise a(x) is sampled."""
+    d, a = space.dim, space.a
+    if all(a[i][j] == a[j][i] for i in range(d) for j in range(i + 1, d)):
+        return
     rng = np.random.default_rng(0)
     for _ in range(_SYMMETRY_SAMPLES):
         x = rng.uniform(-1.0, 1.0, size=space.dim)

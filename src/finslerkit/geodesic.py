@@ -4,11 +4,14 @@ functional s[gamma] = integral of F(gamma, dgamma/dt) dt.
 A polyline's length is the sum of F(midpoint, segment) over segments: by
 positive 1-homogeneity in the direction argument the parametrization
 cancels, so no dt shows up.  `_segment_length` is the one home of that
-midpoint rule: it takes the end nodes of all segments as lanes, float ones
-for the length and hyper-dual ones for the jet whose gradient and Hessian
-drive the damped Newton steps (the metric data evaluates generically through
-the space's tables).  Each interior node keeps its fraction of the chord and
-moves only across it, so a curve must be a graph over its chord.
+midpoint rule: it takes the end nodes of all segments as lanes, hyper-dual
+ones for the jet whose value, gradient and Hessian drive the damped Newton
+steps (one pass per trial), float ones for `polyline_length` (the metric data
+evaluates generically through the space's tables).  `polyline_length` is the
+float oracle of that length; `minimize` reads it only for a single segment and
+to name the first failing segment of a start polyline that leaves the domain.
+Each interior node keeps its fraction of the chord and moves only across it,
+so a curve must be a graph over its chord.
 """
 
 from __future__ import annotations
@@ -96,7 +99,8 @@ _DAMPING_FACTOR = 10.0
 
 
 def _length_derivatives(spec: SpaceSpec, nodes):
-    """Gradient and Hessian of the length in the stacked interior coordinates.
+    """Length (exactly rounded, as in `polyline_length`), and its gradient and
+    Hessian in the stacked interior coordinates.
 
     One hyper-dual jet covers every segment, each a point over its two
     nodes' 2d coordinates, which add in at those nodes' offsets; the fixed
@@ -112,7 +116,8 @@ def _length_derivatives(spec: SpaceSpec, nodes):
     grad[1:] += g[:, 1]
     for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
         hess[s + a, :, s + b] += h[:, a, :, b]
-    return grad.ravel()[d:-d], hess.reshape(nodes.size, nodes.size)[d:-d, d:-d]
+    return (math.fsum(jet.value), grad.ravel()[d:-d],
+            hess.reshape(nodes.size, nodes.size)[d:-d, d:-d])
 
 
 def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
@@ -126,15 +131,16 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     ``q - p`` is not a graph over its chord and cannot be represented.  The
     offsets start at 1% of a segment, seeded by ``params.seed``.  Each
     iteration solves (H + mu I) s = -g with the jet gradient and Hessian in z
-    and accepts the step only when the float `polyline_length` passes an
-    Armijo test; a rejected or out-of-domain trial raises the damping mu, an
-    accepted one lowers it.  The loop stops when the max-norm of the gradient
-    in z (the length's gradient across the chord) is at most ``params.tol``,
-    when the last accepted step left the length unchanged (its float minimum,
-    not converged), or after ``params.iters`` iterations.  Damping that grows
-    without an acceptance ends with a non-converged result rather than an
-    exception; an initial polyline that leaves the domain raises
-    `SegmentDomainError`.
+    and accepts the step only when the length of the trial's own jet passes
+    an Armijo test, so each trial is one jet pass; a rejected or out-of-domain
+    trial raises the damping mu, an accepted one lowers it.  The loop stops
+    when the max-norm of the gradient in z (the length's gradient across the
+    chord) is at most ``params.tol``, when the last accepted step left the
+    length unchanged (its float minimum, not converged), or after
+    ``params.iters`` iterations.  Damping that grows without an acceptance
+    ends with a non-converged result rather than an exception; an initial
+    polyline that leaves the domain raises `SegmentDomainError`, whose
+    segment the float `polyline_length` names.
     """
     p = np.asarray(params.start, dtype=float)
     q = np.asarray(params.end, dtype=float)
@@ -158,17 +164,20 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
         inner = chord + offsets.reshape(-1, len(across)) @ across
         return np.vstack([p[None, :], inner, q[None, :]])
 
-    def derivatives(offsets):
-        g, h = _length_derivatives(spec, nodes_of(offsets))
-        return weights @ g, weights @ h @ weights.T
+    def evaluate(offsets):
+        length, g, h = _length_derivatives(spec, nodes_of(offsets))
+        return length, weights @ g, weights @ h @ weights.T
 
     if len(z) == 0:
         length = polyline_length(spec, nodes_of(z))
         return GeodesicResult(nodes_of(z), length, 0.0, 0, True, [length],
                               "single segment: nothing to optimize")
 
-    value = polyline_length(spec, nodes_of(z))
-    grad, hess = derivatives(z)
+    try:
+        value, grad, hess = evaluate(z)
+    except ArithmeticError:
+        polyline_length(spec, nodes_of(z))  # raises SegmentDomainError naming the segment
+        raise
     trace, damping = [value], _DAMPING_START
     it, converged, message = 0, False, ""
     for it in range(1, params.iters + 1):
@@ -188,12 +197,12 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
                 step = -vec @ (g_eig / shifted)
                 trial = z + step
                 try:
-                    tval = polyline_length(spec, nodes_of(trial))
-                    if tval <= value + 1e-4 * float(grad @ step):
-                        tgrad, thess = derivatives(trial)
-                        break
+                    tval, tgrad, thess = evaluate(trial)
                 except ArithmeticError:
                     pass  # domain exit: damp harder
+                else:
+                    if tval <= value + 1e-4 * float(grad @ step):
+                        break
             damping *= _DAMPING_FACTOR
         else:
             message = "line search stalled: persistent step rejection"

@@ -21,7 +21,7 @@ tensor h_ab and the second fundamental tensors H_a, H_ab, M_ab and M_a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -42,13 +42,18 @@ class OffSurfaceError(ValueError):
 @dataclass
 class LevelSurface:
     """Scalar potential with a level value; working points must be regular.
-    Each evaluation takes one point x (d,) or P points (P, d) as lanes."""
+    Each evaluation takes one point x (d,) or P points (P, d) as lanes.  When
+    the potential is the given ``space``'s own `b_potential`, its gradient and
+    Hessian tables are the space's `b_table` and that table's partials."""
 
     potential: ex.Expr
     level: float
+    space: InitVar[SpaceSpec | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, space):
         self.table = ex.ExprTable([self.potential])
+        if space is not None and space.b_potential == self.potential:
+            self.table._partials[space.dim] = space.b_table  # derived once, by the space
 
     def value(self, x):
         return self.table.at(x)

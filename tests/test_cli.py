@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from finslerkit import cli
 from finslerkit.classifier import ClassifierConsistencyError, classify
 from finslerkit.cli import build_parser, cmd_classify, main
@@ -12,7 +13,7 @@ from finslerkit.config import ConfigError, load_config
 from finslerkit.expr import DomainError, ExprSyntaxError
 from finslerkit.geodesic import SegmentDomainError
 from finslerkit.hypersurface import OffSurfaceError
-from finslerkit.metric import DegenerateMetricError, FamilyDomainError
+from finslerkit.metric import DegenerateMetricError, FamilyDomainError, SpaceSpec
 from finslerkit.tensors import AuditParams, SingularCoefficientError, audit_sweep
 
 PLANE_CFG = """
@@ -219,6 +220,8 @@ def test_machine_output_is_byte_identical_across_runs(tmp_path, capsys):
         ("tensors", "e1", 0), ("audit", "e1", 0), ("classify", "e2", 0),
         ("classify", "e4", 1),  # first kind with c orthogonal to b; second kind fails
         ("geodesic", "geodesic_randers", 0),
+        ("classify", "e5", 1),  # first kind on a curved a; second kind fails
+        ("geodesic", "e5", 0),
     )
 ])
 def test_shipped_config_output_is_byte_identical_across_runs(
@@ -516,6 +519,30 @@ def test_symmetry_probe_skips_a_point_where_a_cannot_be_evaluated(tmp_path):
     with pytest.raises(DomainError, match="sqrt of negative value"):
         loaded.space.a_at(probe[1])
     assert all(np.array_equal(a, a.T) for a in loaded.space.a_at(probe[[0, 2, 3]]))
+
+
+def test_rows_that_mirror_as_expressions_are_not_sampled(monkeypatch):
+    # a_ij and a_ji are the same Expr for i < j: symmetric at every x, so no a(x) is drawn
+    a_calls = count_calls(monkeypatch, SpaceSpec, "a_at")
+    load_config(Path(__file__).resolve().parents[1] / "configs" / "e1.cfg")
+    assert a_calls == []
+
+
+@pytest.mark.parametrize("config", ["e1", "e2", "e3", "e4", "e5"])
+def test_a_surface_of_the_space_potential_reads_the_space_tables(config):
+    # e1-e4 repeat b_potential as the surface potential, e5 defaults to it
+    loaded = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{config}.cfg")
+    assert loaded.surface.table.diff(3) is loaded.space.b_table
+
+
+def test_rows_equal_only_in_value_are_still_sampled(tmp_path, monkeypatch):
+    # x1*x2 and x2*x1 differ as expressions, so a(x) is sampled at the four
+    # points, and the one where sqrt(x1) fails is skipped
+    cfg = GEO_CFG.replace("a_row = 1, 0", "a_row = 1 + sqrt(x1), 0.1*x1*x2").replace(
+        "a_row = 0, 1", "a_row = 0.1*x2*x1, 1")
+    a_calls = count_calls(monkeypatch, SpaceSpec, "a_at")
+    load_config(_write(tmp_path, cfg))
+    assert len(a_calls) == 4
 
 
 def test_config_rejects_k_zero(tmp_path):

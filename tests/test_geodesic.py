@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_space, richardson_hessian
+from conftest import count_calls, make_space, richardson_hessian
+from finslerkit import geodesic
 from finslerkit.expr import DomainError
 from finslerkit.geodesic import (
     GeodesicParams,
@@ -148,7 +149,8 @@ def test_assembled_derivatives_match_differences_of_the_float_length():
         return polyline_length(spec, np.vstack([p, np.reshape(flat, (-1, 3)), q]))
 
     flat = inner.flatten()
-    grad, hess = _length_derivatives(spec, np.vstack([p, inner, q]))
+    value, grad, hess = _length_derivatives(spec, np.vstack([p, inner, q]))
+    assert value == pytest.approx(length(flat), rel=1e-15)
     h = 1e-6
     fd_grad = np.array([
         (length(flat + h * e) - length(flat - h * e)) / (2 * h) for e in np.eye(len(flat))
@@ -240,3 +242,28 @@ def test_a_geodesic_at_its_float_minimum_stops_at_once():
     assert res.iterations <= 6
     assert res.trace[-1] == res.trace[-2] == pytest.approx(1.4096555615733701, abs=1e-15)
     assert np.all(np.diff(res.trace) <= 0.0)
+
+
+def test_each_newton_trial_is_one_jet_pass(monkeypatch):
+    # the Armijo test reads the trial's own jet length: one jet for the start
+    # offsets and one per trial, and no float length at all; every trial of
+    # this solve is accepted, so the trials are the trace's later entries
+    jets = count_calls(monkeypatch, geodesic, "jet_eval")
+    floats = count_calls(monkeypatch, geodesic, "polyline_length")
+    spec = make_space(family="matsumoto", k=1, dim=2, potential="0.1*x1*x2")
+    res = minimize(spec, GeodesicParams(start=[0, 0], end=[1, 1], segments=8,
+                                        iters=600, tol=1e-7, seed=1))
+    trials = len(res.trace) - 1
+    assert res.converged and trials >= 2
+    assert len(jets) == 1 + trials
+    assert floats == []
+
+
+def test_a_start_polyline_off_the_domain_names_its_first_failing_segment():
+    # sqrt(x1) of a(x): segments 0-1 of the chord from x1 = 1 lie at x1 > 0,
+    # segment 2 is the first whose midpoint has x1 < 0
+    spec = make_space(family="riemannian", dim=2, b=["0", "0"], a=[["sqrt(x1)", "0"], ["0", "1"]])
+    with pytest.raises(SegmentDomainError, match="^segment 2: ") as err:
+        minimize(spec, GeodesicParams(start=[1, 0], end=[-1, 0.5], segments=4, seed=1))
+    assert err.value.segment == 2
+    assert isinstance(err.value.__cause__, DomainError)

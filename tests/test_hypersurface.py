@@ -285,3 +285,28 @@ def test_ambient_torsion_decomposes_into_tangential_and_normal_parts():
         m_ab = np.einsum("ijk,ia,jb,k->ab", frame.bundle.C, B, B, frame.N_up)
         recomposed = np.einsum("gab,ig->iab", c_up, B) + np.einsum("ab,i->iab", m_ab, frame.N_up)
         assert np.abs(pulled - recomposed).max() < 1e-10
+
+
+@pytest.mark.parametrize("text, level", [
+    ("exp(x3)", 1.0), ("(x1^2 + x2^2 + x3^2)/2", 0.5), ("0.1*x3", 0.0),
+])
+def test_the_space_potential_is_derived_once(text, level):
+    # a surface of the space's own potential reads the space's b table and its
+    # partials, derives no tree of its own, and evaluates to the same bits
+    spec = make_space(potential=text)
+    shared = LevelSurface(ex.parse(text), level, spec)
+    own = LevelSurface(ex.parse(text), level)
+    assert shared.table.diff(3) is spec.b_table
+    assert shared.table.diff(3).diff(3) is spec.b_table.diff(3)
+    xs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 3))
+    for x in (xs, xs[0]):
+        assert np.array_equal(shared.gradient(x), own.gradient(x))
+        assert np.array_equal(shared.hessian(x), own.hessian(x))
+        assert np.array_equal(shared.hessian(x), spec.db_at(x))
+
+
+def test_another_potential_derives_its_own_tables():
+    spec = make_space(potential="0.1*x3")
+    surface = LevelSurface(ex.parse("x3"), 0.0, spec)
+    assert surface.table.diff(3) is not spec.b_table
+    assert np.array_equal(surface.gradient([0.2, 0.1, 0.0]), [0.0, 0.0, 1.0])
