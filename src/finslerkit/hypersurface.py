@@ -10,13 +10,14 @@ or P points (P, d) as lanes, and so does `chart_at`, each lane with its own
 dependent coordinate; its guards hold in every lane and name the failing point.
 
 Tangential flags satisfy beta = 0; on them the induced metric is the
-pullback of a_ij (a Riemannian metric) and the normal is the g-unit,
-g-orthogonal vector on the side of increasing potential.  A frame takes one
-bundle per surface point, then one pass over the flags of all P points, each
+pullback of a_ij (a Riemannian metric) and the normal is the g-unit vector
+along g^ij phi_j, the potential's gradient raised by the bundle's closed-form
+g^ij, on the side of increasing potential.  A frame takes one bundle per
+surface point, then one pass over the flags of all P points, each
 with its point's lane of the charts and connections; the tangency, normal and
 orthogonality guards hold in every lane, against that flag's own scale.  The
 frame keeps what classification reads: the normal pair, the induced angular
-tensor h_ab and the second fundamental tensors H_a, H_ab, M_ab and M_a.
+tensor h_ab and the second fundamental tensors H_a, H_ab and M_ab.
 """
 
 from __future__ import annotations
@@ -133,16 +134,15 @@ def _tangential(flag: FlagPoint) -> FlagPoint:
 
 
 def unit_normal(chart: Chart, bundle: TensorBundle):
-    """g-unit normal at each of the bundle's flags: solves g_ij B^i_a N^j = 0
-    with g_ij N^i N^j = 1, oriented toward increasing potential (b_i N^i > 0)."""
-    g = bundle.g
-    # one column per lane: before numpy 2, a 1-D b broadcasts only against a single g
-    w = np.linalg.solve(g, np.broadcast_to(chart.grad, g.shape[:-1])[..., None])[..., 0]
+    """g-unit normal N^i = g^ij phi_j / sqrt(g^jk phi_j phi_k) at each of the bundle's flags,
+    from the potential's gradient phi_j, toward increasing potential; N_i = g_ij N^j, so the
+    tangency-orthogonality guard checks the closed-form g^ij against g_ij as well."""
+    w = matvec(bundle.g_inv, chart.grad)
     s = dot(chart.grad, w)
     if any_lane(s <= 0.0):
         raise ArithmeticError("degenerate fundamental tensor: cannot normalize the normal")
     n_up = w / lanewise(np.sqrt(s), 1)
-    n_dn = matvec(g, n_up)
+    n_dn = matvec(bundle.g, n_up)
     resid = np.abs(matvec(np.swapaxes(chart.B, -1, -2), n_dn)).max(-1)
     off = resid > 1e-8 * (1.0 + np.abs(n_dn).max(-1))
     if any_lane(off):
@@ -167,7 +167,6 @@ class HypersurfaceFrame:
     H_a: np.ndarray          # normal curvature
     H_ab: np.ndarray         # second fundamental h-tensor
     M_ab: np.ndarray         # second fundamental v-tensor
-    M_a: np.ndarray
 
 
 def frame_at(
@@ -192,33 +191,30 @@ def frame_at(
     n_up, n_dn = unit_normal(chart, bundle)
     B, Bt = chart.B, np.swapaxes(chart.B, -1, -2)
     h_ind = Bt @ bundle.h @ B
-    h_a, h_ab, m_ab, m_a = normal_curvature_and_h(chart, bundle, conn, v, n_up, n_dn)
-    return HypersurfaceFrame(
-        chart=chart, bundle=bundle, v=v,
-        N_up=n_up, N_dn=n_dn, h_ind=h_ind,
-        H_a=h_a, H_ab=h_ab, M_ab=m_ab, M_a=m_a,
-    )
+    h_a, h_ab, m_ab = normal_curvature_and_h(chart, bundle, conn, v, n_up, n_dn)
+    return HypersurfaceFrame(chart=chart, bundle=bundle, v=v, N_up=n_up, N_dn=n_dn,
+                             h_ind=h_ind, H_a=h_a, H_ab=h_ab, M_ab=m_ab)
 
 
 def normal_curvature_and_h(
     chart: Chart, bundle: TensorBundle, conn: ConnectionData, v, n_up, n_dn
 ):
-    """(H_a, H_ab, M_ab, M_a) at the flags y = B v with normal pairs (N^i, N_i):
-    H_a = N_i (B^i_0a + G*^i_0j B^j_a), M_ab = C_ijk B^i_a B^j_b N^k,
-    M_a = C_ijk B^i_a N^j N^k and H_ab = N_i (B^i_ab + G*^i_jk B^j_a B^k_b) + M_a H_b,
-    with the Cartan horizontal coefficients entering as Christoffel plus
-    difference tensor."""
+    """(H_a, H_ab, M_ab) at the flags y = B v with normal pairs (N^i, N_i):
+    H_a = N_i (B^i_0a + G*^i_0j B^j_a), H_ab = N_i (B^i_ab + G*^i_jk B^j_a B^k_b)
+    and M_ab = C_ijk B^i_a B^j_b N^k, with the Cartan horizontal coefficients
+    entering as Christoffel plus difference tensor.  H_ab has no M_a H_b term: M_a =
+    C_ijk B^i_a N^j N^k vanishes on a tangential flag of every (alpha, beta)-metric.
+    There beta = 0, so h(., y) = 0 forces q1 = 0; the tangency guard makes b orthogonal
+    to B_a, so m(B_a) = 0 and N, proportional to g^ij b_j, lies in span(b^i, y^i);
+    hence h(B_a, N) = 0 and C(B_a, N, N) = p1 h(B_a, N) m(N)/p = 0."""
     B, Bt = chart.B, np.swapaxes(chart.B, -1, -2)
     gstar = conn.gamma + difference_tensor(bundle, conn)
     g0 = (bundle.flag.y[..., None, None, :] @ gstar)[..., 0, :]  # G*^i_0j
     b0b = (v[..., None, None, :] @ chart.B2)[..., 0, :]            # B^i_0b
     h_a = (n_dn[..., None, :] @ (b0b + g0 @ B))[..., 0, :]
-    c_n = matvec(bundle.C, n_up[..., None, :])                     # C_ijk N^k
-    m_ab = Bt @ c_n @ B
-    m_a = matvec(Bt, matvec(c_n, n_up))
+    m_ab = Bt @ matvec(bundle.C, n_up[..., None, :]) @ B
     h_ab = (
         np.einsum("...i,...iab->...ab", n_dn, chart.B2)
         + Bt @ np.einsum("...i,...ijk->...jk", n_dn, gstar) @ B
-        + outer(m_a, h_a)
     )
-    return h_a, h_ab, m_ab, m_a
+    return h_a, h_ab, m_ab

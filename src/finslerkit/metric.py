@@ -6,8 +6,9 @@ for audit breadth: every closed form downstream is checked against the same
 differentiation oracles across all of them.
 
 `finsler_norm` is the single home of F, `_in_domain` of each family's domain
-check.  `resolve_family` maps the aliases, once per `SpaceSpec` (whose k is
->= 1): randers is generalized-square at k = 0, square and kropina are the
+check and `edge_distance` of a flag's distance to that domain's edge.
+`resolve_family` maps the aliases, once per `SpaceSpec` (whose k is >= 1):
+randers is generalized-square at k = 0, square and kropina are the
 generalized families at k = 1.
 
 `SpaceSpec` holds a and b as expression tables (`expr.ExprTable`), which
@@ -124,6 +125,17 @@ def _in_domain(family: str, k: int, alpha, beta):
     num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
     with np.errstate(all="ignore"):  # overflow to inf, underflow to 0: not finite
         return (den > 0.0) & np.isfinite(num ** p / den ** q)
+
+
+def edge_distance(family: str, alpha, beta, b2):
+    """A flag's distance to its (canonical) family's singular edge in the norm of a, per
+    lane: a step s moves beta by at most |b| |s| and alpha - beta by at most (1 + |b|) |s|.
+    Unbounded for the families with no edge near a valid flag."""
+    if family == "generalized-kropina":
+        return beta / np.sqrt(b2)
+    if family == "matsumoto":
+        return (alpha - beta) / (1.0 + np.sqrt(b2))
+    return np.inf
 
 
 def phi_partials(family: str, k: int, alpha, beta) -> PhiPartials:

@@ -286,14 +286,15 @@ def _pair_seeds(d: int, ndim: int):
     return seeds
 
 
-def fd_hessian(f: Callable, y, step: float = 1e-4) -> np.ndarray:
+def fd_hessian(f: Callable, y, step=1e-4) -> np.ndarray:
     """Central-difference Hessian, symmetric by construction (one estimate per pair i <= j).
 
-    ``y`` is one point (d,) or a batch (..., d); ``f`` gets a list of d
-    coordinate arrays and runs once, on lanes (S, ...) holding every
-    stencil point of every point.
+    ``y`` is one point (d,) or a batch (..., d), ``step`` one float or one per
+    point (...); ``f`` gets a list of d coordinate arrays and runs once, on
+    lanes (S, ...) holding every stencil point of every point.
     """
-    if step <= 0.0:
+    step = np.asarray(step, dtype=float)
+    if not np.all(step > 0.0):
         raise ValueError("step must be positive")
     y = np.asarray(y, dtype=float)
     d = y.shape[-1]
@@ -302,7 +303,7 @@ def fd_hessian(f: Callable, y, step: float = 1e-4) -> np.ndarray:
     # the point, +-e_m, then ++, +-, -+, -- of each pair i < j
     stencil = np.concatenate([np.zeros((1, d)), eye, -eye, eye[i] + eye[j], eye[i] - eye[j],
                               eye[j] - eye[i], -eye[i] - eye[j]])
-    points = y + (step * stencil).reshape(stencil.shape[:1] + (1,) * (y.ndim - 1) + (d,))
+    points = y + step[..., None] * stencil.reshape(stencil.shape[:1] + (1,) * (y.ndim - 1) + (d,))
     v = np.broadcast_to(f([points[..., m] for m in range(d)]), points.shape[:-1])
     f0, plus, minus = v[0], v[1:d + 1], v[d + 1:2 * d + 1]
     pp, pm, mp, mm = np.split(v[2 * d + 1:], 4)

@@ -28,6 +28,7 @@ from .metric import (
     SpaceSpec,
     alpha_beta_generic,
     base_point,
+    edge_distance,
     finsler_norm,
     flag_point,
     phi_partials,
@@ -330,8 +331,17 @@ AUDIT_TOLERANCES = {
 }
 
 
-# central-difference step of the finite-difference Hessian oracle
+# central-difference step of the finite-difference Hessian oracle, relative to alpha, and
+# its bound relative to the flag's distance to its family's edge
 FD_STEP = 1e-4
+FD_EDGE = 2e-4
+
+
+def fd_step(spec: SpaceSpec, flag: FlagPoint):
+    """The finite-difference oracle's step per flag: near an edge its remainder grows like
+    (h / dist)^2, and a fixed step may cross the edge.  Reads only alpha, beta and b^2."""
+    dist = edge_distance(spec.family, flag.alpha, flag.beta, flag.b2)
+    return np.minimum(FD_STEP * flag.alpha, FD_EDGE * dist)
 
 
 def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
@@ -356,7 +366,8 @@ def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:
 
     rows = [
         _row("fundamental-vs-jet-oracle", err(bundle.g, jet_eval(f, ys).hessian)),
-        _row("fundamental-vs-fd-oracle", err(bundle.g, fd_hessian(f, ys, step=FD_STEP))),
+        _row("fundamental-vs-fd-oracle",
+             err(bundle.g, fd_hessian(f, ys, fd_step(spec, bundle.flag)))),
         _row("angular-identity", err(bundle.h, bundle.g - outer(bundle.l, bundle.l))),
         _row("reciprocal-vs-inversion", err(bundle.g_inv, np.linalg.inv(bundle.g))),
         _row("hv-torsion-vs-jet-oracle", err(bundle.C, torsion_oracle(spec, point, ys))),

@@ -100,6 +100,13 @@ def induced(frame):
     return g_ind, g_ind_inv, g_ind_inv @ Bt @ frame.bundle.g, c_ind
 
 
+def m_a_of(frame) -> np.ndarray:
+    """M_a = C_ijk B^i_a N^j N^k of a frame, lanes in front, from its bundle, chart
+    and N^i: the frame keeps no M_a, which vanishes on tangential flags."""
+    c_nn = np.einsum("...ijk,...j,...k->...i", frame.bundle.C, frame.N_up, frame.N_up)
+    return np.einsum("...ia,...i->...a", frame.chart.B, c_nn)
+
+
 def richardson_hessian(f, y, step: float) -> np.ndarray:
     """`fd_hessian` with its leading O(h^2) error removed: (4 H(h/2) - H(h)) / 3."""
     return (4.0 * fd_hessian(f, y, step / 2.0) - fd_hessian(f, y, step)) / 3.0

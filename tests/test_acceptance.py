@@ -23,6 +23,7 @@ from conftest import (
     each_flag,
     exp_fixture,
     lane,
+    m_a_of,
     make_space,
     plane_fixture,
     radial_fixture,
@@ -194,7 +195,7 @@ def test_criterion_06_second_fundamental_tensors(tangential_frames):
         for k in KS:
             dev = 0.0
             for spec, frame in tangential_frames[(name, k)]:
-                worst_ma = max(worst_ma, float(np.abs(frame.M_a).max()))
+                worst_ma = max(worst_ma, float(np.abs(m_a_of(frame)).max()))
                 worst_sym = max(worst_sym, float(np.abs(frame.H_ab - frame.H_ab.T).max()))
                 b2 = frame.bundle.flag.b2
                 zeta = 1 + k * (k + 1) * b2

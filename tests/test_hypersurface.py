@@ -6,14 +6,17 @@ import pytest
 from conftest import (
     exp_fixture,
     induced,
+    m_a_of,
     make_space,
     one_frame,
     plane_fixture,
     radial_fixture,
     tangential_flag,
     tangential_points_and_dirs,
+    varying_space,
 )
 from finslerkit import expr as ex
+from finslerkit.classifier import surface_points
 from finslerkit.connection import covariant_db
 from finslerkit.hypersurface import (
     LevelSurface,
@@ -166,7 +169,7 @@ def test_second_fundamental_v_tensor_proportional_to_angular():
                 assert np.abs(frame.M_ab - factor * frame.h_ind).max() <= 1e-8 * (
                     1.0 + np.abs(frame.h_ind).max()
                 )
-                assert np.abs(frame.M_a).max() < 1e-8
+                assert np.abs(m_a_of(frame)).max() < 1e-8
 
 
 def test_second_fundamental_v_factor_value_on_plane():
@@ -205,8 +208,8 @@ def test_h_tensor_antisymmetry_matches_v_tensor_coupling():
     spec, surface = radial_fixture(2)
     for x0, v in tangential_points_and_dirs(surface, spec, 5, seed=77):
         frame = one_frame(spec, surface, x0, v)
-        lhs = frame.H_ab - frame.H_ab.T
-        rhs = np.outer(frame.M_a, frame.H_a) - np.outer(frame.H_a, frame.M_a)
+        lhs, m_a = frame.H_ab - frame.H_ab.T, m_a_of(frame)
+        rhs = np.outer(m_a, frame.H_a) - np.outer(frame.H_a, m_a)
         assert np.abs(lhs - rhs).max() <= 1e-8 * (1.0 + np.abs(frame.H_ab).max())
         assert np.abs(lhs).max() <= 1e-8 * (1.0 + np.abs(frame.H_ab).max())
 
@@ -219,7 +222,8 @@ def test_contraction_relations_of_h_tensor():
         scale = 1.0 + np.abs(frame.H_ab).max()
         assert np.abs(frame.H_ab.T @ frame.v - frame.H_a).max() <= 1e-8 * scale
         h0 = frame.H_a @ frame.v
-        assert np.abs(frame.H_ab @ frame.v - (frame.H_a + frame.M_a * h0)).max() <= 1e-8 * scale
+        m_a = m_a_of(frame)
+        assert np.abs(frame.H_ab @ frame.v - (frame.H_a + m_a * h0)).max() <= 1e-8 * scale
 
 
 def test_normal_curvature_contraction_closed_form_on_sphere():
@@ -310,3 +314,19 @@ def test_another_potential_derives_its_own_tables():
     surface = LevelSurface(ex.parse("x3"), 0.0, spec)
     assert surface.table.diff(3) is not spec.b_table
     assert np.array_equal(surface.gradient([0.2, 0.1, 0.0]), [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("family, k", [("randers", 1), ("generalized-square", 1),
+                                       ("generalized-square", 2), ("generalized-square", 3),
+                                       ("matsumoto", 1), ("riemannian", 1)])
+def test_m_a_vanishes_on_tangential_flags(family, k):
+    # M_a = C_ijk B^i_a N^j N^k = 0 at beta = 0 for every (alpha, beta)-metric, which is
+    # why the frame's H_ab has no M_a H_b term; frame_at, unlike classify, takes any family
+    spec = varying_space(family, k, 3)
+    surface = LevelSurface(spec.b_potential, 0.2, spec)
+    pts = surface_points(surface, spec, 4, seed=61)
+    rng = np.random.default_rng(61)
+    frame = frame_at(spec, chart_at(surface, pts), covariant_db(spec, pts),
+                     [rng.normal(size=(3, 2)) for _ in pts])
+    scale = 1.0 + np.abs(frame.bundle.C).max(axis=(-3, -2, -1))
+    assert (np.abs(m_a_of(frame)).max(-1) <= 1e-13 * scale).all()

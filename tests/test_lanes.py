@@ -529,40 +529,24 @@ def test_tangency_bound_is_per_flag():
 
 
 def test_degenerate_normal_lane_raises_the_per_flag_error():
-    # unit_normal reads only the bundle's g: an indefinite g in one lane
+    # unit_normal reads only the bundle's g and g^-1: an indefinite pair in one lane
     spec, surface = exp_fixture(1)
     x0 = [[0.1, 0.2, 0.0]]
     good = frame_at(spec, chart_at(surface, x0), covariant_db(spec, x0),
                     [[[1.0, 0.0], [0.3, 1.0]]])
     chart, g = chart_at(surface, x0[0]), good.bundle.g  # one chart serves every lane
-    bad = types.SimpleNamespace(g=np.stack([g[0], -np.eye(3), g[1]]))
+    g = np.stack([g[0], -np.eye(3), g[1]])
+    bad = types.SimpleNamespace(g=g, g_inv=np.linalg.inv(g))
     with pytest.raises(ArithmeticError, match="cannot normalize") as one:
-        unit_normal(chart, types.SimpleNamespace(g=-np.eye(3)))
+        unit_normal(chart, types.SimpleNamespace(g=-np.eye(3), g_inv=-np.eye(3)))
     with pytest.raises(ArithmeticError) as lanes:
         unit_normal(chart, bad)
     assert str(lanes.value) == str(one.value)
     n_up, _ = unit_normal(good.chart, good.bundle)
     assert np.array_equal(n_up, good.N_up)
-
-
-def test_lane_normals_need_no_numpy_2_solve(monkeypatch):
-    # before numpy 2, solve took a 1-D right-hand side only against one matrix
-    spec, surface = exp_fixture(1)
-    x0 = [0.1, 0.2, 0.0]
-    frame = frame_at(spec, chart_at(surface, [x0]), covariant_db(spec, [x0]),
-                     [[[1.0, 0.0], [0.3, 1.0]]])
-    solve = np.linalg.solve
-
-    def numpy_1_solve(a, b):
-        if np.ndim(b) == 1 and np.ndim(a) > 2:
-            raise ValueError("solve: Input operand 1 does not have enough dimensions")
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", numpy_1_solve)
-    assert np.array_equal(unit_normal(frame.chart, frame.bundle)[0], frame.N_up)
-    single = tensors.bundle_at(spec, x0, frame.bundle.flag.y[0])
-    assert np.allclose(unit_normal(chart_at(surface, x0), single)[0], frame.N_up[0],
-                       rtol=1e-13, atol=0)
+    # one flag with no lane axis, as the first lane's chart and bundle
+    n_one, _ = unit_normal(chart, lane(good.bundle, 0))
+    assert np.allclose(n_one, good.N_up[0], rtol=1e-13, atol=0)
 
 
 # -- sampling: base points, pd_check and validity_check over lanes

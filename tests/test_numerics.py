@@ -97,6 +97,18 @@ def test_fd_hessian_basics():
         fd_hessian(lambda y: y[0], [1.0], step=0.0)
 
 
+def test_fd_hessian_takes_one_step_per_point():
+    # lane n of a batch with steps h_n has the bits of the single point at step h_n
+    f = _random_smooth(np.random.default_rng(5), 3)
+    ys = np.random.default_rng(6).normal(size=(4, 3))
+    steps = np.array([1e-4, 3e-5, 2e-6, 1e-3])
+    batch = fd_hessian(f, ys, steps)
+    for y, h, got in zip(ys, steps, batch):
+        assert np.array_equal(got, fd_hessian(f, y, h))
+    with pytest.raises(ValueError):
+        fd_hessian(f, ys, np.array([1e-4, 0.0, 1e-4, 1e-4]))
+
+
 def _random_smooth(rng, dim):
     w1 = rng.normal(size=dim)
     w2 = rng.normal(size=dim)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,14 @@ from conftest import (
     plane_fixture,
     radial_fixture,
     rel_error,
+    varying_space,
 )
 from finslerkit import metric
 from finslerkit.metric import SpaceSpec, flag_point, phi_partials, sample_flags
-from finslerkit.numerics import jet_eval
+from finslerkit.numerics import fd_hessian, jet_eval
 from finslerkit.tensors import (
+    AUDIT_TOLERANCES,
+    FD_STEP,
     AuditParams,
     SingularCoefficientError,
     angular_coefficients,
@@ -22,6 +27,7 @@ from finslerkit.tensors import (
     audit_sweep,
     bundle_at,
     dp0_dbeta,
+    fd_step,
     fundamental_tensor,
     gamma_one,
     half_f_squared,
@@ -283,6 +289,67 @@ def test_audit_sweep_k3_fundamental_error_bound():
     by_name = {r.check: r for r in report.rows}
     assert by_name["fundamental-vs-jet-oracle"].error < 1e-7
     assert report.ok
+
+
+FD_TOL = AUDIT_TOLERANCES["fundamental-vs-fd-oracle"]
+
+
+def _fd_error(g, ref) -> float:
+    """The audit's fd-row error: max deviation over 1 + max |ref|, worst flag."""
+    return float((np.abs(g - ref).max((-2, -1)) / (1.0 + np.abs(ref).max((-2, -1)))).max())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fd_step_scales_to_the_kropina_edge(k):
+    # at beta = 1e-3 the fixed step's remainder, (h |b| / beta)^2, is far above the
+    # tolerance; the step scaled to the edge passes, and its stencil keeps beta > 0
+    b = np.array([0.3, 0.1, 0.05])
+    spec = make_space(family="generalized-kropina", k=k, b=[str(c) for c in b])
+    x = [0.1, -0.2, 0.3]
+    y = np.array([-0.3, 0.9, 0.0]) / np.sqrt(0.9) + 1e-3 * b / (b @ b)  # b . y = 1e-3
+    bundle = bundle_at(spec, x, y)
+    assert bundle.flag.beta == pytest.approx(1e-3, rel=1e-12)
+    f, betas = half_f_squared(spec, x), []
+
+    def recorded(ys):
+        betas.append(sum(c * v for c, v in zip(b, ys)))
+        return f(ys)
+
+    assert _fd_error(bundle.g, fd_hessian(f, y, FD_STEP)) > 10 * FD_TOL
+    step = fd_step(spec, bundle.flag)
+    assert 0.0 < step < 1e-6
+    assert _fd_error(bundle.g, fd_hessian(recorded, y, step)) < 0.1 * FD_TOL
+    assert 0.99e-3 < np.min(betas)
+    rows = {r.check: r for r in audit_flag(spec, x, y)}
+    assert rows["fundamental-vs-fd-oracle"].passed
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scaled_fd_oracle_still_sees_a_small_error_on_kropina_flags(k):
+    # a 1e-4 relative error in one entry of g, or in p1, fails the fd row on
+    # sampled Kropina flags although the step shrinks near the edge
+    spec = varying_space("generalized-kropina", k, 3)
+    flags = sample_flags(spec, 60, seed=3)
+    bundle = bundle_at(spec, flags, flags.y)
+    fd = fd_hessian(half_f_squared(spec, flags), flags.y, fd_step(spec, bundle.flag))
+    assert _fd_error(bundle.g, fd) <= FD_TOL
+    g_entry = bundle.g.copy()
+    g_entry[..., 0, 0] *= 1.0001
+    mc = dataclasses.replace(bundle.metric, p1=1.0001 * bundle.metric.p1)
+    g_p1 = fundamental_tensor(mc, flags.a, flags.b, flags.y_low)
+    assert _fd_error(g_entry, fd) > 2 * FD_TOL
+    assert _fd_error(g_p1, fd) > 2 * FD_TOL
+
+
+def test_fd_step_is_alpha_relative_away_from_an_edge():
+    for family in ("generalized-square", "randers", "riemannian"):
+        spec = varying_space(family, 2, 3)
+        flags = sample_flags(spec, 5, seed=4)
+        assert np.array_equal(fd_step(spec, flags), FD_STEP * flags.alpha)
+    spec = varying_space("matsumoto", 2, 3)  # (alpha - beta)/(1 + |b|) bounds the step
+    flags = sample_flags(spec, 5, seed=4)
+    dist = (flags.alpha - flags.beta) / (1.0 + np.sqrt(flags.b2))
+    assert np.array_equal(fd_step(spec, flags), np.minimum(FD_STEP * flags.alpha, 2e-4 * dist))
 
 
 def test_assembly_helpers_match_bundle():
