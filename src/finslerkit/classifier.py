@@ -16,7 +16,7 @@ condition.  Classification applies to the power-quotient family
 
 What depends on x alone (surface points, connection, charts, the algebraic
 tests) runs once per `classify` as lanes over all points; one frame then holds
-every point's directions as lanes, point by point: one bundle per point, then one pass.
+every point's directions as lanes, point by point: one bundle and one pass over all flags.
 """
 
 from __future__ import annotations

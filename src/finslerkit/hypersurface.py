@@ -12,9 +12,9 @@ dependent coordinate; its guards hold in every lane and name the failing point.
 Tangential flags satisfy beta = 0; on them the induced metric is the
 pullback of a_ij (a Riemannian metric) and the normal is the g-unit vector
 along g^ij phi_j, the potential's gradient raised by the bundle's closed-form
-g^ij, on the side of increasing potential.  A frame takes one bundle per
-surface point, then one pass over the flags of all P points, each
-with its point's lane of the charts and connections; the tangency, normal and
+g^ij, on the side of increasing potential.  A frame is one bundle and one
+pass over the flags of all P points, each flag with its point's lane of the
+base points, charts and connections; the tangency, normal and
 orthogonality guards hold in every lane, against that flag's own scale.  The
 frame keeps what classification reads: the normal pair, the induced angular
 tensor h_ab and the second fundamental tensors H_a, H_ab and M_ab.
@@ -29,7 +29,7 @@ import numpy as np
 from . import expr as ex
 from .connection import ConnectionData, difference_tensor
 from .metric import FlagPoint, SpaceSpec
-from .numerics import any_lane, dot, first_lane, join_lanes, lane, lanewise, matvec, outer
+from .numerics import any_lane, dot, first_lane, lane, lanewise, matvec, outer
 from .tensors import TensorBundle, bundle_at
 
 BETA_TOL = 1e-10   # tangency bound on |beta|, relative to max|b| max|y|
@@ -174,7 +174,7 @@ def frame_at(
 ) -> HypersurfaceFrame:
     """The frame at P points from stacked charts and connections (P of each, one
     point is a stack of one), directions[p] (N_p >= 1, d-1) at point p: one bundle
-    per point, then one pass over all flags."""
+    and one pass over all flags, at their points' lanes of the connections' base points."""
     if charts.x0.ndim != 2 or not np.array_equal(charts.x0, conns.point.x):
         raise ValueError("charts and connections must be stacks (P, d) at the same points")
     vs = [np.asarray(v, dtype=float) for v in directions]
@@ -184,13 +184,10 @@ def frame_at(
                          f"no direction at x={charts.x0[counts.index(0)].tolist()}")
     at = np.repeat(np.arange(len(vs)), counts)  # the point of each flag
     chart, conn, v = lane(charts, at), lane(conns, at), np.concatenate(vs)
-    y, ends = matvec(chart.B, v), np.cumsum([0] + counts)
-    bundle = join_lanes([bundle_at(spec, lane(conn.point, slice(a, b)), y[a:b])
-                         for a, b in zip(ends, ends[1:])])
+    bundle = bundle_at(spec, conn.point, matvec(chart.B, v))
     _tangential(bundle.flag)
     n_up, n_dn = unit_normal(chart, bundle)
-    B, Bt = chart.B, np.swapaxes(chart.B, -1, -2)
-    h_ind = Bt @ bundle.h @ B
+    h_ind = np.swapaxes(chart.B, -1, -2) @ bundle.h @ chart.B
     h_a, h_ab, m_ab = normal_curvature_and_h(chart, bundle, conn, v, n_up, n_dn)
     return HypersurfaceFrame(chart=chart, bundle=bundle, v=v, N_up=n_up, N_dn=n_dn,
                              h_ind=h_ind, H_a=h_a, H_ab=h_ab, M_ab=m_ab)

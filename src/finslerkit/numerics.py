@@ -50,13 +50,12 @@ def lane(record, i):
 
 
 def join_lanes(records):
-    """One record (or array) whose arrays join those of ``records`` along the lane
+    """One flat record (or array) whose arrays join those of ``records`` along the lane
     axis in front, undoing `lane` over consecutive slices; plain values are the first's."""
     if isinstance(records[0], np.ndarray):
         return np.concatenate(records)
     return type(records[0])(**{
-        f: np.concatenate([vars(r)[f] for r in records]) if isinstance(v, np.ndarray)
-        else join_lanes([vars(r)[f] for r in records]) if is_dataclass(v) else v
+        f: np.concatenate([vars(r)[f] for r in records]) if isinstance(v, np.ndarray) else v
         for f, v in vars(records[0]).items()})
 
 

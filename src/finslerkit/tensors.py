@@ -331,17 +331,19 @@ AUDIT_TOLERANCES = {
 }
 
 
-# central-difference step of the finite-difference Hessian oracle, relative to alpha, and
-# its bound relative to the flag's distance to its family's edge
+# central-difference step of the finite-difference Hessian oracle, relative to alpha, and its
+# least ratio to the flag's distance to its family's edge (more where rounding dominates)
 FD_STEP = 1e-4
 FD_EDGE = 2e-4
 
 
 def fd_step(spec: SpaceSpec, flag: FlagPoint):
-    """The finite-difference oracle's step per flag: near an edge its remainder grows like
-    (h / dist)^2, and a fixed step may cross the edge.  Reads only alpha, beta and b^2."""
+    """The finite-difference oracle's step per flag, from alpha, beta and b^2 alone: near an
+    edge its remainder grows like (h / dist)^2 and a fixed step may cross the edge; very near it
+    beta's rounding, eps alpha / dist of dist, grows like (dist / h)^2, and h balances the two."""
     dist = edge_distance(spec.family, flag.alpha, flag.beta, flag.b2)
-    return np.minimum(FD_STEP * flag.alpha, FD_EDGE * dist)
+    edge = np.maximum(FD_EDGE, 0.5 * (np.finfo(float).eps * flag.alpha / dist) ** 0.25)
+    return np.minimum(FD_STEP * flag.alpha, edge * dist)
 
 
 def audit_flag(spec: SpaceSpec, x, y) -> list[AuditRow]:

@@ -17,8 +17,15 @@ import numpy as np
 
 from finslerkit import expr as ex
 from finslerkit.hypersurface import Chart, LevelSurface, _tangential
-from finslerkit.metric import BasePoint, FlagPoint, SpaceSpec, flag_point
-from finslerkit.numerics import fd_hessian
+from finslerkit.metric import (
+    BasePoint,
+    FlagPoint,
+    SpaceSpec,
+    alpha_beta_generic,
+    finsler_norm,
+    flag_point,
+)
+from finslerkit.numerics import fd_hessian, jet_eval
 from finslerkit.numerics import lane  # noqa: F401  (re-exported for the test modules)
 
 
@@ -105,6 +112,31 @@ def m_a_of(frame) -> np.ndarray:
     and N^i: the frame keeps no M_a, which vanishes on tangential flags."""
     c_nn = np.einsum("...ijk,...j,...k->...i", frame.bundle.C, frame.N_up, frame.N_up)
     return np.einsum("...ia,...i->...a", frame.chart.B, c_nn)
+
+
+def spray(spec: SpaceSpec, z) -> tuple[np.ndarray, np.ndarray]:
+    """(G, g) at N flags z = (x, y), stacked (N, 2d), from L = F^2/2 alone: one
+    `jet_eval` over z gives g = L_yy, L_xy and L_x, hence the spray
+    G^i = (1/2) g^il (L_{x^k y^l} y^k - L_{x^l}), with G^i_jk y^j y^k = 2 G^i for the
+    Cartan horizontal coefficients (Bao, Chern and Shen, ch. 2).  Shares only
+    `finsler_norm` and the coefficient tables with the closed forms."""
+    d = spec.dim
+
+    def half_f_squared(cols):  # L(x, y), a and b evaluated on the x columns
+        xs, ys = cols[:d], cols[d:]
+        a = spec.a_table.eval(xs)
+        alpha, beta, _ = alpha_beta_generic([a[i * d:i * d + d] for i in range(d)],
+                                            spec.b_table.eval(xs), ys)
+        F = finsler_norm(spec.family, spec.k, alpha, beta)
+        return 0.5 * F * F
+
+    z = np.asarray(z, dtype=float)
+    jet = jet_eval(half_f_squared, z)
+    g = jet.hessian[:, d:, d:]
+    L_xy, L_x = jet.hessian[:, :d, d:], jet.gradient[:, :d]
+    G = 0.5 * np.einsum("sil,sl->si", np.linalg.inv(g),
+                        np.einsum("sk,skl->sl", z[:, d:], L_xy) - L_x)
+    return G, g
 
 
 def richardson_hessian(f, y, step: float) -> np.ndarray:

@@ -106,6 +106,20 @@ MUTANTS = [
      TENSORS_TESTS),
     (TENSORS, 'spec.family == "generalized-square" and spec.k >= 1',
      'spec.family == "generalized-square"', "q2-expanded-form row at k = 0", TENSORS_TESTS),
+    # the reciprocal coefficients, the hv-torsion and the oracles' beta
+    (TENSORS, "(p * p0 + disc * alpha * alpha)", "(p * p0 - disc * alpha * alpha)",
+     "flip disc alpha^2 in S0", TENSORS_TESTS),
+    (TENSORS, "(p * p2 + disc * b2)", "(p * p2 - disc * b2)", "flip disc b^2 in S2",
+     TENSORS_TESTS),
+    (METRIC, "sum(map(mul, b, y))", "sum(map(mul, b, y[::-1]))",
+     "beta against reversed y in alpha_beta_generic", TENSORS_TESTS),
+    (TENSORS, "return mc.p * dp0 - 3.0 * mc.p1 * ac.q0",
+     "return 1.0001 * (mc.p * dp0 - 3.0 * mc.p1 * ac.q0)", "1e-4 relative error in gamma_1",
+     TENSORS_TESTS),
+    (TENSORS, '        + np.einsum("...ki,...j->...ijk", h, m)\n', "",
+     "drop h_ki m_j from C_ijk", TENSORS_TESTS),
+    (TENSORS, "return (lanewise(mc.p1, 3) * sym", "return 1.0001 * (lanewise(mc.p1, 3) * sym",
+     "1e-4 relative error in C_ijk", TENSORS_TESTS),
     # the finite-difference oracle's step shrinks near Kropina's edge and must still see
     # a 1e-4 relative error in g on Kropina flags
     (TENSORS, "    g = fundamental_tensor(mc, flag.a, flag.b, flag.y_low)\n",
@@ -133,7 +147,8 @@ MUTANTS = [
     (CONNECTION, "lanewise(bundle.dp0_dbeta, 2)", "1.0001 * lanewise(bundle.dp0_dbeta, 2)",
      "1e-4 relative error in dp0_dbeta m m", CONNECTION_TESTS),
     # the Christoffel term of b_ij in `connection.covariant_db`: the first-kind pair on a
-    # curved a sees it dropped, only the Cartan oracle sees its sign
+    # curved a sees it dropped; its sign shows in the Cartan oracle and in the first kind's
+    # pointwise check against the spray
     (CONNECTION, 'np.einsum("...l,...lij->...ij", point.b, gamma)', "0.0",
      "drop b_ij: b_l Gamma^l_ij", ("tests/test_first_kind.py",)),
     (CONNECTION, 'np.einsum("...l,...lij->...ij", point.b, gamma)',
@@ -150,7 +165,7 @@ MUTANTS = [
      "normal over s in place of sqrt(s)", SURFACE_TESTS),
     (HYPERSURFACE, "matvec(bundle.g_inv, chart.grad)", "matvec(bundle.flag.a_inv, chart.grad)",
      "a^-1 in place of g^-1 in the normal", SURFACE_TESTS),
-    (HYPERSURFACE, "h_ind = Bt @ bundle.h @ B", "h_ind = Bt @ bundle.g @ B",
+    (HYPERSURFACE, "@ bundle.h @ chart.B", "@ bundle.g @ chart.B",
      "g in place of h in h_ab", SURFACE_TESTS),
     (HYPERSURFACE, "hb_free * gd - outer(g_free, hb_dep)", "hb_free * gd + outer(g_free, hb_dep)",
      "flip the chart's B2: G_a H_Db", SURFACE_TESTS),

@@ -297,11 +297,12 @@ def test_classify_evaluates_each_surface_point_once(monkeypatch):
     report = classify(surface, spec, FAST)
     assert len(report.points) == FAST.points
     # one a(x) pass and one connection over all points as lanes, shared by
-    # both kind tests and by the frames; one bundle per point for all
-    # FAST.directions directions
+    # both kind tests and by the frames; one bundle over every kept flag,
+    # FAST.directions at each point
     assert len(a_calls) == 1 and a_calls[0][1].shape == (FAST.points, spec.dim)
     assert sum(map(len, conns)) == 1 and sum(map(len, charts)) == 1
-    assert sum(map(len, bundles)) == FAST.points
+    calls = [args for module in bundles for args in module]
+    assert len(calls) == 1 and calls[0][2].shape == (FAST.points * FAST.directions, spec.dim)
 
 
 @pytest.mark.parametrize("fixture", [exp_fixture, radial_fixture])

@@ -6,6 +6,7 @@ from conftest import (
     exp_fixture,
     make_space,
     radial_fixture,
+    spray,
     tangential_flag,
     tangential_points_and_dirs,
     varying_space,
@@ -14,12 +15,9 @@ from finslerkit.connection import covariant_db, christoffel, difference_tensor
 from finslerkit.hypersurface import chart_at
 from finslerkit.metric import (
     FAMILIES,
-    alpha_beta_generic,
-    finsler_norm,
     flag_point,
     sample_flags,
 )
-from finslerkit.numerics import jet_eval
 from finslerkit.tensors import bundle_at
 
 
@@ -260,33 +258,19 @@ def test_cartan_covariant_scalar_identity_off_unit_length(k, c):
 def _cartan_oracle(spec, x, y) -> np.ndarray:
     """F^i_jk of the Cartan connection at the flag (x, y), from L = F^2/2 alone.
 
-    One `jet_eval` over the stencil points z +- h e_m and z +- (h/2) e_m of
-    z = (x, y) gives g = L_yy, L_xy and L_x there, hence the spray
-    G^i = (1/2) g^il (L_{x^k y^l} y^k - L_{x^l}).  Central differences with
+    One `spray` pass over the stencil points z +- h e_m and z +- (h/2) e_m of
+    z = (x, y) gives g = L_yy and the spray G^i there.  Central differences with
     the two steps, combined as (4 D(h/2) - D(h)) / 3, give d_x g, d_y g and
     N^i_j = dG^i/dy^j; then delta_k g_ij = d_k g_ij - N^m_k d_{y^m} g_ij and
     F^i_jk = (1/2) g^ih (delta_j g_hk + delta_k g_hj - delta_h g_jk)
     (Bao, Chern and Shen, An Introduction to Riemann-Finsler Geometry, ch. 2).
     """
     d, h = spec.dim, 1e-3
-
-    def half_f_squared(cols):  # L(x, y), a and b evaluated on the x columns
-        xs, ys = cols[:d], cols[d:]
-        a = spec.a_table.eval(xs)
-        alpha, beta, _ = alpha_beta_generic([a[i * d:i * d + d] for i in range(d)],
-                                            spec.b_table.eval(xs), ys)
-        F = finsler_norm(spec.family, spec.k, alpha, beta)
-        return 0.5 * F * F
-
     eye = np.eye(2 * d)
     z = np.concatenate([x, y])
     points = z + np.concatenate([np.zeros((1, 2 * d)), h * eye, -h * eye,
                                  0.5 * h * eye, -0.5 * h * eye])
-    jet = jet_eval(half_f_squared, points)
-    g = jet.hessian[:, d:, d:]
-    g_inv = np.linalg.inv(g)
-    L_xy, L_x = jet.hessian[:, :d, d:], jet.gradient[:, :d]
-    G = 0.5 * np.einsum("sil,sl->si", g_inv, np.einsum("sk,skl->sl", points[:, d:], L_xy) - L_x)
+    G, g = spray(spec, points)
 
     def derivative(v):  # [m, ...] = d v / d z^m at z
         plus, minus, half_plus, half_minus = np.split(v[1:], 4)
@@ -295,7 +279,7 @@ def _cartan_oracle(spec, x, y) -> np.ndarray:
     dg, N = derivative(g), derivative(G)[d:].T  # N[i, j] = dG^i / dy^j
     delta = dg[:d] - np.einsum("mk,mij->kij", N, dg[d:])  # delta[k, i, j] = delta_k g_ij
     low = np.einsum("jhk->hjk", delta) + np.einsum("khj->hjk", delta) - delta
-    return 0.5 * np.einsum("ih,hjk->ijk", g_inv[0], low)
+    return 0.5 * np.einsum("ih,hjk->ijk", np.linalg.inv(g[0]), low)
 
 
 def _assert_cartan(spec, flag):

@@ -8,16 +8,19 @@ only, while off a hyperplane of the first kind they tend to a nonzero limit.
 routes, and the plane x3 = 0 below is of the first kind in one a and not in
 the other through the Christoffel symbols alone: a_11 even in x3 gives
 Gamma^3_ab = 0 on the plane, a_11 linear in x3 gives Gamma^3_11 = -1/4.
+Pointwise, the same definition reads H_a v^a = N_i (B^i_ab v^a v^b + 2 G^i(x, y)),
+with the spray G taken from F^2/2 alone.
 """
 
 import numpy as np
 import pytest
 
-from conftest import make_space
+from conftest import make_space, spray
 from finslerkit import expr as ex
-from finslerkit.classifier import ClassifyOptions, classify
+from finslerkit.classifier import ClassifyOptions, classify, surface_points
+from finslerkit.connection import covariant_db
 from finslerkit.geodesic import GeodesicParams, minimize
-from finslerkit.hypersurface import LevelSurface
+from finslerkit.hypersurface import LevelSurface, chart_at, frame_at
 
 POTENTIAL = "0.2*x3*exp(0.5*x1)*(1 + 0.3*x2^2)"  # the plane x3 = 0 is its level 0
 A_11 = {"pass": "1 + 0.3*x2^2 + x3^2", "fail": "1 + 0.3*x2^2 + 0.5*x3"}
@@ -51,6 +54,24 @@ def test_classify_decides_the_first_kind_through_the_christoffel_symbols(family,
     surface = LevelSurface(ex.parse(POTENTIAL), 0.0, spec)
     report = classify(surface, spec, ClassifyOptions(points=6, directions=3, seed=11))
     assert report.summary[0] == ("first-kind", verdict)
+
+
+@pytest.mark.parametrize("case", ["pass", "fail"])
+@pytest.mark.parametrize("family, k", POWER_QUOTIENT)
+def test_normal_curvature_is_the_spray_across_the_surface(family, k, case):
+    # H_a v^a = N_i (B^i_0a + G*^i_0j B^j_a) v^a, and G*^i_jk y^j y^k = 2 G^i
+    spec = _space(case, family, k)
+    surface = LevelSurface(ex.parse(POTENTIAL), 0.0, spec)
+    pts = surface_points(surface, spec, 6, seed=k)
+    vs = np.random.default_rng(k).normal(size=(len(pts), 3, 2))
+    frame = frame_at(spec, chart_at(surface, pts), covariant_db(spec, pts), vs)
+    got = np.einsum("na,na->n", frame.H_a, frame.v)
+    G, _ = spray(spec, np.concatenate([frame.chart.x0, frame.bundle.flag.y], axis=-1))
+    b00 = np.einsum("niab,na,nb->ni", frame.chart.B2, frame.v, frame.v)
+    ref = np.einsum("ni,ni->n", frame.N_dn, b00 + 2.0 * G)
+    assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(got).max())
+    if case == "fail":
+        assert np.abs(got).max() > 0.1
 
 
 @pytest.mark.parametrize("family, k", POWER_QUOTIENT + [("matsumoto", 1)])

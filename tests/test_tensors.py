@@ -18,6 +18,7 @@ from finslerkit.metric import SpaceSpec, flag_point, phi_partials, sample_flags
 from finslerkit.numerics import fd_hessian, jet_eval
 from finslerkit.tensors import (
     AUDIT_TOLERANCES,
+    FD_EDGE,
     FD_STEP,
     AuditParams,
     SingularCoefficientError,
@@ -299,16 +300,26 @@ def _fd_error(g, ref) -> float:
     return float((np.abs(g - ref).max((-2, -1)) / (1.0 + np.abs(ref).max((-2, -1)))).max())
 
 
+KROPINA_B = np.array([0.3, 0.1, 0.05])
+
+
+def _kropina_flag(k, beta):
+    """A generalized-Kropina space with constant b, and a flag (x, y) at b . y = beta, alpha ~ 1."""
+    b = KROPINA_B
+    spec = make_space(family="generalized-kropina", k=k, b=[str(c) for c in b])
+    x = [0.1, -0.2, 0.3]
+    y = np.array([-0.3, 0.9, 0.0]) / np.sqrt(0.9) + beta * b / (b @ b)
+    bundle = bundle_at(spec, x, y)
+    assert bundle.flag.beta == pytest.approx(beta, rel=1e-9)
+    return spec, x, y, bundle
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_fd_step_scales_to_the_kropina_edge(k):
     # at beta = 1e-3 the fixed step's remainder, (h |b| / beta)^2, is far above the
     # tolerance; the step scaled to the edge passes, and its stencil keeps beta > 0
-    b = np.array([0.3, 0.1, 0.05])
-    spec = make_space(family="generalized-kropina", k=k, b=[str(c) for c in b])
-    x = [0.1, -0.2, 0.3]
-    y = np.array([-0.3, 0.9, 0.0]) / np.sqrt(0.9) + 1e-3 * b / (b @ b)  # b . y = 1e-3
-    bundle = bundle_at(spec, x, y)
-    assert bundle.flag.beta == pytest.approx(1e-3, rel=1e-12)
+    b = KROPINA_B
+    spec, x, y, bundle = _kropina_flag(k, 1e-3)
     f, betas = half_f_squared(spec, x), []
 
     def recorded(ys):
@@ -320,6 +331,20 @@ def test_fd_step_scales_to_the_kropina_edge(k):
     assert 0.0 < step < 1e-6
     assert _fd_error(bundle.g, fd_hessian(recorded, y, step)) < 0.1 * FD_TOL
     assert 0.99e-3 < np.min(betas)
+    rows = {r.check: r for r in audit_flag(spec, x, y)}
+    assert rows["fundamental-vs-fd-oracle"].passed
+
+
+def test_fd_step_outgrows_the_rounding_of_beta_at_the_very_edge():
+    # at beta = 1e-5, beta's rounding error, about eps alpha relative to beta, is
+    # amplified by (dist / h)^2: a step of FD_EDGE dist fails the tolerance, the
+    # step balanced against the rounding term passes
+    spec, x, y, bundle = _kropina_flag(1, 1e-5)
+    f, dist = half_f_squared(spec, x), bundle.flag.beta / np.linalg.norm(KROPINA_B)
+    assert _fd_error(bundle.g, fd_hessian(f, y, FD_EDGE * dist)) > FD_TOL
+    step = fd_step(spec, bundle.flag)
+    assert FD_EDGE * dist < step < 0.01 * dist
+    assert _fd_error(bundle.g, fd_hessian(f, y, step)) < 0.2 * FD_TOL
     rows = {r.check: r for r in audit_flag(spec, x, y)}
     assert rows["fundamental-vs-fd-oracle"].passed
 
