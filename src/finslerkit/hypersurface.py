@@ -187,7 +187,8 @@ def frame_at(
     bundle = bundle_at(spec, conn.point, matvec(chart.B, v))
     _tangential(bundle.flag)
     n_up, n_dn = unit_normal(chart, bundle)
-    h_ind = np.swapaxes(chart.B, -1, -2) @ bundle.h @ chart.B
+    B, Bt = chart.B, np.swapaxes(chart.B, -1, -2)
+    h_ind = Bt @ bundle.h @ B
     h_a, h_ab, m_ab = normal_curvature_and_h(chart, bundle, conn, v, n_up, n_dn)
     return HypersurfaceFrame(chart=chart, bundle=bundle, v=v, N_up=n_up, N_dn=n_dn,
                              h_ind=h_ind, H_a=h_a, H_ab=h_ab, M_ab=m_ab)

@@ -165,7 +165,7 @@ MUTANTS = [
      "normal over s in place of sqrt(s)", SURFACE_TESTS),
     (HYPERSURFACE, "matvec(bundle.g_inv, chart.grad)", "matvec(bundle.flag.a_inv, chart.grad)",
      "a^-1 in place of g^-1 in the normal", SURFACE_TESTS),
-    (HYPERSURFACE, "@ bundle.h @ chart.B", "@ bundle.g @ chart.B",
+    (HYPERSURFACE, "h_ind = Bt @ bundle.h @ B", "h_ind = Bt @ bundle.g @ B",
      "g in place of h in h_ab", SURFACE_TESTS),
     (HYPERSURFACE, "hb_free * gd - outer(g_free, hb_dep)", "hb_free * gd + outer(g_free, hb_dep)",
      "flip the chart's B2: G_a H_Db", SURFACE_TESTS),

@@ -310,7 +310,7 @@ def _kropina_flag(k, beta):
     x = [0.1, -0.2, 0.3]
     y = np.array([-0.3, 0.9, 0.0]) / np.sqrt(0.9) + beta * b / (b @ b)
     bundle = bundle_at(spec, x, y)
-    assert bundle.flag.beta == pytest.approx(beta, rel=1e-9)
+    assert bundle.flag.beta == pytest.approx(beta, rel=1e-12)
     return spec, x, y, bundle
 
 
