@@ -33,12 +33,25 @@ class SegmentDomainError(ArithmeticError):
         self.segment = segment
 
 
+class _Midpoints(dict):
+    """Midpoint columns by coordinate, each built the first time an expression reads it."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def __len__(self):  # the dimension, which `Coord.eval` checks, not the columns built
+        return len(self.lo)
+
+    def __missing__(self, i):
+        self[i] = (self.lo[i] + self.hi[i]) * 0.5
+        return self[i]
+
+
 def _segment_length(spec: SpaceSpec, lo, hi):
     """F(midpoint, difference) of segments from their end-node columns ``lo``
     and ``hi`` (d entries each: float lanes, or Jet2 lanes); raises on a
-    domain exit in any segment."""
-    mid = [(l + h) * 0.5 for l, h in zip(lo, hi)]
-    delta = [h - l for l, h in zip(lo, hi)]
+    domain exit in any segment.  Constant a and b read no midpoint."""
+    mid, delta = _Midpoints(lo, hi), [h - l for l, h in zip(lo, hi)]
     d, a = spec.dim, spec.a_table.eval(mid)
     alpha, beta, _ = alpha_beta_generic([a[i * d:i * d + d] for i in range(d)],
                                         spec.b_table.eval(mid), delta)
@@ -102,22 +115,18 @@ def _length_derivatives(spec: SpaceSpec, nodes):
     """Length (exactly rounded, as in `polyline_length`), and its gradient and
     Hessian in the stacked interior coordinates.
 
-    One hyper-dual jet covers every segment, each a point over its two
-    nodes' 2d coordinates, which add in at those nodes' offsets; the fixed
-    endpoints' rows and columns are then dropped.  The Hessian is
-    block-tridiagonal but stored dense: (m+1)d stays desk-scale.
+    One hyper-dual jet covers every segment, each a point over its two nodes' 2d coordinates.
+    Node s + 1 ends segment s (its half 1) and starts s + 1 (half 0): a block-tridiagonal Hessian.
     """
-    (m, d), s = (len(nodes) - 1, spec.dim), np.arange(len(nodes) - 1)
+    (m, d), s = (len(nodes) - 1, spec.dim), np.arange(len(nodes) - 2)
     jet = jet_eval(lambda z: _segment_length(spec, z[:d], z[d:]),
                    np.hstack([nodes[:-1], nodes[1:]]))
     g, h = jet.gradient.reshape(m, 2, d), jet.hessian.reshape(m, 2, d, 2, d)
-    grad, hess = np.zeros((m + 1, d)), np.zeros((m + 1, d, m + 1, d))
-    grad[:-1] += g[:, 0]  # segment s adds at nodes s (its half 0) and s + 1 (half 1)
-    grad[1:] += g[:, 1]
-    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        hess[s + a, :, s + b] += h[:, a, :, b]
-    return (math.fsum(jet.value), grad.ravel()[d:-d],
-            hess.reshape(nodes.size, nodes.size)[d:-d, d:-d])
+    grad, hess = (g[1:, 0] + g[:-1, 1]).ravel(), np.zeros((m - 1, d, m - 1, d))
+    hess[s, :, s] = h[1:, 0, :, 0] + h[:-1, 1, :, 1]
+    hess[s[:-1], :, s[1:]] = h[1:-1, 0, :, 1]
+    hess[s[1:], :, s[:-1]] = h[1:-1, 1, :, 0]
+    return math.fsum(jet.value), grad, hess.reshape(grad.size, grad.size)
 
 
 def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:

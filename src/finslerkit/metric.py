@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -179,12 +180,12 @@ def phi_partials(family: str, k: int, alpha, beta) -> PhiPartials:
 def alpha_beta_generic(a, b, y):
     """alpha, beta and y_i = a_ij y^j for scalars of any type (floats,
     arrays or duals, lane-valued or not); raises ArithmeticError when
-    alpha^2 <= 0 in any lane."""
-    y_low = [sum(map(mul, row, y)) for row in a]
-    alpha2 = sum(map(mul, y_low, y))
+    alpha^2 <= 0 in any lane.  Each sum folds from its first term: no 0 + term step."""
+    y_low = [reduce(add, map(mul, row, y)) for row in a]
+    alpha2 = reduce(add, map(mul, y_low, y))
     if any_lane(ex._real(alpha2) <= 0.0):
         raise ArithmeticError("degenerate direction: alpha^2 <= 0")
-    return ex._call_fn("sqrt", alpha2), sum(map(mul, b, y)), y_low
+    return ex._call_fn("sqrt", alpha2), reduce(add, map(mul, b, y)), y_low
 
 
 @dataclass

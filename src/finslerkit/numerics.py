@@ -87,8 +87,8 @@ class Jet2:
     Seeded with d2 = d12 = None a jet is first-order: it carries value and
     d1 only, with the same bits.  Mixing the orders raises TypeError.
 
-    The parts are floats or numpy arrays of one lane shape, and the
-    arithmetic is elementwise.  numpy operands defer to Jet2
+    The parts are floats or numpy arrays that broadcast to one lane shape,
+    and the arithmetic is elementwise.  numpy operands defer to Jet2
     (``__array_ufunc__ = None``), so no object array is ever built.
     """
 
@@ -265,12 +265,13 @@ def jet_eval(f: Callable, y) -> SecondOrderJet:
     d = y.shape[-1]
     i, j, e1, e2, diag = _pair_seeds(d, y.ndim)
     lanes = (len(i),) + y.shape[:-1]
-    out = f([Jet2(np.broadcast_to(y[..., m], lanes), e1[m], e2[m]) for m in range(d)])
-    ov, o1, o12 = (out.value, out.d1, out.d12) if isinstance(out, Jet2) else (out, 0.0, 0.0)
-    o1, o12 = (np.moveaxis(np.broadcast_to(v, lanes), 0, -1) for v in (o1, o12))
+    out = f([Jet2(y[..., m], e1[m], e2[m]) for m in range(d)])  # parts broadcast to lanes
+    jet = np.empty((3,) + lanes)  # value, d1 and d12 over all lanes, broadcast in place
+    jet[0], jet[1], jet[2] = (out.value, out.d1, out.d12) if isinstance(out, Jet2) else (out, 0, 0)
+    o1, o12 = jet[1:].transpose(0, *range(2, jet.ndim), 1)  # the pairs last
     hess = np.zeros(y.shape[:-1] + (d, d))
     hess[..., i, j] = hess[..., j, i] = o12  # symmetric by construction
-    return SecondOrderJet(np.broadcast_to(ov, lanes)[0], o1[..., diag], hess)
+    return SecondOrderJet(jet[0, 0], o1[..., diag], hess)
 
 
 @lru_cache(maxsize=None)

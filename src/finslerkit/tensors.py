@@ -274,9 +274,8 @@ def torsion_oracle(spec: SpaceSpec, x, y) -> np.ndarray:
     point = base_point(spec, x)
     a, b = _lanes_of(point)
     y = np.asarray(y, dtype=float)
-    lanes = (spec.dim,) + y.shape[:-1]
     seed = np.eye(spec.dim).reshape((spec.dim, spec.dim) + (1,) * (y.ndim - 1))
-    ys = [Jet2(np.broadcast_to(y[..., m], lanes), seed[m], None, None) for m in range(spec.dim)]
+    ys = [Jet2(y[..., m], seed[m], None, None) for m in range(spec.dim)]
     alpha, beta, y_low = alpha_beta_generic(a, b, ys)
     pp = phi_partials(spec.family, spec.k, alpha, beta)
     mc = metric_coefficients(pp, angular_coefficients(pp, alpha))

@@ -41,6 +41,9 @@ KROPINA_FD_TESTS = (
     "tests/test_tensors.py::test_scaled_fd_oracle_still_sees_a_small_error_on_kropina_flags",)
 SURFACE_TESTS = ("tests/test_hypersurface.py", "tests/test_classifier.py")
 CLASSIFIER_TESTS = ("tests/test_classifier.py",)
+GEODESIC = "src/finslerkit/geodesic.py"
+GEODESIC_FD_TESTS = (
+    "tests/test_geodesic.py::test_assembled_derivatives_match_differences_of_the_float_length",)
 
 
 def _drop_and_flip(file: str, terms: dict[str, str], tests: tuple[str, ...]) -> list[tuple]:
@@ -111,7 +114,7 @@ MUTANTS = [
      "flip disc alpha^2 in S0", TENSORS_TESTS),
     (TENSORS, "(p * p2 + disc * b2)", "(p * p2 - disc * b2)", "flip disc b^2 in S2",
      TENSORS_TESTS),
-    (METRIC, "sum(map(mul, b, y))", "sum(map(mul, b, y[::-1]))",
+    (METRIC, "reduce(add, map(mul, b, y))", "reduce(add, map(mul, b, y[::-1]))",
      "beta against reversed y in alpha_beta_generic", TENSORS_TESTS),
     (TENSORS, "return mc.p * dp0 - 3.0 * mc.p1 * ac.q0",
      "return 1.0001 * (mc.p * dp0 - 3.0 * mc.p1 * ac.q0)", "1e-4 relative error in gamma_1",
@@ -184,6 +187,12 @@ MUTANTS = [
      "second kind fits where b vanishes", CLASSIFIER_TESTS),
     (CLASSIFIER, "return 1.0 + float(np.abs(b_cov)", "return float(np.abs(b_cov)",
      "kind tolerance scale without its 1 +", CLASSIFIER_TESTS),
+    # the block-tridiagonal assembly of `geodesic._length_derivatives`, seen by the
+    # differences of the float length, which share no code with the jets
+    (GEODESIC, "    hess[s[:-1], :, s[1:]] = h[1:-1, 0, :, 1]\n", "",
+     "drop the upper off-diagonal block of the geodesic Hessian", GEODESIC_FD_TESTS),
+    (GEODESIC, "h[1:, 0, :, 0] + h[:-1, 1, :, 1]", "h[1:, 1, :, 1] + h[:-1, 0, :, 0]",
+     "swap the halves of the geodesic Hessian's diagonal block", GEODESIC_FD_TESTS),
 ]
 
 # Known survivors: name -> why it survives and which open item is meant to kill it.

@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import count_calls, make_space, richardson_hessian
+from conftest import count_calls, make_space, richardson_hessian, spray
 from finslerkit import geodesic
 from finslerkit.expr import DomainError
 from finslerkit.geodesic import (
     GeodesicParams,
     SegmentDomainError,
     _length_derivatives,
+    _segment_length,
     minimize,
     polyline_length,
 )
+from finslerkit.numerics import jet_eval
 
 
 def _euclid2():
@@ -162,6 +166,86 @@ def test_assembled_derivatives_match_differences_of_the_float_length():
 
     fd_hess = richardson_hessian(lengths, flat, step=1e-3)
     assert np.abs(hess - fd_hess).max() <= 1e-5 * np.abs(fd_hess).max()
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_assembly_has_the_bits_of_a_scatter_add_of_the_segment_jets(m):
+    # the reference adds each segment's 2d x 2d jet blocks into (m+1)d scratch
+    # arrays at its two nodes' offsets and drops the endpoints' rows and columns;
+    # at m = 2 the one interior node has no off-diagonal block
+    spec = make_space(k=2, potential="0.15*x1*x2 + 0.05*x3^2")
+    rng = np.random.default_rng(m)
+    nodes = np.linspace([0.0, 0.0, 0.0], [1.0, 0.6, 0.4], m + 1)
+    nodes[1:-1] += rng.uniform(-0.05, 0.05, size=(m - 1, 3))
+    d = 3
+    jet = jet_eval(lambda z: _segment_length(spec, z[:d], z[d:]),
+                   np.hstack([nodes[:-1], nodes[1:]]))
+    g, h = jet.gradient.reshape(m, 2, d), jet.hessian.reshape(m, 2, d, 2, d)
+    grad, hess = np.zeros((m + 1, d)), np.zeros((m + 1, d, m + 1, d))
+    for s in range(m):
+        for a in (0, 1):
+            grad[s + a] += g[s, a]
+            for b in (0, 1):
+                hess[s + a, :, s + b] += h[s, a, :, b]
+    n = (m + 1) * d
+    value, got_grad, got_hess = _length_derivatives(spec, nodes)
+    assert value == math.fsum(jet.value)
+    assert got_grad.tobytes() == grad.ravel()[d:-d].tobytes()
+    assert got_hess.shape == ((m - 1) * d,) * 2
+    assert got_hess.tobytes() == hess.reshape(n, n)[d:-d, d:-d].tobytes()
+
+
+def test_constant_coefficients_build_no_midpoint(monkeypatch):
+    built = count_calls(monkeypatch, geodesic._Midpoints, "__missing__")
+    nodes = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, 0.05], [0.7, -0.1, 0.1], [1.0, 0.0, 0.0]])
+    spec = make_space(k=1, b=["0", "0", "0.1"])
+    _length_derivatives(spec, nodes)
+    polyline_length(spec, nodes)
+    assert built == []
+
+
+def test_curved_coefficients_build_each_midpoint_read_at_most_once(monkeypatch):
+    # b = (0.1 x1 + 0.1 x2, 0.1 x1, 0) reads x1 twice and never reads x3
+    built = count_calls(monkeypatch, geodesic._Midpoints, "__missing__")
+    nodes = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, 0.05], [0.7, -0.1, 0.1], [1.0, 0.0, 0.0]])
+    spec = make_space(k=1, potential="0.05*x1^2 + 0.1*x1*x2")
+    for run in (_length_derivatives, polyline_length):
+        built.clear()
+        run(spec, nodes)
+        assert sorted(i for _, i in built) == [0, 1]
+
+
+def _spray_residual_across(spec, nodes) -> float:
+    """max over interior nodes of |r_s| across the chord of its neighbours, with
+    r_s = (x_{s+1} - 2 x_s + x_{s-1})/h^2 + 2 G(x_s, (x_{s+1} - x_{s-1})/(2h)), h = 1/m:
+    the nodes sit at fixed chord fractions, not at constant speed, so x'' + 2G is
+    parallel to x' and only its part across x' vanishes, to O(h^2)."""
+    h = 1.0 / (len(nodes) - 1)
+    vel = (nodes[2:] - nodes[:-2]) / (2 * h)
+    G, _ = spray(spec, np.hstack([nodes[1:-1], vel]))
+    r = (nodes[2:] - 2 * nodes[1:-1] + nodes[:-2]) / h ** 2 + 2 * G
+    u = vel / np.linalg.norm(vel, axis=1, keepdims=True)
+    return float(np.linalg.norm(r - np.sum(r * u, axis=1, keepdims=True) * u, axis=1).max())
+
+
+@pytest.mark.parametrize("family, k", [
+    ("randers", 1), ("generalized-square", 1), ("generalized-square", 2),
+    ("generalized-square", 3), ("matsumoto", 1), ("kropina", 1),
+])
+def test_solved_geodesics_solve_the_spray_equation_to_second_order(family, k):
+    # curved a and a 1-form b that is not closed, so that no family's geodesic
+    # is a straight line; beta > 0 along the path, Kropina's domain
+    a = [["1 + 0.2*x2^2", "0.1*x1"], ["0.1*x1", "1 + 0.1*x1^2"]]
+    spec = make_space(family=family, k=k, dim=2, a=a, b=["0.12 + 0.05*x2", "0.08*x1"])
+    residuals = []
+    for m in (16, 32, 64):
+        res = minimize(spec, GeodesicParams(start=[0, 0], end=[1, 0.5], segments=m,
+                                            iters=600, tol=1e-12, seed=1))
+        assert res.converged
+        mid, step = (res.nodes[1:] + res.nodes[:-1]) / 2, np.diff(res.nodes, axis=0)
+        assert np.all(np.sum(spec.b_at(mid) * step, axis=1) > 0.0)  # beta > 0 on every segment
+        residuals.append(_spray_residual_across(spec, res.nodes))
+    assert residuals[1] / residuals[2] == pytest.approx(4.0, abs=0.3)
 
 
 def test_minimize_curved_randers_exact_length():

@@ -125,7 +125,8 @@ def _counted(f):
     calls = []
 
     def wrapper(ys):
-        calls.append(np.shape(getattr(ys[0], "value", ys[0])))  # a jet's lanes, or an array's
+        parts = [getattr(ys[0], p) for p in Jet2.__slots__] if isinstance(ys[0], Jet2) else ys[:1]
+        calls.append(np.broadcast_shapes(*map(np.shape, parts)))  # a jet's lanes, or an array's
         return f(ys)
 
     return wrapper, calls
