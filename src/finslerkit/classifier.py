@@ -14,9 +14,9 @@ a strictly positive multiple of the induced angular metric whenever the
 condition.  Classification applies to the power-quotient family
 (alpha+beta)^(k+1)/alpha^k only, Randers (k = 0) and square (k = 1) included.
 
-What depends on x alone (surface points, connection, charts, the algebraic
-tests) runs once per `classify` as lanes over all points; one frame then holds
-every point's directions as lanes, point by point: one bundle and one pass over all flags.
+What depends on x alone (surface points, connection, charts, the algebraic tests) runs
+once per `classify` as lanes over all points, each table evaluated once there; one frame
+then holds every kept direction, point by point: one bundle and one pass over all flags.
 """
 
 from __future__ import annotations
@@ -228,8 +228,8 @@ def classify(
     draws = rng.normal(size=(len(pts), opts.directions, spec.dim - 1))
     norms = np.sqrt(dot(draws, draws))
     kept = norms >= 1e-12
-    frame = frame_at(spec, charts, conn, [v[m] / n[m, None] for v, n, m in zip(draws, norms, kept)])
-    counts = kept.sum(1)
+    at = np.nonzero(kept)[0]  # the point of each kept draw, point by point
+    frame = frame_at(spec, charts, conn, draws[kept] / norms[kept, None], at)
     h_a_max = float(np.abs(frame.H_a).max(initial=0.0))
     h_ab_max = float(np.abs(frame.H_ab).max(initial=0.0))
 
@@ -242,10 +242,10 @@ def classify(
             f"(max |H_a| = {h_a_max:.3e}, max |H_ab| = {h_ab_max:.3e})"
         )
 
-    third = third_kind_test(frame, counts)
+    third = third_kind_test(frame, kept.sum(1))
     factors, deviation = [], None
     if first.passed:
-        factors, deviation = proportionality_check(frame, np.repeat(c, counts, 0), spec.k)
+        factors, deviation = proportionality_check(frame, np.array(c)[at], spec.k)
         if deviation > opts.tol * geo_scale:
             raise ClassifierConsistencyError(
                 f"first kind holds, but H_ab deviates from the first-kind multiple "

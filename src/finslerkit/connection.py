@@ -7,7 +7,9 @@ appear downstream they enter as Christoffel + difference tensor.  The
 connection takes P stacked base points as lanes; the difference tensor runs
 over the lanes of a bundle, each flag with its own lane of the connection or
 all sharing one.  `difference_tensor` is its one formula, D = S + Q + Q^T:
-S holds the terms symmetric in (j, k), Q one half of each swapped pair.
+S holds the terms symmetric in (j, k), Q one half of each swapped pair, each
+contracted with one covector n per flag, n_i D^i_jk (a frame reads only the
+normal component); no d x d x d tensor is formed.
 """
 
 from __future__ import annotations
@@ -61,23 +63,24 @@ def covariant_db(spec: SpaceSpec, x) -> ConnectionData:
                           E=0.5 * (b_cov + b_cov_t), Fij=0.5 * (b_cov - b_cov_t))
 
 
-def difference_tensor(bundle: TensorBundle, conn: ConnectionData) -> np.ndarray:
-    """D^i_jk at the bundle's flags (lanes in front), each with its lane of
-    conn or all with one, where '0' denotes contraction with the flag direction y:
+def difference_tensor(bundle: TensorBundle, conn: ConnectionData, n) -> np.ndarray:
+    """n_i D^i_jk at the bundle's flags (lanes in front), one covector n per flag or
+    one for all, each flag with its lane of conn or all with one, where '0' denotes
+    contraction with the flag direction y:
 
         B_k = p0 b_k + p1 y_k,  B^i = g^ij B_j,
         B_jk = [p1 (a_jk - y_j y_k / alpha^2) + (dp0/dbeta) m_j m_k] / 2,
         A^m_k = B^m_k E_00 + B^m E_k0 + F^m_0 B_k + B_0 F^m_k,
-        lambda^m = B^m E_00 + 2 B_0 F^m_0,  b0_k = y^m b_mk,
+        lambda^m = B^m E_00 + 2 B_0 F^m_0,  b0_k = y^m b_mk,  M_lm = C_lmk lambda^k,
 
-    with indices raised by g^ij, and D = S + Q + Q^T (Q^T swaps j and k):
+    with indices raised by g^ij, n~ = g^-1 n, (C.v)_jk = C_jkm v^m and
+    n.D = n.S + n.Q + (n.Q)^T, the transpose swapping j and k:
 
-        S^i_jk = B^i E_jk - (g^-1 b0)^i B_jk + C_jkm (g^-1 A^T)^im
-                 - (C lambda)^i_m C^m_jk,
-        Q^i_jk = F^i_j B_k + B^i_j b0_k + C^i_jm [(lambda C)^m_k - A^m_k].
+        n.S = (n.B^) E - (n~.b0) B_jk + C.(A n~ - g^-1 M n~),
+        n.Q = (F^T n~) (x) B_k + (B_jk n~) (x) b0 + (C.n~)(g^-1 M - A).
 
-    The tests check Christoffel + D against the Cartan coefficients taken
-    from F alone, through the spray."""
+    Each term is n_i times one term of D = S + Q + Q^T, so D^i_jk is n.D at the basis
+    covectors; the tests check Christoffel + D against the Cartan coefficients from F."""
     mc, flag, g_inv, C = bundle.metric, bundle.flag, bundle.g_inv, bundle.C
     y, y_low, E = flag.y, flag.y_low, conn.E
     B_low = lanewise(mc.p0, 1) * flag.b + lanewise(mc.p1, 1) * y_low
@@ -86,21 +89,17 @@ def difference_tensor(bundle: TensorBundle, conn: ConnectionData) -> np.ndarray:
         lanewise(mc.p1, 2) * (flag.a - outer(y_low, y_low) / lanewise(flag.alpha ** 2, 2))
         + lanewise(bundle.dp0_dbeta, 2) * outer(bundle.m, bundle.m)
     )
-    B_mixed = g_inv @ B_mat
     F_mixed = g_inv @ conn.Fij
     Ek0 = matvec(E, y)
     E00, B0, F0 = dot(y, Ek0), dot(B_low, y), matvec(F_mixed, y)
-    A = (B_mixed * lanewise(E00, 2) + outer(B_up, Ek0) + outer(F0, B_low)
+    A = (g_inv @ B_mat * lanewise(E00, 2) + outer(B_up, Ek0) + outer(F0, B_low)
          + lanewise(B0, 2) * F_mixed)
     lam = B_up * lanewise(E00, 1) + 2.0 * lanewise(B0, 1) * F0
     b0 = (y[..., None, :] @ conn.b_cov)[..., 0, :]
-    C_mixed = np.einsum("...il,...ljk->...ijk", g_inv, C)  # C^i_jk
-    C_lam = matvec(C_mixed, lam[..., None, :])  # (C lambda)^i_m = (lambda C)^i_m, C symmetric
-    S = (np.einsum("...i,...jk->...ijk", B_up, E)
-         - np.einsum("...i,...jk->...ijk", matvec(g_inv, b0), B_mat)
-         + np.einsum("...jkm,...im->...ijk", C, g_inv @ np.swapaxes(A, -1, -2))
-         - np.einsum("...im,...mjk->...ijk", C_lam, C_mixed))
-    Q = (F_mixed[..., None] * B_low[..., None, None, :]
-         + B_mixed[..., None] * b0[..., None, None, :]
-         + C_mixed @ (C_lam - A)[..., None, :, :])
+    n_up = matvec(g_inv, n)
+    C_lam = g_inv @ np.einsum("...lmk,...k->...lm", C, lam)  # (g^-1 M)^i_m = (C lambda)^i_m
+    S = (lanewise(dot(n, B_up), 2) * E - lanewise(dot(n_up, b0), 2) * B_mat
+         + np.einsum("...jkm,...m->...jk", C, matvec(A - C_lam, n_up)))
+    Q = (outer((n_up[..., None, :] @ conn.Fij)[..., 0, :], B_low)
+         + outer(matvec(B_mat, n_up), b0) + np.einsum("...jkm,...m->...jk", C, n_up) @ (C_lam - A))
     return S + Q + np.swapaxes(Q, -1, -2)

@@ -17,9 +17,9 @@ type implementing the arithmetic operators (floats, numpy arrays, dual
 numbers with exp/log/sin/cos/sqrt methods), so the same tree serves plain
 evaluation and forward-mode differentiation.  Array and dual values may
 hold many lanes; a domain guard raises when any lane fails it, and each
-float lane has the bits of its point (`_per_lane`).  An `ExprTable` holds
-the entries of an array, evaluates them at float points or on columns of any
-scalar type, and builds its table of partials once.
+float lane has the bits of its point (`_per_lane`).  An `ExprTable` holds the entries
+of an array, evaluates them at float points (a function node that entries share once,
+the last result kept) or on columns of any scalar type, and derives its partials once.
 """
 
 from __future__ import annotations
@@ -271,6 +271,8 @@ class Fn(Expr):
     arg: Expr
 
     def eval(self, x):
+        if id(self) in (shared := getattr(x, "shared", {})):  # one `at` evaluation's values
+            return shared[id(self)]
         v = self.arg.eval(x)
         rv = _real(v)
         if self.name == "log" and any_lane(rv <= 0.0):
@@ -278,9 +280,10 @@ class Fn(Expr):
         if self.name == "sqrt" and any_lane(rv < 0.0):
             raise DomainError("sqrt of negative value", self)
         try:
-            return _call_fn(self.name, v)
+            shared[id(self)] = out = _call_fn(self.name, v)
         except (ValueError, ZeroDivisionError, OverflowError) as err:
             raise DomainError(str(err), self) from err
+        return out
 
     def diff(self, var):
         u, du = self.arg, self.arg.diff(var)
@@ -289,7 +292,7 @@ class Fn(Expr):
         if self.name == "sqrt":
             return _div(du, _mul(Num(2.0), Fn("sqrt", u)))
         if self.name == "exp":
-            outer = Fn("exp", u)
+            outer = self  # one node, shared by every partial of a table
         elif self.name == "sin":
             outer = Fn("cos", u)
         else:  # cos: the parser admits only FUNCTIONS
@@ -493,29 +496,43 @@ def parse(text: str, constants: Mapping[str, float] | None = None,
     return _Parser(text, constants or {}, math.inf if dim is None else dim).parse()
 
 
+class _Columns(list):
+    """The coordinate columns of one `ExprTable.at` evaluation, with the values of the
+    function nodes its entries share: each is computed once, for these points only."""
+
+    def __init__(self, cols):
+        super().__init__(cols)
+        self.shared = {}
+
+
 class ExprTable:
     """Expressions in the C order of ``shape``, whose last axis, if any, is d."""
 
     def __init__(self, exprs: Sequence[Expr], shape: tuple[int, ...] = ()):
-        self.exprs, self.shape, self._partials = list(exprs), shape, {}
+        self.exprs, self.shape, self._partials, self._last = list(exprs), shape, {}, (None, None)
 
     def eval(self, cols) -> list:
         """The entries, in C order, on coordinate columns of any scalar type (Jet2 lanes, say)."""
         return [e.eval(cols) for e in self.exprs]
 
     def at(self, x) -> np.ndarray:
-        """The entries at x (d,) or at N points x (N, d) as lanes in front; one
-        value (shape ()) is a float at one point."""
+        """The entries at x (d,) or N points x (N, d) as lanes in front, a float for one
+        value at one point; the last result is kept, read-only, for the same points."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2):
             raise ValueError("x must be a point (d,) or N points (N, d)")
         if self.shape[-1:] not in ((), x.shape[-1:]):
             raise ValueError(f"x must have dimension {self.shape[-1]}")
-        out = np.empty((len(self.exprs),) + x.shape[:-1])
-        for i, v in enumerate(self.eval(x.T)):  # x.T[m]: coordinate m
-            out[i] = v
-        # contiguous, so that matmul takes the BLAS route, and the bits, of one point
-        return np.ascontiguousarray(out.T).reshape(x.shape[:-1] + self.shape)[()]
+        last, key = self._last, (x.shape, x.tobytes())  # one read of the kept pair
+        if key != last[0]:
+            out = np.empty((len(self.exprs),) + x.shape[:-1])
+            for i, v in enumerate(self.eval(_Columns(x.T))):  # x.T[m]: coordinate m
+                out[i] = v
+            # contiguous, so that matmul takes the BLAS route, and the bits, of one point
+            out = np.ascontiguousarray(out.T).reshape(x.shape[:-1] + self.shape)
+            out.flags.writeable = False
+            self._last = last = key, out[()]
+        return last[1]
 
     def diff(self, d: int) -> "ExprTable":
         """The exact partials T[..., l] = d T[...] / d x^l, built once per d."""

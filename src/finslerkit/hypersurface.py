@@ -5,19 +5,20 @@ potential, re-selected per base point by largest gradient component; chart
 second derivatives are exact symbolic quantities, never finite differences,
 because the second fundamental h-tensor sits at 1e-8 tolerances.
 
-The potential and its derivatives (one `expr.ExprTable`) take one point (d,)
-or P points (P, d) as lanes, and so does `chart_at`, each lane with its own
-dependent coordinate; its guards hold in every lane and name the failing point.
+The potential and its derivatives (one `expr.ExprTable`, the space's own for its own
+potential, so `chart_at` and the connection share one evaluation at the same points)
+take one point (d,) or P points (P, d) as lanes, and so does `chart_at`, each lane with
+its own dependent coordinate; its guards hold in every lane and name the failing point.
 
 Tangential flags satisfy beta = 0; on them the induced metric is the
 pullback of a_ij (a Riemannian metric) and the normal is the g-unit vector
 along g^ij phi_j, the potential's gradient raised by the bundle's closed-form
-g^ij, on the side of increasing potential.  A frame is one bundle and one
-pass over the flags of all P points, each flag with its point's lane of the
-base points, charts and connections; the tangency, normal and
-orthogonality guards hold in every lane, against that flag's own scale.  The
-frame keeps what classification reads: the normal pair, the induced angular
-tensor h_ab and the second fundamental tensors H_a, H_ab and M_ab.
+g^ij, on the side of increasing potential.  A frame is one bundle and one pass
+over the flags of all P points, given as one direction array and each flag's point,
+each flag with its point's lane of the base points, charts and connections; the
+tangency, normal and orthogonality guards hold in every lane, against that flag's own
+scale.  The frame keeps what classification reads: the normal pair, the induced
+angular tensor h_ab and the second fundamental tensors H_a, H_ab and M_ab.
 """
 
 from __future__ import annotations
@@ -170,20 +171,19 @@ class HypersurfaceFrame:
 
 
 def frame_at(
-    spec: SpaceSpec, charts: Chart, conns: ConnectionData, directions
+    spec: SpaceSpec, charts: Chart, conns: ConnectionData, v, at
 ) -> HypersurfaceFrame:
     """The frame at P points from stacked charts and connections (P of each, one
-    point is a stack of one), directions[p] (N_p >= 1, d-1) at point p: one bundle
-    and one pass over all flags, at their points' lanes of the connections' base points."""
+    point is a stack of one): the flags' directions v (F, d-1), flag f at point
+    at[f], each point with at least one; one bundle and one pass over all flags,
+    at their points' lanes of the connections' base points."""
     if charts.x0.ndim != 2 or not np.array_equal(charts.x0, conns.point.x):
         raise ValueError("charts and connections must be stacks (P, d) at the same points")
-    vs = [np.asarray(v, dtype=float) for v in directions]
-    counts = [len(v) for v in vs]
-    if not (counts and all(counts)):
-        raise ValueError("no frames sampled" if not counts else
-                         f"no direction at x={charts.x0[counts.index(0)].tolist()}")
-    at = np.repeat(np.arange(len(vs)), counts)  # the point of each flag
-    chart, conn, v = lane(charts, at), lane(conns, at), np.concatenate(vs)
+    counts = np.bincount(at, minlength=len(charts.x0))
+    if not (len(counts) and counts.all()):
+        raise ValueError("no frames sampled" if not len(counts) else
+                         f"no direction at x={charts.x0[np.argmin(counts)].tolist()}")
+    chart, conn, v = lane(charts, at), lane(conns, at), np.asarray(v, dtype=float)
     bundle = bundle_at(spec, conn.point, matvec(chart.B, v))
     _tangential(bundle.flag)
     n_up, n_dn = unit_normal(chart, bundle)
@@ -199,20 +199,17 @@ def normal_curvature_and_h(
 ):
     """(H_a, H_ab, M_ab) at the flags y = B v with normal pairs (N^i, N_i):
     H_a = N_i (B^i_0a + G*^i_0j B^j_a), H_ab = N_i (B^i_ab + G*^i_jk B^j_a B^k_b)
-    and M_ab = C_ijk B^i_a B^j_b N^k, with the Cartan horizontal coefficients
-    entering as Christoffel plus difference tensor.  H_ab has no M_a H_b term: M_a =
-    C_ijk B^i_a N^j N^k vanishes on a tangential flag of every (alpha, beta)-metric.
-    There beta = 0, so h(., y) = 0 forces q1 = 0; the tangency guard makes b orthogonal
-    to B_a, so m(B_a) = 0 and N, proportional to g^ij b_j, lies in span(b^i, y^i);
-    hence h(B_a, N) = 0 and C(B_a, N, N) = p1 h(B_a, N) m(N)/p = 0."""
+    and M_ab = C_ijk B^i_a B^j_b N^k, the Cartan horizontal coefficients entering only
+    as N_i G*^i_jk: Christoffel plus difference tensor, each contracted with N_i.  H_ab
+    has no M_a H_b term: M_a = C_ijk B^i_a N^j N^k vanishes on a tangential flag of every
+    (alpha, beta)-metric.  There beta = 0, so h(., y) = 0 forces q1 = 0; the tangency
+    guard makes b orthogonal to B_a, so m(B_a) = 0 and N, proportional to g^ij b_j, lies
+    in span(b^i, y^i); hence h(B_a, N) = 0 and C(B_a, N, N) = p1 h(B_a, N) m(N)/p = 0."""
     B, Bt = chart.B, np.swapaxes(chart.B, -1, -2)
-    gstar = conn.gamma + difference_tensor(bundle, conn)
-    g0 = (bundle.flag.y[..., None, None, :] @ gstar)[..., 0, :]  # G*^i_0j
-    b0b = (v[..., None, None, :] @ chart.B2)[..., 0, :]            # B^i_0b
-    h_a = (n_dn[..., None, :] @ (b0b + g0 @ B))[..., 0, :]
+    n_gstar_b = (np.einsum("...i,...ijk->...jk", n_dn, conn.gamma)
+                 + difference_tensor(bundle, conn, n_dn)) @ B            # N_i G*^i_jk B^k_b
+    n_b2 = np.einsum("...i,...iab->...ab", n_dn, chart.B2)               # N_i B^i_ab
+    h_a = ((v[..., None, :] @ n_b2) + bundle.flag.y[..., None, :] @ n_gstar_b)[..., 0, :]
     m_ab = Bt @ matvec(bundle.C, n_up[..., None, :]) @ B
-    h_ab = (
-        np.einsum("...i,...iab->...ab", n_dn, chart.B2)
-        + Bt @ np.einsum("...i,...ijk->...jk", n_dn, gstar) @ B
-    )
+    h_ab = n_b2 + Bt @ n_gstar_b
     return h_a, h_ab, m_ab

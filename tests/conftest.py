@@ -87,13 +87,31 @@ def tangential_points_and_dirs(surface: LevelSurface, spec: SpaceSpec, n: int, s
     return list(zip(pts, dirs))
 
 
+def stacked_frame(spec: SpaceSpec, charts, conns, directions):
+    """`frame_at` of per-point blocks of directions, directions[p] (N_p, d-1) at point
+    p: the blocks joined point by point, with each flag's point index."""
+    from finslerkit.hypersurface import frame_at
+
+    vs = [np.asarray(v, dtype=float).reshape(-1, spec.dim - 1) for v in directions]
+    at = np.repeat(np.arange(len(vs)), [len(v) for v in vs])
+    return frame_at(spec, charts, conns, np.concatenate(vs or [np.empty((0, spec.dim - 1))]), at)
+
+
 def one_frame(spec: SpaceSpec, surface: LevelSurface, x0, v):
     """The frame of the single tangential direction v at the surface point x0:
     lane 0 of the frame of one point, a stack of one, with one direction."""
     from finslerkit.connection import covariant_db
-    from finslerkit.hypersurface import chart_at, frame_at
+    from finslerkit.hypersurface import chart_at
 
-    return lane(frame_at(spec, chart_at(surface, [x0]), covariant_db(spec, [x0]), [[v]]), 0)
+    return lane(stacked_frame(spec, chart_at(surface, [x0]), covariant_db(spec, [x0]), [[v]]), 0)
+
+
+def full_difference(bundle, conn) -> np.ndarray:
+    """D^i_jk at the bundle's flags, lanes in front: `difference_tensor`'s contraction
+    n_i D^i_jk at the basis covectors n = e_i, stacked along axis -3."""
+    from finslerkit.connection import difference_tensor
+
+    return np.stack([difference_tensor(bundle, conn, e) for e in np.eye(bundle.g.shape[-1])], -3)
 
 
 def induced(frame):

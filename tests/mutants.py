@@ -4,7 +4,8 @@ Each entry of MUTANTS is (file, old, new, name, test files): it replaces the
 one occurrence of ``old`` in ``file`` by ``new`` in a temporary copy of
 ``src/``, ``tests/``, ``configs/`` (some tests read the shipped configs) and
 ``pyproject.toml``, and runs the named test files (or single tests, by pytest
-node id) there with ``pytest -x``.
+node id) there with ``pytest -x``.  ``os.cpu_count()`` mutants run at a time,
+each in a copy of its own; the verdicts are printed in list order.
 The copy carries the tests' own ``pythonpath``, so they import the mutated
 package.  A mutant is caught when the tests fail.
 
@@ -20,11 +21,13 @@ anywhere as
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +45,8 @@ KROPINA_FD_TESTS = (
 SURFACE_TESTS = ("tests/test_hypersurface.py", "tests/test_classifier.py")
 CLASSIFIER_TESTS = ("tests/test_classifier.py",)
 GEODESIC = "src/finslerkit/geodesic.py"
+EXPR = "src/finslerkit/expr.py"
+EXPR_TESTS = ("tests/test_expr.py",)
 GEODESIC_FD_TESTS = (
     "tests/test_geodesic.py::test_assembled_derivatives_match_differences_of_the_float_length",)
 
@@ -54,17 +59,15 @@ def _drop_and_flip(file: str, terms: dict[str, str], tests: tuple[str, ...]) -> 
     )]
 
 
-# The difference tensor D = S + Q + Q^T of `connection.difference_tensor`.
+# The difference tensor D = S + Q + Q^T of `connection.difference_tensor`, each term
+# contracted with the covector n (n~ = g^-1 n, (C.v)_jk = C_jkm v^m)
 _S_TERMS = {
-    "S: B^i E_jk": 'np.einsum("...i,...jk->...ijk", B_up, E)',
-    "S: (g^-1 b0)^i B_jk": 'np.einsum("...i,...jk->...ijk", matvec(g_inv, b0), B_mat)',
-    "S: C_jkm (g^-1 A^T)^im":
-        'np.einsum("...jkm,...im->...ijk", C, g_inv @ np.swapaxes(A, -1, -2))',
-    "S: (C lambda)^i_m C^m_jk": 'np.einsum("...im,...mjk->...ijk", C_lam, C_mixed)',
+    "S: (n.B^) E_jk": "lanewise(dot(n, B_up), 2) * E",
+    "S: (n~.b0) B_jk": "lanewise(dot(n_up, b0), 2) * B_mat",
 }
 _Q_TERMS = {
-    "Q: F^i_j B_k": "F_mixed[..., None] * B_low[..., None, None, :]",
-    "Q: B^i_j b0_k": "B_mixed[..., None] * b0[..., None, None, :]",
+    "Q: (F^T n~) B_k": "outer((n_up[..., None, :] @ conn.Fij)[..., 0, :], B_low)",
+    "Q: (B_jk n~) b0_k": "outer(matvec(B_mat, n_up), b0)",
 }
 
 MUTANTS = [
@@ -132,16 +135,21 @@ MUTANTS = [
      "1e-4 relative error in p1", KROPINA_FD_TESTS),
     *_drop_and_flip(CONNECTION, _S_TERMS, CONNECTION_TESTS),
     *_drop_and_flip(CONNECTION, _Q_TERMS, CONNECTION_TESTS),
-    (CONNECTION, "(C_lam - A)", "(C_lam)", "drop Q: C^i_jm A^m_k", CONNECTION_TESTS),
-    (CONNECTION, "(C_lam - A)", "(C_lam + A)", "flip Q: C^i_jm A^m_k", CONNECTION_TESTS),
-    (CONNECTION, "(C_lam - A)", "(-A)", "drop Q: C^i_jm (lambda C)^m_k", CONNECTION_TESTS),
-    (CONNECTION, "(C_lam - A)", "(-C_lam - A)", "flip Q: C^i_jm (lambda C)^m_k",
+    (CONNECTION, "matvec(A - C_lam,", "matvec(-C_lam,", "drop S: C.(A n~)", CONNECTION_TESTS),
+    (CONNECTION, "matvec(A - C_lam,", "matvec(-A - C_lam,", "flip S: C.(A n~)",
      CONNECTION_TESTS),
-    (CONNECTION, "S + Q + np.swapaxes(Q, -1, -2)", "S + Q + Q", "Q in place of its swap",
+    (CONNECTION, "matvec(A - C_lam,", "matvec(A,", "drop S: C.(g^-1 M n~)", CONNECTION_TESTS),
+    (CONNECTION, "matvec(A - C_lam,", "matvec(A + C_lam,", "flip S: C.(g^-1 M n~)",
+     CONNECTION_TESTS),
+    (CONNECTION, "(C_lam - A)", "(C_lam)", "drop Q: (C.n~) A", CONNECTION_TESTS),
+    (CONNECTION, "(C_lam - A)", "(C_lam + A)", "flip Q: (C.n~) A", CONNECTION_TESTS),
+    (CONNECTION, "(C_lam - A)", "(-A)", "drop Q: (C.n~) g^-1 M", CONNECTION_TESTS),
+    (CONNECTION, "(C_lam - A)", "(-C_lam - A)", "flip Q: (C.n~) g^-1 M", CONNECTION_TESTS),
+    (CONNECTION, "S + Q + np.swapaxes(Q, -1, -2)", "S + Q + Q", "n.Q in place of its swap",
      CONNECTION_TESTS),
     (CONNECTION, "+ 2.0 * lanewise(B0, 1) * F0", "", "drop 2 B_0 F^m_0 from lambda",
      CONNECTION_TESTS),
-    (CONNECTION, "C_lam = matvec(", "C_lam = 0.0 * matvec(", "drop both C lambda C terms",
+    (CONNECTION, "C_lam = g_inv @", "C_lam = 0.0 * g_inv @", "drop both C lambda C terms",
      CONNECTION_TESTS),
     (CONNECTION, "+ lanewise(bundle.dp0_dbeta, 2) * outer(bundle.m, bundle.m)", "",
      "drop dp0_dbeta m m from B_jk", CONNECTION_TESTS),
@@ -158,11 +166,10 @@ MUTANTS = [
      '(-np.einsum("...l,...lij->...ij", point.b, gamma))', "flip b_ij: b_l Gamma^l_ij",
      CONNECTION_TESTS),
     # the second fundamental tensors of `hypersurface.normal_curvature_and_h`
-    (HYPERSURFACE, "(b0b + g0 @ B)", "(g0 @ B)", "drop H_a: B^i_0a", SURFACE_TESTS),
+    (HYPERSURFACE, "((v[..., None, :] @ n_b2) + ", "(", "drop H_a: B^i_0a", SURFACE_TESTS),
     (HYPERSURFACE, "matvec(bundle.C, n_up[..., None, :])", "matvec(bundle.C, n_dn[..., None, :])",
      "N_i in place of N^i in M_ab", SURFACE_TESTS),
-    (HYPERSURFACE, 'np.einsum("...i,...iab->...ab", n_dn, chart.B2)', "0.0",
-     "drop H_ab: B^i_ab", SURFACE_TESTS),
+    (HYPERSURFACE, "h_ab = n_b2 + ", "h_ab = ", "drop H_ab: B^i_ab", SURFACE_TESTS),
     # the normal, the induced tensors and the chart of `hypersurface`
     (HYPERSURFACE, "w / lanewise(np.sqrt(s), 1)", "w / lanewise(s, 1)",
      "normal over s in place of sqrt(s)", SURFACE_TESTS),
@@ -193,6 +200,9 @@ MUTANTS = [
      "drop the upper off-diagonal block of the geodesic Hessian", GEODESIC_FD_TESTS),
     (GEODESIC, "h[1:, 0, :, 0] + h[:-1, 1, :, 1]", "h[1:, 1, :, 1] + h[:-1, 0, :, 0]",
      "swap the halves of the geodesic Hessian's diagonal block", GEODESIC_FD_TESTS),
+    # the last result an expression table keeps must be keyed by its points' values
+    (EXPR, "(x.shape, x.tobytes())", "(x.shape,)",
+     "table memo keyed by the points' shape alone", EXPR_TESTS),
 ]
 
 # Known survivors: name -> why it survives and which open item is meant to kill it.
@@ -208,45 +218,66 @@ def _pytest(tree: Path, tests) -> int:
     ).returncode
 
 
+def _copy(tree: Path) -> Path:
+    ignore = shutil.ignore_patterns("__pycache__")
+    for part in ("src", "tests", "configs"):
+        shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", tree)
+    return tree
+
+
+def _run(trees: queue.SimpleQueue, mutant) -> tuple[int | None, float]:
+    """(pytest's exit status, seconds) of one mutant in a tree of its own, taken from
+    ``trees`` and put back unmutated; status None when ``old`` does not occur once."""
+    file, old, new, _name, files = mutant
+    tree = trees.get()
+    path = tree / file
+    original = path.read_text()
+    try:
+        if original.count(old) != 1:
+            return None, 0.0
+        path.write_text(original.replace(old, new))
+        start = time.perf_counter()
+        return _pytest(tree, files), time.perf_counter() - start
+    finally:
+        path.write_text(original)
+        trees.put(tree)
+
+
 def main() -> int:
     problems = []
+    start, workers = time.perf_counter(), os.cpu_count() or 1
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__")
-        for part in ("src", "tests", "configs"):
-            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", tree)
+        trees = queue.SimpleQueue()
+        for n in range(workers):  # one copy per worker, each mutated by one mutant at a time
+            trees.put(_copy(Path(tmp) / f"tree{n}"))
         tests = sorted({t for *_, files in MUTANTS for t in files})
-        status = _pytest(tree, tests)
+        status = _pytest(Path(tmp) / "tree0", tests)
         if status != 0:
             print(f"the unmutated tests exit {status}; no mutant can be judged")
             return 1
-        for file, old, new, name, files in MUTANTS:
-            path = tree / file
-            original = path.read_text()
-            if original.count(old) != 1:
-                problems.append(f"{name}: {old!r} does not occur exactly once in {file}")
-                continue
-            path.write_text(original.replace(old, new))
-            start = time.perf_counter()
-            status = _pytest(tree, files)
-            path.write_text(original)
-            if status not in (0, 1):
-                problems.append(f"{name}: pytest exits {status}, not a test failure")
-                continue
-            caught = status == 1
-            print(f"{'caught ' if caught else 'SURVIVED'} {name} "
-                  f"({time.perf_counter() - start:.1f} s)")
-            if not caught and name not in SURVIVORS:
-                problems.append(f"{name}: survives and is not a listed survivor")
-            if caught and name in SURVIVORS:
-                problems.append(f"{name}: caught now; remove it from SURVIVORS")
+        with ThreadPoolExecutor(workers) as pool:  # results come back in list order
+            for (file, old, _, name, _), (status, seconds) in zip(
+                    MUTANTS, pool.map(lambda m: _run(trees, m), MUTANTS)):
+                if status is None:
+                    problems.append(f"{name}: {old!r} does not occur exactly once in {file}")
+                    continue
+                if status not in (0, 1):
+                    problems.append(f"{name}: pytest exits {status}, not a test failure")
+                    continue
+                caught = status == 1
+                print(f"{'caught ' if caught else 'SURVIVED'} {name} ({seconds:.1f} s)")
+                if not caught and name not in SURVIVORS:
+                    problems.append(f"{name}: survives and is not a listed survivor")
+                if caught and name in SURVIVORS:
+                    problems.append(f"{name}: caught now; remove it from SURVIVORS")
     unknown = set(SURVIVORS) - {name for *_, name, _ in MUTANTS}
     problems += [f"{name}: listed survivor with no mutant" for name in sorted(unknown)]
     for name, why in SURVIVORS.items():
         print(f"known survivor: {name}: {why}")
     for problem in problems:
         print(f"error: {problem}")
+    print(f"{len(MUTANTS)} mutants in {time.perf_counter() - start:.0f} s, {workers} at a time")
     return 1 if problems else 0
 
 

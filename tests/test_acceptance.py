@@ -22,18 +22,20 @@ import pytest
 from conftest import (
     each_flag,
     exp_fixture,
+    full_difference,
     lane,
     m_a_of,
     make_space,
     plane_fixture,
     radial_fixture,
     rel_error,
+    stacked_frame,
     tangential_flag,
 )
 from finslerkit.classifier import ClassifyOptions, classify, surface_points
-from finslerkit.connection import covariant_db, difference_tensor
+from finslerkit.connection import covariant_db
 from finslerkit.geodesic import GeodesicParams, minimize, polyline_length
-from finslerkit.hypersurface import chart_at, frame_at
+from finslerkit.hypersurface import chart_at
 from finslerkit.metric import finsler_norm, flag_point, sample_flags
 from finslerkit.numerics import fd_hessian, jet_eval
 from finslerkit.tensors import (
@@ -83,7 +85,7 @@ def tangential_frames():
             rng = np.random.default_rng(1000 + 10 * k + len(name))
             pts = surface_points(surface, spec, 20, seed=300 + k)
             vs = rng.normal(size=(5, len(pts), spec.dim - 1))  # [j // 20, j % 20]
-            frame = frame_at(spec, chart_at(surface, pts), covariant_db(spec, pts),
+            frame = stacked_frame(spec, chart_at(surface, pts), covariant_db(spec, pts),
                              list(np.swapaxes(vs, 0, 1)))  # 5 lanes per point, point by point
             cache[(name, k)] = [(spec, lane(frame, 5 * p + r))
                                 for r in range(5) for p in range(len(pts))]
@@ -239,7 +241,7 @@ def test_criterion_08_connection_consistency():
     worst_d = 0.0
     spec_const = make_space(k=2, b=["0", "0", "0.1"])
     for flag in each_flag(sample_flags(spec_const, 50, seed=8)):
-        d = difference_tensor(bundle_at(spec_const, flag.x, flag.y), covariant_db(spec_const, flag))
+        d = full_difference(bundle_at(spec_const, flag.x, flag.y), covariant_db(spec_const, flag))
         worst_d = max(worst_d, float(np.abs(d).max()))
 
     # scalar identity b_{i|j} y^i y^j = b_00 / (1 + k(k+1) b^2) at tangential
@@ -255,7 +257,7 @@ def test_criterion_08_connection_consistency():
                 flag = tangential_flag(spec, chart, rng.normal(size=spec.dim - 1))
                 bundle = bundle_at(spec, flag.x, flag.y)
                 conn = covariant_db(spec, bundle.flag)
-                d = difference_tensor(bundle, conn)
+                d = full_difference(bundle, conn)
                 b00 = float(flag.y @ conn.b_cov @ flag.y)
                 got = b00 - float(flag.b @ np.einsum("ijk,j,k->i", d, flag.y, flag.y))
                 stated = b00 / (1 + k * (k + 1) * flag.b2)

@@ -305,6 +305,19 @@ def test_classify_evaluates_each_surface_point_once(monkeypatch):
     assert len(calls) == 1 and calls[0][2].shape == (FAST.points * FAST.directions, spec.dim)
 
 
+def test_classify_evaluates_the_space_tables_once_at_the_surface_points(monkeypatch):
+    # the surface of the space's own potential reads b and Db from the space's tables:
+    # chart_at (gradient, Hessian) and the connection (b, Db) share one evaluation of each
+    spec, _ = exp_fixture(2)
+    surface = LevelSurface(spec.b_potential, 1.0, spec)
+    evals = count_calls(monkeypatch, ex.ExprTable, "eval")
+    pts = classify(surface, spec, FAST).points
+    for table in (spec.b_table, spec.b_table.diff(spec.dim)):
+        at_pts = [cols for t, cols in evals if t is table and np.shape(cols) == pts.T.shape
+                  and np.array_equal(cols, pts.T)]
+        assert len(at_pts) == 1
+
+
 @pytest.mark.parametrize("fixture", [exp_fixture, radial_fixture])
 def test_per_point_results_match_direction_by_direction_frames(fixture):
     # the reference redraws classify's directions and builds one frame per

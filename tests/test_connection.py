@@ -4,6 +4,8 @@ import pytest
 from conftest import (
     each_flag,
     exp_fixture,
+    full_difference,
+    lane,
     make_space,
     radial_fixture,
     spray,
@@ -101,7 +103,7 @@ def test_ingredients_at_beta_zero_reference():
     B_up = bundle.g_inv @ (6.0 * fl.b + 2.0 * fl.y_low)
     E00 = fl.y @ conn.E @ fl.y
     assert E00 == pytest.approx(0.4, abs=1e-15)
-    d00 = np.einsum("ijk,j,k->i", difference_tensor(bundle, conn), fl.y, fl.y)
+    d00 = np.einsum("ijk,j,k->i", full_difference(bundle, conn), fl.y, fl.y)
     assert np.abs(d00 - B_up * E00).max() < 1e-14
 
 
@@ -112,7 +114,7 @@ def test_ingredients_vanish_for_constant_one_form():
     bundle = bundle_at(spec, fl.x, fl.y)
     conn = covariant_db(spec, fl.x)
     assert np.abs(conn.b_cov).max() == 0.0
-    assert np.abs(difference_tensor(bundle, conn)).max() == 0.0
+    assert np.abs(full_difference(bundle, conn)).max() == 0.0
 
 
 def test_b_matrix_annihilates_direction_at_any_flag():
@@ -127,7 +129,7 @@ def test_b_matrix_annihilates_direction_at_any_flag():
                        + bundle.dp0_dbeta * np.outer(bundle.m, bundle.m))
         assert np.abs(B_mat @ fl.y).max() < 1e-12 * (1.0 + np.abs(B_mat).max())
         B_up = bundle.g_inv @ (mc.p0 * fl.b + mc.p1 * fl.y_low)
-        d00 = np.einsum("ijk,j,k->i", difference_tensor(bundle, conn), fl.y, fl.y)
+        d00 = np.einsum("ijk,j,k->i", full_difference(bundle, conn), fl.y, fl.y)
         E00 = fl.y @ conn.E @ fl.y
         assert np.abs(d00 - B_up * E00).max() < 1e-10 * (1.0 + np.abs(d00).max())
 
@@ -135,7 +137,7 @@ def test_b_matrix_annihilates_direction_at_any_flag():
 def test_difference_tensor_vanishes_for_constant_one_form():
     spec = make_space(k=1, b=["0", "0", "0.1"])
     bundle = bundle_at(spec, [0.2, -0.1, 0.3], [0.4, 1.0, -0.2])
-    d = difference_tensor(bundle, covariant_db(spec, bundle.flag))
+    d = full_difference(bundle, covariant_db(spec, bundle.flag))
     assert np.abs(d).max() == 0.0
 
 
@@ -146,7 +148,7 @@ def test_difference_tensor_vanishes_without_one_form():
         x = rng.uniform(-1, 1, size=3)
         y = rng.normal(size=3)
         bundle = bundle_at(spec, x, y)
-        d = difference_tensor(bundle, covariant_db(spec, bundle.flag))
+        d = full_difference(bundle, covariant_db(spec, bundle.flag))
         assert np.abs(d).max() == 0.0
 
 
@@ -154,7 +156,7 @@ def test_difference_tensor_symmetric_for_gradient_field():
     spec, _ = exp_fixture(2)
     for fl in each_flag(sample_flags(spec, 10, seed=9)):
         bundle = bundle_at(spec, fl.x, fl.y)
-        d = difference_tensor(bundle, covariant_db(spec, bundle.flag))
+        d = full_difference(bundle, covariant_db(spec, bundle.flag))
         assert np.abs(d - np.transpose(d, (0, 2, 1))).max() < 1e-10 * (
             1.0 + np.abs(d).max()
         )
@@ -169,7 +171,7 @@ def test_zero_contractions_computed_two_ways():
         bundle = bundle_at(spec, fl.x, fl.y)
         conn = covariant_db(spec, fl.x)
         assert np.abs(conn.Fij).max() > 0.0  # genuinely non-gradient
-        d = difference_tensor(bundle, conn)
+        d = full_difference(bundle, conn)
         d00 = np.einsum("ijk,j,k->i", d, fl.y, fl.y)
         B_low = bundle.metric.p0 * fl.b + bundle.metric.p1 * fl.y_low
         B_up = bundle.g_inv @ B_low
@@ -200,7 +202,7 @@ def test_contracted_difference_identity_at_tangential_flags():
             bundle = bundle_at(spec, x, y)
             assert abs(bundle.flag.beta) < 1e-12
             conn = covariant_db(spec, bundle.flag)
-            d = difference_tensor(bundle, conn)
+            d = full_difference(bundle, conn)
             d00 = np.einsum("ijk,j,k->i", d, y, y)
             b00 = float(y @ conn.b_cov @ y)
             got = float(bundle.flag.b @ d00)
@@ -219,7 +221,7 @@ def test_cartan_covariant_scalar_identity_on_unit_length_one_form():
             x, y = _tangential_radial_flag(spec, rng)
             bundle = bundle_at(spec, x, y)
             conn = covariant_db(spec, bundle.flag)
-            d = difference_tensor(bundle, conn)
+            d = full_difference(bundle, conn)
             d00 = np.einsum("ijk,j,k->i", d, y, y)
             b00 = float(y @ conn.b_cov @ y)
             got = b00 - float(bundle.flag.b @ d00)
@@ -243,7 +245,7 @@ def test_cartan_covariant_scalar_identity_off_unit_length(k, c):
         assert abs(bundle.flag.beta) < 1e-12
         assert bundle.flag.b2 == pytest.approx(b2, rel=1e-12)
         conn = covariant_db(spec, bundle.flag)
-        d = difference_tensor(bundle, conn)
+        d = full_difference(bundle, conn)
         d00 = np.einsum("ijk,j,k->i", d, y, y)
         b00 = float(y @ conn.b_cov @ y)
         got = b00 - float(bundle.flag.b @ d00)
@@ -285,7 +287,7 @@ def _cartan_oracle(spec, x, y) -> np.ndarray:
 def _assert_cartan(spec, flag):
     bundle = bundle_at(spec, flag.x, flag.y)
     conn = covariant_db(spec, flag.x)
-    got = conn.gamma + difference_tensor(bundle, conn)
+    got = conn.gamma + full_difference(bundle, conn)
     oracle = _cartan_oracle(spec, flag.x, flag.y)
     assert np.abs(got - oracle).max() <= 1e-6 * (1.0 + np.abs(got).max())
 
@@ -324,3 +326,32 @@ def test_cartan_coefficients_match_the_oracle_at_tangential_flags(fixture, k):
     spec, surface = fixture(k)
     for x0, v in tangential_points_and_dirs(surface, spec, 3, seed=50 + k):
         _assert_cartan(spec, tangential_flag(spec, chart_at(surface, x0), v))
+
+
+# -- the difference tensor contracted with a covector, as the frames read it
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("family, k", [("randers", 1), ("generalized-square", 1),
+                                       ("generalized-square", 2), ("generalized-square", 3),
+                                       ("matsumoto", 1)])
+def test_contracted_difference_tensor_is_linear_in_the_covector(family, k, d):
+    """difference_tensor(bundle, conn, n) = n_i D^i_jk, with D from the basis covectors,
+    and is linear in n: general flags (beta != 0) on a curved a, b no gradient and
+    b^2 != 1, one covector per flag; Randers is the generalized square metric at k = 0."""
+    curl = [f"0.2 + 0.3*x{i + 1}" for i in range(1, d)] + ["0.2 - 0.3*x1"]
+    spec = varying_space(family, k, d, b=curl)
+    batch = sample_flags(spec, 12, seed=80 + 10 * k + d)
+    flags = lane(batch, np.flatnonzero(np.abs(batch.beta) > 1e-3 * batch.alpha))
+    assert len(flags) >= 6 and (np.abs(flags.b2 - 1.0) > 1e-3).all()
+    bundle, conn = bundle_at(spec, flags, flags.y), covariant_db(spec, flags.x)
+    assert np.abs(conn.Fij).max() > 0.1
+    rng = np.random.default_rng(k + d)
+    n1, n2 = rng.normal(size=(2, len(flags), d))
+    one, two = difference_tensor(bundle, conn, n1), difference_tensor(bundle, conn, n2)
+
+    def rel(got, ref):
+        return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+    assert rel(one, np.einsum("ni,nijk->njk", n1, full_difference(bundle, conn))) <= 1e-14
+    assert rel(difference_tensor(bundle, conn, 0.7 * n1 - 1.3 * n2), 0.7 * one - 1.3 * two) <= 1e-14

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from finslerkit import expr as ex
 from finslerkit.numerics import Jet2
 
@@ -212,3 +214,68 @@ def test_evaluation_is_generic_over_duals():
     fd = (e.eval((x[0] + step, x[1])) - e.eval((x[0] - step, x[1]))) / (2 * step)
     assert out.value == pytest.approx(e.eval(x), rel=1e-14)
     assert out.d1 == pytest.approx(fd, rel=1e-8)
+
+
+# -- expression tables: the last result kept, shared function nodes evaluated once
+
+
+def _unshared(e: ex.Expr) -> ex.Expr:
+    """A copy of e with a node object of its own at every occurrence, so that no two
+    entries of a table share a node."""
+    return type(e)(*(_unshared(v) if isinstance(v, ex.Expr) else v
+                     for v in (getattr(e, f.name) for f in dataclasses.fields(e))))
+
+
+def test_table_keeps_its_last_result_read_only_for_the_same_points(monkeypatch):
+    table = ex.ExprTable([ex.parse("x1*x2"), ex.parse("exp(x1) - x2")], (2,))
+    xs = np.random.default_rng(1).uniform(-1.0, 1.0, size=(4, 2))
+    evals = count_calls(monkeypatch, ex.ExprTable, "eval")
+    first = table.at(xs)
+    assert table.at(xs.copy()) is first and len(evals) == 1  # the same shape and bytes
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1.0
+    assert table.at(xs[0]).shape == (2,) and len(evals) == 2  # another shape
+
+
+def test_changing_one_coordinate_forces_a_new_evaluation(monkeypatch):
+    table = ex.ExprTable([ex.parse("x1*x2"), ex.parse("exp(x1) - x2")], (2,))
+    xs = np.random.default_rng(2).uniform(-1.0, 1.0, size=(4, 2))
+    evals = count_calls(monkeypatch, ex.ExprTable, "eval")
+    before = table.at(xs)
+    for moved in (np.nextafter(xs[2, 1], 2.0), xs[2, 1] + 0.25):  # one ulp, then a step
+        xs = xs.copy()
+        xs[2, 1] = moved
+        after = table.at(xs)
+        fresh = ex.ExprTable(table.exprs, table.shape).at(xs)
+        assert after.tobytes() == fresh.tobytes()
+    assert len(evals) == 3 + 2  # three evaluations of `table`, two of the fresh tables
+    assert not np.array_equal(after[2], before[2]) and np.array_equal(after[0], before[0])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_exp_partials_make_one_per_lane_exp_call(monkeypatch, order):
+    # the gradient and the Hessian of exp(c.x): every entry reads one shared exp node,
+    # with the bits of a tree whose entries hold nodes of their own (d or d^2 exps)
+    table = ex.ExprTable([ex.parse("2*exp(0.3*x1 - 0.5*x2 + 0.2*x3)")])
+    for _ in range(order):
+        table = table.diff(3)
+    xs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 3))
+    per_lane = count_calls(monkeypatch, ex, "_per_lane")
+    shared = table.at(xs)
+    assert [f for f, *_ in per_lane] == [math.exp]
+    separate = ex.ExprTable([_unshared(e) for e in table.exprs], table.shape).at(xs)
+    assert len(per_lane) == 1 + 3 ** order
+    assert shared.tobytes() == separate.tobytes()
+
+
+def test_a_reused_column_list_gets_fresh_values():
+    # shared node values live for one `at` evaluation, never for a column container
+    table = ex.ExprTable([ex.parse("exp(x1 + x2)")]).diff(2)
+    xs = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 2))
+    cols = [xs[:, 0], xs[:, 1]]
+    before = table.eval(cols)
+    cols[0] = cols[0] + 0.5
+    after = table.eval(cols)
+    for got, was, ref in zip(after, before, table.eval([xs[:, 0] + 0.5, xs[:, 1]])):
+        assert np.array_equal(got, ref) and not np.array_equal(got, was)

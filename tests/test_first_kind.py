@@ -15,12 +15,12 @@ with the spray G taken from F^2/2 alone.
 import numpy as np
 import pytest
 
-from conftest import make_space, spray
+from conftest import make_space, spray, stacked_frame
 from finslerkit import expr as ex
 from finslerkit.classifier import ClassifyOptions, classify, surface_points
 from finslerkit.connection import covariant_db
 from finslerkit.geodesic import GeodesicParams, minimize
-from finslerkit.hypersurface import LevelSurface, chart_at, frame_at
+from finslerkit.hypersurface import LevelSurface, chart_at
 
 POTENTIAL = "0.2*x3*exp(0.5*x1)*(1 + 0.3*x2^2)"  # the plane x3 = 0 is its level 0
 A_11 = {"pass": "1 + 0.3*x2^2 + x3^2", "fail": "1 + 0.3*x2^2 + 0.5*x3"}
@@ -64,7 +64,7 @@ def test_normal_curvature_is_the_spray_across_the_surface(family, k, case):
     surface = LevelSurface(ex.parse(POTENTIAL), 0.0, spec)
     pts = surface_points(surface, spec, 6, seed=k)
     vs = np.random.default_rng(k).normal(size=(len(pts), 3, 2))
-    frame = frame_at(spec, chart_at(surface, pts), covariant_db(spec, pts), vs)
+    frame = stacked_frame(spec, chart_at(surface, pts), covariant_db(spec, pts), vs)
     got = np.einsum("na,na->n", frame.H_a, frame.v)
     G, _ = spray(spec, np.concatenate([frame.chart.x0, frame.bundle.flag.y], axis=-1))
     b00 = np.einsum("niab,na,nb->ni", frame.chart.B2, frame.v, frame.v)

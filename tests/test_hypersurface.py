@@ -11,6 +11,7 @@ from conftest import (
     one_frame,
     plane_fixture,
     radial_fixture,
+    stacked_frame,
     tangential_flag,
     tangential_points_and_dirs,
     varying_space,
@@ -22,7 +23,6 @@ from finslerkit.hypersurface import (
     LevelSurface,
     OffSurfaceError,
     chart_at,
-    frame_at,
 )
 
 
@@ -262,7 +262,7 @@ def test_frame_identities_sweep():
     pts = tangential_points_and_dirs(surface, spec, 100, seed=91)
     for x0, _ in pts:
         # ten directions share the point's chart and connection
-        frame = frame_at(spec, chart_at(surface, [x0]), covariant_db(spec, [x0]),
+        frame = stacked_frame(spec, chart_at(surface, [x0]), covariant_db(spec, [x0]),
                          [rng.normal(size=(10, 2))])
         for B, Bd, n_up, n_dn, g, h in zip(frame.chart.B, induced(frame)[2], frame.N_up, frame.N_dn,
                                            frame.bundle.g, frame.bundle.h):
@@ -326,7 +326,7 @@ def test_m_a_vanishes_on_tangential_flags(family, k):
     surface = LevelSurface(spec.b_potential, 0.2, spec)
     pts = surface_points(surface, spec, 4, seed=61)
     rng = np.random.default_rng(61)
-    frame = frame_at(spec, chart_at(surface, pts), covariant_db(spec, pts),
+    frame = stacked_frame(spec, chart_at(surface, pts), covariant_db(spec, pts),
                      [rng.normal(size=(3, 2)) for _ in pts])
     scale = 1.0 + np.abs(frame.bundle.C).max(axis=(-3, -2, -1))
     assert (np.abs(m_a_of(frame)).max(-1) <= 1e-13 * scale).all()

@@ -18,6 +18,7 @@ from conftest import (
     count_calls,
     each_flag,
     exp_fixture,
+    full_difference,
     lane,
     make_space,
     one_frame,
@@ -25,14 +26,15 @@ from conftest import (
     radial_fixture,
     rel_error,
     stack_points,
+    stacked_frame,
     varying_space,
 )
 from finslerkit import expr as ex
 from finslerkit import classifier, connection, geodesic, hypersurface, metric, tensors
 from finslerkit.classifier import surface_points
-from finslerkit.connection import covariant_db, difference_tensor
+from finslerkit.connection import covariant_db
 from finslerkit.geodesic import _length_derivatives, _segment_length
-from finslerkit.hypersurface import LevelSurface, OffSurfaceError, chart_at, frame_at, unit_normal
+from finslerkit.hypersurface import LevelSurface, OffSurfaceError, chart_at, unit_normal
 from finslerkit.metric import (
     FAMILIES,
     SAMPLE_BOX,
@@ -436,9 +438,9 @@ def test_bundle_lanes_match_batches_of_one(family, k, d):
     _assert_lanes_match(bundle, singles, 1e-13)
     if "kropina" in family:
         return  # D cancels terms of order gamma1 (up to 1e26 here): 1-ulp inputs show at 1e-10
-    d_tensor = difference_tensor(bundle, conn)
+    d_tensor = full_difference(bundle, conn)
     for n, single in enumerate(singles):
-        assert rel_error(d_tensor[n], difference_tensor(single, conn)) <= 1e-13
+        assert rel_error(d_tensor[n], full_difference(single, conn)) <= 1e-13
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -449,9 +451,9 @@ def test_frame_lanes_match_single_direction_frames(fixture, k):
         x0 = x0[None]  # one point is a stack of one
         chart, conn = chart_at(surface, x0), covariant_db(spec, x0)
         vs = np.random.default_rng(k).normal(size=(5, spec.dim - 1))
-        frame = frame_at(spec, chart, conn, [vs])
+        frame = stacked_frame(spec, chart, conn, [vs])
         assert frame.H_ab.shape == (5, 2, 2) and frame.chart.B.shape == (5, 3, 2)
-        _assert_lanes_match(frame, [lane(frame_at(spec, chart, conn, [[v]]), 0) for v in vs],
+        _assert_lanes_match(frame, [lane(stacked_frame(spec, chart, conn, [[v]]), 0) for v in vs],
                             1e-12)
 
 
@@ -465,7 +467,7 @@ def test_stacked_frame_matches_single_point_frames(monkeypatch, fixture, k):
     rng = np.random.default_rng(k)
     vs = [rng.normal(size=(n, spec.dim - 1)) for n in (5, 2, 4)]
     bundles = count_calls(monkeypatch, hypersurface, "bundle_at")
-    frame = frame_at(spec, chart_at(surface, pts), covariant_db(spec, pts), vs)
+    frame = stacked_frame(spec, chart_at(surface, pts), covariant_db(spec, pts), vs)
     assert len(bundles) == 1 and len(bundles[0][2]) == 11
     assert frame.H_ab.shape == (11, 2, 2) and frame.chart.B.shape == (11, 3, 2)
     singles = [one_frame(spec, surface, x, v) for x, block in zip(pts, vs) for v in block]
@@ -510,11 +512,11 @@ def _foreign_surface():
 def test_non_tangential_lane_raises_the_per_flag_error():
     spec, chart, conn = _foreign_surface()
     with pytest.raises(ValueError, match="not tangential") as one:
-        frame_at(spec, chart, conn, [[[0.0, 1.0]]])
+        stacked_frame(spec, chart, conn, [[[0.0, 1.0]]])
     with pytest.raises(ValueError, match="not tangential") as lanes:
-        frame_at(spec, chart, conn, [[[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0]]])
+        stacked_frame(spec, chart, conn, [[[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0]]])
     assert str(lanes.value) == str(one.value)
-    frame_at(spec, chart, conn, [[[1.0, 0.0], [2.0, 0.0]]])  # the good lanes alone pass
+    stacked_frame(spec, chart, conn, [[[1.0, 0.0], [2.0, 0.0]]])  # the good lanes alone pass
 
 
 def test_tangency_bound_is_per_flag():
@@ -522,18 +524,18 @@ def test_tangency_bound_is_per_flag():
     # a bound taken from the |y| = 1e6 lane (about 1e-5) would let it through
     spec, chart, conn = _foreign_surface()
     with pytest.raises(ValueError, match="beta = 1.000e-07") as one:
-        frame_at(spec, chart, conn, [[[0.0, 1e-6]]])
+        stacked_frame(spec, chart, conn, [[[0.0, 1e-6]]])
     with pytest.raises(ValueError) as lanes:
-        frame_at(spec, chart, conn, [[[1e6, 0.0], [0.0, 1e-6]]])
+        stacked_frame(spec, chart, conn, [[[1e6, 0.0], [0.0, 1e-6]]])
     assert str(lanes.value) == str(one.value)
-    frame_at(spec, chart, conn, [[[1e6, 0.0], [1e-6, 0.0]]])
+    stacked_frame(spec, chart, conn, [[[1e6, 0.0], [1e-6, 0.0]]])
 
 
 def test_degenerate_normal_lane_raises_the_per_flag_error():
     # unit_normal reads only the bundle's g and g^-1: an indefinite pair in one lane
     spec, surface = exp_fixture(1)
     x0 = [[0.1, 0.2, 0.0]]
-    good = frame_at(spec, chart_at(surface, x0), covariant_db(spec, x0),
+    good = stacked_frame(spec, chart_at(surface, x0), covariant_db(spec, x0),
                     [[[1.0, 0.0], [0.3, 1.0]]])
     chart, g = chart_at(surface, x0[0]), good.bundle.g  # one chart serves every lane
     g = np.stack([g[0], -np.eye(3), g[1]])
@@ -891,9 +893,9 @@ def test_frame_takes_the_chart_of_its_own_point():
     spec, surface = exp_fixture(1)
     pts = surface_points(surface, spec, 2, seed=4)
     with pytest.raises(ValueError, match="stacks .* at the same points"):
-        frame_at(spec, chart_at(surface, pts[:1]), covariant_db(spec, pts[1:]), [[[1.0, 0.0]]])
+        stacked_frame(spec, chart_at(surface, pts[:1]), covariant_db(spec, pts[1:]), [[[1.0, 0.0]]])
     with pytest.raises(ValueError, match="stacks .* at the same points"):  # one point, unstacked
-        frame_at(spec, chart_at(surface, pts[0]), covariant_db(spec, pts[0]), [[[1.0, 0.0]]])
+        stacked_frame(spec, chart_at(surface, pts[0]), covariant_db(spec, pts[0]), [[[1.0, 0.0]]])
 
 
 # surface_points of the per-seed code on two surfaces (float.hex): the radial
