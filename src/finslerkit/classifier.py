@@ -121,6 +121,8 @@ def _project(surface: LevelSurface, raw: np.ndarray) -> np.ndarray:
             r = surface.value(x[live]) - surface.level
             done = np.abs(r) <= tol
             ok[live[done]] = True
+            if done.all():
+                break
             slope = dot(surface.gradient(x[live]), u[live])
             step = ~done & ~(np.abs(slope) < 1e-12)
             if not step.any():

@@ -100,8 +100,7 @@ def _matrix_rows(context: str, quantity: str, m) -> list[list]:
 
 def cmd_tensors(cfg: RunConfig, args) -> int:
     if not cfg.flags:
-        print("error: no [tensors] flag lines in the config", file=sys.stderr)
-        return 2
+        raise ConfigError("no [tensors] flag lines in the config")
     all_rows: list[list] = []
     chunks: list[str] = []
     for idx, (x, y, line) in enumerate(cfg.flags):
@@ -153,8 +152,7 @@ def cmd_audit(cfg: RunConfig, args) -> int:
 
 def cmd_classify(cfg: RunConfig, args) -> int:
     if cfg.surface is None:
-        print("error: classify needs a [hypersurface] section", file=sys.stderr)
-        return 2
+        raise ConfigError("classify needs a [hypersurface] section")
     report = classify(cfg.surface, cfg.space, _with_overrides(cfg.classify_options, args))
     lines = [
         f"classification: {len(report.points)} surface points x {report.directions} "
@@ -164,7 +162,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
         f"  second kind: {'PASS' if report.second_kind.passed else 'FAIL'} "
         f"(max residual {report.second_kind.residual:.3e})",
         f"  third kind : {report.third_kind.verdict.upper()} "
-        f"(witness min ||M_ab|| = {report.third_kind.witness:.6f})",
+        f"(witness min ||M_ab|| = {report.third_kind.witness:.3e})",
         f"  geometric route: max |H_a| = {report.geo_H_a_max:.3e}, "
         f"max |H_ab| = {report.geo_H_ab_max:.3e} (agrees with the algebraic route)",
     ]
@@ -185,8 +183,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 def cmd_geodesic(cfg: RunConfig, args) -> int:
     geo = _with_overrides(cfg.geodesic, args)
     if geo.start is None or geo.end is None:
-        print("error: geodesic needs 'start' and 'end' in [geodesic]", file=sys.stderr)
-        return 2
+        raise ConfigError("geodesic needs 'start' and 'end' in [geodesic]")
     result = minimize(cfg.space, geo)
     lines = [
         f"geodesic: {geo.segments} segments, seed={geo.seed}, tol={geo.tol:.1e}",

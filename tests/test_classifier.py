@@ -305,6 +305,20 @@ def test_classify_evaluates_each_surface_point_once(monkeypatch):
     assert len(calls) == 1 and calls[0][2].shape == (FAST.points * FAST.directions, spec.dim)
 
 
+def test_projection_takes_no_gradient_after_its_last_newton_pass(monkeypatch):
+    # every lane of the sphere converges: the pass that finds them all done
+    # evaluates the potential and no gradient, so each pass but the last takes
+    # one gradient, plus the seeds' directions and the regularity check
+    _, surface = radial_fixture()
+    raw = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 3))
+    values = count_calls(monkeypatch, LevelSurface, "value")
+    grads = count_calls(monkeypatch, LevelSurface, "gradient")
+    pts = classifier._project(surface, raw)
+    assert len(pts) == len(raw) and len(values) > 2
+    assert len(grads) == len(values) + 1
+    assert np.array_equal(grads[0][1], raw) and np.array_equal(grads[-1][1], pts)
+
+
 def test_classify_evaluates_the_space_tables_once_at_the_surface_points(monkeypatch):
     # the surface of the space's own potential reads b and Db from the space's tables:
     # chart_at (gradient, Hessian) and the connection (b, Db) share one evaluation of each

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,28 @@ def test_missing_config_is_an_error(tmp_path, capsys):
     assert "no such config" in capsys.readouterr().err
 
 
+def test_version_is_the_pyproject_version(capsys):
+    # the version lives in pyproject.toml and in the package root; they must agree
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    version = tomllib.loads(pyproject.read_text())["project"]["version"]
+    with pytest.raises(SystemExit) as done:
+        main(["--version"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == f"finslerkit {version}\n"
+
+
+def test_classify_prints_a_small_witness_as_nonzero(tmp_path, capsys):
+    # configs/e5.cfg with a steeper 1-form: its witness is below 5e-7, which a
+    # fixed-point format would print as 0.000000 beside IMPOSSIBLE
+    path = Path(__file__).resolve().parents[1] / "configs" / "e5.cfg"
+    text = re.sub(r"(?m)^b_potential = .*$", "b_potential = 0.2*x3*exp(20*x1)",
+                  path.read_text())
+    assert main(["classify", "--config", _write(tmp_path, text)]) == 1
+    printed = re.search(r"third kind : IMPOSSIBLE \(witness min \|\|M_ab\|\| = (\S+)\)\n",
+                        capsys.readouterr().out).group(1)
+    assert re.fullmatch(r"\d\.\d{3}e[+-]\d\d", printed) and 0.0 < float(printed) < 5e-7
+
+
 # -- config validation
 
 SPACE_CFG = """
@@ -312,6 +335,21 @@ a_row = 1, 0
 a_row = 0, 1
 b = 0.1, 0
 """
+
+
+@pytest.mark.parametrize("command, message", [
+    ("tensors", "no [tensors] flag lines in the config"),
+    ("classify", "classify needs a [hypersurface] section"),
+    ("geodesic", "geodesic needs 'start' and 'end' in [geodesic]"),
+])
+def test_command_without_its_section_is_refused(tmp_path, capsys, command, message):
+    out_file = tmp_path / "out.csv"
+    code = main([command, "--config", _write(tmp_path, SPACE_CFG), "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out_file.exists()
+
 
 # (section, RunConfig attribute, key, valid text, parsed value, message for "x")
 OPTION_KEYS = [
