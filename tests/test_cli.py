@@ -1,6 +1,5 @@
 import dataclasses
 import re
-import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +304,7 @@ def test_missing_config_is_an_error(tmp_path, capsys):
 
 def test_version_is_the_pyproject_version(capsys):
     # the version lives in pyproject.toml and in the package root; they must agree
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     version = tomllib.loads(pyproject.read_text())["project"]["version"]
     with pytest.raises(SystemExit) as done:
