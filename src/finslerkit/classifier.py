@@ -14,9 +14,9 @@ a strictly positive multiple of the induced angular metric whenever the
 condition.  Classification applies to the power-quotient family
 (alpha+beta)^(k+1)/alpha^k only, Randers (k = 0) and square (k = 1) included.
 
-What depends on x alone (surface points, connection, charts, the algebraic tests) runs
-once per `classify` as lanes over all points, each table evaluated once there; one frame
-then holds every kept direction, point by point: one bundle and one pass over all flags.
+What depends on x alone (surface points, connection, the algebraic tests) runs once per
+`classify` as lanes over all points, each table evaluated once there; one frame then holds
+every kept direction, point by point: its charts, one bundle and one pass over all flags.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connection import ConnectionData, covariant_db
-from .hypersurface import HypersurfaceFrame, LevelSurface, chart_at, frame_at
+from .hypersurface import HypersurfaceFrame, LevelSurface, frame_at
 from .metric import SAMPLE_BOX, SpaceSpec, _first_passing
 from .numerics import dot, lanewise, matvec, outer
 
@@ -153,11 +153,15 @@ def first_kind_test(conn: ConnectionData, tol: float) -> tuple[KindResult, list[
 def second_kind_test(conn: ConnectionData, tol: float) -> tuple[KindResult, list[float]]:
     """Fit e(x) = b^i b^j b_ij / (b^2)^2 and measure ||b_cov - e b (x) b|| at
     every lane of the stacked connection in one pass; a point where b vanishes
-    is skipped, with e and residual 0."""
+    is skipped, with e and residual 0; one where a factor of e overflows raises."""
     p = conn.point
     fitted = ~(p.b2 < 1e-14)
-    e = np.divide(dot((p.b_up[:, None] @ conn.b_cov)[:, 0], p.b_up), p.b2 * p.b2,
-                  out=np.zeros(len(fitted)), where=fitted)
+    with np.errstate(all="ignore"):  # refused below
+        num, den = dot((p.b_up[:, None] @ conn.b_cov)[:, 0], p.b_up), p.b2 * p.b2
+    if not (ok := np.isfinite(num) & np.isfinite(den)).all():
+        raise ArithmeticError(f"the second-kind fit overflows at x={p.x[np.argmin(ok)].tolist()}"
+                              f": b^2 = {p.b2[np.argmin(ok)]:.3e}")
+    e = np.divide(num, den, out=np.zeros(len(fitted)), where=fitted)
     misfit = np.abs(conn.b_cov - lanewise(e, 2) * outer(p.b, p.b)).max((-2, -1))
     residuals = np.where(fitted, misfit, 0.0)
     return KindResult(passed=bool(residuals.max(initial=0.0) <= tol * _scale(conn.b_cov[fitted])),
@@ -221,7 +225,6 @@ def classify(
     if bare.any():
         raise ValueError(f"the 1-form vanishes at x={pts[np.argmax(bare)].tolist()} while b_ij "
                          "does not: the kind tests need b != 0 there")
-    charts = chart_at(surface, conn.point.x)
 
     first, c = first_kind_test(conn, opts.tol)
     second, e_samples = second_kind_test(conn, opts.tol)
@@ -231,7 +234,7 @@ def classify(
     norms = np.sqrt(dot(draws, draws))
     kept = norms >= 1e-12
     at = np.nonzero(kept)[0]  # the point of each kept draw, point by point
-    frame = frame_at(spec, charts, conn, draws[kept] / norms[kept, None], at)
+    frame = frame_at(spec, surface, conn, draws[kept] / norms[kept, None], at)
     h_a_max = float(np.abs(frame.H_a).max(initial=0.0))
     h_ab_max = float(np.abs(frame.H_ab).max(initial=0.0))
 

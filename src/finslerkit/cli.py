@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="finslerkit",
         description="Workbench for (alpha,beta)-metric Finsler spaces.",
     )
-    parser.add_argument("command", choices=("tensors", "audit", "classify", "geodesic"))
+    parser.add_argument("command", choices=tuple(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--seed", type=int, default=None,
                         help=f"override the seed ({', '.join(_APPLIES['seed'])})")
@@ -204,6 +204,8 @@ def cmd_geodesic(cfg: RunConfig, args) -> int:
     return 0 if result.converged else 1
 
 
+_COMMANDS = {"tensors": cmd_tensors, "audit": cmd_audit, "classify": cmd_classify,
+             "geodesic": cmd_geodesic}
 _PARSER = build_parser()  # once per process: parsing leaves the parser unchanged
 
 
@@ -214,14 +216,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --{flag} does not apply to {args.command}", file=sys.stderr)
             return 2
     try:
-        cfg = load_config(args.config)
-        if args.command == "tensors":
-            return cmd_tensors(cfg, args)
-        if args.command == "audit":
-            return cmd_audit(cfg, args)
-        if args.command == "classify":
-            return cmd_classify(cfg, args)
-        return cmd_geodesic(cfg, args)
+        return _COMMANDS[args.command](load_config(args.config), args)
     except _ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

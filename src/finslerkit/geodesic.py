@@ -52,10 +52,11 @@ def _segment_length(spec: SpaceSpec, lo, hi):
     and ``hi`` (d entries each: float lanes, or Jet2 lanes); raises on a
     domain exit in any segment.  Constant a and b read no midpoint."""
     mid, delta = _Midpoints(lo, hi), [h - l for l, h in zip(lo, hi)]
-    d, a = spec.dim, spec.a_table.eval(mid)
-    alpha, beta, _ = alpha_beta_generic([a[i * d:i * d + d] for i in range(d)],
-                                        spec.b_table.eval(mid), delta)
-    return finsler_norm(spec.family, spec.k, alpha, beta)
+    with np.errstate(all="ignore"):  # its callers refuse a value that is not finite
+        d, a = spec.dim, spec.a_table.eval(mid)
+        alpha, beta, _ = alpha_beta_generic([a[i * d:i * d + d] for i in range(d)],
+                                            spec.b_table.eval(mid), delta)
+        return finsler_norm(spec.family, spec.k, alpha, beta)
 
 
 def polyline_length(spec: SpaceSpec, nodes) -> float:
@@ -75,7 +76,15 @@ def polyline_length(spec: SpaceSpec, nodes) -> float:
             except ArithmeticError as err:
                 raise SegmentDomainError(s, err) from err
         raise
-    return math.fsum(lengths)
+    return math.fsum(_finite(lengths))
+
+
+def _finite(*parts):
+    """parts[0], when every part of F (segments in front) is finite; else SegmentDomainError."""
+    if not all(np.isfinite(p).all() for p in parts):  # then find the first such segment
+        ok = np.all([np.isfinite(p).reshape(len(p), -1).all(1) for p in parts], axis=0)
+        raise SegmentDomainError(int(np.argmin(ok)), ArithmeticError("F or its jet is not finite"))
+    return parts[0]
 
 
 @dataclass
@@ -121,6 +130,7 @@ def _length_derivatives(spec: SpaceSpec, nodes):
     (m, d), s = (len(nodes) - 1, spec.dim), np.arange(len(nodes) - 2)
     jet = jet_eval(lambda z: _segment_length(spec, z[:d], z[d:]),
                    np.hstack([nodes[:-1], nodes[1:]]))
+    _finite(jet.value, jet.gradient, jet.hessian)
     g, h = jet.gradient.reshape(m, 2, d), jet.hessian.reshape(m, 2, d, 2, d)
     grad, hess = (g[1:, 0] + g[:-1, 1]).ravel(), np.zeros((m - 1, d, m - 1, d))
     hess[s, :, s] = h[1:, 0, :, 0] + h[:-1, 1, :, 1]
@@ -148,8 +158,8 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     length unchanged (its float minimum, not converged), or after
     ``params.iters`` iterations.  Damping that grows without an acceptance
     ends with a non-converged result rather than an exception; an initial
-    polyline that leaves the domain raises `SegmentDomainError`, whose
-    segment the float `polyline_length` names.
+    polyline that leaves the domain raises `SegmentDomainError` at the first
+    segment that is not finite in the jet, or else raises in `polyline_length`.
     """
     p = np.asarray(params.start, dtype=float)
     q = np.asarray(params.end, dtype=float)
@@ -184,6 +194,8 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
 
     try:
         value, grad, hess = evaluate(z)
+    except SegmentDomainError:  # a part of F is not finite in the jet at that segment
+        raise
     except ArithmeticError:
         polyline_length(spec, nodes_of(z))  # raises SegmentDomainError naming the segment
         raise
@@ -223,10 +235,8 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
         message = "iteration budget exhausted"
 
     gn = float(np.abs(grad).max())
-    if not converged:
-        converged = gn <= tol
-        if converged:
-            message = "stationary point reached"
+    if not converged and gn <= tol:
+        converged, message = True, "stationary point reached"
     return GeodesicResult(
         nodes=nodes_of(z), length=value, grad_norm=gn,
         iterations=it, converged=converged, trace=trace, message=message,

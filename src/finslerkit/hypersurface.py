@@ -1,9 +1,9 @@
 """Geometry of a level hypersurface b(x) = c.
 
-Charts come from the implicit function theorem applied to the level
-potential, re-selected per base point by largest gradient component; chart
-second derivatives are exact symbolic quantities, never finite differences,
-because the second fundamental h-tensor sits at 1e-8 tolerances.
+Charts come from the implicit function theorem applied to the level potential phi,
+re-selected per base point by largest gradient component D, and are first-order:
+phi(x(u)) = c, twice differentiated, gives N_i B^i_ab = -(N_D / phi_D) phi_ij B^i_a B^j_b,
+from the exact symbolic Hessian (H_ab sits at 1e-8 tolerances: no finite differences).
 
 The potential and its derivatives (one `expr.ExprTable`, the space's own for its own
 potential, so `chart_at` and the connection share one evaluation at the same points)
@@ -73,17 +73,17 @@ class Chart:
     """Implicit chart at a base point x0 (d,), or at P of them (P, d) as lanes in front.
 
     B[i, a]      = dx^i/du^a (projection factors; columns span the tangent space);
-    B2[i, a, b]  = d^2 x^i / du^a du^b (nonzero only in the dependent row);
     dep          = index of the coordinate solved for via the implicit function
                    theorem (largest |gradient| component);
-    grad         = gradient of the potential at x0.
+    grad         = gradient of the potential at x0;
+    hess[a, b]   = phi_ij B^i_a B^j_b, the potential's Hessian on the tangent basis.
     """
 
     x0: np.ndarray
     dep: np.ndarray
     B: np.ndarray
-    B2: np.ndarray
     grad: np.ndarray
+    hess: np.ndarray
 
 
 def chart_at(surface: LevelSurface, x0) -> Chart:
@@ -105,20 +105,10 @@ def chart_at(surface: LevelSurface, x0) -> Chart:
     dep = np.argmax(np.abs(grad), axis=-1)
     # the other coordinates in order: a stable sort of the mask puts dep last
     free = np.argsort(np.arange(d) == dep[..., None], axis=-1, kind="stable")[..., :-1]
-    rows = np.arange(d)[:, None]
-    is_dep = rows == dep[..., None, None]                          # (..., d, 1)
-    g_free = np.take_along_axis(grad, free, -1)
-    gd = np.take_along_axis(grad, dep[..., None], -1)              # (..., 1)
-    B = np.where(is_dep, (-g_free / gd)[..., None, :], rows == free[..., None, :])
-    # second derivatives of the implicit chart: only the dependent row moves.
-    # t_a = -G_a/G_D with G_i = d b/d x^i along x(u); dG_i/du^b = (H B)_i.
-    hb = surface.hessian(x0) @ B  # [i, b] = dG_i/du^b
-    hb_free = np.take_along_axis(hb, free[..., None], -2)
-    hb_dep = np.take_along_axis(hb, dep[..., None, None], -2)[..., 0, :]
-    gd = gd[..., None]
-    moved = -(hb_free * gd - outer(g_free, hb_dep)) / (gd * gd)
-    B2 = np.where(is_dep[..., None], moved[..., None, :, :], 0.0)
-    return Chart(x0=x0, dep=dep, B=B, B2=B2, grad=grad)
+    eye, gd = np.eye(d), np.take_along_axis(grad, dep[..., None], -1)  # gd: (..., 1)
+    B = np.swapaxes(eye[free], -1, -2) - outer(eye[dep], np.take_along_axis(grad, free, -1) / gd)
+    hess = np.swapaxes(B, -1, -2) @ surface.hessian(x0) @ B
+    return Chart(x0=x0, dep=dep, B=B, grad=grad, hess=hess)
 
 
 def _tangential(flag: FlagPoint) -> FlagPoint:
@@ -171,19 +161,18 @@ class HypersurfaceFrame:
 
 
 def frame_at(
-    spec: SpaceSpec, charts: Chart, conns: ConnectionData, v, at
+    spec: SpaceSpec, surface: LevelSurface, conns: ConnectionData, v, at
 ) -> HypersurfaceFrame:
-    """The frame at P points from stacked charts and connections (P of each, one
-    point is a stack of one): the flags' directions v (F, d-1), flag f at point
-    at[f], each point with at least one; one bundle and one pass over all flags,
-    at their points' lanes of the connections' base points."""
-    if charts.x0.ndim != 2 or not np.array_equal(charts.x0, conns.point.x):
-        raise ValueError("charts and connections must be stacks (P, d) at the same points")
-    counts = np.bincount(at, minlength=len(charts.x0))
+    """The frame at the P points of stacked connections (one point is a stack of one) on
+    the level set of ``surface``: directions v (F, d-1), flag f at point at[f], each point
+    with at least one; one `chart_at` at the points, one bundle and one pass over all flags."""
+    if (x0 := conns.point.x).ndim != 2:
+        raise ValueError("connections must be a stack (P, d) of points")
+    counts = np.bincount(at, minlength=len(x0))
     if not (len(counts) and counts.all()):
         raise ValueError("no frames sampled" if not len(counts) else
-                         f"no direction at x={charts.x0[np.argmin(counts)].tolist()}")
-    chart, conn, v = lane(charts, at), lane(conns, at), np.asarray(v, dtype=float)
+                         f"no direction at x={x0[np.argmin(counts)].tolist()}")
+    chart, conn, v = lane(chart_at(surface, x0), at), lane(conns, at), np.asarray(v, dtype=float)
     bundle = bundle_at(spec, conn.point, matvec(chart.B, v))
     _tangential(bundle.flag)
     n_up, n_dn = unit_normal(chart, bundle)
@@ -208,7 +197,9 @@ def normal_curvature_and_h(
     B, Bt = chart.B, np.swapaxes(chart.B, -1, -2)
     n_gstar_b = (np.einsum("...i,...ijk->...jk", n_dn, conn.gamma)
                  + difference_tensor(bundle, conn, n_dn)) @ B            # N_i G*^i_jk B^k_b
-    n_b2 = np.einsum("...i,...iab->...ab", n_dn, chart.B2)               # N_i B^i_ab
+    n_d, phi_d = (np.take_along_axis(t, chart.dep[..., None], -1)[..., None]
+                  for t in (n_dn, chart.grad))
+    n_b2 = -(n_d / phi_d) * chart.hess                                    # N_i B^i_ab
     h_a = ((v[..., None, :] @ n_b2) + bundle.flag.y[..., None, :] @ n_gstar_b)[..., 0, :]
     m_ab = Bt @ matvec(bundle.C, n_up[..., None, :]) @ B
     h_ab = n_b2 + Bt @ n_gstar_b

@@ -177,8 +177,10 @@ MUTANTS = [
      "a^-1 in place of g^-1 in the normal", SURFACE_TESTS),
     (HYPERSURFACE, "h_ind = Bt @ bundle.h @ B", "h_ind = Bt @ bundle.g @ B",
      "g in place of h in h_ab", SURFACE_TESTS),
-    (HYPERSURFACE, "hb_free * gd - outer(g_free, hb_dep)", "hb_free * gd + outer(g_free, hb_dep)",
-     "flip the chart's B2: G_a H_Db", SURFACE_TESTS),
+    (HYPERSURFACE, "-(n_d / phi_d)", "(n_d / phi_d)", "flip N_i B^i_ab: -(N_D / phi_D)",
+     SURFACE_TESTS),
+    (HYPERSURFACE, "(n_d / phi_d)", "(phi_d / phi_d)", "phi_D in place of N_D in N_i B^i_ab",
+     SURFACE_TESTS),
     # the algebraic kind tests and the first-kind factor of `classifier`
     (CLASSIFIER, "    rows[:, eq, iu] += b[:, ju]\n", "", "drop b_j c_i from the first-kind system",
      CLASSIFIER_TESTS),

@@ -85,8 +85,8 @@ def tangential_frames():
             rng = np.random.default_rng(1000 + 10 * k + len(name))
             pts = surface_points(surface, spec, 20, seed=300 + k)
             vs = rng.normal(size=(5, len(pts), spec.dim - 1))  # [j // 20, j % 20]
-            frame = stacked_frame(spec, chart_at(surface, pts), covariant_db(spec, pts),
-                             list(np.swapaxes(vs, 0, 1)))  # 5 lanes per point, point by point
+            frame = stacked_frame(spec, surface, covariant_db(spec, pts),
+                                  list(np.swapaxes(vs, 0, 1)))  # 5 lanes per point, point by point
             cache[(name, k)] = [(spec, lane(frame, 5 * p + r))
                                 for r in range(5) for p in range(len(pts))]
     return cache

@@ -291,8 +291,7 @@ def test_classify_evaluates_each_surface_point_once(monkeypatch):
     a_calls = count_calls(monkeypatch, SpaceSpec, "a_at")
     conns = [count_calls(monkeypatch, module, "covariant_db")
              for module in (classifier, connection)]
-    charts = [count_calls(monkeypatch, module, "chart_at")
-              for module in (classifier, hypersurface)]
+    charts = count_calls(monkeypatch, hypersurface, "chart_at")  # the frame makes its charts
     bundles = [count_calls(monkeypatch, module, "bundle_at") for module in (hypersurface, tensors)]
     report = classify(surface, spec, FAST)
     assert len(report.points) == FAST.points
@@ -300,7 +299,7 @@ def test_classify_evaluates_each_surface_point_once(monkeypatch):
     # both kind tests and by the frames; one bundle over every kept flag,
     # FAST.directions at each point
     assert len(a_calls) == 1 and a_calls[0][1].shape == (FAST.points, spec.dim)
-    assert sum(map(len, conns)) == 1 and sum(map(len, charts)) == 1
+    assert sum(map(len, conns)) == 1 and len(charts) == 1
     calls = [args for module in bundles for args in module]
     assert len(calls) == 1 and calls[0][2].shape == (FAST.points * FAST.directions, spec.dim)
 
@@ -394,3 +393,24 @@ def test_dropped_draws_leave_each_point_its_own_witness(monkeypatch):
         witness = min(float(np.abs(one_frame(spec, surface, x, v / np.linalg.norm(v)).M_ab).max())
                       for v in draws[n] if v.any())
         assert report.third_kind.per_point[n] == pytest.approx(witness, rel=1e-12)
+
+
+@pytest.mark.parametrize("fixture", [exp_fixture, radial_fixture])
+def test_routes_that_disagree_raise(monkeypatch, fixture):
+    # an algebraic first-kind verdict flipped against the geometric route
+    spec, surface = fixture(2)
+    report = classify(surface, spec, FAST)
+    first, second = report.first_kind.passed, report.second_kind.passed
+    real = classifier.first_kind_test
+
+    def flipped(conn, tol):
+        result, c = real(conn, tol)
+        return dataclasses.replace(result, passed=not result.passed), c
+
+    monkeypatch.setattr(classifier, "first_kind_test", flipped)
+    with pytest.raises(ClassifierConsistencyError) as err:
+        classify(surface, spec, FAST)
+    assert str(err.value) == (
+        f"routes disagree: algebraic first/second = {not first}/{second}, "
+        f"geometric = {first}/{second} (max |H_a| = {report.geo_H_a_max:.3e}, "
+        f"max |H_ab| = {report.geo_H_ab_max:.3e})")

@@ -325,6 +325,37 @@ def test_classify_prints_a_small_witness_as_nonzero(tmp_path, capsys):
     assert re.fullmatch(r"\d\.\d{3}e[+-]\d\d", printed) and 0.0 < float(printed) < 5e-7
 
 
+def _e5_with(tmp_path, potential):
+    path = Path(__file__).resolve().parents[1] / "configs" / "e5.cfg"
+    return _write(tmp_path, re.sub(r"(?m)^b_potential = .*$", f"b_potential = {potential}",
+                                   path.read_text()))
+
+
+@pytest.mark.filterwarnings("error")
+def test_geodesic_whose_start_polyline_overflows_is_an_error(tmp_path, capsys):
+    # before: exit 1, "length = inf" and "gradient max-norm = nan" after 11 RuntimeWarnings
+    out_file = tmp_path / "out.csv"
+    code = main(["geodesic", "--config", _e5_with(tmp_path, "0.2*x3*exp(500*x1)"),
+                 "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out_file.exists()
+    assert re.fullmatch(r"error: segment \d+: F or its jet is not finite\n", captured.err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("potential", ["1000*x3*exp(300*x1)", "0.2*x3*exp(500*x1)"])
+def test_classify_whose_second_kind_fit_overflows_is_an_error(tmp_path, capsys, potential):
+    # before: RuntimeWarnings, a fitted e of 0 where (b^2)^2 overflowed, then
+    # "error: degenerate fundamental tensor" with no point
+    code = main(["classify", "--config", _e5_with(tmp_path, potential)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    named = re.fullmatch(r"error: the second-kind fit overflows at x=\[(.*)\]: b\^2 = (\S+)\n",
+                         captured.err)
+    x = [float(c) for c in named.group(1).split(",")]
+    assert abs(x[2]) < 1e-12 and float(named.group(2)) > 1e150  # on the surface x3 = 0
+
+
 # -- config validation
 
 SPACE_CFG = """

@@ -20,7 +20,7 @@ from finslerkit import expr as ex
 from finslerkit.classifier import ClassifyOptions, classify, surface_points
 from finslerkit.connection import covariant_db
 from finslerkit.geodesic import GeodesicParams, minimize
-from finslerkit.hypersurface import LevelSurface, chart_at
+from finslerkit.hypersurface import LevelSurface
 
 POTENTIAL = "0.2*x3*exp(0.5*x1)*(1 + 0.3*x2^2)"  # the plane x3 = 0 is its level 0
 A_11 = {"pass": "1 + 0.3*x2^2 + x3^2", "fail": "1 + 0.3*x2^2 + 0.5*x3"}
@@ -64,11 +64,14 @@ def test_normal_curvature_is_the_spray_across_the_surface(family, k, case):
     surface = LevelSurface(ex.parse(POTENTIAL), 0.0, spec)
     pts = surface_points(surface, spec, 6, seed=k)
     vs = np.random.default_rng(k).normal(size=(len(pts), 3, 2))
-    frame = stacked_frame(spec, chart_at(surface, pts), covariant_db(spec, pts), vs)
+    frame = stacked_frame(spec, surface, covariant_db(spec, pts), vs)
     got = np.einsum("na,na->n", frame.H_a, frame.v)
     G, _ = spray(spec, np.concatenate([frame.chart.x0, frame.bundle.flag.y], axis=-1))
-    b00 = np.einsum("niab,na,nb->ni", frame.chart.B2, frame.v, frame.v)
-    ref = np.einsum("ni,ni->n", frame.N_dn, b00 + 2.0 * G)
+    # N_i B^i_00 = -(N_D / phi_D) phi_ij y^i y^j, and N_i is a multiple of phi_i
+    grad, hess = frame.chart.grad, frame.chart.hess
+    ratio = np.einsum("ni,ni->n", frame.N_dn, grad) / np.einsum("ni,ni->n", grad, grad)
+    n_b00 = -ratio * np.einsum("nab,na,nb->n", hess, frame.v, frame.v)
+    ref = n_b00 + 2.0 * np.einsum("ni,ni->n", frame.N_dn, G)
     assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(got).max())
     if case == "fail":
         assert np.abs(got).max() > 0.1

@@ -351,3 +351,41 @@ def test_a_start_polyline_off_the_domain_names_its_first_failing_segment():
         minimize(spec, GeodesicParams(start=[1, 0], end=[-1, 0.5], segments=4, seed=1))
     assert err.value.segment == 2
     assert isinstance(err.value.__cause__, DomainError)
+
+
+def test_a_segment_whose_length_overflows_is_a_domain_exit():
+    # beta = 5e199 at the midpoint of segment 1: F = (alpha + beta)^2 / alpha is inf there
+    spec = make_space(family="generalized-square", dim=2, b=["1e200*x1", "0"])
+    with pytest.raises(SegmentDomainError, match="^segment 1: F or its jet is not finite$") as err:
+        polyline_length(spec, [[0, 0], [0, 1], [1, 1], [1, 2]])
+    assert err.value.segment == 1
+
+
+def test_a_segment_whose_jet_overflows_is_a_domain_exit():
+    # every F is finite (2.0e307 on segment 1), but segment 1's Hessian is not
+    spec = make_space(family="generalized-square", dim=2, b=["9e153*x1", "0"])
+    nodes = np.array([[0, 0], [0, 1], [1, 1], [1, 2]], dtype=float)
+    assert math.isfinite(polyline_length(spec, nodes))
+    with pytest.raises(SegmentDomainError, match="^segment 1: F or its jet is not finite$") as err:
+        _length_derivatives(spec, nodes)
+    assert err.value.segment == 1
+
+
+def test_a_trial_whose_jet_is_not_finite_is_rejected(monkeypatch):
+    # a NaN in the first trial's jet: that trial is rejected and damped harder, and
+    # the solve still reaches the unpatched length
+    spec = make_space(family="matsumoto", k=1, dim=2, potential="0.1*x1*x2")
+    params = GeodesicParams(start=[0, 0], end=[1, 1], segments=8, iters=600, tol=1e-7, seed=1)
+    ref = minimize(spec, params)
+    real, jets = geodesic.jet_eval, []
+
+    def poisoned(f, y):
+        jets.append(out := real(f, y))
+        if len(jets) == 2:
+            out.hessian[0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(geodesic, "jet_eval", poisoned)
+    res = minimize(spec, params)
+    assert res.converged and len(jets) == len(res.trace) + 1  # one rejected trial
+    assert res.length == pytest.approx(ref.length, abs=1e-12)

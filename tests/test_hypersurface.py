@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from conftest import (
     varying_space,
 )
 from finslerkit import expr as ex
+from finslerkit import hypersurface
 from finslerkit.classifier import surface_points
 from finslerkit.connection import covariant_db
 from finslerkit.hypersurface import (
@@ -32,7 +35,7 @@ def test_chart_on_coordinate_plane():
     assert chart.dep == 2
     assert np.allclose(chart.B[:, 0], [1, 0, 0])
     assert np.allclose(chart.B[:, 1], [0, 1, 0])
-    assert np.abs(chart.B2).max() == 0.0
+    assert np.abs(chart.hess).max() == 0.0
 
 
 def test_chart_on_sphere_pole():
@@ -41,8 +44,9 @@ def test_chart_on_sphere_pole():
     assert chart.dep == 2
     assert np.allclose(chart.B[:, 0], [1, 0, 0])
     assert np.allclose(chart.B[:, 1], [0, 1, 0])
-    # curvature shows up in the second derivatives of the dependent row
-    assert np.allclose(chart.B2[2], -np.eye(2) / 4.0)
+    # curvature shows up in the second derivatives of the dependent row:
+    # B^D_ab = -phi_ij B^i_a B^j_b / phi_D
+    assert np.allclose(-chart.hess / chart.grad[chart.dep], -np.eye(2) / 4.0)
 
 
 def test_chart_on_exponential_level():
@@ -262,8 +266,7 @@ def test_frame_identities_sweep():
     pts = tangential_points_and_dirs(surface, spec, 100, seed=91)
     for x0, _ in pts:
         # ten directions share the point's chart and connection
-        frame = stacked_frame(spec, chart_at(surface, [x0]), covariant_db(spec, [x0]),
-                         [rng.normal(size=(10, 2))])
+        frame = stacked_frame(spec, surface, covariant_db(spec, [x0]), [rng.normal(size=(10, 2))])
         for B, Bd, n_up, n_dn, g, h in zip(frame.chart.B, induced(frame)[2], frame.N_up, frame.N_dn,
                                            frame.bundle.g, frame.bundle.h):
             assert np.abs(Bd @ B - np.eye(2)).max() < 1e-10
@@ -326,7 +329,29 @@ def test_m_a_vanishes_on_tangential_flags(family, k):
     surface = LevelSurface(spec.b_potential, 0.2, spec)
     pts = surface_points(surface, spec, 4, seed=61)
     rng = np.random.default_rng(61)
-    frame = stacked_frame(spec, chart_at(surface, pts), covariant_db(spec, pts),
-                     [rng.normal(size=(3, 2)) for _ in pts])
+    frame = stacked_frame(spec, surface, covariant_db(spec, pts),
+                          [rng.normal(size=(3, 2)) for _ in pts])
     scale = 1.0 + np.abs(frame.bundle.C).max(axis=(-3, -2, -1))
     assert (np.abs(m_a_of(frame)).max(-1) <= 1e-13 * scale).all()
+
+
+def test_a_normal_off_tangency_orthogonality_is_refused(monkeypatch):
+    # N_i = g_ij N^j annihilates the tangent basis only when g_ij inverts the closed-form
+    # g^ij; with g_ij + 0.1 I in the bundle the frame refuses with that flag's residual
+    # |B^T (g + 0.1 I) N^|, which is 0.1 |B^T N^| up to rounding
+    spec, surface = exp_fixture(2)
+    x0, v = tangential_points_and_dirs(surface, spec, 1, seed=5)[0]
+    ref = one_frame(spec, surface, x0, v)
+    expected = 0.1 * np.abs(ref.chart.B.T @ ref.N_up).max()
+    assert expected > 1e-3
+    bundle_at = hypersurface.bundle_at
+
+    def skewed(*args):
+        bundle = bundle_at(*args)
+        return dataclasses.replace(bundle, g=bundle.g + 0.1 * np.eye(spec.dim))
+
+    monkeypatch.setattr(hypersurface, "bundle_at", skewed)
+    with pytest.raises(ArithmeticError) as err:
+        one_frame(spec, surface, x0, v)
+    printed = re.fullmatch(r"normal failed tangency orthogonality: (\S+)", str(err.value))
+    assert float(printed.group(1)) == pytest.approx(expected, rel=1e-3)
