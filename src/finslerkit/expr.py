@@ -53,8 +53,9 @@ class DomainError(ArithmeticError):
 
 
 def _real(v):
-    # dual numbers expose their real part as .value; plain floats pass through
-    return getattr(v, "value", v)
+    # a dual number's real part is its .value; .real passes floats through and
+    # reads the real part of a complex-step lane
+    return getattr(v, "value", v).real
 
 
 def _call_fn(name: str, v):

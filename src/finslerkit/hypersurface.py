@@ -127,11 +127,15 @@ def _tangential(flag: FlagPoint) -> FlagPoint:
 def unit_normal(chart: Chart, bundle: TensorBundle):
     """g-unit normal N^i = g^ij phi_j / sqrt(g^jk phi_j phi_k) at each of the bundle's flags,
     from the potential's gradient phi_j, toward increasing potential; N_i = g_ij N^j, so the
-    tangency-orthogonality guard checks the closed-form g^ij against g_ij as well."""
+    tangency-orthogonality guard checks the closed-form g^ij against g_ij as well; a flag
+    where g^ij phi_i phi_j <= 0 is refused with its point and b^2."""
     w = matvec(bundle.g_inv, chart.grad)
     s = dot(chart.grad, w)
-    if any_lane(s <= 0.0):
-        raise ArithmeticError("degenerate fundamental tensor: cannot normalize the normal")
+    if any_lane(bad := s <= 0.0):
+        flag = bundle.flag
+        x = np.broadcast_to(flag.x, np.shape(s) + np.shape(flag.x)[-1:])[bad][0]
+        raise ArithmeticError("degenerate fundamental tensor: cannot normalize the normal at "
+                              f"x={x.tolist()}: b^2 = {first_lane(bad, flag.b2):.3e}")
     n_up = w / lanewise(np.sqrt(s), 1)
     n_dn = matvec(bundle.g, n_up)
     resid = np.abs(matvec(np.swapaxes(chart.B, -1, -2), n_dn)).max(-1)

@@ -1,11 +1,12 @@
-"""First- and second-order forward differentiation and small dense linear algebra.
+"""Second-order forward differentiation and small dense linear algebra.
 
 Two independent derivative oracles live here: exact-to-roundoff hyper-dual
 propagation (`jet_eval`) and central finite differences (`fd_hessian`).
 Closed-form tensor formulas elsewhere in the package are audited against
 both, so a bug in one oracle cannot silently confirm a wrong formula.
-A `Jet2` seeded first-order (d2 = d12 = None) skips the second-order parts
-for a caller that reads only d1: the hv-torsion oracle (`torsion_oracle`).
+`Jet2` is the hyper-dual scalar of `jet_eval`; a first derivative alone
+(the hv-torsion oracle's) is a complex step on plain arrays
+(`tensors.torsion_oracle`).
 
 Both evaluate over lanes: each calls its function once for a batch of
 points, on numpy arrays (every index pair or stencil point of every point);
@@ -61,7 +62,7 @@ def join_lanes(records):
 
 def lanewise(c, axes: int):
     """A per-lane scalar with ``axes`` unit axes appended, to scale each lane's tensor."""
-    return c[(...,) + (None,) * axes] if isinstance(c, (np.ndarray, Jet2)) else c
+    return c[(...,) + (None,) * axes] if isinstance(c, np.ndarray) else c
 
 
 # Contractions over the last axes, lanes in front; per lane matvec and dot give the bits of @
@@ -84,8 +85,6 @@ class Jet2:
     Seeding e1/e2 with unit coordinate directions and reading the e1*e2
     coefficient yields one exact mixed second derivative per evaluation;
     the e1 coefficient carries the first derivative.  No truncation error.
-    Seeded with d2 = d12 = None a jet is first-order: it carries value and
-    d1 only, with the same bits.  Mixing the orders raises TypeError.
 
     The parts are floats or numpy arrays that broadcast to one lane shape,
     and the arithmetic is elementwise.  numpy operands defer to Jet2
@@ -98,34 +97,10 @@ class Jet2:
     def __init__(self, value, d1=0.0, d2=0.0, d12=0.0):
         self.value, self.d1, self.d2, self.d12 = value, d1, d2, d12
 
-    def __repr__(self):
-        return f"Jet2({self.value}, {self.d1}, {self.d2}, {self.d12})"
-
-    def __getitem__(self, key):
-        """Index every part alike, e.g. ``jet[..., None]`` to add an axis."""
-        return Jet2(*(None if v is None else np.asarray(v)[key]
-                      for v in (self.value, self.d1, self.d2, self.d12)))
-
-    @staticmethod
-    def stack(jets) -> "Jet2":
-        """One jet whose parts stack those of ``jets`` along a new last axis;
-        the jets share one order (`_first_order` raises otherwise)."""
-        first = [jets[0]._first_order(j) for j in jets if j.d2 is None or jets[0].d2 is None]
-        return Jet2(*(None if first and p in ("d2", "d12") else
-                      np.stack(np.broadcast_arrays(*(getattr(j, p) for j in jets)), axis=-1)
-                      for p in Jet2.__slots__))
-
-    def _first_order(self, other):  # d2, d12 of a first-order result; never mix the orders
-        if (self.d2 is None) != (other.d2 is None):
-            raise TypeError("cannot mix a first-order Jet2 (d2 None) with a second-order one")
-        return None, None
-
     # -- arithmetic
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            if self.d2 is None or other.d2 is None:
-                return Jet2(self.value + other.value, self.d1 + other.d1, *self._first_order(other))
             return Jet2(self.value + other.value, self.d1 + other.d1,
                         self.d2 + other.d2, self.d12 + other.d12)
         return Jet2(self.value + other, self.d1, self.d2, self.d12)
@@ -134,8 +109,6 @@ class Jet2:
 
     def __sub__(self, other):
         if isinstance(other, Jet2):
-            if self.d2 is None or other.d2 is None:
-                return Jet2(self.value - other.value, self.d1 - other.d1, *self._first_order(other))
             return Jet2(self.value - other.value, self.d1 - other.d1,
                         self.d2 - other.d2, self.d12 - other.d12)
         return Jet2(self.value - other, self.d1, self.d2, self.d12)
@@ -145,9 +118,6 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            if self.d2 is None or other.d2 is None:
-                return Jet2(self.value * other.value, self.value * other.d1 + self.d1 * other.value,
-                            *self._first_order(other))
             return Jet2(
                 self.value * other.value,
                 self.value * other.d1 + self.d1 * other.value,
@@ -155,8 +125,6 @@ class Jet2:
                 self.value * other.d12 + self.d1 * other.d2
                 + self.d2 * other.d1 + self.d12 * other.value,
             )
-        if self.d2 is None:
-            return Jet2(self.value * other, self.d1 * other, None, None)
         return Jet2(self.value * other, self.d1 * other, self.d2 * other, self.d12 * other)
 
     __rmul__ = __mul__
@@ -172,20 +140,16 @@ class Jet2:
         return self._reciprocal() * other
 
     def __neg__(self):
-        if self.d2 is None:
-            return Jet2(-self.value, -self.d1, None, None)
         return Jet2(-self.value, -self.d1, -self.d2, -self.d12)
 
     def _reciprocal(self):
         x = self.value
         if any_lane(x == 0.0):
             raise ZeroDivisionError("division by zero")
-        return self._lift(1.0 / x, -1.0 / (x * x), None if self.d2 is None else 2.0 / (x * x * x))
+        return self._lift(1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x))
 
     def _lift(self, f, fp, fpp) -> "Jet2":
         # chain rule through a scalar function with value f, f', f'' at self.value
-        if self.d2 is None:
-            return Jet2(f, fp * self.d1, None, None)
         return Jet2(f, fp * self.d1, fp * self.d2, fp * self.d12 + fpp * self.d1 * self.d2)
 
     def __pow__(self, e):

@@ -1,12 +1,15 @@
 """Pointwise tensors of an (alpha,beta)-metric and the formula audit.
 
 Everything here is assembled twice over: once from the closed-form
-coefficient expressions, and once via the differentiation oracles in
-`numerics`.  Both run over lanes: `bundle_at` takes N directions, at one
-base point or at N stacked ones, as one pass with the lane axis in front of
-every coefficient and tensor, and its singular-zeta guard raises the
-per-flag error when any lane fails.  The `audit_*` entry points compare the
-two routes and report per-check maximum elementwise errors.
+coefficient expressions, and once via the differentiation oracles: the
+hyper-dual and finite-difference Hessians of F^2/2 in `numerics`, and for
+C_ijk a complex step of the closed-form g_ij in y (`torsion_oracle`), which
+runs the scalar-generic closed forms on plain complex arrays.  Both routes
+run over lanes: `bundle_at` takes N directions, at one base point or at N
+stacked ones, as one pass with the lane axis in front of every coefficient
+and tensor, and its singular-zeta guard raises the per-flag error when any
+lane fails.  The `audit_*` entry points compare the two routes and report
+per-check maximum elementwise errors.
 
 The q2 coefficient is always computed from its defining expression
 F*(F_aa - F_a/alpha)/alpha^2.  The widely quoted expanded bracket
@@ -35,7 +38,7 @@ from .metric import (
     resolve_family,
     sample_flags,
 )
-from .numerics import Jet2, any_lane, fd_hessian, first_lane, jet_eval, lanewise, outer
+from .numerics import any_lane, fd_hessian, first_lane, jet_eval, lanewise, outer
 
 
 class SingularCoefficientError(ArithmeticError):
@@ -264,23 +267,31 @@ def half_f_squared(spec: SpaceSpec, x):
     return f
 
 
+# the complex step of `torsion_oracle` is 2^TORSION_STEP times a power of two near each
+# flag's largest |y^i|: its O(h^2) term lies far below an ulp of C
+TORSION_STEP = -100
+
+
 def torsion_oracle(spec: SpaceSpec, x, y) -> np.ndarray:
-    """C_ijk oracle = (1/2) d g_ij / d y^k, by dual differentiation of the
+    """C_ijk oracle = (1/2) d g_ij / d y^k, by complex-step differentiation of the
     closed-form `fundamental_tensor` in the direction argument; x may be a
     BasePoint, or a stacked one with y the (N, d) directions of its points.
 
-    One pass of first-order jets over lanes (d, N): lane k seeds e_k.
+    One pass of complex lanes (d, N): lane k holds y + i h e_k, so Im g / h is
+    d g / d y^k with no difference taken.  Each flag's h is a power of two
+    scaled with its y, which keeps the seed and the division exact and C
+    (-1)-homogeneous at any scale; every guard reads the real parts.
     """
     point = base_point(spec, x)
     a, b = _lanes_of(point)
     y = np.asarray(y, dtype=float)
-    seed = np.eye(spec.dim).reshape((spec.dim, spec.dim) + (1,) * (y.ndim - 1))
-    ys = [Jet2(y[..., m], seed[m], None, None) for m in range(spec.dim)]
-    alpha, beta, y_low = alpha_beta_generic(a, b, ys)
+    h = np.ldexp(1.0, np.frexp(np.abs(y).max(-1))[1] + TORSION_STEP)
+    seed = 1j * np.eye(spec.dim).reshape((spec.dim, spec.dim) + (1,) * (y.ndim - 1)) * h
+    alpha, beta, y_low = alpha_beta_generic(a, b, [y[..., m] + seed[m] for m in range(spec.dim)])
     pp = phi_partials(spec.family, spec.k, alpha, beta)
     mc = metric_coefficients(pp, angular_coefficients(pp, alpha))
-    g = fundamental_tensor(mc, point.a, point.b, Jet2.stack(y_low))
-    return np.moveaxis(0.5 * g.d1, 0, -1)
+    g = fundamental_tensor(mc, point.a, point.b, np.stack(y_low, axis=-1))
+    return np.moveaxis(g.imag * lanewise(0.5 / h, 2), 0, -1)
 
 
 def q2_expanded_form(k: int, alpha: float, beta: float) -> float:

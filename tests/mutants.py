@@ -126,6 +126,12 @@ MUTANTS = [
      "drop h_ki m_j from C_ijk", TENSORS_TESTS),
     (TENSORS, "return (lanewise(mc.p1, 3) * sym", "return 1.0001 * (lanewise(mc.p1, 3) * sym",
      "1e-4 relative error in C_ijk", TENSORS_TESTS),
+    # the complex step of `tensors.torsion_oracle`: the derivative is Im g / h, and lane k
+    # seeds coordinate k
+    (TENSORS, "g.imag * lanewise(0.5 / h, 2)", "g.real * lanewise(0.5 / h, 2)",
+     "torsion oracle reads Re g in place of Im g", TENSORS_TESTS),
+    (TENSORS, "1j * np.eye(spec.dim)", "1j * np.roll(np.eye(spec.dim), -1, 1)",
+     "torsion oracle seeds coordinate k + 1 mod d in lane k", TENSORS_TESTS),
     # the finite-difference oracle's step shrinks near Kropina's edge and must still see
     # a 1e-4 relative error in g on Kropina flags
     (TENSORS, "    g = fundamental_tensor(mc, flag.a, flag.b, flag.y_low)\n",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls
-from finslerkit import cli
+from finslerkit import cli, geodesic
 from finslerkit.classifier import ClassifierConsistencyError, classify
 from finslerkit.cli import build_parser, cmd_classify, main
 from finslerkit.config import ConfigError, load_config
@@ -84,6 +84,14 @@ def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _e5_with(tmp_path, **settings):
+    """configs/e5.cfg with the line of each key in ``settings`` set to its value."""
+    text = (Path(__file__).resolve().parents[1] / "configs" / "e5.cfg").read_text()
+    for key, value in settings.items():
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    return _write(tmp_path, text)
 
 
 def test_classify_plane_exits_zero(tmp_path, capsys):
@@ -189,6 +197,34 @@ def test_geodesic_command(tmp_path, capsys):
     assert code == 0
     assert "length = 1.1" in out
     assert "converged = True" in out
+
+
+def test_geodesic_out_of_iterations_is_not_converged(tmp_path, capsys):
+    # one Newton step on the curved e5 space leaves the gradient above tol
+    code = main(["geodesic", "--config", _e5_with(tmp_path, iters=1)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "  converged = False (iteration budget exhausted)\n" in out
+    assert " after 1 iterations\n" in out
+
+
+def test_geodesic_whose_every_trial_fails_stalls(tmp_path, capsys, monkeypatch):
+    # the start polyline's jet passes; every trial after it leaves the domain, so the
+    # damping grows past its bound without an accepted step
+    real, calls = geodesic._length_derivatives, []
+
+    def failing(spec, nodes):
+        calls.append(nodes)
+        if len(calls) > 1:
+            raise ArithmeticError("trial outside the domain")
+        return real(spec, nodes)
+
+    monkeypatch.setattr(geodesic, "_length_derivatives", failing)
+    code = main(["geodesic", "--config", _e5_with(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "  converged = False (line search stalled: persistent step rejection)\n" in out
+    assert " after 1 iterations\n" in out and len(calls) > 2
 
 
 def test_geodesic_whose_initial_polyline_leaves_the_domain_is_an_error(tmp_path, capsys):
@@ -325,17 +361,11 @@ def test_classify_prints_a_small_witness_as_nonzero(tmp_path, capsys):
     assert re.fullmatch(r"\d\.\d{3}e[+-]\d\d", printed) and 0.0 < float(printed) < 5e-7
 
 
-def _e5_with(tmp_path, potential):
-    path = Path(__file__).resolve().parents[1] / "configs" / "e5.cfg"
-    return _write(tmp_path, re.sub(r"(?m)^b_potential = .*$", f"b_potential = {potential}",
-                                   path.read_text()))
-
-
 @pytest.mark.filterwarnings("error")
 def test_geodesic_whose_start_polyline_overflows_is_an_error(tmp_path, capsys):
     # before: exit 1, "length = inf" and "gradient max-norm = nan" after 11 RuntimeWarnings
     out_file = tmp_path / "out.csv"
-    code = main(["geodesic", "--config", _e5_with(tmp_path, "0.2*x3*exp(500*x1)"),
+    code = main(["geodesic", "--config", _e5_with(tmp_path, b_potential="0.2*x3*exp(500*x1)"),
                  "--out", str(out_file)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and not out_file.exists()
@@ -347,13 +377,25 @@ def test_geodesic_whose_start_polyline_overflows_is_an_error(tmp_path, capsys):
 def test_classify_whose_second_kind_fit_overflows_is_an_error(tmp_path, capsys, potential):
     # before: RuntimeWarnings, a fitted e of 0 where (b^2)^2 overflowed, then
     # "error: degenerate fundamental tensor" with no point
-    code = main(["classify", "--config", _e5_with(tmp_path, potential)])
+    code = main(["classify", "--config", _e5_with(tmp_path, b_potential=potential)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     named = re.fullmatch(r"error: the second-kind fit overflows at x=\[(.*)\]: b\^2 = (\S+)\n",
                          captured.err)
     x = [float(c) for c in named.group(1).split(",")]
     assert abs(x[2]) < 1e-12 and float(named.group(2)) > 1e150  # on the surface x3 = 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_classify_whose_normal_cannot_be_normalized_names_the_point(tmp_path, capsys):
+    # before: "error: degenerate fundamental tensor: cannot normalize the normal", no point
+    code = main(["classify", "--config", _e5_with(tmp_path, b_potential="0.2*x3*exp(25*x1)")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    named = re.fullmatch(r"error: degenerate fundamental tensor: cannot normalize the normal "
+                         r"at x=\[(.*)\]: b\^2 = (\S+)\n", captured.err)
+    x = [float(c) for c in named.group(1).split(",")]
+    assert abs(x[2]) < 1e-12 and float(named.group(2)) > 1e10  # on the surface x3 = 0
 
 
 # -- config validation
