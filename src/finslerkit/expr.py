@@ -10,7 +10,9 @@ Grammar (precedence low to high; every binary operator is left-associative):
     atom     := NUMBER | IDENT | IDENT '(' sum ')' | '(' sum ')'
 
 Identifiers are coordinates ``x1..xd`` (1-based), named constants bound to
-numbers at parse time, or the functions exp, log, sin, cos, sqrt.
+numbers at parse time, or the functions exp, log, sin, cos, sqrt.  Binary
+``a - b`` is read as ``a + -b``, with the bits of a difference (negation is
+exact), and ``a + -b`` prints as ``a - b``.
 
 Expression trees are immutable; evaluation is pure and accepts any scalar
 type implementing the arithmetic operators (floats, numpy arrays, dual
@@ -79,15 +81,6 @@ class Expr:
 
     precedence = 9
 
-    def eval(self, x: Sequence):
-        raise NotImplementedError
-
-    def diff(self, var: int) -> "Expr":
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        raise NotImplementedError
-
     def _wrap(self, child: "Expr") -> str:
         return f"({child})" if child.precedence < self.precedence else str(child)
 
@@ -154,23 +147,9 @@ class Add(Expr):
         return _add(self.lhs.diff(var), self.rhs.diff(var))
 
     def __str__(self):
+        if isinstance(self.rhs, Neg):  # a - b, the parse of that text
+            return f"{self._wrap(self.lhs)} - {self._wrap_tight(self.rhs.arg)}"
         return f"{self._wrap(self.lhs)} + {self._wrap(self.rhs)}"
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    lhs: Expr
-    rhs: Expr
-    precedence = 1
-
-    def eval(self, x):
-        return self.lhs.eval(x) - self.rhs.eval(x)
-
-    def diff(self, var):
-        return _sub(self.lhs.diff(var), self.rhs.diff(var))
-
-    def __str__(self):
-        return f"{self._wrap(self.lhs)} - {self._wrap_tight(self.rhs)}"
 
 
 @dataclass(frozen=True)
@@ -206,7 +185,7 @@ class Div(Expr):
 
     def diff(self, var):
         # (u/v)' = (u'v - uv') / v^2
-        num = _sub(_mul(self.lhs.diff(var), self.rhs), _mul(self.lhs, self.rhs.diff(var)))
+        num = _add(_mul(self.lhs.diff(var), self.rhs), _neg(_mul(self.lhs, self.rhs.diff(var))))
         return _div(num, _pow(self.rhs, Num(2.0)))
 
     def __str__(self):
@@ -312,23 +291,13 @@ def _is_num(e: Expr, v: float) -> bool:
 
 
 def _add(a: Expr, b: Expr) -> Expr:
+    if isinstance(a, Num) and isinstance(b, Num):  # first: 0.0 + -0.0 is +0.0, as 0.0 - 0.0
+        return Num(a.value + b.value)
     if _is_num(a, 0.0):
         return b
     if _is_num(b, 0.0):
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
     return Add(a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_num(b, 0.0):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
-    if _is_num(a, 0.0):
-        return _neg(b)
-    return Sub(a, b)
 
 
 def _neg(a: Expr) -> Expr:
@@ -416,7 +385,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             _, op, _ = self.take()
             rhs = self.parse_term()
-            lhs = Add(lhs, rhs) if op == "+" else Sub(lhs, rhs)
+            lhs = Add(lhs, rhs if op == "+" else Neg(rhs))
         return lhs
 
     def parse_term(self) -> Expr:

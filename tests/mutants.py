@@ -211,6 +211,13 @@ MUTANTS = [
     # the last result an expression table keeps must be keyed by its points' values
     (EXPR, "(x.shape, x.tobytes())", "(x.shape,)",
      "table memo keyed by the points' shape alone", EXPR_TESTS),
+    # binary minus is the sum with a negation: printed with the tight parentheses of a
+    # difference, and folded so that 0.0 + -0.0 gives the +0.0 of 0.0 - 0.0
+    (EXPR, "{self._wrap_tight(self.rhs.arg)}", "{self._wrap(self.rhs.arg)}",
+     "a - (b + c) printed as a - b + c", EXPR_TESTS),
+    (EXPR, "def _add(a: Expr, b: Expr) -> Expr:\n",
+     "def _add(a: Expr, b: Expr) -> Expr:\n    if _is_num(a, 0.0):\n        return b\n",
+     "_add drops a zero before it folds two constants", EXPR_TESTS),
 ]
 
 # Known survivors: name -> why it survives and which open item is meant to kill it.

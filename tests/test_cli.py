@@ -746,3 +746,34 @@ def test_classify_rows_carry_each_points_residuals(tmp_path, capsys):
     assert by_test["third-kind"] == report.third_kind.per_point
     assert max(by_test["first-kind"]) == report.first_kind.residual
     assert max(by_test["second-kind"]) == report.second_kind.residual
+
+
+def _line_of(text: str, start: str) -> int:
+    """The 1-based number of the first line of ``text`` that starts with ``start``."""
+    return next(n for n, line in enumerate(text.splitlines(), 1) if line.startswith(start))
+
+
+_FLAG_NO_SEMICOLON = PLANE_CFG.replace("0, 0, 0 ; 1, 0, 0", "0, 0, 0, 1, 0, 0")
+_B_TWO_ENTRIES = PLANE_CFG.replace("b_potential = 0.1*x3", "b = 0, 0.1")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("family = randers\n", "line 1: key outside of any section"),
+    ("[space]\nfamily randers\n", "line 2: expected 'key = value'"),
+    ("[space]\nconstant = c\n", "line 2: constant needs 'name value'"),
+    (_FLAG_NO_SEMICOLON, f"line {_line_of(_FLAG_NO_SEMICOLON, 'flag')}: "
+                         "flag needs 'x1, ..., xd ; y1, ..., yd'"),
+    (PLANE_CFG.replace("family = generalized-square\n", ""), "[space] must set 'family'"),
+    ("[space]\nfamily = randers\n", "[space] must give the a-matrix via a_row lines"),
+    (_B_TWO_ENTRIES, f"line {_line_of(_B_TWO_ENTRIES, 'b =')}: "
+                     "dimension mismatch: b has 2 entries for dimension 3"),
+    # SpaceSpec's own refusal, wrapped with no line
+    ("[space]\nfamily = randers\na_row = 1\nb = 0\n", "dimension must be at least 2"),
+    (GEO_CFG + "\n[hypersurface]\nlevel = 0\n",
+     "[hypersurface] needs 'potential' when the space has none"),
+], ids=["outside-section", "no-equals", "constant", "flag", "no-family", "no-a-rows",
+        "b-entries", "one-dimensional", "no-potential"])
+def test_config_refusals_name_their_fault_and_line(tmp_path, text, message):
+    with pytest.raises(ConfigError) as err:
+        load_config(_write(tmp_path, text))
+    assert str(err.value) == message

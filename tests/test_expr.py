@@ -150,6 +150,65 @@ def test_dimension_mismatch_at_eval():
         ex.parse("x3").eval((1.0, 2.0))
 
 
+# -- binary minus is read as the sum with a negation
+
+
+def test_binary_minus_is_the_sum_with_a_negation():
+    assert ex.parse("x1 - 2") == ex.parse("x1 + -2") == ex.Add(ex.Coord(0), ex.Neg(ex.Num(2.0)))
+    # an exact zero difference keeps the sign of the matching sum: the x3 partial is +0.0
+    d = ex.parse("x1 - x2").diff(2)
+    assert d == ex.Num(0.0) and math.copysign(1.0, d.value) == 1.0
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("x1 - (x2 + x3)", "x1 - (x2 + x3)"),  # parens at equal precedence on the right
+    ("x1 - x2 - x3", "x1 - x2 - x3"),
+    ("x1 - x2*x3", "x1 - x2*x3"),
+    ("x1 + -x2", "x1 - x2"),
+    ("x1 - -x2", "x1 - -x2"),
+    ("-(x1 - x2)", "-(x1 - x2)"),
+])
+def test_a_negated_right_operand_prints_as_a_difference(text, shown):
+    e = ex.parse(text)
+    assert str(e) == shown and ex.parse(shown) == e
+
+
+def test_a_domain_error_names_the_difference():
+    with pytest.raises(ex.DomainError, match=r"^log of non-positive value in 'log\(x1 - 2\.0\)'$"):
+        ex.parse("log(x1 - 2)").eval((1.0,))
+
+
+def test_fractional_power_of_jet_lanes_at_zero_is_a_domain_error():
+    lanes = [Jet2(np.array([1.0, 0.0]), 1.0)]
+    message = r"^derivative of fractional power at zero in 'x1\^0\.5'$"
+    with pytest.raises(ex.DomainError, match=message):
+        ex.parse("x1^0.5").eval(lanes)
+
+
+def test_quotient_by_one_folds_to_the_numerator():
+    assert ex.parse("x1/1").diff(0) == ex.Num(1.0)
+    assert ex.parse("x1/1").diff(1) == ex.Num(0.0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("exp(x1", "expected ')' at offset 6"),
+    ("", "empty expression at offset 0"),
+    ("   ", "empty expression at offset 0"),
+])
+def test_unclosed_and_empty_text_are_syntax_errors(text, message):
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse(text)
+    assert str(err.value) == message
+
+
+def test_table_refuses_points_of_the_wrong_shape():
+    table = ex.ExprTable([ex.parse("x1*x2"), ex.parse("x1 - x2")], (2,))
+    with pytest.raises(ValueError, match=r"^x must be a point \(d,\) or N points \(N, d\)$"):
+        table.at(np.zeros((2, 3, 2)))
+    with pytest.raises(ValueError, match="^x must have dimension 2$"):
+        table.at(np.zeros((4, 3)))
+
+
 # -- random-expression properties
 
 _FN = ("exp", "sin", "cos")
@@ -166,7 +225,7 @@ def _random_polynomial(rng, depth: int, dim: int) -> ex.Expr:
     if op == 0:
         return ex.Add(a, b)
     if op == 1:
-        return ex.Sub(a, b)
+        return ex.Add(a, ex.Neg(b))
     if op == 2:
         return ex.Mul(a, b)
     return ex.Pow(a, ex.Num(float(rng.integers(1, 4))))

@@ -125,6 +125,14 @@ def test_minimize_validates_endpoints():
         minimize(spec, GeodesicParams(start=[0, 0, 0], end=[1, 0, 0]))
 
 
+def test_polyline_and_segment_count_must_have_a_segment():
+    spec = _euclid2()
+    with pytest.raises(ValueError, match=r"^nodes must be an \(m\+1\) x 2 array with m >= 1$"):
+        polyline_length(spec, [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="^need at least one segment$"):
+        minimize(spec, GeodesicParams(start=[0, 0], end=[1, 0], segments=0))
+
+
 def test_single_segment_shortcut():
     spec = _euclid2()
     res = minimize(spec, GeodesicParams(start=[0, 0], end=[1, 0], segments=1))
@@ -314,6 +322,20 @@ def test_pinned_matsumoto_follows_the_diagonal_with_second_order_error():
     assert np.abs(ratios - 4.0).max() <= 0.01
 
 
+def test_a_budget_that_ends_on_a_stationary_point_is_converged():
+    # the pinned Matsumoto problem reaches tol at the test of iteration 3; a budget of
+    # 2 ends after the step that got there, and the result still says it converged
+    spec = make_space(family="matsumoto", k=1, dim=2, potential="0.1*x1*x2")
+    params = GeodesicParams(start=[0, 0], end=[1, 1], segments=8, iters=600, tol=1e-7, seed=1)
+    full = minimize(spec, params)
+    assert full.converged and full.iterations == 3
+    params.iters = 2
+    res = minimize(spec, params)
+    assert res.iterations == 2 and res.grad_norm <= 1e-7
+    assert res.converged and res.message == "stationary point reached"
+    assert res.length == full.length
+
+
 def test_a_geodesic_at_its_float_minimum_stops_at_once():
     # curved Randers reaches its exact length |q - p| + phi(q) - phi(p) in 3
     # steps; later steps leave the float length bit-identical, with the
@@ -351,6 +373,17 @@ def test_a_start_polyline_off_the_domain_names_its_first_failing_segment():
         minimize(spec, GeodesicParams(start=[1, 0], end=[-1, 0.5], segments=4, seed=1))
     assert err.value.segment == 2
     assert isinstance(err.value.__cause__, DomainError)
+
+
+def test_a_start_polyline_that_fails_only_in_the_jet_raises_the_jet_error():
+    # the middle segment's midpoint is x1 = 0 exactly: sqrt(x1^2) is 0 there, so the float
+    # length names no failing segment (no SegmentDomainError), but the jet has no
+    # derivative of sqrt at zero
+    spec = make_space(family="riemannian", dim=2, b=["0", "0"],
+                      a=[["1 + sqrt(x1^2)", "0"], ["0", "1"]])
+    params = GeodesicParams(start=[-1.5, 0], end=[1.5, 0], segments=3, seed=1)
+    with pytest.raises(DomainError, match=r"^derivative of sqrt at zero in 'sqrt\(x1\^2\.0\)'$"):
+        minimize(spec, params)
 
 
 def test_a_segment_whose_length_overflows_is_a_domain_exit():

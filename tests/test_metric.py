@@ -189,6 +189,20 @@ def test_space_spec_validation():
         SpaceSpec(2, 1, "euclidean", rows, [ex.Num(0.0), ex.Num(0.0)])
 
 
+def test_space_spec_refuses_a_and_b_of_another_dimension():
+    one, zero = ex.Num(1.0), ex.Num(0.0)
+    with pytest.raises(ValueError, match="^a must be a 2x2 block$"):
+        SpaceSpec(2, 1, "riemannian", [[one, zero, zero], [zero, one, zero]], [zero, zero])
+    with pytest.raises(ValueError, match="^b must have 2 components$"):
+        SpaceSpec(2, 1, "riemannian", [[one, zero], [zero, one]], [zero, zero, zero])
+
+
+def test_flag_point_refuses_a_direction_of_another_dimension():
+    spec = make_space(k=1, potential="0.1*x3")
+    with pytest.raises(ValueError, match="^y must have dimension 3$"):
+        flag_point(spec, [0.5, 0.1, -0.2], [0.3, -1.0, 0.7, 1.0])
+
+
 def test_gradient_potential_matches_symbolic_derivatives():
     spec = make_space(k=1, potential="exp(x3) + x1*x2")
     x = np.array([0.3, -0.7, 0.2])

@@ -52,6 +52,29 @@ def test_jet_negative_base_integer_power():
         j ** 0.5
 
 
+def test_jet_minus_a_number_shifts_the_value_alone():
+    out = Jet2(2.0, 1.0, 0.5, 0.25) - 3.0
+    assert (out.value, out.d1, out.d2, out.d12) == (-1.0, 1.0, 0.5, 0.25)
+
+
+def test_jet_over_a_zero_number_raises():
+    with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+        Jet2(2.0, 1.0) / 0.0
+    with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+        Jet2(np.array([2.0, 3.0]), 1.0) / np.array([1.0, 0.0])  # one lane is enough
+
+
+def test_number_to_a_jet_power():
+    # f(x) = 2^x: f' = ln 2 * 2^x, f'' = (ln 2)^2 * 2^x
+    x, ln2 = 0.7, math.log(2.0)
+    out = 2.0 ** Jet2(x, 1.0, 1.0, 0.0)
+    assert out.value == pytest.approx(2.0 ** x, rel=1e-15)
+    assert out.d1 == out.d2 == pytest.approx(ln2 * 2.0 ** x, rel=1e-15)
+    assert out.d12 == pytest.approx(ln2 * ln2 * 2.0 ** x, rel=1e-15)
+    with pytest.raises(ValueError, match="^non-positive base with dual exponent$"):
+        (-1.0) ** Jet2(x, 1.0)
+
+
 def test_jet_eval_sum_of_squares():
     jet = jet_eval(lambda y: sum(v * v for v in y), [1.0, 2.0])
     assert jet.value == 5.0
@@ -146,6 +169,12 @@ def test_pd_check_identity_and_indefinite():
 def test_pd_check_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         pd_check(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (4, 2, 3)])
+def test_pd_check_requires_square_matrices(shape):
+    with pytest.raises(ValueError, match="^square matrix required$"):
+        pd_check(np.ones(shape))
 
 
 def test_pd_check_agrees_with_power_iteration():
