@@ -21,22 +21,21 @@ every kept direction, point by point: its charts, one bundle and one pass over a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .connection import ConnectionData, covariant_db
 from .hypersurface import HypersurfaceFrame, LevelSurface, frame_at
 from .metric import SAMPLE_BOX, SpaceSpec, _first_passing
-from .numerics import dot, lanewise, matvec, outer
+from .numerics import Record, dot, lanewise, matvec, outer
 
 
 class ClassifierConsistencyError(RuntimeError):
     """Algebraic and geometric routes disagreed: implementation or sampling problem."""
 
 
-@dataclass
-class ClassifyOptions:
+class ClassifyOptions(Record):
     """Settings of `classify`: its fields are the keys and defaults of [classify]."""
 
     points: int = field(default=25, metadata={"min": 1})
@@ -45,8 +44,7 @@ class ClassifyOptions:
     tol: float = field(default=1e-8, metadata={"min": 0.0})
 
 
-@dataclass
-class KindResult:
+class KindResult(Record):
     passed: bool
     per_point: list[float]   # each sample point's residual
 
@@ -55,8 +53,7 @@ class KindResult:
         return max(self.per_point, default=0.0)
 
 
-@dataclass
-class ThirdKindResult:
+class ThirdKindResult(Record):
     verdict: str             # "impossible" | "vacuous"
     per_point: list[float]   # each point's min over its directions of max |M_ab|
 
@@ -65,8 +62,7 @@ class ThirdKindResult:
         return min(self.per_point, default=0.0)
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(Record):
     """Residuals and verdicts for the three hyperplane kinds plus the
     cross-route diagnostics and the sampling metadata."""
 
@@ -186,10 +182,11 @@ def third_kind_test(frame: HypersurfaceFrame, counts) -> ThirdKindResult:
 
 def proportionality_check(
     frame: HypersurfaceFrame, c: np.ndarray, k: int
-) -> tuple[list[float], float]:
+) -> tuple[list[float], np.ndarray]:
     """Check H_ab = -(k+1) c_0 sqrt(b^2) / (4 alpha zeta^(3/2)) h_ab with
     c_0 = c_i y^i and zeta = 1 + k(k+1) b^2 on every flag of the frame, with
-    c its point's first-kind solution, one row per flag.
+    c its point's first-kind solution, one row per flag: the factors, and the
+    largest deviation |H_ab - factor h_ab| of each flag.
 
     On a first-kind level set of the 1-form's own potential N_i is
     proportional to b_i and the pullback of b_ij vanishes, so H_ab reduces to
@@ -200,7 +197,7 @@ def proportionality_check(
     flag = frame.bundle.flag
     zeta = 1.0 + k * (k + 1) * flag.b2
     factors = -(k + 1) * dot(flag.y, c) * np.sqrt(flag.b2) / (4.0 * flag.alpha * zeta ** 1.5)
-    return factors.tolist(), float(np.abs(frame.H_ab - lanewise(factors, 2) * frame.h_ind).max())
+    return factors.tolist(), np.abs(frame.H_ab - lanewise(factors, 2) * frame.h_ind).max((-2, -1))
 
 
 def classify(
@@ -250,12 +247,13 @@ def classify(
     third = third_kind_test(frame, kept.sum(1))
     factors, deviation = [], None
     if first.passed:
-        factors, deviation = proportionality_check(frame, np.array(c)[at], spec.k)
-        if deviation > opts.tol * geo_scale:
+        factors, deviations = proportionality_check(frame, np.array(c)[at], spec.k)
+        deviation, worst = float(np.max(deviations)), np.argmax(deviations)
+        if deviation > opts.tol * geo_scale:  # named at its worst flag, whose b^2 may be large
+            x, b2 = frame.bundle.flag.x[worst].tolist(), frame.bundle.flag.b2[worst]
             raise ClassifierConsistencyError(
-                f"first kind holds, but H_ab deviates from the first-kind multiple "
-                f"of h_ab by {deviation:.3e}"
-            )
+                f"first kind holds, but H_ab deviates from the first-kind multiple of h_ab "
+                f"by {deviation:.3e} at x={x}: b^2 = {b2:.3e}")
 
     return ClassificationReport(
         first_kind=first, second_kind=second, third_kind=third,

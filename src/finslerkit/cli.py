@@ -32,8 +32,8 @@ from .geodesic import minimize
 from .metric import validity_check
 from .tensors import audit_sweep, bundle_at
 
-# Every library error derives from one of these; each one exits with status 2.
-_ERRORS = (ValueError, ArithmeticError, RuntimeError)
+# Every library error, and a numpy warning raised under python -W error: exit status 2.
+_ERRORS = (ValueError, ArithmeticError, RuntimeError, RuntimeWarning)
 
 # The commands each override applies to: those whose options record has the field.
 _APPLIES = {flag: [cmd for cmd, rec in OPTIONS.items() if flag in {f.name for f in fields(rec)}]
@@ -193,12 +193,8 @@ def cmd_geodesic(cfg: RunConfig, args) -> int:
         "  nodes:",
     ]
     lines.extend(f"    {_vec(node)}" for node in result.nodes)
-    rows: list[list] = []
-    for i, node in enumerate(result.nodes):
-        for j, val in enumerate(node):
-            rows.append(["geodesic", "node", i + 1, j + 1, "", float(val)])
-    for i, length in enumerate(result.trace):
-        rows.append(["geodesic", "trace", i + 1, "", "", float(length)])
+    rows = [*_matrix_rows("geodesic", "node", result.nodes),
+            *_matrix_rows("geodesic", "trace", result.trace)]
     print("\n".join(lines))
     _write_rows(args, ["context", "quantity", "i", "j", "k", "value"], rows, geo.seed)
     return 0 if result.converged else 1

@@ -39,7 +39,7 @@ so that no expression can use it; every error carries its line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -50,7 +50,7 @@ from .classifier import ClassifyOptions
 from .geodesic import GeodesicParams
 from .hypersurface import LevelSurface
 from .metric import FAMILIES, SpaceSpec
-from .numerics import SYM_TOL
+from .numerics import Record, SYM_TOL
 from .tensors import AuditParams
 
 
@@ -74,8 +74,7 @@ _REPEATABLE = {("space", "a_row"), ("space", "constant"), ("tensors", "flag")}
 _SYMMETRY_SAMPLES = 4  # random points at which a(x) is checked for symmetry
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """Everything one workbench run needs; seeds are recorded in every report."""
 
     space: SpaceSpec

@@ -14,17 +14,14 @@ normal component); no d x d x d tensor is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .metric import BasePoint, SpaceSpec, base_point
-from .numerics import dot, lanewise, matvec, outer
+from .numerics import Record, dot, lanewise, matvec, outer
 from .tensors import TensorBundle
 
 
-@dataclass
-class ConnectionData:
+class ConnectionData(Record):
     """Christoffel symbols of a_ij and the covariant derivative of b at a
     base point, or at P of them as lanes in front (`numerics.lane` slices one).
 

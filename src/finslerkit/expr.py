@@ -14,11 +14,11 @@ numbers at parse time, or the functions exp, log, sin, cos, sqrt.  Binary
 ``a - b`` is read as ``a + -b``, with the bits of a difference (negation is
 exact), and ``a + -b`` prints as ``a - b``.
 
-Expression trees are immutable; evaluation is pure and accepts any scalar
-type implementing the arithmetic operators (floats, numpy arrays, dual
-numbers with exp/log/sin/cos/sqrt methods), so the same tree serves plain
-evaluation and forward-mode differentiation.  Array and dual values may
-hold many lanes; a domain guard raises when any lane fails it, and each
+Nodes are slotted, immutable, and equal (and hashed alike) when of one class with
+equal fields.  Evaluation is pure and accepts any scalar type implementing the
+arithmetic operators (floats, numpy arrays, duals with exp/log/sin/cos/sqrt methods),
+so the same tree serves plain evaluation and forward-mode differentiation.  Array and
+dual values may hold many lanes; a domain guard raises when any lane fails it, and each
 float lane has the bits of its point (`_per_lane`).  An `ExprTable` holds the entries
 of an array, evaluates them at float points (a function node that entries share once,
 the last result kept) or on columns of any scalar type, and derives its partials once.
@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -75,11 +76,42 @@ def _per_lane(f, *args) -> np.ndarray:
     return np.asarray(np.frompyfunc(f, len(args), 1)(*args), dtype=float)
 
 
-@dataclass(frozen=True)
 class Expr:
-    """Base node.  Subclasses implement eval, diff and text rendering."""
+    """Base node, its fields named by ``__slots__``; subclasses add eval, diff and __str__."""
 
+    __slots__ = ()
     precedence = 9
+
+    def __init_subclass__(cls):
+        # __init__ and `args` (type(e)(*e.args) == e) by position, through the slots
+        put, get = [getattr(cls, f).__set__ for f in cls.__slots__], attrgetter(*cls.__slots__)
+        if len(put) == 1:
+            (put_a,) = put
+            cls.args = property(lambda self: (get(self),))
+
+            def __init__(self, a):
+                put_a(self, a)
+        else:  # two fields
+            put_a, put_b = put
+            cls.args = property(get)
+
+            def __init__(self, a, b):
+                put_a(self, a)
+                put_b(self, b)
+        cls.__init__ = __init__
+
+    def __eq__(self, other):
+        return self.args == other.args if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.args)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def _wrap(self, child: "Expr") -> str:
         return f"({child})" if child.precedence < self.precedence else str(child)
@@ -89,9 +121,8 @@ class Expr:
         return f"({child})" if child.precedence <= self.precedence else str(child)
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
 
     def eval(self, x):
         return self.value
@@ -103,9 +134,8 @@ class Num(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
 class Coord(Expr):
-    index: int  # 0-based; rendered 1-based as x1..xd
+    __slots__ = ("index",)  # 0-based; rendered 1-based as x1..xd
 
     def eval(self, x):
         if self.index >= len(x):
@@ -119,9 +149,8 @@ class Coord(Expr):
         return f"x{self.index + 1}"
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
     precedence = 4
 
     def eval(self, x):
@@ -134,10 +163,8 @@ class Neg(Expr):
         return f"-{self._wrap(self.arg)}"
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
     precedence = 1
 
     def eval(self, x):
@@ -152,10 +179,8 @@ class Add(Expr):
         return f"{self._wrap(self.lhs)} + {self._wrap(self.rhs)}"
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
     precedence = 2
 
     def eval(self, x):
@@ -171,10 +196,8 @@ class Mul(Expr):
         return f"{self._wrap(self.lhs)}*{self._wrap(self.rhs)}"
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
     precedence = 2
 
     def eval(self, x):
@@ -192,10 +215,8 @@ class Div(Expr):
         return f"{self._wrap(self.lhs)}/{self._wrap_tight(self.rhs)}"
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: Expr
+    __slots__ = ("base", "exponent")
     precedence = 5
 
     def eval(self, x):
@@ -245,10 +266,8 @@ class Pow(Expr):
         return f"{self._wrap_tight(self.base)}^{self._wrap_tight(self.exponent)}"
 
 
-@dataclass(frozen=True)
 class Fn(Expr):
-    name: str
-    arg: Expr
+    __slots__ = ("name", "arg")  # name in FUNCTIONS
 
     def eval(self, x):
         if id(self) in (shared := getattr(x, "shared", {})):  # one `at` evaluation's values
@@ -389,32 +408,26 @@ class _Parser:
         return lhs
 
     def parse_term(self) -> Expr:
-        lhs = self.parse_unary()
+        lhs = self.parse_negated(self.parse_power)
         while self.peek() in ("*", "/"):
             _, op, _ = self.take()
-            rhs = self.parse_unary()
+            rhs = self.parse_negated(self.parse_power)
             lhs = Mul(lhs, rhs) if op == "*" else Div(lhs, rhs)
         return lhs
 
-    def parse_unary(self) -> Expr:
+    def parse_negated(self, operand) -> Expr:
+        """A unary (operand: power) or an exponent (operand: atom): '-' before it, or none."""
         if self.peek() == "-":
             self.take()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            return Neg(self.parse_negated(operand))
+        return operand()
 
     def parse_power(self) -> Expr:
         lhs = self.parse_atom()
         while self.peek() == "^":
             self.take()
-            rhs = self.parse_exponent()
-            lhs = Pow(lhs, rhs)
+            lhs = Pow(lhs, self.parse_negated(self.parse_atom))
         return lhs
-
-    def parse_exponent(self) -> Expr:
-        if self.peek() == "-":
-            self.take()
-            return Neg(self.parse_exponent())
-        return self.parse_atom()
 
     def parse_atom(self) -> Expr:
         kind, text, offset = self.take()

@@ -17,12 +17,12 @@ so a curve must be a graph over its chord.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .metric import SpaceSpec, alpha_beta_generic, finsler_norm
-from .numerics import jet_eval
+from .numerics import Record, jet_eval
 
 
 class SegmentDomainError(ArithmeticError):
@@ -87,8 +87,7 @@ def _finite(*parts):
     return parts[0]
 
 
-@dataclass
-class GeodesicParams:
+class GeodesicParams(Record):
     """Settings of `minimize`: its fields are the keys and defaults of [geodesic]."""
 
     start: np.ndarray | None = None
@@ -99,8 +98,7 @@ class GeodesicParams:
     seed: int = 0
 
 
-@dataclass
-class GeodesicResult:
+class GeodesicResult(Record):
     """Optimized polyline with its length and first-order stationarity."""
 
     nodes: np.ndarray
@@ -200,11 +198,9 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
         polyline_length(spec, nodes_of(z))  # raises SegmentDomainError naming the segment
         raise
     trace, damping = [value], _DAMPING_START
-    it, converged, message = 0, False, ""
+    it, message = 0, ""
     for it in range(1, params.iters + 1):
-        if float(np.abs(grad).max()) <= tol:
-            converged = True
-            message = "stationary point reached"
+        if float(np.abs(grad).max()) <= tol:  # converged: the one verdict is given below
             break
         if len(trace) > 1 and trace[-1] == trace[-2]:  # no step can lower the float length
             message = "float minimum reached: the last step left the length unchanged"
@@ -234,9 +230,9 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     else:
         message = "iteration budget exhausted"
 
-    gn = float(np.abs(grad).max())
-    if not converged and gn <= tol:
-        converged, message = True, "stationary point reached"
+    gn = float(np.abs(grad).max())  # a budget may end on a stationary point too
+    converged = gn <= tol
+    message = "stationary point reached" if converged else message
     return GeodesicResult(
         nodes=nodes_of(z), length=value, grad_norm=gn,
         iterations=it, converged=converged, trace=trace, message=message,

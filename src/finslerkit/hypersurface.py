@@ -23,14 +23,14 @@ angular tensor h_ab and the second fundamental tensors H_a, H_ab and M_ab.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar
 
 import numpy as np
 
 from . import expr as ex
 from .connection import ConnectionData, difference_tensor
 from .metric import FlagPoint, SpaceSpec
-from .numerics import any_lane, dot, first_lane, lane, lanewise, matvec, outer
+from .numerics import Record, any_lane, dot, first_lane, lane, lanewise, matvec, outer
 from .tensors import TensorBundle, bundle_at
 
 BETA_TOL = 1e-10   # tangency bound on |beta|, relative to max|b| max|y|
@@ -41,8 +41,7 @@ class OffSurfaceError(ValueError):
     """Base point does not satisfy |b(x) - c| <= tol."""
 
 
-@dataclass
-class LevelSurface:
+class LevelSurface(Record):
     """Scalar potential with a level value; working points must be regular.
     Each evaluation takes one point x (d,) or P points (P, d) as lanes.  When
     the potential is the given ``space``'s own `b_potential`, its gradient and
@@ -68,8 +67,7 @@ class LevelSurface:
         return self.table.diff(d).diff(d).at(x)
 
 
-@dataclass
-class Chart:
+class Chart(Record):
     """Implicit chart at a base point x0 (d,), or at P of them (P, d) as lanes in front.
 
     B[i, a]      = dx^i/du^a (projection factors; columns span the tangent space);
@@ -146,8 +144,7 @@ def unit_normal(chart: Chart, bundle: TensorBundle):
     return n_up, n_dn
 
 
-@dataclass
-class HypersurfaceFrame:
+class HypersurfaceFrame(Record):
     """Chart, ambient bundle at the tangential flags, normal pairs, induced angular
     tensor and second fundamental tensors of the directions v, with the lane axis
     of the flags in front of every field, point by point; the chart and connection

@@ -32,14 +32,13 @@ exponent; here the exponent is named k everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
 
 import numpy as np
 
 from . import expr as ex
-from .numerics import any_lane, dot, join_lanes, lane, lanewise, matvec, pd_check
+from .numerics import Record, any_lane, dot, join_lanes, lane, lanewise, matvec, pd_check
 
 FAMILIES = (
     "generalized-square",
@@ -82,8 +81,7 @@ def resolve_family(family: str, k: int) -> tuple[str, int]:
     return _ALIASES.get(family, (family, k))
 
 
-@dataclass
-class PhiPartials:
+class PhiPartials(Record):
     """F(alpha, beta) with its first and second partials at one flag."""
 
     F: float
@@ -188,8 +186,7 @@ def alpha_beta_generic(a, b, y):
     return ex._call_fn("sqrt", alpha2), reduce(add, map(mul, b, y)), y_low
 
 
-@dataclass
-class SpaceSpec:
+class SpaceSpec(Record):
     """A Finsler space: dimension, exponent, family, a_ij(x) and b_i(x).
 
     Treated as immutable after construction: evaluation is pure and goes
@@ -240,8 +237,7 @@ class SpaceSpec:
         return self.b_table.diff(self.dim).at(x)
 
 
-@dataclass
-class BasePoint:
+class BasePoint(Record):
     """a_ij, b_i and the data raised with a^ij at one base point x."""
 
     x: np.ndarray
@@ -252,7 +248,6 @@ class BasePoint:
     b2: float           # b^2 = b_i b^i
 
 
-@dataclass
 class FlagPoint(BasePoint):
     """Base point with a direction y and the per-flag data every tensor reuses."""
 
@@ -304,8 +299,7 @@ def flag_point(spec: SpaceSpec, x, y) -> FlagPoint:
                      y_low=y_low, alpha=np.sqrt(dot(y, y_low)), beta=dot(p.b, y))
 
 
-@dataclass
-class ValidityReport:
+class ValidityReport(Record):
     """Pointwise domain flags; a report, never an exception.  alpha > 0 holds
     where a(x) is positive definite (a_pd): `flag_point` rejects y = 0.  Each
     field has the lane shape of the flags, () for one flag and (N,) for N:

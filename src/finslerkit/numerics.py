@@ -20,13 +20,32 @@ factorizes a stack of them as lanes, each with its own pivot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 SYM_TOL = 1e-10  # bound on |m - m^T| relative to the matrix scale (pd_check, config)
+
+
+class Record:
+    """Base of the records: a subclass is made a dataclass with ``repr=False, eq=False`` as
+    it is defined, so that it compiles only its __init__ at import, and prints and compares
+    by the one repr and == here, as a dataclass does.  Records are unhashable, as those are."""
+
+    def __init_subclass__(cls):
+        dataclass(cls, repr=False, eq=False)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
 
 def any_lane(mask) -> bool:
@@ -207,8 +226,7 @@ class Jet2:
         return self._lift(f, 0.5 / f, -0.25 / (f * x))
 
 
-@dataclass
-class SecondOrderJet:
+class SecondOrderJet(Record):
     """Value, gradient and symmetric Hessian of a scalar function; for a
     batch of points each carries the batch shape in front."""
 
@@ -278,8 +296,7 @@ def fd_hessian(f: Callable, y, step=1e-4) -> np.ndarray:
     return hess
 
 
-@dataclass
-class PDCheck:
+class PDCheck(Record):
     """Outcome of a positive-definiteness test, per matrix of the stack (0-d for
     one matrix): pivot is the 1-based index of the first bad pivot, 0 where ok."""
 

@@ -20,7 +20,7 @@ dedicated check that documents the mismatch instead of guessing a fix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -38,15 +38,14 @@ from .metric import (
     resolve_family,
     sample_flags,
 )
-from .numerics import any_lane, fd_hessian, first_lane, jet_eval, lanewise, outer
+from .numerics import Record, any_lane, fd_hessian, first_lane, jet_eval, lanewise, outer
 
 
 class SingularCoefficientError(ArithmeticError):
     """zeta in the reciprocal-tensor coefficients is numerically zero."""
 
 
-@dataclass
-class AngularCoefficients:
+class AngularCoefficients(Record):
     """Coefficients of h_ij = p a_ij + q0 b_i b_j + q1 (b_i y_j + b_j y_i) + q2 y_i y_j."""
 
     p: float
@@ -55,8 +54,7 @@ class AngularCoefficients:
     q2: float
 
 
-@dataclass
-class MetricCoefficients:
+class MetricCoefficients(Record):
     """Coefficients of g_ij = p a_ij + p0 b_i b_j + p1 (b_i y_j + b_j y_i) + p2 y_i y_j."""
 
     p: float
@@ -65,8 +63,7 @@ class MetricCoefficients:
     p2: float
 
 
-@dataclass
-class ReciprocalCoefficients:
+class ReciprocalCoefficients(Record):
     """Coefficients of g^ij = a^ij/p - S0 b^i b^j - S1 (b^i y^j + b^j y^i) - S2 y^i y^j."""
 
     S0: float
@@ -196,8 +193,7 @@ def hv_torsion(mc: MetricCoefficients, h, gamma1: float, m) -> np.ndarray:
     return (lanewise(mc.p1, 3) * sym + lanewise(gamma1, 3) * mmm) / lanewise(2.0 * mc.p, 3)
 
 
-@dataclass
-class TensorBundle:
+class TensorBundle(Record):
     """All pointwise tensors at one flag, or at N flags with the lane axis N
     in front of every coefficient and tensor, with their coefficient records.
     F is phi.F; a^ij, b^i and b^2 are read from flag."""
@@ -301,8 +297,7 @@ def q2_expanded_form(k: int, alpha: float, beta: float) -> float:
     return (alpha + beta) ** (2 * k) * bracket / alpha ** (2 * k + 4)
 
 
-@dataclass
-class AuditRow:
+class AuditRow(Record):
     check: str
     error: float
     tol: float
@@ -311,16 +306,14 @@ class AuditRow:
     note: str = ""
 
 
-@dataclass
-class AuditParams:
+class AuditParams(Record):
     """Settings of `audit_sweep`: its fields are the keys and defaults of [audit]."""
 
     samples: int = field(default=100, metadata={"min": 1})
     seed: int = 2024
 
 
-@dataclass
-class AuditReport:
+class AuditReport(Record):
     rows: list[AuditRow]
     flags: int
     seed: int | None

@@ -218,6 +218,10 @@ MUTANTS = [
     (EXPR, "def _add(a: Expr, b: Expr) -> Expr:\n",
      "def _add(a: Expr, b: Expr) -> Expr:\n    if _is_num(a, 0.0):\n        return b\n",
      "_add drops a zero before it folds two constants", EXPR_TESTS),
+    # a node equals only a node of its own class with equal fields, as a frozen dataclass does
+    (EXPR, "if other.__class__ is self.__class__ else NotImplemented",
+     "if isinstance(other, Expr) else NotImplemented",
+     "Expr.__eq__ ignores the node's class", ("tests/test_records.py",)),
 ]
 
 # Known survivors: name -> why it survives and which open item is meant to kill it.

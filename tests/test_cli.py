@@ -398,6 +398,30 @@ def test_classify_whose_normal_cannot_be_normalized_names_the_point(tmp_path, ca
     assert abs(x[2]) < 1e-12 and float(named.group(2)) > 1e10  # on the surface x3 = 0
 
 
+@pytest.mark.filterwarnings("error")
+def test_classify_whose_first_kind_factor_deviates_names_the_worst_flag(tmp_path, capsys):
+    # K = 22: before, the deviation (1.387e+01) with no point, where b^2 is about 3e14
+    code = main(["classify", "--config", _e5_with(tmp_path, b_potential="0.2*x3*exp(22*x1)")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    named = re.fullmatch(r"error: first kind holds, but H_ab deviates from the first-kind "
+                         r"multiple of h_ab by (\S+) at x=\[(.*)\]: b\^2 = (\S+)\n", captured.err)
+    x = [float(c) for c in named.group(2).split(",")]
+    assert float(named.group(1)) > 1.0 and abs(x[2]) < 1e-12 and float(named.group(3)) > 1e10
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_numpy_warning_raised_as_an_error_exits_two(tmp_path, capsys):
+    # python -W error: an overflow in the start polyline's F raised a RuntimeWarning out of
+    # main, a traceback with exit 1, which is also a FAIL verdict's status
+    path = Path(__file__).resolve().parents[1] / "configs" / "geodesic_randers.cfg"
+    text = re.sub(r"(?m)^end = .*$", "end = 1e300, 0", path.read_text())
+    code = main(["geodesic", "--config", _write(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert re.fullmatch(r"error: overflow encountered in \w+\n", captured.err)
+
+
 # -- config validation
 
 SPACE_CFG = """

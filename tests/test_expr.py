@@ -281,8 +281,7 @@ def test_evaluation_is_generic_over_duals():
 def _unshared(e: ex.Expr) -> ex.Expr:
     """A copy of e with a node object of its own at every occurrence, so that no two
     entries of a table share a node."""
-    return type(e)(*(_unshared(v) if isinstance(v, ex.Expr) else v
-                     for v in (getattr(e, f.name) for f in dataclasses.fields(e))))
+    return type(e)(*(_unshared(v) if isinstance(v, ex.Expr) else v for v in e.args))
 
 
 def test_table_keeps_its_last_result_read_only_for_the_same_points(monkeypatch):
