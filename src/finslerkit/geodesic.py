@@ -110,30 +110,33 @@ class GeodesicResult(Record):
     message: str = ""
 
 
-# Levenberg-Marquardt damping, as a multiple of the Hessian's largest
-# |eigenvalue|: raised on each rejected trial, lowered on each accepted step.
+# Levenberg-Marquardt damping, as a multiple of the Hessian's largest absolute
+# row sum: raised on each rejected trial, lowered on each accepted step.
 _DAMPING_START = 1e-3
 _DAMPING_MIN = 1e-12
 _DAMPING_MAX = 1e20
 _DAMPING_FACTOR = 10.0
 
 
-def _length_derivatives(spec: SpaceSpec, nodes):
+def _length_derivatives(spec: SpaceSpec, nodes, across):
     """Length (exactly rounded, as in `polyline_length`), and its gradient and
-    Hessian in the stacked interior coordinates.
+    Hessian in the stacked offsets of the interior nodes along the rows of ``across``.
 
-    One hyper-dual jet covers every segment, each a point over its two nodes' 2d coordinates.
-    Node s + 1 ends segment s (its half 1) and starts s + 1 (half 0): a block-tridiagonal Hessian.
+    One hyper-dual jet covers every segment, each a point over its two nodes' 2d coordinates,
+    whose gradient and Hessian blocks are projected onto the offsets before assembly.
+    Node s + 1 ends segment s (its half 1) and starts s + 1 (half 0): a block-tridiagonal
+    Hessian, whose lower off-diagonal blocks are the upper ones transposed.
     """
-    (m, d), s = (len(nodes) - 1, spec.dim), np.arange(len(nodes) - 2)
+    (m, d), n, s = (len(nodes) - 1, spec.dim), len(across), np.arange(len(nodes) - 2)
     jet = jet_eval(lambda z: _segment_length(spec, z[:d], z[d:]),
                    np.hstack([nodes[:-1], nodes[1:]]))
     _finite(jet.value, jet.gradient, jet.hessian)
-    g, h = jet.gradient.reshape(m, 2, d), jet.hessian.reshape(m, 2, d, 2, d)
-    grad, hess = (g[1:, 0] + g[:-1, 1]).ravel(), np.zeros((m - 1, d, m - 1, d))
-    hess[s, :, s] = h[1:, 0, :, 0] + h[:-1, 1, :, 1]
-    hess[s[:-1], :, s[1:]] = h[1:-1, 0, :, 1]
-    hess[s[1:], :, s[:-1]] = h[1:-1, 1, :, 0]
+    g = jet.gradient.reshape(m, 2, d) @ across.T
+    h = across @ jet.hessian.reshape(m, 2, d, 2, d).swapaxes(2, 3) @ across.T  # [seg, half, half]
+    grad, hess = (g[1:, 0] + g[:-1, 1]).ravel(), np.zeros((m - 1, n, m - 1, n))
+    hess[s, :, s] = h[1:, 0, 0] + h[:-1, 1, 1]
+    hess[s[:-1], :, s[1:]] = h[1:-1, 0, 1]
+    hess[s[1:], :, s[:-1]] = h[1:-1, 0, 1].swapaxes(1, 2)
     return math.fsum(jet.value), grad, hess.reshape(grad.size, grad.size)
 
 
@@ -147,10 +150,12 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     and adjacent nodes never merge.  A geodesic that doubles back along
     ``q - p`` is not a graph over its chord and cannot be represented.  The
     offsets start at 1% of a segment, seeded by ``params.seed``.  Each
-    iteration solves (H + mu I) s = -g with the jet gradient and Hessian in z
-    and accepts the step only when the length of the trial's own jet passes
-    an Armijo test, so each trial is one jet pass; a rejected or out-of-domain
-    trial raises the damping mu, an accepted one lowers it.  The loop stops
+    trial factorizes H + mu |H| I (the jet Hessian in z, |H| its largest
+    absolute row sum) by Cholesky, solves for the step against the gradient
+    g through that factor and accepts it only when the length of the trial's
+    own jet passes an Armijo test, so each trial is one jet pass; a trial
+    whose matrix does not factorize, that leaves the domain or that the test
+    rejects raises the damping mu, an accepted one lowers it.  The loop stops
     when the max-norm of the gradient in z (the length's gradient across the
     chord) is at most ``params.tol``, when the last accepted step left the
     length unchanged (its float minimum, not converged), or after
@@ -173,17 +178,12 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     ts = np.linspace(0.0, 1.0, segments + 1)[1:-1]
     chord = p + ts[:, None] * (q - p)
     across = np.linalg.svd((q - p)[None])[2][1:]  # (d - 1, d), orthonormal rows
-    weights = np.kron(np.eye(len(ts)), across)  # stacked node coordinates -> offsets
-    scale = 0.01 * np.linalg.norm(q - p) / segments  # 1% of a segment
+    scale = 0.01 * math.hypot(*(q - p)) / segments  # 1% of a segment
     z = (scale * rng.normal(size=chord.shape) @ across.T).ravel()
 
     def nodes_of(offsets):
         inner = chord + offsets.reshape(-1, len(across)) @ across
         return np.vstack([p[None, :], inner, q[None, :]])
-
-    def evaluate(offsets):
-        length, g, h = _length_derivatives(spec, nodes_of(offsets))
-        return length, weights @ g, weights @ h @ weights.T
 
     if len(z) == 0:
         length = polyline_length(spec, nodes_of(z))
@@ -191,13 +191,13 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
                               "single segment: nothing to optimize")
 
     try:
-        value, grad, hess = evaluate(z)
+        value, grad, hess = _length_derivatives(spec, nodes_of(z), across)
     except SegmentDomainError:  # a part of F is not finite in the jet at that segment
         raise
     except ArithmeticError:
         polyline_length(spec, nodes_of(z))  # raises SegmentDomainError naming the segment
         raise
-    trace, damping = [value], _DAMPING_START
+    trace, damping, eye = [value], _DAMPING_START, np.eye(len(z))
     it, message = 0, ""
     for it in range(1, params.iters + 1):
         if float(np.abs(grad).max()) <= tol:  # converged: the one verdict is given below
@@ -205,21 +205,18 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
         if len(trace) > 1 and trace[-1] == trace[-2]:  # no step can lower the float length
             message = "float minimum reached: the last step left the length unchanged"
             break
-        lam, vec = np.linalg.eigh(hess)
-        g_eig = vec.T @ grad
-        lam_scale = float(np.abs(lam).max()) or 1.0
+        bound = np.linalg.norm(hess, np.inf) or 1.0  # |H| >= every |eigenvalue| of H
         while damping <= _DAMPING_MAX:
-            shifted = lam + damping * lam_scale
-            if shifted[0] > 0.0:  # H + mu I positive definite: a descent step
-                step = -vec @ (g_eig / shifted)
+            try:
+                low = np.linalg.cholesky(hess + damping * bound * eye)
+                step = -np.linalg.solve(low.T, np.linalg.solve(low, grad))
                 trial = z + step
-                try:
-                    tval, tgrad, thess = evaluate(trial)
-                except ArithmeticError:
-                    pass  # domain exit: damp harder
-                else:
-                    if tval <= value + 1e-4 * float(grad @ step):
-                        break
+                tval, tgrad, thess = _length_derivatives(spec, nodes_of(trial), across)
+            except (np.linalg.LinAlgError, ArithmeticError):
+                pass  # H + mu |H| I not positive definite, or a domain exit: damp harder
+            else:
+                if tval <= value + 1e-4 * float(grad @ step):
+                    break
             damping *= _DAMPING_FACTOR
         else:
             message = "line search stalled: persistent step rejection"

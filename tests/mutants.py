@@ -49,6 +49,8 @@ EXPR = "src/finslerkit/expr.py"
 EXPR_TESTS = ("tests/test_expr.py",)
 GEODESIC_FD_TESTS = (
     "tests/test_geodesic.py::test_assembled_derivatives_match_differences_of_the_float_length",)
+GEODESIC_OFFSET_TESTS = (
+    "tests/test_geodesic.py::test_offset_derivatives_match_differences_of_the_float_length",)
 
 
 def _drop_and_flip(file: str, terms: dict[str, str], tests: tuple[str, ...]) -> list[tuple]:
@@ -203,11 +205,20 @@ MUTANTS = [
     (CLASSIFIER, "return 1.0 + float(np.abs(b_cov)", "return float(np.abs(b_cov)",
      "kind tolerance scale without its 1 +", CLASSIFIER_TESTS),
     # the block-tridiagonal assembly of `geodesic._length_derivatives`, seen by the
-    # differences of the float length, which share no code with the jets
-    (GEODESIC, "    hess[s[:-1], :, s[1:]] = h[1:-1, 0, :, 1]\n", "",
+    # differences of the float length, which share no code with the jets; a projection
+    # onto the offsets that is transposed shows only in a basis other than the identity
+    (GEODESIC, "    hess[s[:-1], :, s[1:]] = h[1:-1, 0, 1]\n", "",
      "drop the upper off-diagonal block of the geodesic Hessian", GEODESIC_FD_TESTS),
-    (GEODESIC, "h[1:, 0, :, 0] + h[:-1, 1, :, 1]", "h[1:, 1, :, 1] + h[:-1, 0, :, 0]",
+    (GEODESIC, "h[1:, 0, 0] + h[:-1, 1, 1]", "h[1:, 1, 1] + h[:-1, 0, 0]",
      "swap the halves of the geodesic Hessian's diagonal block", GEODESIC_FD_TESTS),
+    (GEODESIC, "h[1:-1, 0, 1].swapaxes(1, 2)", "h[1:-1, 0, 1]",
+     "lower off-diagonal block without its transpose", GEODESIC_OFFSET_TESTS),
+    (GEODESIC, "h = across @ jet.hessian", "h = across.T @ jet.hessian",
+     "Hessian blocks projected with across.T on the left", GEODESIC_OFFSET_TESTS),
+    # the Levenberg-Marquardt trial factorizes the damped Hessian, not the Hessian
+    (GEODESIC, "np.linalg.cholesky(hess + damping * bound * eye)", "np.linalg.cholesky(hess)",
+     "drop the damping from the factorized matrix",
+     ("tests/test_geodesic.py::test_an_indefinite_hessian_is_damped_until_it_factorizes",)),
     # the last result an expression table keeps must be keyed by its points' values
     (EXPR, "(x.shape, x.tobytes())", "(x.shape,)",
      "table memo keyed by the points' shape alone", EXPR_TESTS),

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,11 +214,11 @@ def test_geodesic_whose_every_trial_fails_stalls(tmp_path, capsys, monkeypatch):
     # damping grows past its bound without an accepted step
     real, calls = geodesic._length_derivatives, []
 
-    def failing(spec, nodes):
+    def failing(spec, nodes, across):
         calls.append(nodes)
         if len(calls) > 1:
             raise ArithmeticError("trial outside the domain")
-        return real(spec, nodes)
+        return real(spec, nodes, across)
 
     monkeypatch.setattr(geodesic, "_length_derivatives", failing)
     code = main(["geodesic", "--config", _e5_with(tmp_path)])
@@ -412,14 +413,28 @@ def test_classify_whose_first_kind_factor_deviates_names_the_worst_flag(tmp_path
 
 @pytest.mark.filterwarnings("error")
 def test_a_numpy_warning_raised_as_an_error_exits_two(tmp_path, capsys):
-    # python -W error: an overflow in the start polyline's F raised a RuntimeWarning out of
-    # main, a traceback with exit 1, which is also a FAIL verdict's status
+    # python -W error: an overflow in q - p raised a RuntimeWarning out of main, a
+    # traceback with exit 1, which is also a FAIL verdict's status
     path = Path(__file__).resolve().parents[1] / "configs" / "geodesic_randers.cfg"
-    text = re.sub(r"(?m)^end = .*$", "end = 1e300, 0", path.read_text())
+    text = re.sub(r"(?m)^start = .*$", "start = -1e308, 0",
+                  re.sub(r"(?m)^end = .*$", "end = 1e308, 0", path.read_text()))
     code = main(["geodesic", "--config", _write(tmp_path, text)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert re.fullmatch(r"error: overflow encountered in \w+\n", captured.err)
+
+
+def test_a_far_endpoint_is_one_error_and_no_warning(tmp_path, capsys):
+    # the start offsets scale with math.hypot of q - p: np.linalg.norm overflowed at
+    # 1e300 and warned twice, and the error then blamed the metric's domain
+    path = Path(__file__).resolve().parents[1] / "configs" / "geodesic_randers.cfg"
+    text = re.sub(r"(?m)^end = .*$", "end = 1e300, 0", path.read_text())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["geodesic", "--config", _write(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and caught == []
+    assert captured.err == "error: segment 0: F or its jet is not finite\n"
 
 
 # -- config validation

@@ -147,21 +147,24 @@ def test_trace_is_monotone_nonincreasing():
     assert np.all(np.diff(trace) <= 1e-15)
 
 
-def test_assembled_derivatives_match_differences_of_the_float_length():
-    # curved 3-D generalized-square space, uneven interior nodes off the chord;
-    # the oracle differentiates the float polyline length, which shares no
-    # code with the per-segment jets
+def _assert_derivatives_match_differences_of_the_float_length(across, offsets):
+    """`_length_derivatives` at interior nodes p + t (q - p) + z @ across, against
+    central differences of `polyline_length` in the offsets z: a curved 3-D
+    generalized-square space, uneven chord fractions t.  The oracle differentiates
+    the float polyline length, which shares no code with the per-segment jets."""
     spec = make_space(k=2, potential="0.15*x1*x2 + 0.05*x3^2")
     p, q = np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.6, 0.4])
-    ts = [0.13, 0.35, 0.52, 0.8]
-    offsets = [[0.02, -0.03, 0.01], [-0.04, 0.02, 0.03], [0.01, 0.05, -0.02], [0.03, -0.01, 0.02]]
-    inner = np.array([p + t * (q - p) + np.array(o) for t, o in zip(ts, offsets)])
+    ts = np.array([0.13, 0.35, 0.52, 0.8])
+
+    def nodes(flat):
+        inner = p + ts[:, None] * (q - p) + np.reshape(flat, (len(ts), -1)) @ across
+        return np.vstack([p, inner, q])
 
     def length(flat):
-        return polyline_length(spec, np.vstack([p, np.reshape(flat, (-1, 3)), q]))
+        return polyline_length(spec, nodes(flat))
 
-    flat = inner.flatten()
-    value, grad, hess = _length_derivatives(spec, np.vstack([p, inner, q]))
+    flat = np.ravel(offsets)
+    value, grad, hess = _length_derivatives(spec, nodes(flat), across)
     assert value == pytest.approx(length(flat), rel=1e-15)
     h = 1e-6
     fd_grad = np.array([
@@ -174,6 +177,20 @@ def test_assembled_derivatives_match_differences_of_the_float_length():
 
     fd_hess = richardson_hessian(lengths, flat, step=1e-3)
     assert np.abs(hess - fd_hess).max() <= 1e-5 * np.abs(fd_hess).max()
+
+
+def test_assembled_derivatives_match_differences_of_the_float_length():
+    # interior nodes off the chord in all three node coordinates
+    offsets = [[0.02, -0.03, 0.01], [-0.04, 0.02, 0.03], [0.01, 0.05, -0.02], [0.03, -0.01, 0.02]]
+    _assert_derivatives_match_differences_of_the_float_length(np.eye(3), offsets)
+
+
+def test_offset_derivatives_match_differences_of_the_float_length():
+    # the two orthonormal rows across the chord that `minimize` builds: an identity
+    # basis cannot tell a projection from its transpose
+    across = np.linalg.svd(np.array([[1.0, 0.6, 0.4]]))[2][1:]
+    offsets = [[0.02, -0.03], [-0.04, 0.02], [0.01, 0.05], [0.03, -0.01]]
+    _assert_derivatives_match_differences_of_the_float_length(across, offsets)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -196,7 +213,7 @@ def test_assembly_has_the_bits_of_a_scatter_add_of_the_segment_jets(m):
             for b in (0, 1):
                 hess[s + a, :, s + b] += h[s, a, :, b]
     n = (m + 1) * d
-    value, got_grad, got_hess = _length_derivatives(spec, nodes)
+    value, got_grad, got_hess = _length_derivatives(spec, nodes, np.eye(d))
     assert value == math.fsum(jet.value)
     assert got_grad.tobytes() == grad.ravel()[d:-d].tobytes()
     assert got_hess.shape == ((m - 1) * d,) * 2
@@ -207,7 +224,7 @@ def test_constant_coefficients_build_no_midpoint(monkeypatch):
     built = count_calls(monkeypatch, geodesic._Midpoints, "__missing__")
     nodes = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, 0.05], [0.7, -0.1, 0.1], [1.0, 0.0, 0.0]])
     spec = make_space(k=1, b=["0", "0", "0.1"])
-    _length_derivatives(spec, nodes)
+    _length_derivatives(spec, nodes, np.eye(3))
     polyline_length(spec, nodes)
     assert built == []
 
@@ -217,9 +234,10 @@ def test_curved_coefficients_build_each_midpoint_read_at_most_once(monkeypatch):
     built = count_calls(monkeypatch, geodesic._Midpoints, "__missing__")
     nodes = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, 0.05], [0.7, -0.1, 0.1], [1.0, 0.0, 0.0]])
     spec = make_space(k=1, potential="0.05*x1^2 + 0.1*x1*x2")
-    for run in (_length_derivatives, polyline_length):
+    for run in (lambda: _length_derivatives(spec, nodes, np.eye(3)),
+                lambda: polyline_length(spec, nodes)):
         built.clear()
-        run(spec, nodes)
+        run()
         assert sorted(i for _, i in built) == [0, 1]
 
 
@@ -342,11 +360,38 @@ def test_a_geodesic_at_its_float_minimum_stops_at_once():
     # gradient above tol, and used to run out the whole budget of 200
     spec = make_space(family="randers", dim=2, potential="0.2*x1*x2 + 0.1*x2^2")
     res = minimize(spec, GeodesicParams(start=[0, 0], end=[1, 0.7], segments=16,
-                                        iters=200, tol=1e-10, seed=6))
+                                        iters=200, tol=1e-10, seed=27))
     assert not res.converged and res.grad_norm > 1e-10
     assert res.message.startswith("float minimum reached")
     assert res.iterations <= 6
     assert res.trace[-1] == res.trace[-2] == pytest.approx(1.4096555615733701, abs=1e-15)
+    assert np.all(np.diff(res.trace) <= 0.0)
+
+
+def test_an_indefinite_hessian_is_damped_until_it_factorizes(monkeypatch):
+    # the chord's direction leaves the strongly convex cone at some midpoints, so
+    # H + mu |H| I is not positive definite at the lower damping levels of some
+    # iterations; each failed factorization damps harder, and a higher level
+    # factorizes. The stationary polyline is a zig-zag, not a geodesic: this test
+    # reads only the damping
+    real, factored = np.linalg.cholesky, []
+
+    def cholesky(a):
+        try:
+            low = real(a)
+        except np.linalg.LinAlgError:
+            factored.append(False)
+            raise
+        factored.append(True)
+        return low
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    a = [["1 + 0.2*x2^2", "0.1*x1"], ["0.1*x1", "1 + 0.1*x1^2"]]
+    spec = make_space(family="generalized-square", k=3, dim=2, a=a, b=["0.3 + 0.1*x2", "0.2*x1"])
+    res = minimize(spec, GeodesicParams(start=[0, 0], end=[1, 0.5], segments=16,
+                                        iters=500, tol=1e-10, seed=0))
+    assert res.converged and res.message == "stationary point reached"
+    assert factored.count(False) >= 10 and factored[-1]
     assert np.all(np.diff(res.trace) <= 0.0)
 
 
@@ -400,7 +445,7 @@ def test_a_segment_whose_jet_overflows_is_a_domain_exit():
     nodes = np.array([[0, 0], [0, 1], [1, 1], [1, 2]], dtype=float)
     assert math.isfinite(polyline_length(spec, nodes))
     with pytest.raises(SegmentDomainError, match="^segment 1: F or its jet is not finite$") as err:
-        _length_derivatives(spec, nodes)
+        _length_derivatives(spec, nodes, np.eye(2))
     assert err.value.segment == 1
 
 

@@ -182,7 +182,7 @@ def test_length_derivatives_evaluate_the_norm_once(monkeypatch):
     spec = make_space(k=1, dim=2, potential="0.2*x1*x2")
     nodes = np.array([[0.0, 0.0], [0.3, 0.1], [0.5, 0.45], [0.8, 0.7], [1.0, 1.0]])
     calls = count_calls(monkeypatch, geodesic, "finsler_norm")
-    _length_derivatives(spec, nodes)
+    _length_derivatives(spec, nodes, np.eye(2))
     assert len(calls) == 1
 
 
