@@ -10,8 +10,9 @@ machine-readable comma-separated rows go to the file, written by `csv.writer`
 (a field is quoted only when it holds ',', '"' or a newline; columns are
 documented in the README and stable for diffing).  Exit status: 0 on PASS
 verdicts, 1 on FAIL verdicts, 2 on errors; --seed or --tol given to a command
-without that setting is an error.  Identical config and seed produce
-byte-identical machine output.
+without that setting is an error.  A reader that closes stdout or stderr early
+ends that text quietly, and the exit status stays the command's.  Identical
+config and seed produce byte-identical machine output.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -64,9 +66,22 @@ def _named(**values) -> str:
     return " ".join(f"{name}={float(v)!r}" for name, v in values.items())
 
 
-def _write_rows(args, header: list[str], rows: list[list], seed) -> None:
-    """Comma-separated rows, quoted only where a field holds ',', '"' or a newline;
-    floats must be Python floats, which `csv` writes by their repr."""
+def _emit(text: str, stream) -> None:
+    """Print text to stream; a reader that closed the pipe early (`| head`) cuts it
+    short, silently, and the command goes on to its --out rows and its exit status."""
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:  # the flush at exit would fail again: send it to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
+def _report(args, lines: list[str], header: list[str], rows: list[list], seed) -> None:
+    """Print the lines, then write the --out rows: comma-separated, quoted only where a
+    field holds ',', '"' or a newline; floats must be Python floats, which `csv` writes
+    by their repr."""
+    _emit("\n".join(lines), sys.stdout)
     if args.out is None:
         return
     with args.out.open("w", newline="") as f:
@@ -126,8 +141,7 @@ def cmd_tensors(cfg: RunConfig, args) -> int:
                             ("g", bundle.g), ("g_inv", bundle.g_inv), ("h", bundle.h),
                             ("C", bundle.C)):
             all_rows.extend(_matrix_rows(ctx, name, value))
-    print("\n".join(chunks))
-    _write_rows(args, ["context", "quantity", "i", "j", "k", "value"], all_rows, None)
+    _report(args, chunks, ["context", "quantity", "i", "j", "k", "value"], all_rows, None)
     return 0
 
 
@@ -145,8 +159,7 @@ def cmd_audit(cfg: RunConfig, args) -> int:
         rows.append([r.check, r.error, r.tol, verdict, r.note])
     ok = report.ok
     lines.append("overall: PASS" if ok else "overall: FAIL")
-    print("\n".join(lines))
-    _write_rows(args, ["check", "max_error", "tol", "verdict", "note"], rows, report.seed)
+    _report(args, lines, ["check", "max_error", "tol", "verdict", "note"], rows, report.seed)
     return 0 if ok else 1
 
 
@@ -175,8 +188,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
                     report.third_kind.per_point)  # the third kind's residual is its witness
     rows = [[i + 1, test, residual, verdict] for i, point in enumerate(residuals)
             for (test, verdict), residual in zip(report.summary, point)]
-    print("\n".join(lines))
-    _write_rows(args, ["point-index", "test", "residual", "verdict"], rows, report.seed)
+    _report(args, lines, ["point-index", "test", "residual", "verdict"], rows, report.seed)
     return 0 if (report.first_kind.passed and report.second_kind.passed) else 1
 
 
@@ -195,8 +207,7 @@ def cmd_geodesic(cfg: RunConfig, args) -> int:
     lines.extend(f"    {_vec(node)}" for node in result.nodes)
     rows = [*_matrix_rows("geodesic", "node", result.nodes),
             *_matrix_rows("geodesic", "trace", result.trace)]
-    print("\n".join(lines))
-    _write_rows(args, ["context", "quantity", "i", "j", "k", "value"], rows, geo.seed)
+    _report(args, lines, ["context", "quantity", "i", "j", "k", "value"], rows, geo.seed)
     return 0 if result.converged else 1
 
 
@@ -209,12 +220,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     for flag, commands in _APPLIES.items():
         if getattr(args, flag) is not None and args.command not in commands:
-            print(f"error: --{flag} does not apply to {args.command}", file=sys.stderr)
+            _emit(f"error: --{flag} does not apply to {args.command}", sys.stderr)
             return 2
     try:
         return _COMMANDS[args.command](load_config(args.config), args)
     except _ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
+        _emit(f"error: {err}", sys.stderr)
         return 2
 
 

@@ -160,7 +160,8 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     chord) is at most ``params.tol``, when the last accepted step left the
     length unchanged (its float minimum, not converged), or after
     ``params.iters`` iterations.  Damping that grows without an acceptance
-    ends with a non-converged result rather than an exception; an initial
+    ends with a non-converged result rather than an exception; endpoints
+    whose difference is not finite raise ValueError before any step; an initial
     polyline that leaves the domain raises `SegmentDomainError` at the first
     segment that is not finite in the jet, or else raises in `polyline_length`.
     """
@@ -169,16 +170,20 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     segments, tol = params.segments, params.tol
     if p.shape != (spec.dim,) or q.shape != (spec.dim,):
         raise ValueError(f"endpoints must have dimension {spec.dim}")
-    if not np.any(q - p):
+    with np.errstate(all="ignore"):  # refused below, before any arithmetic reads it
+        span = q - p
+    if not np.isfinite(span).all():
+        raise ValueError(f"end - start is not finite: start = {p.tolist()}, end = {q.tolist()}")
+    if not np.any(span):
         raise ValueError("endpoints must differ")
     if segments < 1:
         raise ValueError("need at least one segment")
 
     rng = np.random.default_rng(params.seed)
     ts = np.linspace(0.0, 1.0, segments + 1)[1:-1]
-    chord = p + ts[:, None] * (q - p)
-    across = np.linalg.svd((q - p)[None])[2][1:]  # (d - 1, d), orthonormal rows
-    scale = 0.01 * math.hypot(*(q - p)) / segments  # 1% of a segment
+    chord = p + ts[:, None] * span
+    across = np.linalg.svd(span[None])[2][1:]  # (d - 1, d), orthonormal rows
+    scale = 0.01 * math.hypot(*span) / segments  # 1% of a segment
     z = (scale * rng.normal(size=chord.shape) @ across.T).ravel()
 
     def nodes_of(offsets):

@@ -21,9 +21,10 @@ reads it instead of evaluating again.  `geodesic._segment_length` reads the
 same tables at the midpoints of a polyline's segments, float or dual lanes,
 without the positive-definiteness check.  `validity_check` masks each
 failing lane of N flags, at N points or at one; `sample_flags` makes its
-draws one at a time, checks them in blocks (`_first_passing`, which the
-surface sampler shares) and returns the passing flags as the lanes of one
-`FlagPoint`.
+draws one at a time into one buffer per block, checks them in blocks
+(`_first_passing`, which the surface sampler shares; the first block is sized
+by the share of directions inside the family's domain) and returns the passing
+flags as the lanes of one `FlagPoint`.
 
 The literature overloads one symbol as both manifold dimension and metric
 exponent; here the exponent is named k everywhere.
@@ -363,13 +364,19 @@ def sample_flags(spec: SpaceSpec, n: int, seed: int) -> FlagPoint:
     """Seeded in-domain flags, the lanes of one FlagPoint: x uniform in the box
     [-SAMPLE_BOX, SAMPLE_BOX]^d, y uniform on the unit sphere, rejected unless
     every validity flag passes.  Draws are made one at a time (x, then y) and
-    checked in blocks, one `validity_check` each; the first n pass, in order."""
+    checked in blocks, one `validity_check` each, the first block sized for the
+    share of unit directions inside the family's domain; the first n pass, in
+    draw order, which no block size changes."""
     rng = np.random.default_rng(seed)
 
     def draw(m: int):  # a draw with |y| < 1e-12 counts as a try and is skipped
-        draws = [(rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim), rng.normal(size=spec.dim))
-                 for _ in range(m)]
-        xs, ys = map(np.array, zip(*draws))
+        # each draw's x, then its y, from the stream and with the bits of
+        # uniform(-SAMPLE_BOX, SAMPLE_BOX, d) and normal(size=d)
+        u = np.empty((m, 2, spec.dim))
+        for row in u:
+            rng.random(out=row[0])
+            rng.standard_normal(out=row[1])
+        xs, ys = -SAMPLE_BOX + 2 * SAMPLE_BOX * u[:, 0], u[:, 1]
         norm = np.sqrt(dot(ys, ys))
         kept = norm >= 1e-12
         return xs[kept], ys[kept] / norm[kept, None]
@@ -378,21 +385,24 @@ def sample_flags(spec: SpaceSpec, n: int, seed: int) -> FlagPoint:
         report = validity_check(spec, xs, ys)
         return lane(report.flag, np.flatnonzero(report.ok))
 
+    share = 0.5 if spec.family == "generalized-kropina" else 1.0  # beta > 0: a half-space of y
     return _first_passing(n, max(200 * n, 1000), draw, check,
-                          "in-domain sampling stalled after {} draws")
+                          "in-domain sampling stalled after {} draws", share)
 
 
-def _first_passing(n: int, limit: int, draw, check, stalled: str):
+def _first_passing(n: int, limit: int, draw, check, stalled: str, share: float = 1.0):
     """The first n passing draws, in draw order, of at most `limit`: `draw(m)`
     makes m draws as lanes (a tuple of arrays), `check(*lanes)` returns the passing
-    ones as the lanes of an array or a record, joined once.  A block whose check raises
-    (an Expr DomainError, say) is halved, first half first; a draw raising alone fails."""
+    ones as the lanes of an array or a record, joined once when there are several.
+    The first block expects a `share` of its draws to pass, each later one the share
+    seen so far.  A block whose check raises (an Expr DomainError, say) is halved,
+    first half first; a draw raising alone fails."""
     out, tries = [], 0
     while (passed := sum(map(len, out))) < n:
         if tries == limit:
             raise RuntimeError(stalled.format(tries + 1))
-        block = min(limit - tries, 2 + math.ceil(1.25 * (n - passed) * (tries + 1)
-                                                 / (passed + 1)))
+        want = 1.25 * (n - passed) * (tries + 1) / (passed + 1) if tries else 1.25 * n / share
+        block = min(limit - tries, 2 + math.ceil(want))
         tries += block
         pending = [draw(block)]
         while pending:  # a stack of blocks, first half on top
@@ -402,4 +412,4 @@ def _first_passing(n: int, limit: int, draw, check, stalled: str):
             except (ArithmeticError, ValueError):
                 h = len(lanes[0]) // 2
                 pending += [tuple(a[h:] for a in lanes), tuple(a[:h] for a in lanes)] if h else []
-    return lane(join_lanes(out), slice(n))
+    return lane(out[0] if len(out) == 1 else join_lanes(out), slice(n))

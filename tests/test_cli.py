@@ -1,5 +1,9 @@
 import dataclasses
+import errno
+import io
+import os
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -412,16 +416,16 @@ def test_classify_whose_first_kind_factor_deviates_names_the_worst_flag(tmp_path
 
 
 @pytest.mark.filterwarnings("error")
-def test_a_numpy_warning_raised_as_an_error_exits_two(tmp_path, capsys):
-    # python -W error: an overflow in q - p raised a RuntimeWarning out of main, a
-    # traceback with exit 1, which is also a FAIL verdict's status
+def test_a_numpy_warning_raised_as_an_error_exits_two(monkeypatch, capsys):
+    # python -W error (as pytest runs here): a RuntimeWarning raised out of main was a
+    # traceback with exit 1, which is also a FAIL verdict's status; no shipped input
+    # warns now, so a stand-in for minimize overflows
+    monkeypatch.setattr(cli, "minimize", lambda spec, params: np.float64(1e308) * 10.0)
     path = Path(__file__).resolve().parents[1] / "configs" / "geodesic_randers.cfg"
-    text = re.sub(r"(?m)^start = .*$", "start = -1e308, 0",
-                  re.sub(r"(?m)^end = .*$", "end = 1e308, 0", path.read_text()))
-    code = main(["geodesic", "--config", _write(tmp_path, text)])
+    code = main(["geodesic", "--config", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert re.fullmatch(r"error: overflow encountered in \w+\n", captured.err)
+    assert re.fullmatch(r"error: overflow encountered in \w+( \w+)?\n", captured.err)
 
 
 def test_a_far_endpoint_is_one_error_and_no_warning(tmp_path, capsys):
@@ -435,6 +439,69 @@ def test_a_far_endpoint_is_one_error_and_no_warning(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and caught == []
     assert captured.err == "error: segment 0: F or its jet is not finite\n"
+
+
+def test_endpoints_whose_difference_overflows_are_one_error_and_no_warning(tmp_path, capsys):
+    # end - start overflowed to inf, which warned five times before the error blamed
+    # the Randers domain; warnings are recorded, not raised, as without -W error
+    path = Path(__file__).resolve().parents[1] / "configs" / "geodesic_randers.cfg"
+    text = re.sub(r"(?m)^start = .*$", "start = -1e308, 0", path.read_text())
+    text = re.sub(r"(?m)^end = .*$", "end = 1e308, 0", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["geodesic", "--config", _write(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and caught == []
+    assert captured.err == ("error: end - start is not finite: start = [-1e+308, 0.0], "
+                            "end = [1e+308, 0.0]\n")
+
+
+class _ClosedPipe(io.StringIO):
+    """An output stream whose reader is gone (`| head`): each write raises
+    BrokenPipeError; its descriptor ``fd`` is the one the command may redirect."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("command, config, verdict", [("geodesic", "geodesic_randers", 0),
+                                                      ("classify", "e3", 1)])
+def test_a_closed_pipe_ends_the_text_quietly_and_keeps_out_and_status(
+        tmp_path, capsys, monkeypatch, command, config, verdict):
+    path = str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.cfg")
+    assert main([command, "--config", path, "--out", str(tmp_path / "solo.csv")]) == verdict
+    capsys.readouterr()
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        status = main([command, "--config", path, "--out", str(tmp_path / "piped.csv")])
+        os.write(fd, b"flushed at exit")  # the descriptor now leads to the null device
+    finally:
+        os.close(fd)
+    assert status == verdict and capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_bytes() == b""
+    assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+
+
+def test_a_refusal_into_a_closed_pipe_still_exits_two(tmp_path, capsys, monkeypatch):
+    # `2>&1 | true`: the error line raised BrokenPipeError out of main, exit 1,
+    # which is a FAIL verdict's status
+    path = str(Path(__file__).resolve().parents[1] / "configs" / "geodesic_randers.cfg")
+    fd = os.open(tmp_path / "stderr", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stderr", _ClosedPipe(fd))
+        assert main(["geodesic", "--config", path, "--tol", "nan"]) == 2
+        assert main(["tensors", "--config", path, "--seed", "1"]) == 2
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().out == "" and (tmp_path / "stderr").read_bytes() == b""
 
 
 # -- config validation

@@ -809,13 +809,38 @@ def test_sample_flags_match_the_per_draw_reference(spec):
 
 
 def test_sample_flags_join_two_blocks_in_draw_order(monkeypatch):
-    # the space of configs/e1.cfg as Kropina: beta <= 0 fails about half the
-    # draws, so the 100 flags of its [audit] come from two blocks, joined once
-    spec = make_space(family="kropina", potential="0.1*x3")
+    # a(x) is indefinite where x1 < 0: about half the draws fail, against a first block
+    # sized for all of them to pass, so the 100 flags come from two blocks, joined once
+    spec = make_space(k=2, dim=2, b=["0.3", "0.1*x2"], a=[["1", "0"], ["0", "x1"]])
     checks = count_calls(monkeypatch, metric, "validity_check")
     flags = sample_flags(spec, 100, seed=7)
-    assert [len(args[1]) for args in checks] == [127, 116]
+    assert [len(args[1]) for args in checks] == [127, 80]
     _assert_batch_matches(flags, _sample_flags_per_draw(spec, 100, seed=7))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2])
+def test_kropina_flags_come_from_one_block_on_nearly_every_seed(monkeypatch, k, d):
+    # beta > 0 holds on half the unit directions, and the first block of draws is
+    # sized for that share: 2 + ceil(1.25 n / (1/2)) draws for n flags
+    spec = varying_space("generalized-kropina", k, d)
+    checks = count_calls(monkeypatch, metric, "validity_check")
+    blocks = []
+    for seed in range(1, 41):
+        checks.clear()
+        assert len(sample_flags(spec, 20, seed)) == 20
+        blocks.append([len(args[1]) for args in checks])
+    assert all(b[0] == 52 for b in blocks)
+    assert sum(len(b) == 1 for b in blocks) >= 38 and max(map(len, blocks)) == 2
+
+
+@pytest.mark.parametrize("family", ["generalized-square", "randers", "matsumoto", "riemannian"])
+def test_other_families_size_the_first_block_for_every_draw_to_pass(monkeypatch, family):
+    # their domains hold every unit direction: 2 + ceil(1.25 n) draws, one block here
+    spec = varying_space(family, 2, 3)
+    checks = count_calls(monkeypatch, metric, "validity_check")
+    sample_flags(spec, 20, seed=1)
+    assert [len(args[1]) for args in checks] == [27]
 
 
 def test_a_batch_has_the_length_of_its_flags():
@@ -1009,6 +1034,16 @@ def test_seed_that_leaves_the_domain_is_rejected_alone(monkeypatch):
     assert len(pts) == 25 and np.abs(surface.value(pts) - surface.level).max() <= 1e-12
     # a raising pass is retried on halves: blocks of one seed are reached
     assert min(len(args[1]) for args in passes) == 1
+
+
+def test_surface_points_keep_their_block_schedule(monkeypatch):
+    # the shared `_first_passing` sizes the surface sampler's blocks for every seed to
+    # pass (2 + ceil(1.25 n) seeds first) and halves a block whose projection leaves the
+    # log's domain, the first half first; the lane counts of one pinned sampling
+    spec, surface = _level(_LOG, -0.5)
+    projections = count_calls(monkeypatch, classifier, "_project")
+    surface_points(surface, spec, 12, seed=2)
+    assert [len(args[1]) for args in projections] == [17, 8, 9, 4, 2, 2, 1, 1, 5, 2, 3, 1, 2]
 
 
 def test_surface_sampling_stall_keeps_its_message_and_try_count(monkeypatch):

@@ -15,7 +15,7 @@ from conftest import (
 )
 from finslerkit import metric
 from finslerkit.metric import SpaceSpec, flag_point, phi_partials, sample_flags
-from finslerkit.numerics import fd_hessian, jet_eval
+from finslerkit.numerics import fd_hessian, jet_eval, lanewise
 from finslerkit.tensors import (
     AUDIT_TOLERANCES,
     FD_EDGE,
@@ -188,12 +188,48 @@ def test_dp0_dbeta_against_finite_differences(family, k, beta):
     assert closed == pytest.approx(fd, rel=1e-7, abs=1e-7)
 
 
-def test_torsion_matches_jet_oracle_on_fixture_flags():
+def test_torsion_matches_the_complex_step_oracle_on_fixture_flags():
     for spec, _ in (plane_fixture(1), exp_fixture(2), radial_fixture(3)):
         fl = flag_point(spec, [0.2, -0.1, 0.3], [0.5, 1.0, -0.4])
         bundle = bundle_at(spec, fl.x, fl.y)
         oracle = torsion_oracle(spec, fl.x, fl.y)
         assert rel_error(bundle.C, oracle) < 1e-12
+
+
+def _torsion_from_f(spec, flags) -> np.ndarray:
+    """C_ijk = (1/2) d g_ij / d y^k from F alone: central differences in y, at the
+    finite-difference oracle's step, of the hyper-dual Hessian of F^2/2 (one jet
+    pass over the 2d shifted directions of every flag), the seed axis last."""
+    h, d = fd_step(spec, flags), spec.dim
+    shift = h[:, None] * np.eye(d)[:, None, :]  # (d, N, d): h e_k at every flag
+    g = jet_eval(half_f_squared(spec, flags),
+                 np.concatenate([flags.y + shift, flags.y - shift])).hessian
+    return np.moveaxis((g[:d] - g[d:]) / (4.0 * h[:, None, None]), 0, -1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("family, k", [
+    ("generalized-square", 1), ("generalized-square", 2), ("generalized-square", 3),
+    ("randers", 1), ("generalized-kropina", 1), ("generalized-kropina", 2),
+    ("generalized-kropina", 3), ("matsumoto", 1), ("riemannian", 1)])
+def test_torsion_matches_differences_of_the_jet_hessian_of_f(family, k, d):
+    """The closed-form C_ijk against a second oracle that reads F alone (the complex step
+    of `torsion_oracle` differentiates the closed-form g): 1e-5 of each flag's largest
+    |C|, at sampled flags and at their beta = 0 projections y - (beta / b^2) b^i, tangent
+    to the level set of b's potential through x (outside a Kropina domain)."""
+    spec = varying_space(family, k, d)
+    flags = sample_flags(spec, 12, seed=10 * k + d)
+    batches = [flags]
+    if family != "generalized-kropina":
+        y = flags.y - lanewise(flags.beta / flags.b2, 1) * flags.b_up
+        batches.append(flag_point(spec, flags, y))
+    for fl in batches:
+        C, ref = bundle_at(spec, fl, fl.y).C, _torsion_from_f(spec, fl)
+        dev, size = (np.abs(t).reshape(len(fl), -1).max(1) for t in (C - ref, ref))
+        if family == "riemannian":  # C = 0: the differences see rounding alone
+            assert not C.any() and size.max() < 1e-9
+        else:
+            assert (dev <= 1e-5 * size).all(), dev / size
 
 
 def test_torsion_beta_zero_structure():
