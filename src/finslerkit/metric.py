@@ -21,10 +21,10 @@ reads it instead of evaluating again.  `geodesic._segment_length` reads the
 same tables at the midpoints of a polyline's segments, float or dual lanes,
 without the positive-definiteness check.  `validity_check` masks each
 failing lane of N flags, at N points or at one; `sample_flags` makes its
-draws one at a time into one buffer per block, checks them in blocks
-(`_first_passing`, which the surface sampler shares; the first block is sized
-by the share of directions inside the family's domain) and returns the passing
-flags as the lanes of one `FlagPoint`.
+draws one at a time, checks them in blocks (`_first_passing`, which the
+surface sampler shares; the first block is sized by the share of directions
+inside the family's domain) and returns the passing flags as the lanes of one
+`FlagPoint`.
 
 The literature overloads one symbol as both manifold dimension and metric
 exponent; here the exponent is named k everywhere.
@@ -370,13 +370,9 @@ def sample_flags(spec: SpaceSpec, n: int, seed: int) -> FlagPoint:
     rng = np.random.default_rng(seed)
 
     def draw(m: int):  # a draw with |y| < 1e-12 counts as a try and is skipped
-        # each draw's x, then its y, from the stream and with the bits of
-        # uniform(-SAMPLE_BOX, SAMPLE_BOX, d) and normal(size=d)
-        u = np.empty((m, 2, spec.dim))
-        for row in u:
-            rng.random(out=row[0])
-            rng.standard_normal(out=row[1])
-        xs, ys = -SAMPLE_BOX + 2 * SAMPLE_BOX * u[:, 0], u[:, 1]
+        draws = [(rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=spec.dim), rng.normal(size=spec.dim))
+                 for _ in range(m)]
+        xs, ys = map(np.array, zip(*draws))
         norm = np.sqrt(dot(ys, ys))
         kept = norm >= 1e-12
         return xs[kept], ys[kept] / norm[kept, None]
@@ -393,10 +389,10 @@ def sample_flags(spec: SpaceSpec, n: int, seed: int) -> FlagPoint:
 def _first_passing(n: int, limit: int, draw, check, stalled: str, share: float = 1.0):
     """The first n passing draws, in draw order, of at most `limit`: `draw(m)`
     makes m draws as lanes (a tuple of arrays), `check(*lanes)` returns the passing
-    ones as the lanes of an array or a record, joined once when there are several.
-    The first block expects a `share` of its draws to pass, each later one the share
-    seen so far.  A block whose check raises (an Expr DomainError, say) is halved,
-    first half first; a draw raising alone fails."""
+    ones as the lanes of an array or a record, joined once.  The first block expects
+    a `share` of its draws to pass, each later one the share seen so far.  A block
+    whose check raises (an Expr DomainError, say) is halved, first half first; a
+    draw raising alone fails."""
     out, tries = [], 0
     while (passed := sum(map(len, out))) < n:
         if tries == limit:
@@ -412,4 +408,4 @@ def _first_passing(n: int, limit: int, draw, check, stalled: str, share: float =
             except (ArithmeticError, ValueError):
                 h = len(lanes[0]) // 2
                 pending += [tuple(a[h:] for a in lanes), tuple(a[:h] for a in lanes)] if h else []
-    return lane(out[0] if len(out) == 1 else join_lanes(out), slice(n))
+    return lane(join_lanes(out), slice(n))
