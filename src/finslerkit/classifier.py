@@ -47,6 +47,7 @@ class ClassifyOptions(Record):
 class KindResult(Record):
     passed: bool
     per_point: list[float]   # each sample point's residual
+    bound: float             # what the largest residual is held to: tol * (1 + max |b_ij|)
 
     @property
     def residual(self) -> float:
@@ -131,19 +132,27 @@ def _project(surface: LevelSurface, raw: np.ndarray) -> np.ndarray:
 
 
 def first_kind_test(conn: ConnectionData, tol: float) -> tuple[KindResult, list[np.ndarray]]:
-    """Minimum-norm least-squares solve of 2 b_ij = b_i c_j + b_j c_i over the
-    d(d+1)/2 independent equations at each point, all the lanes of the stacked
-    connection in one pass (c = 0 where b = 0); FAIL is an answer, not an error."""
-    b = conn.point.b
-    iu, ju = np.triu_indices(b.shape[-1])  # the equation (i, j), i <= j, per row
-    rows, eq = np.zeros((len(b), len(iu), b.shape[-1])), np.arange(len(iu))
-    rows[:, eq, ju] += b[:, iu]
-    rows[:, eq, iu] += b[:, ju]
-    rhs = 2.0 * conn.b_cov[:, iu, ju]
-    c = matvec(np.linalg.pinv(rows), rhs)
-    residuals = np.abs(matvec(rows, c) - rhs).max(-1)
-    return KindResult(passed=bool(residuals.max(initial=0.0) <= tol * _scale(conn.b_cov)),
-                      per_point=residuals.tolist()), list(c)
+    """Least-squares solve of 2 b_ij = b_i c_j + b_j c_i over the d(d+1)/2
+    equations i <= j at each point, all the lanes of the stacked connection in one
+    pass; FAIL is an answer, not an error.
+
+    The normal equations (|b|^2 I + 2 diag(b o b) + b b^T) c = r b + b o diag(r), with
+    r_ij = r_ji = 2 b_ij for i <= j, have a diagonal plus rank-one matrix, which
+    Sherman-Morrison inverts in closed form, here scaled to t = b / max_i |b_i| so
+    that nothing overflows.  |t|^2 >= 1 where b != 0; its floor of 1 (and a scale of
+    1) where b = 0 gives c = 0 there."""
+    b, d = conn.point.b, conn.point.b.shape[-1]
+    upper = np.arange(d)[:, None] <= np.arange(d)  # the equation (i, j), i <= j
+    r = 2.0 * np.where(upper, conn.b_cov, np.swapaxes(conn.b_cov, -1, -2))
+    s = np.abs(b).max(-1)
+    t = b / (s := lanewise(np.where(s > 0.0, s, 1.0), 1))
+    diag = lanewise(np.maximum(dot(t, t), 1.0), 1) + 2.0 * t * t
+    w, u = (matvec(r, t) + t * np.diagonal(r, 0, -2, -1)) / diag, t / diag
+    c = (w - u * lanewise(dot(t, w) / (1.0 + dot(t, u)), 1)) / s
+    residuals = np.abs(outer(b, c) + outer(c, b) - r).max((-2, -1))  # symmetric: (i, j) twice
+    bound = tol * _scale(conn.b_cov)
+    return KindResult(passed=bool(residuals.max(initial=0.0) <= bound),
+                      per_point=residuals.tolist(), bound=bound), list(c)
 
 
 def second_kind_test(conn: ConnectionData, tol: float) -> tuple[KindResult, list[float]]:
@@ -159,9 +168,9 @@ def second_kind_test(conn: ConnectionData, tol: float) -> tuple[KindResult, list
                               f": b^2 = {p.b2[np.argmin(ok)]:.3e}")
     e = np.divide(num, den, out=np.zeros(len(fitted)), where=fitted)
     misfit = np.abs(conn.b_cov - lanewise(e, 2) * outer(p.b, p.b)).max((-2, -1))
-    residuals = np.where(fitted, misfit, 0.0)
-    return KindResult(passed=bool(residuals.max(initial=0.0) <= tol * _scale(conn.b_cov[fitted])),
-                      per_point=residuals.tolist()), e.tolist()
+    residuals, bound = np.where(fitted, misfit, 0.0), tol * _scale(conn.b_cov[fitted])
+    return KindResult(passed=bool(residuals.max(initial=0.0) <= bound),
+                      per_point=residuals.tolist(), bound=bound), e.tolist()
 
 
 def _scale(b_cov: np.ndarray) -> float:

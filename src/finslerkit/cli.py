@@ -170,10 +170,10 @@ def cmd_classify(cfg: RunConfig, args) -> int:
     lines = [
         f"classification: {len(report.points)} surface points x {report.directions} "
         f"directions, seed={report.seed}, tol={report.tol:.1e}",
-        f"  first kind : {'PASS' if report.first_kind.passed else 'FAIL'} "
-        f"(max residual {report.first_kind.residual:.3e})",
-        f"  second kind: {'PASS' if report.second_kind.passed else 'FAIL'} "
-        f"(max residual {report.second_kind.residual:.3e})",
+        f"  first kind : {'PASS' if report.first_kind.passed else 'FAIL'} (max residual "
+        f"{report.first_kind.residual:.3e}, bound {report.first_kind.bound:.1e})",
+        f"  second kind: {'PASS' if report.second_kind.passed else 'FAIL'} (max residual "
+        f"{report.second_kind.residual:.3e}, bound {report.second_kind.bound:.1e})",
         f"  third kind : {report.third_kind.verdict.upper()} "
         f"(witness min ||M_ab|| = {report.third_kind.witness:.3e})",
         f"  geometric route: max |H_a| = {report.geo_H_a_max:.3e}, "

@@ -21,7 +21,7 @@ from dataclasses import field
 
 import numpy as np
 
-from .metric import SpaceSpec, alpha_beta_generic, finsler_norm
+from .metric import SMALLEST_DIRECTION, SpaceSpec, alpha_beta_generic, finsler_norm
 from .numerics import Record, jet_eval
 
 
@@ -116,6 +116,9 @@ _DAMPING_START = 1e-3
 _DAMPING_MIN = 1e-12
 _DAMPING_MAX = 1e20
 _DAMPING_FACTOR = 10.0
+# A trial length that differs from the current one by at most this much (relative) is
+# the same float length: a few units in its last place, F's rounding summed over segments
+_LENGTH_ROUNDING = 4 * np.finfo(float).eps
 
 
 def _length_derivatives(spec: SpaceSpec, nodes, across):
@@ -158,10 +161,13 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     rejects raises the damping mu, an accepted one lowers it.  The loop stops
     when the max-norm of the gradient in z (the length's gradient across the
     chord) is at most ``params.tol``, when the last accepted step left the
-    length unchanged (its float minimum, not converged), or after
+    length unchanged or a rejected trial's length lies within its rounding of
+    the current one (its float minimum, not converged; such a trial is accepted
+    instead when its own gradient meets the tolerance), or after
     ``params.iters`` iterations.  Damping that grows without an acceptance
     ends with a non-converged result rather than an exception; endpoints
-    whose difference is not finite raise ValueError before any step; an initial
+    whose difference is not finite, or so small that a segment's alpha^2
+    underflows, raise ValueError before any step; an initial
     polyline that leaves the domain raises `SegmentDomainError` at the first
     segment that is not finite in the jet, or else raises in `polyline_length`.
     """
@@ -178,6 +184,9 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
         raise ValueError("endpoints must differ")
     if segments < 1:
         raise ValueError("need at least one segment")
+    if np.abs(span).max() / segments < SMALLEST_DIRECTION:  # each segment's difference
+        raise ValueError(f"end - start = {span.tolist()} is too small for {segments} segments: "
+                         "alpha^2 underflows")
 
     rng = np.random.default_rng(params.seed)
     ts = np.linspace(0.0, 1.0, segments + 1)[1:-1]
@@ -220,11 +229,16 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
             except (np.linalg.LinAlgError, ArithmeticError):
                 pass  # H + mu |H| I not positive definite, or a domain exit: damp harder
             else:
-                if tval <= value + 1e-4 * float(grad @ step):
+                same = abs(tval - value) <= _LENGTH_ROUNDING * value  # the same float length
+                if tval <= value + 1e-4 * float(grad @ step) or same and np.abs(tgrad).max() <= tol:
+                    break
+                if same:  # no damping can lower the length, and the trial is not stationary
+                    message = "float minimum reached: no step lowers the length past its rounding"
                     break
             damping *= _DAMPING_FACTOR
         else:
             message = "line search stalled: persistent step rejection"
+        if message:
             break
         z, value, grad, hess = trial, tval, tgrad, thess
         trace.append(value)

@@ -53,6 +53,9 @@ FAMILIES = (
 
 # half-width of the coordinate box that flag and surface sampling draw x from
 SAMPLE_BOX = 1.0
+# a direction whose components are all smaller than this squares below the smallest
+# normal float: alpha^2 = a_ij y^i y^j underflows
+SMALLEST_DIRECTION = math.sqrt(np.finfo(float).tiny)
 
 _ALIASES = {"square": ("generalized-square", 1), "kropina": ("generalized-kropina", 1),
             "randers": ("generalized-square", 0)}
@@ -292,8 +295,11 @@ def flag_point(spec: SpaceSpec, x, y) -> FlagPoint:
     y = np.asarray(y, dtype=float)
     if y.shape[-1:] != (spec.dim,) or y.ndim > 2:
         raise ValueError(f"y must have dimension {spec.dim}")
-    if any_lane(~y.any(axis=-1)):
-        raise ValueError("direction y must be nonzero")
+    if any_lane(small := np.abs(y).max(axis=-1) < SMALLEST_DIRECTION):  # zero, or underflows
+        first = y.reshape(-1, spec.dim)[np.argmax(small)]
+        if not first.any():
+            raise ValueError("direction y must be nonzero")
+        raise ValueError(f"direction y = {first.tolist()} is too small: alpha^2 underflows")
     p = base_point(spec, x)
     y_low = matvec(p.a, y)
     return FlagPoint(x=p.x, a=p.a, b=p.b, a_inv=p.a_inv, b_up=p.b_up, b2=p.b2, y=y,

@@ -192,8 +192,16 @@ MUTANTS = [
     (HYPERSURFACE, "(n_d / phi_d)", "(phi_d / phi_d)", "phi_D in place of N_D in N_i B^i_ab",
      SURFACE_TESTS),
     # the algebraic kind tests and the first-kind factor of `classifier`
-    (CLASSIFIER, "    rows[:, eq, iu] += b[:, ju]\n", "", "drop b_j c_i from the first-kind system",
+    # the first kind's closed-form least squares: the Sherman-Morrison solve of its
+    # diagonal-plus-rank-one normal matrix, and the residual of its equations
+    (CLASSIFIER, "outer(b, c) + outer(c, b) - r", "outer(b, c) - r",
+     "drop b_j c_i from the first-kind residual", CLASSIFIER_TESTS),
+    (CLASSIFIER, " + 2.0 * t * t", "", "drop 2 t o t from the first-kind diagonal",
      CLASSIFIER_TESTS),
+    (CLASSIFIER, "(w - u * lanewise(dot(t, w) / (1.0 + dot(t, u)), 1))", "w",
+     "drop the first kind's rank-one correction", CLASSIFIER_TESTS),
+    (CLASSIFIER, "np.maximum(dot(t, t), 1.0)", "dot(t, t)",
+     "first-kind diagonal without its floor where b = 0", CLASSIFIER_TESTS),
     (CLASSIFIER, "p.b2 * p.b2", "p.b2", "second-kind e over b^2 in place of (b^2)^2",
      CLASSIFIER_TESTS),
     (CLASSIFIER, "(4.0 * flag.alpha", "(2.0 * flag.alpha", "2 in place of 4 in the first-kind factor",
@@ -217,6 +225,14 @@ MUTANTS = [
      "lower off-diagonal block without its transpose", GEODESIC_OFFSET_TESTS),
     (GEODESIC, "h = across @ jet.hessian", "h = across.T @ jet.hessian",
      "Hessian blocks projected with across.T on the left", GEODESIC_OFFSET_TESTS),
+    # a trial of the same float length as the current one, which the Armijo test may
+    # reject, ends the solve: accepted when its gradient meets tol, else the float minimum
+    (GEODESIC, " or same and np.abs(tgrad).max() <= tol", "",
+     "a same-length trial that meets tol is not accepted",
+     ("tests/test_geodesic.py::test_a_geodesic_at_its_float_minimum_stops_at_once",)),
+    (GEODESIC, "if same:  # no damping", "if False:  # no damping",
+     "no stop at a rejected trial of the same float length",
+     ("tests/test_geodesic.py::test_a_geodesic_at_its_float_minimum_stops_at_once",)),
     # the Levenberg-Marquardt trial factorizes the damped Hessian, not the Hessian
     (GEODESIC, "np.linalg.cholesky(hess + damping * bound * eye)", "np.linalg.cholesky(hess)",
      "drop the damping from the factorized matrix",

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,67 @@ def test_kind_tolerances_scale_by_one_plus_the_largest_b_ij():
     second, _ = second_kind_test(conn, 1e-8)  # e = b_00, and b_11 is the misfit
     assert first.per_point == [1.2e-8] and second.per_point == [6e-9]
     assert first.passed is True and second.passed is True
+    assert first.bound == second.bound == 1e-8 * 1.5
+
+
+def _random_connection(rng, d: int):
+    """Six lanes of a random b and a non-symmetric b_cov in d dimensions, b = 0 in lanes 1
+    and 4, where b_cov is random as well."""
+    b = rng.normal(size=(6, d))
+    b[[1, 4]] = 0.0
+    point = types.SimpleNamespace(b=b, b_up=b, b2=(b * b).sum(-1))
+    return types.SimpleNamespace(point=point, b_cov=rng.normal(size=(6, d, d)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_first_kind_closed_form_agrees_with_lstsq(d):
+    # the closed form solves the least-squares problem of the d(d+1)/2 equations
+    # 2 b_ij = b_i c_j + b_j c_i, i <= j, which lstsq solves from the stacked rows
+    conn = _random_connection(np.random.default_rng(40 + d), d)
+    result, c_samples = first_kind_test(conn, 1e-8)
+    iu, ju = np.triu_indices(d)
+    eq = np.arange(len(iu))
+    for n, (b, b_cov) in enumerate(zip(conn.point.b, conn.b_cov)):
+        rows = np.zeros((len(iu), d))
+        rows[eq, ju] += b[iu]
+        rows[eq, iu] += b[ju]
+        rhs = 2.0 * b_cov[iu, ju]
+        c = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+        if n in (1, 4):  # b = 0: c = 0, and each equation is its right-hand side
+            assert np.all(c_samples[n] == 0.0) and np.all(c == 0.0)
+            assert result.per_point[n] == np.abs(rhs).max()
+            continue
+        assert np.abs(c_samples[n] - c).max() <= 1e-14 * np.abs(c).max(), n
+        assert result.per_point[n] == pytest.approx(np.abs(rows @ c - rhs).max(), rel=1e-14), n
+    assert result.bound == 1e-8 * (1.0 + np.abs(conn.b_cov).max()) and not result.passed
+
+
+@pytest.mark.parametrize("e", [900, -900])
+def test_first_kind_solution_keeps_its_bits_when_b_and_b_cov_scale(e):
+    # t = b / max |b_i| is the same at every scale 2^e, so c is too, with no overflow or
+    # underflow on the way; each residual scales by 2^e
+    conn = _random_connection(np.random.default_rng(11), 4)
+    point = types.SimpleNamespace(b=np.ldexp(conn.point.b, e))
+    scaled = types.SimpleNamespace(point=point, b_cov=np.ldexp(conn.b_cov, e))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result, c_samples = first_kind_test(conn, 1e-8)
+        scaled_result, scaled_c = first_kind_test(scaled, 1e-8)
+    assert np.array(scaled_c).tobytes() == np.array(c_samples).tobytes()
+    assert scaled_result.per_point == np.ldexp(result.per_point, e).tolist()
+
+
+def test_first_kind_residual_of_a_steep_one_form_is_below_tol(tmp_path):
+    # e5 with b = grad(0.2 x3 exp(20 x1)): b^2 spans 3e-20 to 1e13 over the surface
+    # points, so the bound tol * (1 + max |b_ij|) is 0.68, but the residual of each
+    # point's solve stays below tol itself
+    text = (Path(__file__).resolve().parents[1] / "configs" / "e5.cfg").read_text()
+    path = tmp_path / "e5-exp20.cfg"
+    path.write_text(re.sub(r"(?m)^b_potential = .*$", "b_potential = 0.2*x3*exp(20*x1)", text))
+    cfg = load_config(path)
+    report = classify(cfg.surface, cfg.space, cfg.classify_options)
+    first = report.first_kind
+    assert first.passed and first.residual < report.tol < 0.5 < first.bound < 1.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

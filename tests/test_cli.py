@@ -403,6 +403,17 @@ def test_classify_whose_normal_cannot_be_normalized_names_the_point(tmp_path, ca
     assert abs(x[2]) < 1e-12 and float(named.group(2)) > 1e10  # on the surface x3 = 0
 
 
+def test_classify_prints_the_bound_each_kind_is_held_to(tmp_path, capsys):
+    # K = 20: the bound tol * (1 + max |b_ij|) is 0.68 at tol = 1e-8, which the report
+    # did not print; the first-kind residual is below tol itself
+    code = main(["classify", "--config", _e5_with(tmp_path, b_potential="0.2*x3*exp(20*x1)")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and lines[0].endswith("tol=1.0e-08")
+    first = re.fullmatch(r"  first kind : PASS \(max residual (\S+), bound 6\.8e-01\)", lines[1])
+    assert float(first.group(1)) < 1e-8
+    assert re.fullmatch(r"  second kind: FAIL \(max residual \S+, bound 6\.8e-01\)", lines[2])
+
+
 @pytest.mark.filterwarnings("error")
 def test_classify_whose_first_kind_factor_deviates_names_the_worst_flag(tmp_path, capsys):
     # K = 22: before, the deviation (1.387e+01) with no point, where b^2 is about 3e14
@@ -454,6 +465,31 @@ def test_endpoints_whose_difference_overflows_are_one_error_and_no_warning(tmp_p
     assert code == 2 and captured.out == "" and caught == []
     assert captured.err == ("error: end - start is not finite: start = [-1e+308, 0.0], "
                             "end = [1e+308, 0.0]\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, config, key, value, expected", [
+    ("tensors", "e1", "flag = 0.2, -0.1, 0.4 ;", "1e-300, 0, 0",
+     "direction y = [1e-300, 0.0, 0.0]"),
+    ("tensors", "e1", "flag = 0.2, -0.1, 0.4 ;", "1e-160, 0, 0",
+     "direction y = [1e-160, 0.0, 0.0]"),
+    ("geodesic", "geodesic_randers", "end =", "1e-300, 0",
+     "end - start = [1e-300, 0.0] is too small for 8 segments"),
+    ("geodesic", "geodesic_randers", "end =", "1e-160, 0",
+     "end - start = [1e-160, 0.0] is too small for 8 segments"),
+])
+def test_a_scale_whose_alpha_squared_underflows_is_one_error_that_names_it(
+        tmp_path, capsys, command, config, key, value, expected):
+    # before: e1's flag2 at 1e-300 and 1e-160 failed the validity check on "F > 0" and
+    # on "g positive definite", and the Randers geodesic to 1e-300 and 1e-160 blamed a
+    # degenerate direction and a jet that is not finite
+    text = (Path(__file__).resolve().parents[1] / "configs" / f"{config}.cfg").read_text()
+    text = re.sub(rf"(?m)^{re.escape(key)} .*$", f"{key} {value}", text)
+    code = main([command, "--config", _write(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {expected}")
+    assert captured.err.endswith("alpha^2 underflows\n") and captured.err.count("\n") == 1
 
 
 class _ClosedPipe(io.StringIO):

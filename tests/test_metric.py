@@ -10,6 +10,7 @@ from finslerkit import metric
 from finslerkit.connection import christoffel, covariant_db
 from finslerkit.metric import (
     FAMILIES,
+    SMALLEST_DIRECTION,
     DegenerateMetricError,
     FamilyDomainError,
     SpaceSpec,
@@ -130,6 +131,22 @@ def test_flag_point_invariants_and_zero_direction():
     assert np.allclose(fl.y_low, fl.a @ fl.y)
     with pytest.raises(ValueError, match="nonzero"):
         flag_point(spec, [0, 0, 0], [0, 0, 0])
+
+
+def test_a_direction_whose_alpha_squared_underflows_is_refused_by_its_scale():
+    # F is 1-homogeneous, so a tiny y is a valid flag in exact arithmetic; below
+    # SMALLEST_DIRECTION, a_ij y^i y^j underflows, which the validity check once read as
+    # F <= 0 (1e-300) or an indefinite g (1e-160)
+    spec = make_space(k=1, potential="0.1*x3")
+    ys = np.array([[0.3, -1.0, 0.7], [1e-160, 0.0, -1e-170], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError) as err:
+        flag_point(spec, np.zeros((3, 3)), ys)
+    assert str(err.value) == "direction y = [1e-160, 0.0, -1e-170] is too small: alpha^2 underflows"
+    for y in ([1e-300, 0.0, 0.0], [0.0, -0.5 * SMALLEST_DIRECTION, 0.0]):
+        with pytest.raises(ValueError, match=r"is too small: alpha\^2 underflows"):
+            validity_check(spec, [0.0, 0.0, 0.0], y)
+    at_floor = flag_point(spec, [0.0, 0.0, 0.0], [SMALLEST_DIRECTION, 0.0, 0.0])
+    assert at_floor.alpha == SMALLEST_DIRECTION  # alpha^2 is the smallest normal float
 
 
 def test_degenerate_a_reports_pivot():

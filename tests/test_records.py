@@ -161,7 +161,7 @@ def _records():
     return [flag, base_point(spec, [0.2, -0.1, 0.4]), bundle_at(spec, flag, flag.y), cfg,
             AuditRow("angular-identity", 1e-9, 1e-8, True),
             PhiPartials(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), ClassifyOptions(points=3),
-            KindResult(False, [0.5, 0.25]), cfg.surface]
+            KindResult(False, [0.5, 0.25], 1e-8), cfg.surface]
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
@@ -179,9 +179,9 @@ def test_records_compare_by_value_as_their_dataclasses_did():
     assert pp == PhiPartials(1.0, 2.0, 3.0, 4.0, 5.0, 6.0) != dataclasses.replace(pp, Fab=0.0)
     assert pp.__eq__(_as_plain_dataclass(pp)) is NotImplemented
     nan = float("nan")  # the same object: equal by identity inside the compared tuples
-    assert KindResult(True, [nan]) != KindResult(True, [float("nan")])
+    assert KindResult(True, [nan], 1.0) != KindResult(True, [float("nan")], 1.0)
     same = [nan]
-    assert KindResult(True, same) == KindResult(True, same)
+    assert KindResult(True, same, 1.0) == KindResult(True, same, 1.0)
 
 
 def test_a_record_holding_arrays_raises_on_comparison_and_records_are_unhashable():
