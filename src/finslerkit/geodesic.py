@@ -161,9 +161,9 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
     rejects raises the damping mu, an accepted one lowers it.  The loop stops
     when the max-norm of the gradient in z (the length's gradient across the
     chord) is at most ``params.tol``, when the last accepted step left the
-    length unchanged or a rejected trial's length lies within its rounding of
-    the current one (its float minimum, not converged; such a trial is accepted
-    instead when its own gradient meets the tolerance), or after
+    length unchanged or a rejected trial whose gradient is above the tolerance
+    has a length within its rounding of the current one (its float minimum, not
+    converged, at the current nodes), or after
     ``params.iters`` iterations.  Damping that grows without an acceptance
     ends with a non-converged result rather than an exception; endpoints
     whose difference is not finite, or so small that a segment's alpha^2
@@ -229,10 +229,10 @@ def minimize(spec: SpaceSpec, params: GeodesicParams) -> GeodesicResult:
             except (np.linalg.LinAlgError, ArithmeticError):
                 pass  # H + mu |H| I not positive definite, or a domain exit: damp harder
             else:
-                same = abs(tval - value) <= _LENGTH_ROUNDING * value  # the same float length
-                if tval <= value + 1e-4 * float(grad @ step) or same and np.abs(tgrad).max() <= tol:
+                if tval <= value + 1e-4 * float(grad @ step):
                     break
-                if same:  # no damping can lower the length, and the trial is not stationary
+                if (abs(tval - value) <= _LENGTH_ROUNDING * value  # the same float length,
+                        and np.abs(tgrad).max() > tol):  # a stationary one may yet pass when damped
                     message = "float minimum reached: no step lowers the length past its rounding"
                     break
             damping *= _DAMPING_FACTOR

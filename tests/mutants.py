@@ -225,12 +225,12 @@ MUTANTS = [
      "lower off-diagonal block without its transpose", GEODESIC_OFFSET_TESTS),
     (GEODESIC, "h = across @ jet.hessian", "h = across.T @ jet.hessian",
      "Hessian blocks projected with across.T on the left", GEODESIC_OFFSET_TESTS),
-    # a trial of the same float length as the current one, which the Armijo test may
-    # reject, ends the solve: accepted when its gradient meets tol, else the float minimum
-    (GEODESIC, " or same and np.abs(tgrad).max() <= tol", "",
-     "a same-length trial that meets tol is not accepted",
+    # a rejected trial of the same float length as the current one, its gradient above
+    # tol, ends the solve at the current nodes; one that meets tol is damped as before
+    (GEODESIC, "np.abs(tgrad).max() > tol):", "True):",
+     "a rejected same-length trial that meets tol ends the solve",
      ("tests/test_geodesic.py::test_a_geodesic_at_its_float_minimum_stops_at_once",)),
-    (GEODESIC, "if same:  # no damping", "if False:  # no damping",
+    (GEODESIC, "if (abs(tval - value) <= _LENGTH_ROUNDING * value", "if (False",
      "no stop at a rejected trial of the same float length",
      ("tests/test_geodesic.py::test_a_geodesic_at_its_float_minimum_stops_at_once",)),
     # the Levenberg-Marquardt trial factorizes the damped Hessian, not the Hessian
